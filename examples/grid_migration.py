@@ -41,9 +41,12 @@ def main():
     # rebuild the identical base tables.
     image_root = tempfile.mkdtemp(prefix="grid-images-")
     session.suspend(
-        SuspendSpec(strategy=SuspendStrategy.LP, budget=50.0),
-        persist_to=image_root,
-        image_meta={"recipe": RECIPE, "scale": 1, "seed": 0},
+        SuspendSpec(
+            strategy=SuspendStrategy.LP,
+            budget=50.0,
+            persist_to=image_root,
+            image_meta={"recipe": RECIPE, "scale": 1, "seed": 0},
+        )
     )
     info = session.last_image
     print(

@@ -66,7 +66,6 @@ from repro.core.lifecycle import (
     ExecutionResult,
     QuerySession,
     QueryStatus,
-    SuspendOptions,  # deprecated alias of SuspendSpec (warns on use)
     SuspendSpec,
     SuspendStrategy,
 )
@@ -160,7 +159,6 @@ __all__ = [
     "SimulatedDisk",
     "SortSpec",
     "Strategy",
-    "SuspendOptions",
     "SuspendPlan",
     "SuspendSpec",
     "SuspendStrategy",

@@ -36,12 +36,10 @@ token; see docs/SERVING.md), and ``loadgen`` runs the deterministic
 load generator behind BENCH_serve.json.
 
 Observability: every subcommand accepts ``--trace-out PATH`` (JSONL
-trace) and ``--metrics PATH`` (text metrics snapshot). ``--trace`` is a
-deprecated alias for ``--trace-out`` where it is unambiguous; on
-``workload``/``serve`` it already names the arrival trace, so only
-``--trace-out`` works there. The ``experiment serve`` entry runs a
-mixed scheduler workload, so ``repro experiment serve --trace-out
-out.jsonl`` yields one trace with
+trace) and ``--metrics PATH`` (text metrics snapshot); ``--trace`` only
+exists on ``workload``/``serve``, where it names the arrival trace. The
+``experiment serve`` entry runs a mixed scheduler workload, so ``repro
+experiment serve --trace-out out.jsonl`` yields one trace with
 checkpoints, per-operator MIP decisions, and scheduler quanta; ``repro
 trace convert`` turns any trace into Chrome ``trace_event`` JSON that
 opens in Perfetto (https://ui.perfetto.dev).
@@ -273,10 +271,6 @@ def run_demo(rows_before_suspend: int = 20, row_path: bool = False) -> str:
     return "\n".join(lines)
 
 
-#: ``--image-codec`` flag values to manifest codec versions.
-CODEC_NAMES = {"v1": 1, "v2": 2}
-
-
 def run_suspend_to_image(
     recipe: str,
     images: str,
@@ -286,7 +280,6 @@ def run_suspend_to_image(
     image_id: Optional[str] = None,
     as_json: bool = False,
     row_path: bool = False,
-    codec: Optional[str] = None,
     strategy: str = "lp",
     budget: Optional[float] = None,
     delta: bool = True,
@@ -294,22 +287,17 @@ def run_suspend_to_image(
 ) -> str:
     """Run a recipe partway, suspend, and commit a durable image."""
     from repro.core.lifecycle import QuerySession, SuspendSpec
-    from repro.durability import ImageStore, build_recipe
+    from repro.durability import build_recipe
     from repro.engine.config import EngineConfig
 
     db, plan = build_recipe(recipe, scale=scale, seed=seed)
     config = EngineConfig(batch_execution=not row_path)
     session = QuerySession(db, plan, name=recipe, config=config)
     result = session.execute(max_rows=rows)
-    store = (
-        ImageStore(images, codec_version=CODEC_NAMES[codec])
-        if codec is not None
-        else images
-    )
     session.suspend(SuspendSpec(
         strategy=strategy,
         budget=float("inf") if budget is None else budget,
-        persist_to=store,
+        persist_to=images,
         delta=delta,
         commit_workers=commit_workers,
         image_id=image_id,
@@ -869,29 +857,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _deprecated_alias(canonical: str):
-    """An argparse action for a deprecated flag spelling: works, warns."""
-
-    class _Alias(argparse.Action):
-        def __call__(self, parser, namespace, values, option_string=None):
-            print(
-                f"warning: {option_string} is deprecated; "
-                f"use {canonical}",
-                file=sys.stderr,
-            )
-            setattr(namespace, self.dest, values)
-
-    return _Alias
-
-
-def _add_obs_flags(parser, trace_alias: bool = True) -> None:
-    """Attach the observability output flags to a subcommand parser.
-
-    ``--trace-out`` is the canonical spelling everywhere; ``--trace``
-    remains a deprecated alias except on ``workload``/``serve``, where
-    it already selects the arrival trace (they pass
-    ``trace_alias=False``).
-    """
+def _add_obs_flags(parser) -> None:
+    """Attach the observability output flags to a subcommand parser."""
     parser.add_argument(
         "--trace-out",
         dest="trace_out",
@@ -899,14 +866,6 @@ def _add_obs_flags(parser, trace_alias: bool = True) -> None:
         default=None,
         help="write a JSONL observability trace to PATH",
     )
-    if trace_alias:
-        parser.add_argument(
-            "--trace",
-            dest="trace_out",
-            metavar="PATH",
-            action=_deprecated_alias("--trace-out"),
-            help=argparse.SUPPRESS,
-        )
     parser.add_argument(
         "--metrics",
         dest="metrics_out",
@@ -998,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
             "instead of the scheduler trace: shuffle join + aggregation "
             "with a mid-run globally consistent suspend/resume",
         )
-        _add_obs_flags(wl, trace_alias=False)
+        _add_obs_flags(wl)
 
     sh = sub.add_parser(
         "serve-http",
@@ -1086,21 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the tuple-at-a-time execution path instead of the "
         "vectorized batch path",
-    )
-    susp.add_argument(
-        "--image-codec",
-        dest="codec",
-        choices=sorted(CODEC_NAMES),
-        default=None,
-        help="image codec version (v1 tagged-JSON or v2 binary columnar; "
-        "default: the store default, v2)",
-    )
-    susp.add_argument(
-        "--codec",
-        dest="codec",
-        choices=sorted(CODEC_NAMES),
-        action=_deprecated_alias("--image-codec"),
-        help=argparse.SUPPRESS,
     )
     susp.add_argument(
         "--strategy",
@@ -1361,7 +1305,6 @@ def _dispatch(args) -> int:
                 image_id=args.id,
                 as_json=args.json,
                 row_path=args.row_path,
-                codec=args.codec,
                 strategy=args.strategy,
                 budget=args.budget,
                 delta=args.delta,

@@ -21,7 +21,6 @@ discard the half-resumed state and keep the old SuspendedQuery
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -75,10 +74,7 @@ class SuspendSpec:
     """Everything one suspend phase needs, in a single value.
 
     One spec is accepted uniformly by :meth:`QuerySession.suspend`, by
-    ``SchedulerConfig(suspend=...)``, and by the CLI — the single home
-    for knobs that previously sprawled across ``persist_to=``,
-    ``--codec``, ``delta_spill``, ``commit_workers``, and
-    ``SuspendOptions``.
+    ``SchedulerConfig(suspend=...)``, and by the CLI.
 
     Plan selection:
 
@@ -92,9 +88,6 @@ class SuspendSpec:
     - ``persist_to`` — an :class:`~repro.durability.store.ImageStore`
       or image-root path; the suspended query is additionally committed
       as a durable on-disk image;
-    - ``codec`` — image codec version (1 tagged-JSON, 2 binary
-      columnar); ``None`` uses the store default. Only applied when
-      ``persist_to`` is a path;
     - ``delta`` — commit repeat suspends as delta images against
       ``base_image_id`` (or the scheduler-tracked previous image)
       instead of rewriting unchanged state;
@@ -111,7 +104,6 @@ class SuspendSpec:
     budget: float = math.inf
     plan: Optional[SuspendPlan] = None
     persist_to: Union["ImageStore", str, None] = None
-    codec: Optional[int] = None
     delta: bool = True
     commit_workers: int = 0
     image_id: Optional[str] = None
@@ -127,26 +119,17 @@ class SuspendSpec:
             )
         if self.budget < 0:
             raise ValueError(f"negative suspend budget {self.budget}")
-        if self.codec not in (None, 1, 2):
-            raise ValueError(f"unknown image codec {self.codec!r}")
 
     def replace(self, **changes) -> "SuspendSpec":
         """A copy of this spec with ``changes`` applied."""
-        spec = replace(self, **changes)
-        # dataclasses.replace would instantiate the (deprecated)
-        # subclass and re-warn; always return a plain SuspendSpec.
-        if type(spec) is not SuspendSpec:
-            spec = SuspendSpec(
-                **{f: getattr(spec, f) for f in _SUSPEND_SPEC_FIELDS}
-            )
-        return spec
+        return replace(self, **changes)
 
     def resolve_image_store(self) -> Optional["ImageStore"]:
         """The :class:`ImageStore` to persist to, or ``None``.
 
-        A string ``persist_to`` is opened with this spec's ``codec`` and
+        A string ``persist_to`` is opened with this spec's
         ``commit_workers``; a ready-made store is passed through (its
-        own settings win, as before).
+        own settings win).
         """
         if self.persist_to is None:
             return None
@@ -154,46 +137,9 @@ class SuspendSpec:
             return self.persist_to
         from repro.durability.store import ImageStore
 
-        kwargs = {"commit_workers": self.commit_workers}
-        if self.codec is not None:
-            kwargs["codec_version"] = self.codec
-        return ImageStore(self.persist_to, **kwargs)
-
-
-_SUSPEND_SPEC_FIELDS = tuple(SuspendSpec.__dataclass_fields__)
-
-
-#: Module-level latch so the SuspendOptions deprecation fires exactly once
-#: per process — a scheduler constructing one spec per suspend cycle should
-#: not flood the warning log with the identical message. Tests reset it.
-_SUSPEND_OPTIONS_WARNED = False
-
-
-class SuspendOptions(SuspendSpec):
-    """Deprecated name for :class:`SuspendSpec` (the PR-1 spelling)."""
-
-    def __post_init__(self):
-        global _SUSPEND_OPTIONS_WARNED
-        if not _SUSPEND_OPTIONS_WARNED:
-            _SUSPEND_OPTIONS_WARNED = True
-            warnings.warn(
-                "SuspendOptions is deprecated; use SuspendSpec (same "
-                "fields, plus the durable-persistence knobs)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        super().__post_init__()
-
-
-#: ``QuerySession.suspend`` keywords that still work but now warn: each
-#: maps onto a :class:`SuspendSpec` field.
-_LEGACY_SUSPEND_KEYWORDS = {
-    "persist_to": "persist_to",
-    "image_id": "image_id",
-    "image_meta": "image_meta",
-}
-#: Keywords of the PR-1 string-form shim, removed outright.
-_REMOVED_SUSPEND_KEYWORDS = ("strategy", "budget", "plan")
+        return ImageStore(
+            self.persist_to, commit_workers=self.commit_workers
+        )
 
 
 #: Root-drain batch size used by ``execute()`` when no ``max_rows`` bound
@@ -364,14 +310,11 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Suspend phase
     # ------------------------------------------------------------------
-    def suspend(self, spec: Optional[SuspendSpec] = None, **legacy) -> SuspendedQuery:
+    def suspend(self, spec: Optional[SuspendSpec] = None) -> SuspendedQuery:
         """Carry out the suspend phase and return the SuspendedQuery.
 
         ``spec`` is a :class:`SuspendSpec`; with none given the online LP
-        optimizer runs unbudgeted and nothing is persisted. The PR-1
-        string-form shim — ``suspend("lp")`` and the
-        ``strategy=/budget=/plan=`` keywords — has been removed; pass
-        ``SuspendSpec(strategy=..., budget=..., plan=...)``.
+        optimizer runs unbudgeted and nothing is persisted.
 
         With ``spec.persist_to`` set (an image-root path or a
         :class:`~repro.durability.store.ImageStore`), the suspended query
@@ -381,39 +324,9 @@ class QuerySession:
         :attr:`last_image`. Persistence charges no extra simulated-disk
         I/O: the dumped pages were paid for at dump time and the control
         record by the ``write_control_bytes`` below — the image is the
-        durable form of those same bytes. The standalone ``persist_to=``
-        / ``image_id=`` / ``image_meta=`` keywords are deprecated
-        spellings of the same spec fields and emit a
-        :class:`DeprecationWarning`.
+        durable form of those same bytes.
         """
-        if isinstance(spec, str) or any(
-            k in legacy for k in _REMOVED_SUSPEND_KEYWORDS
-        ):
-            raise TypeError(
-                "the string-form suspend API — suspend('lp') and the "
-                "strategy=/budget=/plan= keywords — has been removed; "
-                "pass a SuspendSpec: suspend(SuspendSpec(strategy="
-                "SuspendStrategy.LP, budget=...))"
-            )
-        unknown = set(legacy) - set(_LEGACY_SUSPEND_KEYWORDS)
-        if unknown:
-            raise TypeError(
-                f"suspend() got unexpected keyword(s) {sorted(unknown)}"
-            )
-        if legacy:
-            warnings.warn(
-                "QuerySession.suspend(persist_to=..., image_id=..., "
-                "image_meta=...) keywords are deprecated; fold them into "
-                "the spec: suspend(SuspendSpec(persist_to=..., "
-                "image_id=..., image_meta=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         options = spec if spec is not None else SuspendSpec()
-        if legacy:
-            options = options.replace(
-                **{_LEGACY_SUSPEND_KEYWORDS[k]: v for k, v in legacy.items()}
-            )
         if self.status in (QueryStatus.SUSPENDED, QueryStatus.COMPLETED):
             raise ReproError(f"cannot suspend in status {self.status}")
         controller = self.runtime.controller
@@ -474,6 +387,7 @@ class QuerySession:
             # another process) restarts the lane here so the query's solo
             # timeline stays continuous across the gap.
             sq.query_clock = self.query_now
+            sq.store_keys = list(self.runtime.store.keys)
         finally:
             self.db.disk.set_lane(prev_lane)
             controller.unsuppress()
@@ -555,11 +469,16 @@ class QuerySession:
         Used by the suspend phase after dumping state, and by schedulers
         as the *kill* and *discard-half-resumed* primitive: afterwards
         :meth:`memory_in_use` is 0 and the session can no longer execute.
+        A completed query also frees its state-store payloads (sort
+        sublists, dumps); a suspended one must not — its SuspendedQuery
+        still references them and carries the keys to the resumed session.
         """
         if self.runtime.ops:
             self.root.close()
         self.runtime.ops.clear()
         self.runtime.ops_by_name.clear()
+        if self.status is QueryStatus.COMPLETED:
+            self.runtime.store.release()
 
     # ------------------------------------------------------------------
     # Resume phase
@@ -612,6 +531,8 @@ class QuerySession:
         try:
             if sq.migrated_payloads:
                 sq.import_payloads(session.runtime.store)
+            else:
+                session.runtime.store.keys.extend(sq.store_keys)
             # Read the SuspendedQuery structure from disk.
             db.disk.read_control_bytes(sq.nominal_bytes(bytes_per_row=200))
             session.root = instantiate_plan(sq.plan_spec, session.runtime)

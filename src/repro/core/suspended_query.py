@@ -96,6 +96,10 @@ class SuspendedQuery:
     #: Dump payloads exported for migration to a replica (see
     #: :meth:`export_payloads`). Empty when resuming in place.
     migrated_payloads: dict = field(default_factory=dict)
+    #: State-store keys the suspended session had drawn (in-process only,
+    #: never part of an image). A session resumed in place takes them
+    #: over, so the query frees its payloads when it finally completes.
+    store_keys: list = field(default_factory=list)
 
     def entry(self, op_id: int) -> OpSuspendEntry:
         if op_id not in self.entries:
@@ -134,23 +138,10 @@ class SuspendedQuery:
                     handles[handle.key] = handle
         return handles
 
-    def to_dict(self) -> dict:
-        """Stable JSON-compatible control record (payloads not included;
-        see :meth:`export_payloads` / the durability ImageStore)."""
-        from repro.durability import codec  # local: codec imports this module
-
-        return codec.suspended_query_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SuspendedQuery":
-        from repro.durability import codec  # local: codec imports this module
-
-        return codec.suspended_query_from_dict(data)
-
     def to_record(self) -> dict:
-        """Codec-v2 control record: like :meth:`to_dict` but keeps tuples
-        and DumpHandles as objects (the binary codec encodes them natively
-        instead of JSON-tagging them)."""
+        """Codec-v2 control record (dump payloads not included; see
+        :meth:`export_payloads` / the durability ImageStore). Tuples and
+        DumpHandles stay objects: the binary codec encodes them natively."""
         from repro.durability import codec2  # local: import cycle
 
         return codec2.suspended_query_to_record(self)

@@ -10,11 +10,12 @@ Layers, bottom up:
 
 - :mod:`~repro.durability.faults` — crash-point hooks and torn-write
   injection, threaded through every file operation;
-- :mod:`~repro.durability.codec` — stable tagged-JSON codecs for the
-  SuspendedQuery control record and plan specs (``FORMAT_VERSION``);
+- :mod:`~repro.durability.codec` — the tagged-JSON value codec (plan
+  specs in shard manifests and worker messages) and the *reader* for
+  legacy v1 images (``FORMAT_VERSION``); nothing writes v1 any more;
 - :mod:`~repro.durability.codec2` — the v2 binary columnar codec
   (typed column segments, string interning, CRC'd zlib frames,
-  streaming chunked writes), selected per image via ``codec_version``;
+  streaming chunked writes), the only image encoder;
 - :mod:`~repro.durability.format` — the directory layout, the atomic
   tmp+fsync+rename write discipline, and manifest checksums
   (``LAYOUT_VERSION``);

@@ -1,14 +1,20 @@
-"""Stable serialization codecs for suspend images.
+"""The tagged-JSON value codec, and the reader for legacy v1 images.
 
-Everything a :class:`~repro.core.suspended_query.SuspendedQuery` carries —
-the plan-spec tree, the suspend plan, per-operator entries, control-state
-dicts, checkpoint payloads, saved rows — is turned into plain
-JSON-compatible data here, and back. The encoding is *tagged*: values JSON
-cannot represent faithfully (tuples, non-string dict keys, frozensets,
-:class:`~repro.storage.statefile.DumpHandle` references, the registered
-spec/predicate dataclasses) become ``{"$t": <tag>, ...}`` objects. Plain
-strings, numbers, booleans, ``None``, lists, and string-keyed dicts pass
-through untouched, so the files stay human-readable.
+Two things live here:
+
+- the *tagged* value encoding (:func:`encode_value` /
+  :func:`decode_value`, :func:`spec_to_dict` / :func:`spec_from_dict`):
+  values JSON cannot represent faithfully (tuples, non-string dict keys,
+  frozensets, :class:`~repro.storage.statefile.DumpHandle` references,
+  the registered spec/predicate dataclasses) become
+  ``{"$t": <tag>, ...}`` objects. Plain strings, numbers, booleans,
+  ``None``, lists, and string-keyed dicts pass through untouched. The
+  shard layer ships plan specs to workers and into ``CHANNELS.json``
+  this way;
+- the *decoders* for codec-v1 suspend images (``*_from_dict``). v1 is a
+  read-only legacy format: nothing writes it any more (new images are
+  codec v2, :mod:`repro.durability.codec2`), but images committed by
+  earlier builds stay loadable.
 
 ``DumpHandle`` values are encoded as ``(key, pages)`` references only —
 their payloads are written as separate image blobs and re-homed into the
@@ -33,8 +39,8 @@ from repro.engine import plan as plan_module
 from repro.relational import expressions as expr_module
 from repro.storage.statefile import DumpHandle
 
-#: Version of the image encoding. Bump on any incompatible change to the
-#: tagged encoding, the registries, or the record layouts below.
+#: Record-level version stamped inside v1 control records; the only one
+#: the v1 reader accepts.
 FORMAT_VERSION = 1
 
 
@@ -164,23 +170,8 @@ def spec_from_dict(data: dict):
 
 
 # ----------------------------------------------------------------------
-# Suspend plans
+# Suspend plans (v1 reader)
 # ----------------------------------------------------------------------
-def suspend_plan_to_dict(plan: SuspendPlan) -> dict:
-    decisions = []
-    for op_id in sorted(plan.decisions):
-        d = plan.decisions[op_id]
-        decisions.append(
-            {
-                "op": op_id,
-                "strategy": d.strategy.value,
-                "anchor": d.goback_anchor,
-                "dump_children": list(d.dump_children),
-            }
-        )
-    return {"source": plan.source, "decisions": decisions}
-
-
 def suspend_plan_from_dict(data: dict) -> SuspendPlan:
     decisions: dict[int, OpDecision] = {}
     for item in data["decisions"]:
@@ -193,32 +184,8 @@ def suspend_plan_from_dict(data: dict) -> SuspendPlan:
 
 
 # ----------------------------------------------------------------------
-# Per-operator suspend entries
+# Per-operator suspend entries (v1 reader)
 # ----------------------------------------------------------------------
-def entry_to_dict(entry: OpSuspendEntry) -> dict:
-    return {
-        "op": entry.op_id,
-        "kind": entry.kind,
-        "target_control": encode_value(entry.target_control),
-        "ckpt_payload": (
-            None
-            if entry.ckpt_payload is None
-            else encode_value(entry.ckpt_payload)
-        ),
-        "dump_handle": (
-            None
-            if entry.dump_handle is None
-            else encode_value(entry.dump_handle)
-        ),
-        "current_control": (
-            None
-            if entry.current_control is None
-            else encode_value(entry.current_control)
-        ),
-        "saved_rows": encode_value(list(entry.saved_rows)),
-    }
-
-
 def entry_from_dict(data: dict) -> OpSuspendEntry:
     return OpSuspendEntry(
         op_id=data["op"],
@@ -244,23 +211,8 @@ def entry_from_dict(data: dict) -> OpSuspendEntry:
 
 
 # ----------------------------------------------------------------------
-# The SuspendedQuery control record
+# The SuspendedQuery control record (v1 reader)
 # ----------------------------------------------------------------------
-def suspended_query_to_dict(sq: SuspendedQuery) -> dict:
-    """Encode the control record (dump payloads travel as image blobs)."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "plan_spec": spec_to_dict(sq.plan_spec),
-        "suspend_plan": suspend_plan_to_dict(sq.suspend_plan),
-        "entries": [
-            entry_to_dict(sq.entries[op_id]) for op_id in sorted(sq.entries)
-        ],
-        "root_rows_emitted": sq.root_rows_emitted,
-        "suspended_at": sq.suspended_at,
-        "query_clock": sq.query_clock,
-    }
-
-
 def suspended_query_from_dict(data: dict) -> SuspendedQuery:
     version = data.get("format_version")
     if version != FORMAT_VERSION:

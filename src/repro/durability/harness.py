@@ -16,24 +16,23 @@ passes (so the matrix cannot drift out of sync with the code), then each
 fault is injected into a fresh image root and the aftermath is put
 through recovery and classified.
 
-The matrix is parametric in two new dimensions since codec v2:
+Blobs and the control record go through :func:`atomic_write_stream`, so
+a torn write truncates *inside a CRC'd frame*; the manifest goes through
+:func:`atomic_write` and truncates JSON mid-document. Both must classify
+as torn, never silently corrupt.
 
-- ``codec_version`` — v1 saves pass through :func:`atomic_write` (torn
-  writes truncate JSON mid-document), v2 through
-  :func:`atomic_write_stream` (torn writes truncate *inside a CRC'd
-  frame*); both must classify as torn, never silently corrupt;
-- the **delta matrix** (:func:`run_delta_crash_matrix`) — a base image
-  is committed cleanly, one payload's generation is bumped, and the
-  fault strikes the *delta* commit. The claim strengthens: the delta is
-  torn/quarantined as usual AND the base image must remain committed and
-  loadable — a crashed delta can never take its chain down with it.
+The **delta matrix** (:func:`run_delta_crash_matrix`) commits a base
+image cleanly, bumps one payload's generation, and strikes the *delta*
+commit. The claim strengthens: the delta is torn/quarantined as usual
+AND the base image must remain committed and loadable — a crashed delta
+can never take its chain down with it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.core.suspended_query import SuspendedQuery
 from repro.durability.faults import FaultInjector, InjectedCrash
@@ -64,25 +63,14 @@ class CrashOutcome:
     base_intact: bool = True
 
 
-def _make_store(
-    root: str,
-    injector: Optional[FaultInjector] = None,
-    codec_version: Optional[int] = None,
-) -> ImageStore:
-    if codec_version is None:
-        return ImageStore(root, injector=injector)
-    return ImageStore(root, injector=injector, codec_version=codec_version)
-
-
 def enumerate_faults(
     sq: SuspendedQuery,
     store: StateStore,
     scratch_root: str,
-    codec_version: Optional[int] = None,
 ) -> tuple[list[str], list[str]]:
     """Record every crash point and torn-write label one save passes."""
     recorder = FaultInjector()
-    _make_store(scratch_root, recorder, codec_version).save(
+    ImageStore(scratch_root, injector=recorder).save(
         sq, store, image_id="probe"
     )
     points = list(dict.fromkeys(recorder.observed_points))
@@ -120,15 +108,12 @@ def run_one_fault(
     root: str,
     injector: FaultInjector,
     fault: str,
-    codec_version: Optional[int] = None,
 ) -> CrashOutcome:
     """Inject one fault into a save under a fresh ``root``; classify."""
     crashed = False
     detail = ""
     try:
-        _make_store(root, injector, codec_version).save(
-            sq, store, image_id="img"
-        )
+        ImageStore(root, injector=injector).save(sq, store, image_id="img")
     except InjectedCrash as exc:
         crashed = True
         detail = str(exc)
@@ -162,7 +147,6 @@ def run_one_fault(
 def run_crash_matrix(
     make_suspended: "Callable",
     root: str,
-    codec_version: Optional[int] = None,
 ) -> list[CrashOutcome]:
     """Run the full fault matrix; returns one outcome per fault.
 
@@ -174,7 +158,7 @@ def run_crash_matrix(
     """
     sq, store = make_suspended()
     points, torn_labels = enumerate_faults(
-        sq, store, os.path.join(root, "probe"), codec_version
+        sq, store, os.path.join(root, "probe")
     )
     outcomes: list[CrashOutcome] = []
     for index, point in enumerate(points):
@@ -186,7 +170,6 @@ def run_crash_matrix(
                 os.path.join(root, f"crash-{index:02d}"),
                 FaultInjector.crashing_at(point),
                 fault=f"crash:{point}",
-                codec_version=codec_version,
             )
         )
     for index, label in enumerate(torn_labels):
@@ -198,7 +181,6 @@ def run_crash_matrix(
                 os.path.join(root, f"torn-{index:02d}"),
                 FaultInjector.tearing(label),
                 fault=f"torn:{label}",
-                codec_version=codec_version,
             )
         )
     return outcomes
@@ -223,26 +205,20 @@ def bump_one_generation(sq: SuspendedQuery, store: StateStore) -> None:
     store.dump(key, payload, pages)
 
 
-def _commit_base(
-    sq: SuspendedQuery,
-    store: StateStore,
-    root: str,
-    codec_version: Optional[int],
-) -> None:
-    _make_store(root, None, codec_version).save(sq, store, image_id="base")
+def _commit_base(sq: SuspendedQuery, store: StateStore, root: str) -> None:
+    ImageStore(root).save(sq, store, image_id="base")
     bump_one_generation(sq, store)
 
 
 def enumerate_delta_faults(
     make_suspended: "Callable",
     scratch_root: str,
-    codec_version: Optional[int] = None,
 ) -> tuple[list[str], list[str]]:
     """Crash points / torn labels a *delta* commit actually passes."""
     sq, store = make_suspended()
-    _commit_base(sq, store, scratch_root, codec_version)
+    _commit_base(sq, store, scratch_root)
     recorder = FaultInjector()
-    _make_store(scratch_root, recorder, codec_version).save(
+    ImageStore(scratch_root, injector=recorder).save(
         sq, store, image_id="probe", base_image_id="base"
     )
     points = list(dict.fromkeys(recorder.observed_points))
@@ -255,7 +231,6 @@ def run_one_delta_fault(
     root: str,
     injector: FaultInjector,
     fault: str,
-    codec_version: Optional[int] = None,
 ) -> CrashOutcome:
     """Commit a base cleanly, then inject ``fault`` into the delta commit.
 
@@ -264,11 +239,11 @@ def run_one_delta_fault(
     delta began, and nothing the delta does may disturb it.
     """
     sq, store = make_suspended()
-    _commit_base(sq, store, root, codec_version)
+    _commit_base(sq, store, root)
     crashed = False
     detail = ""
     try:
-        _make_store(root, injector, codec_version).save(
+        ImageStore(root, injector=injector).save(
             sq, store, image_id="img", base_image_id="base"
         )
     except InjectedCrash as exc:
@@ -311,11 +286,10 @@ def run_one_delta_fault(
 def run_delta_crash_matrix(
     make_suspended: "Callable",
     root: str,
-    codec_version: Optional[int] = None,
 ) -> list[CrashOutcome]:
     """The delta-commit fault sweep: every fault, base must survive."""
     points, torn_labels = enumerate_delta_faults(
-        make_suspended, os.path.join(root, "probe"), codec_version
+        make_suspended, os.path.join(root, "probe")
     )
     outcomes: list[CrashOutcome] = []
     for index, point in enumerate(points):
@@ -325,7 +299,6 @@ def run_delta_crash_matrix(
                 os.path.join(root, f"crash-{index:02d}"),
                 FaultInjector.crashing_at(point),
                 fault=f"crash:{point}",
-                codec_version=codec_version,
             )
         )
     for index, label in enumerate(torn_labels):
@@ -335,7 +308,6 @@ def run_delta_crash_matrix(
                 os.path.join(root, f"torn-{index:02d}"),
                 FaultInjector.tearing(label),
                 fault=f"torn:{label}",
-                codec_version=codec_version,
             )
         )
     return outcomes

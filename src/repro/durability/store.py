@@ -10,11 +10,10 @@ Responsibilities:
 
 - :meth:`ImageStore.save` — export every payload a SuspendedQuery
   references, encode the control record, and commit the image with the
-  atomic manifest protocol of :mod:`repro.durability.format`. Two codecs
-  are supported, selected per store or per save and recorded in the
-  manifest as ``codec_version``: the v1 tagged-JSON codec
-  (:mod:`repro.durability.codec`, human-readable) and the v2 binary
-  columnar codec (:mod:`repro.durability.codec2`, the fast path);
+  atomic manifest protocol of :mod:`repro.durability.format`. New
+  images are always written with the v2 binary columnar codec
+  (:mod:`repro.durability.codec2`) and stamped ``codec_version: 2`` in
+  the manifest;
 - **delta images** — ``save(..., base_image_id=...)`` commits only the
   blobs whose ``(key, pages, generation)`` triple is not already
   persisted somewhere in the base image's chain; unchanged payloads
@@ -30,7 +29,9 @@ Responsibilities:
 - :meth:`ImageStore.load` — verify checksums and reconstruct the
   SuspendedQuery with its payloads staged for import (the existing
   migration path charges the simulated-disk writes on resume, so cost
-  accounting survives the process boundary);
+  accounting survives the process boundary). The manifest's
+  ``codec_version`` picks the decoder, so legacy v1 tagged-JSON images
+  (:mod:`repro.durability.codec`) stay readable;
 - :meth:`ImageStore.recover` — the startup scan: classify every entry
   under the root as committed, torn, or orphaned, and quarantine the bad
   ones instead of crashing;
@@ -57,7 +58,6 @@ from repro.obs.tracer import NULL_TRACER
 from repro.durability.format import (
     BLOB_PREFIX,
     CHANNELS_NAME,
-    CONTROL_NAME,
     CONTROL_NAME_V2,
     LAYOUT_VERSION,
     MANIFEST_NAME,
@@ -74,7 +74,6 @@ from repro.durability.format import (
     load_json,
     manifest_codec_version,
     read_file_checked,
-    sha256_hex,
     validate_manifest_dict,
 )
 from repro.storage.statefile import StateStore
@@ -163,7 +162,6 @@ class SaveRequest:
     store: StateStore
     image_id: Optional[str] = None
     meta: Optional[dict] = None
-    codec_version: Optional[int] = None
     base_image_id: Optional[str] = None
 
 
@@ -173,7 +171,6 @@ class _PreparedSave:
 
     image_id: str
     directory: str
-    codec_version: int
     base_image_id: Optional[str]
     #: Local blobs to encode+write: (filename, key, pages, gen, payload).
     local_blobs: list
@@ -190,10 +187,9 @@ class _PreparedSave:
 class ImageStore:
     """Durable suspend images under ``root``, one directory per image.
 
-    ``codec_version`` selects the default encoding for new images (v2,
-    the binary columnar codec, unless told otherwise); every image
-    records its own codec in the manifest, so a root may mix versions
-    and old v1 images stay fully readable. ``commit_workers`` bounds the
+    New images are written with codec v2; every image records its codec
+    in the manifest, so a root may still hold legacy v1 images and they
+    stay fully readable. ``commit_workers`` bounds the
     thread pool :meth:`save_many` uses for parallel durable commits
     (``<= 1`` means serial). ``max_chain`` caps base+delta chain length:
     a save whose chain would grow past it is promoted to a full image.
@@ -203,16 +199,12 @@ class ImageStore:
         self,
         root: str,
         injector: Optional[FaultInjector] = None,
-        codec_version: int = CODEC_V2,
         commit_workers: int = 0,
         max_chain: int = 8,
         compress: bool = True,
     ):
-        if codec_version not in (CODEC_V1, CODEC_V2):
-            raise ValueError(f"unknown codec version {codec_version!r}")
         self.root = os.fspath(root)
         self.injector = injector or FaultInjector()
-        self.codec_version = codec_version
         self.commit_workers = commit_workers
         self.max_chain = max(1, max_chain)
         self.compress = compress
@@ -232,7 +224,6 @@ class ImageStore:
         image_id: Optional[str] = None,
         meta: Optional[dict] = None,
         tracer=None,
-        codec_version: Optional[int] = None,
         base_image_id: Optional[str] = None,
     ) -> ImageInfo:
         """Commit a suspend image; returns its :class:`ImageInfo`.
@@ -255,7 +246,6 @@ class ImageStore:
                 store=store,
                 image_id=image_id,
                 meta=meta,
-                codec_version=codec_version,
                 base_image_id=base_image_id,
             )
         )
@@ -299,13 +289,6 @@ class ImageStore:
         directory = os.path.join(self.root, image_id)
         if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
             raise ValueError(f"image {image_id!r} already exists")
-        codec_version = (
-            req.codec_version
-            if req.codec_version is not None
-            else self.codec_version
-        )
-        if codec_version not in (CODEC_V1, CODEC_V2):
-            raise ValueError(f"unknown codec version {codec_version!r}")
 
         base_image_id = req.base_image_id
         persisted: dict[str, dict] = {}
@@ -362,7 +345,6 @@ class ImageStore:
         return _PreparedSave(
             image_id=image_id,
             directory=directory,
-            codec_version=codec_version,
             base_image_id=base_image_id,
             local_blobs=local_blobs,
             ref_blobs=ref_blobs,
@@ -379,34 +361,20 @@ class ImageStore:
         injector.point("begin")
         os.makedirs(prep.directory, exist_ok=True)
         start = time.perf_counter()
-        v2 = prep.codec_version == CODEC_V2
 
         files: dict[str, dict] = {}
         blobs: list[dict] = []
         total = 0
         blob_pages = 0
         for name, key, pages, gen, payload in prep.local_blobs:
-            if v2:
-                record = {"key": key, "pages": pages, "payload": payload}
+            record = {"key": key, "pages": pages, "payload": payload}
 
-                def produce(sink, record=record):
-                    codec2.encode_to_stream(
-                        record, sink, compress=self.compress
-                    )
+            def produce(sink, record=record):
+                codec2.encode_to_stream(record, sink, compress=self.compress)
 
-                digest, nbytes = atomic_write_stream(
-                    prep.directory, name, produce, injector
-                )
-            else:
-                data = dump_json(
-                    {
-                        "key": key,
-                        "pages": pages,
-                        "payload": codec.encode_value(payload),
-                    }
-                )
-                atomic_write(prep.directory, name, data, injector)
-                digest, nbytes = sha256_hex(data), len(data)
+            digest, nbytes = atomic_write_stream(
+                prep.directory, name, produce, injector
+            )
             files[name] = {"sha256": digest, "bytes": nbytes}
             blobs.append(
                 {
@@ -424,35 +392,27 @@ class ImageStore:
             blob_pages += entry["pages"]
         blobs.sort(key=lambda b: b["key"])
 
-        control_name = CONTROL_NAME_V2 if v2 else CONTROL_NAME
-        if v2:
-            record = codec2.suspended_query_to_record(prep.sq)
+        record = codec2.suspended_query_to_record(prep.sq)
 
-            def produce_control(sink, record=record):
-                codec2.encode_to_stream(record, sink, compress=self.compress)
+        def produce_control(sink, record=record):
+            codec2.encode_to_stream(record, sink, compress=self.compress)
 
-            digest, control_bytes = atomic_write_stream(
-                prep.directory, control_name, produce_control, injector
-            )
-        else:
-            control = dump_json(codec.suspended_query_to_dict(prep.sq))
-            atomic_write(prep.directory, control_name, control, injector)
-            digest, control_bytes = sha256_hex(control), len(control)
-        files[control_name] = {"sha256": digest, "bytes": control_bytes}
+        digest, control_bytes = atomic_write_stream(
+            prep.directory, CONTROL_NAME_V2, produce_control, injector
+        )
+        files[CONTROL_NAME_V2] = {"sha256": digest, "bytes": control_bytes}
         total += control_bytes
         blob_bytes = total - control_bytes
 
         manifest = {
             "layout_version": LAYOUT_VERSION,
-            "format_version": (
-                codec2.V2_FORMAT_VERSION if v2 else codec.FORMAT_VERSION
-            ),
-            "codec_version": prep.codec_version,
+            "format_version": codec2.V2_FORMAT_VERSION,
+            "codec_version": CODEC_V2,
             "base_image_id": prep.base_image_id,
             "image_id": prep.image_id,
             "created_at": time.time(),
             "meta": prep.meta,
-            "control_file": control_name,
+            "control_file": CONTROL_NAME_V2,
             "files": files,
             "blobs": blobs,
         }
@@ -508,7 +468,7 @@ class ImageStore:
                 ts=now,
                 dur=0.0,
                 image_id=prep.image_id,
-                codec_version=prep.codec_version,
+                codec_version=CODEC_V2,
                 base_image_id=prep.base_image_id,
                 num_blobs=len(manifest["blobs"]),
                 reused_blobs=len(prep.ref_blobs),
@@ -537,7 +497,7 @@ class ImageStore:
             num_blobs=len(manifest["blobs"]),
             blob_pages=result["blob_pages"],
             total_bytes=total + result["manifest_bytes"],
-            codec_version=prep.codec_version,
+            codec_version=CODEC_V2,
             base_image_id=prep.base_image_id,
             chain_length=(
                 1

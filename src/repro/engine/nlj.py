@@ -334,17 +334,24 @@ class BlockNLJ(Operator):
         # possible when the fulfilling checkpoint predates the current
         # pass, e.g. with proactive checkpointing disabled): their outer
         # tuples are re-consumed and discarded, and their join output is
-        # skipped entirely (Section 3.3).
+        # skipped entirely (Section 3.3). A pass is not always
+        # ``buffer_tuples`` outer rows: a full-state checkpoint already
+        # holds part of the pass it interrupted, and the pass that
+        # exhausted the outer child is short.
         while self.passes < target["passes"]:
-            skipped = 0
-            while skipped < self.buffer_tuples:
-                row = self.outer.next()
-                if row is None:
-                    raise ContractError(
-                        f"{self.name}: outer child exhausted while "
-                        f"skipping pass {self.passes + 1} during GoBack"
-                    )
-                skipped += 1
+            remaining = self.buffer_tuples - len(self.buffer)
+            self.buffer = []
+            for _ in range(remaining):
+                if self.outer.next() is None:
+                    if not (
+                        target["outer_exhausted"]
+                        and self.passes + 1 == target["passes"]
+                    ):
+                        raise ContractError(
+                            f"{self.name}: outer child exhausted while "
+                            f"skipping pass {self.passes + 1} during GoBack"
+                        )
+                    break
                 self.charge_cpu(1)
             self.passes += 1
         while len(self.buffer) < target["fill"]:

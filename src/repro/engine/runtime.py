@@ -112,9 +112,10 @@ class Runtime:
         #: executing; all per-query cost-model reads go through
         #: :attr:`SimulatedDisk.query_now` so they see this lane.
         self.lane = QueryLane(name=query or "")
-        #: Session name doubling as the state-store key namespace; ``None``
-        #: for anonymous sessions (legacy global key sequence).
-        self.key_scope = query
+        #: This query's view of the state store: keys are namespaced by
+        #: the session name (``None`` for anonymous sessions: the
+        #: store-global key sequence) and remembered for release.
+        self.store = ScopedStateStore(db.state_store, query)
         #: Fold binding installed by the scheduler before plan
         #: instantiation; when set, ``instantiate_plan`` substitutes
         #: shared-scan leaves / shared-build joins (see ``repro.fold``).
@@ -123,12 +124,6 @@ class Runtime:
     @property
     def disk(self) -> SimulatedDisk:
         return self.db.disk
-
-    @property
-    def store(self) -> StateStore:
-        if self.key_scope is not None:
-            return ScopedStateStore(self.db.state_store, self.key_scope)
-        return self.db.state_store
 
     def register(self, op: "Operator") -> None:
         if op.op_id in self.ops:

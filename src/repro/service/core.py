@@ -29,8 +29,6 @@ Transports compose it:
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Union
@@ -43,7 +41,6 @@ from repro.core.lifecycle import (
     QuerySession,
     QueryStatus,
     SuspendSpec,
-    SuspendStrategy,
 )
 from repro.core.suspended_query import SuspendedQuery
 from repro.engine.config import EngineConfig
@@ -68,21 +65,6 @@ class QueryState(Enum):
     DONE = "done"
 
 
-#: Sentinel distinguishing "not passed" from an explicit ``None`` on the
-#: deprecated SchedulerConfig fields.
-_UNSET = object()
-
-#: Deprecated SchedulerConfig field -> the SuspendSpec field it feeds.
-_LEGACY_CONFIG_FIELDS = {
-    "suspend_strategy": "strategy",
-    "suspend_budget": "budget",
-    "image_store": "persist_to",
-    "image_codec": "codec",
-    "commit_workers": "commit_workers",
-    "delta_spill": "delta",
-}
-
-
 @dataclass
 class SchedulerConfig:
     """Tunables of one serving run (any transport).
@@ -99,24 +81,18 @@ class SchedulerConfig:
             query's total output.
         suspend: one :class:`~repro.core.lifecycle.SuspendSpec` covering
             the whole suspend surface — plan strategy and budget, the
-            durable image store (``persist_to``), codec, delta spill,
-            and parallel-commit workers. When no valid plan fits the
+            durable image store (``persist_to``), delta spill, and
+            parallel-commit workers. When no valid plan fits the
             budget, victims retry unbudgeted rather than fail.
         engine_config: per-session engine configuration.
         collect_rows: keep every query's output rows on its record
             (memory in the *host* process only; disable for large runs).
-
-    The standalone ``suspend_strategy`` / ``suspend_budget`` /
-    ``image_store`` / ``image_codec`` / ``commit_workers`` /
-    ``delta_spill`` fields are deprecated spellings of the matching
-    :class:`SuspendSpec` fields; passing any of them warns and folds the
-    value into ``suspend``.
     """
 
     policy: Union[str, PressurePolicy] = "suspend-resume"
     memory_budget: Optional[int] = None
     quantum_rows: int = 64
-    suspend: Optional[SuspendSpec] = None
+    suspend: SuspendSpec = field(default_factory=SuspendSpec)
     engine_config: Optional[EngineConfig] = None
     collect_rows: bool = True
     #: Shared-work folding (``repro.fold``): detect common subplans among
@@ -131,42 +107,6 @@ class SchedulerConfig:
     #: tracer (:func:`repro.obs.tracer.current_tracer`), a no-op unless
     #: tracing was explicitly enabled.
     tracer: Optional[Tracer] = None
-    # -- deprecated spellings (warn + fold into ``suspend``) -----------
-    suspend_strategy: object = _UNSET
-    suspend_budget: object = _UNSET
-    image_store: object = _UNSET
-    image_codec: object = _UNSET
-    commit_workers: object = _UNSET
-    delta_spill: object = _UNSET
-
-    def __post_init__(self):
-        legacy = {
-            name: getattr(self, name)
-            for name in _LEGACY_CONFIG_FIELDS
-            if getattr(self, name) is not _UNSET
-        }
-        if legacy:
-            warnings.warn(
-                f"SchedulerConfig({', '.join(sorted(legacy))}) is "
-                "deprecated; pass one suspend=SuspendSpec(...) carrying "
-                "strategy/budget/persist_to/codec/commit_workers/delta",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        base = self.suspend if self.suspend is not None else SuspendSpec()
-        if legacy:
-            base = base.replace(
-                **{_LEGACY_CONFIG_FIELDS[k]: v for k, v in legacy.items()}
-            )
-        self.suspend = base
-        # Keep the deprecated attributes readable (mirrors, not state):
-        # the spec is the single source of truth.
-        self.suspend_strategy = base.strategy
-        self.suspend_budget = base.budget
-        self.image_store = base.persist_to
-        self.image_codec = base.codec
-        self.commit_workers = base.commit_workers
-        self.delta_spill = base.delta
 
 
 @dataclass

@@ -143,6 +143,11 @@ class StateStore:
         self._check_handle(handle)
         del self._objects[handle.key]
 
+    def free_keys(self, keys) -> None:
+        """Release the payloads under ``keys``; absent keys are skipped."""
+        for key in keys:
+            self._objects.pop(key, None)
+
     def generation(self, key: str) -> int:
         """Write generation of ``key`` (0 = never dumped here).
 
@@ -169,23 +174,34 @@ class StateStore:
 
 
 class ScopedStateStore:
-    """A view of a :class:`StateStore` whose fresh keys are namespaced.
+    """One query session's view of a :class:`StateStore`.
 
-    Each query session gets one of these (scope = session name) so the
-    dump keys it draws — which end up serialized inside suspend images —
-    depend only on its own dump sequence, never on scheduler interleaving.
-    Everything except key generation delegates to the underlying store;
+    Fresh keys are namespaced by ``scope`` (the session name; ``None``
+    keeps the store-global sequence) so the dump keys a query draws —
+    which end up serialized inside suspend images — depend only on its
+    own dump sequence, never on scheduler interleaving. The view also
+    remembers every key it drew or took over from the SuspendedQuery it
+    was resumed from (``keys``), so a finished query can :meth:`release`
+    its payloads. Everything else delegates to the underlying store;
     payloads remain shared (handles are interchangeable across views).
     """
 
-    __slots__ = ("_base", "scope")
+    __slots__ = ("_base", "scope", "keys")
 
-    def __init__(self, base: StateStore, scope: str):
+    def __init__(self, base: StateStore, scope: Optional[str]):
         self._base = base
         self.scope = scope
+        self.keys: list[str] = []
 
     def fresh_key(self, prefix: str) -> str:
-        return self._base.fresh_key(prefix, scope=self.scope)
+        key = self._base.fresh_key(prefix, scope=self.scope)
+        self.keys.append(key)
+        return key
+
+    def release(self) -> None:
+        """Free every payload stored under one of this view's keys."""
+        self._base.free_keys(self.keys)
+        self.keys.clear()
 
     def import_payload(self, key: str, payload: Any, pages: int) -> DumpHandle:
         return self._base.dump(self.fresh_key(f"import_{key}"), payload, pages)

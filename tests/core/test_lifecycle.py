@@ -1,12 +1,22 @@
 """Unit tests for the execute/suspend/resume lifecycle."""
 
+import math
+
 import pytest
 
-from repro import Database, QuerySession, QueryStatus, SuspendSpec
+from repro import (
+    Database,
+    QuerySession,
+    QueryStatus,
+    SuspendSpec,
+    SuspendStrategy,
+)
 from repro.common.errors import ReproError
-from repro.engine.plan import ScanSpec
+from repro.durability import ImageStore
+from repro.engine.plan import NLJSpec, ScanSpec, SortSpec
+from repro.relational.expressions import EquiJoinCondition
 
-from tests.conftest import make_small_db, tiny_nlj_plan
+from tests.conftest import make_small_db, tiny_nlj_plan, tiny_smj_plan
 
 
 class TestExecute:
@@ -46,6 +56,38 @@ class TestExecute:
         session.execute()
         with pytest.raises(ReproError):
             session.execute()
+
+
+class TestSuspendSpec:
+    def test_defaults_are_unbudgeted_lp(self):
+        spec = SuspendSpec()
+        assert spec.strategy is SuspendStrategy.LP
+        assert spec.budget == math.inf
+        assert spec.plan is None
+        assert spec.persist_to is None
+        assert spec.delta is True
+
+    def test_strategy_strings_are_coerced(self):
+        assert (
+            SuspendSpec(strategy="all_dump").strategy
+            is SuspendStrategy.ALL_DUMP
+        )
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError):
+            SuspendSpec(strategy="made_up")
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            SuspendSpec(budget=-1.0)
+
+    def test_spec_drives_persistence(self, tmp_path):
+        session = QuerySession(make_small_db(), tiny_nlj_plan())
+        session.execute(max_rows=20)
+        store = ImageStore(str(tmp_path))
+        session.suspend(SuspendSpec(persist_to=store, image_id="spec-img"))
+        assert session.last_image.image_id == "spec-img"
+        assert store.manifest("spec-img")
 
 
 class TestSuspendPhase:
@@ -144,3 +186,49 @@ class TestResumePhase:
         sq2 = resumed.suspend(SuspendSpec(strategy="lp"))  # no execution in between
         final = QuerySession.resume(db, sq2)
         assert first.rows + final.execute().rows == ref
+
+
+class TestStateStoreRelease:
+    """A completed, closed query leaves nothing behind in the StateStore."""
+
+    PLANS = (
+        tiny_smj_plan(),  # two external sorts
+        NLJSpec(  # NLJ over an external sort
+            outer=SortSpec(
+                ScanSpec("R"), key_columns=(0,), buffer_tuples=40, label="sort"
+            ),
+            inner=ScanSpec("S"),
+            condition=EquiJoinCondition(0, 0, modulus=40),
+            buffer_tuples=30,
+            label="nlj",
+        ),
+    )
+
+    def test_completed_sessions_free_their_sublists(self):
+        db = make_small_db()
+        before = len(db.state_store)
+        for _ in range(3):
+            for plan in self.PLANS:
+                session = QuerySession(db, plan)
+                session.execute()
+                assert len(db.state_store) > before  # sublists on "disk"
+                session.close()
+                assert len(db.state_store) == before
+
+    def test_suspended_payloads_live_until_the_query_completes(self):
+        db = make_small_db()
+        before = len(db.state_store)
+        for plan in self.PLANS:
+            ref = QuerySession(make_small_db(), plan).execute().rows
+            session = QuerySession(db, plan)
+            rows = session.execute(max_rows=25).rows
+            sq = session.suspend(SuspendSpec(strategy="all_dump"))
+            assert sq.referenced_handles()
+            assert all(
+                db.state_store.exists(key) for key in sq.referenced_handles()
+            )
+            resumed = QuerySession.resume(db, sq)
+            rows += resumed.execute().rows
+            assert rows == ref
+            resumed.close()
+            assert len(db.state_store) == before

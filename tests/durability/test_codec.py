@@ -1,13 +1,13 @@
-"""Unit tests for the tagged-JSON image codec."""
+"""Unit tests for the tagged-JSON value codec and the v1 image reader."""
 
 import json
+import os
 
 import pytest
 
-from repro.core.strategies import OpDecision, SuspendPlan
+from repro.core.strategies import SuspendPlan
 from repro.core.suspended_query import (
     KIND_DUMP,
-    KIND_GOBACK,
     OpSuspendEntry,
     SuspendedQuery,
 )
@@ -20,6 +20,14 @@ from repro.relational.expressions import (
     ValueIn,
 )
 from repro.storage.statefile import DumpHandle
+
+
+V1_FIXTURE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "fixtures",
+    "v1-images",
+    "v1-fixture",
+)
 
 
 def roundtrip(value):
@@ -124,66 +132,13 @@ class TestRecordCodecs:
         data = json.loads(json.dumps(codec.spec_to_dict(spec)))
         assert codec.spec_from_dict(data) == spec
 
-    def test_suspend_plan_roundtrip(self):
-        plan = SuspendPlan(
-            decisions={
-                0: OpDecision.dump(),
-                1: OpDecision.goback(anchor=3),
-            },
-            source="lp",
-        )
-        data = json.loads(json.dumps(codec.suspend_plan_to_dict(plan)))
-        result = codec.suspend_plan_from_dict(data)
-        assert result.source == "lp"
-        assert result.decisions[0].strategy == plan.decisions[0].strategy
-        assert result.decisions[1].goback_anchor == 3
-
-    def test_suspended_query_roundtrip(self):
-        sq = SuspendedQuery(
-            plan_spec=make_plan_spec(),
-            suspend_plan=SuspendPlan(
-                decisions={0: OpDecision.dump()}, source="manual"
-            ),
-            root_rows_emitted=42,
-            suspended_at=10.5,
-        )
-        sq.add_entry(
-            OpSuspendEntry(
-                op_id=0,
-                kind=KIND_DUMP,
-                target_control={"cursor": (3, 1), "rows": [(1, 0.5, 2)]},
-                dump_handle=DumpHandle(1, "dump_nlj#1", 4),
-            )
-        )
-        sq.add_entry(
-            OpSuspendEntry(
-                op_id=1,
-                kind=KIND_GOBACK,
-                target_control={"pos": 7},
-                ckpt_payload={"pos": 0},
-                saved_rows=[(9, 0.1, 3)],
-            )
-        )
-        data = json.loads(json.dumps(sq.to_dict()))
-        back = SuspendedQuery.from_dict(data)
-        assert back.plan_spec == sq.plan_spec
-        assert back.root_rows_emitted == 42
-        assert back.suspended_at == 10.5
-        assert set(back.entries) == {0, 1}
-        assert back.entries[0].target_control["cursor"] == (3, 1)
-        assert back.entries[0].dump_handle.key == "dump_nlj#1"
-        assert back.entries[1].saved_rows == [(9, 0.1, 3)]
-        assert back.entries[1].ckpt_payload == {"pos": 0}
-
-    def test_format_version_checked(self):
-        sq = SuspendedQuery(
-            plan_spec=make_plan_spec(),
-            suspend_plan=SuspendPlan(decisions={}, source="manual"),
-        )
-        data = sq.to_dict()
+    def test_v1_format_version_checked(self):
+        with open(os.path.join(V1_FIXTURE, "control.json")) as fh:
+            data = json.load(fh)
+        assert codec.suspended_query_from_dict(data).entries
         data["format_version"] = 999
         with pytest.raises(CodecError):
-            SuspendedQuery.from_dict(data)
+            codec.suspended_query_from_dict(data)
 
     def test_referenced_handles_walks_nested_state(self):
         sq = SuspendedQuery(

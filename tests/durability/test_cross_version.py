@@ -1,15 +1,14 @@
 """Cross-codec-version compatibility.
 
 A v1 image written by an earlier build (checked in under
-``fixtures/v1-images``) must stay loadable and resumable forever, and a
-query suspended today must resume to identical output regardless of
-which codec wrote the image.
+``fixtures/v1-images``) must stay loadable and resumable forever — this
+suite is the v1 reader's guard now that nothing writes v1 — and must
+resume to the same output as a v2 image of the same suspend point.
 """
 
 import json
 import os
-
-import pytest
+import shutil
 
 from repro.cli import run_images
 from repro.core.lifecycle import QuerySession
@@ -58,46 +57,19 @@ class TestV1Fixture:
         assert "codec v1" in text
 
 
-class TestCrossCodecEquivalence:
-    @pytest.mark.parametrize("recipe", ("sort", "hashjoin"))
-    def test_same_rows_from_either_codec(self, recipe, tmp_path):
-        reference = reference_rows(recipe)
-        prefix = max(1, len(reference) // 3)
-        rests = {}
-        for codec in (CODEC_V1, CODEC_V2):
-            db, sq = suspend_partway(recipe, rows=prefix)
-            store = ImageStore(
-                str(tmp_path / f"v{codec}"), codec_version=codec
-            )
-            info = store.save(sq, db.state_store, image_id="img")
-            assert info.codec_version == codec
-            fresh_db, _ = build_recipe(recipe)
-            resumed = QuerySession.resume(fresh_db, store.load("img"))
-            rests[codec] = resumed.execute().rows
-        assert rests[CODEC_V1] == rests[CODEC_V2]
-        assert (
-            reference[prefix:] == rests[CODEC_V2]
-        ), "v2 resume must match the uninterrupted reference run"
-
-    def test_v2_resume_of_v1_written_today(self, tmp_path):
-        db, sq = suspend_partway("sort", rows=30)
-        store_v1 = ImageStore(str(tmp_path), codec_version=CODEC_V1)
-        store_v1.save(sq, db.state_store, image_id="img")
-        # A default (v2) store reads the same root: dispatch is per-image.
-        store_v2 = ImageStore(str(tmp_path))
-        loaded = store_v2.load("img")
-        fresh_db, _ = build_recipe("sort")
-        rest = QuerySession.resume(fresh_db, loaded).execute().rows
-        assert rest == reference_rows("sort")[30:]
-
-    def test_v2_is_smaller_than_v1(self, tmp_path):
+class TestMixedRoot:
+    def test_v1_and_v2_images_load_from_one_root(self, tmp_path):
+        """Decoder dispatch is per image: a root holding the legacy v1
+        image next to one written today resumes both to the same rows."""
+        root = str(tmp_path / "images")
+        shutil.copytree(FIXTURE_ROOT, root)
         db, sq = suspend_partway("sort", rows=40)
-        sizes = {}
-        for codec in (CODEC_V1, CODEC_V2):
-            store = ImageStore(
-                str(tmp_path / f"v{codec}"), codec_version=codec
-            )
-            sizes[codec] = store.save(
-                sq, db.state_store, image_id="img"
-            ).total_bytes
-        assert sizes[CODEC_V2] * 3 <= sizes[CODEC_V1]
+        store = ImageStore(root)
+        info = store.save(sq, db.state_store, image_id="today")
+        assert info.codec_version == CODEC_V2
+        rests = {}
+        for image_id in ("v1-fixture", "today"):
+            fresh_db, _ = build_recipe("sort")
+            resumed = QuerySession.resume(fresh_db, store.load(image_id))
+            rests[image_id] = resumed.execute().rows
+        assert rests["v1-fixture"] == rests["today"] == reference_rows()[40:]

@@ -6,30 +6,21 @@ a step to ``ImageStore.save`` automatically adds its crash points here.
 Each fault gets its own test case asserting the recovery classification
 and — the core safety claim — the absence of silent corruption.
 
-The matrix runs once per codec (v1 tagged JSON through ``atomic_write``,
-v2 binary frames through ``atomic_write_stream`` — a v2 torn write
-truncates *inside* a CRC'd frame), and again for delta commits, where
-the base image must additionally survive every mid-chain crash.
+Blobs and the control record are binary frames written through
+``atomic_write_stream`` (a torn write truncates *inside* a CRC'd frame);
+the matrix runs for full commits and again for delta commits, where the
+base image must additionally survive every mid-chain crash.
 """
 
 import tempfile
 
 from repro.core.lifecycle import QuerySession
-from repro.durability import (
-    CODEC_V1,
-    CODEC_V2,
-    build_recipe,
-    enumerate_faults,
-    run_crash_matrix,
-)
+from repro.durability import build_recipe, enumerate_faults, run_crash_matrix
 from repro.durability.faults import FaultInjector
 from repro.durability.harness import (
     run_delta_crash_matrix,
     run_one_fault,
 )
-
-CODECS = (CODEC_V1, CODEC_V2)
-CONTROL_FILE = {CODEC_V1: "control.json", CODEC_V2: "control.bin"}
 
 
 def make_suspended():
@@ -40,20 +31,17 @@ def make_suspended():
     return sq, db.state_store
 
 
-_FAULTS: dict = {}
+_FAULTS: list = []
 
 
-def all_faults(codec_version: int):
-    if codec_version not in _FAULTS:
+def all_faults():
+    if not _FAULTS:
         sq, store = make_suspended()
-        scratch = tempfile.mkdtemp(prefix=f"fault-probe-v{codec_version}-")
-        points, torn = enumerate_faults(
-            sq, store, scratch, codec_version=codec_version
-        )
-        _FAULTS[codec_version] = [("crash", p) for p in points] + [
-            ("torn", lb) for lb in torn
-        ]
-    return _FAULTS[codec_version]
+        scratch = tempfile.mkdtemp(prefix="fault-probe-")
+        points, torn = enumerate_faults(sq, store, scratch)
+        _FAULTS.extend(("crash", p) for p in points)
+        _FAULTS.extend(("torn", lb) for lb in torn)
+    return _FAULTS
 
 
 def expected_classification(kind: str, name: str) -> set:
@@ -70,20 +58,16 @@ def expected_classification(kind: str, name: str) -> set:
 
 
 def pytest_generate_tests(metafunc):
-    if "codec_fault" in metafunc.fixturenames:
-        cases = [
-            (codec, fault) for codec in CODECS for fault in all_faults(codec)
-        ]
+    if "fault" in metafunc.fixturenames:
+        cases = all_faults()
         metafunc.parametrize(
-            "codec_fault",
-            cases,
-            ids=[f"v{c}:{k}:{n}" for c, (k, n) in cases],
+            "fault", cases, ids=[f"{k}:{n}" for k, n in cases]
         )
 
 
 class TestCrashMatrix:
-    def test_fault_leaves_no_silent_corruption(self, codec_fault, tmp_path):
-        codec_version, (kind, name) = codec_fault
+    def test_fault_leaves_no_silent_corruption(self, fault, tmp_path):
+        kind, name = fault
         injector = (
             FaultInjector.crashing_at(name)
             if kind == "crash"
@@ -91,12 +75,7 @@ class TestCrashMatrix:
         )
         sq, store = make_suspended()
         outcome = run_one_fault(
-            sq,
-            store,
-            str(tmp_path),
-            injector,
-            fault=f"{kind}:{name}",
-            codec_version=codec_version,
+            sq, store, str(tmp_path), injector, fault=f"{kind}:{name}"
         )
         assert not outcome.silent_corruption, outcome.detail
         assert outcome.classification in expected_classification(kind, name)
@@ -108,53 +87,38 @@ class TestCrashMatrix:
 
 def test_matrix_covers_manifest_and_blob_torn_writes():
     """The enumerated matrix must include the satellite's required cells."""
-    for codec_version in CODECS:
-        faults = set(all_faults(codec_version))
-        assert ("torn", "MANIFEST.json") in faults
-        assert ("torn", CONTROL_FILE[codec_version]) in faults
-        assert any(k == "torn" and n.startswith("blob-") for k, n in faults)
-        assert ("crash", "written:MANIFEST.json") in faults
-        assert ("crash", "renamed:MANIFEST.json") in faults
+    faults = set(all_faults())
+    assert ("torn", "MANIFEST.json") in faults
+    assert ("torn", "control.bin") in faults
+    assert any(k == "torn" and n.startswith("blob-") for k, n in faults)
+    assert ("crash", "written:MANIFEST.json") in faults
+    assert ("crash", "renamed:MANIFEST.json") in faults
 
 
 def test_full_matrix_via_harness(tmp_path):
     """End-to-end harness sweep: zero silent-corruption outcomes."""
-    for codec_version in CODECS:
-        outcomes = run_crash_matrix(
-            make_suspended,
-            str(tmp_path / f"v{codec_version}"),
-            codec_version=codec_version,
-        )
-        assert len(outcomes) >= 10
-        assert all(not o.silent_corruption for o in outcomes)
-        committed = [
-            o for o in outcomes if o.classification == "committed"
-        ]
-        # Exactly the two post-commit crash points leave a committed image.
-        assert sorted(o.fault for o in committed) == [
-            "crash:committed",
-            "crash:renamed:MANIFEST.json",
-        ]
-        assert all(o.loaded for o in committed)
+    outcomes = run_crash_matrix(make_suspended, str(tmp_path))
+    assert len(outcomes) >= 10
+    assert all(not o.silent_corruption for o in outcomes)
+    committed = [o for o in outcomes if o.classification == "committed"]
+    # Exactly the two post-commit crash points leave a committed image.
+    assert sorted(o.fault for o in committed) == [
+        "crash:committed",
+        "crash:renamed:MANIFEST.json",
+    ]
+    assert all(o.loaded for o in committed)
 
 
 def test_delta_matrix_base_survives_every_fault(tmp_path):
     """Mid-chain delta commit faults: delta torn/absent, base intact."""
-    for codec_version in CODECS:
-        outcomes = run_delta_crash_matrix(
-            make_suspended,
-            str(tmp_path / f"v{codec_version}"),
-            codec_version=codec_version,
-        )
-        assert len(outcomes) >= 8
-        for o in outcomes:
-            assert not o.silent_corruption, f"{o.fault}: {o.detail}"
-            assert o.base_intact, f"{o.fault}: base image lost"
-        committed = [
-            o for o in outcomes if o.classification == "committed"
-        ]
-        assert sorted(o.fault for o in committed) == [
-            "crash:committed",
-            "crash:renamed:MANIFEST.json",
-        ]
-        assert all(o.loaded for o in committed)
+    outcomes = run_delta_crash_matrix(make_suspended, str(tmp_path))
+    assert len(outcomes) >= 8
+    for o in outcomes:
+        assert not o.silent_corruption, f"{o.fault}: {o.detail}"
+        assert o.base_intact, f"{o.fault}: base image lost"
+    committed = [o for o in outcomes if o.classification == "committed"]
+    assert sorted(o.fault for o in committed) == [
+        "crash:committed",
+        "crash:renamed:MANIFEST.json",
+    ]
+    assert all(o.loaded for o in committed)

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro import Database, QuerySession, SuspendSpec
+from repro import Database, QuerySession, QueryStatus, SuspendSpec
 from repro.common.errors import ReproError
 from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec, SortSpec
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
 from repro.relational.expressions import EquiJoinCondition, UniformSelect
+from repro.workloads.plans import build_complex_plan
 
 from tests.conftest import (
     make_small_db,
@@ -152,3 +153,22 @@ class TestNLJSuspendResume:
             got = suspend_resume_rows(db_factory, plan, point, "lp")
             if got is not None:
                 assert got == ref
+
+    @pytest.mark.parametrize("slice_rows", [88, 40])
+    @pytest.mark.parametrize("seed", [4, 13])
+    def test_goback_skips_a_short_final_pass(self, seed, slice_rows):
+        """A GoBack to an older checkpoint skips whole passes by
+        re-consuming their outer rows; the pass that exhausted the outer
+        child is shorter than the buffer and must not be mistaken for a
+        violated contract."""
+        ref = QuerySession(*build_complex_plan(scale=400, seed=seed)).execute()
+        db, plan = build_complex_plan(scale=400, seed=seed)
+        session = QuerySession(db, plan)
+        rows = []
+        while True:
+            rows.extend(session.execute(max_rows=slice_rows).rows)
+            if session.status is QueryStatus.COMPLETED:
+                break
+            sq = session.suspend(SuspendSpec(budget=1e6))
+            session = QuerySession.resume(db, sq)
+        assert rows == ref.rows

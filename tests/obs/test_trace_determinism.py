@@ -90,7 +90,7 @@ class TestCrossProcessDeterminism:
             "30",
             "--id",
             "img",
-            "--trace",
+            "--trace-out",
             strace,
         )
         run_cli(
@@ -99,7 +99,7 @@ class TestCrossProcessDeterminism:
             images,
             "--id",
             "img",
-            "--trace",
+            "--trace-out",
             rtrace,
         )
         with open(strace, "rb") as fh:

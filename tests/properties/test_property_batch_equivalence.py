@@ -8,7 +8,6 @@ mid-batch.
 """
 
 import itertools
-import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 import repro.core.checkpoint as checkpoint_module
 from repro import Database, QuerySession, SuspendSpec
 from repro.core.lifecycle import QueryStatus
+from repro.durability.codec2 import encode_suspended_query
 from repro.engine.config import EngineConfig
 from repro.engine.plan import (
     FilterSpec,
@@ -155,7 +155,7 @@ def run_suspended(db, plan, batch, trigger, strategy):
     if session.status is QueryStatus.COMPLETED:
         return first.rows, None, fingerprint(db, session)
     sq = session.suspend(SuspendSpec(strategy=strategy))
-    image = json.dumps(sq.to_dict(), sort_keys=True, default=repr)
+    image = encode_suspended_query(sq)
     resumed = QuerySession.resume(db, sq, config=config)
     rest = resumed.execute()
     return first.rows + rest.rows, image, fingerprint(db, resumed)

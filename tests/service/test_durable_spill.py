@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core.lifecycle import SuspendSpec
-from repro.durability import CODEC_V1, CODEC_V2, ImageStore
+from repro.durability import CODEC_V2, ImageStore
 from repro.obs import Tracer
 from repro.service import QueryScheduler, SchedulerConfig
 from repro.workloads.plans import mixed_priority_trace, repeat_suspend_trace
@@ -34,24 +34,11 @@ def repeat():
     return repeat_suspend_trace(scale=1, seed=1)
 
 
-def run_trace(
-    workload,
-    image_store=None,
-    tracer=None,
-    image_codec=None,
-    delta_spill=True,
-    commit_workers=0,
-):
+def run_trace(workload, tracer=None, **suspend):
     config = SchedulerConfig(
         policy="suspend-resume",
         memory_budget=workload.memory_budget,
-        suspend=SuspendSpec(
-            budget=workload.suspend_budget,
-            persist_to=image_store,
-            codec=image_codec,
-            delta=delta_spill,
-            commit_workers=commit_workers,
-        ),
+        suspend=SuspendSpec(budget=workload.suspend_budget, **suspend),
         tracer=tracer,
     )
     scheduler = QueryScheduler(workload.db_factory(), config)
@@ -65,7 +52,7 @@ def commit_records(tracer):
 
 class TestDurableSpill:
     def test_evictions_spill_images(self, workload, tmp_path):
-        scheduler, stats = run_trace(workload, image_store=str(tmp_path))
+        scheduler, stats = run_trace(workload, persist_to=str(tmp_path))
         assert stats.suspends >= 1
         assert stats.durable_spills == stats.suspends
         per_query = sum(
@@ -76,7 +63,7 @@ class TestDurableSpill:
 
     def test_spill_does_not_change_outcomes(self, workload, tmp_path):
         _, plain = run_trace(workload)
-        _, spilled = run_trace(workload, image_store=str(tmp_path))
+        _, spilled = run_trace(workload, persist_to=str(tmp_path))
         assert plain.durable_spills == 0
         assert spilled.queries_completed == plain.queries_completed
         assert {
@@ -87,7 +74,7 @@ class TestDurableSpill:
         )
 
     def test_completed_queries_gc_their_images(self, workload, tmp_path):
-        run_trace(workload, image_store=str(tmp_path))
+        run_trace(workload, persist_to=str(tmp_path))
         assert ImageStore(str(tmp_path)).list_images() == []
 
     def test_spilled_image_is_valid_while_query_is_suspended(
@@ -116,7 +103,7 @@ class TestDurableSpill:
 
 
 class TestFastPathSpill:
-    """Codec v2, delta images, and parallel commit on the spill path."""
+    """Delta images and parallel commit on the spill path."""
 
     def _outcome(self, stats):
         return (
@@ -130,7 +117,7 @@ class TestFastPathSpill:
     ):
         tracer = Tracer()
         _, stats = run_trace(
-            repeat, image_store=str(tmp_path / "delta"), tracer=tracer
+            repeat, persist_to=str(tmp_path / "delta"), tracer=tracer
         )
         assert stats.suspends > 1, "trace must suspend repeatedly"
         commits = commit_records(tracer)
@@ -145,9 +132,9 @@ class TestFastPathSpill:
         plain = Tracer()
         _, full_stats = run_trace(
             repeat,
-            image_store=str(tmp_path / "full"),
+            persist_to=str(tmp_path / "full"),
             tracer=plain,
-            delta_spill=False,
+            delta=False,
         )
         full = commit_records(plain)
         assert all(c["base_image_id"] is None for c in full)
@@ -157,16 +144,6 @@ class TestFastPathSpill:
         # Durability never perturbs the simulation itself.
         assert self._outcome(stats) == self._outcome(full_stats)
 
-    @pytest.mark.parametrize("codec", (CODEC_V1, CODEC_V2))
-    def test_codec_choice_does_not_change_outcomes(
-        self, workload, tmp_path, codec
-    ):
-        _, plain = run_trace(workload)
-        _, spilled = run_trace(
-            workload, image_store=str(tmp_path), image_codec=codec
-        )
-        assert self._outcome(spilled) == self._outcome(plain)
-
     def test_parallel_commit_matches_serial_byte_for_byte(
         self, repeat, tmp_path
     ):
@@ -175,7 +152,7 @@ class TestFastPathSpill:
             tracer = Tracer()
             _, stats = run_trace(
                 repeat,
-                image_store=str(tmp_path / label),
+                persist_to=str(tmp_path / label),
                 tracer=tracer,
                 commit_workers=workers,
             )
@@ -188,7 +165,7 @@ class TestFastPathSpill:
 
     def test_parallel_commit_images_validate(self, workload, tmp_path):
         store = ImageStore(str(tmp_path), commit_workers=4)
-        scheduler, stats = run_trace(workload, image_store=store)
+        scheduler, stats = run_trace(workload, persist_to=store)
         assert stats.durable_spills == stats.suspends
         # Completed queries GC their chains; nothing may linger.
         assert store.list_images() == []

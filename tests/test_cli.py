@@ -70,7 +70,7 @@ class TestObservabilityFlags:
                 [
                     "experiment",
                     "serve",
-                    "--trace",
+                    "--trace-out",
                     str(trace_path),
                     "--metrics",
                     str(metrics_path),
@@ -115,7 +115,8 @@ class TestObservabilityFlags:
 
     def test_trace_summary_and_convert(self, tmp_path, capsys):
         trace_path = tmp_path / "out.jsonl"
-        assert main(["demo", "--rows", "5", "--trace", str(trace_path)]) == 0
+        demo = ["demo", "--rows", "5", "--trace-out", str(trace_path)]
+        assert main(demo) == 0
         capsys.readouterr()
 
         assert main(["trace", "summary", str(trace_path)]) == 0
