@@ -183,7 +183,7 @@ def bench_parallel(workdir: pathlib.Path) -> dict:
         manifests[label] = {}
         for i in range(len(suspends)):
             manifest = dict(store.manifest(f"img-{i}"))
-            manifest.pop("created_at")
+            manifest.pop("created_ns")
             manifests[label][f"img-{i}"] = manifest
     results["images"] = len(suspends)
     results["speedup"] = round(

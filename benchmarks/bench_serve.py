@@ -14,7 +14,11 @@ durable (delta) image — and reports:
 - determinism: each session's concatenated output rows are digested
   against an uninterrupted solo run of the same plan — any divergence
   fails the benchmark;
-- delta adoption: repeat suspends must commit delta images.
+- delta adoption: repeat suspends must commit delta images;
+- durability cost: ``os.fsync`` calls per request, counted around the
+  whole run. One packed file per image makes a token hop 1 (redeem) +
+  2 (image) + 2 (pin) = 5 fsyncs whatever the image's blob count; more
+  than ``FSYNC_BUDGET`` per request fails the benchmark.
 
 The snapshot lands in ``BENCH_serve.json`` at the repo root; the CI
 ``serve-smoke`` job runs the reduced suite (``REPRO_BENCH_QUICK=1``)
@@ -39,6 +43,9 @@ QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
 SNAPSHOT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_serve.json"
 #: The full run must hold at least this many concurrent sessions.
 CONCURRENCY_TARGET = 1000
+#: Mean ``os.fsync`` calls one request may cost (a steady-state hop is
+#: 5; a chain rebase or the first ledger line adds one).
+FSYNC_BUDGET = 6.0
 
 
 def _params() -> dict:
@@ -49,21 +56,38 @@ def _params() -> dict:
 
 def measure() -> dict:
     params = _params()
+    fsyncs = 0
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        nonlocal fsyncs
+        fsyncs += 1
+        return real_fsync(fd)
+
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as root:
-        report = run_loadgen(root, seed=1, **params)
+    os.fsync = counting_fsync
+    try:
+        with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as root:
+            report = run_loadgen(root, seed=1, **params)
+    finally:
+        os.fsync = real_fsync
     wall_seconds = time.perf_counter() - start
     concurrency_ok = QUICK or (
         report["concurrent_peak"] >= CONCURRENCY_TARGET
     )
+    fsyncs_per_request = round(fsyncs / report["requests"], 3)
     return {
         "benchmark": "continuation_token_serving",
         "quick": QUICK,
         "concurrency_target": None if QUICK else CONCURRENCY_TARGET,
         "wall_seconds": round(wall_seconds, 2),
         "requests_per_sec": round(report["requests"] / wall_seconds, 1),
+        "fsyncs_per_request": fsyncs_per_request,
+        "fsync_budget": FSYNC_BUDGET,
         **report,
-        "pass": report["determinism"]["ok"] and concurrency_ok,
+        "pass": report["determinism"]["ok"]
+        and concurrency_ok
+        and fsyncs_per_request <= FSYNC_BUDGET,
     }
 
 
@@ -86,6 +110,7 @@ def test_serve_load(benchmark):
     assert result["images"]["delta_commits"] > 0, (
         "repeat suspends never committed a delta image"
     )
+    assert result["fsyncs_per_request"] <= FSYNC_BUDGET
     if not QUICK:
         assert result["concurrent_peak"] >= CONCURRENCY_TARGET
 
@@ -95,5 +120,9 @@ if __name__ == "__main__":
         QUICK = True
     snapshot = run_and_snapshot()
     print(json.dumps(snapshot, indent=2))
+    print(
+        f"fsyncs per request: {snapshot['fsyncs_per_request']} "
+        f"(budget {FSYNC_BUDGET})"
+    )
     print(f"[saved to {SNAPSHOT_PATH}]")
     raise SystemExit(0 if snapshot["pass"] else 1)

@@ -431,8 +431,13 @@ def run_images(
             if row.get("base_image_id")
             else ""
         )
+        layout = (
+            "packed file"
+            if row["layout_version"] == 2
+            else "layout-1 directory (read-only)"
+        )
         lines.append(
-            f"{row['image_id']}: codec v{row['codec_version']}, "
+            f"{row['image_id']}: {layout}, codec v{row['codec_version']}, "
             f"{row['total_bytes']} bytes, "
             f"{row['num_blobs']} blobs{chain}, meta={row['meta']} [{status}]"
         )

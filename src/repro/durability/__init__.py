@@ -16,9 +16,11 @@ Layers, bottom up:
 - :mod:`~repro.durability.codec2` — the v2 binary columnar codec
   (typed column segments, string interning, CRC'd zlib frames,
   streaming chunked writes), the only image encoder;
-- :mod:`~repro.durability.format` — the directory layout, the atomic
-  tmp+fsync+rename write discipline, and manifest checksums
-  (``LAYOUT_VERSION``);
+- :mod:`~repro.durability.format` — the packed one-file-per-image
+  layout (sections, manifest, trailer; one fsync + rename + dir-fsync
+  per commit), its verified reader, the read-only reader for the
+  directory layout of earlier builds, and the tmp+fsync+rename
+  discipline of the small metadata files (``LAYOUT_VERSION``);
 - :mod:`~repro.durability.store` — the :class:`ImageStore`: save, load,
   list, validate, GC, and the startup recovery scan with quarantine;
 - :mod:`~repro.durability.harness` — the crash-matrix harness proving no

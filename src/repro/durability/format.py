@@ -1,45 +1,66 @@
 """On-disk layout and commit protocol for durable suspend images.
 
-One image is one directory under the image root::
+One image is one **packed file** under the image root (layout 2)::
 
-    <root>/<image_id>/
-        blob-0000.bin     # one JSON-encoded payload per DumpHandle
-        blob-0001.bin
-        control.json      # the SuspendedQuery control record
-        MANIFEST.json     # written last; its rename IS the commit
+    <root>/<image_id>.rimg
+        blob-0000 ...     # one codec-v2 stream per locally written payload
+        control           # the SuspendedQuery control record (codec v2)
+        manifest          # JSON: per-file offset, size and SHA-256,
+                          #   blob table, base image, metadata
+        trailer           # fixed: manifest offset, length, CRC-32, magic
 
-Every file is written with the same discipline: write to ``<name>.tmp``,
-flush, ``fsync``, atomically rename over the final name, then ``fsync``
-the directory so the rename itself is durable. The manifest is written
-*after* every blob and the control record, so its presence marks a
-committed image: a crash anywhere earlier leaves a directory without a
-manifest (a *torn* image the recovery scan quarantines), and a crash
-after the rename leaves a complete, verifiable image.
+The parts ("files" — the manifest keeps the word from layout 1, where
+each one was a file of its own) are written back to back through one
+open ``<image_id>.rimg.tmp``, streamed in the codec's chunks with a
+running SHA-256, then the whole file is flushed and ``fsync``-ed
+**once**, atomically renamed to its final name, and the root directory
+is ``fsync``-ed **once** so the rename is durable. The rename is the
+commit point: a crash anywhere earlier leaves only a ``.rimg.tmp`` (a
+*torn* image the recovery scan quarantines), a crash after it leaves a
+complete, verifiable image. Two fsyncs per image however many payloads
+it carries — the single sequentially written, checksummed checkpoint
+file of main-memory recovery literature.
 
-The manifest records a SHA-256 checksum and byte size for every file, the
-format version, and caller-supplied metadata, so a committed image can be
-validated end to end before any of it is trusted (the discipline of
-checksummed checkpoint images in main-memory recovery literature).
+A reader trusts nothing before checking it: the trailer must carry the
+magic, its offset and length must account for every byte of the file,
+the manifest must match the trailer's CRC, the files must tile the space
+before the manifest exactly, and each file is verified against its size
+and SHA-256 before it is decoded. Anything less is a torn image.
+
+**Layout 1** — one *directory* per image holding ``blob-NNNN.bin``,
+``control.bin`` (or ``control.json`` for codec v1) and ``MANIFEST.json``,
+each its own tmp+fsync+rename — is read-only: nothing writes it any
+more, but roots written by earlier builds stay loadable. Its manifest
+has the same schema minus the offsets, so everything above the byte
+reader (:func:`open_image`) is layout-blind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-from typing import Any, Callable, Optional
+import struct
+import zlib
+from typing import Any, Callable, Iterator, Optional
 
 from repro.common.errors import ReproError
 from repro.durability.faults import FaultInjector, InjectedCrash
 
-MANIFEST_NAME = "MANIFEST.json"
-CONTROL_NAME = "control.json"
-#: Control-record filename for codec-v2 (binary) images.
-CONTROL_NAME_V2 = "control.bin"
-BLOB_PREFIX = "blob-"
-BLOB_SUFFIX = ".bin"
+#: Suffix of a packed image file; ``<image_id>.rimg`` under the root.
+IMAGE_SUFFIX = ".rimg"
 TMP_SUFFIX = ".tmp"
 QUARANTINE_DIR = "quarantine"
+#: Name of the control record inside a packed image.
+CONTROL_NAME_V2 = "control"
+BLOB_PREFIX = "blob-"
+#: Torn-write labels of the two parts that are not manifested files.
+MANIFEST_LABEL = "manifest"
+TRAILER_LABEL = "trailer"
+#: Layout-1 (directory) file names, kept for the read-only reader.
+MANIFEST_NAME = "MANIFEST.json"
+CONTROL_NAME = "control.json"
 #: Shard-set commit-protocol files (see ``repro.shard.manifest``): a
 #: shard-set directory groups N per-shard images plus channel state into
 #: one atomic unit. ``CHANNELS_NAME`` is written first, ``SHARDSET_NAME``
@@ -47,31 +68,35 @@ QUARANTINE_DIR = "quarantine"
 SHARDSET_NAME = "SHARDSET.json"
 CHANNELS_NAME = "CHANNELS.json"
 
-#: Version of the directory layout + manifest schema.
-LAYOUT_VERSION = 1
+#: Version of the image layout + manifest schema this build writes.
+LAYOUT_VERSION = 2
+#: The directory-per-image layout of earlier builds (read-only).
+LAYOUT_DIRECTORY = 1
+
+#: manifest offset, manifest length, CRC-32 of (offset, length, manifest
+#: bytes), magic — the last bytes of every packed image.
+TRAILER = struct.Struct("<QQI8s")
+TRAILER_MAGIC = b"RIMG2END"
+_TRAILER_SPAN = struct.Struct("<QQ")
 
 
 class ImageFormatError(ReproError):
-    """Raised when an image directory fails validation."""
+    """Raised when an image fails validation."""
 
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def blob_filename(index: int) -> str:
-    return f"{BLOB_PREFIX}{index:04d}{BLOB_SUFFIX}"
-
-
-def is_image_file(name: str) -> bool:
-    """Whether ``name`` is a file the commit protocol writes (final form)."""
-    return name in (MANIFEST_NAME, CONTROL_NAME, CONTROL_NAME_V2) or (
-        name.startswith(BLOB_PREFIX) and name.endswith(BLOB_SUFFIX)
+def is_layout1_file(name: str) -> bool:
+    """Whether ``name`` is a file the layout-1 protocol wrote (final form)."""
+    return name in (MANIFEST_NAME, CONTROL_NAME, "control.bin") or (
+        name.startswith(BLOB_PREFIX) and name.endswith(".bin")
     )
 
 
 def fsync_dir(path: str) -> None:
-    """Make directory-entry changes (renames, creates) durable."""
+    """Make directory-entry changes (renames, creates, unlinks) durable."""
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -87,7 +112,8 @@ def atomic_write(
 ) -> None:
     """Write ``data`` to ``directory/name`` via tmp + fsync + rename.
 
-    Crash points exposed to the injector, in order:
+    The discipline of the small metadata documents (pins, shard-set
+    files). Crash points exposed to the injector, in order:
 
     - ``before:<name>`` — nothing written yet;
     - a torn-write opportunity on ``<name>`` (half the bytes reach the
@@ -114,60 +140,89 @@ def atomic_write(
     injector.point(f"renamed:{name}")
 
 
-def atomic_write_stream(
-    directory: str,
-    name: str,
-    producer: "Callable[[Callable[[bytes], None]], None]",
+def write_packed_image(
+    root: str,
+    image_id: str,
+    files: "list[tuple[str, Callable[[Callable[[bytes], None]], None]]]",
+    build_manifest: "Callable[[dict], dict]",
     injector: Optional[FaultInjector] = None,
-) -> tuple[str, int]:
-    """Stream-write ``directory/name`` with the atomic discipline.
+) -> tuple[dict, int]:
+    """Commit ``<root>/<image_id>.rimg``; returns ``(manifest, file size)``.
 
-    The streaming sibling of :func:`atomic_write` for codec-v2 files:
-    ``producer(sink)`` pushes chunks (stream magic, then frames) into the
-    sink as it encodes, so peak memory stays bounded by one chunk, and
-    the SHA-256 the manifest needs is folded in on the way through.
-    Returns ``(sha256_hex, total_bytes)``.
+    ``files`` is ``[(name, producer)]`` in write order; ``producer(sink)``
+    pushes chunks into the sink as it encodes, so peak memory stays
+    bounded by one chunk and the SHA-256 the manifest needs is folded in
+    on the way through. ``build_manifest(file_table)`` turns the finished
+    ``name -> {offset, bytes, sha256}`` table into the manifest document.
 
-    The injector sees the same crash points as :func:`atomic_write`
-    (``before:``/``written:``/``renamed:``) plus the same per-file torn
-    label; a torn write here truncates mid-chunk — i.e. *inside* a v2
-    frame — leaving a partial frame whose CRC cannot verify.
+    Crash points, in order: ``before:<name>`` ahead of each file,
+    ``before:manifest``, ``written:image`` (temp file complete and
+    durable, rename not yet done), ``renamed:image``, ``committed``. Torn
+    writes: one opportunity per file (the write stops mid-chunk, i.e.
+    inside a CRC'd codec frame), one inside the manifest, one inside the
+    trailer. Every one of them leaves only the temp file behind.
     """
     injector = injector or FaultInjector()
-    injector.point(f"before:{name}")
-    tmp_path = os.path.join(directory, name + TMP_SUFFIX)
-    final_path = os.path.join(directory, name)
-    torn = injector.wants_torn(name)
-    digest = hashlib.sha256()
-    total = 0
+    final_path = os.path.join(root, image_id + IMAGE_SUFFIX)
+    tmp_path = final_path + TMP_SUFFIX
+    table: dict[str, dict] = {}
     with open(tmp_path, "wb") as fh:
 
-        def sink(chunk: bytes) -> None:
-            nonlocal total
-            if torn:
-                # The crash struck mid-write: a prefix of this chunk —
-                # half a frame — reaches the file, then the process
-                # dies. The partial temp file stays behind.
-                fh.write(chunk[: max(1, len(chunk) // 2)])
-                fh.flush()
-                os.fsync(fh.fileno())
-                raise InjectedCrash(f"torn:{name}")
-            fh.write(chunk)
-            digest.update(chunk)
-            total += len(chunk)
+        def tear(label: str, data: bytes) -> None:
+            # The crash struck mid-write: a prefix reaches the file,
+            # then the process dies. The partial temp file stays behind.
+            fh.write(data[: max(1, len(data) // 2)])
+            fh.flush()
+            os.fsync(fh.fileno())
+            raise InjectedCrash(f"torn:{label}")
 
-        producer(sink)
-        if torn:
-            # The producer finished without offering a chunk to tear
-            # (empty stream); tear as an empty partial file.
-            raise InjectedCrash(f"torn:{name}")
+        offset = 0
+        for name, producer in files:
+            injector.point(f"before:{name}")
+            torn = injector.wants_torn(name)
+            digest = hashlib.sha256()
+            size = 0
+
+            def sink(chunk: bytes) -> None:
+                nonlocal size
+                if torn:
+                    tear(name, chunk)
+                fh.write(chunk)
+                digest.update(chunk)
+                size += len(chunk)
+
+            producer(sink)
+            if torn:
+                # The producer offered no chunk to tear (empty stream).
+                tear(name, b"")
+            table[name] = {
+                "offset": offset,
+                "bytes": size,
+                "sha256": digest.hexdigest(),
+            }
+            offset += size
+
+        injector.point(f"before:{MANIFEST_LABEL}")
+        manifest = build_manifest(table)
+        data = dump_json(manifest)
+        if injector.wants_torn(MANIFEST_LABEL):
+            tear(MANIFEST_LABEL, data)
+        fh.write(data)
+        span = _TRAILER_SPAN.pack(offset, len(data))
+        trailer = TRAILER.pack(
+            offset, len(data), zlib.crc32(data, zlib.crc32(span)), TRAILER_MAGIC
+        )
+        if injector.wants_torn(TRAILER_LABEL):
+            tear(TRAILER_LABEL, trailer)
+        fh.write(trailer)
         fh.flush()
         os.fsync(fh.fileno())
-    injector.point(f"written:{name}")
+    injector.point("written:image")
     os.replace(tmp_path, final_path)
-    fsync_dir(directory)
-    injector.point(f"renamed:{name}")
-    return digest.hexdigest(), total
+    injector.point("renamed:image")
+    fsync_dir(root)
+    injector.point("committed")
+    return manifest, offset + len(data) + TRAILER.size
 
 
 def dump_json(value: Any) -> bytes:
@@ -175,45 +230,131 @@ def dump_json(value: Any) -> bytes:
     return json.dumps(value, sort_keys=True, indent=1).encode("utf-8")
 
 
-def load_json(path: str) -> Any:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def parse_json(data: bytes, what: str) -> Any:
+    """Decode JSON bytes; undecodable input is an :class:`ImageFormatError`
+    naming ``what`` was being read."""
     try:
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ImageFormatError(f"unreadable JSON in {path}: {exc}") from exc
+        raise ImageFormatError(f"unreadable JSON in {what}: {exc}") from exc
 
 
-def read_file_checked(directory: str, name: str, manifest: dict) -> bytes:
-    """Read a manifested file, verifying its size and checksum."""
-    entry = manifest.get("files", {}).get(name)
-    if entry is None:
-        raise ImageFormatError(f"manifest has no entry for {name!r}")
-    path = os.path.join(directory, name)
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError as exc:
-        raise ImageFormatError(f"missing image file {name!r}") from exc
+def load_json(path: str) -> Any:
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), path)
+
+
+def read_manifest(path: str) -> dict:
+    """Parse and structurally validate the manifest of the image at
+    ``path`` — a packed file, or a layout-1 image directory."""
+    if os.path.isdir(path):
+        manifest = load_json(os.path.join(path, MANIFEST_NAME))
+        validate_manifest_dict(manifest, LAYOUT_DIRECTORY)
+        return manifest
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < TRAILER.size:
+            raise ImageFormatError(f"{path}: too short to hold a trailer")
+        fh.seek(size - TRAILER.size)
+        offset, length, crc, magic = TRAILER.unpack(fh.read(TRAILER.size))
+        if magic != TRAILER_MAGIC:
+            raise ImageFormatError(f"{path}: no valid trailer")
+        if offset + length + TRAILER.size != size:
+            raise ImageFormatError(
+                f"{path}: trailer does not account for the file's {size} bytes"
+            )
+        fh.seek(offset)
+        data = fh.read(length)
+    if len(data) != length or zlib.crc32(
+        data, zlib.crc32(_TRAILER_SPAN.pack(offset, length))
+    ) != crc:
+        raise ImageFormatError(f"{path}: manifest fails its checksum")
+    manifest = parse_json(data, path)
+    validate_manifest_dict(manifest, LAYOUT_VERSION)
+    # The files must tile [0, manifest offset) exactly: no gap can hide
+    # unmanifested bytes and no two entries can claim the same range.
+    end = 0
+    for name, entry in sorted(
+        manifest["files"].items(), key=lambda item: item[1]["offset"]
+    ):
+        if entry["offset"] != end:
+            raise ImageFormatError(
+                f"{path}: unmanifested bytes or overlap before {name!r}"
+            )
+        end += entry["bytes"]
+    if end != offset:
+        raise ImageFormatError(f"{path}: unmanifested bytes before the manifest")
+    return manifest
+
+
+def _check_file(name: str, data: bytes, entry: dict) -> bytes:
     if len(data) != entry["bytes"]:
         raise ImageFormatError(
             f"{name!r}: size {len(data)} != manifested {entry['bytes']}"
         )
-    digest = sha256_hex(data)
-    if digest != entry["sha256"]:
+    if sha256_hex(data) != entry["sha256"]:
         raise ImageFormatError(f"{name!r}: checksum mismatch")
     return data
 
 
-def validate_manifest_dict(manifest: Any) -> None:
-    """Structural checks on a parsed manifest (raises on problems)."""
+@contextlib.contextmanager
+def open_image(
+    path: str, manifest: dict
+) -> "Iterator[Callable[[str], bytes]]":
+    """Yield ``read(name)`` over one image's manifested files.
+
+    Every read verifies size and SHA-256 before returning the bytes. For
+    a packed image the reads are ranges of one open file; for a layout-1
+    directory each is a file of that name.
+    """
+
+    def entry_of(name: str) -> dict:
+        entry = manifest["files"].get(name)
+        if entry is None:
+            raise ImageFormatError(f"manifest has no entry for {name!r}")
+        return entry
+
+    if manifest["layout_version"] == LAYOUT_DIRECTORY:
+
+        def read_file(name: str) -> bytes:
+            entry = entry_of(name)
+            try:
+                with open(os.path.join(path, name), "rb") as fh:
+                    return _check_file(name, fh.read(), entry)
+            except FileNotFoundError as exc:
+                raise ImageFormatError(
+                    f"missing image file {name!r}"
+                ) from exc
+
+        yield read_file
+        return
+
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError as exc:
+        raise ImageFormatError(f"missing image file {path!r}") from exc
+    with fh:
+
+        def read_range(name: str) -> bytes:
+            entry = entry_of(name)
+            fh.seek(entry["offset"])
+            return _check_file(name, fh.read(entry["bytes"]), entry)
+
+        yield read_range
+
+
+def validate_manifest_dict(manifest: Any, layout: int) -> None:
+    """Structural checks on a parsed manifest (raises on problems).
+
+    ``layout`` is what the manifest was read from — a packed file must
+    say ``LAYOUT_VERSION`` and a directory ``LAYOUT_DIRECTORY``.
+    """
     if not isinstance(manifest, dict):
         raise ImageFormatError("manifest is not a JSON object")
     version = manifest.get("layout_version")
-    if version != LAYOUT_VERSION:
+    if version != layout:
         raise ImageFormatError(
-            f"unsupported layout version {version!r} "
-            f"(this build reads version {LAYOUT_VERSION})"
+            f"unsupported layout version {version!r} (expected {layout})"
         )
     for field in ("image_id", "files", "blobs", "control_file"):
         if field not in manifest:
@@ -229,8 +370,11 @@ def validate_manifest_dict(manifest: Any) -> None:
     base = manifest.get("base_image_id")
     if base is not None and not isinstance(base, str):
         raise ImageFormatError("malformed base_image_id (must be a string)")
+    required = {"sha256", "bytes"}
+    if layout == LAYOUT_VERSION:
+        required = required | {"offset"}
     for name, entry in manifest["files"].items():
-        if not isinstance(entry, dict) or not {"sha256", "bytes"} <= set(entry):
+        if not isinstance(entry, dict) or not required <= set(entry):
             raise ImageFormatError(f"malformed file entry for {name!r}")
     for blob in manifest["blobs"]:
         if not isinstance(blob, dict) or "key" not in blob:
@@ -245,3 +389,12 @@ def validate_manifest_dict(manifest: Any) -> None:
 def manifest_codec_version(manifest: dict) -> int:
     """Codec version of a validated manifest (absence means v1)."""
     return manifest.get("codec_version", 1)
+
+
+def manifest_created_at(manifest: dict) -> float:
+    """Commit wall-clock time, in seconds. Packed manifests record integer
+    nanoseconds (``created_ns``) so the manifest's length — and with it
+    the image's size — is the same in every run."""
+    if "created_ns" in manifest:
+        return manifest["created_ns"] / 1e9
+    return manifest.get("created_at", 0.0)

@@ -16,10 +16,11 @@ passes (so the matrix cannot drift out of sync with the code), then each
 fault is injected into a fresh image root and the aftermath is put
 through recovery and classified.
 
-Blobs and the control record go through :func:`atomic_write_stream`, so
-a torn write truncates *inside a CRC'd frame*; the manifest goes through
-:func:`atomic_write` and truncates JSON mid-document. Both must classify
-as torn, never silently corrupt.
+An image is one packed file (:func:`~repro.durability.format.
+write_packed_image`): a torn write on a blob or the control record
+truncates *inside a CRC'd frame*, one on the manifest truncates JSON
+mid-document, one on the trailer leaves a file with no valid trailer.
+All must classify as torn, never silently corrupt.
 
 The **delta matrix** (:func:`run_delta_crash_matrix`) commits a base
 image cleanly, bumps one payload's generation, and strikes the *delta*
@@ -39,9 +40,9 @@ from repro.durability.faults import FaultInjector, InjectedCrash
 from repro.durability.store import ImageStore
 from repro.storage.statefile import StateStore
 
-#: Crash points that fire only after the manifest rename: the image is
+#: Crash points that fire only after the image's rename: the image is
 #: already committed when the "crash" happens, so surviving is correct.
-_POST_COMMIT_POINTS = ("renamed:MANIFEST.json", "committed")
+_POST_COMMIT_POINTS = ("renamed:image", "committed")
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def run_one_fault(
     if classification == "committed":
         loaded, silent, problem = _check_committed(survivor, sq, "img")
         detail = problem or detail
-        # A crash strictly before the manifest rename must not leave a
+        # A crash strictly before the image's rename must not leave a
         # committed image behind — that would mean the commit point leaked.
         post_commit = {f"crash:{p}" for p in _POST_COMMIT_POINTS}
         if crashed and fault not in post_commit:

@@ -2,36 +2,39 @@
 
 Where the in-memory :class:`~repro.storage.statefile.StateStore` keeps
 dump payloads as Python objects behind the *simulated* disk, the
-ImageStore writes a complete, self-contained suspend image to *real*
-files so a suspended query can outlive its process — the paper's grid
+ImageStore writes a complete, self-contained suspend image to a *real*
+file so a suspended query can outlive its process — the paper's grid
 migration, rolling upgrade, and scheduled-maintenance scenarios.
 
 Responsibilities:
 
 - :meth:`ImageStore.save` — export every payload a SuspendedQuery
-  references, encode the control record, and commit the image with the
-  atomic manifest protocol of :mod:`repro.durability.format`. New
-  images are always written with the v2 binary columnar codec
-  (:mod:`repro.durability.codec2`) and stamped ``codec_version: 2`` in
-  the manifest;
+  references, encode the control record, and commit the image as one
+  packed file with the protocol of :mod:`repro.durability.format`: one
+  ``fsync`` of the file, one rename (the commit point), one ``fsync`` of
+  the root. New images are always written with the v2 binary columnar
+  codec (:mod:`repro.durability.codec2`) and stamped
+  ``codec_version: 2`` in the manifest;
 - **delta images** — ``save(..., base_image_id=...)`` commits only the
   blobs whose ``(key, pages, generation)`` triple is not already
   persisted somewhere in the base image's chain; unchanged payloads
-  become manifest *references* into the ancestor image. Resume
-  materializes the base+delta chain transparently, and
+  become manifest *references* ``(image_id, file)`` into the ancestor
+  image. Resume materializes the base+delta chain transparently, and
   :meth:`delete_chain` / :meth:`gc` collect whole chains together;
 - **parallel durable commit** — :meth:`save_many` serializes and fsyncs
-  several victims' images on a bounded thread pool (``commit_workers``).
-  A pure wall-clock optimization: on-disk bytes, virtual-clock charges,
-  and trace/metric records are identical to the serial path, because
-  exports happen up front on the calling thread and all tracing is
-  emitted after the barrier, in submission order;
+  several victims' images on a bounded thread pool (``commit_workers``),
+  each worker writing its own file. A pure wall-clock optimization:
+  on-disk bytes, virtual-clock charges, and trace/metric records are
+  identical to the serial path, because exports happen up front on the
+  calling thread and all tracing is emitted after the barrier, in
+  submission order;
 - :meth:`ImageStore.load` — verify checksums and reconstruct the
   SuspendedQuery with its payloads staged for import (the existing
   migration path charges the simulated-disk writes on resume, so cost
-  accounting survives the process boundary). The manifest's
-  ``codec_version`` picks the decoder, so legacy v1 tagged-JSON images
-  (:mod:`repro.durability.codec`) stay readable;
+  accounting survives the process boundary). What is on disk picks the
+  reader: a packed ``<id>.rimg``, or the directory-per-image layout of
+  earlier builds, which stays readable (codec v1 and v2) but is never
+  written;
 - :meth:`ImageStore.recover` — the startup scan: classify every entry
   under the root as committed, torn, or orphaned, and quarantine the bad
   ones instead of crashing;
@@ -41,6 +44,7 @@ Responsibilities:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import time
@@ -59,6 +63,8 @@ from repro.durability.format import (
     BLOB_PREFIX,
     CHANNELS_NAME,
     CONTROL_NAME_V2,
+    IMAGE_SUFFIX,
+    LAYOUT_DIRECTORY,
     LAYOUT_VERSION,
     MANIFEST_NAME,
     QUARANTINE_DIR,
@@ -66,15 +72,16 @@ from repro.durability.format import (
     TMP_SUFFIX,
     ImageFormatError,
     atomic_write,
-    atomic_write_stream,
-    blob_filename,
     dump_json,
     fsync_dir,
-    is_image_file,
+    is_layout1_file,
     load_json,
     manifest_codec_version,
-    read_file_checked,
-    validate_manifest_dict,
+    manifest_created_at,
+    open_image,
+    parse_json,
+    read_manifest,
+    write_packed_image,
 )
 from repro.storage.statefile import StateStore
 
@@ -114,6 +121,8 @@ class ImageInfo:
     chain_length: int = 1
     #: Bytes this commit *reused* from ancestors instead of rewriting.
     reused_bytes: int = 0
+    #: On-disk layout: 2 = one packed file, 1 = directory (read-only).
+    layout_version: int = LAYOUT_VERSION
 
     def as_dict(self) -> dict:
         return {
@@ -128,6 +137,7 @@ class ImageInfo:
             "base_image_id": self.base_image_id,
             "chain_length": self.chain_length,
             "reused_bytes": self.reused_bytes,
+            "layout_version": self.layout_version,
         }
 
 
@@ -170,9 +180,10 @@ class _PreparedSave:
     """Main-thread snapshot of everything a worker needs to write."""
 
     image_id: str
-    directory: str
     base_image_id: Optional[str]
-    #: Local blobs to encode+write: (filename, key, pages, gen, payload).
+    #: Images in the base+delta chain once this one commits.
+    chain_length: int
+    #: Local blobs to encode+write: (file name, key, pages, gen, payload).
     local_blobs: list
     #: Manifest entries for payloads reused from the base chain.
     ref_blobs: list
@@ -185,11 +196,11 @@ class _PreparedSave:
 
 
 class ImageStore:
-    """Durable suspend images under ``root``, one directory per image.
+    """Durable suspend images under ``root``, one packed file per image.
 
-    New images are written with codec v2; every image records its codec
-    in the manifest, so a root may still hold legacy v1 images and they
-    stay fully readable. ``commit_workers`` bounds the
+    New images are written with codec v2 as ``<image_id>.rimg``; a root
+    may still hold directory-layout images of earlier builds (either
+    codec) and they stay fully readable. ``commit_workers`` bounds the
     thread pool :meth:`save_many` uses for parallel durable commits
     (``<= 1`` means serial). ``max_chain`` caps base+delta chain length:
     a save whose chain would grow past it is promoted to a full image.
@@ -209,8 +220,8 @@ class ImageStore:
         self.max_chain = max(1, max_chain)
         self.compress = compress
         # Manifests are immutable once committed, so they cache cleanly;
-        # a hit still stats the manifest file so deletions by other
-        # store instances over the same root are noticed.
+        # a hit still stats the image so deletions by other store
+        # instances over the same root are noticed.
         self._manifest_cache: dict[str, dict] = {}
         os.makedirs(self.root, exist_ok=True)
 
@@ -231,14 +242,17 @@ class ImageStore:
         Payloads are exported from ``store`` without extra simulated-disk
         charges — their page writes were already paid when they were
         dumped, and the image is the durable representation of that same
-        simulated disk. The commit order is blobs, control record,
-        manifest; the manifest rename is the commit point.
+        simulated disk. Blobs, control record, manifest and trailer are
+        streamed into one temp file, fsynced once, and renamed; the
+        rename is the commit point.
 
         With ``base_image_id`` set, payloads already persisted in the
         base chain (same key, pages, and state-store generation) are
         *referenced* instead of rewritten — a delta image. The base must
         stay on disk for the delta to load; use :meth:`delete_chain` /
-        :meth:`gc` to collect chains together.
+        :meth:`gc` to collect chains together. A base in the read-only
+        directory layout is never referenced: the save is promoted to a
+        full image, exactly as when the chain reaches ``max_chain``.
         """
         prep = self._prepare_save(
             SaveRequest(
@@ -286,25 +300,30 @@ class ImageStore:
         image_id = req.image_id or f"img-{uuid.uuid4().hex[:12]}"
         if os.sep in image_id or image_id.startswith("."):
             raise ValueError(f"invalid image id {image_id!r}")
-        directory = os.path.join(self.root, image_id)
-        if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
+        if self._locate(image_id) is not None:
             raise ValueError(f"image {image_id!r} already exists")
 
         base_image_id = req.base_image_id
         persisted: dict[str, dict] = {}
+        chain_length = 1
         if base_image_id is not None:
             chain = self.chain(base_image_id)
-            if len(chain) >= self.max_chain:
-                # Rebase: a full image caps the resume/validate fan-out.
+            if (
+                len(chain) >= self.max_chain
+                or self.manifest(base_image_id)["layout_version"]
+                == LAYOUT_DIRECTORY
+            ):
+                # Rebase: a full image caps the resume/validate fan-out
+                # (and nothing written today depends on the old layout).
                 base_image_id = None
             else:
                 persisted = self._chain_blob_map(chain)
+                chain_length = len(chain) + 1
 
         local_blobs = []
         ref_blobs = []
         reused_bytes = 0
         handles = req.sq.referenced_handles()
-        next_file = 0
         epoch = req.store.epoch
         for key in sorted(handles):
             handle = handles[key]
@@ -339,13 +358,12 @@ class ImageStore:
                 )
                 reused_bytes += prior["bytes"]
             else:
-                name = blob_filename(next_file)
-                next_file += 1
+                name = f"{BLOB_PREFIX}{len(local_blobs):04d}"
                 local_blobs.append((name, key, pages, gen, payload))
         return _PreparedSave(
             image_id=image_id,
-            directory=directory,
             base_image_id=base_image_id,
+            chain_length=chain_length,
             local_blobs=local_blobs,
             ref_blobs=ref_blobs,
             reused_bytes=reused_bytes,
@@ -357,77 +375,59 @@ class ImageStore:
     def _write_image(self, prep: _PreparedSave) -> dict:
         """Encode and durably write one prepared image (worker-safe:
         touches only ``prep``, the injector, and the filesystem)."""
-        injector = self.injector
-        injector.point("begin")
-        os.makedirs(prep.directory, exist_ok=True)
+        self.injector.point("begin")
         start = time.perf_counter()
 
-        files: dict[str, dict] = {}
-        blobs: list[dict] = []
-        total = 0
-        blob_pages = 0
-        for name, key, pages, gen, payload in prep.local_blobs:
-            record = {"key": key, "pages": pages, "payload": payload}
-
-            def produce(sink, record=record):
-                codec2.encode_to_stream(record, sink, compress=self.compress)
-
-            digest, nbytes = atomic_write_stream(
-                prep.directory, name, produce, injector
+        def stream(record):
+            return lambda sink: codec2.encode_to_stream(
+                record, sink, compress=self.compress
             )
-            files[name] = {"sha256": digest, "bytes": nbytes}
-            blobs.append(
-                {
-                    "file": name,
-                    "key": key,
-                    "pages": pages,
-                    "gen": gen,
-                    "epoch": prep.epoch,
-                }
-            )
-            blob_pages += pages
-            total += nbytes
-        for entry in prep.ref_blobs:
-            blobs.append(dict(entry))
-            blob_pages += entry["pages"]
+
+        files = [
+            (name, stream({"key": key, "pages": pages, "payload": payload}))
+            for name, key, pages, _, payload in prep.local_blobs
+        ]
+        files.append(
+            (CONTROL_NAME_V2, stream(codec2.suspended_query_to_record(prep.sq)))
+        )
+        blobs = [
+            {
+                "file": name,
+                "key": key,
+                "pages": pages,
+                "gen": gen,
+                "epoch": prep.epoch,
+            }
+            for name, key, pages, gen, _ in prep.local_blobs
+        ]
+        blobs.extend(dict(entry) for entry in prep.ref_blobs)
         blobs.sort(key=lambda b: b["key"])
 
-        record = codec2.suspended_query_to_record(prep.sq)
+        def build_manifest(table: dict) -> dict:
+            return {
+                "layout_version": LAYOUT_VERSION,
+                "format_version": codec2.V2_FORMAT_VERSION,
+                "codec_version": CODEC_V2,
+                "base_image_id": prep.base_image_id,
+                "image_id": prep.image_id,
+                "created_ns": time.time_ns(),
+                "meta": prep.meta,
+                "control_file": CONTROL_NAME_V2,
+                "files": table,
+                "blobs": blobs,
+            }
 
-        def produce_control(sink, record=record):
-            codec2.encode_to_stream(record, sink, compress=self.compress)
-
-        digest, control_bytes = atomic_write_stream(
-            prep.directory, CONTROL_NAME_V2, produce_control, injector
+        manifest, file_bytes = write_packed_image(
+            self.root, prep.image_id, files, build_manifest, self.injector
         )
-        files[CONTROL_NAME_V2] = {"sha256": digest, "bytes": control_bytes}
-        total += control_bytes
-        blob_bytes = total - control_bytes
-
-        manifest = {
-            "layout_version": LAYOUT_VERSION,
-            "format_version": codec2.V2_FORMAT_VERSION,
-            "codec_version": CODEC_V2,
-            "base_image_id": prep.base_image_id,
-            "image_id": prep.image_id,
-            "created_at": time.time(),
-            "meta": prep.meta,
-            "control_file": CONTROL_NAME_V2,
-            "files": files,
-            "blobs": blobs,
-        }
-        data = dump_json(manifest)
-        atomic_write(prep.directory, MANIFEST_NAME, data, injector)
-        fsync_dir(self.root)
-        injector.point("committed")
+        control_bytes = manifest["files"][CONTROL_NAME_V2]["bytes"]
+        total = sum(e["bytes"] for e in manifest["files"].values())
         return {
             "manifest": manifest,
-            "manifest_bytes": len(data),
+            "file_bytes": file_bytes,
             "payload_bytes": total,
-            "blob_bytes": blob_bytes,
             "control_bytes": control_bytes,
-            "blob_pages": blob_pages,
-            "num_local_blobs": len(prep.local_blobs),
+            "blob_pages": sum(b["pages"] for b in blobs),
             "encode_seconds": time.perf_counter() - start,
         }
 
@@ -458,11 +458,11 @@ class ImageStore:
                 step="control",
                 bytes=result["control_bytes"],
             )
-            # payload_bytes/bytes_written exclude the manifest: its
-            # wall-clock created_at makes the manifest length vary
-            # between runs, and trace records must stay byte-
-            # deterministic. encode_seconds is wall clock, so it goes to
-            # the volatile metrics only, never into trace records.
+            # payload_bytes/bytes_written exclude the manifest (its blob
+            # epochs and commit time differ between runs, and trace
+            # records must stay byte-deterministic). encode_seconds is
+            # wall clock, so it goes to the volatile metrics only, never
+            # into trace records.
             tracer.event(
                 "image.commit",
                 ts=now,
@@ -489,41 +489,59 @@ class ImageStore:
             metrics.histogram(
                 "image_encode_seconds", volatile=True
             ).observe(result["encode_seconds"])
+        # The manifest just written is the manifest on disk: remember it
+        # (on the calling thread — workers never touch the cache).
+        self._manifest_cache[prep.image_id] = manifest
         return ImageInfo(
             image_id=prep.image_id,
-            path=prep.directory,
-            created_at=manifest["created_at"],
+            path=self._image_path(manifest),
+            created_at=manifest_created_at(manifest),
             meta=manifest["meta"],
             num_blobs=len(manifest["blobs"]),
             blob_pages=result["blob_pages"],
-            total_bytes=total + result["manifest_bytes"],
+            total_bytes=result["file_bytes"],
             codec_version=CODEC_V2,
             base_image_id=prep.base_image_id,
-            chain_length=(
-                1
-                if prep.base_image_id is None
-                else len(self.chain(prep.image_id))
-            ),
+            chain_length=prep.chain_length,
             reused_bytes=prep.reused_bytes,
         )
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _image_dir(self, image_id: str) -> str:
-        return os.path.join(self.root, image_id)
+    def _locate(self, image_id: str) -> Optional[str]:
+        """Path of a committed image — its packed file, or the image
+        directory of the read-only layout 1 — or None."""
+        packed = os.path.join(self.root, image_id + IMAGE_SUFFIX)
+        if os.path.exists(packed):
+            return packed
+        directory = os.path.join(self.root, image_id)
+        if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
+            return directory
+        return None
+
+    def _image_path(self, manifest: dict) -> str:
+        """Where the image a (validated) manifest describes lives."""
+        name = manifest["image_id"]
+        if manifest["layout_version"] == LAYOUT_VERSION:
+            name += IMAGE_SUFFIX
+        return os.path.join(self.root, name)
 
     def manifest(self, image_id: str) -> dict:
         """Parse and structurally validate an image's manifest."""
-        path = os.path.join(self._image_dir(image_id), MANIFEST_NAME)
-        if not os.path.exists(path):
+        path = self._locate(image_id)
+        if path is None:
             self._manifest_cache.pop(image_id, None)
             raise ImageNotFoundError(f"no committed image {image_id!r}")
         cached = self._manifest_cache.get(image_id)
         if cached is not None:
             return cached
-        manifest = load_json(path)
-        validate_manifest_dict(manifest)
+        manifest = read_manifest(path)
+        if manifest["image_id"] != image_id:
+            raise ImageFormatError(
+                f"image {image_id!r} carries the manifest of "
+                f"{manifest['image_id']!r}"
+            )
         self._manifest_cache[image_id] = manifest
         return manifest
 
@@ -565,21 +583,18 @@ class ImageStore:
                 }
         return persisted
 
-    def _decode_control(self, manifest: dict, directory: str) -> SuspendedQuery:
-        data = read_file_checked(directory, manifest["control_file"], manifest)
+    def _decode_control(self, manifest: dict, data: bytes) -> SuspendedQuery:
         if manifest_codec_version(manifest) == CODEC_V2:
             return codec2.decode_suspended_query(data)
-        del data  # checksum verified above; reparse for clarity
-        record = load_json(os.path.join(directory, manifest["control_file"]))
-        return codec.suspended_query_from_dict(record)
+        return codec.suspended_query_from_dict(
+            parse_json(data, "control record")
+        )
 
     def _decode_blob(self, data: bytes, codec_version: int) -> dict:
         if codec_version == CODEC_V2:
             decoded = codec2.decode_bytes(data)
         else:
-            import json
-
-            decoded = json.loads(data.decode("utf-8"))
+            decoded = parse_json(data, "blob record")
             decoded["payload"] = codec.decode_value(decoded["payload"])
         if not isinstance(decoded, dict) or not {
             "key",
@@ -588,6 +603,24 @@ class ImageStore:
         } <= set(decoded):
             raise ImageFormatError("malformed image blob record")
         return decoded
+
+    @contextlib.contextmanager
+    def _readers(self):
+        """Yield ``reader_of(image_id) -> (manifest, read)``: verified
+        reads over any image, one open file per image touched."""
+        with contextlib.ExitStack() as stack:
+            readers: dict[str, tuple] = {}
+
+            def reader_of(image_id: str) -> tuple:
+                if image_id not in readers:
+                    manifest = self.manifest(image_id)
+                    read = stack.enter_context(
+                        open_image(self._image_path(manifest), manifest)
+                    )
+                    readers[image_id] = (manifest, read)
+                return readers[image_id]
+
+            yield reader_of
 
     def load(self, image_id: str) -> SuspendedQuery:
         """Verify and decode an image into a resumable SuspendedQuery.
@@ -600,39 +633,39 @@ class ImageStore:
         state store, charging the page writes there exactly as a
         migration to a replica would.
         """
-        manifest = self.manifest(image_id)
-        directory = self._image_dir(image_id)
-        sq = self._decode_control(manifest, directory)
-        manifests: dict[str, dict] = {image_id: manifest}
-        payloads: dict = {}
-        for blob in manifest["blobs"]:
-            if "file" in blob:
-                owner_id, fname = image_id, blob["file"]
-            else:
-                ref = blob["ref"]
-                owner_id, fname = ref["image_id"], ref["file"]
-            owner_manifest = manifests.get(owner_id)
-            if owner_manifest is None:
-                owner_manifest = self.manifest(owner_id)
-                manifests[owner_id] = owner_manifest
-            owner_dir = self._image_dir(owner_id)
-            data = read_file_checked(owner_dir, fname, owner_manifest)
-            decoded = self._decode_blob(
-                data, manifest_codec_version(owner_manifest)
-            )
-            if decoded["key"] != blob["key"] or decoded["pages"] != blob["pages"]:
-                raise ImageFormatError(
-                    f"blob {fname!r} does not match its manifest entry"
+        with self._readers() as reader_of:
+            manifest, read = reader_of(image_id)
+            sq = self._decode_control(manifest, read(manifest["control_file"]))
+            payloads: dict = {}
+            for blob in manifest["blobs"]:
+                if "file" in blob:
+                    owner_id, fname = image_id, blob["file"]
+                else:
+                    owner_id = blob["ref"]["image_id"]
+                    fname = blob["ref"]["file"]
+                owner, read = reader_of(owner_id)
+                decoded = self._decode_blob(
+                    read(fname), manifest_codec_version(owner)
                 )
-            payloads[blob["key"]] = (decoded["payload"], blob["pages"])
+                if (
+                    decoded["key"] != blob["key"]
+                    or decoded["pages"] != blob["pages"]
+                ):
+                    raise ImageFormatError(
+                        f"blob {fname!r} does not match its manifest entry"
+                    )
+                payloads[blob["key"]] = (decoded["payload"], blob["pages"])
         sq.migrated_payloads = payloads
         return sq
 
     def info(self, image_id: str) -> ImageInfo:
         manifest = self.manifest(image_id)
-        directory = self._image_dir(image_id)
-        total = sum(e["bytes"] for e in manifest["files"].values())
-        total += os.path.getsize(os.path.join(directory, MANIFEST_NAME))
+        path = self._image_path(manifest)
+        if manifest["layout_version"] == LAYOUT_VERSION:
+            total = os.path.getsize(path)
+        else:
+            total = sum(e["bytes"] for e in manifest["files"].values())
+            total += os.path.getsize(os.path.join(path, MANIFEST_NAME))
         base = manifest.get("base_image_id")
         reused = 0
         for blob in manifest["blobs"]:
@@ -650,8 +683,8 @@ class ImageStore:
             chain_length = 1
         return ImageInfo(
             image_id=manifest["image_id"],
-            path=directory,
-            created_at=manifest.get("created_at", 0.0),
+            path=path,
+            created_at=manifest_created_at(manifest),
             meta=manifest.get("meta", {}),
             num_blobs=len(manifest["blobs"]),
             blob_pages=sum(b["pages"] for b in manifest["blobs"]),
@@ -660,21 +693,44 @@ class ImageStore:
             base_image_id=base,
             chain_length=chain_length,
             reused_bytes=reused,
+            layout_version=manifest["layout_version"],
         )
+
+    def _image_ids(self) -> list[str]:
+        """Ids of every image under the root, either layout (one scan)."""
+        ids = []
+        for name in sorted(os.listdir(self.root)):
+            if name.endswith(IMAGE_SUFFIX):
+                ids.append(name[: -len(IMAGE_SUFFIX)])
+            elif name != QUARANTINE_DIR and os.path.exists(
+                os.path.join(self.root, name, MANIFEST_NAME)
+            ):
+                ids.append(name)
+        return ids
+
+    def _manifests(self) -> dict[str, dict]:
+        """``image id -> manifest`` of every readable image: one root
+        scan, and a cached manifest is trusted without touching its file
+        (the scan just saw it). Unreadable ones are recover()'s job."""
+        found: dict[str, dict] = {}
+        for image_id in self._image_ids():
+            manifest = self._manifest_cache.get(image_id)
+            if manifest is None:
+                try:
+                    manifest = self.manifest(image_id)
+                except ReproError:
+                    continue
+            found[image_id] = manifest
+        return found
 
     def list_images(self) -> list[ImageInfo]:
         """Every committed image under the root, oldest first."""
         infos = []
-        for name in sorted(os.listdir(self.root)):
-            if name == QUARANTINE_DIR:
-                continue
-            if os.path.exists(
-                os.path.join(self.root, name, MANIFEST_NAME)
-            ):
-                try:
-                    infos.append(self.info(name))
-                except (ImageFormatError, ReproError):
-                    continue  # recover() deals with bad manifests
+        for image_id in self._manifests():
+            try:
+                infos.append(self.info(image_id))
+            except ReproError:
+                continue  # recover() deals with bad manifests
         infos.sort(key=lambda i: (i.created_at, i.image_id))
         return infos
 
@@ -695,101 +751,99 @@ class ImageStore:
             return [f"image {image_id!r} not found"]
         except ImageFormatError as exc:
             return [str(exc)]
-        directory = self._image_dir(image_id)
-        for name in manifest["files"]:
-            try:
-                read_file_checked(directory, name, manifest)
-            except ImageFormatError as exc:
-                problems.append(str(exc))
-        for name in os.listdir(directory):
-            if name == MANIFEST_NAME:
-                continue
-            if name not in manifest["files"]:
-                problems.append(f"unmanifested file {name!r} in image")
-        if manifest.get("base_image_id") is not None:
-            try:
-                self.chain(image_id)
-            except (ImageNotFoundError, ImageFormatError) as exc:
-                problems.append(f"broken image chain: {exc}")
-        for blob in manifest["blobs"]:
-            if "ref" not in blob:
-                continue
-            ref = blob["ref"]
-            try:
-                ref_manifest = self.manifest(ref["image_id"])
-                read_file_checked(
-                    self._image_dir(ref["image_id"]), ref["file"], ref_manifest
-                )
-            except (ImageNotFoundError, ImageFormatError) as exc:
-                problems.append(
-                    f"unresolvable blob reference {blob['key']!r} -> "
-                    f"{ref['image_id']}/{ref['file']}: {exc}"
-                )
+        with self._readers() as reader_of:
+            _, read = reader_of(image_id)
+            for name in manifest["files"]:
+                try:
+                    read(name)
+                except ImageFormatError as exc:
+                    problems.append(str(exc))
+            if manifest["layout_version"] == LAYOUT_DIRECTORY:
+                # (A packed image cannot hold unmanifested bytes: its
+                # files tile the space before the manifest, which
+                # read_manifest checks.)
+                for name in os.listdir(self._image_path(manifest)):
+                    if name != MANIFEST_NAME and name not in manifest["files"]:
+                        problems.append(
+                            f"unmanifested file {name!r} in image"
+                        )
+            if manifest.get("base_image_id") is not None:
+                try:
+                    self.chain(image_id)
+                except (ImageNotFoundError, ImageFormatError) as exc:
+                    problems.append(f"broken image chain: {exc}")
+            for blob in manifest["blobs"]:
+                if "ref" not in blob:
+                    continue
+                ref = blob["ref"]
+                try:
+                    reader_of(ref["image_id"])[1](ref["file"])
+                except (ImageNotFoundError, ImageFormatError) as exc:
+                    problems.append(
+                        f"unresolvable blob reference {blob['key']!r} -> "
+                        f"{ref['image_id']}/{ref['file']}: {exc}"
+                    )
         return problems
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def delete(self, image_id: str) -> None:
-        directory = self._image_dir(image_id)
+    def _remove(self, image_id: str) -> bool:
+        """Unlink an image (either layout) without syncing the root;
+        returns whether anything was there."""
         self._manifest_cache.pop(image_id, None)
-        if not os.path.isdir(directory):
-            raise ImageNotFoundError(f"no image directory {image_id!r}")
-        shutil.rmtree(directory)
+        try:
+            os.unlink(os.path.join(self.root, image_id + IMAGE_SUFFIX))
+            return True
+        except FileNotFoundError:
+            pass
+        directory = os.path.join(self.root, image_id)
+        if os.path.isdir(directory):
+            shutil.rmtree(directory)
+            return True
+        return False
+
+    def delete(self, image_id: str) -> None:
+        if not self._remove(image_id):
+            raise ImageNotFoundError(f"no image {image_id!r}")
         fsync_dir(self.root)
 
-    def dependents(self, image_id: str) -> list[str]:
-        """Committed images whose ``base_image_id`` is ``image_id``."""
-        out = []
-        for info in self.list_images():
-            if info.base_image_id == image_id:
-                out.append(info.image_id)
-        return out
+    @staticmethod
+    def _chain_in(manifests: dict, image_id: str) -> list[str]:
+        """The base+delta chain of ``image_id``, tip first, walked through
+        an ``id -> manifest`` map as far as it resolves."""
+        chain = [image_id]
+        while chain[-1] in manifests and len(chain) <= MAX_CHAIN_WALK:
+            base = manifests[chain[-1]].get("base_image_id")
+            if base is None or base in chain:
+                break
+            chain.append(base)
+        return chain
 
     def delete_chain(self, image_id: str) -> list[str]:
         """Delete an image together with its whole base+delta chain.
 
-        Ancestors still referenced by a surviving delta outside the
-        chain are kept; everything else — the tip, its ancestors, and
-        any dependents of the tip — is removed. Returns deleted ids,
-        tip-most first.
+        The tip, its ancestors, and every delta built on top of any of
+        them (a delta cannot survive its base) are removed with one scan
+        of the root and one sync of it. Returns deleted ids, tip-most
+        first.
         """
-        try:
-            chain = self.chain(image_id)
-        except (ImageNotFoundError, ImageFormatError):
-            chain = [image_id]
-        doomed = set(chain)
-        # Grow downward too: deltas built *on top of* any doomed image
-        # cannot survive their base.
-        grew = True
-        while grew:
-            grew = False
-            for info in self.list_images():
-                if (
-                    info.base_image_id in doomed
-                    and info.image_id not in doomed
-                ):
-                    doomed.add(info.image_id)
-                    grew = True
-        # Keep ancestors that some surviving delta still references.
-        survivors = [
-            info for info in self.list_images() if info.image_id not in doomed
-        ]
-        protected: set[str] = set()
-        for info in survivors:
-            try:
-                protected.update(self.chain(info.image_id))
-            except (ImageNotFoundError, ImageFormatError):
-                continue
-        deleted = []
-        for iid in chain + sorted(doomed - set(chain)):
-            if iid in protected:
-                continue
-            try:
-                self.delete(iid)
-                deleted.append(iid)
-            except ImageNotFoundError:
-                continue
+        manifests = self._manifests()
+        dependents: dict[str, list] = {}
+        for iid, manifest in manifests.items():
+            base = manifest.get("base_image_id")
+            if base is not None:
+                dependents.setdefault(base, []).append(iid)
+        doomed = self._chain_in(manifests, image_id)
+        seen = set(doomed)
+        for iid in doomed:  # grows while iterating: transitive dependents
+            for dep in dependents.get(iid, ()):
+                if dep not in seen:
+                    seen.add(dep)
+                    doomed.append(dep)
+        deleted = [iid for iid in doomed if self._remove(iid)]
+        if deleted:
+            fsync_dir(self.root)
         return deleted
 
     def gc(self, keep: Optional[set] = None) -> list[str]:
@@ -801,55 +855,52 @@ class ImageStore:
         pinner) are protected the same way, chain included, without
         appearing in ``keep``.
         """
-        keep = set(keep or ()) | self.pins()
+        manifests = self._manifests()
         protected: set[str] = set()
-        for iid in keep:
-            try:
-                protected.update(self.chain(iid))
-            except (ImageNotFoundError, ImageFormatError):
-                protected.add(iid)
-        deleted = []
-        for info in self.list_images():
-            if info.image_id not in protected:
-                self.delete(info.image_id)
-                deleted.append(info.image_id)
+        for iid in set(keep or ()) | self.pins():
+            protected.update(self._chain_in(manifests, iid))
+        oldest_first = sorted(
+            manifests, key=lambda i: (manifest_created_at(manifests[i]), i)
+        )
+        deleted = [
+            iid
+            for iid in oldest_first
+            if iid not in protected and self._remove(iid)
+        ]
+        if deleted:
+            fsync_dir(self.root)
         return deleted
 
     # ------------------------------------------------------------------
     # Pinning (token-aware GC)
     # ------------------------------------------------------------------
-    def _pins_path(self) -> str:
-        return os.path.join(self.root, PINS_NAME)
-
     def pins(self) -> set[str]:
         """Image ids currently pinned against :meth:`gc`."""
-        path = self._pins_path()
+        path = os.path.join(self.root, PINS_NAME)
         if not os.path.exists(path):
             return set()
         doc = load_json(path)
         return set(doc.get("pinned", []))
 
     def _write_pins(self, pinned: set) -> None:
-        tmp = self._pins_path() + TMP_SUFFIX
-        with open(tmp, "wb") as fh:
-            fh.write(dump_json({"pinned": sorted(pinned)}))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._pins_path())
-        fsync_dir(self.root)
+        atomic_write(
+            self.root, PINS_NAME, dump_json({"pinned": sorted(pinned)})
+        )
 
-    def pin(self, image_id: str) -> None:
+    def pin(self, image_id: str, release: Optional[str] = None) -> None:
         """Durably protect an image (and its chain) from :meth:`gc`.
 
         The pin names the tip only; :meth:`gc` expands it to the full
         base+delta chain at collection time, so re-pinning after a delta
         commit is not required for ancestors — only for the new tip.
-        Pinning a missing image raises :class:`ImageNotFoundError`.
+        ``release`` names a pin to drop in the same durable write (the
+        tip the new image supersedes). Pinning a missing image raises
+        :class:`ImageNotFoundError`.
         """
         self.manifest(image_id)  # existence + structural check
-        pinned = self.pins()
-        if image_id not in pinned:
-            pinned.add(image_id)
+        before = self.pins()
+        pinned = (before - {release}) | {image_id}
+        if pinned != before:
             self._write_pins(pinned)
 
     def unpin(self, image_id: str) -> bool:
@@ -869,19 +920,23 @@ class ImageStore:
     def recover(self, tracer=None) -> RecoveryReport:
         """Classify every root entry; quarantine torn/orphaned ones.
 
-        - *committed*: a directory whose manifest parses and whose files
-          all verify — safe to resume from; for delta images this
-          includes every base-chain reference resolving;
-        - *torn*: an interrupted or corrupted commit — a directory with
-          image files (or temp files) but no valid, fully verified
-          manifest, or a delta whose chain is broken;
+        - *committed*: an image — a packed ``<id>.rimg``, or a layout-1
+          directory with a manifest — whose trailer and manifest parse
+          and whose files all verify — safe to resume from; for delta
+          images this includes every base-chain reference resolving;
+        - *torn*: an interrupted or corrupted commit — a ``.rimg.tmp``
+          left by a crash before the rename, a ``.rimg`` with no valid
+          trailer, a short manifest or a bad checksum, a layout-1
+          directory with image files (or temp files) but no valid, fully
+          verified manifest, or a delta whose chain is broken;
         - *orphaned*: anything else at the root — stray files, empty or
           unrecognizable directories.
 
-        Torn and orphaned entries are moved under ``<root>/quarantine/``
-        (never deleted: they are evidence), so a subsequent scan of the
-        root sees only committed images. The scan itself never raises on
-        bad content — that is its purpose.
+        Images are reported by image id. Torn and orphaned entries are
+        moved under ``<root>/quarantine/`` (never deleted: they are
+        evidence), so a subsequent scan of the root sees only committed
+        images. The scan itself never raises on bad content — that is
+        its purpose.
 
         A crash mid-way through a *delta* commit quarantines only the
         torn tip: its base chain was committed earlier, still verifies,
@@ -891,69 +946,48 @@ class ImageStore:
         the next one.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
-        # Quarantine moves directories without going through delete().
+        # Quarantine moves entries without going through delete().
         self._manifest_cache.clear()
         report = RecoveryReport()
+        entry_of: dict[str, str] = {}  # committed image id -> root entry
         for name in sorted(os.listdir(self.root)):
             if name == QUARANTINE_DIR or name.startswith(
                 (PINS_NAME, TOKENS_NAME)
             ):
                 continue  # store metadata (or its tmp), not an image
-            path = os.path.join(self.root, name)
-            if not os.path.isdir(path):
-                report.orphaned.append(name)
-                self._quarantine(name, report)
-                status = "orphaned"
+            label = name
+            if os.path.isdir(os.path.join(self.root, name)):
+                status = self._classify_directory(name)
+            elif name.endswith(IMAGE_SUFFIX):
+                label = name[: -len(IMAGE_SUFFIX)]
+                status = "torn" if self.validate(label) else "committed"
+            elif name.endswith(IMAGE_SUFFIX + TMP_SUFFIX):
+                label = name[: -len(IMAGE_SUFFIX + TMP_SUFFIX)]
+                status = "torn"
             else:
-                entries = os.listdir(path)
-                if any(
-                    e in (SHARDSET_NAME, CHANNELS_NAME)
-                    or e.startswith((SHARDSET_NAME, CHANNELS_NAME))
-                    for e in entries
-                ):
-                    # A shard-set directory (committed or torn): not an
-                    # image. Its verdict — consistent cut or torn — is
-                    # a cross-image judgement this per-image scan cannot
-                    # make; repro.shard.manifest.classify_shardsets owns
-                    # it.
-                    report.shardsets.append(name)
-                    if tracer.enabled:
-                        tracer.event(
-                            "image.recover_entry",
-                            image_id=name,
-                            status="shardset",
-                        )
-                    continue
-                has_manifest = MANIFEST_NAME in entries
-                has_image_files = any(
-                    is_image_file(e) or e.endswith(TMP_SUFFIX)
-                    for e in entries
-                )
-                if has_manifest and not self.validate(name):
-                    report.committed.append(name)
-                    status = "committed"
-                elif has_image_files:
-                    report.torn.append(name)
-                    self._quarantine(name, report)
-                    status = "torn"
+                status = "orphaned"
+            if status == "shardset":
+                report.shardsets.append(name)
+            else:
+                getattr(report, status).append(label)
+                if status == "committed":
+                    entry_of[label] = name
                 else:
-                    report.orphaned.append(name)
                     self._quarantine(name, report)
-                    status = "orphaned"
             if tracer.enabled:
                 tracer.event(
-                    "image.recover_entry", image_id=name, status=status
+                    "image.recover_entry", image_id=label, status=status
                 )
         # A base quarantined on this pass strands deltas scanned before
         # it; sweep until the set of committed images is self-consistent.
         swept = True
         while swept:
             swept = False
-            for name in list(report.committed):
-                if self.validate(name):
-                    report.committed.remove(name)
-                    report.torn.append(name)
-                    self._quarantine(name, report)
+            for image_id in list(report.committed):
+                if self.validate(image_id):
+                    report.committed.remove(image_id)
+                    report.torn.append(image_id)
+                    self._quarantine(entry_of[image_id], report)
                     swept = True
         if tracer.enabled:
             tracer.event(
@@ -964,6 +998,21 @@ class ImageStore:
                 quarantined=len(report.quarantined),
             )
         return report
+
+    def _classify_directory(self, name: str) -> str:
+        """A root *directory*: a shard set, or a layout-1 image."""
+        entries = os.listdir(os.path.join(self.root, name))
+        if any(e.startswith((SHARDSET_NAME, CHANNELS_NAME)) for e in entries):
+            # A shard-set directory (committed or torn): not an image.
+            # Its verdict — consistent cut or torn — is a cross-image
+            # judgement this per-image scan cannot make;
+            # repro.shard.manifest.classify_shardsets owns it.
+            return "shardset"
+        if MANIFEST_NAME in entries and not self.validate(name):
+            return "committed"
+        if any(is_layout1_file(e) or e.endswith(TMP_SUFFIX) for e in entries):
+            return "torn"
+        return "orphaned"
 
     def _quarantine(self, name: str, report: RecoveryReport) -> None:
         qdir = os.path.join(self.root, QUARANTINE_DIR)

@@ -187,7 +187,10 @@ class QueryService(ExecutorCore):
             previous = record.image_id
             self.suspend_victims([record])
             # Stateless per request: the durable image is the only
-            # resume path, exactly what the token names.
+            # resume path, exactly what the token names — so the
+            # incarnation's state-store payloads (this hop's imports and
+            # dumps) have no reader left and go with the in-memory copy.
+            self.db.state_store.free_keys(record.sq.store_keys)
             record.sq = None
             token = self.tokens.issue(
                 record.name,

@@ -21,7 +21,7 @@ Wire format (``rst1.<payload>.<crc>``):
 
 - **issue** pins the image (token-pinned GC: ``store.gc()`` spares the
   pinned tip and, via chain expansion, every delta ancestor) and
-  releases the superseded image's pin;
+  releases the superseded image's pin, in one durable pin write;
 - **redeem** durably marks the token consumed *before* the caller
   resumes, so a second redeem — any process, any time — fails with
   :class:`TokenRedeemedError`; a token whose image has been collected
@@ -196,9 +196,7 @@ class TokenManager:
         is a delta on top of it, the chain expansion of ``gc`` keeps it
         alive through the new tip's pin anyway.
         """
-        self.store.pin(image_id)
-        if release is not None and release != image_id:
-            self.store.unpin(release)
+        self.store.pin(image_id, release=release)
         return ContinuationToken(
             query=query,
             image_id=image_id,

@@ -2,9 +2,9 @@
 
 Layout under an image root shared by every shard::
 
-    <root>/<gid>--s0/            # ordinary per-shard suspend images,
-    <root>/<gid>--s1/            #   committed by the normal ImageStore
-    ...                          #   protocol (blobs, control, manifest)
+    <root>/<gid>--s0.rimg        # ordinary per-shard suspend images,
+    <root>/<gid>--s1.rimg        #   committed by the normal ImageStore
+    ...                          #   protocol (one packed file each)
     <root>/<gid>/
         CHANNELS.json            # channel + coordinator state, written
                                  #   with the atomic tmp/fsync/rename

@@ -11,12 +11,32 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import uuid
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.common.errors import StorageError
 from repro.storage.disk import SimulatedDisk
+
+
+#: A key minted by ``import_payload``: ``[<scope>/]import_<key>#<n>``.
+_IMPORTED_KEY = re.compile(r"^(?:[^/]*/)?import_(.*)#\d+$")
+
+
+def import_prefix(key: str) -> str:
+    """Fresh-key prefix for re-homing the payload stored under ``key``.
+
+    Derived from the key the payload was *first* dumped under: a payload
+    that has already been through an import (its key carries
+    ``import_...#n``) is unwrapped first, so a query that hops through
+    many images keeps keys of bounded length instead of one more
+    ``<scope>/import_`` layer per hop — keys are serialized into every
+    manifest, control record and blob header.
+    """
+    while (match := _IMPORTED_KEY.match(key)) is not None:
+        key = match.group(1)
+    return f"import_{key}"
 
 
 @dataclass(frozen=True)
@@ -136,7 +156,7 @@ class StateStore:
     def import_payload(self, key: str, payload: Any, pages: int) -> DumpHandle:
         """Store a migrated payload under a fresh local key, charging the
         page writes — the receiving side of a migration pays the transfer."""
-        return self.dump(self.fresh_key(f"import_{key}"), payload, pages)
+        return self.dump(self.fresh_key(import_prefix(key)), payload, pages)
 
     def free(self, handle: DumpHandle) -> None:
         """Release a payload. Freeing is not charged (deallocation)."""
@@ -204,7 +224,9 @@ class ScopedStateStore:
         self.keys.clear()
 
     def import_payload(self, key: str, payload: Any, pages: int) -> DumpHandle:
-        return self._base.dump(self.fresh_key(f"import_{key}"), payload, pages)
+        return self._base.dump(
+            self.fresh_key(import_prefix(key)), payload, pages
+        )
 
     def __getattr__(self, name):
         return getattr(self._base, name)

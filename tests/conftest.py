@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import Database, QuerySession, SuspendSpec
+from repro.durability import (
+    FaultInjector,
+    ImageStore,
+    InjectedCrash,
+    build_recipe,
+)
 from repro.engine.plan import (
     FilterSpec,
     MergeJoinSpec,
@@ -87,6 +95,52 @@ def suspend_resume_rows(
     resumed = QuerySession.resume(db, sq)
     rest = resumed.execute()
     return first.rows + rest.rows
+
+
+def leave_torn_image(
+    root, image_id: str = "torn", label: str = "control", recipe: str = "sort"
+) -> None:
+    """Crash a real image commit mid-write, through the fault injector.
+
+    Leaves under ``root`` exactly what the commit protocol leaves when
+    the process dies inside ``label`` (a blob, ``control``, ``manifest``
+    or ``trailer``) — tests never fabricate torn images by file name.
+    """
+    db, plan = build_recipe(recipe)
+    session = QuerySession(db, plan)
+    session.execute(max_rows=50)
+    sq = session.suspend()
+    store = ImageStore(str(root), injector=FaultInjector.tearing(label))
+    with pytest.raises(InjectedCrash):
+        store.save(sq, db.state_store, image_id=image_id)
+
+
+def record_device_calls(monkeypatch) -> list:
+    """Patch ``os.fsync`` / ``os.replace`` to log ``"fsync"`` /
+    ``"rename"`` into the returned list, in call order."""
+    calls: list = []
+    real_fsync, real_replace = os.fsync, os.replace
+    monkeypatch.setattr(
+        os, "fsync", lambda fd: (calls.append("fsync"), real_fsync(fd))[1]
+    )
+    monkeypatch.setattr(
+        os,
+        "replace",
+        lambda a, b: (calls.append("rename"), real_replace(a, b))[1],
+    )
+    return calls
+
+
+def flip_byte(store, image_id: str, name: str) -> None:
+    """Corrupt one byte in the middle of a committed image's ``name``d
+    file (a blob or the control record), located through the manifest."""
+    manifest = store.manifest(image_id)
+    entry = manifest["files"][name]
+    with open(store.info(image_id).path, "r+b") as fh:
+        fh.seek(entry["offset"] + entry["bytes"] // 2)
+        byte = fh.read(1)
+        fh.seek(-1, 1)
+        fh.write(bytes([byte[0] ^ 0x40]))
 
 
 @pytest.fixture

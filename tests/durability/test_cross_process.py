@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.lifecycle import QuerySession
 from repro.durability import build_recipe
+from tests.conftest import leave_torn_image
 
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -98,10 +99,8 @@ def test_images_listing_and_recover_cli(tmp_path):
     ]
     assert listing["images"][0]["valid"]
 
-    # Drop a torn directory next to it; the recover subcommand quarantines.
-    torn = tmp_path / "halfdone"
-    torn.mkdir()
-    (torn / "blob-0000.bin").write_bytes(b"{}")
+    # Crash a commit next to it; the recover subcommand quarantines.
+    leave_torn_image(tmp_path, "halfdone")
     report = json.loads(
         run_cli("images", "--images", str(tmp_path), "--recover", "--json")
     )

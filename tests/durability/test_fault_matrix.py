@@ -6,17 +6,30 @@ a step to ``ImageStore.save`` automatically adds its crash points here.
 Each fault gets its own test case asserting the recovery classification
 and — the core safety claim — the absence of silent corruption.
 
-Blobs and the control record are binary frames written through
-``atomic_write_stream`` (a torn write truncates *inside* a CRC'd frame);
-the matrix runs for full commits and again for delta commits, where the
-base image must additionally survive every mid-chain crash.
+An image is one packed file: blobs and the control record are binary
+frames streamed into it (a torn write truncates *inside* a CRC'd frame),
+then the manifest, then the trailer. The matrix runs for full commits
+and again for delta commits, where the base image must additionally
+survive every mid-chain crash. Every injected fault strikes before the
+rename, so it can only leave a ``.rimg.tmp``; the last tests put the
+same torn bytes under the *final* name — as if the rename had become
+durable and the data had not — and require the same verdict.
 """
 
+import os
 import tempfile
 
+import pytest
+
 from repro.core.lifecycle import QuerySession
-from repro.durability import build_recipe, enumerate_faults, run_crash_matrix
-from repro.durability.faults import FaultInjector
+from repro.durability import (
+    ImageStore,
+    build_recipe,
+    enumerate_faults,
+    run_crash_matrix,
+)
+from repro.durability.faults import FaultInjector, InjectedCrash
+from repro.durability.format import IMAGE_SUFFIX, TRAILER, ImageFormatError
 from repro.durability.harness import (
     run_delta_crash_matrix,
     run_one_fault,
@@ -49,11 +62,9 @@ def expected_classification(kind: str, name: str) -> set:
         return {"torn"}
     if name == "begin":
         return {"absent"}
-    if name in ("renamed:MANIFEST.json", "committed"):
+    if name in ("renamed:image", "committed"):
         return {"committed"}
-    if name == "before:blob-0000.bin":
-        # Crash before the first byte: the directory is empty.
-        return {"orphaned"}
+    # Anything between: a (possibly empty) .rimg.tmp at the root.
     return {"torn"}
 
 
@@ -88,11 +99,12 @@ class TestCrashMatrix:
 def test_matrix_covers_manifest_and_blob_torn_writes():
     """The enumerated matrix must include the satellite's required cells."""
     faults = set(all_faults())
-    assert ("torn", "MANIFEST.json") in faults
-    assert ("torn", "control.bin") in faults
+    assert ("torn", "manifest") in faults
+    assert ("torn", "trailer") in faults
+    assert ("torn", "control") in faults
     assert any(k == "torn" and n.startswith("blob-") for k, n in faults)
-    assert ("crash", "written:MANIFEST.json") in faults
-    assert ("crash", "renamed:MANIFEST.json") in faults
+    assert ("crash", "written:image") in faults
+    assert ("crash", "renamed:image") in faults
 
 
 def test_full_matrix_via_harness(tmp_path):
@@ -104,7 +116,7 @@ def test_full_matrix_via_harness(tmp_path):
     # Exactly the two post-commit crash points leave a committed image.
     assert sorted(o.fault for o in committed) == [
         "crash:committed",
-        "crash:renamed:MANIFEST.json",
+        "crash:renamed:image",
     ]
     assert all(o.loaded for o in committed)
 
@@ -119,6 +131,68 @@ def test_delta_matrix_base_survives_every_fault(tmp_path):
     committed = [o for o in outcomes if o.classification == "committed"]
     assert sorted(o.fault for o in committed) == [
         "crash:committed",
-        "crash:renamed:MANIFEST.json",
+        "crash:renamed:image",
     ]
     assert all(o.loaded for o in committed)
+
+
+# ----------------------------------------------------------------------
+# The same tears under the final name
+# ----------------------------------------------------------------------
+def tear_labels():
+    return [name for kind, name in all_faults() if kind == "torn"]
+
+
+@pytest.mark.parametrize("label", tear_labels())
+def test_torn_bytes_under_the_final_name_are_never_loaded(label, tmp_path):
+    """A tear inside every blob, the control record, the manifest and
+    the trailer: even when the partial file carries the committed name,
+    it is classified torn, quarantined, and refuses to load."""
+    root = str(tmp_path)
+    sq, store = make_suspended()
+    with pytest.raises(InjectedCrash):
+        ImageStore(root, injector=FaultInjector.tearing(label)).save(
+            sq, store, image_id="img"
+        )
+    final = os.path.join(root, "img" + IMAGE_SUFFIX)
+    os.replace(final + ".tmp", final)
+
+    survivor = ImageStore(root)
+    assert survivor.validate("img")
+    with pytest.raises(ImageFormatError):
+        survivor.load("img")
+    report = survivor.recover()
+    assert report.torn == ["img"] and report.committed == []
+    assert os.listdir(root) == ["quarantine"]
+
+
+def test_every_single_byte_region_is_guarded(tmp_path):
+    """Flip one byte in the middle of each file, of the manifest and of
+    the trailer of a committed image: validate() always objects."""
+    root = str(tmp_path)
+    sq, state = make_suspended()
+    store = ImageStore(root)
+    info = store.save(sq, state, image_id="img")
+    manifest = store.manifest("img")
+    with open(info.path, "rb") as fh:
+        clean = fh.read()
+    size = len(clean)
+    last = max(manifest["files"].values(), key=lambda e: e["offset"])
+    manifest_at = last["offset"] + last["bytes"]
+    spots = {
+        name: e["offset"] + e["bytes"] // 2
+        for name, e in manifest["files"].items()
+    }
+    spots["manifest"] = (manifest_at + size - TRAILER.size) // 2
+    spots["trailer"] = size - TRAILER.size // 2
+    for label, at in spots.items():
+        corrupt = bytearray(clean)
+        corrupt[at] ^= 0x40
+        with open(info.path, "wb") as fh:
+            fh.write(corrupt)
+        assert store.validate("img"), f"flip inside {label} went unnoticed"
+        with pytest.raises(ImageFormatError):
+            ImageStore(root).load("img")
+    with open(info.path, "wb") as fh:
+        fh.write(clean)
+    assert store.validate("img") == []

@@ -6,9 +6,17 @@ import pytest
 
 from repro.core.lifecycle import QuerySession
 from repro.durability import ImageStore, SaveRequest, build_recipe
-from repro.durability.format import ImageFormatError, MANIFEST_NAME
+from repro.durability.format import (
+    CONTROL_NAME_V2,
+    IMAGE_SUFFIX,
+    ImageFormatError,
+)
 from repro.durability.store import ImageNotFoundError
+from repro.engine.plan import ScanSpec, SortSpec
+from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
+from repro.storage.database import Database
 from repro.core.lifecycle import SuspendSpec
+from tests.conftest import flip_byte, record_device_calls
 
 SHAPES = ("sort", "hashjoin", "hashagg")
 
@@ -123,7 +131,7 @@ class TestParallelCommit:
         # and parallel paths.
         for mf in manifests.values():
             for m in mf.values():
-                m.pop("created_at")
+                m.pop("created_ns")
                 for blob in m["blobs"]:
                     blob.pop("epoch", None)
         assert manifests["serial"] == manifests["parallel"]
@@ -148,45 +156,168 @@ class TestCorruptionDetection:
     def test_corrupt_blob_detected(self, tmp_path):
         store, info = self._committed(tmp_path)
         blob = next(
-            n for n in os.listdir(info.path) if n.startswith("blob-")
+            b["file"] for b in store.manifest("img")["blobs"] if "file" in b
         )
-        path = os.path.join(info.path, blob)
-        with open(path, "r+b") as fh:
-            fh.seek(0)
-            fh.write(b"X")
+        flip_byte(store, "img", blob)
         problems = store.validate("img")
         assert problems and "checksum" in problems[0]
         with pytest.raises(ImageFormatError):
             store.load("img")
 
-    def test_truncated_control_detected(self, tmp_path):
+    def test_corrupt_control_detected(self, tmp_path):
         store, info = self._committed(tmp_path)
-        control = store.manifest("img")["control_file"]
-        path = os.path.join(info.path, control)
-        data = open(path, "rb").read()
-        with open(path, "wb") as fh:
-            fh.write(data[: len(data) // 2])
+        flip_byte(store, "img", store.manifest("img")["control_file"])
         assert store.validate("img")
         with pytest.raises(ImageFormatError):
             store.load("img")
 
-    def test_missing_blob_detected(self, tmp_path):
+    def test_truncated_image_detected(self, tmp_path):
         store, info = self._committed(tmp_path)
-        blob = next(
-            n for n in os.listdir(info.path) if n.startswith("blob-")
-        )
-        os.unlink(os.path.join(info.path, blob))
-        assert any("missing" in p for p in store.validate("img"))
+        with open(info.path, "rb") as fh:
+            data = fh.read()
+        for keep in (len(data) // 2, len(data) - 1, 0):
+            with open(info.path, "wb") as fh:
+                fh.write(data[:keep])
+            assert store.validate("img")
+            with pytest.raises(ImageFormatError):
+                ImageStore(str(tmp_path)).load("img")
 
-    def test_unmanifested_file_detected(self, tmp_path):
+    def test_appended_bytes_detected(self, tmp_path):
+        """Nothing can hide in a packed image: the trailer must account
+        for every byte of the file."""
         store, info = self._committed(tmp_path)
-        with open(os.path.join(info.path, "extra.bin"), "wb") as fh:
+        with open(info.path, "ab") as fh:
             fh.write(b"stray")
-        assert any("unmanifested" in p for p in store.validate("img"))
+        assert store.validate("img")
 
-    def test_garbage_manifest_detected(self, tmp_path):
+    def test_renamed_image_detected(self, tmp_path):
         store, info = self._committed(tmp_path)
-        with open(os.path.join(info.path, MANIFEST_NAME), "wb") as fh:
-            fh.write(b"not json at all")
+        os.replace(info.path, info.path.replace("img.rimg", "other.rimg"))
+        assert store.validate("other")
         with pytest.raises(ImageFormatError):
-            store.load("img")
+            store.load("other")
+
+
+class TestOneFilePerImage:
+    def test_an_image_is_one_file_and_deletes_as_one(self, tmp_path):
+        store = ImageStore(str(tmp_path))
+        db, sq, _ = suspend_partway("sort")
+        info = store.save(sq, db.state_store, image_id="img")
+        assert info.num_blobs > 1
+        assert os.listdir(tmp_path) == ["img" + IMAGE_SUFFIX]
+        assert info.path == str(tmp_path / ("img" + IMAGE_SUFFIX))
+        assert info.total_bytes == os.path.getsize(info.path)
+        assert store.info("img") == info
+        store.delete("img")
+        assert os.listdir(tmp_path) == []
+
+    def test_files_are_byte_identical_up_to_the_manifest(self, tmp_path):
+        """Two commits of the same suspend point differ only in the
+        manifest (commit time, exporting store's epoch) and the trailer's
+        checksum of it."""
+        prefixes = []
+        for label in ("a", "b"):
+            store = ImageStore(str(tmp_path / label))
+            db, sq, _ = suspend_partway("sort")
+            info = store.save(sq, db.state_store, image_id="img")
+            control = store.manifest("img")["files"][CONTROL_NAME_V2]
+            with open(info.path, "rb") as fh:
+                prefixes.append(fh.read(control["offset"] + control["bytes"]))
+            assert info.total_bytes == os.path.getsize(info.path)
+        assert prefixes[0] == prefixes[1] and prefixes[0]
+
+
+def sorted_suspend(rows: int, buffer: int):
+    """A suspended external sort carrying ``ceil(rows / buffer)`` sublists."""
+    db = Database()
+    db.create_table("R", BASE_SCHEMA, generate_uniform_table(rows, seed=3))
+    plan = SortSpec(ScanSpec("R"), key_columns=(0,), buffer_tuples=buffer)
+    session = QuerySession(db, plan)
+    session.execute(max_rows=3)
+    return db, session.suspend()
+
+
+class TestFsyncBudget:
+    @pytest.mark.parametrize("blobs", [1, 18])
+    def test_a_commit_is_two_fsyncs_and_one_rename(
+        self, blobs, tmp_path, monkeypatch
+    ):
+        """One durability point per image, however many payloads it holds
+        (the directory layout paid ``2 * (blobs + 2) + 1`` fsyncs)."""
+        db, sq = sorted_suspend(rows=10 * blobs, buffer=10)
+        store = ImageStore(str(tmp_path))
+        calls = record_device_calls(monkeypatch)
+        info = store.save(sq, db.state_store, image_id="img")
+        assert info.num_blobs == blobs
+        assert calls == ["fsync", "rename", "fsync"]
+
+
+class TestDeltaChains:
+    """Store-level delta chains: references resolve into packed bases,
+    and chains are collected with one scan and one sync of the root."""
+
+    def _chain(self, store, links=3):
+        db, plan = build_recipe("sort")
+        session = QuerySession(db, plan, name="q")
+        ids, base = [], None
+        for link in range(links):
+            session.execute(max_rows=20)
+            image_id = f"q-s{link}"
+            sq = session.suspend(
+                SuspendSpec(
+                    persist_to=store, image_id=image_id, base_image_id=base
+                )
+            )
+            ids.append(image_id)
+            base = image_id
+            session = QuerySession.resume(db, sq, name="q")
+        return ids
+
+    def test_delta_references_resolve_into_the_packed_base(self, tmp_path):
+        store = ImageStore(str(tmp_path))
+        ids = self._chain(store)
+        tip = store.info(ids[-1])
+        assert tip.chain_length == 3 and tip.reused_bytes > 0
+        refs = [b["ref"] for b in store.manifest(ids[-1])["blobs"] if "ref" in b]
+        assert refs and {r["image_id"] for r in refs} == {ids[0]}
+        assert all(r["file"] in store.manifest(ids[0])["files"] for r in refs)
+        assert store.validate(ids[-1]) == []
+        assert len(store.load(ids[-1]).migrated_payloads) == tip.num_blobs
+        store.delete(ids[0])
+        assert any("reference" in p for p in store.validate(ids[-1]))
+
+    def test_delete_chain_takes_ancestors_and_dependents(self, tmp_path):
+        store = ImageStore(str(tmp_path))
+        ids = self._chain(store)
+        db, sq, _ = suspend_partway("hashagg", rows=6)
+        store.save(sq, db.state_store, image_id="bystander")
+        assert store.delete_chain(ids[1]) == [ids[1], ids[0], ids[2]]
+        assert [i.image_id for i in store.list_images()] == ["bystander"]
+
+    def test_gc_spares_the_chain_of_a_kept_or_pinned_tip(self, tmp_path):
+        store = ImageStore(str(tmp_path))
+        ids = self._chain(store)
+        db, sq, _ = suspend_partway("hashagg", rows=6)
+        store.save(sq, db.state_store, image_id="loose")
+        store.pin(ids[-1])
+        assert store.gc() == ["loose"]
+        store.unpin(ids[-1])
+        assert store.gc(keep={ids[1]}) == [ids[2]]
+        assert sorted(i.image_id for i in store.list_images()) == ids[:2]
+
+    def test_chain_collection_scans_and_syncs_the_root_once(
+        self, tmp_path, monkeypatch
+    ):
+        store = ImageStore(str(tmp_path))
+        ids = self._chain(store)
+        for n in range(6):  # other sessions' images under the same root
+            db, sq, _ = suspend_partway("hashagg", rows=6)
+            store.save(sq, db.state_store, image_id=f"other-{n}")
+        scans = []
+        real_listdir = os.listdir
+        monkeypatch.setattr(
+            os, "listdir", lambda path: (scans.append(path), real_listdir(path))[1]
+        )
+        calls = record_device_calls(monkeypatch)
+        assert len(store.delete_chain(ids[-1])) == 3
+        assert scans == [store.root] and calls == ["fsync"]

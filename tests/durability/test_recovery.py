@@ -4,7 +4,7 @@ import os
 
 from repro.core.lifecycle import QuerySession
 from repro.durability import ImageStore, build_recipe
-from repro.durability.format import MANIFEST_NAME
+from tests.conftest import flip_byte, leave_torn_image
 
 
 def committed_image(root, image_id="good"):
@@ -23,31 +23,27 @@ class TestRecoveryScan:
         assert report.quarantined == []
         assert ImageStore(str(tmp_path)).validate("good") == []
 
-    def test_manifestless_partial_is_torn(self, tmp_path):
-        partial = tmp_path / "halfway"
-        partial.mkdir()
-        (partial / "blob-0000.bin").write_bytes(b"{}")
-        (partial / "control.json.tmp").write_bytes(b"{")
+    def test_interrupted_commit_is_torn(self, tmp_path):
+        leave_torn_image(tmp_path, "halfway", label="control")
+        assert os.listdir(tmp_path) == ["halfway.rimg.tmp"]
         report = ImageStore(str(tmp_path)).recover()
-        assert report.torn == ["halfway"]
-        assert not partial.exists()
-        assert (tmp_path / "quarantine" / "halfway").is_dir()
+        assert report.torn == ["halfway"] and report.orphaned == []
+        assert os.listdir(tmp_path) == ["quarantine"]
+        assert os.listdir(tmp_path / "quarantine") == ["halfway.rimg.tmp"]
 
-    def test_corrupt_manifest_is_torn(self, tmp_path):
-        info = committed_image(tmp_path)
-        with open(os.path.join(info.path, MANIFEST_NAME), "wb") as fh:
-            fh.write(b"garbage")
+    def test_image_without_a_trailer_is_torn(self, tmp_path):
+        """The torn bytes under the committed name (rename durable, data
+        not): still torn, still quarantined."""
+        leave_torn_image(tmp_path, "good", label="trailer")
+        os.replace(tmp_path / "good.rimg.tmp", tmp_path / "good.rimg")
         report = ImageStore(str(tmp_path)).recover()
-        assert report.torn == ["good"]
-        assert (tmp_path / "quarantine" / "good").is_dir()
+        assert report.torn == ["good"] and report.committed == []
+        assert (tmp_path / "quarantine" / "good.rimg").is_file()
 
     def test_checksum_failure_is_torn(self, tmp_path):
-        info = committed_image(tmp_path)
-        blob = next(
-            n for n in os.listdir(info.path) if n.startswith("blob-")
-        )
-        with open(os.path.join(info.path, blob), "ab") as fh:
-            fh.write(b"tail")
+        committed_image(tmp_path)
+        store = ImageStore(str(tmp_path))
+        flip_byte(store, "good", store.manifest("good")["control_file"])
         report = ImageStore(str(tmp_path)).recover()
         assert report.torn == ["good"]
 
@@ -63,22 +59,18 @@ class TestRecoveryScan:
 
     def test_scan_is_idempotent_and_names_do_not_collide(self, tmp_path):
         for _ in range(2):
-            bad = tmp_path / "bad"
-            bad.mkdir()
-            (bad / "blob-0000.bin").write_bytes(b"x")
+            leave_torn_image(tmp_path, "bad", label="manifest")
             report = ImageStore(str(tmp_path)).recover()
             assert report.torn == ["bad"]
         names = sorted(os.listdir(tmp_path / "quarantine"))
-        assert names == ["bad", "bad.1"]
+        assert names == ["bad.rimg.tmp", "bad.rimg.tmp.1"]
         # Nothing bad left at the root: a third scan is clean.
         report = ImageStore(str(tmp_path)).recover()
         assert report.torn == report.orphaned == report.quarantined == []
 
     def test_mixed_root(self, tmp_path):
         committed_image(tmp_path, image_id="keep")
-        torn = tmp_path / "torn"
-        torn.mkdir()
-        (torn / "MANIFEST.json.tmp").write_bytes(b"{")
+        leave_torn_image(tmp_path, "torn", label="blob-0000")
         (tmp_path / "stray").write_bytes(b"?")
         report = ImageStore(str(tmp_path)).recover()
         assert report.committed == ["keep"]
@@ -86,3 +78,24 @@ class TestRecoveryScan:
         assert report.orphaned == ["stray"]
         # The committed image is still loadable after the scan.
         assert ImageStore(str(tmp_path)).load("keep").entries
+
+    def test_quarantined_base_takes_its_delta_along(self, tmp_path):
+        from repro.core.lifecycle import SuspendSpec
+
+        store = ImageStore(str(tmp_path))
+        db, plan = build_recipe("sort")
+        session = QuerySession(db, plan, name="q")
+        session.execute(max_rows=20)
+        sq = session.suspend(SuspendSpec(persist_to=store, image_id="z-base"))
+        session = QuerySession.resume(db, sq, name="q")
+        session.execute(max_rows=20)
+        session.suspend(
+            SuspendSpec(
+                persist_to=store, image_id="a-delta", base_image_id="z-base"
+            )
+        )
+        assert store.info("a-delta").reused_bytes > 0
+        flip_byte(store, "z-base", "blob-0000")
+        report = ImageStore(str(tmp_path)).recover()
+        assert report.committed == []
+        assert sorted(report.torn) == ["a-delta", "z-base"]

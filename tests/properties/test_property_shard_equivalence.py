@@ -6,7 +6,7 @@
    byte-identical to the uninterrupted sharded run, and the per-shard
    images (plus the shard-set) it commits are byte-deterministic: two
    identical runs cut at the same boundary produce identical bytes,
-   modulo the wall-clock ``created_at`` stamp in each image manifest.
+   modulo each packed image's manifest (commit time, store epoch).
 """
 
 import hashlib
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.lifecycle import QuerySession
 from repro.durability import build_recipe
+from repro.durability.format import IMAGE_SUFFIX, TRAILER
 from repro.shard import ShardCoordinator
 
 SLOW = settings(
@@ -37,8 +38,10 @@ def make_coordinator(recipe, shards, quantum_rows):
 def root_fingerprint(root):
     """Hash of every committed byte under an image root, keyed by path.
 
-    The image manifest's ``created_at`` is wall clock by design; it is
-    the only field allowed to differ between identical runs.
+    A packed image's manifest carries the wall-clock commit time and the
+    exporting state store's epoch by design; they are the only fields
+    allowed to differ between identical runs (and with them the
+    trailer's checksum of the manifest).
     """
     fingerprint = {}
     for dirpath, _, files in os.walk(root):
@@ -46,10 +49,13 @@ def root_fingerprint(root):
             path = os.path.join(dirpath, name)
             with open(path, "rb") as fh:
                 data = fh.read()
-            if name == "MANIFEST.json":
-                doc = json.loads(data)
-                doc.pop("created_at", None)
-                data = json.dumps(doc, sort_keys=True).encode()
+            if name.endswith(IMAGE_SUFFIX):
+                at, length, _, _ = TRAILER.unpack(data[-TRAILER.size :])
+                doc = json.loads(data[at : at + length])
+                doc.pop("created_ns")
+                for blob in doc["blobs"]:
+                    blob.pop("epoch", None)
+                data = data[:at] + json.dumps(doc, sort_keys=True).encode()
             rel = os.path.relpath(path, root)
             fingerprint[rel] = hashlib.sha256(data).hexdigest()
     return fingerprint

@@ -8,6 +8,12 @@ root (the server keeps no per-request state); completion collects the
 whole image chain.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.common.errors import ReproError
@@ -15,6 +21,7 @@ from repro.core.lifecycle import QuerySession, QueryStatus, SuspendSpec
 from repro.serve import QueryService, ServeConfig
 from repro.serve.tokens import TokenRedeemedError
 from repro.workloads.plans import serve_catalog
+from tests.conftest import record_device_calls
 
 QUANTUM = 16
 SCALE = 16
@@ -164,3 +171,147 @@ class TestDeltaVersusFullEquivalence:
             else:
                 assert all(b is None for b in bases)
         assert outputs["delta"] == outputs["full"]
+
+
+class TestHopDurabilityBudget:
+    def test_steady_state_continue_is_at_most_five_fsyncs(
+        self, tmp_path, monkeypatch
+    ):
+        """1 (redeem ledger line) + 2 (packed image + root) + 2 (pin
+        write) whatever the image's blob count — sorted-join commits 17-18
+        blobs per hop, which the directory layout paid ~40 fsyncs for.
+        A chain rebase (every max_chain-th hop) adds the one sync of
+        ``delete_chain``."""
+        service, catalog = make_service(str(tmp_path))
+        result = service.begin("q1", catalog["sorted-join"])
+        result = service.continue_query(result.token)  # creates the ledger
+        calls = record_device_calls(monkeypatch)
+        per_hop = []
+        while True:
+            del calls[:]
+            result = service.continue_query(result.token)
+            if result.done:
+                break
+            blobs = len(service.image_store.manifest(result.image_id)["blobs"])
+            per_hop.append(
+                (calls.count("fsync"), result.base_image_id is None, blobs)
+            )
+        assert len(per_hop) >= 12 and max(b for _, _, b in per_hop) >= 10
+        for fsyncs, rebased, _ in per_hop:
+            assert fsyncs <= (6 if rebased else 5)
+        assert any(not rebased for _, rebased, _ in per_hop)
+
+
+class TestStateStoreHygiene:
+    def test_token_sessions_to_completion_leave_the_store_empty(
+        self, tmp_path
+    ):
+        """Every incarnation's payloads are freed when its in-memory
+        SuspendedQuery is dropped after the durable spill (the image is
+        the only resume path), and the last one's on completion."""
+        service, catalog = make_service(str(tmp_path))
+        for round_ in range(2):
+            for name in sorted(catalog):
+                first = service.begin(f"{name}-{round_}", catalog[name])
+                rows, _ = drive_to_completion(service, first)
+                assert rows == solo_rows(catalog[name])
+                assert len(service.db.state_store) == 0
+
+    def test_scheduler_path_keeps_in_memory_payloads(self, tmp_path):
+        """The in-process scheduler resumes from the in-memory
+        SuspendedQuery, so its payloads must stay until completion."""
+        from repro.service.core import ExecutorCore, SchedulerConfig
+        from repro.service.trace import QueryArrival
+
+        db_factory, catalog = serve_catalog(scale=SCALE, seed=1)
+        core = ExecutorCore(
+            db_factory(),
+            SchedulerConfig(
+                quantum_rows=QUANTUM,
+                suspend=SuspendSpec(persist_to=str(tmp_path)),
+            ),
+        )
+        record = core.track(QueryArrival("q", catalog["sorted-join"], 0.0, 0))
+        core.admit(record)
+        core.start_session(record)
+        core.run_quantum(record)
+        core.suspend_victims([record])
+        assert record.sq is not None and len(core.db.state_store) > 0
+        core.adopt_resumed_session(record, core.open_resumed_session(record))
+        while core.run_quantum(record) is not QueryStatus.COMPLETED:
+            pass
+        assert record.rows == solo_rows(catalog["sorted-join"])
+        assert len(core.db.state_store) == 0
+
+
+def _forty_hops(image_root):
+    """Drive one sorted-join session >= 40 token hops; per hop, the
+    longest state-store key in the image and a digest of everything in
+    the packed file before its manifest."""
+    from repro.durability.format import TRAILER
+
+    db_factory, catalog = serve_catalog(scale=4, seed=1)
+    service = QueryService(
+        db_factory(),
+        ServeConfig(quantum_rows=8, suspend=SuspendSpec(persist_to=image_root)),
+    )
+    result = service.begin("q", catalog["sorted-join"])
+    hops = []
+    while not result.done and len(hops) < 40:
+        info = service.image_store.info(result.image_id)
+        manifest = service.image_store.manifest(result.image_id)
+        with open(info.path, "rb") as fh:
+            data = fh.read()
+        sections = data[: TRAILER.unpack(data[-TRAILER.size :])[0]]
+        hops.append(
+            [
+                max(len(b["key"]) for b in manifest["blobs"]),
+                hashlib.sha256(sections).hexdigest(),
+            ]
+        )
+        result = service.continue_query(result.token)
+    return hops
+
+
+class TestKeysStayBounded:
+    def test_import_keys_do_not_nest_across_hops(self, tmp_path):
+        """A payload re-homed on every hop keeps a key derived from the
+        key it was first dumped under — not one more ``<scope>/import_``
+        layer (23 characters here) per hop, which made every manifest,
+        control record and blob header grow O(hops)."""
+        hops = _forty_hops(str(tmp_path))
+        assert len(hops) == 40
+        longest = [length for length, _ in hops]
+        # Constant from the second image on, up to the decimal width of
+        # the per-payload import counter (``#9`` -> ``#10``).
+        assert max(longest[1:]) - min(longest[1:]) <= 1
+        assert max(longest) <= longest[1] + 1
+
+    def test_two_processes_write_byte_identical_sections(self, tmp_path):
+        """Same session, another interpreter: every hop's packed image
+        is byte-identical up to the manifest section."""
+        here = _forty_hops(str(tmp_path / "here"))
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, os.path.dirname(src)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import json, sys; "
+                "from tests.serve.test_service import _forty_hops; "
+                "print(json.dumps(_forty_hops(sys.argv[1])))",
+                str(tmp_path / "there"),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == here

@@ -17,7 +17,11 @@ from repro.serve.tokens import (
     TokenManager,
     TokenRedeemedError,
 )
-from tests.conftest import make_small_db, tiny_nlj_plan
+from tests.conftest import (
+    make_small_db,
+    record_device_calls,
+    tiny_nlj_plan,
+)
 
 names = st.text(
     alphabet=st.characters(
@@ -141,6 +145,19 @@ class TestTokenManagerLifecycle:
         # gc spares the pinned image only.
         assert store.gc() == ["img-1"]
         assert store.list_images()[0].image_id == "img-2"
+
+    def test_supersede_is_one_durable_pin_write(self, tmp_path, monkeypatch):
+        """The new pin and the released one travel in a single PINS.json
+        commit: one temp-file fsync, one rename, one root fsync."""
+        store = ImageStore(str(tmp_path))
+        commit_image(store, "img-1")
+        commit_image(store, "img-2")
+        manager = TokenManager(store)
+        manager.issue("q1", "img-1", 1)
+        calls = record_device_calls(monkeypatch)
+        manager.issue("q1", "img-2", 2, release="img-1")
+        assert calls == ["fsync", "rename", "fsync"]
+        assert store.pins() == {"img-2"}
 
 
 class TestTraceFields:

@@ -149,9 +149,9 @@ class TestCutVerification:
 
     def test_damaged_member_image_refused(self, tmp_path):
         gid = self.make_cut(tmp_path)
-        member_dir = tmp_path / shard_image_id(gid, 1)
-        victim = sorted(p for p in member_dir.iterdir() if p.is_file())[0]
-        victim.unlink()
+        member = ImageStore(str(tmp_path)).info(shard_image_id(gid, 1))
+        with open(member.path, "r+b") as fh:
+            fh.truncate(member.total_bytes // 2)
         db, _ = build_recipe("hashjoin", scale=2)
         with pytest.raises(InconsistentCutError):
             ShardCoordinator.resume(db, str(tmp_path), gid)

@@ -58,7 +58,7 @@ class TestMemberCommitCrash:
         self, tmp_path, victim
     ):
         coord = make_running_coordinator()
-        coord.arm_shard_fault(victim, "crash", "written:MANIFEST.json")
+        coord.arm_shard_fault(victim, "crash", "written:image")
         with pytest.raises(InjectedCrash):
             coord.suspend_global(str(tmp_path), gid="g1")
         report, cuts = classify(tmp_path)
@@ -73,7 +73,7 @@ class TestMemberCommitCrash:
 
     def test_torn_member_blob_write_tears_the_cut(self, tmp_path):
         coord = make_running_coordinator(shards=2)
-        coord.arm_shard_fault(1, "torn", "MANIFEST.json")
+        coord.arm_shard_fault(1, "torn", "manifest")
         with pytest.raises(InjectedCrash):
             coord.suspend_global(str(tmp_path), gid="g2")
         report, cuts = classify(tmp_path)

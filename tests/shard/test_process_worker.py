@@ -56,7 +56,7 @@ class TestProcessWorkers:
         coord = make_coordinator("process")
         try:
             coord.run(max_rows=10)
-            coord.arm_shard_fault(1, "crash", "written:MANIFEST.json")
+            coord.arm_shard_fault(1, "crash", "written:image")
             with pytest.raises(ShardError, match="died"):
                 coord.suspend_global(str(tmp_path), gid="pdead")
             assert coord.workers[1].proc.returncode == CRASH_EXIT_CODE
