@@ -226,10 +226,9 @@ def run_workload(
     return "\n".join(lines)
 
 
-def run_demo(rows_before_suspend: int = 20, row_path: bool = False) -> str:
+def run_demo(rows_before_suspend: int = 20) -> str:
     """One suspend/resume cycle on a small join, narrated."""
     from repro import Database, QuerySession, SuspendSpec, SuspendStrategy
-    from repro.engine.config import EngineConfig
     from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec
     from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
     from repro.relational.expressions import EquiJoinCondition, UniformSelect
@@ -246,9 +245,8 @@ def run_demo(rows_before_suspend: int = 20, row_path: bool = False) -> str:
         buffer_tuples=300,
         label="join",
     )
-    config = EngineConfig(batch_execution=not row_path)
     lines = []
-    session = QuerySession(db, plan, config=config)
+    session = QuerySession(db, plan)
     first = session.execute(max_rows=rows_before_suspend)
     lines.append(
         f"executed: {len(first.rows)} rows in {first.elapsed:.1f} time units"
@@ -261,7 +259,7 @@ def run_demo(rows_before_suspend: int = 20, row_path: bool = False) -> str:
             {0: "join", 1: "filter", 2: "scan_R", 3: "scan_S"}
         )
     )
-    resumed = QuerySession.resume(db, sq, config=config)
+    resumed = QuerySession.resume(db, sq)
     lines.append(f"resumed in {resumed.last_resume_cost:.1f} time units")
     rest = resumed.execute()
     lines.append(
@@ -279,7 +277,6 @@ def run_suspend_to_image(
     seed: int = 0,
     image_id: Optional[str] = None,
     as_json: bool = False,
-    row_path: bool = False,
     strategy: str = "lp",
     budget: Optional[float] = None,
     delta: bool = True,
@@ -288,11 +285,9 @@ def run_suspend_to_image(
     """Run a recipe partway, suspend, and commit a durable image."""
     from repro.core.lifecycle import QuerySession, SuspendSpec
     from repro.durability import build_recipe
-    from repro.engine.config import EngineConfig
 
     db, plan = build_recipe(recipe, scale=scale, seed=seed)
-    config = EngineConfig(batch_execution=not row_path)
-    session = QuerySession(db, plan, name=recipe, config=config)
+    session = QuerySession(db, plan, name=recipe)
     result = session.execute(max_rows=rows)
     session.suspend(SuspendSpec(
         strategy=strategy,
@@ -912,12 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="one suspend/resume cycle, narrated")
     demo.add_argument("--rows", type=int, default=20)
-    demo.add_argument(
-        "--row-path",
-        action="store_true",
-        help="use the tuple-at-a-time execution path instead of the "
-        "vectorized batch path (results are bit-identical; see DESIGN.md)",
-    )
     _add_obs_flags(demo)
 
     from repro.workloads.plans import TRACES
@@ -1045,12 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
     susp.add_argument("--seed", type=int, default=0)
     susp.add_argument("--id", default=None, help="explicit image id")
     susp.add_argument("--json", action="store_true")
-    susp.add_argument(
-        "--row-path",
-        action="store_true",
-        help="use the tuple-at-a-time execution path instead of the "
-        "vectorized batch path",
-    )
     susp.add_argument(
         "--strategy",
         choices=("lp", "mip", "all_dump", "all_goback"),
@@ -1230,7 +1213,7 @@ def _dispatch(args) -> int:
         print(EXPERIMENTS[args.name](args))
         return 0
     if args.command == "demo":
-        print(run_demo(args.rows, row_path=args.row_path))
+        print(run_demo(args.rows))
         return 0
     if args.command in ("workload", "serve"):
         if args.shards:
@@ -1309,7 +1292,6 @@ def _dispatch(args) -> int:
                 seed=args.seed,
                 image_id=args.id,
                 as_json=args.json,
-                row_path=args.row_path,
                 strategy=args.strategy,
                 budget=args.budget,
                 delta=args.delta,

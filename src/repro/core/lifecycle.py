@@ -242,39 +242,28 @@ class QuerySession:
         fired_before = controller.fired
         prev_lane = self.db.disk.set_lane(self.runtime.lane)
         try:
-            if self.config.batch_execution:
-                # Vectorized path: a drain is a handful of next_batch()
-                # calls instead of one interpreted next() per root row.
-                # Operators return short batches at checkpoint/phase
-                # boundaries and partial batches when a suspend condition
-                # fires mid-batch (the produced rows are kept, exactly as
-                # the row loop below keeps rows produced before the raise).
-                while True:
-                    need = BATCH_ROWS if max_rows is None else max_rows - count
-                    if need <= 0:
-                        break
-                    batch = self.root.next_batch(min(need, BATCH_ROWS))
-                    if batch:
-                        count += len(batch)
-                        if collect:
-                            produced.extend(batch)
-                    if controller.fired and not fired_before:
-                        self.status = QueryStatus.SUSPEND_PENDING
-                        break
-                    if not batch:
-                        self.status = QueryStatus.COMPLETED
-                        break
-            else:
-                while True:
-                    row = self.root.next()
-                    if row is None:
-                        self.status = QueryStatus.COMPLETED
-                        break
-                    count += 1
+            # A drain is a handful of next_batch() calls instead of one
+            # interpreted next() per root row; the operators themselves
+            # fall back to per-row next() while a suspend condition is
+            # armed or next() spans are traced. They return short batches
+            # at checkpoint/phase boundaries and partial batches when a
+            # suspend condition fires mid-batch (the rows produced before
+            # it are kept).
+            while True:
+                need = BATCH_ROWS if max_rows is None else max_rows - count
+                if need <= 0:
+                    break
+                batch = self.root.next_batch(min(need, BATCH_ROWS))
+                if batch:
+                    count += len(batch)
                     if collect:
-                        produced.append(row)
-                    if max_rows is not None and count >= max_rows:
-                        break
+                        produced.extend(batch)
+                if controller.fired and not fired_before:
+                    self.status = QueryStatus.SUSPEND_PENDING
+                    break
+                if not batch:
+                    self.status = QueryStatus.COMPLETED
+                    break
         except SuspendRequested:
             self.status = QueryStatus.SUSPEND_PENDING
         finally:

@@ -41,6 +41,7 @@ from repro.core.suspended_query import (
 )
 from repro.engine.runtime import ResumeContext, Runtime, SuspendContext
 from repro.relational.schema import Schema
+from repro.storage.disk import IOCounters
 from repro.storage.statefile import DumpHandle
 
 Row = tuple
@@ -72,7 +73,10 @@ class Operator:
         for child in self.children:
             child.parent = self
         self.tuples_emitted = 0
-        self.work = 0.0
+        #: Integer events (page reads/writes, tuples) attributed to this
+        #: operator; :attr:`work` prices them. Written only by
+        #: :meth:`charge_cpu` and :meth:`attribute_work`.
+        self.tally = IOCounters()
         self.is_open = False
         #: Rows to return before regular production (saved by contract
         #: migration, footnote 3 of the paper).
@@ -152,16 +156,20 @@ class Operator:
           operator state the row path would take it.
 
         While a suspend condition is armed or per-``next()`` tracing is
-        on, this degrades to a per-row loop over :meth:`next`, so polls,
-        sampled spans and charges happen at the exact row boundaries the
-        row path uses (a suspend fired mid-batch keeps the rows produced
-        before it, exactly like the row path's driver loop). Otherwise
+        on, this degrades to a per-row loop over :meth:`next`, so polls
+        and sampled spans happen at the exact row boundaries the row path
+        uses (a suspend fired mid-batch keeps the rows produced before
+        it, exactly like a driver loop over ``next()``). Otherwise
         ``poll()`` is provably a no-op and subclass fast paths may
-        amortize bookkeeping — provided they charge the identical
-        virtual-clock costs in the identical order across I/O events
-        (same-constant CPU charges between two I/O charges may be folded
-        with :func:`repro.storage.disk.add_each`; nothing may move across
-        an I/O charge).
+        amortize bookkeeping. Charges only count integer events, so their
+        order and grouping are free; what a fast path owes is that it
+        counts the *same* events as the row path and that its counts are
+        settled (:meth:`charge_cpu` called) before anyone else can read
+        them: before any call that leaves the operator's own loop — a
+        child's ``next``/``next_batch``/``rewind``, ``make_checkpoint``/
+        ``sign_contract``, a state-store dump or load — and before the
+        batch returns, because a child's reactive checkpoint stamps
+        ``created_at`` from the shared lane.
         """
         if max_rows <= 0:
             return []
@@ -200,15 +208,16 @@ class Operator:
         """Default unarmed fast path: the row loop with the poll and
         trace checks hoisted out of it.
 
-        Charges stay per-row because ``_next`` may interleave I/O charges
-        with the per-tuple CPU charge; subclasses whose production has
-        known I/O-free runs override this with truly vectorized loops.
+        Charges stay per-row because ``_next`` may call into children,
+        which must see this operator's counts settled; subclasses whose
+        production has child-free runs override this with truly
+        vectorized loops.
         """
         rows: list = []
         append = rows.append
         pending = self._pending_rows
         _next = self._next
-        charge = self.rt.disk.charge_cpu_tuples
+        charge = self.charge_cpu
         n = 0
         while n < max_rows:
             row = pending.popleft() if pending else _next()
@@ -216,9 +225,15 @@ class Operator:
                 break
             append(row)
             self.tuples_emitted += 1
-            self.work += charge(1)
+            charge(1)
             n += 1
         return rows
+
+    def _scan_chain(self) -> Optional[tuple["Operator", Optional["Operator"]]]:
+        """``(scan, filter or None)`` when this operator heads a table
+        scan with at most a filter above it — the shape
+        :func:`repro.engine.scan.chain_segments` fuses; else None."""
+        return None
 
     def close(self) -> None:
         self._do_close()
@@ -249,20 +264,33 @@ class Operator:
     # ------------------------------------------------------------------
     # Work accounting
     # ------------------------------------------------------------------
+    @property
+    def work(self) -> float:
+        """Cumulative work attributed to this operator: its integer tally
+        priced by the cost model, derived on read like the clock."""
+        return self.rt.disk.cost_model.elapsed(self.tally)
+
     def charge_cpu(self, ntuples: int) -> None:
         """Charge CPU work for processing ``ntuples`` to this operator."""
-        self.work += self.rt.disk.charge_cpu_tuples(ntuples)
+        self.rt.disk.charge_cpu_tuples(ntuples)
+        self.tally.cpu_tuples += ntuples
 
     @contextmanager
     def attribute_work(self):
-        """Attribute the I/O charged inside the block to this operator.
+        """Attribute the events charged inside the block to this operator.
 
         Wrap only *direct* storage calls — never calls into children,
         whose work is attributed to them by their own wrappers.
         """
-        before = self.rt.disk.query_now
+        counters = self.rt.disk.query_counters
+        reads = counters.pages_read
+        writes = counters.pages_written
+        tuples = counters.cpu_tuples
         yield
-        self.work += self.rt.disk.query_now - before
+        tally = self.tally
+        tally.pages_read += counters.pages_read - reads
+        tally.pages_written += counters.pages_written - writes
+        tally.cpu_tuples += counters.cpu_tuples - tuples
 
     # ------------------------------------------------------------------
     # Heap/control state introspection (drives costs and dumps)

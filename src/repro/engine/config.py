@@ -23,16 +23,14 @@ class EngineConfig:
         proactive_checkpointing: enable proactive checkpoints at
             minimal-heap-state points. Disabling degrades every GoBack to
             the initial checkpoints only — used by ablations.
-        batch_execution: drive sessions through ``Operator.next_batch``
-            (vectorized path) instead of one ``next()`` per root row. Both
-            paths charge bit-identical virtual-clock costs and produce
-            identical checkpoint/contract sequences; this flag only trades
-            Python interpreter overhead for batch bookkeeping, and exists
-            so benchmarks and the equivalence property test can pin either
-            path explicitly.
+
+    Which execution path runs is not a tunable: sessions drive
+    ``Operator.next_batch``, and each operator takes its vectorized loop
+    unless a suspend condition is armed or ``next()`` spans are traced,
+    in which case it runs row by row. Both count the same integer events,
+    so they agree on the virtual clock by construction.
     """
 
     contract_migration: bool = True
     check_invariants: bool = True
     proactive_checkpointing: bool = True
-    batch_execution: bool = True

@@ -12,14 +12,14 @@ prefix from the child.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import Runtime
-from repro.engine.scan import TableScan
-from repro.relational.expressions import Predicate, compile_predicate
+from repro.engine.scan import TableScan, chain_segments
+from repro.relational.expressions import Predicate
 from repro.relational.schema import Schema
-from repro.storage.disk import add_each
 
 
 class Filter(Operator):
@@ -67,62 +67,15 @@ class Filter(Operator):
             for c in self.rt.graph.contracts_of_child(self.op_id)
         )
 
-    def _next_batch_fast(self, max_rows: int) -> list:
-        """Scan-filter fusion: drive the child's cursor page-by-page with
-        a compiled predicate instead of one ``child.next()`` per examined
-        row.
+    def _scan_chain(self):
+        if isinstance(self.child, TableScan):
+            return self.child, self
+        return None
 
-        Row-path charge sequence per page: the page read, then per
-        examined row one child-wrapper CPU charge plus one filter-examine
-        charge, plus one filter-wrapper charge per match — everything
-        after the read is the same constant, so the segment's charges fold
-        into one bulk charge with identical float results.
-        """
-        child = self.child
-        if (
-            not isinstance(child, TableScan)
-            or child._pending_rows
-            or self._pending_rows
-            or (self.rt.config.contract_migration and self._has_open_contracts())
-        ):
+    def _next_batch_fast(self, max_rows: int) -> list:
+        if self._scan_chain() is None:
             return super()._next_batch_fast(max_rows)
-        disk = self.rt.disk
-        cursor = child._cursor
-        pred = compile_predicate(self.predicate)
-        charge_each = disk.charge_cpu_tuples_each
-        c = disk.cost_model.cpu_tuple_cost
-        out: list = []
-        append = out.append
-        need = max_rows
-        while need > 0:
-            before = disk.query_now
-            page = cursor.current_page()
-            after = disk.query_now
-            if after != before:
-                child.work += after - before
-            if page is None:
-                break
-            slot = cursor.position().slot
-            limit = len(page)
-            matched = 0
-            i = slot
-            while i < limit:
-                row = page[i]
-                i += 1
-                if pred(row):
-                    append(row)
-                    matched += 1
-                    if matched == need:
-                        break
-            examined = i - slot
-            cursor.advance(examined)
-            charge_each(2 * examined + matched)
-            child.work = add_each(child.work, c, examined)
-            child.tuples_emitted += examined
-            self.work = add_each(self.work, c, examined + matched)
-            self.tuples_emitted += matched
-            need -= matched
-        return out
+        return list(chain.from_iterable(chain_segments(self, max_rows)))
 
     def _migrate_open_contracts(self, row: Row) -> None:
         """Footnote-3 migration: save the matching tuple in any contract

@@ -3,7 +3,7 @@
 These subclasses are substituted by ``instantiate_plan`` when the query's
 runtime carries a :class:`~repro.fold.manager.FoldBinding`. Each override
 changes only *where bytes come from*, never what the owning query's lane
-is charged: the lane replays the exact as-if-solo charge sequence, so
+is charged: the lane counts the exact as-if-solo events, so
 checkpoints, contracts, the suspend-plan optimizer's constants, and
 durable images are byte-identical to an unfolded run's.
 
@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.engine.hash_join import HybridHashJoin, SimpleHashJoin
 from repro.engine.scan import TableScan
-from repro.storage.disk import add_each
 from repro.storage.heapfile import ScanCursor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -118,16 +117,16 @@ class SharedBuildMixin:
             super()._load_partition(p)
             manager.store_build(self._fold_build_key, p, self._hash_table)
             return
-        # Adopt the shared table; replay the as-if-solo charges on this
-        # query's lane only (same sequence super() produces: the spilled
-        # partition's page reads, then one CPU charge per build row).
+        # Adopt the shared table; count the as-if-solo events on this
+        # query's lane only (the ones super() counts: the spilled
+        # partition's page reads, and one CPU tuple per build row).
         disk = self.rt.disk
         pages = math.ceil(len(self._build_disk[p]) / self.build_tpp)
         with self.attribute_work():
             disk.absorbed_read_pages(pages)
-        n = len(self.build_pending[p]) + len(self._build_disk[p])
-        disk.absorbed_cpu_tuples_each(n)
-        self.work = add_each(self.work, disk.cost_model.cpu_tuple_cost, n)
+            disk.absorbed_cpu_tuples(
+                len(self.build_pending[p]) + len(self._build_disk[p])
+            )
         self._hash_table = cached
         self._probe_rows = list(self._probe_disk[p])
         manager.note_build_hit()

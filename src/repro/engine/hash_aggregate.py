@@ -21,12 +21,10 @@ from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.aggregate import AGG_FUNCS
 from repro.engine.base import Operator, Row
-from repro.engine.filter import Filter
 from repro.engine.runtime import ResumeContext, Runtime
-from repro.engine.scan import TableScan
-from repro.relational.expressions import compile_predicate, compile_projection
+from repro.engine.scan import chain_segments
+from repro.relational.expressions import compile_projection
 from repro.relational.schema import Column, Schema
-from repro.storage.disk import add_each
 
 PHASE_PARTITION = "partition"
 PHASE_EMIT = "emit"
@@ -129,10 +127,10 @@ class HashGroupAggregate(Operator):
         """Vectorized group drain: one slice per emit run.
 
         Emitting groups charges nothing but the per-row wrapper CPU
-        constant, so a whole run folds into one bulk charge. Partition
-        boundaries end a non-empty batch so the boundary checkpoint (and
-        the partition load's I/O) happens at the start of the next call,
-        at the exact instant the row path does it.
+        tuple, so a whole run is one charge. Partition boundaries end a
+        non-empty batch so the boundary checkpoint (and the partition
+        load's I/O) happens at the start of the next call, at the exact
+        instant the row path does it.
         """
         if self._pending_rows:
             return super()._next_batch_fast(max_rows)
@@ -144,8 +142,6 @@ class HashGroupAggregate(Operator):
             self.phase = PHASE_EMIT
             self.current_partition = -1
             self.make_checkpoint()  # materialization point
-        disk = self.rt.disk
-        c = disk.cost_model.cpu_tuple_cost
         need = max_rows
         while need > 0:
             avail = len(self._groups) - self.emit_idx
@@ -154,8 +150,7 @@ class HashGroupAggregate(Operator):
                 out.extend(self._groups[self.emit_idx:self.emit_idx + take])
                 self.emit_idx += take
                 self.tuples_emitted += take
-                disk.charge_cpu_tuples_each(take)
-                self.work = add_each(self.work, c, take)
+                self.charge_cpu(take)
                 need -= take
                 continue
             if out:
@@ -215,99 +210,27 @@ class HashGroupAggregate(Operator):
         self._flush_all_pending()
 
     def _drain_input_fast(self) -> bool:
-        """Drain the child to exhaustion page-segment-wise, hashing rows
-        into partitions — the same fusion as the hash join's phase 1
-        (see ``SimpleHashJoin._drain_input_fast`` for the charge
-        accounting): all inter-I/O charges are the per-tuple constant and
-        fold into bulk charges flushed before every page read and block
-        write; the stash stays per-row because flushes are
-        data-dependent."""
-        child = self.child
-        filt: Optional[Filter] = None
-        scan = child
-        if isinstance(child, Filter):
-            filt = child
-            scan = child.child
-        if not isinstance(scan, TableScan):
+        """Drain the child to exhaustion through the fused scan loop,
+        hashing each segment's rows into partitions — the same shape as
+        the hash join's phase 1 (``SimpleHashJoin._drain_input_fast``):
+        the stash stays per-row because flushes are data-dependent, and
+        the consume charges settle once per segment."""
+        if self.child._scan_chain() is None:
             return False
-        if scan._pending_rows or (filt is not None and filt._pending_rows):
-            return False
-        if filt is not None and self.rt.config.contract_migration:
-            # Row-exact prefix while the filter carries an open contract
-            # (closed by its first match; none can appear mid-phase).
-            while filt._has_open_contracts():
-                row = child.next()
-                if row is None:
-                    return True
-                self.consumed += 1
-                self.charge_cpu(1)
-                self._stash(row, skip_blocks=None)
-        disk = self.rt.disk
-        c = disk.cost_model.cpu_tuple_cost
-        charge_each = disk.charge_cpu_tuples_each
-        cursor = scan._cursor
-        pred = compile_predicate(filt.predicate) if filt is not None else None
         key_fn = compile_projection(self.group_columns)
         pending = self.pending
         flush_block = self._flush_block
         tpp = self.child_tpp
         k = self.num_partitions
-        crun = 0      # same-constant clock charges pending since last I/O
-        work_run = 0  # consume constants owed to self.work
-        filt_run = 0  # constants owed to the filter's work
-        scan_run = 0  # wrapper constants owed to the scan's work
-        consumed = 0
-        while True:
-            if crun:
-                charge_each(crun)
-                crun = 0
-            if scan_run:
-                scan.work = add_each(scan.work, c, scan_run)
-                scan_run = 0
-            before = disk.query_now
-            page = cursor.current_page()
-            after = disk.query_now
-            if after != before:
-                scan.work += after - before
-            if page is None:
-                break
-            slot = cursor.position().slot
-            limit = len(page)
-            i = slot
-            while i < limit:
-                row = page[i]
-                i += 1
-                if pred is None:
-                    crun += 2
-                elif pred(row):
-                    crun += 4
-                    filt_run += 2
-                else:
-                    crun += 2
-                    filt_run += 1
-                    continue
-                work_run += 1
-                consumed += 1
+        for segment in chain_segments(self.child):
+            for row in segment:
                 p = hash(key_fn(row)) % k
                 plist = pending[p]
                 plist.append(row)
                 if len(plist) >= tpp:
-                    charge_each(crun)
-                    crun = 0
-                    self.work = add_each(self.work, c, work_run)
-                    work_run = 0
                     flush_block(p)
-            examined = limit - slot
-            cursor.advance(examined)
-            scan_run += examined
-            scan.tuples_emitted += examined
-        if work_run:
-            self.work = add_each(self.work, c, work_run)
-        if filt is not None:
-            if filt_run:
-                filt.work = add_each(filt.work, c, filt_run)
-            filt.tuples_emitted += consumed
-        self.consumed += consumed
+            self.consumed += len(segment)
+            self.charge_cpu(len(segment))
         return True
 
     def _advance_partition(self) -> bool:

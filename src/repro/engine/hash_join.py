@@ -31,16 +31,13 @@ from typing import Optional
 from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
-from repro.engine.filter import Filter
 from repro.engine.runtime import ResumeContext, Runtime
-from repro.engine.scan import TableScan
+from repro.engine.scan import chain_segments
 from repro.relational.expressions import (
     EquiJoinCondition,
     compile_left_key,
-    compile_predicate,
     compile_right_key,
 )
-from repro.storage.disk import add_each
 from repro.storage.statefile import DumpHandle
 
 PHASE_PARTITION = "partition"
@@ -223,115 +220,36 @@ class SimpleHashJoin(Operator):
         self._flush_all_pending()
 
     def _drain_input_fast(self, build_side: bool) -> bool:
-        """Drain one input to exhaustion page-segment-wise, hashing rows
-        into partitions. Returns False when the child shape is not fused
-        (caller falls back to the row-exact loop).
+        """Drain one input to exhaustion through the fused scan loop,
+        hashing each segment's rows into partitions. Returns False when
+        the child shape is not fused (caller falls back to the row-exact
+        loop).
 
-        Row-path charges per consumed row: the child-wrapper CPU constant
-        (plus a filter-examine and filter-wrapper constant under a
-        filter) and this operator's consume constant — all the same
-        value, so they accumulate and fold into bulk charges flushed
-        before every I/O event. Block flushes are data-dependent, so the
-        stash stays per-row; each flush first settles the pending clock
-        charges and this operator's pending work so the write's cost
-        lands on the identical virtual-clock instant as the row path.
+        Block flushes are data-dependent, so the stash stays per-row and
+        each write is charged by the row that fills the block; this
+        operator's consume charges settle once per segment.
         """
         child = self.build_child if build_side else self.probe_child
-        filt: Optional[Filter] = None
-        scan = child
-        if isinstance(child, Filter):
-            filt = child
-            scan = child.child
-        if not isinstance(scan, TableScan):
-            return False
-        if scan._pending_rows or (filt is not None and filt._pending_rows):
+        if child._scan_chain() is None:
             return False
         cond = self.condition
-        raw_key = cond.left_key if build_side else cond.right_key
-        if filt is not None and self.rt.config.contract_migration:
-            # Row-exact prefix while the filter carries an open contract:
-            # its first match migrates the contract (saving the row), and
-            # no new contract can appear mid-phase (contracts are only
-            # signed at checkpoints, which this phase never takes).
-            while filt._has_open_contracts():
-                row = child.next()
-                if row is None:
-                    return True
-                if build_side:
-                    self.build_consumed += 1
-                else:
-                    self.probe_consumed += 1
-                self.charge_cpu(1)
-                self._stash(row, raw_key(row), build_side)
-        disk = self.rt.disk
-        c = disk.cost_model.cpu_tuple_cost
-        charge_each = disk.charge_cpu_tuples_each
-        cursor = scan._cursor
-        pred = compile_predicate(filt.predicate) if filt is not None else None
         key_fn = compile_left_key(cond) if build_side else compile_right_key(cond)
         pending = self.build_pending if build_side else self.probe_pending
         tpp = self.build_tpp if build_side else self.probe_tpp
         k = self.num_partitions
         mem_k = self.memory_partitions
-        crun = 0      # same-constant clock charges pending since last I/O
-        work_run = 0  # consume constants owed to self.work
-        filt_run = 0  # constants owed to the filter's work (all same value)
-        scan_run = 0  # wrapper constants owed to the scan's work
-        consumed = 0
-        while True:
-            if crun:
-                charge_each(crun)
-                crun = 0
-            if scan_run:
-                scan.work = add_each(scan.work, c, scan_run)
-                scan_run = 0
-            before = disk.query_now
-            page = cursor.current_page()
-            after = disk.query_now
-            if after != before:
-                scan.work += after - before
-            if page is None:
-                break
-            slot = cursor.position().slot
-            limit = len(page)
-            i = slot
-            while i < limit:
-                row = page[i]
-                i += 1
-                if pred is None:
-                    crun += 2
-                elif pred(row):
-                    crun += 4
-                    filt_run += 2
-                else:
-                    crun += 2
-                    filt_run += 1
-                    continue
-                work_run += 1
-                consumed += 1
+        for segment in chain_segments(child):
+            for row in segment:
                 p = hash(key_fn(row)) % k
                 plist = pending[p]
                 plist.append(row)
                 if p >= mem_k and len(plist) >= tpp:
-                    charge_each(crun)
-                    crun = 0
-                    self.work = add_each(self.work, c, work_run)
-                    work_run = 0
                     self._flush_block(p, build_side)
-            examined = limit - slot
-            cursor.advance(examined)
-            scan_run += examined
-            scan.tuples_emitted += examined
-        if work_run:
-            self.work = add_each(self.work, c, work_run)
-        if filt is not None:
-            if filt_run:
-                filt.work = add_each(filt.work, c, filt_run)
-            filt.tuples_emitted += consumed
-        if build_side:
-            self.build_consumed += consumed
-        else:
-            self.probe_consumed += consumed
+            if build_side:
+                self.build_consumed += len(segment)
+            else:
+                self.probe_consumed += len(segment)
+            self.charge_cpu(len(segment))
         return True
 
     def _join_next(self) -> Optional[Row]:
@@ -371,14 +289,12 @@ class SimpleHashJoin(Operator):
     def _next_batch_fast(self, max_rows: int) -> list:
         """Vectorized probe/emit drain for the join phase.
 
-        Between block reads every charge is the per-tuple CPU constant
-        (match charges and emit-wrapper charges), so they accumulate in
-        ``crun`` and fold into one bulk charge that is flushed right
-        before each block read — the identical charge sequence the row
-        path produces. Partition boundaries end the batch (when it is
-        non-empty) so the boundary checkpoint fires at the start of the
-        next call, at the exact virtual-clock instant and operator state
-        the row path fires it.
+        Match charges and emit-wrapper charges accumulate in ``crun`` and
+        settle once before the batch returns. Partition boundaries end
+        the batch (when it is non-empty) so the boundary checkpoint fires
+        at the start of the next call, at the exact virtual-clock instant
+        and operator state the row path fires it — with nothing pending,
+        since every pending charge belongs to a row already in ``out``.
         """
         if self._pending_rows:
             return super()._next_batch_fast(max_rows)
@@ -391,11 +307,9 @@ class SimpleHashJoin(Operator):
             self.phase = PHASE_JOIN
             self.make_checkpoint()  # materialization point
         disk = self.rt.disk
-        charge_each = disk.charge_cpu_tuples_each
-        c = disk.cost_model.cpu_tuple_cost
         right_key = compile_right_key(self.condition)
         need = max_rows
-        crun = 0  # same-constant CPU charges pending since the last I/O
+        crun = 0  # CPU charges not yet settled
         while need > 0:
             em = self._emit_matches
             if em is not None:
@@ -424,13 +338,8 @@ class SimpleHashJoin(Operator):
                     probe_row = probe_rows[pos]
                     pos += 1
                     if not mem and pos % tpp == 1:
-                        if crun:
-                            charge_each(crun)
-                            self.work = add_each(self.work, c, crun)
-                            crun = 0
-                        before = disk.query_now
-                        disk.read_pages(1)
-                        self.work += disk.query_now - before
+                        with self.attribute_work():
+                            disk.read_pages(1)
                     matches = ht_get(right_key(probe_row))
                     if matches:
                         crun += 1  # the row path's match charge
@@ -449,9 +358,7 @@ class SimpleHashJoin(Operator):
             if not self._advance_partition():
                 self.phase = PHASE_DONE
                 break
-        if crun:
-            charge_each(crun)
-            self.work = add_each(self.work, c, crun)
+        self.charge_cpu(crun)
         return out
 
     def _advance_partition(self) -> bool:

@@ -31,7 +31,6 @@ from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
 from repro.relational.expressions import EquiJoinCondition
-from repro.storage.disk import add_each
 
 STATE_ADVANCE = "advance"
 STATE_COLLECT_LEFT = "collect_left"
@@ -206,17 +205,14 @@ class MergeJoin(Operator):
     def _next_batch_fast(self, max_rows: int) -> list:
         """Vectorized cross-product drain of the current packet pair.
 
-        Emitting charges only the per-row wrapper CPU constant, so a run
-        folds into one bulk charge. Packet exhaustion ends a non-empty
-        batch (the minimal-heap-state checkpoint then fires at the start
-        of the next call, at the row path's exact instant); advance and
-        collect steps pull children with interleaved charges, so they run
-        through the row-exact ``_next``.
+        Emitting charges only the per-row wrapper CPU tuple, so a run is
+        one charge. Packet exhaustion ends a non-empty batch (the
+        minimal-heap-state checkpoint then fires at the start of the next
+        call, at the row path's exact instant); advance and collect steps
+        pull children, so they run through the row-exact ``_next``.
         """
         if self._pending_rows:
             return super()._next_batch_fast(max_rows)
-        disk = self.rt.disk
-        c = disk.cost_model.cpu_tuple_cost
         out: list = []
         need = max_rows
         while need > 0:
@@ -243,8 +239,7 @@ class MergeJoin(Operator):
                     self.l_idx = l_idx
                     self.r_idx = r_idx
                     self.tuples_emitted += take
-                    disk.charge_cpu_tuples_each(take)
-                    self.work = add_each(self.work, c, take)
+                    self.charge_cpu(take)
                     need -= take
                     continue
                 if out:
@@ -264,7 +259,7 @@ class MergeJoin(Operator):
                 break
             out.append(row)
             self.tuples_emitted += 1
-            self.work += disk.charge_cpu_tuples(1)
+            self.charge_cpu(1)
             need -= 1
         return out
 

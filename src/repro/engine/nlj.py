@@ -30,7 +30,6 @@ from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
 from repro.relational.expressions import EquiJoinCondition, compile_join_matches
-from repro.storage.disk import add_each
 
 PHASE_FILL = "fill"
 PHASE_JOIN = "join"
@@ -121,11 +120,11 @@ class BlockNLJ(Operator):
 
     def _next_batch_fast(self, max_rows: int) -> list:
         """Vectorized inner loop: compiled join condition, hoisted buffer
-        scan, and same-constant CPU charges folded between inner pulls.
+        scan, and CPU charges counted in ``crun`` between child pulls.
 
-        Inner pulls (which may read pages) flush the pending CPU run
-        first, keeping the charge order across I/O events identical to
-        the row path. A pass boundary ends a non-empty batch with the
+        Every call into a child (outer fill, inner pull) settles the
+        pending count first, so a reactive checkpoint below reads settled
+        integers. A pass boundary ends a non-empty batch with the
         state of the last emitted row persisted — the tail scan and the
         exhausted inner pull are chargeless and side-effect-free, so the
         next call replays them and fires the end-of-pass checkpoint at
@@ -133,9 +132,6 @@ class BlockNLJ(Operator):
         """
         if self._pending_rows:
             return super()._next_batch_fast(max_rows)
-        disk = self.rt.disk
-        c = disk.cost_model.cpu_tuple_cost
-        charge_each = disk.charge_cpu_tuples_each
         matches = compile_join_matches(self.condition)
         out: list = []
         append = out.append
@@ -145,10 +141,8 @@ class BlockNLJ(Operator):
             if self.phase == PHASE_DONE:
                 break
             if self.phase == PHASE_FILL:
-                if crun:
-                    charge_each(crun)
-                    self.work = add_each(self.work, c, crun)
-                    crun = 0
+                self.charge_cpu(crun)
+                crun = 0
                 self._fill_buffer()  # row-exact outer pulls
                 if not self.buffer:
                     self.phase = PHASE_DONE
@@ -167,10 +161,8 @@ class BlockNLJ(Operator):
             pass_done = False
             while True:
                 if inner_row is None:
-                    if crun:
-                        charge_each(crun)
-                        self.work = add_each(self.work, c, crun)
-                        crun = 0
+                    self.charge_cpu(crun)
+                    crun = 0
                     nxt = inner_next()
                     if nxt is None:
                         pass_done = True
@@ -206,7 +198,7 @@ class BlockNLJ(Operator):
             self.cursor = cursor
             if pass_done:
                 # The row path's end-of-pass transition, verbatim (crun is
-                # zero: it was flushed before the exhausted inner pull).
+                # zero: it was settled before the exhausted inner pull).
                 self.buffer = []
                 self.cursor = 0
                 self.inner_row = None
@@ -218,9 +210,7 @@ class BlockNLJ(Operator):
                 self.phase = PHASE_FILL
                 continue
             break  # need == 0
-        if crun:
-            charge_each(crun)
-            self.work = add_each(self.work, c, crun)
+        self.charge_cpu(crun)
         return out
 
     def _fill_buffer(self) -> None:

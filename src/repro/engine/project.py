@@ -5,11 +5,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.engine.base import Operator, Row
-from repro.engine.filter import Filter
 from repro.engine.runtime import Runtime
-from repro.engine.scan import TableScan
-from repro.relational.expressions import compile_predicate, compile_projection
-from repro.storage.disk import add_each
+from repro.engine.scan import chain_segments
+from repro.relational.expressions import compile_projection
 
 
 class Project(Operator):
@@ -46,89 +44,18 @@ class Project(Operator):
         self.child.rewind()
 
     def _next_batch_fast(self, max_rows: int) -> list:
-        """Pipeline fusion for the scan(-filter)-project chain.
-
-        The projection's two per-row CPU charges interleave with the
-        child's page reads in the row path, so they cannot simply be
-        appended after a child batch; instead the whole chain runs as one
-        page-segment loop (same structure as ``Filter._next_batch_fast``)
-        and each segment's same-constant charges fold into one bulk
-        charge. Chains this fusion doesn't know fall back to the default
-        per-row fast loop, which is exact for any child.
-        """
-        if self._pending_rows:
+        """Pipeline fusion for the scan(-filter)-project chain: project
+        each segment of the fused loop. Chains it doesn't know fall back
+        to the default per-row fast loop, which is exact for any child."""
+        if self._pending_rows or self.child._scan_chain() is None:
             return super()._next_batch_fast(max_rows)
-        child = self.child
-        filter_op = None
-        scan = None
-        if isinstance(child, TableScan) and not child._pending_rows:
-            scan = child
-        elif isinstance(child, Filter) and not child._pending_rows:
-            gchild = child.child
-            if (
-                isinstance(gchild, TableScan)
-                and not gchild._pending_rows
-                and not (
-                    self.rt.config.contract_migration
-                    and child._has_open_contracts()
-                )
-            ):
-                filter_op = child
-                scan = gchild
-        if scan is None:
-            return super()._next_batch_fast(max_rows)
-        disk = self.rt.disk
-        cursor = scan._cursor
         project = compile_projection(self.columns)
-        pred = compile_predicate(filter_op.predicate) if filter_op else None
-        charge_each = disk.charge_cpu_tuples_each
-        c = disk.cost_model.cpu_tuple_cost
         out: list = []
-        append = out.append
-        need = max_rows
-        while need > 0:
-            before = disk.query_now
-            page = cursor.current_page()
-            after = disk.query_now
-            if after != before:
-                scan.work += after - before
-            if page is None:
-                break
-            slot = cursor.position().slot
-            limit = len(page)
-            i = slot
-            matched = 0
-            if pred is None:
-                take = min(limit - slot, need)
-                out.extend([project(r) for r in page[slot:slot + take]])
-                i = slot + take
-                matched = take
-            else:
-                while i < limit:
-                    row = page[i]
-                    i += 1
-                    if pred(row):
-                        append(project(row))
-                        matched += 1
-                        if matched == need:
-                            break
-            examined = i - slot
-            cursor.advance(examined)
-            if pred is None:
-                # scan wrapper + project examine + project wrapper per row
-                charge_each(3 * examined)
-            else:
-                # per examined row: scan wrapper + filter examine; per
-                # match: filter wrapper + project examine + project wrapper
-                charge_each(2 * examined + 3 * matched)
-            scan.work = add_each(scan.work, c, examined)
-            scan.tuples_emitted += examined
-            if filter_op is not None:
-                filter_op.work = add_each(filter_op.work, c, examined + matched)
-                filter_op.tuples_emitted += matched
-            self.work = add_each(self.work, c, 2 * matched)
-            self.tuples_emitted += matched
-            need -= matched
+        for segment in chain_segments(self.child, max_rows):
+            out.extend([project(row) for row in segment])
+            self.tuples_emitted += len(segment)
+            # the examine charge + the wrapper charge per projected row
+            self.charge_cpu(2 * len(segment))
         return out
 
     def _resume_from_dump(self, entry, payload, ctx) -> None:

@@ -111,7 +111,7 @@ class Runtime:
         #: disk's active lane by the session while this query is the one
         #: executing; all per-query cost-model reads go through
         #: :attr:`SimulatedDisk.query_now` so they see this lane.
-        self.lane = QueryLane(name=query or "")
+        self.lane = QueryLane(db.disk.cost_model, name=query or "")
         #: This query's view of the state store: keys are namespaced by
         #: the session name (``None`` for anonymous sessions: the
         #: store-global key sequence) and remembered for release.

@@ -9,14 +9,80 @@ suspend-plan optimizer trades off against dumping ancestors' state.
 
 from __future__ import annotations
 
-from typing import Optional
+import sys
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
 from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
+from repro.relational.expressions import compile_predicate
 from repro.relational.schema import Schema
-from repro.storage.disk import add_each
 from repro.storage.heapfile import HeapFile, TuplePosition
+
+
+def chain_segments(
+    top: Operator, limit: Optional[int] = None
+) -> Iterator[Sequence[Row]]:
+    """The fused scan(→filter) loop: yield the rows ``top`` emits, one
+    list per page segment, at most ``limit`` rows in all.
+
+    ``top`` is the head of a chain :meth:`Operator._scan_chain` accepts.
+    Instead of one ``next()`` per examined row, the scan's cursor is
+    walked page by page with a compiled predicate. Each segment counts the
+    events the row path counts — the page read where the cursor steps
+    onto the page, one wrapper tuple per examined row for the scan, one
+    examine tuple per examined row plus one wrapper tuple per match for
+    the filter — and settles them before yielding, so the consumer (which
+    settles its own counts before asking for the next segment) and any
+    checkpoint taken between segments read settled integers.
+
+    While the chain holds pending rows, or the filter carries an open
+    contract (``Filter._has_open_contracts``: its first match migrates
+    the contract and saves the row), rows come one at a time through
+    ``top.next()`` — the row-exact prefix.
+    """
+    scan, filt = top._scan_chain()
+    need = sys.maxsize if limit is None else limit
+    migrating = filt is not None and scan.rt.config.contract_migration
+    while need > 0 and (
+        scan._pending_rows
+        or (filt is not None and filt._pending_rows)
+        or (migrating and filt._has_open_contracts())
+    ):
+        row = top.next()
+        if row is None:
+            return
+        need -= 1
+        yield (row,)
+    cursor = scan._cursor
+    pred = compile_predicate(filt.predicate) if filt is not None else None
+    while need > 0:
+        with scan.attribute_work():
+            page = cursor.current_page()
+        if page is None:
+            return
+        rest = page[cursor.position().slot:]
+        if pred is None:
+            rows = rest[:need]
+            examined = len(rows)
+        else:
+            rows = []
+            examined = 0
+            for row in rest:
+                examined += 1
+                if pred(row):
+                    rows.append(row)
+                    if len(rows) == need:
+                        break
+        cursor.advance(examined)
+        scan.tuples_emitted += examined
+        scan.charge_cpu(examined)
+        if filt is not None:
+            filt.tuples_emitted += len(rows)
+            filt.charge_cpu(examined + len(rows))
+        need -= len(rows)
+        yield rows
 
 
 class TableScan(Operator):
@@ -37,44 +103,11 @@ class TableScan(Operator):
         with self.attribute_work():
             return self._cursor.next()
 
-    def _next_batch_fast(self, max_rows: int) -> list:
-        """Vectorized scan: consume the file in page-sized segments.
+    def _scan_chain(self):
+        return self, None
 
-        Per segment the page-read charge lands exactly where the row path
-        puts it (lazily, before the first row of the page), and the
-        ``take`` per-row CPU charges that the row path interleaves after
-        each row are folded into one same-constant bulk charge — the
-        charge sequence between I/O events is identical, so the virtual
-        clock and per-operator work stay bit-identical.
-        """
-        disk = self.rt.disk
-        rows: list = []
-        pending = self._pending_rows
-        while pending and len(rows) < max_rows:
-            rows.append(pending.popleft())
-            self.tuples_emitted += 1
-            self.work += disk.charge_cpu_tuples(1)
-        cursor = self._cursor
-        charge_each = disk.charge_cpu_tuples_each
-        c = disk.cost_model.cpu_tuple_cost
-        n = len(rows)
-        while n < max_rows:
-            before = disk.query_now
-            page = cursor.current_page()
-            after = disk.query_now
-            if after != before:
-                self.work += after - before
-            if page is None:
-                break
-            slot = cursor.position().slot
-            take = min(len(page) - slot, max_rows - n)
-            rows.extend(page[slot:slot + take])
-            cursor.advance(take)
-            n += take
-            charge_each(take)
-            self.work = add_each(self.work, c, take)
-            self.tuples_emitted += take
-        return rows
+    def _next_batch_fast(self, max_rows: int) -> list:
+        return list(chain.from_iterable(chain_segments(self, max_rows)))
 
     def rewind(self) -> None:
         self._cursor.rewind()

@@ -32,7 +32,6 @@ from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
-from repro.storage.disk import add_each
 from repro.storage.statefile import DumpHandle
 
 PHASE_BUILD = "build"
@@ -188,39 +187,27 @@ class TwoPhaseMergeSort(Operator):
         The row path recomputes every reader's head key per output row;
         here heads are cached and only the advanced reader is re-peeked.
         A re-peek that crosses a sublist page boundary charges its page
-        read exactly where the row path does (at the top of the next
-        row's scan), with the pending same-constant CPU run flushed first
-        so the charge order across I/O events is identical.
+        read to the row that triggers it, as the row path does (at the
+        top of the next row's scan); the merge and wrapper charges settle
+        once, before the batch returns.
         """
         if self._pending_rows:
             return super()._next_batch_fast(max_rows)
         if self.phase == PHASE_BUILD:
             self._run_build()  # row-exact: per-row pulls, spill, checkpoints
-        disk = self.rt.disk
-        c = disk.cost_model.cpu_tuple_cost
-        charge_each = disk.charge_cpu_tuples_each
         readers = self._readers
         sort_key = self.sort_key
         out: list = []
         append = out.append
-        crun = 0
         heads: list = []
         for r in readers:
-            row = r.peek()  # may charge a page read; no CPU run pending yet
+            row = r.peek()  # may charge a page read
             heads.append((sort_key(row), row) if row is not None else None)
         dirty = -1
         need = max_rows
         while need > 0:
             if dirty >= 0:
-                r = readers[dirty]
-                if crun and (
-                    r._rows is None
-                    or (r.index // r.tuples_per_page) != r._loaded_page
-                ):
-                    charge_each(crun)
-                    self.work = add_each(self.work, c, crun)
-                    crun = 0
-                row = r.peek()
+                row = readers[dirty].peek()
                 heads[dirty] = (sort_key(row), row) if row is not None else None
                 dirty = -1
             best = None
@@ -234,12 +221,9 @@ class TwoPhaseMergeSort(Operator):
             append(best[1])
             readers[best_i].advance()
             dirty = best_i
-            crun += 2  # the merge charge + the wrapper charge
-            self.tuples_emitted += 1
             need -= 1
-        if crun:
-            charge_each(crun)
-            self.work = add_each(self.work, c, crun)
+        self.tuples_emitted += len(out)
+        self.charge_cpu(2 * len(out))  # the merge charge + the wrapper charge
         return out
 
     def rewind(self) -> None:

@@ -5,35 +5,30 @@ The paper's evaluation (Section 6) measures *total overhead time* and
 are noticeably more expensive than reads (Figure 8's crossover selectivity
 of ~0.28 implies a write/read cost ratio of ~2.5, since the all-DumpState /
 all-GoBack crossover satisfies ``s* = r / (w + r)``). We reproduce these
-economics with an explicit cost model: every page read/write advances a
-virtual clock by a configurable amount, so experiments are deterministic
+economics with an explicit cost model, so experiments are deterministic
 and independent of Python's execution speed.
+
+Time is *derived*, never accumulated: the only clock state a charge touches
+is a set of integer counters (pages read, pages written, tuples processed),
+and every float time is ``base + counters · costs`` evaluated on read
+(:meth:`IOCostModel.elapsed`). Integer addition is associative, so ``n``
+unit charges and one charge of ``n`` — in any order and any grouping —
+give the same clock by construction; two executions agree on time exactly
+when they count the same events.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-
-
-def add_each(start: float, unit: float, n: int) -> float:
-    """Add ``unit`` to ``start`` exactly ``n`` times, left to right.
-
-    This is the bit-identical bulk form of ``for _ in range(n): start += unit``:
-    ``sum`` folds left-to-right in C, producing the same partial-sum sequence
-    (and therefore the same final float) as the Python loop, just much faster.
-    The batched execution path relies on this to amortize per-tuple CPU
-    charges without drifting from the row path's float accumulation.
-    """
-    if n <= 0:
-        return start
-    return sum(itertools.repeat(unit, n), start)
 
 
 @dataclass
 class IOCostModel:
     """Costs, in abstract time units, charged by the simulated disk.
+
+    The costs are read each time a clock is evaluated, so changing one
+    after construction re-prices everything already counted.
 
     Attributes:
         page_read_cost: cost of reading one page.
@@ -59,39 +54,61 @@ class IOCostModel:
             return 0
         return max(1, math.ceil(nbytes / self.page_bytes))
 
+    def elapsed(self, counters: "IOCounters", base: float = 0.0) -> float:
+        """Virtual time of the events in ``counters`` on top of ``base``.
+
+        The one place a float time is computed. The order of the three
+        terms is fixed so every reader of the same integers gets the same
+        bits.
+        """
+        return (
+            base
+            + counters.pages_read * self.page_read_cost
+            + counters.pages_written * self.page_write_cost
+            + counters.cpu_tuples * self.cpu_tuple_cost
+        )
+
 
 class VirtualClock:
-    """A monotonically advancing simulated clock."""
+    """A monotonic simulated clock: ``base`` plus a read-only view over
+    ``(counters, cost_model)``.
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    ``base`` is the only float the clock stores. It holds time that no
+    counted event explains — the scheduler's idle fast-forward, and the
+    prior incarnations of a resumed query — and only :meth:`advance`
+    moves it. Without counters the clock is just its base.
+    """
+
+    __slots__ = ("base", "_counters", "_cost_model")
+
+    def __init__(
+        self,
+        start: float = 0.0,
+        counters: IOCounters | None = None,
+        cost_model: IOCostModel | None = None,
+    ):
+        self.base = float(start)
+        self._counters = counters
+        self._cost_model = cost_model
 
     @property
     def now(self) -> float:
-        return self._now
+        if self._counters is None:
+            return self.base
+        return self._cost_model.elapsed(self._counters, self.base)
 
-    def advance(self, units: float) -> float:
-        """Advance the clock by ``units`` and return the amount advanced."""
-        if units < 0:
-            raise ValueError(f"cannot advance clock by negative amount {units}")
-        self._now += units
-        return units
-
-    def advance_each(self, unit: float, n: int) -> float:
-        """Advance by ``unit``, ``n`` times — bit-identical to ``n`` calls
-        to :meth:`advance` with the same ``unit`` (see :func:`add_each`).
-        Returns the per-step ``unit``."""
-        if unit < 0:
-            raise ValueError(f"cannot advance clock by negative amount {unit}")
-        if n < 0:
-            raise ValueError(f"negative step count {n}")
-        self._now = add_each(self._now, unit, n)
-        return unit
+    def advance(self, gap: float) -> float:
+        """Move the base forward by ``gap`` and return the amount moved."""
+        if gap < 0:
+            raise ValueError(f"cannot advance clock by negative amount {gap}")
+        self.base += gap
+        return gap
 
 
 @dataclass
 class IOCounters:
-    """Raw I/O counters, useful for assertions and reports."""
+    """Integer event counts: the stored state every virtual time derives
+    from (the disk's, each query lane's, and each operator's work tally)."""
 
     pages_read: int = 0
     pages_written: int = 0
@@ -122,23 +139,24 @@ class IOCounters:
 class QueryLane:
     """Per-query "as-if-solo" accounting mirrored off the shared disk.
 
-    Every :class:`SimulatedDisk` charge is replayed onto the active lane's
-    private clock and counters using the *same* float operations, so a
-    query's lane traces exactly the virtual-clock sequence it would have
-    produced running alone on a fresh disk — independent of how the
-    scheduler interleaves it with other queries. Checkpoints, contracts,
-    suspend images, and the MIP optimizer's work constants all read the
-    lane (via :attr:`SimulatedDisk.query_now`), which is what makes folded
-    and unfolded executions byte-identical per query: shared-work folding
-    changes *global* I/O, never the lane.
+    Every :class:`SimulatedDisk` charge bumps the active lane's private
+    counters by the *same integer events*, so a query's lane reads exactly
+    the virtual time it would have read running alone on a fresh disk —
+    independent of how the scheduler interleaves it with other queries.
+    Checkpoints, contracts, suspend images, and the MIP optimizer's work
+    constants all read the lane (via :attr:`SimulatedDisk.query_now`),
+    which is what makes folded and unfolded executions byte-identical per
+    query: shared-work folding changes *global* I/O, never the lane.
     """
 
     __slots__ = ("name", "clock", "counters")
 
-    def __init__(self, name: str = "", start: float = 0.0):
+    def __init__(
+        self, cost_model: IOCostModel, name: str = "", start: float = 0.0
+    ):
         self.name = name
-        self.clock = VirtualClock(start)
         self.counters = IOCounters()
+        self.clock = VirtualClock(start, self.counters, cost_model)
 
     @property
     def now(self) -> float:
@@ -147,34 +165,45 @@ class QueryLane:
 
 @dataclass
 class SimulatedDisk:
-    """Charges I/O costs against a virtual clock and counts operations.
+    """Counts charged operations; its virtual clock is derived from them.
 
-    Every charging method returns the cost charged so that callers (the
-    physical operators) can attribute work to themselves; the suspend-plan
-    optimizer's ``g^r`` constants are derived from those per-operator
-    cumulative-work counters (Section 5 of the paper).
+    Every charging method returns the cost of that charge, for callers
+    that report it; operators attribute work to themselves by counting
+    the same integer events (``Operator.attribute_work``), and the
+    suspend-plan optimizer's ``g^r`` constants are differences of those
+    per-operator tallies priced by the cost model (Section 5 of the
+    paper).
 
     When a :class:`QueryLane` is active, every charge is mirrored onto it
-    (same counter increments, same clock arithmetic). Shared-work folding
-    (``repro.fold``) additionally uses the *absorbed*/*shared* read
-    variants: an absorbed read charges only the consumer's lane (the page
-    came from a fold producer's buffer, so no global I/O happened), while
-    a shared read charges only the global disk (the producer fetches on
-    behalf of all consumers; no single lane owns the cost).
+    (same counter increments). Shared-work folding (``repro.fold``)
+    additionally uses the *absorbed*/*shared* variants: an absorbed charge
+    counts only on the consumer's lane (the page came from a fold
+    producer's buffer, or a sibling already built the hash table, so
+    nothing happened globally), while a shared read counts only on the
+    global disk (the producer fetches on behalf of all consumers; no
+    single lane owns the cost).
     """
 
     cost_model: IOCostModel = field(default_factory=IOCostModel)
-    clock: VirtualClock = field(default_factory=VirtualClock)
     counters: IOCounters = field(default_factory=IOCounters)
+    clock: VirtualClock = field(init=False)
     lane: QueryLane | None = None
     #: Page reads satisfied from fold-producer buffers instead of the disk.
     fold_pages_saved: int = 0
     #: Pages fetched by fold producers on behalf of >=1 consumers.
     fold_shared_pages: int = 0
 
+    def __post_init__(self) -> None:
+        self.clock = VirtualClock(0.0, self.counters, self.cost_model)
+
     @property
     def now(self) -> float:
         return self.clock.now
+
+    @property
+    def query_counters(self) -> IOCounters:
+        """The active query's as-if-solo counters (global if no lane)."""
+        return self.lane.counters if self.lane is not None else self.counters
 
     @property
     def query_now(self) -> float:
@@ -196,8 +225,7 @@ class SimulatedDisk:
         self.counters.pages_read += n
         if self.lane is not None:
             self.lane.counters.pages_read += n
-            self.lane.clock.advance(n * self.cost_model.page_read_cost)
-        return self.clock.advance(n * self.cost_model.page_read_cost)
+        return n * self.cost_model.page_read_cost
 
     def write_pages(self, n: int) -> float:
         """Charge ``n`` page writes; return the cost."""
@@ -206,30 +234,25 @@ class SimulatedDisk:
         self.counters.pages_written += n
         if self.lane is not None:
             self.lane.counters.pages_written += n
-            self.lane.clock.advance(n * self.cost_model.page_write_cost)
-        return self.clock.advance(n * self.cost_model.page_write_cost)
+        return n * self.cost_model.page_write_cost
 
     def read_control_bytes(self, nbytes: int) -> float:
         """Charge a small byte-granular read (control state, SQ header)."""
+        if nbytes < 0:
+            raise ValueError(f"negative byte count {nbytes}")
         self.counters.control_bytes_read += nbytes
-        pages = self.cost_model.pages_for_bytes(nbytes)
-        self.counters.pages_read += pages
         if self.lane is not None:
             self.lane.counters.control_bytes_read += nbytes
-            self.lane.counters.pages_read += pages
-            self.lane.clock.advance(pages * self.cost_model.page_read_cost)
-        return self.clock.advance(pages * self.cost_model.page_read_cost)
+        return self.read_pages(self.cost_model.pages_for_bytes(nbytes))
 
     def write_control_bytes(self, nbytes: int) -> float:
         """Charge a small byte-granular write (control state, SQ header)."""
+        if nbytes < 0:
+            raise ValueError(f"negative byte count {nbytes}")
         self.counters.control_bytes_written += nbytes
-        pages = self.cost_model.pages_for_bytes(nbytes)
-        self.counters.pages_written += pages
         if self.lane is not None:
             self.lane.counters.control_bytes_written += nbytes
-            self.lane.counters.pages_written += pages
-            self.lane.clock.advance(pages * self.cost_model.page_write_cost)
-        return self.clock.advance(pages * self.cost_model.page_write_cost)
+        return self.write_pages(self.cost_model.pages_for_bytes(nbytes))
 
     def charge_cpu_tuples(self, n: int) -> float:
         """Charge CPU time for processing ``n`` tuples; return the cost."""
@@ -238,25 +261,7 @@ class SimulatedDisk:
         self.counters.cpu_tuples += n
         if self.lane is not None:
             self.lane.counters.cpu_tuples += n
-            self.lane.clock.advance(n * self.cost_model.cpu_tuple_cost)
-        return self.clock.advance(n * self.cost_model.cpu_tuple_cost)
-
-    def charge_cpu_tuples_each(self, n: int) -> float:
-        """Charge CPU for ``n`` tuples as ``n`` separate unit charges.
-
-        Bit-identical to ``n`` calls to ``charge_cpu_tuples(1)`` (the batched
-        execution path must reproduce the row path's float accumulation
-        exactly; ``n * cost`` in one step rounds differently). Returns the
-        per-tuple unit cost so callers can fold it into per-operator ``work``
-        accumulators with :func:`add_each`.
-        """
-        if n < 0:
-            raise ValueError(f"negative tuple count {n}")
-        self.counters.cpu_tuples += n
-        if self.lane is not None:
-            self.lane.counters.cpu_tuples += n
-            self.lane.clock.advance_each(self.cost_model.cpu_tuple_cost, n)
-        return self.clock.advance_each(self.cost_model.cpu_tuple_cost, n)
+        return n * self.cost_model.cpu_tuple_cost
 
     # -- shared-work folding charge variants (repro.fold) ------------------
 
@@ -275,24 +280,21 @@ class SimulatedDisk:
             raise RuntimeError("absorbed_read_pages requires an active QueryLane")
         self.fold_pages_saved += n
         self.lane.counters.pages_read += n
-        return self.lane.clock.advance(n * self.cost_model.page_read_cost)
+        return n * self.cost_model.page_read_cost
 
-    def absorbed_cpu_tuples_each(self, n: int) -> float:
-        """Charge per-tuple CPU to the active lane only (``n`` unit charges).
+    def absorbed_cpu_tuples(self, n: int) -> float:
+        """Charge CPU for ``n`` tuples to the active lane only.
 
         Used when a folded consumer adopts work a sibling already did for
-        real (e.g. a shared build-side hash table): the lane must replay
-        the exact as-if-solo charge sequence, but globally the work ran
-        once.
+        real (e.g. a shared build-side hash table): the lane must count
+        the as-if-solo events, but globally the work ran once.
         """
         if n < 0:
             raise ValueError(f"negative tuple count {n}")
         if self.lane is None:
-            raise RuntimeError(
-                "absorbed_cpu_tuples_each requires an active QueryLane"
-            )
+            raise RuntimeError("absorbed_cpu_tuples requires an active QueryLane")
         self.lane.counters.cpu_tuples += n
-        return self.lane.clock.advance_each(self.cost_model.cpu_tuple_cost, n)
+        return n * self.cost_model.cpu_tuple_cost
 
     def shared_read_pages(self, n: int) -> float:
         """Charge ``n`` page reads to the global disk only (no lane).
@@ -306,7 +308,7 @@ class SimulatedDisk:
             raise ValueError(f"negative page count {n}")
         self.fold_shared_pages += n
         self.counters.pages_read += n
-        return self.clock.advance(n * self.cost_model.page_read_cost)
+        return n * self.cost_model.page_read_cost
 
     def cost_of_page_reads(self, n: int) -> float:
         """Cost of ``n`` page reads without charging (for estimation)."""

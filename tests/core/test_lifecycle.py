@@ -175,6 +175,30 @@ class TestResumePhase:
         resumed = QuerySession.resume(db, sq)
         assert first.rows + resumed.execute().rows == ref
 
+    def test_resumed_lane_carries_prior_time_in_its_base(self, tmp_path):
+        """In a fresh database the lane's counters restart at zero and
+        its base holds the previous incarnations' time: the query clock
+        is the image's ``query_clock`` plus this process's own events."""
+        session = QuerySession(make_small_db(), tiny_nlj_plan())
+        session.execute(max_rows=33)
+        store = ImageStore(str(tmp_path))
+        session.suspend(SuspendSpec(persist_to=store, image_id="img"))
+        sq = store.load("img")
+        assert sq.query_clock == session.query_now > 0
+        db = make_small_db()
+        resumed = QuerySession.resume(db, sq)
+        lane = resumed.runtime.lane
+        assert lane.clock.base == sq.query_clock
+        assert lane.counters == db.disk.counters  # the only query on db
+        resumed.execute(max_rows=10)
+        assert lane.clock.base == sq.query_clock
+        assert resumed.query_now == db.cost_model.elapsed(
+            lane.counters, base=sq.query_clock
+        )
+        assert resumed.query_now == pytest.approx(
+            sq.query_clock + db.cost_model.elapsed(lane.counters), rel=1e-12
+        )
+
     def test_suspend_immediately_after_resume(self):
         db = make_small_db()
         plan = tiny_nlj_plan()

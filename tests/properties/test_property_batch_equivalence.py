@@ -1,10 +1,16 @@
 """Property: the vectorized batch path is bit-identical to the row path.
 
-Hypothesis drives random plan shapes, data sizes, drain patterns, and
-suspend points; the invariants are byte-for-byte equality of output rows,
-virtual-clock totals, I/O counters, per-operator work/emitted bookkeeping,
-and serialized suspend images — including a suspend condition that fires
-mid-batch.
+Hypothesis drives random plan shapes, data sizes, drain patterns,
+scheduler quanta, and suspend points; the invariants are byte-for-byte
+equality of output rows, virtual-clock totals, I/O counters, per-operator
+work/emitted bookkeeping, and serialized suspend images — including a
+suspend condition that fires mid-batch — plus conservation: the integer
+events attributed to the operators add up to exactly what the query's
+lane counted.
+
+The row path is pinned through the dispatcher that selects it
+(``Operator.next_batch``): an armed suspend condition that never fires,
+or, under a scheduler, a tracer that samples ``next()`` spans.
 """
 
 import itertools
@@ -13,10 +19,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.checkpoint as checkpoint_module
-from repro import Database, QuerySession, SuspendSpec
+from repro import (
+    Database,
+    QueryScheduler,
+    QuerySession,
+    SchedulerConfig,
+    SuspendSpec,
+)
 from repro.core.lifecycle import QueryStatus
 from repro.durability.codec2 import encode_suspended_query
-from repro.engine.config import EngineConfig
 from repro.engine.plan import (
     FilterSpec,
     HashGroupAggSpec,
@@ -27,6 +38,7 @@ from repro.engine.plan import (
     SimpleHashJoinSpec,
     SortSpec,
 )
+from repro.obs.tracer import Tracer
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
 from repro.relational.expressions import EquiJoinCondition, UniformSelect
 
@@ -100,16 +112,37 @@ def fingerprint(db, session):
     return (repr(db.now), db.disk.counters.snapshot(), ops)
 
 
+def never(rt):
+    return False
+
+
+def pin(batch):
+    """``execute`` keywords selecting the batch path or the row path."""
+    return {} if batch else {"suspend_when": never}
+
+
+def events(counters):
+    return (counters.pages_read, counters.pages_written, counters.cpu_tuples)
+
+
+def assert_work_conserved(session):
+    """Every event the lane counted is attributed to exactly one operator."""
+    tallies = [events(op.tally) for op in session.runtime.ops.values()]
+    lane = session.runtime.lane
+    assert tuple(map(sum, zip(*tallies))) == events(lane.counters)
+
+
 def run_drained(db, plan, batch, drains):
-    config = EngineConfig(batch_execution=batch)
-    session = QuerySession(db, plan, config=config)
+    session = QuerySession(db, plan)
     rows = []
     for drain in drains:
         if session.status is QueryStatus.COMPLETED:
             break
-        rows.extend(session.execute(max_rows=drain).rows)
+        rows.extend(session.execute(max_rows=drain, **pin(batch)).rows)
+        assert_work_conserved(session)
     if session.status is not QueryStatus.COMPLETED:
-        rows.extend(session.execute().rows)
+        rows.extend(session.execute(**pin(batch)).rows)
+    assert_work_conserved(session)
     return rows, fingerprint(db, session)
 
 
@@ -147,17 +180,52 @@ def test_batch_row_identical(
     assert got_fp == ref_fp
 
 
+def run_scheduled(db, quantum_rows, batch, plans):
+    tracer = None if batch else Tracer(next_sample_every=1_000_000)
+    sched = QueryScheduler(
+        db, SchedulerConfig(quantum_rows=quantum_rows, tracer=tracer)
+    )
+    for i, (name, plan) in enumerate(plans):
+        sched.submit(name, plan, arrival_time=float(i))
+    sched.run()
+    return (
+        {r.name: (r.rows, repr(r.stats.completed_at)) for r in sched.records},
+        repr(db.now),
+        db.disk.counters.snapshot(),
+    )
+
+
+@SLOW
+@given(
+    quantum_rows=st.integers(1, 150),
+    seed=st.integers(0, 10_000),
+    selectivity=st.floats(0.2, 1.0),
+    buffer_tuples=st.integers(10, 50),
+)
+def test_batch_row_identical_under_scheduler_quanta(
+    quantum_rows, seed, selectivity, buffer_tuples
+):
+    """Interleaved queries cut into quanta: both paths agree on every
+    query's rows and completion time and on the shared clock."""
+    plans = [
+        (kind, build_plan(kind, selectivity, buffer_tuples, 15))
+        for kind in PLAN_KINDS
+    ]
+    ref = run_scheduled(build_db(110, 60, seed), quantum_rows, False, plans)
+    got = run_scheduled(build_db(110, 60, seed), quantum_rows, True, plans)
+    assert got == ref
+
+
 def run_suspended(db, plan, batch, trigger, strategy):
     reset_id_counters()
-    config = EngineConfig(batch_execution=batch)
-    session = QuerySession(db, plan, config=config)
+    session = QuerySession(db, plan)
     first = session.execute(suspend_when=trigger)
     if session.status is QueryStatus.COMPLETED:
         return first.rows, None, fingerprint(db, session)
     sq = session.suspend(SuspendSpec(strategy=strategy))
     image = encode_suspended_query(sq)
-    resumed = QuerySession.resume(db, sq, config=config)
-    rest = resumed.execute()
+    resumed = QuerySession.resume(db, sq)
+    rest = resumed.execute(**pin(batch))
     return first.rows + rest.rows, image, fingerprint(db, resumed)
 
 

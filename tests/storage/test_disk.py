@@ -1,8 +1,38 @@
 """Unit tests for the virtual clock and simulated disk."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.storage.disk import IOCostModel, IOCounters, SimulatedDisk, VirtualClock
+from repro.storage.disk import (
+    IOCostModel,
+    IOCounters,
+    QueryLane,
+    SimulatedDisk,
+    VirtualClock,
+)
+
+#: name -> (entry point, charges the global disk, charges the active lane)
+CHARGES = {
+    "read_pages": (SimulatedDisk.read_pages, True, True),
+    "write_pages": (SimulatedDisk.write_pages, True, True),
+    "read_control_bytes": (SimulatedDisk.read_control_bytes, True, True),
+    "write_control_bytes": (SimulatedDisk.write_control_bytes, True, True),
+    "charge_cpu_tuples": (SimulatedDisk.charge_cpu_tuples, True, True),
+    "absorbed_read_pages": (SimulatedDisk.absorbed_read_pages, False, True),
+    "absorbed_cpu_tuples": (SimulatedDisk.absorbed_cpu_tuples, False, True),
+    "shared_read_pages": (SimulatedDisk.shared_read_pages, True, False),
+}
+
+
+def disk_with_lane(cost_model=None):
+    disk = SimulatedDisk(cost_model=cost_model or IOCostModel())
+    disk.set_lane(QueryLane(disk.cost_model))
+    return disk
+
+
+def clocks(disk):
+    return (repr(disk.now), repr(disk.lane.now))
 
 
 class TestVirtualClock:
@@ -77,13 +107,74 @@ class TestSimulatedDisk:
         assert disk.now == 0.0
 
     def test_negative_counts_rejected(self):
-        disk = SimulatedDisk()
-        with pytest.raises(ValueError):
-            disk.read_pages(-1)
-        with pytest.raises(ValueError):
-            disk.write_pages(-1)
-        with pytest.raises(ValueError):
-            disk.charge_cpu_tuples(-2)
+        """Time never runs backwards: every charge entry point refuses a
+        negative count and leaves every counter untouched."""
+        disk = disk_with_lane()
+        for name, (charge, _, _) in CHARGES.items():
+            with pytest.raises(ValueError):
+                charge(disk, -1)
+            assert disk.counters == IOCounters(), name
+            assert disk.lane.counters == IOCounters(), name
+        assert clocks(disk) == ("0.0", "0.0")
+
+    @given(
+        calls=st.lists(
+            st.tuples(st.sampled_from(sorted(CHARGES)), st.integers(0, 50_000))
+        )
+    )
+    def test_now_never_decreases(self, calls):
+        disk = disk_with_lane()
+        for name, n in calls:
+            charge, on_disk, on_lane = CHARGES[name]
+            before = (disk.now, disk.lane.now)
+            charge(disk, n)
+            assert disk.now >= before[0] and disk.lane.now >= before[1]
+            moved = n > 0
+            assert (disk.now > before[0]) == (moved and on_disk)
+            assert (disk.lane.now > before[1]) == (moved and on_lane)
+
+    @given(
+        charges=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["read_pages", "write_pages", "charge_cpu_tuples"]
+                ),
+                st.integers(0, 40),
+            ),
+            max_size=30,
+        ),
+        order=st.randoms(use_true_random=False),
+        costs=st.sampled_from(
+            [
+                IOCostModel(),
+                IOCostModel(cpu_tuple_cost=0.0007, page_write_cost=2.3),
+                IOCostModel(page_read_cost=0.1, cpu_tuple_cost=1e-7),
+            ]
+        ),
+    )
+    def test_clock_is_free_of_charge_order_and_grouping(
+        self, charges, order, costs
+    ):
+        """``charge(n)`` equals ``n`` unit charges, in any permutation:
+        bit-identical ``now`` on the global disk and on the lane."""
+        grouped = disk_with_lane(costs)
+        for name, n in charges:
+            getattr(grouped, name)(n)
+        units = [name for name, n in charges for _ in range(n)]
+        order.shuffle(units)
+        split = disk_with_lane(costs)
+        for name in units:
+            getattr(split, name)(1)
+        assert clocks(split) == clocks(grouped)
+        assert split.counters == grouped.counters
+        assert split.lane.counters == grouped.lane.counters
+
+    def test_cost_model_change_after_construction_is_honoured(self):
+        disk = disk_with_lane()
+        disk.write_pages(4)
+        disk.cost_model.page_write_cost = 10.0
+        assert disk.now == disk.lane.now == 40.0
+        assert disk.write_pages(1) == 10.0
 
 
 class TestIOCounters:

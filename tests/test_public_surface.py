@@ -1,9 +1,11 @@
-"""Guard on the public surface: one suspend vocabulary, one image writer.
+"""Guard on the public surface: one suspend vocabulary, one image writer,
+one clock mechanism.
 
-The deprecated suspend-API generations, the codec-v1 write path and the
-CLI aliases are gone; these checks fail if any of them (or a new hidden
-spelling) comes back, and if a name the repository benchmark wraps at
-run time (``bench/layers.py``) stops resolving.
+The deprecated suspend-API generations, the codec-v1 write path, the CLI
+aliases, the execution-path switch and the float-order charge variants
+are gone; these checks fail if any of them (or a new hidden spelling)
+comes back, and if a name the repository benchmark wraps at run time
+(``bench/layers.py``) stops resolving.
 """
 
 import argparse
@@ -16,9 +18,11 @@ import sys
 
 import repro
 import repro.durability
+import repro.storage.disk
 from repro import QuerySession, SchedulerConfig, SuspendSpec
 from repro.cli import build_parser
 from repro.durability import ImageStore, SaveRequest
+from repro.engine.config import EngineConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -69,6 +73,23 @@ def test_no_removed_parameter_or_field():
     assert not (REMOVED_PARAMETERS | {"commit_workers"}) & field_names(
         SchedulerConfig
     )
+
+
+def test_engine_config_has_no_execution_path_switch():
+    assert field_names(EngineConfig) == {
+        "contract_migration",
+        "check_invariants",
+        "proactive_checkpointing",
+    }
+
+
+def test_clock_has_no_ordered_charge_variants():
+    """Time is derived from integer counters, so there is nothing for an
+    ``add_each``/``*_each`` replay of float additions to keep in step."""
+    disk = repro.storage.disk
+    assert not hasattr(disk, "add_each")
+    for cls in (disk.SimulatedDisk, disk.VirtualClock, disk.QueryLane):
+        assert not [name for name in dir(cls) if name.endswith("_each")]
 
 
 def walk_parsers(parser):
