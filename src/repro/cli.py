@@ -269,6 +269,13 @@ def run_demo(rows_before_suspend: int = 20) -> str:
     return "\n".join(lines)
 
 
+def _completed_before_suspend(recipe: str, rows: int) -> str:
+    return (
+        f"recipe {recipe!r} completed ({rows} rows) before the suspend "
+        f"point; lower --rows or raise --scale"
+    )
+
+
 def run_suspend_to_image(
     recipe: str,
     images: str,
@@ -280,21 +287,21 @@ def run_suspend_to_image(
     strategy: str = "lp",
     budget: Optional[float] = None,
     delta: bool = True,
-    commit_workers: int = 0,
 ) -> str:
     """Run a recipe partway, suspend, and commit a durable image."""
-    from repro.core.lifecycle import QuerySession, SuspendSpec
+    from repro.core.lifecycle import QuerySession, QueryStatus, SuspendSpec
     from repro.durability import build_recipe
 
     db, plan = build_recipe(recipe, scale=scale, seed=seed)
     session = QuerySession(db, plan, name=recipe)
     result = session.execute(max_rows=rows)
+    if result.status is QueryStatus.COMPLETED:
+        raise SystemExit(_completed_before_suspend(recipe, len(result.rows)))
     session.suspend(SuspendSpec(
         strategy=strategy,
         budget=float("inf") if budget is None else budget,
         persist_to=images,
         delta=delta,
-        commit_workers=commit_workers,
         image_id=image_id,
         image_meta={
             "recipe": recipe,
@@ -426,13 +433,8 @@ def run_images(
             if row.get("base_image_id")
             else ""
         )
-        layout = (
-            "packed file"
-            if row["layout_version"] == 2
-            else "layout-1 directory (read-only)"
-        )
         lines.append(
-            f"{row['image_id']}: {layout}, codec v{row['codec_version']}, "
+            f"{row['image_id']}: codec v{row['codec_version']}, "
             f"{row['total_bytes']} bytes, "
             f"{row['num_blobs']} blobs{chain}, meta={row['meta']} [{status}]"
         )
@@ -496,10 +498,7 @@ def run_shard_suspend(
     )
     delivered = coord.run(max_rows=rows)
     if coord.done:
-        raise SystemExit(
-            f"recipe {recipe!r} completed ({len(delivered)} rows) before "
-            f"the suspend point; lower --rows or raise --scale"
-        )
+        raise SystemExit(_completed_before_suspend(recipe, len(delivered)))
     report = coord.suspend_global(
         images,
         budget=float("inf") if budget is None else budget,
@@ -1053,12 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="commit a full image even when a base image exists",
     )
     susp.add_argument(
-        "--commit-workers",
-        type=int,
-        default=0,
-        help="parallel durable-commit workers (default 0: serial)",
-    )
-    susp.add_argument(
         "--shards",
         type=_positive_int,
         default=None,
@@ -1295,7 +1288,6 @@ def _dispatch(args) -> int:
                 strategy=args.strategy,
                 budget=args.budget,
                 delta=args.delta,
-                commit_workers=args.commit_workers,
             )
         )
         return 0

@@ -91,9 +91,6 @@ class SuspendSpec:
     - ``delta`` — commit repeat suspends as delta images against
       ``base_image_id`` (or the scheduler-tracked previous image)
       instead of rewriting unchanged state;
-    - ``commit_workers`` — thread-pool size for parallel durable
-      commits (``<= 1`` = serial). Only applied when ``persist_to`` is
-      a path;
     - ``image_id`` / ``image_meta`` — explicit id and metadata for the
       committed image;
     - ``base_image_id`` — existing image to delta against (requires
@@ -105,7 +102,6 @@ class SuspendSpec:
     plan: Optional[SuspendPlan] = None
     persist_to: Union["ImageStore", str, None] = None
     delta: bool = True
-    commit_workers: int = 0
     image_id: Optional[str] = None
     image_meta: Optional[dict] = None
     base_image_id: Optional[str] = None
@@ -125,21 +121,16 @@ class SuspendSpec:
         return replace(self, **changes)
 
     def resolve_image_store(self) -> Optional["ImageStore"]:
-        """The :class:`ImageStore` to persist to, or ``None``.
-
-        A string ``persist_to`` is opened with this spec's
-        ``commit_workers``; a ready-made store is passed through (its
-        own settings win).
-        """
+        """The :class:`ImageStore` to persist to, or ``None``: a string
+        ``persist_to`` is opened as an image root, a ready-made store is
+        passed through."""
         if self.persist_to is None:
             return None
         if not isinstance(self.persist_to, str):
             return self.persist_to
         from repro.durability.store import ImageStore
 
-        return ImageStore(
-            self.persist_to, commit_workers=self.commit_workers
-        )
+        return ImageStore(self.persist_to)
 
 
 #: Root-drain batch size used by ``execute()`` when no ``max_rows`` bound

@@ -11,16 +11,15 @@ Layers, bottom up:
 - :mod:`~repro.durability.faults` — crash-point hooks and torn-write
   injection, threaded through every file operation;
 - :mod:`~repro.durability.codec` — the tagged-JSON value codec (plan
-  specs in shard manifests and worker messages) and the *reader* for
-  legacy v1 images (``FORMAT_VERSION``); nothing writes v1 any more;
+  specs in shard manifests and worker messages; not an image format);
 - :mod:`~repro.durability.codec2` — the v2 binary columnar codec
   (typed column segments, string interning, CRC'd zlib frames,
-  streaming chunked writes), the only image encoder;
+  streaming chunked writes), the one image encoding (``CODEC_V2``);
 - :mod:`~repro.durability.format` — the packed one-file-per-image
   layout (sections, manifest, trailer; one fsync + rename + dir-fsync
-  per commit), its verified reader, the read-only reader for the
-  directory layout of earlier builds, and the tmp+fsync+rename
-  discipline of the small metadata files (``LAYOUT_VERSION``);
+  per commit), its verified reader — the one image layout
+  (``LAYOUT_VERSION``) — and the tmp+fsync+rename discipline of the
+  small metadata files;
 - :mod:`~repro.durability.store` — the :class:`ImageStore`: save, load,
   list, validate, GC, and the startup recovery scan with quarantine;
 - :mod:`~repro.durability.harness` — the crash-matrix harness proving no
@@ -29,8 +28,8 @@ Layers, bottom up:
   so a fresh process can rebuild the base tables an image expects.
 """
 
-from repro.durability.codec import FORMAT_VERSION, CodecError
-from repro.durability.codec2 import CODEC_V1, CODEC_V2, V2_FORMAT_VERSION
+from repro.durability.codec import CodecError
+from repro.durability.codec2 import CODEC_V2, V2_FORMAT_VERSION
 from repro.durability.faults import (
     FaultInjector,
     InjectedCrash,
@@ -54,9 +53,7 @@ from repro.durability.store import (
 )
 
 __all__ = [
-    "FORMAT_VERSION",
     "V2_FORMAT_VERSION",
-    "CODEC_V1",
     "CODEC_V2",
     "LAYOUT_VERSION",
     "CodecError",

@@ -1,20 +1,15 @@
-"""The tagged-JSON value codec, and the reader for legacy v1 images.
+"""The tagged-JSON value codec.
 
-Two things live here:
-
-- the *tagged* value encoding (:func:`encode_value` /
-  :func:`decode_value`, :func:`spec_to_dict` / :func:`spec_from_dict`):
-  values JSON cannot represent faithfully (tuples, non-string dict keys,
-  frozensets, :class:`~repro.storage.statefile.DumpHandle` references,
-  the registered spec/predicate dataclasses) become
-  ``{"$t": <tag>, ...}`` objects. Plain strings, numbers, booleans,
-  ``None``, lists, and string-keyed dicts pass through untouched. The
-  shard layer ships plan specs to workers and into ``CHANNELS.json``
-  this way;
-- the *decoders* for codec-v1 suspend images (``*_from_dict``). v1 is a
-  read-only legacy format: nothing writes it any more (new images are
-  codec v2, :mod:`repro.durability.codec2`), but images committed by
-  earlier builds stay loadable.
+Values JSON cannot represent faithfully (tuples, non-string dict keys,
+frozensets, :class:`~repro.storage.statefile.DumpHandle` references,
+the registered spec/predicate dataclasses) become ``{"$t": <tag>, ...}``
+objects (:func:`encode_value` / :func:`decode_value`,
+:func:`spec_to_dict` / :func:`spec_from_dict`). Plain strings, numbers,
+booleans, ``None``, lists, and string-keyed dicts pass through
+untouched. The shard layer ships plan specs to workers and into
+``CHANNELS.json`` this way. Suspend images do not use it: their one
+encoding is the binary codec v2 (:mod:`repro.durability.codec2`), which
+shares the class registry below.
 
 ``DumpHandle`` values are encoded as ``(key, pages)`` references only —
 their payloads are written as separate image blobs and re-homed into the
@@ -22,9 +17,9 @@ resuming process's :class:`~repro.storage.statefile.StateStore` via the
 existing migration machinery (``SuspendedQuery.import_payloads``), which
 charges the simulated-disk writes on the receiving side.
 
-The registries below are the compatibility surface of the on-disk format:
-renaming a spec or predicate class breaks old images, which is why
-:data:`FORMAT_VERSION` exists and is checked on load.
+The registry below is the compatibility surface of both encodings:
+renaming a spec or predicate class breaks shard manifests and images
+already on disk.
 """
 
 from __future__ import annotations
@@ -33,15 +28,9 @@ import dataclasses
 from typing import Any, Callable
 
 from repro.common.errors import ReproError
-from repro.core.strategies import OpDecision, Strategy, SuspendPlan
-from repro.core.suspended_query import OpSuspendEntry, SuspendedQuery
 from repro.engine import plan as plan_module
 from repro.relational import expressions as expr_module
 from repro.storage.statefile import DumpHandle
-
-#: Record-level version stamped inside v1 control records; the only one
-#: the v1 reader accepts.
-FORMAT_VERSION = 1
 
 
 class CodecError(ReproError):
@@ -167,66 +156,3 @@ def spec_from_dict(data: dict):
     if not dataclasses.is_dataclass(spec):
         raise CodecError("decoded plan spec is not a spec dataclass")
     return spec
-
-
-# ----------------------------------------------------------------------
-# Suspend plans (v1 reader)
-# ----------------------------------------------------------------------
-def suspend_plan_from_dict(data: dict) -> SuspendPlan:
-    decisions: dict[int, OpDecision] = {}
-    for item in data["decisions"]:
-        decisions[item["op"]] = OpDecision(
-            strategy=Strategy(item["strategy"]),
-            goback_anchor=item["anchor"],
-            dump_children=tuple(item.get("dump_children", ())),
-        )
-    return SuspendPlan(decisions=decisions, source=data.get("source", "manual"))
-
-
-# ----------------------------------------------------------------------
-# Per-operator suspend entries (v1 reader)
-# ----------------------------------------------------------------------
-def entry_from_dict(data: dict) -> OpSuspendEntry:
-    return OpSuspendEntry(
-        op_id=data["op"],
-        kind=data["kind"],
-        target_control=decode_value(data["target_control"]),
-        ckpt_payload=(
-            None
-            if data["ckpt_payload"] is None
-            else decode_value(data["ckpt_payload"])
-        ),
-        dump_handle=(
-            None
-            if data["dump_handle"] is None
-            else decode_value(data["dump_handle"])
-        ),
-        current_control=(
-            None
-            if data["current_control"] is None
-            else decode_value(data["current_control"])
-        ),
-        saved_rows=decode_value(data["saved_rows"]),
-    )
-
-
-# ----------------------------------------------------------------------
-# The SuspendedQuery control record (v1 reader)
-# ----------------------------------------------------------------------
-def suspended_query_from_dict(data: dict) -> SuspendedQuery:
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CodecError(
-            f"unsupported image format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    sq = SuspendedQuery(
-        plan_spec=spec_from_dict(data["plan_spec"]),
-        suspend_plan=suspend_plan_from_dict(data["suspend_plan"]),
-        root_rows_emitted=data["root_rows_emitted"],
-        suspended_at=data["suspended_at"],
-        query_clock=data.get("query_clock", data["suspended_at"]),
-    )
-    for item in data["entries"]:
-        sq.add_entry(entry_from_dict(item))
-    return sq

@@ -1,8 +1,8 @@
 """Codec v2: the binary columnar image encoding.
 
-Where the v1 codec (:mod:`repro.durability.codec`) turns every value into
-tagged JSON — readable, but paying Python-level per-value dispatch on both
-sides plus JSON text overhead — v2 is a binary format built for the
+Where the value codec (:mod:`repro.durability.codec`) turns every value
+into tagged JSON — readable, but paying Python-level per-value dispatch on
+both sides plus JSON text overhead — v2 is a binary format built for the
 suspend path's actual data: big, regular collections of rows (saved rows,
 dumped heap state, sort sublists, hash partitions) plus small irregular
 control dicts. Design points:
@@ -28,10 +28,11 @@ control dicts. Design points:
   members are sorted by ``repr``, floats are packed exactly, zlib runs at
   a fixed level.
 
-The value domain is exactly v1's: scalars, lists, tuples, dicts with
-arbitrary keys, sets/frozensets, :class:`DumpHandle` references, and the
-registered spec/predicate dataclasses. ``CODEC_V2`` is recorded in the
-image manifest as ``codec_version``; v1 images remain fully readable.
+The value domain is exactly the tagged-JSON codec's: scalars, lists,
+tuples, dicts with arbitrary keys, sets/frozensets, :class:`DumpHandle`
+references, and the registered spec/predicate dataclasses. ``CODEC_V2``
+is recorded in the image manifest as ``codec_version`` and is the only
+value the reader accepts.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from repro.core.suspended_query import OpSuspendEntry, SuspendedQuery
 from repro.durability.codec import _DATACLASSES, CodecError
 from repro.storage.statefile import DumpHandle
 
-#: Codec identifiers recorded in the image manifest.
-CODEC_V1 = 1
+#: Codec identifier recorded in the image manifest.
 CODEC_V2 = 2
 
 #: Record-level version stamped inside the v2 control record.

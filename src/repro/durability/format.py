@@ -1,6 +1,7 @@
 """On-disk layout and commit protocol for durable suspend images.
 
-One image is one **packed file** under the image root (layout 2)::
+One image is one **packed file** under the image root — the only layout
+this build reads or writes (``LAYOUT_VERSION``)::
 
     <root>/<image_id>.rimg
         blob-0000 ...     # one codec-v2 stream per locally written payload
@@ -9,10 +10,9 @@ One image is one **packed file** under the image root (layout 2)::
                           #   blob table, base image, metadata
         trailer           # fixed: manifest offset, length, CRC-32, magic
 
-The parts ("files" — the manifest keeps the word from layout 1, where
-each one was a file of its own) are written back to back through one
-open ``<image_id>.rimg.tmp``, streamed in the codec's chunks with a
-running SHA-256, then the whole file is flushed and ``fsync``-ed
+The parts (the manifest calls them "files") are written back to back
+through one open ``<image_id>.rimg.tmp``, streamed in the codec's chunks
+with a running SHA-256, then the whole file is flushed and ``fsync``-ed
 **once**, atomically renamed to its final name, and the root directory
 is ``fsync``-ed **once** so the rename is durable. The rename is the
 commit point: a crash anywhere earlier leaves only a ``.rimg.tmp`` (a
@@ -25,14 +25,10 @@ A reader trusts nothing before checking it: the trailer must carry the
 magic, its offset and length must account for every byte of the file,
 the manifest must match the trailer's CRC, the files must tile the space
 before the manifest exactly, and each file is verified against its size
-and SHA-256 before it is decoded. Anything less is a torn image.
-
-**Layout 1** — one *directory* per image holding ``blob-NNNN.bin``,
-``control.bin`` (or ``control.json`` for codec v1) and ``MANIFEST.json``,
-each its own tmp+fsync+rename — is read-only: nothing writes it any
-more, but roots written by earlier builds stay loadable. Its manifest
-has the same schema minus the offsets, so everything above the byte
-reader (:func:`open_image`) is layout-blind.
+and SHA-256 before it is decoded. Anything less is a torn image — and
+so is a well-formed file whose manifest names a layout or codec version
+other than this build's: the stamps are how a format change is detected,
+and an image in another format is rejected whole, never half-read.
 """
 
 from __future__ import annotations
@@ -46,6 +42,7 @@ import zlib
 from typing import Any, Callable, Iterator, Optional
 
 from repro.common.errors import ReproError
+from repro.durability.codec2 import CODEC_V2
 from repro.durability.faults import FaultInjector, InjectedCrash
 
 #: Suffix of a packed image file; ``<image_id>.rimg`` under the root.
@@ -58,9 +55,6 @@ BLOB_PREFIX = "blob-"
 #: Torn-write labels of the two parts that are not manifested files.
 MANIFEST_LABEL = "manifest"
 TRAILER_LABEL = "trailer"
-#: Layout-1 (directory) file names, kept for the read-only reader.
-MANIFEST_NAME = "MANIFEST.json"
-CONTROL_NAME = "control.json"
 #: Shard-set commit-protocol files (see ``repro.shard.manifest``): a
 #: shard-set directory groups N per-shard images plus channel state into
 #: one atomic unit. ``CHANNELS_NAME`` is written first, ``SHARDSET_NAME``
@@ -68,10 +62,9 @@ CONTROL_NAME = "control.json"
 SHARDSET_NAME = "SHARDSET.json"
 CHANNELS_NAME = "CHANNELS.json"
 
-#: Version of the image layout + manifest schema this build writes.
+#: Version of the image layout + manifest schema this build reads and
+#: writes.
 LAYOUT_VERSION = 2
-#: The directory-per-image layout of earlier builds (read-only).
-LAYOUT_DIRECTORY = 1
 
 #: manifest offset, manifest length, CRC-32 of (offset, length, manifest
 #: bytes), magic — the last bytes of every packed image.
@@ -86,13 +79,6 @@ class ImageFormatError(ReproError):
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def is_layout1_file(name: str) -> bool:
-    """Whether ``name`` is a file the layout-1 protocol wrote (final form)."""
-    return name in (MANIFEST_NAME, CONTROL_NAME, "control.bin") or (
-        name.startswith(BLOB_PREFIX) and name.endswith(".bin")
-    )
 
 
 def fsync_dir(path: str) -> None:
@@ -245,12 +231,8 @@ def load_json(path: str) -> Any:
 
 
 def read_manifest(path: str) -> dict:
-    """Parse and structurally validate the manifest of the image at
-    ``path`` — a packed file, or a layout-1 image directory."""
-    if os.path.isdir(path):
-        manifest = load_json(os.path.join(path, MANIFEST_NAME))
-        validate_manifest_dict(manifest, LAYOUT_DIRECTORY)
-        return manifest
+    """Parse and structurally validate the manifest of the packed image
+    at ``path``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < TRAILER.size:
@@ -270,7 +252,7 @@ def read_manifest(path: str) -> dict:
     ) != crc:
         raise ImageFormatError(f"{path}: manifest fails its checksum")
     manifest = parse_json(data, path)
-    validate_manifest_dict(manifest, LAYOUT_VERSION)
+    validate_manifest_dict(manifest)
     # The files must tile [0, manifest offset) exactly: no gap can hide
     # unmanifested bytes and no two entries can claim the same range.
     end = 0
@@ -303,9 +285,8 @@ def open_image(
 ) -> "Iterator[Callable[[str], bytes]]":
     """Yield ``read(name)`` over one image's manifested files.
 
-    Every read verifies size and SHA-256 before returning the bytes. For
-    a packed image the reads are ranges of one open file; for a layout-1
-    directory each is a file of that name.
+    Every read verifies size and SHA-256 before returning the bytes;
+    the reads are ranges of one open file.
     """
 
     def entry_of(name: str) -> dict:
@@ -313,21 +294,6 @@ def open_image(
         if entry is None:
             raise ImageFormatError(f"manifest has no entry for {name!r}")
         return entry
-
-    if manifest["layout_version"] == LAYOUT_DIRECTORY:
-
-        def read_file(name: str) -> bytes:
-            entry = entry_of(name)
-            try:
-                with open(os.path.join(path, name), "rb") as fh:
-                    return _check_file(name, fh.read(), entry)
-            except FileNotFoundError as exc:
-                raise ImageFormatError(
-                    f"missing image file {name!r}"
-                ) from exc
-
-        yield read_file
-        return
 
     try:
         fh = open(path, "rb")
@@ -343,36 +309,29 @@ def open_image(
         yield read_range
 
 
-def validate_manifest_dict(manifest: Any, layout: int) -> None:
-    """Structural checks on a parsed manifest (raises on problems).
-
-    ``layout`` is what the manifest was read from — a packed file must
-    say ``LAYOUT_VERSION`` and a directory ``LAYOUT_DIRECTORY``.
-    """
+def validate_manifest_dict(manifest: Any) -> None:
+    """Structural checks on a parsed manifest (raises on problems)."""
     if not isinstance(manifest, dict):
         raise ImageFormatError("manifest is not a JSON object")
     version = manifest.get("layout_version")
-    if version != layout:
+    if version != LAYOUT_VERSION:
         raise ImageFormatError(
-            f"unsupported layout version {version!r} (expected {layout})"
+            f"unsupported layout version {version!r} "
+            f"(this build reads version {LAYOUT_VERSION})"
         )
     for field in ("image_id", "files", "blobs", "control_file"):
         if field not in manifest:
             raise ImageFormatError(f"manifest lacks required field {field!r}")
-    # codec_version is absent from images written before codec v2 existed;
-    # absence means the v1 tagged-JSON codec.
-    codec_version = manifest.get("codec_version", 1)
-    if codec_version not in (1, 2):
+    codec_version = manifest.get("codec_version")
+    if codec_version != CODEC_V2:
         raise ImageFormatError(
             f"unsupported codec version {codec_version!r} "
-            "(this build reads versions 1 and 2)"
+            f"(this build reads version {CODEC_V2})"
         )
     base = manifest.get("base_image_id")
     if base is not None and not isinstance(base, str):
         raise ImageFormatError("malformed base_image_id (must be a string)")
-    required = {"sha256", "bytes"}
-    if layout == LAYOUT_VERSION:
-        required = required | {"offset"}
+    required = {"offset", "sha256", "bytes"}
     for name, entry in manifest["files"].items():
         if not isinstance(entry, dict) or not required <= set(entry):
             raise ImageFormatError(f"malformed file entry for {name!r}")
@@ -386,15 +345,8 @@ def validate_manifest_dict(manifest: Any, layout: int) -> None:
             )
 
 
-def manifest_codec_version(manifest: dict) -> int:
-    """Codec version of a validated manifest (absence means v1)."""
-    return manifest.get("codec_version", 1)
-
-
 def manifest_created_at(manifest: dict) -> float:
-    """Commit wall-clock time, in seconds. Packed manifests record integer
+    """Commit wall-clock time, in seconds. Manifests record integer
     nanoseconds (``created_ns``) so the manifest's length — and with it
     the image's size — is the same in every run."""
-    if "created_ns" in manifest:
-        return manifest["created_ns"] / 1e9
-    return manifest.get("created_at", 0.0)
+    return manifest.get("created_ns", 0) / 1e9

@@ -12,29 +12,24 @@ Responsibilities:
   references, encode the control record, and commit the image as one
   packed file with the protocol of :mod:`repro.durability.format`: one
   ``fsync`` of the file, one rename (the commit point), one ``fsync`` of
-  the root. New images are always written with the v2 binary columnar
-  codec (:mod:`repro.durability.codec2`) and stamped
-  ``codec_version: 2`` in the manifest;
+  the root. Images are written with the v2 binary columnar codec
+  (:mod:`repro.durability.codec2`) and stamped ``codec_version: 2`` in
+  the manifest;
 - **delta images** — ``save(..., base_image_id=...)`` commits only the
   blobs whose ``(key, pages, generation)`` triple is not already
   persisted somewhere in the base image's chain; unchanged payloads
   become manifest *references* ``(image_id, file)`` into the ancestor
   image. Resume materializes the base+delta chain transparently, and
   :meth:`delete_chain` / :meth:`gc` collect whole chains together;
-- **parallel durable commit** — :meth:`save_many` serializes and fsyncs
-  several victims' images on a bounded thread pool (``commit_workers``),
-  each worker writing its own file. A pure wall-clock optimization:
-  on-disk bytes, virtual-clock charges, and trace/metric records are
-  identical to the serial path, because exports happen up front on the
-  calling thread and all tracing is emitted after the barrier, in
-  submission order;
+- :meth:`ImageStore.save_many` — commit a batch of images (one memory-
+  pressure event's victims) serially in request order, after every
+  request in the batch has been checked;
 - :meth:`ImageStore.load` — verify checksums and reconstruct the
   SuspendedQuery with its payloads staged for import (the existing
   migration path charges the simulated-disk writes on resume, so cost
-  accounting survives the process boundary). What is on disk picks the
-  reader: a packed ``<id>.rimg``, or the directory-per-image layout of
-  earlier builds, which stays readable (codec v1 and v2) but is never
-  written;
+  accounting survives the process boundary). The packed ``<id>.rimg``
+  with codec-v2 sections is the only form read; a file stamped with any
+  other layout or codec version is rejected as a format error;
 - :meth:`ImageStore.recover` — the startup scan: classify every entry
   under the root as committed, torn, or orphaned, and quarantine the bad
   ones instead of crashing;
@@ -46,17 +41,15 @@ from __future__ import annotations
 
 import contextlib
 import os
-import shutil
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import ReproError
 from repro.core.suspended_query import SuspendedQuery
-from repro.durability import codec, codec2
-from repro.durability.codec2 import CODEC_V1, CODEC_V2
+from repro.durability import codec2
+from repro.durability.codec2 import CODEC_V2
 from repro.durability.faults import FaultInjector
 from repro.obs.tracer import NULL_TRACER
 from repro.durability.format import (
@@ -64,9 +57,7 @@ from repro.durability.format import (
     CHANNELS_NAME,
     CONTROL_NAME_V2,
     IMAGE_SUFFIX,
-    LAYOUT_DIRECTORY,
     LAYOUT_VERSION,
-    MANIFEST_NAME,
     QUARANTINE_DIR,
     SHARDSET_NAME,
     TMP_SUFFIX,
@@ -74,12 +65,9 @@ from repro.durability.format import (
     atomic_write,
     dump_json,
     fsync_dir,
-    is_layout1_file,
     load_json,
-    manifest_codec_version,
     manifest_created_at,
     open_image,
-    parse_json,
     read_manifest,
     write_packed_image,
 )
@@ -89,6 +77,10 @@ from repro.storage.statefile import StateStore
 class ImageNotFoundError(ReproError):
     """Raised when an image id does not name a committed image."""
 
+
+#: Longest base+delta chain a save may produce: a save whose chain would
+#: grow past it is promoted to a full image.
+MAX_CHAIN = 8
 
 #: Hard ceiling on base+delta chain traversal (cycle/corruption guard).
 MAX_CHAIN_WALK = 64
@@ -113,16 +105,14 @@ class ImageInfo:
     num_blobs: int
     blob_pages: int
     total_bytes: int
-    #: Which codec wrote the image (1 = tagged JSON, 2 = binary columnar).
-    codec_version: int = CODEC_V1
+    #: Which codec wrote the image (``CODEC_V2``, binary columnar).
+    codec_version: int
     #: For delta images: the image this one's references resolve into.
     base_image_id: Optional[str] = None
     #: Number of images in the base+delta chain, this one included.
     chain_length: int = 1
     #: Bytes this commit *reused* from ancestors instead of rewriting.
     reused_bytes: int = 0
-    #: On-disk layout: 2 = one packed file, 1 = directory (read-only).
-    layout_version: int = LAYOUT_VERSION
 
     def as_dict(self) -> dict:
         return {
@@ -137,7 +127,6 @@ class ImageInfo:
             "base_image_id": self.base_image_id,
             "chain_length": self.chain_length,
             "reused_bytes": self.reused_bytes,
-            "layout_version": self.layout_version,
         }
 
 
@@ -177,7 +166,7 @@ class SaveRequest:
 
 @dataclass
 class _PreparedSave:
-    """Main-thread snapshot of everything a worker needs to write."""
+    """Snapshot of everything :meth:`ImageStore._write_image` needs."""
 
     image_id: str
     base_image_id: Optional[str]
@@ -198,27 +187,18 @@ class _PreparedSave:
 class ImageStore:
     """Durable suspend images under ``root``, one packed file per image.
 
-    New images are written with codec v2 as ``<image_id>.rimg``; a root
-    may still hold directory-layout images of earlier builds (either
-    codec) and they stay fully readable. ``commit_workers`` bounds the
-    thread pool :meth:`save_many` uses for parallel durable commits
-    (``<= 1`` means serial). ``max_chain`` caps base+delta chain length:
-    a save whose chain would grow past it is promoted to a full image.
+    Images are written with codec v2 as ``<image_id>.rimg`` and nothing
+    else under the root is read as an image. ``injector`` places crash
+    points and torn writes inside a commit (the crash-matrix harness).
     """
 
     def __init__(
         self,
         root: str,
         injector: Optional[FaultInjector] = None,
-        commit_workers: int = 0,
-        max_chain: int = 8,
-        compress: bool = True,
     ):
         self.root = os.fspath(root)
         self.injector = injector or FaultInjector()
-        self.commit_workers = commit_workers
-        self.max_chain = max(1, max_chain)
-        self.compress = compress
         # Manifests are immutable once committed, so they cache cleanly;
         # a hit still stats the image so deletions by other store
         # instances over the same root are noticed.
@@ -250,9 +230,8 @@ class ImageStore:
         base chain (same key, pages, and state-store generation) are
         *referenced* instead of rewritten — a delta image. The base must
         stay on disk for the delta to load; use :meth:`delete_chain` /
-        :meth:`gc` to collect chains together. A base in the read-only
-        directory layout is never referenced: the save is promoted to a
-        full image, exactly as when the chain reaches ``max_chain``.
+        :meth:`gc` to collect chains together. When the chain has
+        reached ``MAX_CHAIN`` images the save is promoted to a full one.
         """
         prep = self._prepare_save(
             SaveRequest(
@@ -269,28 +248,17 @@ class ImageStore:
     def save_many(
         self, requests: list[SaveRequest], tracer=None
     ) -> list[ImageInfo]:
-        """Commit several images, serializing+fsyncing them concurrently.
+        """Commit several images, serially and in request order.
 
-        Preparation (payload export, id allocation, delta planning) and
-        all trace/metric emission happen on the calling thread in request
-        order, so the produced bytes and records are identical to running
-        :meth:`save` in a loop; only the encode and file I/O in between
-        run on the pool. The call is a barrier: it returns after every
-        image is durably committed. With ``commit_workers <= 1``, a
-        single request, or any configured fault injection, the writes
-        run serially (fault injection is ordering-sensitive).
+        Every request is prepared (payload export, id allocation, delta
+        planning) before the first byte is written, so a bad request
+        rejects the whole batch with nothing on disk; trace/metric
+        records are emitted after the last write. The produced bytes and
+        records are identical to running :meth:`save` in a loop. The call
+        returns after every image is durably committed.
         """
         preps = [self._prepare_save(req) for req in requests]
-        faults_armed = bool(
-            self.injector.crash_points or self.injector.torn_points
-        )
-        if self.commit_workers > 1 and len(preps) > 1 and not faults_armed:
-            with ThreadPoolExecutor(
-                max_workers=min(self.commit_workers, len(preps))
-            ) as pool:
-                results = list(pool.map(self._write_image, preps))
-        else:
-            results = [self._write_image(prep) for prep in preps]
+        results = [self._write_image(prep) for prep in preps]
         return [
             self._finish_save(prep, result, tracer)
             for prep, result in zip(preps, results)
@@ -308,13 +276,8 @@ class ImageStore:
         chain_length = 1
         if base_image_id is not None:
             chain = self.chain(base_image_id)
-            if (
-                len(chain) >= self.max_chain
-                or self.manifest(base_image_id)["layout_version"]
-                == LAYOUT_DIRECTORY
-            ):
-                # Rebase: a full image caps the resume/validate fan-out
-                # (and nothing written today depends on the old layout).
+            if len(chain) >= MAX_CHAIN:
+                # Rebase: a full image caps the resume/validate fan-out.
                 base_image_id = None
             else:
                 persisted = self._chain_blob_map(chain)
@@ -373,15 +336,12 @@ class ImageStore:
         )
 
     def _write_image(self, prep: _PreparedSave) -> dict:
-        """Encode and durably write one prepared image (worker-safe:
-        touches only ``prep``, the injector, and the filesystem)."""
+        """Encode and durably write one prepared image."""
         self.injector.point("begin")
         start = time.perf_counter()
 
         def stream(record):
-            return lambda sink: codec2.encode_to_stream(
-                record, sink, compress=self.compress
-            )
+            return lambda sink: codec2.encode_to_stream(record, sink)
 
         files = [
             (name, stream({"key": key, "pages": pages, "payload": payload}))
@@ -489,12 +449,11 @@ class ImageStore:
             metrics.histogram(
                 "image_encode_seconds", volatile=True
             ).observe(result["encode_seconds"])
-        # The manifest just written is the manifest on disk: remember it
-        # (on the calling thread — workers never touch the cache).
+        # The manifest just written is the manifest on disk: remember it.
         self._manifest_cache[prep.image_id] = manifest
         return ImageInfo(
             image_id=prep.image_id,
-            path=self._image_path(manifest),
+            path=self._image_path(prep.image_id),
             created_at=manifest_created_at(manifest),
             meta=manifest["meta"],
             num_blobs=len(manifest["blobs"]),
@@ -509,23 +468,14 @@ class ImageStore:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _locate(self, image_id: str) -> Optional[str]:
-        """Path of a committed image — its packed file, or the image
-        directory of the read-only layout 1 — or None."""
-        packed = os.path.join(self.root, image_id + IMAGE_SUFFIX)
-        if os.path.exists(packed):
-            return packed
-        directory = os.path.join(self.root, image_id)
-        if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
-            return directory
-        return None
+    def _image_path(self, image_id: str) -> str:
+        """Where the packed file of ``image_id`` lives (committed or not)."""
+        return os.path.join(self.root, image_id + IMAGE_SUFFIX)
 
-    def _image_path(self, manifest: dict) -> str:
-        """Where the image a (validated) manifest describes lives."""
-        name = manifest["image_id"]
-        if manifest["layout_version"] == LAYOUT_VERSION:
-            name += IMAGE_SUFFIX
-        return os.path.join(self.root, name)
+    def _locate(self, image_id: str) -> Optional[str]:
+        """Path of a committed image's packed file, or None."""
+        path = self._image_path(image_id)
+        return path if os.path.exists(path) else None
 
     def manifest(self, image_id: str) -> dict:
         """Parse and structurally validate an image's manifest."""
@@ -583,19 +533,8 @@ class ImageStore:
                 }
         return persisted
 
-    def _decode_control(self, manifest: dict, data: bytes) -> SuspendedQuery:
-        if manifest_codec_version(manifest) == CODEC_V2:
-            return codec2.decode_suspended_query(data)
-        return codec.suspended_query_from_dict(
-            parse_json(data, "control record")
-        )
-
-    def _decode_blob(self, data: bytes, codec_version: int) -> dict:
-        if codec_version == CODEC_V2:
-            decoded = codec2.decode_bytes(data)
-        else:
-            decoded = parse_json(data, "blob record")
-            decoded["payload"] = codec.decode_value(decoded["payload"])
+    def _decode_blob(self, data: bytes) -> dict:
+        decoded = codec2.decode_bytes(data)
         if not isinstance(decoded, dict) or not {
             "key",
             "pages",
@@ -615,7 +554,7 @@ class ImageStore:
                 if image_id not in readers:
                     manifest = self.manifest(image_id)
                     read = stack.enter_context(
-                        open_image(self._image_path(manifest), manifest)
+                        open_image(self._image_path(image_id), manifest)
                     )
                     readers[image_id] = (manifest, read)
                 return readers[image_id]
@@ -635,7 +574,7 @@ class ImageStore:
         """
         with self._readers() as reader_of:
             manifest, read = reader_of(image_id)
-            sq = self._decode_control(manifest, read(manifest["control_file"]))
+            sq = codec2.decode_suspended_query(read(manifest["control_file"]))
             payloads: dict = {}
             for blob in manifest["blobs"]:
                 if "file" in blob:
@@ -643,10 +582,8 @@ class ImageStore:
                 else:
                     owner_id = blob["ref"]["image_id"]
                     fname = blob["ref"]["file"]
-                owner, read = reader_of(owner_id)
-                decoded = self._decode_blob(
-                    read(fname), manifest_codec_version(owner)
-                )
+                _, read = reader_of(owner_id)
+                decoded = self._decode_blob(read(fname))
                 if (
                     decoded["key"] != blob["key"]
                     or decoded["pages"] != blob["pages"]
@@ -660,12 +597,7 @@ class ImageStore:
 
     def info(self, image_id: str) -> ImageInfo:
         manifest = self.manifest(image_id)
-        path = self._image_path(manifest)
-        if manifest["layout_version"] == LAYOUT_VERSION:
-            total = os.path.getsize(path)
-        else:
-            total = sum(e["bytes"] for e in manifest["files"].values())
-            total += os.path.getsize(os.path.join(path, MANIFEST_NAME))
+        path = self._image_path(image_id)
         base = manifest.get("base_image_id")
         reused = 0
         for blob in manifest["blobs"]:
@@ -688,25 +620,20 @@ class ImageStore:
             meta=manifest.get("meta", {}),
             num_blobs=len(manifest["blobs"]),
             blob_pages=sum(b["pages"] for b in manifest["blobs"]),
-            total_bytes=total,
-            codec_version=manifest_codec_version(manifest),
+            total_bytes=os.path.getsize(path),
+            codec_version=manifest["codec_version"],
             base_image_id=base,
             chain_length=chain_length,
             reused_bytes=reused,
-            layout_version=manifest["layout_version"],
         )
 
     def _image_ids(self) -> list[str]:
-        """Ids of every image under the root, either layout (one scan)."""
-        ids = []
-        for name in sorted(os.listdir(self.root)):
-            if name.endswith(IMAGE_SUFFIX):
-                ids.append(name[: -len(IMAGE_SUFFIX)])
-            elif name != QUARANTINE_DIR and os.path.exists(
-                os.path.join(self.root, name, MANIFEST_NAME)
-            ):
-                ids.append(name)
-        return ids
+        """Ids of every packed image file under the root (one scan)."""
+        return [
+            name[: -len(IMAGE_SUFFIX)]
+            for name in sorted(os.listdir(self.root))
+            if name.endswith(IMAGE_SUFFIX)
+        ]
 
     def _manifests(self) -> dict[str, dict]:
         """``image id -> manifest`` of every readable image: one root
@@ -758,15 +685,6 @@ class ImageStore:
                     read(name)
                 except ImageFormatError as exc:
                     problems.append(str(exc))
-            if manifest["layout_version"] == LAYOUT_DIRECTORY:
-                # (A packed image cannot hold unmanifested bytes: its
-                # files tile the space before the manifest, which
-                # read_manifest checks.)
-                for name in os.listdir(self._image_path(manifest)):
-                    if name != MANIFEST_NAME and name not in manifest["files"]:
-                        problems.append(
-                            f"unmanifested file {name!r} in image"
-                        )
             if manifest.get("base_image_id") is not None:
                 try:
                     self.chain(image_id)
@@ -789,19 +707,14 @@ class ImageStore:
     # Lifecycle
     # ------------------------------------------------------------------
     def _remove(self, image_id: str) -> bool:
-        """Unlink an image (either layout) without syncing the root;
-        returns whether anything was there."""
+        """Unlink an image without syncing the root; returns whether
+        anything was there."""
         self._manifest_cache.pop(image_id, None)
         try:
-            os.unlink(os.path.join(self.root, image_id + IMAGE_SUFFIX))
+            os.unlink(self._image_path(image_id))
             return True
         except FileNotFoundError:
-            pass
-        directory = os.path.join(self.root, image_id)
-        if os.path.isdir(directory):
-            shutil.rmtree(directory)
-            return True
-        return False
+            return False
 
     def delete(self, image_id: str) -> None:
         if not self._remove(image_id):
@@ -920,17 +833,18 @@ class ImageStore:
     def recover(self, tracer=None) -> RecoveryReport:
         """Classify every root entry; quarantine torn/orphaned ones.
 
-        - *committed*: an image — a packed ``<id>.rimg``, or a layout-1
-          directory with a manifest — whose trailer and manifest parse
-          and whose files all verify — safe to resume from; for delta
-          images this includes every base-chain reference resolving;
-        - *torn*: an interrupted or corrupted commit — a ``.rimg.tmp``
-          left by a crash before the rename, a ``.rimg`` with no valid
-          trailer, a short manifest or a bad checksum, a layout-1
-          directory with image files (or temp files) but no valid, fully
-          verified manifest, or a delta whose chain is broken;
-        - *orphaned*: anything else at the root — stray files, empty or
-          unrecognizable directories.
+        - *committed*: a packed ``<id>.rimg`` whose trailer and manifest
+          parse and whose files all verify — safe to resume from; for
+          delta images this includes every base-chain reference
+          resolving;
+        - *torn*: an interrupted, corrupted or unreadable commit — a
+          ``.rimg.tmp`` left by a crash before the rename, a ``.rimg``
+          with no valid trailer, a short manifest, a bad checksum or a
+          layout/codec version other than this build's, or a delta whose
+          chain is broken;
+        - *orphaned*: anything else at the root — stray files, and every
+          directory that is not a shard set (an image directory written
+          by a pre-packed-layout build included).
 
         Images are reported by image id. Torn and orphaned entries are
         moved under ``<root>/quarantine/`` (never deleted: they are
@@ -1000,7 +914,7 @@ class ImageStore:
         return report
 
     def _classify_directory(self, name: str) -> str:
-        """A root *directory*: a shard set, or a layout-1 image."""
+        """A root *directory*: a shard set, or nothing this build knows."""
         entries = os.listdir(os.path.join(self.root, name))
         if any(e.startswith((SHARDSET_NAME, CHANNELS_NAME)) for e in entries):
             # A shard-set directory (committed or torn): not an image.
@@ -1008,10 +922,6 @@ class ImageStore:
             # judgement this per-image scan cannot make;
             # repro.shard.manifest.classify_shardsets owns it.
             return "shardset"
-        if MANIFEST_NAME in entries and not self.validate(name):
-            return "committed"
-        if any(is_layout1_file(e) or e.endswith(TMP_SUFFIX) for e in entries):
-            return "torn"
         return "orphaned"
 
     def _quarantine(self, name: str, report: RecoveryReport) -> None:

@@ -207,7 +207,7 @@ class QueryService(ExecutorCore):
                 token=token,
                 image_id=record.image_id,
                 # What actually got committed (None again after a
-                # max_chain rebase), not what was merely requested.
+                # MAX_CHAIN rebase), not what was merely requested.
                 base_image_id=self.image_store.manifest(
                     record.image_id
                 ).get("base_image_id"),

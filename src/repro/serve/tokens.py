@@ -145,8 +145,9 @@ class TokenManager:
         self._redeemed: Optional[set] = None
 
     # -- ledger --------------------------------------------------------
-    def redeemed(self) -> set:
-        """The set of redeemed token strings (cached after first read)."""
+    def _ledger(self) -> set:
+        """The live set of redeemed token strings (cached after first
+        read); membership tests against it keep :meth:`redeem` O(1)."""
         if self._redeemed is None:
             entries = set()
             if os.path.exists(self._ledger_path):
@@ -162,7 +163,11 @@ class TokenManager:
                             # resume it would have recorded never ran.
                             continue
             self._redeemed = entries
-        return set(self._redeemed)
+        return self._redeemed
+
+    def redeemed(self) -> set:
+        """A copy of the set of redeemed token strings."""
+        return set(self._ledger())
 
     def _mark_redeemed(self, token: ContinuationToken, text: str) -> None:
         created = not os.path.exists(self._ledger_path)
@@ -177,7 +182,7 @@ class TokenManager:
             os.fsync(fh.fileno())
         if created:
             fsync_dir(self.store.root)
-        self._redeemed.add(text)
+        self._ledger().add(text)
 
     # -- lifecycle -----------------------------------------------------
     def issue(
@@ -216,7 +221,7 @@ class TokenManager:
         """
         token = ContinuationToken.decode(text)
         canonical = token.encode()
-        if canonical in self.redeemed():
+        if canonical in self._ledger():
             raise TokenRedeemedError(
                 f"token for {token.query!r} (image {token.image_id}) was "
                 "already redeemed; a continuation may be resumed only once"

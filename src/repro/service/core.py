@@ -266,9 +266,9 @@ class ExecutorCore:
         The in-memory suspend phase (the part the virtual clock charges)
         runs per victim, in order, exactly as it would serially. When an
         image store is configured, the durable commits are then submitted
-        together: with ``commit_workers > 1`` the images serialize+fsync
-        on a thread pool — a wall-clock speedup only; trace records are
-        emitted in victim order either way.
+        together (:meth:`ImageStore.save_many`): every victim's image is
+        checked before the first is written, and images and trace records
+        follow victim order.
 
         With delta spill enabled (``config.suspend.delta``), a repeat
         suspend commits a delta against the query's previous image:
@@ -332,7 +332,7 @@ class ExecutorCore:
         for victim, previous, info in zip(victims, previous_ids, infos):
             victim.image_id = info.image_id
             if previous is not None and info.base_image_id is None:
-                # The save was promoted to a full image (max_chain
+                # The save was promoted to a full image (MAX_CHAIN
                 # rebase): the old chain no longer backs anything —
                 # collect it now.
                 self.image_store.delete_chain(previous)

@@ -1,7 +1,6 @@
-"""Unit tests for the tagged-JSON value codec and the v1 image reader."""
+"""Unit tests for the tagged-JSON value codec."""
 
 import json
-import os
 
 import pytest
 
@@ -20,14 +19,6 @@ from repro.relational.expressions import (
     ValueIn,
 )
 from repro.storage.statefile import DumpHandle
-
-
-V1_FIXTURE = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)),
-    "fixtures",
-    "v1-images",
-    "v1-fixture",
-)
 
 
 def roundtrip(value):
@@ -131,14 +122,6 @@ class TestRecordCodecs:
         spec = make_plan_spec()
         data = json.loads(json.dumps(codec.spec_to_dict(spec)))
         assert codec.spec_from_dict(data) == spec
-
-    def test_v1_format_version_checked(self):
-        with open(os.path.join(V1_FIXTURE, "control.json")) as fh:
-            data = json.load(fh)
-        assert codec.suspended_query_from_dict(data).entries
-        data["format_version"] = 999
-        with pytest.raises(CodecError):
-            codec.suspended_query_from_dict(data)
 
     def test_referenced_handles_walks_nested_state(self):
         sq = SuspendedQuery(

@@ -30,6 +30,7 @@ from repro.durability.codec2 import (
     encode_bytes,
     encode_suspended_query,
     iter_frame_payloads,
+    suspended_query_to_record,
 )
 from repro.engine.plan import ScanSpec, SortSpec
 from repro.storage.statefile import DumpHandle
@@ -309,6 +310,15 @@ def test_suspended_query_roundtrip(recipe):
         assert other.saved_rows == entry.saved_rows
     # Re-encode of the decoded structure is byte-identical.
     assert encode_suspended_query(back) == data
+
+
+def test_control_record_version_checked():
+    sq, _ = make_suspended("hashagg", rows=6)
+    record = suspended_query_to_record(sq)
+    assert decode_suspended_query(encode_bytes(record)).entries
+    record["format_version"] = 999
+    with pytest.raises(CodecError, match="record version 999"):
+        decode_suspended_query(encode_bytes(record))
 
 
 def test_cross_process_encode_is_byte_identical(tmp_path):

@@ -38,7 +38,10 @@ class TestRoundTrip:
 
         db, sq, prefix = suspend_partway(recipe, rows=max(1, len(reference) // 3))
         store = ImageStore(str(tmp_path))
+        clock = db.now
         info = store.save(sq, db.state_store, meta={"recipe": recipe})
+        # The page writes were charged when the state was dumped.
+        assert db.now == clock
 
         # A brand-new database, as a fresh process would build it.
         fresh_db, _ = build_recipe(recipe)
@@ -97,7 +100,7 @@ class TestInventory:
             store.save(sq, db.state_store, image_id="../escape")
 
 
-class TestParallelCommit:
+class TestSaveMany:
     def _requests(self):
         requests = []
         for recipe in SHAPES:
@@ -105,45 +108,27 @@ class TestParallelCommit:
                 recipe, rows=6 if recipe == "hashagg" else 60
             )
             requests.append(
-                SaveRequest(
-                    sq, db.state_store, image_id=f"img-{recipe}"
-                )
+                SaveRequest(sq, db.state_store, image_id=f"img-{recipe}")
             )
         return requests
 
-    def test_save_many_parallel_matches_serial_bytes(self, tmp_path):
-        manifests = {}
-        for label, workers in (("serial", 0), ("parallel", 3)):
-            store = ImageStore(
-                str(tmp_path / label), commit_workers=workers
-            )
-            infos = store.save_many(self._requests())
-            assert [i.image_id for i in infos] == [
-                f"img-{r}" for r in SHAPES
-            ]
-            assert all(store.validate(i.image_id) == [] for i in infos)
-            manifests[label] = {
-                i.image_id: store.manifest(i.image_id) for i in infos
-            }
-        # created_at is wall clock and blob epochs name the exporting
-        # StateStore instance (each run built its own); everything else
-        # (checksums included) must be byte-identical between the serial
-        # and parallel paths.
-        for mf in manifests.values():
-            for m in mf.values():
-                m.pop("created_ns")
-                for blob in m["blobs"]:
-                    blob.pop("epoch", None)
-        assert manifests["serial"] == manifests["parallel"]
-
-    def test_save_many_parallel_images_load(self, tmp_path):
-        store = ImageStore(str(tmp_path), commit_workers=3)
-        store.save_many(self._requests())
+    def test_batch_commits_in_request_order_and_resumes(self, tmp_path):
+        store = ImageStore(str(tmp_path))
+        infos = store.save_many(self._requests())
+        assert [i.image_id for i in infos] == [f"img-{r}" for r in SHAPES]
         for recipe in SHAPES:
-            loaded = store.load(f"img-{recipe}")
+            assert store.validate(f"img-{recipe}") == []
             fresh_db, _ = build_recipe(recipe)
-            resumed = QuerySession.resume(fresh_db, loaded)
+            resumed = QuerySession.resume(fresh_db, store.load(f"img-{recipe}"))
             assert resumed.execute().rows is not None
+
+    def test_bad_request_rejects_the_batch_before_any_write(self, tmp_path):
+        store = ImageStore(str(tmp_path))
+        requests = self._requests()
+        requests[-1].image_id = "../escape"
+        with pytest.raises(ValueError):
+            store.save_many(requests)
+        assert os.listdir(tmp_path) == []
 
 
 class TestCorruptionDetection:
@@ -256,22 +241,28 @@ class TestDeltaChains:
     """Store-level delta chains: references resolve into packed bases,
     and chains are collected with one scan and one sync of the root."""
 
-    def _chain(self, store, links=3):
+    def _suspended_chain(self, store, links=3):
+        """``(image ids, db, tip's SuspendedQuery, rows emitted so far)``."""
         db, plan = build_recipe("sort")
         session = QuerySession(db, plan, name="q")
-        ids, base = [], None
+        ids, rows, sq = [], [], None
         for link in range(links):
-            session.execute(max_rows=20)
+            if sq is not None:
+                session = QuerySession.resume(db, sq, name="q")
+            rows += session.execute(max_rows=20).rows
             image_id = f"q-s{link}"
             sq = session.suspend(
                 SuspendSpec(
-                    persist_to=store, image_id=image_id, base_image_id=base
+                    persist_to=store,
+                    image_id=image_id,
+                    base_image_id=ids[-1] if ids else None,
                 )
             )
             ids.append(image_id)
-            base = image_id
-            session = QuerySession.resume(db, sq, name="q")
-        return ids
+        return ids, db, sq, rows
+
+    def _chain(self, store, links=3):
+        return self._suspended_chain(store, links)[0]
 
     def test_delta_references_resolve_into_the_packed_base(self, tmp_path):
         store = ImageStore(str(tmp_path))
@@ -285,6 +276,24 @@ class TestDeltaChains:
         assert len(store.load(ids[-1]).migrated_payloads) == tip.num_blobs
         store.delete(ids[0])
         assert any("reference" in p for p in store.validate(ids[-1]))
+
+    def test_chain_tip_resumes_like_a_full_image_of_the_same_suspend(
+        self, tmp_path
+    ):
+        ref_db, ref_plan = build_recipe("sort")
+        reference = QuerySession(ref_db, ref_plan).execute().rows
+
+        store = ImageStore(str(tmp_path))
+        ids, db, sq, emitted = self._suspended_chain(store)
+        full = store.save(sq, db.state_store, image_id="full")
+        assert store.info(ids[-1]).total_bytes < full.total_bytes
+        rests = []
+        for image_id in ("full", ids[-1]):
+            fresh_db, _ = build_recipe("sort")
+            resumed = QuerySession.resume(fresh_db, store.load(image_id))
+            rests.append(resumed.execute().rows)
+        assert rests[0] == rests[1]
+        assert emitted + rests[1] == reference
 
     def test_delete_chain_takes_ancestors_and_dependents(self, tmp_path):
         store = ImageStore(str(tmp_path))

@@ -1,9 +1,18 @@
 """Recovery-scan classification and quarantine behavior."""
 
+import json
 import os
+
+import pytest
 
 from repro.core.lifecycle import QuerySession
 from repro.durability import ImageStore, build_recipe
+from repro.durability.format import (
+    ImageFormatError,
+    open_image,
+    write_packed_image,
+)
+from repro.durability.store import ImageNotFoundError
 from tests.conftest import flip_byte, leave_torn_image
 
 
@@ -99,3 +108,99 @@ class TestRecoveryScan:
         report = ImageStore(str(tmp_path)).recover()
         assert report.committed == []
         assert sorted(report.torn) == ["a-delta", "z-base"]
+
+
+def restamped_copy(store, source_id, image_id, restamp):
+    """Commit a byte-for-byte copy of ``source_id`` whose manifest went
+    through ``restamp``: trailer, CRC, tiling and section hashes are all
+    good, so only the version stamps can make a reader refuse it."""
+    manifest = store.manifest(source_id)
+    with open_image(store.info(source_id).path, manifest) as read:
+        files = [
+            (name, lambda sink, data=read(name): sink(data))
+            for name in sorted(
+                manifest["files"], key=lambda n: manifest["files"][n]["offset"]
+            )
+        ]
+
+    def build_manifest(table):
+        doc = {**manifest, "image_id": image_id, "files": table}
+        restamp(doc)
+        return doc
+
+    write_packed_image(store.root, image_id, files, build_manifest)
+
+
+class TestOldFormatsAreRejected:
+    """Images in a format this build does not read are refused whole —
+    classified, quarantined, never half-read — and do not disturb a valid
+    image in the same root."""
+
+    @pytest.mark.parametrize(
+        "restamp",
+        [
+            lambda m: m.update(codec_version=1),
+            lambda m: m.pop("codec_version"),
+            lambda m: m.update(layout_version=1),
+        ],
+        ids=["codec-v1", "codec-absent", "layout-1"],
+    )
+    def test_foreign_version_stamp_is_a_format_error_and_torn(
+        self, restamp, tmp_path
+    ):
+        committed_image(tmp_path)
+        store = ImageStore(str(tmp_path))
+        restamped_copy(store, "good", "twin", lambda m: None)
+        assert store.validate("twin") == [] and store.load("twin").entries
+        restamped_copy(store, "good", "old", restamp)
+        with pytest.raises(ImageFormatError, match="unsupported"):
+            store.load("old")
+        with pytest.raises(ImageFormatError, match="unsupported"):
+            store.manifest("old")
+        assert "unsupported" in store.validate("old")[0]
+        assert [i.image_id for i in store.list_images()] == ["good", "twin"]
+        report = ImageStore(str(tmp_path)).recover()
+        assert report.torn == ["old"] and report.orphaned == []
+        assert report.committed == ["good", "twin"]
+        assert os.listdir(tmp_path / "quarantine") == ["old.rimg"]
+        assert ImageStore(str(tmp_path)).load("good").entries
+
+    def test_image_directory_is_orphaned_and_never_read(self, tmp_path):
+        """What a pre-packed-layout build left behind: one directory per
+        image holding a manifest and a file per blob."""
+        committed_image(tmp_path)
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        (legacy / "blob-0000.bin").write_bytes(b"RIMG2\x00payload")
+        (legacy / "MANIFEST.json").write_text(
+            json.dumps(
+                {
+                    "layout_version": 1,
+                    "codec_version": 2,
+                    "image_id": "legacy",
+                    "control_file": "control.bin",
+                    "files": {
+                        "blob-0000.bin": {"bytes": 13, "sha256": "0" * 64}
+                    },
+                    "blobs": [
+                        {"key": "k", "pages": 1, "file": "blob-0000.bin"}
+                    ],
+                }
+            )
+        )
+        store = ImageStore(str(tmp_path))
+        for read in (store.load, store.manifest, store.info, store.delete):
+            with pytest.raises(ImageNotFoundError):
+                read("legacy")
+        assert store.validate("legacy") == ["image 'legacy' not found"]
+        assert [i.image_id for i in store.list_images()] == ["good"]
+        assert store.gc(keep={"good"}) == []
+        report = store.recover()
+        assert report.orphaned == ["legacy"] and report.torn == []
+        assert report.committed == ["good"]
+        assert report.quarantined == [os.path.join("quarantine", "legacy")]
+        assert sorted(os.listdir(tmp_path / "quarantine" / "legacy")) == [
+            "MANIFEST.json",
+            "blob-0000.bin",
+        ]
+        assert store.load("good").entries

@@ -107,6 +107,29 @@ class TestTokenManagerLifecycle:
         with pytest.raises(TokenRedeemedError):
             manager.redeem(text)
 
+    def test_redeem_never_copies_or_walks_the_ledger(self, tmp_path):
+        """Redeeming is O(1) in the number of tokens ever redeemed: the
+        cached ledger is only probed and appended to."""
+
+        class ProbeOnlyLedger:
+            def __init__(self):
+                self._entries = set()
+
+            def __contains__(self, text):
+                return text in self._entries
+
+            def add(self, text):
+                self._entries.add(text)
+
+        store = ImageStore(str(tmp_path))
+        commit_image(store, "img-1")
+        manager = TokenManager(store)
+        manager._redeemed = ProbeOnlyLedger()
+        text = manager.issue("q1", "img-1", 1)
+        assert manager.redeem(text).image_id == "img-1"
+        with pytest.raises(TokenRedeemedError):
+            manager.redeem(text)
+
     def test_double_redeem_rejected_across_managers(self, tmp_path):
         """The ledger is durable: a second manager over the same root
         (another process, a restarted server) sees the redeem."""

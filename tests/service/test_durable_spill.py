@@ -8,8 +8,6 @@ change scheduling outcomes, and completed queries must garbage-collect
 their images.
 """
 
-import json
-
 import pytest
 
 from repro.core.lifecycle import SuspendSpec
@@ -143,29 +141,3 @@ class TestFastPathSpill:
         )
         # Durability never perturbs the simulation itself.
         assert self._outcome(stats) == self._outcome(full_stats)
-
-    def test_parallel_commit_matches_serial_byte_for_byte(
-        self, repeat, tmp_path
-    ):
-        traces = {}
-        for label, workers in (("serial", 0), ("parallel", 4)):
-            tracer = Tracer()
-            _, stats = run_trace(
-                repeat,
-                persist_to=str(tmp_path / label),
-                tracer=tracer,
-                commit_workers=workers,
-            )
-            traces[label] = (
-                [json.dumps(r, sort_keys=True) for r in tracer.records],
-                tracer.metrics.render_text(),
-                self._outcome(stats),
-            )
-        assert traces["serial"] == traces["parallel"]
-
-    def test_parallel_commit_images_validate(self, workload, tmp_path):
-        store = ImageStore(str(tmp_path), commit_workers=4)
-        scheduler, stats = run_trace(workload, persist_to=store)
-        assert stats.durable_spills == stats.suspends
-        # Completed queries GC their chains; nothing may linger.
-        assert store.list_images() == []

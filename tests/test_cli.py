@@ -143,3 +143,25 @@ class TestObservabilityFlags:
     def test_untraced_run_installs_no_tracer(self, capsys):
         assert main(["demo", "--rows", "5"]) == 0
         assert current_tracer() is NULL_TRACER
+
+
+class TestSuspendBeforeCompletion:
+    @pytest.mark.parametrize(
+        "extra", [[], ["--shards", "2"]], ids=["image", "shards"]
+    )
+    def test_recipe_that_finishes_first_is_a_one_line_error(
+        self, extra, tmp_path
+    ):
+        """hashagg emits 16 rows, fewer than the default --rows 50: there
+        is nothing left to suspend, and nothing may be committed."""
+        images = tmp_path / "images"
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["suspend", "--recipe", "hashagg", "--images", str(images)]
+                + extra
+            )
+        assert exit_info.value.code == (
+            "recipe 'hashagg' completed (16 rows) before the suspend "
+            "point; lower --rows or raise --scale"
+        )
+        assert not images.exists() or not any(images.iterdir())

@@ -1,11 +1,12 @@
-"""Guard on the public surface: one suspend vocabulary, one image writer,
-one clock mechanism.
+"""Guard on the public surface: one suspend vocabulary, one image format,
+one commit path, one clock mechanism.
 
-The deprecated suspend-API generations, the codec-v1 write path, the CLI
-aliases, the execution-path switch and the float-order charge variants
-are gone; these checks fail if any of them (or a new hidden spelling)
-comes back, and if a name the repository benchmark wraps at run time
-(``bench/layers.py``) stops resolving.
+The deprecated suspend-API generations, codec v1 and the directory
+layout (writers and readers), the parallel-commit pool and the
+``ImageStore`` tunables, the CLI aliases, the execution-path switch and
+the float-order charge variants are gone; these checks fail if any of
+them (or a new hidden spelling) comes back, and if a name the repository
+benchmark wraps at run time (``bench/layers.py``) stops resolving.
 """
 
 import argparse
@@ -18,15 +19,16 @@ import sys
 
 import repro
 import repro.durability
+import repro.durability.format
 import repro.storage.disk
 from repro import QuerySession, SchedulerConfig, SuspendSpec
 from repro.cli import build_parser
-from repro.durability import ImageStore, SaveRequest
+from repro.durability import ImageInfo, ImageStore, SaveRequest
 from repro.engine.config import EngineConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-REMOVED_EXPORTS = {"SuspendOptions"}
+REMOVED_EXPORTS = {"SuspendOptions", "CODEC_V1", "FORMAT_VERSION"}
 REMOVED_PARAMETERS = {
     "legacy",
     "codec",
@@ -36,6 +38,9 @@ REMOVED_PARAMETERS = {
     "image_store",
     "image_codec",
     "delta_spill",
+    "commit_workers",
+    "max_chain",
+    "compress",
 }
 
 
@@ -50,6 +55,7 @@ def field_names(cls) -> set:
 def test_no_removed_name_is_exported():
     for module in (repro, repro.durability):
         assert not REMOVED_EXPORTS & set(module.__all__)
+        assert not [name for name in REMOVED_EXPORTS if hasattr(module, name)]
         assert all(hasattr(module, name) for name in module.__all__)
 
 
@@ -66,13 +72,26 @@ def test_no_removed_parameter_or_field():
         parameters(ImageStore.save),
         field_names(SuspendSpec),
         field_names(SaveRequest),
+        field_names(SchedulerConfig),
     ):
         assert not REMOVED_PARAMETERS & names
-    # ``commit_workers`` lives on the spec (and the store), not on the
-    # scheduler config.
-    assert not (REMOVED_PARAMETERS | {"commit_workers"}) & field_names(
-        SchedulerConfig
-    )
+
+
+def test_image_store_has_no_tunables_and_one_format():
+    """Neither old-format reader nor a store knob can creep back."""
+    assert parameters(ImageStore.__init__) == {"self", "root", "injector"}
+    assert field_names(SuspendSpec) == {
+        "strategy",
+        "budget",
+        "plan",
+        "persist_to",
+        "delta",
+        "image_id",
+        "image_meta",
+        "base_image_id",
+    }
+    assert "layout_version" not in field_names(ImageInfo)
+    assert not hasattr(repro.durability.format, "is_layout1_file")
 
 
 def test_engine_config_has_no_execution_path_switch():
@@ -104,6 +123,9 @@ def test_cli_has_no_hidden_options():
     for parser in walk_parsers(build_parser()):
         for action in parser._actions:
             assert action.help is not argparse.SUPPRESS, action.option_strings
+            assert not {
+                "--" + name.replace("_", "-") for name in REMOVED_PARAMETERS
+            } & set(action.option_strings)
 
 
 def test_every_name_the_benchmark_wraps_resolves():
