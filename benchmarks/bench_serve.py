@@ -14,7 +14,10 @@ durable (delta) image — and reports:
 - determinism: each session's concatenated output rows are digested
   against an uninterrupted solo run of the same plan — any divergence
   fails the benchmark;
-- delta adoption: repeat suspends must commit delta images;
+- delta adoption: repeat suspends must commit delta images, and the
+  delta hops of ``sorted-join`` (whose sort sublists never change once
+  built) must reuse bytes from their base chain — a "delta" that
+  rewrites everything fails the benchmark;
 - durability cost: ``os.fsync`` calls per request, counted around the
   whole run. One packed file per image makes a token hop 1 (redeem) +
   2 (image) + 2 (pin) = 5 fsyncs whatever the image's blob count; more
@@ -76,6 +79,7 @@ def measure() -> dict:
         report["concurrent_peak"] >= CONCURRENCY_TARGET
     )
     fsyncs_per_request = round(fsyncs / report["requests"], 3)
+    sorted_join = report["images"]["delta_hops"]["sorted-join"]
     return {
         "benchmark": "continuation_token_serving",
         "quick": QUICK,
@@ -87,7 +91,9 @@ def measure() -> dict:
         **report,
         "pass": report["determinism"]["ok"]
         and concurrency_ok
-        and fsyncs_per_request <= FSYNC_BUDGET,
+        and fsyncs_per_request <= FSYNC_BUDGET
+        and sorted_join["commits"] > 0
+        and sorted_join["reused_bytes"] > 0,
     }
 
 
@@ -110,6 +116,9 @@ def test_serve_load(benchmark):
     assert result["images"]["delta_commits"] > 0, (
         "repeat suspends never committed a delta image"
     )
+    assert result["images"]["delta_hops"]["sorted-join"]["reused_bytes"] > 0, (
+        "sorted-join's delta images reused nothing from their base chain"
+    )
     assert result["fsyncs_per_request"] <= FSYNC_BUDGET
     if not QUICK:
         assert result["concurrent_peak"] >= CONCURRENCY_TARGET
@@ -124,5 +133,11 @@ if __name__ == "__main__":
         f"fsyncs per request: {snapshot['fsyncs_per_request']} "
         f"(budget {FSYNC_BUDGET})"
     )
+    for plan, hops in sorted(snapshot["images"]["delta_hops"].items()):
+        print(
+            f"delta commits of {plan}: {hops['commits']}, reused "
+            f"{hops['reuse_ratio']:.1%} of "
+            f"{hops['reused_bytes'] + hops['written_bytes']} bytes"
+        )
     print(f"[saved to {SNAPSHOT_PATH}]")
     raise SystemExit(0 if snapshot["pass"] else 1)

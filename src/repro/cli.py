@@ -429,7 +429,8 @@ def run_images(
     for row in rows:
         status = "ok" if row["valid"] else "INVALID: " + "; ".join(row["problems"])
         chain = (
-            f", delta of {row['base_image_id']} (chain {row['chain_length']})"
+            f", delta of {row['base_image_id']} (chain {row['chain_length']}"
+            f", reuses {row['reused_bytes']} bytes)"
             if row.get("base_image_id")
             else ""
         )
@@ -748,7 +749,14 @@ def run_loadgen_cli(
             f"{p} {v}" for p, v in sorted(fairness["per_plan"].items())
         ),
         f"images: {report['images']['delta_commits']} delta commits, "
-        f"{report['images']['full_commits']} full commits",
+        f"{report['images']['full_commits']} full commits; bytes the "
+        "delta commits reused instead of rewriting: "
+        + ", ".join(
+            f"{p} {h['reuse_ratio']:.1%} of "
+            f"{h['reused_bytes'] + h['written_bytes']}"
+            for p, h in sorted(report["images"]["delta_hops"].items())
+            if h["commits"]
+        ),
         "determinism: "
         + (
             "ok - every resumed session matched its uninterrupted run"

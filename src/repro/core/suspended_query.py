@@ -17,6 +17,7 @@ control-state pages, exactly as the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Optional
 
 from repro.common.errors import StorageError
@@ -96,6 +97,13 @@ class SuspendedQuery:
     #: Dump payloads exported for migration to a replica (see
     #: :meth:`export_payloads`). Empty when resuming in place.
     migrated_payloads: dict = field(default_factory=dict)
+    #: For payloads staged by ``ImageStore.load``: key -> the
+    #: :class:`~repro.storage.statefile.PayloadOrigin` of the verified
+    #: image section each was decoded from (in-process only, never part
+    #: of an image). :meth:`import_payloads` hands them to the state
+    #: store, which is how the next delta image knows the bytes are
+    #: already durable.
+    payload_origins: dict = field(default_factory=dict)
     #: State-store keys the suspended session had drawn (in-process only,
     #: never part of an image). A session resumed in place takes them
     #: over, so the query frees its payloads when it finally completes.
@@ -183,7 +191,12 @@ class SuspendedQuery:
                     f"{handle.key!r}"
                 )
             payload, pages = self.migrated_payloads[handle.key]
-            new = store.import_payload(handle.key, payload, pages)
+            new = store.import_payload(
+                handle.key,
+                payload,
+                pages,
+                origin=self.payload_origins.get(handle.key),
+            )
             mapping[handle.key] = new
             return new
 
@@ -196,28 +209,69 @@ class SuspendedQuery:
             )
             entry.ckpt_payload = _map_handles(entry.ckpt_payload, rehome)
         self.migrated_payloads = {}
+        self.payload_origins = {}
+
+
+#: Leaf types of control state and row cells: no handle can hide inside
+#: one, so the walks below neither push nor descend into them.
+_SCALARS = frozenset({int, str, float, bool, type(None), bytes})
+_all_scalars = _SCALARS.issuperset
+_ROWS_ONLY = {tuple}
 
 
 def _iter_handles(obj):
-    """Yield every DumpHandle nested anywhere inside ``obj``."""
-    if isinstance(obj, DumpHandle):
-        yield obj
-    elif isinstance(obj, dict):
-        for value in obj.values():
-            yield from _iter_handles(value)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            yield from _iter_handles(value)
+    """Yield every DumpHandle nested anywhere inside ``obj``, in
+    depth-first order.
+
+    One explicit stack instead of a generator per node: a checkpoint
+    payload can carry whole hash partitions inline, so nearly every node
+    is a scalar cell, skipped on sight, or a row of them, dismissed by
+    one pass over its cell types without being pushed. A whole list of
+    such rows — one partition — goes in two C-level passes, one over
+    the row types and one over every cell type.
+    """
+    stack = [obj]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, DumpHandle):
+            yield obj
+            continue
+        if isinstance(obj, dict):
+            obj = obj.values()
+        elif not isinstance(obj, (list, tuple)):
+            continue
+        if set(map(type, obj)) == _ROWS_ONLY and _all_scalars(
+            map(type, chain.from_iterable(obj))
+        ):
+            continue
+        pending = [
+            v
+            for v in obj
+            if type(v) not in _SCALARS
+            and not (type(v) is tuple and _all_scalars(map(type, v)))
+        ]
+        if pending:
+            pending.reverse()
+            stack += pending
 
 
 def _map_handles(obj, fn):
-    """Return ``obj`` with every nested DumpHandle replaced by ``fn(h)``."""
+    """Return ``obj`` with every nested DumpHandle replaced by ``fn(h)``:
+    a structurally equal copy (scalars, and tuples of nothing but
+    scalars, are immutable and shared with the original)."""
     if isinstance(obj, DumpHandle):
         return fn(obj)
     if isinstance(obj, dict):
-        return {k: _map_handles(v, fn) for k, v in obj.items()}
+        return {
+            k: v if type(v) in _SCALARS else _map_handles(v, fn)
+            for k, v in obj.items()
+        }
     if isinstance(obj, list):
-        return [_map_handles(v, fn) for v in obj]
+        return [v if type(v) in _SCALARS else _map_handles(v, fn) for v in obj]
     if isinstance(obj, tuple):
-        return tuple(_map_handles(v, fn) for v in obj)
+        if _all_scalars(map(type, obj)):
+            return obj
+        return tuple(
+            v if type(v) in _SCALARS else _map_handles(v, fn) for v in obj
+        )
     return obj

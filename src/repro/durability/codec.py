@@ -25,7 +25,7 @@ already on disk.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.errors import ReproError
 from repro.engine import plan as plan_module

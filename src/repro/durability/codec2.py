@@ -40,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 import zlib
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Optional
 
 from repro.core.strategies import OpDecision, Strategy, SuspendPlan
 from repro.core.suspended_query import OpSuspendEntry, SuspendedQuery
@@ -73,9 +73,6 @@ INTERN_MAX_BYTES = 512
 #: Minimum row count before a list of tuples becomes a columnar block.
 ROWS_MIN = 4
 ROWS_MAX_ARITY = 64
-
-_I64_MIN = -(2**63)
-_I64_MAX = 2**63 - 1
 
 # Value tags ------------------------------------------------------------
 T_NONE = 0
@@ -252,12 +249,10 @@ class _Encoder:
         self.uvarint(arity)
         for col in range(arity):
             values = [row[col] for row in rows]
-            ctype = _column_type(values)
+            ctype, packed = _typed_column(values)
             buf.append(ctype)
-            if ctype == C_I64:
-                buf += struct.pack(f"<{nrows}q", *values)
-            elif ctype == C_F64:
-                buf += struct.pack(f"<{nrows}d", *values)
+            if packed is not None:
+                buf += packed
             elif ctype == C_STR:
                 for s in values:
                     self.string(s)
@@ -277,23 +272,26 @@ def _rows_shape(v: list) -> bool:
     return all(type(row) is tuple and len(row) == arity for row in v)
 
 
-def _column_type(values: list) -> int:
-    first = type(values[0])
-    if first is int:
-        if all(
-            type(x) is int and _I64_MIN <= x <= _I64_MAX for x in values
-        ):
-            return C_I64
-        return C_GEN
-    if first is float:
-        if all(type(x) is float for x in values):
-            return C_F64
-        return C_GEN
-    if first is str:
-        if all(type(x) is str for x in values):
-            return C_STR
-        return C_GEN
-    return C_GEN
+#: Column type of a column whose cells all have exactly this type.
+_COLUMN_TYPES = {int: C_I64, float: C_F64, str: C_STR}
+
+
+def _typed_column(values: list) -> tuple[int, Optional[bytes]]:
+    """Column type of ``values`` and, for a numeric column, its packed
+    bytes. The cell types are collected in one C-level pass (a hash
+    partition is tens of thousands of cells per save), and the int64
+    range check is the bulk pack itself: a cell outside it demotes the
+    column to per-cell encoding."""
+    kinds = set(map(type, values))
+    ctype = _COLUMN_TYPES.get(kinds.pop(), C_GEN) if len(kinds) == 1 else C_GEN
+    if ctype == C_I64:
+        try:
+            return C_I64, struct.pack(f"<{len(values)}q", *values)
+        except struct.error:
+            return C_GEN, None
+    if ctype == C_F64:
+        return C_F64, struct.pack(f"<{len(values)}d", *values)
+    return ctype, None
 
 
 class _Decoder:

@@ -336,11 +336,31 @@ def validate_manifest_dict(manifest: Any) -> None:
         if not isinstance(entry, dict) or not required <= set(entry):
             raise ImageFormatError(f"malformed file entry for {name!r}")
     for blob in manifest["blobs"]:
-        if not isinstance(blob, dict) or "key" not in blob:
+        if (
+            not isinstance(blob, dict)
+            or "key" not in blob
+            or not isinstance(blob.get("pages"), int)
+        ):
             raise ImageFormatError("malformed blob entry in manifest")
-        if "file" not in blob and "ref" not in blob:
+        if "file" in blob:
+            if (
+                not isinstance(blob["file"], str)
+                or blob["file"] not in manifest["files"]
+            ):
+                raise ImageFormatError(
+                    f"blob {blob['key']!r} names a file the manifest lacks"
+                )
+        elif "ref" in blob:
+            ref = blob["ref"]
+            if not isinstance(ref, dict) or not all(
+                isinstance(ref.get(part), str) for part in ("image_id", "file")
+            ):
+                raise ImageFormatError(
+                    f"blob {blob['key']!r} has a malformed reference"
+                )
+        else:
             raise ImageFormatError(
-                f"blob {blob.get('key')!r} has neither a local file nor a "
+                f"blob {blob['key']!r} has neither a local file nor a "
                 "base-chain reference"
             )
 

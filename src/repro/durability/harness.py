@@ -23,10 +23,12 @@ mid-document, one on the trailer leaves a file with no valid trailer.
 All must classify as torn, never silently corrupt.
 
 The **delta matrix** (:func:`run_delta_crash_matrix`) commits a base
-image cleanly, bumps one payload's generation, and strikes the *delta*
-commit. The claim strengthens: the delta is torn/quarantined as usual
-AND the base image must remain committed and loadable — a crashed delta
-can never take its chain down with it.
+image cleanly, continues from it the way a resumed process does (load,
+re-import the payloads), re-dumps one payload, and strikes the *delta*
+commit — a delta whose references rest on payload provenance carried
+across the load. The claim strengthens: the delta is torn/quarantined as
+usual AND the base image must remain committed and loadable — a crashed
+delta can never take its chain down with it.
 """
 
 from __future__ import annotations
@@ -193,10 +195,10 @@ def run_crash_matrix(
 def bump_one_generation(sq: SuspendedQuery, store: StateStore) -> None:
     """Re-dump one referenced payload so the next delta must rewrite it.
 
-    The payload bytes are unchanged but its write generation advances,
-    which is exactly what a repeat suspend after more execution looks
-    like to the delta planner — so the delta commit carries one local
-    blob alongside its base-chain references.
+    The payload bytes are unchanged but the dump forgets where they were
+    durable, which is exactly what a repeat suspend after more execution
+    looks like to the delta planner — so the delta commit carries one
+    local blob alongside its base-chain references.
     """
     handles = sq.referenced_handles()
     if not handles:
@@ -206,9 +208,18 @@ def bump_one_generation(sq: SuspendedQuery, store: StateStore) -> None:
     store.dump(key, payload, pages)
 
 
-def _commit_base(sq: SuspendedQuery, store: StateStore, root: str) -> None:
-    ImageStore(root).save(sq, store, image_id="base")
-    bump_one_generation(sq, store)
+def _commit_base(
+    sq: SuspendedQuery, store: StateStore, root: str
+) -> SuspendedQuery:
+    """Commit ``base`` and return the query as a resume from it holds it:
+    loaded back, payloads re-imported under fresh keys whose origins are
+    sections of ``base``, one of them re-dumped."""
+    image_store = ImageStore(root)
+    image_store.save(sq, store, image_id="base")
+    resumed = image_store.load("base")
+    resumed.import_payloads(store)
+    bump_one_generation(resumed, store)
+    return resumed
 
 
 def enumerate_delta_faults(
@@ -217,7 +228,7 @@ def enumerate_delta_faults(
 ) -> tuple[list[str], list[str]]:
     """Crash points / torn labels a *delta* commit actually passes."""
     sq, store = make_suspended()
-    _commit_base(sq, store, scratch_root)
+    sq = _commit_base(sq, store, scratch_root)
     recorder = FaultInjector()
     ImageStore(scratch_root, injector=recorder).save(
         sq, store, image_id="probe", base_image_id="base"
@@ -240,7 +251,7 @@ def run_one_delta_fault(
     delta began, and nothing the delta does may disturb it.
     """
     sq, store = make_suspended()
-    _commit_base(sq, store, root)
+    sq = _commit_base(sq, store, root)
     crashed = False
     detail = ""
     try:

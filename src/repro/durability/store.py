@@ -16,20 +16,24 @@ Responsibilities:
   (:mod:`repro.durability.codec2`) and stamped ``codec_version: 2`` in
   the manifest;
 - **delta images** — ``save(..., base_image_id=...)`` commits only the
-  blobs whose ``(key, pages, generation)`` triple is not already
-  persisted somewhere in the base image's chain; unchanged payloads
-  become manifest *references* ``(image_id, file)`` into the ancestor
-  image. Resume materializes the base+delta chain transparently, and
+  payloads whose bytes are not already a section of an image in the base
+  chain. The state store remembers, per key, the verified section a
+  payload was loaded from or last committed to (its *origin*; any
+  re-dump forgets it), so an unchanged payload becomes a manifest
+  *reference* ``(image_id, file)`` to the ancestor that physically holds
+  the bytes — in the saving process or any process that loaded the base.
+  Resume materializes the base+delta chain transparently, and
   :meth:`delete_chain` / :meth:`gc` collect whole chains together;
 - :meth:`ImageStore.save_many` — commit a batch of images (one memory-
   pressure event's victims) serially in request order, after every
   request in the batch has been checked;
 - :meth:`ImageStore.load` — verify checksums and reconstruct the
-  SuspendedQuery with its payloads staged for import (the existing
-  migration path charges the simulated-disk writes on resume, so cost
-  accounting survives the process boundary). The packed ``<id>.rimg``
-  with codec-v2 sections is the only form read; a file stamped with any
-  other layout or codec version is rejected as a format error;
+  SuspendedQuery with its payloads, and the origin of each, staged for
+  import (the existing migration path charges the simulated-disk writes
+  on resume, so cost accounting survives the process boundary). The
+  packed ``<id>.rimg`` with codec-v2 sections is the only form read; a
+  file stamped with any other layout or codec version is rejected as a
+  format error;
 - :meth:`ImageStore.recover` — the startup scan: classify every entry
   under the root as committed, torn, or orphaned, and quarantine the bad
   ones instead of crashing;
@@ -71,7 +75,7 @@ from repro.durability.format import (
     read_manifest,
     write_packed_image,
 )
-from repro.storage.statefile import StateStore
+from repro.storage.statefile import PayloadOrigin, StateStore
 
 
 class ImageNotFoundError(ReproError):
@@ -92,6 +96,23 @@ PINS_NAME = "PINS.json"
 #: (:class:`repro.serve.tokens.TokenManager`); named here so the
 #: recovery scan knows it is store metadata, not an image.
 TOKENS_NAME = "TOKENS.json"
+
+
+def _held_sections(manifest: dict) -> dict[str, dict]:
+    """``section -> {key, pages, sha256, bytes}`` for every payload an
+    image physically holds (its references to ancestors excluded) — what
+    a reference into this image may name."""
+    files = manifest["files"]
+    return {
+        blob["file"]: {
+            "key": blob["key"],
+            "pages": blob["pages"],
+            "sha256": files[blob["file"]]["sha256"],
+            "bytes": files[blob["file"]]["bytes"],
+        }
+        for blob in manifest["blobs"]
+        if "file" in blob
+    }
 
 
 @dataclass(frozen=True)
@@ -172,16 +193,16 @@ class _PreparedSave:
     base_image_id: Optional[str]
     #: Images in the base+delta chain once this one commits.
     chain_length: int
-    #: Local blobs to encode+write: (file name, key, pages, gen, payload).
+    #: Local blobs to encode+write: (file name, key, pages, payload).
     local_blobs: list
     #: Manifest entries for payloads reused from the base chain.
     ref_blobs: list
     reused_bytes: int
     sq: SuspendedQuery
+    #: The exporting StateStore: told, once the image is committed, which
+    #: section now holds each locally written payload.
+    store: StateStore
     meta: dict
-    #: Epoch of the exporting StateStore, recorded per blob so a later
-    #: delta can prove its (key, pages, gen) triples are comparable.
-    epoch: Optional[str] = None
 
 
 class ImageStore:
@@ -226,12 +247,13 @@ class ImageStore:
         streamed into one temp file, fsynced once, and renamed; the
         rename is the commit point.
 
-        With ``base_image_id`` set, payloads already persisted in the
-        base chain (same key, pages, and state-store generation) are
-        *referenced* instead of rewritten — a delta image. The base must
-        stay on disk for the delta to load; use :meth:`delete_chain` /
-        :meth:`gc` to collect chains together. When the chain has
-        reached ``MAX_CHAIN`` images the save is promoted to a full one.
+        With ``base_image_id`` set, payloads whose origin (see
+        :meth:`StateStore.origin_of`) is a section of an image in the
+        base chain are *referenced* instead of rewritten — a delta
+        image. The base must stay on disk for the delta to load; use
+        :meth:`delete_chain` / :meth:`gc` to collect chains together.
+        When the chain has reached ``MAX_CHAIN`` images the save is
+        promoted to a full one.
         """
         prep = self._prepare_save(
             SaveRequest(
@@ -268,71 +290,67 @@ class ImageStore:
         image_id = req.image_id or f"img-{uuid.uuid4().hex[:12]}"
         if os.sep in image_id or image_id.startswith("."):
             raise ValueError(f"invalid image id {image_id!r}")
-        if self._locate(image_id) is not None:
+        if os.path.lexists(self._image_path(image_id)):
             raise ValueError(f"image {image_id!r} already exists")
 
         base_image_id = req.base_image_id
-        persisted: dict[str, dict] = {}
-        chain_length = 1
+        chain: list[str] = []
         if base_image_id is not None:
             chain = self.chain(base_image_id)
             if len(chain) >= MAX_CHAIN:
                 # Rebase: a full image caps the resume/validate fan-out.
                 base_image_id = None
-            else:
-                persisted = self._chain_blob_map(chain)
-                chain_length = len(chain) + 1
+                chain = []
 
         local_blobs = []
         ref_blobs = []
         reused_bytes = 0
+        held: dict[str, dict] = {}  # chain image -> sections it holds
         handles = req.sq.referenced_handles()
-        epoch = req.store.epoch
         for key in sorted(handles):
-            handle = handles[key]
-            payload, pages = req.store.export_payload(handle)
-            gen = req.store.generation(key)
-            prior = persisted.get(key)
-            if (
-                prior is not None
-                and prior["pages"] == pages
-                and prior.get("gen", -1) == gen
-                and gen > 0
-                # Keys and generations restart with every StateStore
-                # instance, so the triple only proves byte-equality when
-                # the base blob came from this same store (same epoch).
-                # A fresh process resuming via token re-writes instead.
-                and prior.get("epoch") == epoch
+            payload, pages = req.store.export_payload(handles[key])
+            origin = req.store.origin_of(key)
+            section = None
+            if origin is not None and origin.image_id in chain:
+                if origin.image_id not in held:
+                    held[origin.image_id] = _held_sections(
+                        self.manifest(origin.image_id)
+                    )
+                section = held[origin.image_id].get(origin.section)
+            if section is not None and (
+                section["sha256"] == origin.sha256
+                and section["pages"] == pages
             ):
-                # Dump payloads are immutable once stored; an identical
-                # (key, pages, generation) triple in the base chain means
-                # the bytes are already durable — reference, don't rewrite.
+                # Dump payloads are immutable once stored and this one has
+                # not been re-dumped since it was read from, or written
+                # to, a section an image of the base chain still holds
+                # with the same digest (an image id reused for other
+                # bytes never matches): the bytes are already durable —
+                # reference the image that physically owns them.
                 ref_blobs.append(
                     {
                         "key": key,
                         "pages": pages,
-                        "gen": gen,
-                        "epoch": epoch,
                         "ref": {
-                            "image_id": prior["image_id"],
-                            "file": prior["file"],
+                            "image_id": origin.image_id,
+                            "file": origin.section,
                         },
                     }
                 )
-                reused_bytes += prior["bytes"]
+                reused_bytes += section["bytes"]
             else:
                 name = f"{BLOB_PREFIX}{len(local_blobs):04d}"
-                local_blobs.append((name, key, pages, gen, payload))
+                local_blobs.append((name, key, pages, payload))
         return _PreparedSave(
             image_id=image_id,
             base_image_id=base_image_id,
-            chain_length=chain_length,
+            chain_length=len(chain) + 1,
             local_blobs=local_blobs,
             ref_blobs=ref_blobs,
             reused_bytes=reused_bytes,
             sq=req.sq,
+            store=req.store,
             meta=dict(req.meta or {}),
-            epoch=epoch,
         )
 
     def _write_image(self, prep: _PreparedSave) -> dict:
@@ -345,20 +363,14 @@ class ImageStore:
 
         files = [
             (name, stream({"key": key, "pages": pages, "payload": payload}))
-            for name, key, pages, _, payload in prep.local_blobs
+            for name, key, pages, payload in prep.local_blobs
         ]
         files.append(
             (CONTROL_NAME_V2, stream(codec2.suspended_query_to_record(prep.sq)))
         )
         blobs = [
-            {
-                "file": name,
-                "key": key,
-                "pages": pages,
-                "gen": gen,
-                "epoch": prep.epoch,
-            }
-            for name, key, pages, gen, _ in prep.local_blobs
+            {"file": name, "key": key, "pages": pages}
+            for name, key, pages, _ in prep.local_blobs
         ]
         blobs.extend(dict(entry) for entry in prep.ref_blobs)
         blobs.sort(key=lambda b: b["key"])
@@ -418,11 +430,11 @@ class ImageStore:
                 step="control",
                 bytes=result["control_bytes"],
             )
-            # payload_bytes/bytes_written exclude the manifest (its blob
-            # epochs and commit time differ between runs, and trace
-            # records must stay byte-deterministic). encode_seconds is
-            # wall clock, so it goes to the volatile metrics only, never
-            # into trace records.
+            # payload_bytes/bytes_written exclude the manifest (its
+            # commit time differs between runs, and trace records must
+            # stay byte-deterministic). encode_seconds is wall clock, so
+            # it goes to the volatile metrics only, never into trace
+            # records.
             tracer.event(
                 "image.commit",
                 ts=now,
@@ -451,6 +463,14 @@ class ImageStore:
             ).observe(result["encode_seconds"])
         # The manifest just written is the manifest on disk: remember it.
         self._manifest_cache[prep.image_id] = manifest
+        # ... and every payload it wrote now lives in this image.
+        for name, key, _, _ in prep.local_blobs:
+            prep.store.committed_to(
+                key,
+                PayloadOrigin(
+                    prep.image_id, name, manifest["files"][name]["sha256"]
+                ),
+            )
         return ImageInfo(
             image_id=prep.image_id,
             path=self._image_path(prep.image_id),
@@ -473,9 +493,11 @@ class ImageStore:
         return os.path.join(self.root, image_id + IMAGE_SUFFIX)
 
     def _locate(self, image_id: str) -> Optional[str]:
-        """Path of a committed image's packed file, or None."""
+        """Path of a committed image's packed file, or None. Only a
+        regular file is an image: a stray directory of that name is
+        recover()'s to quarantine, not ours to open."""
         path = self._image_path(image_id)
-        return path if os.path.exists(path) else None
+        return path if os.path.isfile(path) else None
 
     def manifest(self, image_id: str) -> dict:
         """Parse and structurally validate an image's manifest."""
@@ -508,31 +530,6 @@ class ImageStore:
             current = self.manifest(current).get("base_image_id")
         return chain
 
-    def _chain_blob_map(self, chain: list[str]) -> dict[str, dict]:
-        """Newest-wins map of every payload persisted along a chain:
-        key -> {pages, gen, image_id (owner of the file), file, bytes}."""
-        persisted: dict[str, dict] = {}
-        for ancestor in reversed(chain):  # oldest first; tip overrides
-            manifest = self.manifest(ancestor)
-            for blob in manifest["blobs"]:
-                if "file" in blob:
-                    owner, fname = ancestor, blob["file"]
-                    nbytes = manifest["files"][fname]["bytes"]
-                else:
-                    ref = blob["ref"]
-                    owner, fname = ref["image_id"], ref["file"]
-                    prior = persisted.get(blob["key"])
-                    nbytes = prior["bytes"] if prior else 0
-                persisted[blob["key"]] = {
-                    "pages": blob["pages"],
-                    "gen": blob.get("gen", -1),
-                    "epoch": blob.get("epoch"),
-                    "image_id": owner,
-                    "file": fname,
-                    "bytes": nbytes,
-                }
-        return persisted
-
     def _decode_blob(self, data: bytes) -> dict:
         decoded = codec2.decode_bytes(data)
         if not isinstance(decoded, dict) or not {
@@ -545,8 +542,9 @@ class ImageStore:
 
     @contextlib.contextmanager
     def _readers(self):
-        """Yield ``reader_of(image_id) -> (manifest, read)``: verified
-        reads over any image, one open file per image touched."""
+        """Yield ``reader_of(image_id) -> (manifest, read, held)``:
+        verified reads over any image, one open file per image touched,
+        and the payload sections it holds (:func:`_held_sections`)."""
         with contextlib.ExitStack() as stack:
             readers: dict[str, tuple] = {}
 
@@ -556,7 +554,11 @@ class ImageStore:
                     read = stack.enter_context(
                         open_image(self._image_path(image_id), manifest)
                     )
-                    readers[image_id] = (manifest, read)
+                    readers[image_id] = (
+                        manifest,
+                        read,
+                        _held_sections(manifest),
+                    )
                 return readers[image_id]
 
             yield reader_of
@@ -566,34 +568,67 @@ class ImageStore:
 
         Every file is checksum-verified before anything is decoded; for
         delta images the base chain is walked and referenced blobs are
-        verified against *their* owning image's manifest. The returned
-        structure has its dump payloads staged in ``migrated_payloads``;
-        ``QuerySession.resume`` imports them into the target database's
-        state store, charging the page writes there exactly as a
-        migration to a replica would.
+        verified against *their* owning image's manifest, which must be
+        an image of that chain. A blob record embeds the key it was first
+        written under, so it is checked against the entry of the image
+        that holds the section (a reference keeps the section and may
+        name it by a later key). The returned structure has its dump
+        payloads staged in ``migrated_payloads`` and the section each came
+        from in ``payload_origins``; ``QuerySession.resume`` imports them
+        into the target database's state store, charging the page writes
+        there exactly as a migration to a replica would.
         """
+        chain = self.chain(image_id)
         with self._readers() as reader_of:
-            manifest, read = reader_of(image_id)
+            manifest, read, _ = reader_of(image_id)
             sq = codec2.decode_suspended_query(read(manifest["control_file"]))
             payloads: dict = {}
+            origins: dict = {}
             for blob in manifest["blobs"]:
                 if "file" in blob:
                     owner_id, fname = image_id, blob["file"]
                 else:
                     owner_id = blob["ref"]["image_id"]
                     fname = blob["ref"]["file"]
-                _, read = reader_of(owner_id)
+                    self._check_ref(blob, chain, reader_of)
+                _, read, held = reader_of(owner_id)
                 decoded = self._decode_blob(read(fname))
                 if (
-                    decoded["key"] != blob["key"]
+                    decoded["key"] != held[fname]["key"]
                     or decoded["pages"] != blob["pages"]
                 ):
                     raise ImageFormatError(
                         f"blob {fname!r} does not match its manifest entry"
                     )
                 payloads[blob["key"]] = (decoded["payload"], blob["pages"])
+                origins[blob["key"]] = PayloadOrigin(
+                    owner_id, fname, held[fname]["sha256"]
+                )
         sq.migrated_payloads = payloads
+        sq.payload_origins = origins
         return sq
+
+    @staticmethod
+    def _check_ref(blob: dict, chain: list[str], reader_of) -> None:
+        """Raise unless a reference names a payload section, of the same
+        page count, held by an image of ``chain``.
+
+        :meth:`gc` and :meth:`delete_chain` keep a tip's ``base_image_id``
+        chain and nothing else, so bytes referenced from outside it would
+        not survive the next collection.
+        """
+        ref = blob["ref"]
+        if ref["image_id"] not in chain:
+            raise ImageFormatError(
+                f"reference into {ref['image_id']!r}, which is not in the "
+                "image's base chain"
+            )
+        held = reader_of(ref["image_id"])[2].get(ref["file"])
+        if held is None or held["pages"] != blob["pages"]:
+            raise ImageFormatError(
+                f"{ref['image_id']!r} holds no {blob['pages']}-page payload "
+                f"section {ref['file']!r}"
+            )
 
     def info(self, image_id: str) -> ImageInfo:
         manifest = self.manifest(image_id)
@@ -665,8 +700,10 @@ class ImageStore:
         """Full verification; returns a list of problems (empty = ok).
 
         Delta images additionally require every chain reference to
-        resolve: the ancestor image must exist, its manifest must carry
-        the referenced file, and the file must verify against the
+        resolve: the ancestor image must exist and be part of this
+        image's base chain (the only images :meth:`gc` keeps for it), its
+        manifest must hold the referenced section as a payload of the
+        same page count, and the section must verify against the
         ancestor's checksums.
         """
         problems: list[str] = []
@@ -679,22 +716,24 @@ class ImageStore:
         except ImageFormatError as exc:
             return [str(exc)]
         with self._readers() as reader_of:
-            _, read = reader_of(image_id)
+            read = reader_of(image_id)[1]
             for name in manifest["files"]:
                 try:
                     read(name)
                 except ImageFormatError as exc:
                     problems.append(str(exc))
-            if manifest.get("base_image_id") is not None:
-                try:
-                    self.chain(image_id)
-                except (ImageNotFoundError, ImageFormatError) as exc:
-                    problems.append(f"broken image chain: {exc}")
+            chain = None
+            try:
+                chain = self.chain(image_id)
+            except (ImageNotFoundError, ImageFormatError) as exc:
+                problems.append(f"broken image chain: {exc}")
             for blob in manifest["blobs"]:
                 if "ref" not in blob:
                     continue
                 ref = blob["ref"]
                 try:
+                    if chain is not None:
+                        self._check_ref(blob, chain, reader_of)
                     reader_of(ref["image_id"])[1](ref["file"])
                 except (ImageNotFoundError, ImageFormatError) as exc:
                     problems.append(
@@ -713,7 +752,7 @@ class ImageStore:
         try:
             os.unlink(self._image_path(image_id))
             return True
-        except FileNotFoundError:
+        except (FileNotFoundError, IsADirectoryError):
             return False
 
     def delete(self, image_id: str) -> None:

@@ -17,6 +17,9 @@ Checkpoint behaviour, following the paper:
   boundary in phase 2 (the current build partition is the heap state and
   it empties between partitions), so GoBack in phase 2 just reloads the
   current partition from disk;
+- a join-phase checkpoint or dump carries the spilled partitions from the
+  current one on: the join never returns to a finished partition, so a
+  suspend image does not re-write the ones the probe is done with;
 - hybrid hash join keeps the first ``memory_partitions`` build partitions
   entirely in memory; those have no materialization point, making both
   suspend strategies expensive for them — exactly the weakness Example 9
@@ -429,12 +432,31 @@ class SimpleHashJoin(Operator):
             "emit_probe_row": getattr(self, "_emit_probe_row", None),
         }
 
+    def _live_disk(self, partitions: list[list[Row]]) -> list[list[Row]]:
+        """Snapshot of the spilled partitions, finished ones left out.
+
+        The join never returns to a partition it has finished, and every
+        state a checkpoint or dump is restored or rolled forward to lies
+        at or after the snapshot, so partitions before the current one
+        are never read again. They stay in place as empty lists (the
+        partition count is control state). A boundary checkpoint is taken
+        before the partition index advances, so it keeps the partition
+        just finished: a contract migrated onto it still names that one.
+        Carrying the dead partitions would re-write them with every
+        suspend image of the join phase.
+        """
+        live = self.current_partition
+        return [
+            list(rows) if p >= live else []
+            for p, rows in enumerate(partitions)
+        ]
+
     def _checkpoint_payload(self) -> dict:
         return {
             "phase": self.phase,
             "current_partition": self.current_partition,
-            "build_disk": [list(rows) for rows in self._build_disk],
-            "probe_disk": [list(rows) for rows in self._probe_disk],
+            "build_disk": self._live_disk(self._build_disk),
+            "probe_disk": self._live_disk(self._probe_disk),
             "memory_rows": [
                 list(self.build_pending[p])
                 for p in range(self.memory_partitions)
@@ -451,8 +473,8 @@ class SimpleHashJoin(Operator):
         return {
             "build_pending": [list(b) for b in self.build_pending],
             "probe_pending": [list(b) for b in self.probe_pending],
-            "build_disk": [list(rows) for rows in self._build_disk],
-            "probe_disk": [list(rows) for rows in self._probe_disk],
+            "build_disk": self._live_disk(self._build_disk),
+            "probe_disk": self._live_disk(self._probe_disk),
             "hash_rows": {
                 k: list(v) for k, v in self._hash_table.items()
             },

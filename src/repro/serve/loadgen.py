@@ -22,7 +22,9 @@ What it measures, on the shared virtual clock:
   fresh database — any divergence means suspend/resume through tokens
   changed query output, and the report says which sessions;
 - **delta adoption**: how many continuations committed delta images
-  rather than full ones.
+  rather than full ones, and — a delta that rewrites everything is a
+  delta in name only — how many bytes those commits *reused* from their
+  base chain against how many they wrote, per catalog plan.
 
 Used by ``benchmarks/bench_serve.py`` (full run, ≥1000 sessions →
 BENCH_serve.json) and the ``serve-smoke`` CI job (reduced run that
@@ -95,11 +97,16 @@ def run_loadgen(
     )
     per_session: dict[str, dict] = {}
     outstanding: list[tuple[str, str]] = []  # (session, token), FIFO
-    delta_commits = 0
     full_commits = 0
+    # Per plan, over its delta commits only: what they wrote and what
+    # they referenced in the base chain instead.
+    delta_hops = {
+        plan: {"commits": 0, "written_bytes": 0, "reused_bytes": 0}
+        for plan in names
+    }
 
     def account(session_name: str, result) -> None:
-        nonlocal delta_commits, full_commits
+        nonlocal full_commits
         entry = per_session[session_name]
         entry["rows"].extend(result.rows)
         entry["service_time"] += result.elapsed
@@ -110,7 +117,11 @@ def run_loadgen(
         else:
             outstanding.append((session_name, result.token))
             if result.base_image_id is not None:
-                delta_commits += 1
+                info = service.image_store.info(result.image_id)
+                hops = delta_hops[entry["plan"]]
+                hops["commits"] += 1
+                hops["written_bytes"] += info.total_bytes
+                hops["reused_bytes"] += info.reused_bytes
             else:
                 full_commits += 1
 
@@ -153,6 +164,11 @@ def run_loadgen(
         )
         for plan in names
     }
+    for hops in delta_hops.values():
+        total = hops["written_bytes"] + hops["reused_bytes"]
+        hops["reuse_ratio"] = (
+            round(hops["reused_bytes"] / total, 6) if total else 0.0
+        )
     report = {
         "sessions": sessions,
         "concurrent_peak": concurrent_peak,
@@ -174,8 +190,9 @@ def run_loadgen(
             "divergent_sessions": divergent,
         },
         "images": {
-            "delta_commits": delta_commits,
+            "delta_commits": sum(h["commits"] for h in delta_hops.values()),
             "full_commits": full_commits,
+            "delta_hops": delta_hops,
         },
         "completed": sum(
             1 for e in per_session.values() if e["done"]

@@ -272,10 +272,11 @@ class ExecutorCore:
 
         With delta spill enabled (``config.suspend.delta``), a repeat
         suspend commits a delta against the query's previous image:
-        materialized operator state that has not been re-dumped since
-        (same key, pages, and write generation) is referenced from the
-        base chain instead of re-encoded. The chain is collected as one
-        unit when the query completes.
+        materialized operator state that has not been re-dumped since it
+        was committed to — or, after a resume from the image, loaded
+        from — a section of the base chain is referenced there instead
+        of re-encoded (the state store tracks that origin per payload).
+        The chain is collected as one unit when the query completes.
         """
         spec = self.config.suspend
         options = SuspendSpec(strategy=spec.strategy, budget=spec.budget)

@@ -5,6 +5,13 @@ Dumping heap state charges page writes proportional to the state's size in
 pages; reading it back charges page reads. The stored payload is kept as a
 Python object (the "disk" is simulated), but all access is mediated by
 handles so the charging discipline cannot be bypassed accidentally.
+
+Beside the payloads the store keeps their *provenance*: for a payload
+that was imported from, or has been committed to, a durable suspend image,
+the image section that holds its bytes (:class:`PayloadOrigin`). It is
+bookkeeping about real bytes only — nothing here is charged for it — and
+is what lets a delta image reference an unchanged payload instead of
+re-encoding it (``repro.durability.store``).
 """
 
 from __future__ import annotations
@@ -12,9 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import uuid
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from repro.common.errors import StorageError
 from repro.storage.disk import SimulatedDisk
@@ -48,6 +54,16 @@ class DumpHandle:
     pages: int
 
 
+class PayloadOrigin(NamedTuple):
+    """Where a payload's durable bytes already live: it is byte-for-byte
+    the verified section ``section`` (SHA-256 ``sha256``) of the suspend
+    image ``image_id``."""
+
+    image_id: str
+    section: str
+    sha256: str
+
+
 class StateStore:
     """Keyed object store with page-granular I/O charging.
 
@@ -72,17 +88,14 @@ class StateStore:
         # serialized into suspend images, so without scoping the image
         # bytes would depend on what *other* queries did first.
         self._scoped_seq: dict[tuple[str, str], itertools.count] = {}
-        # Per-key write generation: bumped every time a key is (re)dumped.
-        # Delta suspend images use it to prove a payload is byte-identical
-        # to the one a base image already persisted without re-encoding it.
-        self._generations: dict[str, int] = {}
-        # Keys and generations are only unique within one store instance:
-        # a fresh process restarts both counters, so the same (key, pages,
-        # generation) triple can name different bytes in different
-        # processes. The epoch disambiguates — delta reuse additionally
-        # requires the exporting store's epoch to match the one recorded
-        # in the base image.
-        self.epoch = uuid.uuid4().hex
+        # Payload provenance: key -> the image section that already holds
+        # this payload's bytes. Recorded when a payload is imported from a
+        # verified section or has just been committed to one; dropped by
+        # any dump to the key and by free. A delta suspend image references
+        # such a payload in its base chain instead of re-encoding it. A
+        # side table, not a DumpHandle field: handles are serialized into
+        # control records, provenance must never change image bytes.
+        self._origins: dict[str, PayloadOrigin] = {}
 
     def fresh_key(self, prefix: str, scope: Optional[str] = None) -> str:
         """Generate a unique key with the given prefix.
@@ -104,7 +117,7 @@ class StateStore:
             raise ValueError(f"negative page count {pages}")
         self._disk.write_pages(pages)
         self._objects[key] = (payload, pages)
-        self._generations[key] = self._generations.get(key, 0) + 1
+        self._origins.pop(key, None)
         return DumpHandle(self._store_id, key, pages)
 
     def dump_tuples(
@@ -153,30 +166,63 @@ class StateStore:
         payload, pages = self._objects[handle.key]
         return payload, pages
 
-    def import_payload(self, key: str, payload: Any, pages: int) -> DumpHandle:
+    def import_payload(
+        self,
+        key: str,
+        payload: Any,
+        pages: int,
+        origin: Optional[PayloadOrigin] = None,
+    ) -> DumpHandle:
         """Store a migrated payload under a fresh local key, charging the
-        page writes — the receiving side of a migration pays the transfer."""
-        return self.dump(self.fresh_key(import_prefix(key)), payload, pages)
+        page writes — the receiving side of a migration pays the transfer.
+
+        ``origin`` names the verified image section the payload was decoded
+        from (``ImageStore.load`` supplies it); see :meth:`origin_of`.
+        """
+        return self._import_as(
+            self.fresh_key(import_prefix(key)), payload, pages, origin
+        )
+
+    def _import_as(
+        self,
+        key: str,
+        payload: Any,
+        pages: int,
+        origin: Optional[PayloadOrigin],
+    ) -> DumpHandle:
+        handle = self.dump(key, payload, pages)
+        if origin is not None:
+            self._origins[key] = origin
+        return handle
 
     def free(self, handle: DumpHandle) -> None:
         """Release a payload. Freeing is not charged (deallocation)."""
         self._check_handle(handle)
         del self._objects[handle.key]
+        self._origins.pop(handle.key, None)
 
     def free_keys(self, keys) -> None:
         """Release the payloads under ``keys``; absent keys are skipped."""
         for key in keys:
             self._objects.pop(key, None)
+            self._origins.pop(key, None)
 
-    def generation(self, key: str) -> int:
-        """Write generation of ``key`` (0 = never dumped here).
+    def origin_of(self, key: str) -> Optional[PayloadOrigin]:
+        """The image section that holds ``key``'s payload, if one is known.
 
         Dump payloads are immutable once stored (the paper treats them as
-        materialization points), so ``(key, pages, generation)`` equality
-        against an earlier export proves the payload bytes are unchanged —
-        the test the delta-image path uses to skip re-encoding.
+        materialization points), so a payload that has not been re-dumped
+        since it was loaded from, or committed to, a section is still that
+        section byte for byte — the test the delta-image path uses to
+        reference it instead of re-encoding it.
         """
-        return self._generations.get(key, 0)
+        return self._origins.get(key)
+
+    def committed_to(self, key: str, origin: PayloadOrigin) -> None:
+        """Record that ``key``'s payload has just been durably committed
+        as ``origin`` (``ImageStore`` calls this after a save)."""
+        if key in self._objects:
+            self._origins[key] = origin
 
     def exists(self, key: str) -> bool:
         return key in self._objects
@@ -223,9 +269,15 @@ class ScopedStateStore:
         self._base.free_keys(self.keys)
         self.keys.clear()
 
-    def import_payload(self, key: str, payload: Any, pages: int) -> DumpHandle:
-        return self._base.dump(
-            self.fresh_key(import_prefix(key)), payload, pages
+    def import_payload(
+        self,
+        key: str,
+        payload: Any,
+        pages: int,
+        origin: Optional[PayloadOrigin] = None,
+    ) -> DumpHandle:
+        return self._base._import_as(
+            self.fresh_key(import_prefix(key)), payload, pages, origin
         )
 
     def __getattr__(self, name):

@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, QuerySession, SuspendSpec
 from repro.common.errors import StorageError
@@ -11,8 +13,11 @@ from repro.core.suspended_query import (
     KIND_GOBACK,
     OpSuspendEntry,
     SuspendedQuery,
+    _iter_handles,
+    _map_handles,
 )
 from repro.core.strategies import SuspendPlan
+from repro.storage.statefile import DumpHandle
 
 from tests.conftest import make_small_db, tiny_nlj_plan
 
@@ -100,3 +105,75 @@ class TestMigrationPayloads:
         # forgot export_payloads: resume on the replica must fail loudly
         with pytest.raises(StorageError):
             QuerySession.resume(replica, sq)
+
+
+def iter_handles_reference(obj):
+    """The recursive walk ``_iter_handles`` replaced, kept as its oracle."""
+    if isinstance(obj, DumpHandle):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from iter_handles_reference(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from iter_handles_reference(value)
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+)
+HANDLES = st.builds(
+    DumpHandle, st.just(1), st.sampled_from(["a#1", "b#2", "c#3"]), st.just(2)
+)
+#: Control state as operators build it: dicts, lists and tuples (rows of
+#: scalar cells included) with handles at any depth.
+NESTED = st.recursive(
+    SCALARS | HANDLES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(SCALARS, max_size=4).map(tuple),
+        # a partition: a list of nothing but rows, a handle in some cell
+        st.lists(st.lists(SCALARS | HANDLES, max_size=3).map(tuple), max_size=4),
+        st.dictionaries(st.text(max_size=2), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestHandleWalks:
+    @settings(max_examples=300, deadline=None)
+    @given(NESTED)
+    def test_iterative_walk_equals_the_recursive_reference(self, obj):
+        assert list(_iter_handles(obj)) == list(iter_handles_reference(obj))
+
+    @settings(max_examples=300, deadline=None)
+    @given(NESTED)
+    def test_map_returns_a_structurally_equal_copy(self, obj):
+        seen = []
+
+        def visit(handle):
+            seen.append(handle)
+            return handle
+
+        copy = _map_handles(obj, visit)
+        assert copy == obj and type(copy) is type(obj)
+        assert seen == list(iter_handles_reference(obj))
+        renamed = _map_handles(
+            obj, lambda h: DumpHandle(h.store_id, "new/" + h.key, h.pages)
+        )
+        assert [h.key for h in iter_handles_reference(renamed)] == [
+            "new/" + h.key for h in seen
+        ]
+
+    def test_map_never_aliases_a_mutable_container(self):
+        inner = [(1, 2), {"k": [3]}]
+        copy = _map_handles({"rows": inner}, lambda h: h)
+        assert copy["rows"] is not inner
+        assert copy["rows"][1] is not inner[1]
+        assert copy["rows"][1]["k"] is not inner[1]["k"]

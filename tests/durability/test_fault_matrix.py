@@ -134,6 +134,20 @@ def test_delta_matrix_base_survives_every_fault(tmp_path):
         "crash:renamed:image",
     ]
     assert all(o.loaded for o in committed)
+    # The struck commit really was a provenance delta across a load: the
+    # two that survived hold one rewritten payload and reference the rest
+    # in ``base`` under the keys the re-import minted.
+    survivors = sorted(tmp_path.glob("crash-*/img" + IMAGE_SUFFIX))
+    assert len(survivors) == 2
+    for path in survivors:
+        store = ImageStore(str(path.parent))
+        base_keys = {b["key"] for b in store.manifest("base")["blobs"]}
+        blobs = store.manifest("img")["blobs"]
+        refs = [b for b in blobs if "ref" in b]
+        assert refs and len(blobs) - len(refs) == 1
+        assert all(b["ref"]["image_id"] == "base" for b in refs)
+        assert all("import_" in b["key"] for b in refs)
+        assert not base_keys & {b["key"] for b in blobs}
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,13 @@ from repro.durability.format import (
     IMAGE_SUFFIX,
     ImageFormatError,
 )
-from repro.durability.store import ImageNotFoundError
+from repro.durability.harness import bump_one_generation
+from repro.durability.store import MAX_CHAIN, ImageNotFoundError
 from repro.engine.plan import ScanSpec, SortSpec
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
 from repro.storage.database import Database
-from repro.core.lifecycle import SuspendSpec
+from repro.core.lifecycle import QueryStatus, SuspendSpec
+from repro.workloads.plans import serve_catalog
 from tests.conftest import flip_byte, record_device_calls
 
 SHAPES = ("sort", "hashjoin", "hashagg")
@@ -198,8 +200,7 @@ class TestOneFilePerImage:
 
     def test_files_are_byte_identical_up_to_the_manifest(self, tmp_path):
         """Two commits of the same suspend point differ only in the
-        manifest (commit time, exporting store's epoch) and the trailer's
-        checksum of it."""
+        manifest (commit time) and the trailer's checksum of it."""
         prefixes = []
         for label in ("a", "b"):
             store = ImageStore(str(tmp_path / label))
@@ -330,3 +331,157 @@ class TestDeltaChains:
         calls = record_device_calls(monkeypatch)
         assert len(store.delete_chain(ids[-1])) == 3
         assert scans == [store.root] and calls == ["fsync"]
+
+
+def hop_shape(shape):
+    """``(database factory, plan, rows per hop)`` of a multi-hop query."""
+    if shape == "sort":
+        return (lambda: build_recipe("sort")[0]), build_recipe("sort")[1], 20
+    db_factory, catalog = serve_catalog(scale=16, seed=1)
+    return db_factory, catalog[shape], 16
+
+
+def local_files(manifest):
+    return {b["file"] for b in manifest["blobs"] if "file" in b}
+
+
+class TestProvenanceAcrossLoad:
+    """load -> resume -> run -> suspend: a payload that came out of a
+    verified section and was not re-dumped goes back as a reference to
+    that section, whatever key the import gave it."""
+
+    @pytest.mark.parametrize("shape", ["sort", "sorted-join"])
+    def test_unchanged_payloads_are_flat_refs_on_every_hop(
+        self, shape, tmp_path
+    ):
+        db_factory, plan, slice_rows = hop_shape(shape)
+        reference = QuerySession(db_factory(), plan).execute().rows
+        store = ImageStore(str(tmp_path))
+        db = db_factory()
+        session = QuerySession(db, plan, name="q")
+        rows = list(session.execute(max_rows=slice_rows).rows)
+        ids, refs_seen, locals_after_first = [], 0, []
+        carried: set = set()  # keys the resume imported from the last image
+        for hop in range(MAX_CHAIN + 4):
+            sq = session.suspend(
+                SuspendSpec(
+                    persist_to=store,
+                    image_id=f"q-s{hop}",
+                    base_image_id=ids[-1] if ids else None,
+                )
+            )
+            info = session.last_image
+            manifest = store.manifest(info.image_id)
+            loaded = store.load(info.image_id)
+            handles = sq.referenced_handles()
+            assert set(handles) == {b["key"] for b in manifest["blobs"]}
+            chain = store.chain(info.image_id)
+            rebased = hop > 0 and info.base_image_id is None
+            assert rebased == (hop == MAX_CHAIN)
+            for blob in manifest["blobs"]:
+                key = blob["key"]
+                # Local or referenced, the section decodes to the payload
+                # the suspended query holds.
+                live = db.state_store.export_payload(handles[key])
+                assert loaded.migrated_payloads[key] == live
+                # A payload is a reference exactly when it came out of
+                # the base chain and was not dumped again since — except
+                # in the MAX_CHAIN rebase, which writes everything.
+                assert ("ref" in blob) == (key in carried and not rebased)
+                if "ref" in blob:
+                    owner = blob["ref"]["image_id"]
+                    # Flat: the owner physically holds the section.
+                    assert owner in chain[1:]
+                    assert blob["ref"]["file"] in local_files(
+                        store.manifest(owner)
+                    )
+            refs = [b["ref"] for b in manifest["blobs"] if "ref" in b]
+            if hop == MAX_CHAIN + 1:
+                # The delta after the rebase references the *new* image.
+                assert refs and {r["image_id"] for r in refs} == {ids[-1]}
+            if hop:
+                locals_after_first.append(len(local_files(manifest)))
+            refs_seen += len(refs)
+            assert store.validate(info.image_id) == []
+            ids.append(info.image_id)
+            session = QuerySession.resume(db, loaded, name="q")
+            carried = set(loaded.referenced_handles())
+            result = session.execute(max_rows=slice_rows)
+            rows += result.rows
+            assert result.status is not QueryStatus.COMPLETED
+        assert refs_seen > 0
+        if shape == "sort":
+            # Every sublist exists before the first row is emitted: only
+            # the first image and the rebase write any payload at all.
+            assert sum(1 for n in locals_after_first if n) == 1
+
+        # The tip equals a full image of the same suspend, and the whole
+        # relay equals the uninterrupted run.
+        sq = session.suspend()
+        tip = store.save(
+            sq, db.state_store, image_id="tip", base_image_id=ids[-1]
+        )
+        full = store.save(sq, db.state_store, image_id="full")
+        assert tip.reused_bytes > 0 and tip.total_bytes < full.total_bytes
+        rests = [
+            QuerySession.resume(db_factory(), store.load(image_id))
+            .execute()
+            .rows
+            for image_id in ("tip", "full")
+        ]
+        assert rests[0] == rests[1]
+        assert rows + rests[0] == reference
+
+    def test_a_redumped_payload_is_rewritten_by_the_next_delta(self, tmp_path):
+        store = ImageStore(str(tmp_path))
+        db, sq, _ = suspend_partway("sort")
+        store.save(sq, db.state_store, image_id="base")
+        loaded = store.load("base")
+        loaded.import_payloads(db.state_store)
+        bump_one_generation(loaded, db.state_store)  # same bytes, new write
+        redumped = sorted(loaded.referenced_handles())[0]
+        delta = store.save(
+            loaded, db.state_store, image_id="delta", base_image_id="base"
+        )
+        blobs = {b["key"]: b for b in store.manifest("delta")["blobs"]}
+        assert "file" in blobs.pop(redumped)
+        assert blobs and all("ref" in b for b in blobs.values())
+        assert delta.reused_bytes > 0 and store.validate("delta") == []
+        # The rewrite is the new origin: a further delta references it in
+        # ``delta``, and everything else still in ``base``.
+        store.save(
+            loaded, db.state_store, image_id="next", base_image_id="delta"
+        )
+        owners = {
+            b["key"]: b["ref"]["image_id"]
+            for b in store.manifest("next")["blobs"]
+        }
+        assert owners.pop(redumped) == "delta"
+        assert set(owners.values()) == {"base"}
+
+    def test_colliding_image_ids_with_other_bytes_never_reference(
+        self, tmp_path
+    ):
+        """One StateStore saved into two roots: its origins name
+        ``base`` in root ``a``; root ``b`` has a ``base`` too, holding
+        other bytes under the same section names."""
+        a = ImageStore(str(tmp_path / "a"))
+        b = ImageStore(str(tmp_path / "b"))
+        db, sq, _ = suspend_partway("sort")
+        a.save(sq, db.state_store, image_id="base")
+        other_db, other_sq = sorted_suspend(rows=60, buffer=10)
+        b.save(other_sq, other_db.state_store, image_id="base")
+        assert local_files(a.manifest("base")) & local_files(b.manifest("base"))
+
+        in_b = b.save(sq, db.state_store, image_id="tip", base_image_id="base")
+        assert in_b.reused_bytes == 0
+        assert not [x for x in b.manifest("tip")["blobs"] if "ref" in x]
+        assert b.validate("tip") == []
+        # Saving into ``b`` moved the origins there; back in ``a`` the
+        # same test refuses them the same way.
+        in_a = a.save(sq, db.state_store, image_id="tip", base_image_id="base")
+        assert in_a.reused_bytes == 0 and a.validate("tip") == []
+        # Control: where the named sections really are, they are refs.
+        again = b.save(sq, db.state_store, image_id="tip2", base_image_id="tip")
+        assert again.reused_bytes > 0 and b.validate("tip2") == []
+        assert b.load("tip2").migrated_payloads == a.load("base").migrated_payloads

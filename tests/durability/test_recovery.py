@@ -113,7 +113,7 @@ class TestRecoveryScan:
 def restamped_copy(store, source_id, image_id, restamp):
     """Commit a byte-for-byte copy of ``source_id`` whose manifest went
     through ``restamp``: trailer, CRC, tiling and section hashes are all
-    good, so only the version stamps can make a reader refuse it."""
+    good, so only what ``restamp`` changed can make a reader refuse it."""
     manifest = store.manifest(source_id)
     with open_image(store.info(source_id).path, manifest) as read:
         files = [
@@ -129,6 +129,49 @@ def restamped_copy(store, source_id, image_id, restamp):
         return doc
 
     write_packed_image(store.root, image_id, files, build_manifest)
+
+
+class TestReferencesStayInTheChain:
+    def test_a_reference_beside_the_base_chain_is_refused(self, tmp_path):
+        """``gc``/``delete_chain`` keep a tip's ``base_image_id`` chain and
+        nothing else, so a manifest (disk input) whose reference resolves
+        — same section, same digest — into an image *beside* the chain
+        must not pass for committed: the next gc would take its bytes."""
+        from repro.core.lifecycle import SuspendSpec
+
+        store = ImageStore(str(tmp_path))
+        db, plan = build_recipe("sort")
+        session = QuerySession(db, plan, name="q")
+        session.execute(max_rows=20)
+        sq = session.suspend(SuspendSpec(persist_to=store, image_id="base"))
+        # A copy of ``base`` beside the chain: byte-identical sections
+        # under the same names as the ones the delta below references.
+        restamped_copy(store, "base", "beside", lambda m: None)
+        session = QuerySession.resume(db, sq, name="q")
+        session.execute(max_rows=20)
+        session.suspend(
+            SuspendSpec(persist_to=store, image_id="tip", base_image_id="base")
+        )
+        assert store.info("tip").reused_bytes > 0
+
+        def point_beside(manifest):
+            manifest["blobs"] = [
+                {**b, "ref": {**b["ref"], "image_id": "beside"}}
+                if "ref" in b
+                else b
+                for b in manifest["blobs"]
+            ]
+
+        restamped_copy(store, "tip", "same", lambda m: None)
+        assert store.validate("same") == [] and store.load("same").entries
+        restamped_copy(store, "tip", "astray", point_beside)
+        problems = store.validate("astray")
+        assert problems and all("base chain" in p for p in problems)
+        with pytest.raises(ImageFormatError, match="base chain"):
+            store.load("astray")
+        report = ImageStore(str(tmp_path)).recover()
+        assert report.torn == ["astray"]
+        assert report.committed == ["base", "beside", "same", "tip"]
 
 
 class TestOldFormatsAreRejected:
@@ -164,6 +207,31 @@ class TestOldFormatsAreRejected:
         assert report.committed == ["good", "twin"]
         assert os.listdir(tmp_path / "quarantine") == ["old.rimg"]
         assert ImageStore(str(tmp_path)).load("good").entries
+
+    def test_directory_named_like_an_image_is_not_an_image(self, tmp_path):
+        """``<x>.rimg`` as a *directory*: inventory and collection (gc
+        runs inside the serving process) skip it instead of raising
+        ``IsADirectoryError``; the scan quarantines it as orphaned."""
+        committed_image(tmp_path)
+        (tmp_path / "x.rimg").mkdir()
+        (tmp_path / "x.rimg" / "inner").write_bytes(b"?")
+        store = ImageStore(str(tmp_path))
+        assert [i.image_id for i in store.list_images()] == ["good"]
+        assert store.gc(keep={"good"}) == []
+        assert store.delete_chain("x") == []
+        for read in (store.load, store.manifest, store.info, store.delete):
+            with pytest.raises(ImageNotFoundError):
+                read("x")
+        assert store.validate("x") == ["image 'x' not found"]
+        db, plan = build_recipe("sort")
+        session = QuerySession(db, plan)
+        session.execute(max_rows=50)
+        with pytest.raises(ValueError, match="already exists"):
+            store.save(session.suspend(), db.state_store, image_id="x")
+        report = store.recover()
+        assert report.orphaned == ["x.rimg"] and report.committed == ["good"]
+        assert os.listdir(tmp_path / "quarantine" / "x.rimg") == ["inner"]
+        assert store.gc() == ["good"]
 
     def test_image_directory_is_orphaned_and_never_read(self, tmp_path):
         """What a pre-packed-layout build left behind: one directory per

@@ -120,3 +120,56 @@ class TestHashJoinSuspendResume:
         sq = session.suspend(SuspendSpec(strategy="lp"))
         resumed = QuerySession.resume(db, sq)
         assert resumed.execute().rows == ref
+
+
+class TestSnapshotsLeaveOutFinishedPartitions:
+    """A join-phase checkpoint or dump carries the spilled partitions from
+    the current one on; the ones the probe is done with are empty lists."""
+
+    @staticmethod
+    def snapshot(db, entry):
+        """``(current partition, payload)`` of the entry's snapshot."""
+        if entry.kind == "goback":
+            payload = entry.ckpt_payload
+            if payload.get("__full_state__"):
+                return payload["control"]["current_partition"], payload["heap"]
+            return payload["current_partition"], payload
+        current = (entry.current_control or entry.target_control)[
+            "current_partition"
+        ]
+        return current, db.state_store.peek(entry.dump_handle)
+
+    @pytest.mark.parametrize("plan_fn", [shj_plan, hhj_plan])
+    @pytest.mark.parametrize("strategy", ["all_dump", "all_goback", "lp"])
+    def test_hops_through_the_join_phase(self, plan_fn, strategy):
+        plan = plan_fn()
+        ref_db = make_small_db()
+        ref_session = QuerySession(ref_db, plan)
+        join = ref_session.runtime.op_named("hj")
+        ref = ref_session.execute().rows
+        full = {
+            "build_disk": [list(rows) for rows in join._build_disk],
+            "probe_disk": [list(rows) for rows in join._probe_disk],
+        }
+
+        db = make_small_db()
+        session = QuerySession(db, plan)
+        rows, dropped = [], 0
+        while True:
+            result = session.execute(max_rows=40)
+            rows.extend(result.rows)
+            if session.status.value == "completed":
+                break
+            op_id = session.runtime.op_named("hj").op_id
+            sq = session.suspend(SuspendSpec(strategy=strategy))
+            current, payload = self.snapshot(db, sq.entry(op_id))
+            for side, partitions in full.items():
+                for p, kept in enumerate(payload[side]):
+                    if p < current:
+                        assert kept == []
+                        dropped += bool(partitions[p])
+                    else:
+                        assert kept == partitions[p]
+            session = QuerySession.resume(db, sq)
+        assert rows == ref
+        assert dropped > 0

@@ -27,8 +27,18 @@ def test_loadgen_report(tmp_path):
 
     assert report["determinism"]["ok"]
     assert report["determinism"]["divergent_sessions"] == []
-    # Repeat suspends committed deltas, not full images.
-    assert report["images"]["delta_commits"] > 0
+    # Repeat suspends committed deltas, not full images — and deltas that
+    # deserve the name: sorted-join's sublists are referenced in the base
+    # chain, not rewritten, so most of what its hops carry is reused.
+    images = report["images"]
+    assert images["delta_commits"] > 0
+    assert images["delta_commits"] == sum(
+        h["commits"] for h in images["delta_hops"].values()
+    )
+    sorted_join = images["delta_hops"]["sorted-join"]
+    assert sorted_join["commits"] > 0
+    assert sorted_join["reused_bytes"] > sorted_join["written_bytes"] > 0
+    assert sorted_join["reuse_ratio"] > 0.5
 
     # The SLO gauges landed in the tracer's registry.
     text = tracer.metrics.render_text()

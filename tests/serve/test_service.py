@@ -117,6 +117,29 @@ class TestStatelessness:
             rows.extend(result.rows)
         assert rows == solo_rows(catalog["sorted-join"])
 
+    def test_fresh_service_references_what_the_first_one_wrote(
+        self, tmp_path
+    ):
+        """Provenance crosses the process boundary with the image: the
+        peer never held the payloads, yet its delta rewrites none of the
+        sublists it merely loaded."""
+        first_service, catalog = make_service(str(tmp_path))
+        begun = first_service.begin("q1", catalog["sorted-join"])
+        written = {
+            b["file"]
+            for b in first_service.image_store.manifest(begun.image_id)["blobs"]
+        }
+        peer, _ = make_service(str(tmp_path))
+        result = peer.continue_query(begun.token)
+        assert result.base_image_id == begun.image_id
+        blobs = peer.image_store.manifest(result.image_id)["blobs"]
+        refs = [b["ref"] for b in blobs if "ref" in b]
+        assert len(refs) >= 10 and len(blobs) - len(refs) <= 2
+        assert {r["image_id"] for r in refs} == {begun.image_id}
+        assert {r["file"] for r in refs} <= written
+        assert peer.image_store.info(result.image_id).reused_bytes > 0
+        assert peer.image_store.validate(result.image_id) == []
+
     def test_no_suspended_query_retained_in_memory(self, tmp_path):
         service, catalog = make_service(str(tmp_path))
         result = service.begin("q1", catalog["sorted-join"])
@@ -192,14 +215,25 @@ class TestHopDurabilityBudget:
             result = service.continue_query(result.token)
             if result.done:
                 break
-            blobs = len(service.image_store.manifest(result.image_id)["blobs"])
+            blobs = service.image_store.manifest(result.image_id)["blobs"]
             per_hop.append(
-                (calls.count("fsync"), result.base_image_id is None, blobs)
+                (
+                    calls.count("fsync"),
+                    result.base_image_id is None,
+                    len(blobs),
+                    sum("file" in b for b in blobs),
+                )
             )
-        assert len(per_hop) >= 12 and max(b for _, _, b in per_hop) >= 10
-        for fsyncs, rebased, _ in per_hop:
+        assert len(per_hop) >= 12 and max(b for _, _, b, _ in per_hop) >= 10
+        for fsyncs, rebased, _, _ in per_hop:
             assert fsyncs <= (6 if rebased else 5)
-        assert any(not rebased for _, rebased, _ in per_hop)
+        # Those 17-18 payloads are the sort's sublists, unchanged since
+        # the first image: a hop that does not rebase the chain writes
+        # at most the join's re-dumped buffer and references the rest
+        # (every hop rewrote all of them before payload provenance).
+        steady = [written for _, rebased, _, written in per_hop if not rebased]
+        assert len(steady) >= 10 and sum(steady) / len(steady) <= 2
+        assert max(steady) <= 2
 
 
 class TestStateStoreHygiene:
@@ -246,8 +280,8 @@ class TestStateStoreHygiene:
 
 def _forty_hops(image_root):
     """Drive one sorted-join session >= 40 token hops; per hop, the
-    longest state-store key in the image and a digest of everything in
-    the packed file before its manifest."""
+    longest state-store key in the image and a digest of the packed
+    file's sections and of its manifest minus the commit time."""
     from repro.durability.format import TRAILER
 
     db_factory, catalog = serve_catalog(scale=4, seed=1)
@@ -263,10 +297,15 @@ def _forty_hops(image_root):
         with open(info.path, "rb") as fh:
             data = fh.read()
         sections = data[: TRAILER.unpack(data[-TRAILER.size :])[0]]
+        stamped = dict(manifest)
+        del stamped["created_ns"]
         hops.append(
             [
                 max(len(b["key"]) for b in manifest["blobs"]),
                 hashlib.sha256(sections).hexdigest(),
+                hashlib.sha256(
+                    json.dumps(stamped, sort_keys=True).encode()
+                ).hexdigest(),
             ]
         )
         result = service.continue_query(result.token)
@@ -281,7 +320,7 @@ class TestKeysStayBounded:
         control record and blob header grow O(hops)."""
         hops = _forty_hops(str(tmp_path))
         assert len(hops) == 40
-        longest = [length for length, _ in hops]
+        longest = [hop[0] for hop in hops]
         # Constant from the second image on, up to the decimal width of
         # the per-payload import counter (``#9`` -> ``#10``).
         assert max(longest[1:]) - min(longest[1:]) <= 1
@@ -289,7 +328,8 @@ class TestKeysStayBounded:
 
     def test_two_processes_write_byte_identical_sections(self, tmp_path):
         """Same session, another interpreter: every hop's packed image
-        is byte-identical up to the manifest section."""
+        is byte-identical — sections, and the manifest (references
+        included) except for ``created_ns``."""
         here = _forty_hops(str(tmp_path / "here"))
         src = os.path.join(
             os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"

@@ -4,7 +4,12 @@ import pytest
 
 from repro.common.errors import StorageError
 from repro.storage.disk import SimulatedDisk
-from repro.storage.statefile import DumpHandle, StateStore
+from repro.storage.statefile import (
+    DumpHandle,
+    PayloadOrigin,
+    ScopedStateStore,
+    StateStore,
+)
 
 
 class TestStateStore:
@@ -149,3 +154,62 @@ class TestExportImport:
         handle = store.import_payload("shipped", ["rows"], pages=5)
         assert disk.counters.pages_written - before == 5
         assert store.load(handle) == ["rows"]
+
+
+class TestPayloadOrigin:
+    """key -> the image section that already holds the payload's bytes:
+    set by an import from a verified section and by a commit, forgotten
+    by anything that could change or drop the bytes."""
+
+    ORIGIN = PayloadOrigin("img-1", "blob-0000", "ab" * 32)
+
+    def test_import_records_the_origin_under_the_fresh_key(self):
+        store = StateStore(SimulatedDisk())
+        plain = store.import_payload("k", ["rows"], pages=1)
+        traced = store.import_payload(
+            "k", ["rows"], pages=1, origin=self.ORIGIN
+        )
+        assert store.origin_of(plain.key) is None
+        assert store.origin_of(traced.key) == self.ORIGIN
+        assert store.origin_of("k") is None
+
+    def test_scoped_view_records_it_and_tracks_the_key(self):
+        store = StateStore(SimulatedDisk())
+        view = ScopedStateStore(store, "q")
+        handle = view.import_payload("k", ["rows"], 1, origin=self.ORIGIN)
+        assert handle.key in view.keys
+        assert store.origin_of(handle.key) == self.ORIGIN
+        view.release()
+        assert store.origin_of(handle.key) is None
+
+    def test_commit_records_it_only_for_a_stored_payload(self):
+        store = StateStore(SimulatedDisk())
+        store.dump("k", [1], pages=1)
+        assert store.origin_of("k") is None
+        store.committed_to("k", self.ORIGIN)
+        store.committed_to("never-dumped", self.ORIGIN)
+        assert store.origin_of("k") == self.ORIGIN
+        assert store.origin_of("never-dumped") is None
+
+    @pytest.mark.parametrize("forget", ["dump", "free", "free_keys"])
+    def test_redump_and_free_forget_it(self, forget):
+        store = StateStore(SimulatedDisk())
+        handle = store.dump("k", [1], pages=1)
+        store.committed_to("k", self.ORIGIN)
+        if forget == "dump":
+            store.dump("k", [1], pages=1)  # same bytes, still a new write
+        elif forget == "free":
+            store.free(handle)
+        else:
+            store.free_keys(["k", "absent"])
+        assert store.origin_of("k") is None
+        # ... and a later payload under the same key starts without one.
+        store.dump("k", [2], pages=1)
+        assert store.origin_of("k") is None
+
+    def test_origin_is_not_part_of_the_handle(self):
+        """Handles are written into control records; provenance must
+        never change image bytes."""
+        store = StateStore(SimulatedDisk())
+        handle = store.import_payload("k", [1], 1, origin=self.ORIGIN)
+        assert handle == DumpHandle(handle.store_id, handle.key, 1)
