@@ -886,7 +886,11 @@ def _add_obs_flags(parser) -> None:
         type=_positive_int,
         metavar="N",
         default=None,
-        help="also record every Nth operator next() call as a span",
+        help=(
+            "also record operator next_batch() calls whose rows cross a "
+            "multiple of N as op.next_batch spans, and per-operator "
+            "op.stats (rows, pages, work) after every execute"
+        ),
     )
 
 

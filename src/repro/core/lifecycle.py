@@ -38,6 +38,7 @@ from repro.core.optimizer import choose_suspend_plan, estimate_plan_cost
 from repro.core.static_optimizer import choose_static_plan
 from repro.core.strategies import Strategy, SuspendPlan, validate_suspend_plan
 from repro.core.suspended_query import SuspendedQuery
+from repro.engine.base import BATCH_ROWS
 from repro.engine.config import EngineConfig
 from repro.engine.plan import PlanSpec, instantiate_plan
 from repro.engine.runtime import ResumeContext, Runtime, SuspendContext
@@ -133,12 +134,6 @@ class SuspendSpec:
         return ImageStore(self.persist_to)
 
 
-#: Root-drain batch size used by ``execute()`` when no ``max_rows`` bound
-#: caps the request. Purely a wall-clock knob: batches are invisible to the
-#: virtual clock and the checkpoint/contract protocol.
-BATCH_ROWS = 1024
-
-
 @dataclass
 class ExecutionResult:
     """What one ``execute()`` call produced."""
@@ -229,17 +224,24 @@ class QuerySession:
         start = self.db.now
         tracer = self.runtime.tracer
         io_before = self.db.disk.counters.snapshot() if tracer.enabled else None
+        ops_before = (
+            [
+                (op, op.tuples_emitted, op.tally.snapshot())
+                for _, op in sorted(self.runtime.ops.items())
+            ]
+            if tracer.trace_next
+            else ()
+        )
         controller = self.runtime.controller
         fired_before = controller.fired
         prev_lane = self.db.disk.set_lane(self.runtime.lane)
         try:
             # A drain is a handful of next_batch() calls instead of one
             # interpreted next() per root row; the operators themselves
-            # fall back to per-row next() while a suspend condition is
-            # armed or next() spans are traced. They return short batches
-            # at checkpoint/phase boundaries and partial batches when a
-            # suspend condition fires mid-batch (the rows produced before
-            # it are kept).
+            # fall back to per-row next() only while a suspend condition
+            # is armed. They return short batches at checkpoint/phase
+            # boundaries and partial batches when a suspend condition
+            # fires mid-batch (the rows produced before it are kept).
             while True:
                 need = BATCH_ROWS if max_rows is None else max_rows - count
                 if need <= 0:
@@ -282,6 +284,23 @@ class QuerySession:
                     misses=pool.misses,
                     evictions=pool.evictions,
                     hit_rate=round(pool.hit_rate, 6),
+                )
+            # The exact per-operator account of this call, for every
+            # operator whose counters moved during it.
+            cost_model = self.db.disk.cost_model
+            for op, emitted, tally in ops_before:
+                if op.tuples_emitted == emitted and op.tally == tally:
+                    continue
+                moved = op.tally.minus(tally)
+                tracer.event(
+                    "op.stats",
+                    op=op.op_id,
+                    op_name=op.name,
+                    rows=op.tuples_emitted - emitted,
+                    pages_read=moved.pages_read,
+                    pages_written=moved.pages_written,
+                    cpu_tuples=moved.cpu_tuples,
+                    work=round(cost_model.elapsed(moved), 6),
                 )
         return ExecutionResult(
             status=self.status, rows=produced, elapsed=self.db.now - start

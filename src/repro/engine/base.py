@@ -46,6 +46,13 @@ from repro.storage.statefile import DumpHandle
 
 Row = tuple
 
+#: Rows one ``next_batch`` call asks for when nothing bounds the request:
+#: ``execute()`` without ``max_rows``, and a parent draining a heap child
+#: with no checkpoint point of its own ahead (hash partitioning). Purely a
+#: wall-clock knob: batches are invisible to the virtual clock and the
+#: checkpoint/contract protocol.
+BATCH_ROWS = 1024
+
 
 class Operator:
     """Base physical operator. Subclasses implement the ``_``-hooks."""
@@ -82,11 +89,11 @@ class Operator:
         #: migration, footnote 3 of the paper).
         self._pending_rows: deque = deque()
         runtime.register(self)
-        #: Tracer bound with this operator's identity, and the hot-path
-        #: flag for sampled ``next()`` spans — both resolved once here so
-        #: ``next()`` pays a single attribute check when tracing is off.
+        #: Tracer bound with this operator's identity, and its sampling
+        #: period for ``op.next_batch`` records (0: none) — both resolved
+        #: once here so ``next_batch()`` pays a single attribute check
+        #: when they are off.
         self._tr = runtime.tracer.bind(op=self.op_id, op_name=self.name)
-        self._trace_next = self._tr.trace_next
         self._next_sample_every = self._tr.next_sample_every
 
     # ------------------------------------------------------------------
@@ -106,8 +113,6 @@ class Operator:
     def next(self) -> Optional[Row]:
         """Return the next output row, or None when exhausted."""
         self.rt.poll()
-        if self._trace_next:
-            return self._next_traced()
         if self._pending_rows:
             row = self._pending_rows.popleft()
         else:
@@ -115,29 +120,6 @@ class Operator:
         if row is not None:
             self.tuples_emitted += 1
             self.charge_cpu(1)
-        return row
-
-    def _next_traced(self) -> Optional[Row]:
-        """``next()`` under an enabled tracer: every Nth call is a span."""
-        if self.tuples_emitted % self._next_sample_every != 0:
-            if self._pending_rows:
-                row = self._pending_rows.popleft()
-            else:
-                row = self._next()
-            if row is not None:
-                self.tuples_emitted += 1
-                self.charge_cpu(1)
-            return row
-        with self._tr.span("op.next", emitted=self.tuples_emitted) as rec:
-            row = None
-            if self._pending_rows:
-                row = self._pending_rows.popleft()
-            else:
-                row = self._next()
-            if row is not None:
-                self.tuples_emitted += 1
-                self.charge_cpu(1)
-            rec["produced"] = row is not None
         return row
 
     def next_batch(self, max_rows: int) -> list:
@@ -155,45 +137,54 @@ class Operator:
           start of the next call, at the exact virtual-clock instant and
           operator state the row path would take it.
 
-        While a suspend condition is armed or per-``next()`` tracing is
-        on, this degrades to a per-row loop over :meth:`next`, so polls
-        and sampled spans happen at the exact row boundaries the row path
-        uses (a suspend fired mid-batch keeps the rows produced before
-        it, exactly like a driver loop over ``next()``). Otherwise
-        ``poll()`` is provably a no-op and subclass fast paths may
-        amortize bookkeeping. Charges only count integer events, so their
-        order and grouping are free; what a fast path owes is that it
-        counts the *same* events as the row path and that its counts are
-        settled (:meth:`charge_cpu` called) before anyone else can read
-        them: before any call that leaves the operator's own loop — a
-        child's ``next``/``next_batch``/``rewind``, ``make_checkpoint``/
-        ``sign_contract``, a state-store dump or load — and before the
-        batch returns, because a child's reactive checkpoint stamps
-        ``created_at`` from the shared lane.
+        The only thing that selects the per-row loop over :meth:`next` is
+        an armed suspend condition, whose polls must happen at the exact
+        row boundaries the row path uses (a suspend fired mid-batch keeps
+        the rows produced before it, exactly like a driver loop over
+        ``next()``). Otherwise ``poll()`` is provably a no-op and
+        subclass fast paths may amortize bookkeeping. Charges only count
+        integer events, so their order and grouping are free; what a fast
+        path owes is that it counts the *same* events as the row path and
+        that its counts are settled (:meth:`charge_cpu` called) before
+        anyone else can read them: before any call that leaves the
+        operator's own loop — a child's ``next``/``next_batch``/
+        ``rewind``, ``make_checkpoint``/``sign_contract``, a state-store
+        dump or load — and before the batch returns, because a child's
+        reactive checkpoint stamps ``created_at`` from the shared lane.
+
+        Tracing observes whichever step runs, it never picks one: under
+        ``Tracer(next_sample_every=N)`` the call is recorded as an
+        ``op.next_batch`` span when it is the operator's first or its
+        rows cross a multiple of N.
         """
         if max_rows <= 0:
             return []
-        if self.rt.controller.armed or self._trace_next:
-            return self._next_batch_rowloop(max_rows)
-        return self._next_batch_fast(max_rows)
+        step = (
+            self._next_batch_rowloop
+            if self.rt.controller.armed
+            else self._next_batch_fast
+        )
+        every = self._next_sample_every
+        if not every:
+            return step(max_rows)
+        emitted = self.tuples_emitted
+        start = self._tr.now()
+        rows = step(max_rows)
+        if emitted == 0 or (emitted + len(rows)) // every > emitted // every:
+            self._tr.event(
+                "op.next_batch",
+                ts=start,
+                dur=round(self._tr.now() - start, 6),
+                emitted=emitted,
+                max_rows=max_rows,
+                produced=len(rows),
+            )
+        return rows
 
     def _next_batch_rowloop(self, max_rows: int) -> list:
-        """Per-row fallback preserving exact poll/trace row boundaries."""
+        """The row path: one :meth:`next` (and so one poll) per row, run
+        only while a suspend condition is armed."""
         rows: list = []
-        if self._trace_next:
-            with self._tr.span(
-                "op.next_batch", emitted=self.tuples_emitted, max_rows=max_rows
-            ) as rec:
-                try:
-                    while len(rows) < max_rows:
-                        row = self.next()
-                        if row is None:
-                            break
-                        rows.append(row)
-                except SuspendRequested:
-                    pass  # rt.controller.fired tells the driver
-                rec["produced"] = len(rows)
-            return rows
         try:
             while len(rows) < max_rows:
                 row = self.next()
@@ -205,8 +196,8 @@ class Operator:
         return rows
 
     def _next_batch_fast(self, max_rows: int) -> list:
-        """Default unarmed fast path: the row loop with the poll and
-        trace checks hoisted out of it.
+        """Default unarmed fast path: the row loop with the poll hoisted
+        out of it.
 
         Charges stay per-row because ``_next`` may call into children,
         which must see this operator's counts settled; subclasses whose
@@ -228,6 +219,22 @@ class Operator:
             charge(1)
             n += 1
         return rows
+
+    def _drain(self, child: "Operator", n: int) -> Sequence[Row]:
+        """Up to ``n`` rows from a heap child: a batch, or one ``next()``
+        while a suspend condition is armed (its predicate may read this
+        operator's state between rows). Empty means exhausted.
+
+        Rows from a heap child go straight into heap state, so the
+        child's position always equals what this operator holds; callers
+        ask for exactly the room left before their own next checkpoint
+        point, so a batch never spans one. Stream children, whose
+        position is the contract, are pulled with ``next()`` directly.
+        """
+        if self.rt.controller.armed:
+            row = child.next()
+            return () if row is None else (row,)
+        return child.next_batch(n)
 
     def _scan_chain(self) -> Optional[tuple["Operator", Optional["Operator"]]]:
         """``(scan, filter or None)`` when this operator heads a table

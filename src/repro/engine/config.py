@@ -26,9 +26,9 @@ class EngineConfig:
 
     Which execution path runs is not a tunable: sessions drive
     ``Operator.next_batch``, and each operator takes its vectorized loop
-    unless a suspend condition is armed or ``next()`` spans are traced,
-    in which case it runs row by row. Both count the same integer events,
-    so they agree on the virtual clock by construction.
+    unless a suspend condition is armed, in which case it runs row by
+    row. Both count the same integer events, so they agree on the
+    virtual clock by construction.
     """
 
     contract_migration: bool = True

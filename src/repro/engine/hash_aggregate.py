@@ -20,9 +20,8 @@ from typing import Optional, Sequence
 from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.aggregate import AGG_FUNCS
-from repro.engine.base import Operator, Row
+from repro.engine.base import BATCH_ROWS, Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
-from repro.engine.scan import chain_segments
 from repro.relational.expressions import compile_projection
 from repro.relational.schema import Column, Schema
 
@@ -88,9 +87,6 @@ class HashGroupAggregate(Operator):
     def _group_key(self, row: Row) -> tuple:
         return tuple(row[i] for i in self.group_columns)
 
-    def _partition_of(self, key: tuple) -> int:
-        return hash(key) % self.num_partitions
-
     def _fold(self, value, row: Row):
         x = row[self.agg_column]
         if self.agg_func == "count":
@@ -138,7 +134,7 @@ class HashGroupAggregate(Operator):
         if self.phase == PHASE_DONE:
             return out
         if self.phase == PHASE_PARTITION:
-            self._run_partition_phase_batched()
+            self._run_partition_phase()
             self.phase = PHASE_EMIT
             self.current_partition = -1
             self.make_checkpoint()  # materialization point
@@ -161,33 +157,51 @@ class HashGroupAggregate(Operator):
         return out
 
     def _run_partition_phase(self) -> None:
-        while True:
-            row = self.child.next()
-            if row is None:
-                break
-            self.consumed += 1
-            self.charge_cpu(1)
-            self._stash(row, skip_blocks=None)
+        self._partition_input()
         self._flush_all_pending()
 
-    def _stash(self, row: Row, skip_blocks: Optional[list[int]]) -> None:
-        p = self._partition_of(self._group_key(row))
-        self.pending[p].append(row)
-        if len(self.pending[p]) >= self.child_tpp:
-            if skip_blocks is not None and skip_blocks[p] > self.flushed_blocks[p]:
-                # Block already on disk from before the suspend (the
-                # contract recorded the flushed counts): skip the rewrite.
-                self._disk_rows[p].extend(self.pending[p])
-                self.pending[p] = []
-                self.flushed_blocks[p] += 1
-            else:
-                self._flush_block(p)
+    def _partition_input(
+        self,
+        limit: Optional[int] = None,
+        skip_blocks: Optional[list[int]] = None,
+    ) -> None:
+        """Hash the heap child's rows into partitions: to exhaustion, or
+        (GoBack roll-forward) exactly ``limit`` more rows — the same
+        shape as the hash join's phase 1
+        (``SimpleHashJoin._partition_input``): flushes are data-dependent
+        so each write is charged by the row that fills the block, and the
+        consume charges settle once per batch."""
+        key_fn = compile_projection(self.group_columns)
+        pending = self.pending
+        tpp = self.child_tpp
+        k = self.num_partitions
+        while limit is None or limit > 0:
+            rows = self._drain(self.child, BATCH_ROWS if limit is None else limit)
+            if not rows:
+                if limit is None:
+                    break
+                raise ContractError(f"{self.name}: child exhausted during GoBack")
+            for row in rows:
+                p = hash(key_fn(row)) % k
+                plist = pending[p]
+                plist.append(row)
+                if len(plist) >= tpp:
+                    self._flush_block(p, skip_blocks)
+            self.consumed += len(rows)
+            if limit is not None:
+                limit -= len(rows)
+            self.charge_cpu(len(rows))
 
-    def _flush_block(self, p: int) -> None:
+    def _flush_block(
+        self, p: int, skip_blocks: Optional[list[int]] = None
+    ) -> None:
         if not self.pending[p]:
             return
-        with self.attribute_work():
-            self.rt.disk.write_pages(1)
+        if skip_blocks is None or skip_blocks[p] <= self.flushed_blocks[p]:
+            with self.attribute_work():
+                self.rt.disk.write_pages(1)
+        # else: block already on disk from before the suspend (the
+        # contract recorded the flushed counts) — skip the rewrite.
         self._disk_rows[p].extend(self.pending[p])
         self.pending[p] = []
         self.flushed_blocks[p] += 1
@@ -195,43 +209,6 @@ class HashGroupAggregate(Operator):
     def _flush_all_pending(self) -> None:
         for p in range(self.num_partitions):
             self._flush_block(p)
-
-    def _run_partition_phase_batched(self) -> None:
-        """Phase 1 with a vectorized input drain where the child shape
-        allows it; identical charges and state as the row-path phase."""
-        if not self._drain_input_fast():
-            while True:
-                row = self.child.next()
-                if row is None:
-                    break
-                self.consumed += 1
-                self.charge_cpu(1)
-                self._stash(row, skip_blocks=None)
-        self._flush_all_pending()
-
-    def _drain_input_fast(self) -> bool:
-        """Drain the child to exhaustion through the fused scan loop,
-        hashing each segment's rows into partitions — the same shape as
-        the hash join's phase 1 (``SimpleHashJoin._drain_input_fast``):
-        the stash stays per-row because flushes are data-dependent, and
-        the consume charges settle once per segment."""
-        if self.child._scan_chain() is None:
-            return False
-        key_fn = compile_projection(self.group_columns)
-        pending = self.pending
-        flush_block = self._flush_block
-        tpp = self.child_tpp
-        k = self.num_partitions
-        for segment in chain_segments(self.child):
-            for row in segment:
-                p = hash(key_fn(row)) % k
-                plist = pending[p]
-                plist.append(row)
-                if len(plist) >= tpp:
-                    flush_block(p)
-            self.consumed += len(segment)
-            self.charge_cpu(len(segment))
-        return True
 
     def _advance_partition(self) -> bool:
         next_p = self.current_partition + 1
@@ -334,29 +311,15 @@ class HashGroupAggregate(Operator):
                 ckpt.get("flushed", [0] * self.num_partitions)
             )
 
+        skip = list(target["flushed"])
         if target["phase"] == PHASE_PARTITION:
-            skip = list(target["flushed"])
-            while self.consumed < target["consumed"]:
-                row = self.child.next()
-                if row is None:
-                    raise ContractError(
-                        f"{self.name}: child exhausted during GoBack"
-                    )
-                self.consumed += 1
-                self.charge_cpu(1)
-                self._stash(row, skip_blocks=skip)
+            self._partition_input(target["consumed"] - self.consumed, skip)
             self.phase = PHASE_PARTITION
             return
         # Target in the emit phase.
         if self.phase == PHASE_PARTITION:
             # Checkpoint predates the phase boundary: redo partitioning.
-            while True:
-                row = self.child.next()
-                if row is None:
-                    break
-                self.consumed += 1
-                self.charge_cpu(1)
-                self._stash(row, skip_blocks=list(target["flushed"]))
+            self._partition_input(skip_blocks=skip)
             self._flush_all_pending()
         self.phase = PHASE_EMIT
         self.current_partition = target["current_partition"]

@@ -33,9 +33,8 @@ from typing import Optional
 
 from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
-from repro.engine.base import Operator, Row
+from repro.engine.base import BATCH_ROWS, Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
-from repro.engine.scan import chain_segments
 from repro.relational.expressions import (
     EquiJoinCondition,
     compile_left_key,
@@ -124,9 +123,6 @@ class SimpleHashJoin(Operator):
         self.build_flushed_blocks = [0] * k
         self.probe_flushed_blocks = [0] * k
 
-    def _partition_of(self, key) -> int:
-        return hash(key) % self.num_partitions
-
     def _is_memory_partition(self, p: int) -> bool:
         return p < self.memory_partitions
 
@@ -149,37 +145,65 @@ class SimpleHashJoin(Operator):
             return None
 
     def _run_partition_phase(self) -> None:
-        while not self.build_done:
-            row = self.build_child.next()
-            if row is None:
-                self.build_done = True
-                break
-            self.build_consumed += 1
-            self.charge_cpu(1)
-            self._stash(row, self.condition.left_key(row), build_side=True)
-        while True:
-            row = self.probe_child.next()
-            if row is None:
-                break
-            self.probe_consumed += 1
-            self.charge_cpu(1)
-            self._stash(row, self.condition.right_key(row), build_side=False)
+        if not self.build_done:
+            self._partition_input(build_side=True)
+            self.build_done = True
+        self._partition_input(build_side=False)
         self._flush_all_pending()
 
-    def _stash(self, row: Row, key, build_side: bool) -> None:
-        p = self._partition_of(key)
-        pending = self.build_pending if build_side else self.probe_pending
-        pending[p].append(row)
-        if self._is_memory_partition(p):
-            # Hybrid: neither side of a memory partition spills — that is
-            # the I/O saving hybrid hash buys by giving up the
-            # materialization point.
-            return
-        tpp = self.build_tpp if build_side else self.probe_tpp
-        if len(pending[p]) >= tpp:
-            self._flush_block(p, build_side)
+    def _partition_input(
+        self,
+        build_side: bool,
+        limit: Optional[int] = None,
+        skip_blocks: Optional[list[int]] = None,
+    ) -> None:
+        """Hash one input's rows into partitions: to exhaustion, or
+        (GoBack roll-forward) exactly ``limit`` more rows.
 
-    def _flush_block(self, p: int, build_side: bool) -> None:
+        Both inputs are heap children and phase 1 has no checkpoint
+        point of its own, so the drain asks for whole batches. Block
+        flushes are data-dependent, so each write is charged by the row
+        that fills the block; this operator's consume charges settle once
+        per batch. ``skip_blocks`` is the roll-forward's per-partition
+        count of blocks already on disk (see :meth:`_flush_block`).
+        """
+        child = self.build_child if build_side else self.probe_child
+        cond = self.condition
+        key_fn = compile_left_key(cond) if build_side else compile_right_key(cond)
+        pending = self.build_pending if build_side else self.probe_pending
+        tpp = self.build_tpp if build_side else self.probe_tpp
+        k = self.num_partitions
+        mem_k = self.memory_partitions
+        while limit is None or limit > 0:
+            rows = self._drain(child, BATCH_ROWS if limit is None else limit)
+            if not rows:
+                if limit is None:
+                    break
+                side = "build" if build_side else "probe"
+                raise ContractError(f"{self.name}: {side} child exhausted early")
+            for row in rows:
+                p = hash(key_fn(row)) % k
+                plist = pending[p]
+                plist.append(row)
+                # Hybrid: neither side of a memory partition spills —
+                # that is the I/O saving hybrid hash buys by giving up
+                # the materialization point.
+                if p >= mem_k and len(plist) >= tpp:
+                    self._flush_block(p, build_side, skip_blocks)
+            if build_side:
+                self.build_consumed += len(rows)
+            else:
+                self.probe_consumed += len(rows)
+            if limit is not None:
+                limit -= len(rows)
+            self.charge_cpu(len(rows))
+
+    def _flush_block(
+        self,
+        p: int,
+        build_side: bool,
+        skip_blocks: Optional[list[int]] = None,
+    ) -> None:
         pending = self.build_pending if build_side else self.probe_pending
         disk = self._build_disk if build_side else self._probe_disk
         flushed = (
@@ -187,8 +211,11 @@ class SimpleHashJoin(Operator):
         )
         if not pending[p]:
             return
-        with self.attribute_work():
-            self.rt.disk.write_pages(1)
+        if skip_blocks is None or skip_blocks[p] <= flushed[p]:
+            with self.attribute_work():
+                self.rt.disk.write_pages(1)
+        # else: block already on disk from before the suspend — skip the
+        # rewrite, keep only the bookkeeping.
         disk[p].extend(pending[p])
         pending[p] = []
         flushed[p] += 1
@@ -198,62 +225,6 @@ class SimpleHashJoin(Operator):
             if not self._is_memory_partition(p):
                 self._flush_block(p, build_side=True)
                 self._flush_block(p, build_side=False)
-
-    def _run_partition_phase_batched(self) -> None:
-        """Phase 1 with vectorized input drains where the child shape
-        allows it; identical charges and state as the row-path phase."""
-        if not self.build_done:
-            if not self._drain_input_fast(build_side=True):
-                while True:
-                    row = self.build_child.next()
-                    if row is None:
-                        break
-                    self.build_consumed += 1
-                    self.charge_cpu(1)
-                    self._stash(row, self.condition.left_key(row), True)
-            self.build_done = True
-        if not self._drain_input_fast(build_side=False):
-            while True:
-                row = self.probe_child.next()
-                if row is None:
-                    break
-                self.probe_consumed += 1
-                self.charge_cpu(1)
-                self._stash(row, self.condition.right_key(row), False)
-        self._flush_all_pending()
-
-    def _drain_input_fast(self, build_side: bool) -> bool:
-        """Drain one input to exhaustion through the fused scan loop,
-        hashing each segment's rows into partitions. Returns False when
-        the child shape is not fused (caller falls back to the row-exact
-        loop).
-
-        Block flushes are data-dependent, so the stash stays per-row and
-        each write is charged by the row that fills the block; this
-        operator's consume charges settle once per segment.
-        """
-        child = self.build_child if build_side else self.probe_child
-        if child._scan_chain() is None:
-            return False
-        cond = self.condition
-        key_fn = compile_left_key(cond) if build_side else compile_right_key(cond)
-        pending = self.build_pending if build_side else self.probe_pending
-        tpp = self.build_tpp if build_side else self.probe_tpp
-        k = self.num_partitions
-        mem_k = self.memory_partitions
-        for segment in chain_segments(child):
-            for row in segment:
-                p = hash(key_fn(row)) % k
-                plist = pending[p]
-                plist.append(row)
-                if p >= mem_k and len(plist) >= tpp:
-                    self._flush_block(p, build_side)
-            if build_side:
-                self.build_consumed += len(segment)
-            else:
-                self.probe_consumed += len(segment)
-            self.charge_cpu(len(segment))
-        return True
 
     def _join_next(self) -> Optional[Row]:
         while True:
@@ -305,7 +276,7 @@ class SimpleHashJoin(Operator):
         if self.phase == PHASE_DONE:
             return out
         if self.phase == PHASE_PARTITION:
-            self._run_partition_phase_batched()
+            self._run_partition_phase()
             self.current_partition = -1
             self.phase = PHASE_JOIN
             self.make_checkpoint()  # materialization point
@@ -586,50 +557,13 @@ class SimpleHashJoin(Operator):
         # those blocks are already on disk and their rewrites are skipped.
         skip_build = list(target.get("build_flushed", [0] * self.num_partitions))
         skip_probe = list(target.get("probe_flushed", [0] * self.num_partitions))
-        while self.build_consumed < target["build_consumed"]:
-            row = self.build_child.next()
-            if row is None:
-                raise ContractError(f"{self.name}: build child exhausted early")
-            self.build_consumed += 1
-            self.charge_cpu(1)
-            self._stash_skippable(
-                row, self.condition.left_key(row), True, skip_build
-            )
+        self._partition_input(
+            True, target["build_consumed"] - self.build_consumed, skip_build
+        )
         self.build_done = target["build_done"]
-        while self.probe_consumed < target["probe_consumed"]:
-            row = self.probe_child.next()
-            if row is None:
-                raise ContractError(f"{self.name}: probe child exhausted early")
-            self.probe_consumed += 1
-            self.charge_cpu(1)
-            self._stash_skippable(
-                row, self.condition.right_key(row), False, skip_probe
-            )
-
-    def _stash_skippable(
-        self, row: Row, key, build_side: bool, skip_blocks: list[int]
-    ) -> None:
-        p = self._partition_of(key)
-        pending = self.build_pending if build_side else self.probe_pending
-        pending[p].append(row)
-        if self._is_memory_partition(p):
-            return
-        tpp = self.build_tpp if build_side else self.probe_tpp
-        if len(pending[p]) >= tpp:
-            flushed = (
-                self.build_flushed_blocks
-                if build_side
-                else self.probe_flushed_blocks
-            )
-            disk = self._build_disk if build_side else self._probe_disk
-            if skip_blocks[p] > flushed[p]:
-                # Block already on disk from before the suspend: skip the
-                # rewrite, keep only the bookkeeping.
-                disk[p].extend(pending[p])
-                pending[p] = []
-                flushed[p] += 1
-            else:
-                self._flush_block(p, build_side)
+        self._partition_input(
+            False, target["probe_consumed"] - self.probe_consumed, skip_probe
+        )
 
 
 class HybridHashJoin(SimpleHashJoin):

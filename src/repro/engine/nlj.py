@@ -143,7 +143,7 @@ class BlockNLJ(Operator):
             if self.phase == PHASE_FILL:
                 self.charge_cpu(crun)
                 crun = 0
-                self._fill_buffer()  # row-exact outer pulls
+                self._fill_buffer()
                 if not self.buffer:
                     self.phase = PHASE_DONE
                     break
@@ -214,13 +214,14 @@ class BlockNLJ(Operator):
         return out
 
     def _fill_buffer(self) -> None:
-        while len(self.buffer) < self.buffer_tuples and not self.outer_exhausted:
-            row = self.outer.next()
-            if row is None:
+        buffer = self.buffer
+        while len(buffer) < self.buffer_tuples and not self.outer_exhausted:
+            rows = self._drain(self.outer, self.buffer_tuples - len(buffer))
+            if not rows:
                 self.outer_exhausted = True
                 break
-            self.buffer.append(row)
-            self.charge_cpu(1)
+            buffer.extend(rows)
+            self.charge_cpu(len(rows))
 
     def _join_step(self) -> Optional[Row]:
         """Produce the next join output of the current pass, or None when
@@ -331,8 +332,9 @@ class BlockNLJ(Operator):
         while self.passes < target["passes"]:
             remaining = self.buffer_tuples - len(self.buffer)
             self.buffer = []
-            for _ in range(remaining):
-                if self.outer.next() is None:
+            while remaining > 0:
+                rows = self._drain(self.outer, remaining)
+                if not rows:
                     if not (
                         target["outer_exhausted"]
                         and self.passes + 1 == target["passes"]
@@ -342,15 +344,16 @@ class BlockNLJ(Operator):
                             f"skipping pass {self.passes + 1} during GoBack"
                         )
                     break
-                self.charge_cpu(1)
+                remaining -= len(rows)
+                self.charge_cpu(len(rows))
             self.passes += 1
         while len(self.buffer) < target["fill"]:
-            row = self.outer.next()
-            if row is None:
+            rows = self._drain(self.outer, target["fill"] - len(self.buffer))
+            if not rows:
                 raise ContractError(
                     f"{self.name}: outer child exhausted while refilling "
                     f"{target['fill']} tuples during GoBack resume"
                 )
-            self.buffer.append(row)
-            self.charge_cpu(1)
+            self.buffer.extend(rows)
+            self.charge_cpu(len(rows))
         self._restore_control(target)

@@ -122,16 +122,7 @@ class TwoPhaseMergeSort(Operator):
 
     def _run_build(self) -> None:
         while not self.child_exhausted:
-            while (
-                len(self.sort_buffer) < self.buffer_tuples
-                and not self.child_exhausted
-            ):
-                row = self.child.next()
-                if row is None:
-                    self.child_exhausted = True
-                    break
-                self.sort_buffer.append(row)
-                self.charge_cpu(1)
+            self._refill_buffer(self.buffer_tuples)
             if self.sort_buffer:
                 self._spill_sublist()
                 # Buffer empty: minimal-heap-state point.
@@ -194,7 +185,7 @@ class TwoPhaseMergeSort(Operator):
         if self._pending_rows:
             return super()._next_batch_fast(max_rows)
         if self.phase == PHASE_BUILD:
-            self._run_build()  # row-exact: per-row pulls, spill, checkpoints
+            self._run_build()
         readers = self._readers
         sort_key = self.sort_key
         out: list = []
@@ -342,13 +333,17 @@ class TwoPhaseMergeSort(Operator):
             self._init_readers(target["positions"])
 
     def _refill_buffer(self, up_to: int) -> None:
-        while len(self.sort_buffer) < up_to and not self.child_exhausted:
-            row = self.child.next()
-            if row is None:
+        """Pull the heap child until the buffer holds ``up_to`` rows: the
+        room left before the next spill (a checkpoint point) or the
+        roll-forward target."""
+        buffer = self.sort_buffer
+        while len(buffer) < up_to and not self.child_exhausted:
+            rows = self._drain(self.child, up_to - len(buffer))
+            if not rows:
                 self.child_exhausted = True
                 break
-            self.sort_buffer.append(row)
-            self.charge_cpu(1)
+            buffer.extend(rows)
+            self.charge_cpu(len(rows))
 
     # ------------------------------------------------------------------
     # Cost hints

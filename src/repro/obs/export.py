@@ -12,8 +12,9 @@ Three formats, one source of truth (the tracer's record list):
   ``i`` events, and scheduler memory samples become a ``C`` counter
   track. Tracks (pid/tid) are laid out per query and per operator, with
   ``M`` metadata records naming them.
-- :func:`summarize` — per-type counts and the time range, for
-  ``repro trace summary``.
+- :func:`summarize` — per-type counts, the time range and (from
+  ``op.stats`` records) which operator did the work, for ``repro trace
+  summary``.
 
 Virtual time units are exported as microseconds 1:1 scaled by
 :data:`TS_SCALE` so Perfetto's zoom behaves sensibly.
@@ -234,16 +235,41 @@ def write_chrome_trace(records: Iterable[dict], path: str) -> int:
 # Summaries
 # ----------------------------------------------------------------------
 
+#: The additive fields of an ``op.stats`` record.
+OP_STATS_FIELDS = ("rows", "pages_read", "pages_written", "work")
+
+
 def summarize(records: Iterable[dict]) -> dict:
-    """Per-type counts, queries seen, and the trace's time range."""
+    """Per-type counts, queries seen, the trace's time range, and the
+    ``op.stats`` records summed per operator (one entry per
+    lane/query/op/name, in that order; empty when the trace has none)."""
     counts: dict[str, int] = {}
     queries: set = set()
+    operators: dict[tuple, dict] = {}
     t_min: Optional[float] = None
     t_max: Optional[float] = None
     for record in records:
         counts[record["type"]] = counts.get(record["type"], 0) + 1
         if record.get("query"):
             queries.add(record["query"])
+        if record["type"] == "op.stats":
+            # The name is part of the identity: a shard lane runs one
+            # plan per stage, each numbering its operators from zero.
+            key = (
+                str(record.get("lane", "")),
+                str(record.get("query", "")),
+                record["op"],
+                record.get("op_name", ""),
+            )
+            totals = operators.setdefault(
+                key,
+                dict(
+                    zip(("lane", "query", "op", "name"), key),
+                    **dict.fromkeys(OP_STATS_FIELDS, 0),
+                ),
+            )
+            for field in OP_STATS_FIELDS:
+                totals[field] += record.get(field, 0)
         if record["type"] != "trace.meta":
             ts = record.get("ts", 0.0)
             end = ts + record.get("dur", 0.0)
@@ -254,6 +280,10 @@ def summarize(records: Iterable[dict]) -> dict:
         "types": dict(sorted(counts.items())),
         "queries": sorted(queries),
         "time_range": [t_min, t_max],
+        "operators": [
+            dict(totals, work=round(totals["work"], 6))
+            for _, totals in sorted(operators.items())
+        ],
     }
 
 
@@ -269,4 +299,28 @@ def render_summary(records: Iterable[dict]) -> str:
     width = max((len(t) for t in info["types"]), default=0)
     for rtype, count in info["types"].items():
         lines.append(f"  {rtype:<{width}}  {count}")
+    if info["operators"]:
+        lines.append("work by operator (op.stats):")
+        header = ("query", "op", "name", "rows", "pages read",
+                  "pages written", "work")
+        table = [header] + [
+            (
+                "/".join(filter(None, (t["lane"], t["query"]))) or "-",
+                str(t["op"]),
+                t["name"],
+                str(t["rows"]),
+                str(t["pages_read"]),
+                str(t["pages_written"]),
+                f"{t['work']:.3f}",
+            )
+            for t in info["operators"]
+        ]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        for row in table:
+            cells = [
+                # names left-aligned, numbers right-aligned
+                cell.ljust(w) if i in (0, 2) else cell.rjust(w)
+                for i, (cell, w) in enumerate(zip(row, widths))
+            ]
+            lines.append("  " + "  ".join(cells).rstrip())
     return "\n".join(lines)

@@ -2,18 +2,20 @@
 
 A :class:`Tracer` collects typed records — instantaneous *events* and
 duration *spans* — from every layer of the system: query lifecycle
-phases, per-operator ``next()`` spans (sampled), checkpoint and contract
-activity, suspend-plan optimization with the MIP's per-operator
+phases, per-operator ``next_batch()`` spans (sampled) and exact
+per-operator ``op.stats``, checkpoint and contract activity, suspend-plan optimization with the MIP's per-operator
 DumpState-vs-GoBack decisions, scheduler quanta and pressure-policy
 victim selection, and durable-image commit steps.
 
 Design constraints, in order:
 
-1. **Zero hot-path cost when disabled.** Every site first checks
-   ``tracer.enabled`` (or the precomputed ``trace_next`` flag in
-   ``Operator.next``); the default :class:`NullTracer` is a singleton of
-   no-op methods, so an untraced run executes the same work as one built
-   before this module existed.
+1. **Zero hot-path cost when disabled, and no second path when
+   enabled.** Every site first checks ``tracer.enabled`` (or, in
+   ``Operator.next_batch``, the sampling period each operator resolved
+   at construction; ``Operator.next`` has no tracer test); the default
+   :class:`NullTracer` is a singleton of no-op methods, so an untraced
+   run executes the same work as one built before this module existed,
+   and a traced run takes the same execution path as an untraced one.
 2. **Determinism.** Timestamps come from the *virtual* clock, records
    carry per-operator sequence numbers (never ``id()`` or the global
    checkpoint/contract counters), and the JSONL export sorts keys — two

@@ -92,7 +92,7 @@ class TestChromeTrace:
 
     def test_zero_duration_span_gets_minimum_width(self):
         events = to_chrome_trace(
-            [{"type": "op.next", "ts": 0.0, "dur": 0.0, "seq": 0, "op": 1}]
+            [{"type": "op.next_batch", "ts": 0.0, "dur": 0.0, "seq": 0, "op": 1}]
         )["traceEvents"]
         (span,) = [e for e in events if e["ph"] == "X"]
         assert span["dur"] == 1.0
@@ -125,3 +125,39 @@ class TestSummaries:
         )
         assert "1 records" in text and "queries: q" in text
         assert any(line.strip().startswith("a") for line in text.splitlines())
+
+    def test_summary_answers_which_operator_did_the_work(self):
+        def stats(query, op, name, rows, reads, writes, work):
+            return {
+                "type": "op.stats", "ts": 1.0, "seq": 0, "query": query,
+                "op": op, "op_name": name, "rows": rows, "pages_read": reads,
+                "pages_written": writes, "cpu_tuples": rows, "work": work,
+            }
+
+        records = [
+            stats("q", 1, "scan_R", 100, 1, 0, 1.1),
+            stats("q", 0, "sort", 0, 0, 2, 4.1),
+            stats("q", 1, "scan_R", 50, 1, 0, 1.05),
+            stats("p", 0, "hj", 7, 0, 0, 0.007),
+        ]
+        assert summarize(records)["operators"] == [
+            {"lane": "", "query": "p", "op": 0, "name": "hj", "rows": 7,
+             "pages_read": 0, "pages_written": 0, "work": 0.007},
+            {"lane": "", "query": "q", "op": 0, "name": "sort", "rows": 0,
+             "pages_read": 0, "pages_written": 2, "work": 4.1},
+            {"lane": "", "query": "q", "op": 1, "name": "scan_R", "rows": 150,
+             "pages_read": 2, "pages_written": 0, "work": 2.15},
+        ]
+        table = render_summary(records).split("work by operator (op.stats):\n")[1]
+        assert [line.split() for line in table.splitlines()] == [
+            ["query", "op", "name", "rows", "pages", "read", "pages",
+             "written", "work"],
+            ["p", "0", "hj", "7", "0", "0", "0.007"],
+            ["q", "0", "sort", "0", "0", "2", "4.100"],
+            ["q", "1", "scan_R", "150", "2", "0", "2.150"],
+        ]
+
+    def test_summary_has_no_operator_table_without_op_stats(self):
+        records = [{"type": "a", "ts": 0.0, "seq": 0, "query": "q"}]
+        assert summarize(records)["operators"] == []
+        assert "work by operator" not in render_summary(records)

@@ -92,6 +92,8 @@ class TestCrossProcessDeterminism:
             "img",
             "--trace-out",
             strace,
+            "--trace-sample",
+            "16",
         )
         run_cli(
             "resume-image",
@@ -101,6 +103,8 @@ class TestCrossProcessDeterminism:
             "img",
             "--trace-out",
             rtrace,
+            "--trace-sample",
+            "16",
         )
         with open(strace, "rb") as fh:
             suspend_bytes = fh.read()
@@ -117,4 +121,10 @@ class TestCrossProcessDeterminism:
             json.loads(line)["type"]
             for line in first[0].decode().splitlines()
         }
-        assert {"checkpoint.taken", "mip.decision", "image.commit"} <= types
+        assert {
+            "checkpoint.taken",
+            "mip.decision",
+            "image.commit",
+            "op.next_batch",
+            "op.stats",
+        } <= types

@@ -144,18 +144,77 @@ class TestSessionWiring:
         assert len(taken) <= len(skips)
 
 
+def batches_of(tracer):
+    return [
+        (r["op_name"], r["emitted"], r["produced"])
+        for r in tracer.records
+        if r["type"] == "op.next_batch"
+    ]
+
+
 class TestNextSampling:
     def test_sampled_next_spans(self):
         tracer = Tracer(next_sample_every=8)
         traced_cycle(tracer)
-        spans = [r for r in tracer.records if r["type"] == "op.next"]
-        assert spans
+        spans = [r for r in tracer.records if r["type"] == "op.next_batch"]
         for r in spans:
-            assert "dur" in r and "op" in r
+            assert {"dur", "op", "emitted", "max_rows", "produced"} <= set(r)
+            assert r["produced"] <= r["max_rows"]
+        # The root and the heap child (the NLJ's filtered outer) are
+        # pulled by batch; the stream child (the inner scan) and the scan
+        # fused under the filter never receive a next_batch call.
+        assert {r["op_name"] for r in spans} == {"nlj", "filter"}
 
     def test_no_next_spans_by_default(self, cycle):
         tracer, _ = cycle
-        assert "op.next" not in types_of(tracer)
+        assert not {"op.next_batch", "op.stats"} & types_of(tracer)
+
+    def test_batches_recorded_when_rows_cross_a_multiple_of_n(self):
+        # N = 1 records every batch that is an operator's first or
+        # produced a row; any other N records the subset the rule picks.
+        every = Tracer(next_sample_every=1)
+        traced_cycle(every)
+        assert len(batches_of(every)) > 10
+        for n in (8, 300, 1_000_000):
+            tracer = Tracer(next_sample_every=n)
+            traced_cycle(tracer)
+            assert batches_of(tracer) == [
+                (name, emitted, produced)
+                for name, emitted, produced in batches_of(every)
+                if emitted == 0 or (emitted + produced) // n > emitted // n
+            ]
+        assert all(emitted == 0 for _, emitted, _ in batches_of(tracer))
+
+    def test_op_stats_account_for_every_event(self):
+        tracer = Tracer(next_sample_every=64)
+        db, plan = build_nlj_s(0.5, scale=200)
+        session = QuerySession(db, plan, name="nlj", tracer=tracer)
+        for max_rows in (1, 700, 2000, None):
+            session.execute(max_rows=max_rows)
+        stats = [r for r in tracer.records if r["type"] == "op.stats"]
+        fields = ("rows", "pages_read", "pages_written", "cpu_tuples", "work")
+        totals = {}
+        for r in stats:
+            acc = totals.setdefault(r["op"], dict.fromkeys(fields, 0))
+            for f in fields:
+                acc[f] += r[f]
+        # Per operator the per-execute deltas sum to its final counters ...
+        ops = session.runtime.ops
+        assert sorted(totals) == sorted(ops)
+        for op_id, op in ops.items():
+            got = totals[op_id]
+            assert got["rows"] == op.tuples_emitted
+            assert got["pages_read"] == op.tally.pages_read
+            assert got["pages_written"] == op.tally.pages_written
+            assert got["cpu_tuples"] == op.tally.cpu_tuples
+            assert got["work"] == pytest.approx(op.work, abs=1e-5)
+        # ... and across operators to what the query's lane counted.
+        lane = session.runtime.lane.counters
+        for f in ("pages_read", "pages_written", "cpu_tuples"):
+            assert sum(t[f] for t in totals.values()) == getattr(lane, f)
+        # Within one execute() the records come in op_id order.
+        first = [r["op"] for r in stats if r["ts"] == stats[0]["ts"]]
+        assert first == sorted(first)
 
 
 class TestCurrentTracerPickup:

@@ -9,11 +9,24 @@ events attributed to the operators add up to exactly what the query's
 lane counted.
 
 The row path is pinned through the dispatcher that selects it
-(``Operator.next_batch``): an armed suspend condition that never fires,
-or, under a scheduler, a tracer that samples ``next()`` spans.
+(``Operator.next_batch``): an armed suspend condition that never fires —
+the one thing that selects it in the product — or, where no condition
+can be armed (scheduler quanta, the run after a resume and the resume's
+own roll-forward), the test-local :func:`row_path`, which swaps the
+dispatcher for the per-row loop. Tracing selects nothing: the last
+property runs every plan under ``Tracer(next_sample_every=N)`` and
+demands the untraced run's rows, clock, counters, per-operator work and
+image bytes.
+
+Beyond one operator over a scan, the plans put a stateful child that
+checkpoints mid-drain under every heap-drain site (sort buffer, NLJ
+outer buffer, hash-join and hash-aggregate partitioning), so batches
+that end at the child's checkpoint points are compared with per-row
+pulls there too.
 """
 
 import itertools
+from contextlib import contextmanager
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,9 +41,13 @@ from repro import (
 )
 from repro.core.lifecycle import QueryStatus
 from repro.durability.codec2 import encode_suspended_query
+from repro.engine.base import Operator
 from repro.engine.plan import (
     FilterSpec,
+    GroupAggSpec,
     HashGroupAggSpec,
+    HybridHashJoinSpec,
+    IndexNLJSpec,
     MergeJoinSpec,
     NLJSpec,
     ProjectSpec,
@@ -48,7 +65,14 @@ SLOW = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-PLAN_KINDS = ("sfp", "nlj", "smj", "shj", "agg")
+PLAN_KINDS = (
+    # one operator over a scan(-filter) chain
+    "sfp", "nlj", "smj", "shj", "agg",
+    # a stateful heap child that checkpoints mid-drain, per drain site
+    "sort_shj", "agg_hhj", "shj_sort", "nlj_sort", "nlj_shj",
+    # default-path operators over a stream child
+    "gagg", "inlj",
+)
 
 
 def build_db(r_size, s_size, seed, pool_pages=0):
@@ -57,6 +81,7 @@ def build_db(r_size, s_size, seed, pool_pages=0):
     db.create_table(
         "S", BASE_SCHEMA, generate_uniform_table(s_size, seed=seed + 1)
     )
+    db.create_index("S_key", "S", 0)
     return db
 
 
@@ -64,6 +89,51 @@ def build_plan(kind, selectivity, buffer_tuples, modulus):
     filtered = FilterSpec(ScanSpec("R"), UniformSelect(1, selectivity))
     if kind == "sfp":
         return ProjectSpec(filtered, columns=(2, 0))
+    if kind in ("sort_shj", "nlj_shj"):
+        shj = build_plan("shj", selectivity, buffer_tuples, modulus)
+        if kind == "sort_shj":
+            return SortSpec(shj, key_columns=(0,), buffer_tuples=buffer_tuples)
+        return NLJSpec(
+            outer=shj,
+            inner=ScanSpec("S"),
+            condition=EquiJoinCondition(0, 0, modulus=modulus),
+            buffer_tuples=buffer_tuples,
+        )
+    if kind == "agg_hhj":
+        return HashGroupAggSpec(
+            HybridHashJoinSpec(
+                build=ScanSpec("S"),
+                probe=filtered,
+                condition=EquiJoinCondition(0, 0, modulus=modulus),
+                num_partitions=4,
+                memory_partitions=1,
+            ),
+            group_columns=(2,),
+            agg_func="sum",
+            agg_column=0,
+            num_partitions=3,
+        )
+    if kind in ("shj_sort", "nlj_sort", "gagg"):
+        ordered = SortSpec(filtered, key_columns=(2,), buffer_tuples=buffer_tuples)
+        if kind == "shj_sort":
+            return SimpleHashJoinSpec(
+                build=ordered,
+                probe=ScanSpec("S"),
+                condition=EquiJoinCondition(0, 0, modulus=modulus),
+                num_partitions=4,
+            )
+        if kind == "nlj_sort":
+            return NLJSpec(
+                outer=ordered,
+                inner=ScanSpec("S"),
+                condition=EquiJoinCondition(0, 0, modulus=modulus),
+                buffer_tuples=buffer_tuples + 3,
+            )
+        return GroupAggSpec(
+            ordered, group_columns=(2,), agg_func="sum", agg_column=0
+        )
+    if kind == "inlj":
+        return IndexNLJSpec(outer=filtered, index="S_key", outer_key_column=0)
     if kind == "nlj":
         return NLJSpec(
             outer=filtered,
@@ -119,6 +189,21 @@ def never(rt):
 def pin(batch):
     """``execute`` keywords selecting the batch path or the row path."""
     return {} if batch else {"suspend_when": never}
+
+
+@contextmanager
+def row_path(pinned=True):
+    """Pin every operator to the row path for the duration by swapping
+    the dispatcher for the per-row loop it selects under an armed
+    condition (so ``_drain``'s ``child.next_batch(n)`` is ``n`` polled
+    ``next()`` calls too); ``pinned=False`` leaves the batch path."""
+    dispatcher = Operator.next_batch
+    if pinned:
+        Operator.next_batch = Operator._next_batch_rowloop
+    try:
+        yield
+    finally:
+        Operator.next_batch = dispatcher
 
 
 def events(counters):
@@ -181,13 +266,11 @@ def test_batch_row_identical(
 
 
 def run_scheduled(db, quantum_rows, batch, plans):
-    tracer = None if batch else Tracer(next_sample_every=1_000_000)
-    sched = QueryScheduler(
-        db, SchedulerConfig(quantum_rows=quantum_rows, tracer=tracer)
-    )
+    sched = QueryScheduler(db, SchedulerConfig(quantum_rows=quantum_rows))
     for i, (name, plan) in enumerate(plans):
         sched.submit(name, plan, arrival_time=float(i))
-    sched.run()
+    with row_path(not batch):
+        sched.run()
     return (
         {r.name: (r.rows, repr(r.stats.completed_at)) for r in sched.records},
         repr(db.now),
@@ -201,32 +284,56 @@ def run_scheduled(db, quantum_rows, batch, plans):
     seed=st.integers(0, 10_000),
     selectivity=st.floats(0.2, 1.0),
     buffer_tuples=st.integers(10, 50),
+    kinds=st.lists(
+        st.sampled_from(PLAN_KINDS), min_size=2, max_size=5, unique=True
+    ),
 )
 def test_batch_row_identical_under_scheduler_quanta(
-    quantum_rows, seed, selectivity, buffer_tuples
+    quantum_rows, seed, selectivity, buffer_tuples, kinds
 ):
     """Interleaved queries cut into quanta: both paths agree on every
     query's rows and completion time and on the shared clock."""
     plans = [
         (kind, build_plan(kind, selectivity, buffer_tuples, 15))
-        for kind in PLAN_KINDS
+        for kind in kinds
     ]
     ref = run_scheduled(build_db(110, 60, seed), quantum_rows, False, plans)
     got = run_scheduled(build_db(110, 60, seed), quantum_rows, True, plans)
     assert got == ref
 
 
-def run_suspended(db, plan, batch, trigger, strategy):
+def stop_keywords(stop):
+    """``execute`` keywords for the first slice of a suspended run: an
+    armed trigger on the root's output or on the query's CPU count (which
+    fires anywhere — mid-build, mid-partitioning, mid-drain of a heap
+    child), or an unarmed ``max_rows`` cut, the suspend a scheduler
+    quantum or a token hop takes on the batch path."""
+    how, n = stop
+    if how == "max_rows":
+        return {"max_rows": n}
+    if how == "root_rows":
+        return {"suspend_when": lambda rt: rt.root().tuples_emitted >= n}
+    return {"suspend_when": lambda rt: rt.lane.counters.cpu_tuples >= 25 * n}
+
+
+def run_suspended(db, plan, stop, strategy, tracer=None):
     reset_id_counters()
-    session = QuerySession(db, plan)
-    first = session.execute(suspend_when=trigger)
+    session = QuerySession(db, plan, tracer=tracer)
+    first = session.execute(**stop_keywords(stop))
     if session.status is QueryStatus.COMPLETED:
         return first.rows, None, fingerprint(db, session)
     sq = session.suspend(SuspendSpec(strategy=strategy))
     image = encode_suspended_query(sq)
-    resumed = QuerySession.resume(db, sq)
-    rest = resumed.execute(**pin(batch))
+    resumed = QuerySession.resume(db, sq, tracer=tracer)
+    rest = resumed.execute()
     return first.rows + rest.rows, image, fingerprint(db, resumed)
+
+
+STOPS = st.tuples(
+    st.sampled_from(["root_rows", "cpu_tuples", "max_rows"]),
+    st.integers(1, 80),
+)
+STRATEGIES = st.sampled_from(["all_dump", "all_goback", "lp"])
 
 
 @SLOW
@@ -235,21 +342,47 @@ def run_suspended(db, plan, batch, trigger, strategy):
     seed=st.integers(0, 10_000),
     selectivity=st.floats(0.2, 1.0),
     buffer_tuples=st.integers(10, 50),
-    fire_at=st.integers(1, 80),
-    strategy=st.sampled_from(["all_dump", "all_goback", "lp"]),
+    stop=STOPS,
+    strategy=STRATEGIES,
 )
 def test_mid_batch_suspend_image_identical(
-    kind, seed, selectivity, buffer_tuples, fire_at, strategy
+    kind, seed, selectivity, buffer_tuples, stop, strategy
 ):
-    """A suspend condition firing mid-batch must leave the same image,
-    clock, and output as the row path (where it fires between rows)."""
+    """A suspend — a condition firing mid-batch, or a ``max_rows`` cut on
+    the batch path — must leave the same image as the row path (where it
+    lands between rows), and the resume's batched roll-forward and the
+    rest of the run the same clock and output."""
     plan = build_plan(kind, selectivity, buffer_tuples, 15)
-
-    def trigger(rt):
-        return rt.root().tuples_emitted >= fire_at
-
-    ref = run_suspended(build_db(110, 60, seed), plan, False, trigger, strategy)
-    got = run_suspended(build_db(110, 60, seed), plan, True, trigger, strategy)
+    with row_path():
+        ref = run_suspended(build_db(110, 60, seed), plan, stop, strategy)
+    got = run_suspended(build_db(110, 60, seed), plan, stop, strategy)
     assert got[0] == ref[0]
     assert got[1] == ref[1]
     assert got[2] == ref[2]
+
+
+@SLOW
+@given(
+    kind=st.sampled_from(PLAN_KINDS),
+    seed=st.integers(0, 10_000),
+    selectivity=st.floats(0.2, 1.0),
+    buffer_tuples=st.integers(10, 50),
+    stop=STOPS,
+    strategy=STRATEGIES,
+    sample_every=st.sampled_from([1, 64, 1_000_000]),
+)
+def test_tracing_is_observation_only(
+    kind, seed, selectivity, buffer_tuples, stop, strategy, sample_every
+):
+    """``Tracer(next_sample_every=N)`` records the run it is given: rows,
+    clock, I/O counters, per-operator work and the suspend image are the
+    untraced run's. Both sides take the same path (the dispatcher ignores
+    the tracer), so a difference can only be a charge or a state change
+    made by the tracing itself."""
+    plan = build_plan(kind, selectivity, buffer_tuples, 15)
+    ref = run_suspended(build_db(110, 60, seed), plan, stop, strategy)
+    tracer = Tracer(next_sample_every=sample_every)
+    got = run_suspended(build_db(110, 60, seed), plan, stop, strategy, tracer)
+    assert got == ref
+    assert any(r["type"] == "op.next_batch" for r in tracer.records)
+    assert any(r["type"] == "op.stats" for r in tracer.records)
