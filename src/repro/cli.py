@@ -437,7 +437,11 @@ def run_images(
         lines.append(
             f"{row['image_id']}: codec v{row['codec_version']}, "
             f"{row['total_bytes']} bytes, "
-            f"{row['num_blobs']} blobs{chain}, meta={row['meta']} [{status}]"
+            f"{row['num_blobs']} blobs{chain}, "
+            f"control {row['control_bytes']} bytes, sections "
+            f"{row['local_blobs']} local ({row['local_bytes']} bytes) + "
+            f"{row['num_blobs'] - row['local_blobs']} referenced "
+            f"({row['reused_bytes']} bytes), meta={row['meta']} [{status}]"
         )
     for gid in cuts.committed:
         lines.append(f"shardset {gid}: committed consistent cut")

@@ -52,7 +52,12 @@ class OpSuspendEntry:
         current_control: for ``dump_to_contract``: the operator's control
             state at the suspend point. The dumped heap reflects *current*
             state while the output must restart from the contract point;
-            resume reconciles the two.
+            resume reconciles the two. For ``dump`` it holds disk state
+            only: the operator's ``_disk_state()`` (the handles of a hash
+            operator's spilled partitions — re-homed here, which inside
+            the dump they would not be), None for every other operator;
+            a ``dump_to_contract`` entry carries those keys beside the
+            control state, and an operator reads only the keys it owns.
         saved_rows: rows carried by a migrated contract (footnote 3),
             returned first on resume before regular regeneration.
     """
@@ -97,12 +102,12 @@ class SuspendedQuery:
     #: Dump payloads exported for migration to a replica (see
     #: :meth:`export_payloads`). Empty when resuming in place.
     migrated_payloads: dict = field(default_factory=dict)
-    #: For payloads staged by ``ImageStore.load``: key -> the
+    #: For payloads staged by ``ImageStore.load`` (still encoded, each a
+    #: :class:`~repro.storage.statefile.StagedPayload`): key -> the
     #: :class:`~repro.storage.statefile.PayloadOrigin` of the verified
-    #: image section each was decoded from (in-process only, never part
-    #: of an image). :meth:`import_payloads` hands them to the state
-    #: store, which is how the next delta image knows the bytes are
-    #: already durable.
+    #: image section it is (in-process only, never part of an image).
+    #: :meth:`import_payloads` hands them to the state store: the next
+    #: delta image references them, the store keeps one copy of each.
     payload_origins: dict = field(default_factory=dict)
     #: State-store keys the suspended session had drawn (in-process only,
     #: never part of an image). A session resumed in place takes them

@@ -9,7 +9,8 @@ migration, rolling upgrade, and scheduled-maintenance scenarios.
 Responsibilities:
 
 - :meth:`ImageStore.save` — export every payload a SuspendedQuery
-  references, encode the control record, and commit the image as one
+  references (dumps, sort sublists, spilled hash partitions: one section
+  each), encode the control record, and commit the image as one
   packed file with the protocol of :mod:`repro.durability.format`: one
   ``fsync`` of the file, one rename (the commit point), one ``fsync`` of
   the root. Images are written with the v2 binary columnar codec
@@ -27,13 +28,12 @@ Responsibilities:
 - :meth:`ImageStore.save_many` — commit a batch of images (one memory-
   pressure event's victims) serially in request order, after every
   request in the batch has been checked;
-- :meth:`ImageStore.load` — verify checksums and reconstruct the
-  SuspendedQuery with its payloads, and the origin of each, staged for
-  import (the existing migration path charges the simulated-disk writes
-  on resume, so cost accounting survives the process boundary). The
-  packed ``<id>.rimg`` with codec-v2 sections is the only form read; a
-  file stamped with any other layout or codec version is rejected as a
-  format error;
+- :meth:`ImageStore.load` — verify every section's checksum, decode the
+  control record, and stage the payload sections *undecoded*, with the
+  origin of each, for import (the migration path charges the simulated-
+  disk writes on resume; the state store decodes a payload when it is
+  first read). The packed ``<id>.rimg`` with codec-v2 sections is the
+  only form read; any other layout or codec stamp is a format error;
 - :meth:`ImageStore.recover` — the startup scan: classify every entry
   under the root as committed, torn, or orphaned, and quarantine the bad
   ones instead of crashing;
@@ -47,7 +47,7 @@ import contextlib
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.common.errors import ReproError
@@ -75,7 +75,7 @@ from repro.durability.format import (
     read_manifest,
     write_packed_image,
 )
-from repro.storage.statefile import PayloadOrigin, StateStore
+from repro.storage.statefile import PayloadOrigin, StagedPayload, StateStore
 
 
 class ImageNotFoundError(ReproError):
@@ -132,23 +132,17 @@ class ImageInfo:
     base_image_id: Optional[str] = None
     #: Number of images in the base+delta chain, this one included.
     chain_length: int = 1
-    #: Bytes this commit *reused* from ancestors instead of rewriting.
+    #: Bytes this commit *reused* from ancestors instead of rewriting:
+    #: the sections its ``num_blobs - local_blobs`` references name.
     reused_bytes: int = 0
+    #: Size of the control section, and count and size of the payload
+    #: sections the image physically holds.
+    control_bytes: int = 0
+    local_blobs: int = 0
+    local_bytes: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "image_id": self.image_id,
-            "path": self.path,
-            "created_at": self.created_at,
-            "meta": self.meta,
-            "num_blobs": self.num_blobs,
-            "blob_pages": self.blob_pages,
-            "total_bytes": self.total_bytes,
-            "codec_version": self.codec_version,
-            "base_image_id": self.base_image_id,
-            "chain_length": self.chain_length,
-            "reused_bytes": self.reused_bytes,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -308,7 +302,7 @@ class ImageStore:
         held: dict[str, dict] = {}  # chain image -> sections it holds
         handles = req.sq.referenced_handles()
         for key in sorted(handles):
-            payload, pages = req.store.export_payload(handles[key])
+            handle = handles[key]
             origin = req.store.origin_of(key)
             section = None
             if origin is not None and origin.image_id in chain:
@@ -319,18 +313,19 @@ class ImageStore:
                 section = held[origin.image_id].get(origin.section)
             if section is not None and (
                 section["sha256"] == origin.sha256
-                and section["pages"] == pages
+                and section["pages"] == handle.pages
             ):
                 # Dump payloads are immutable once stored and this one has
                 # not been re-dumped since it was read from, or written
                 # to, a section an image of the base chain still holds
                 # with the same digest (an image id reused for other
                 # bytes never matches): the bytes are already durable —
-                # reference the image that physically owns them.
+                # reference the image that physically owns them (the
+                # payload is not needed: a staged one stays undecoded).
                 ref_blobs.append(
                     {
                         "key": key,
-                        "pages": pages,
+                        "pages": handle.pages,
                         "ref": {
                             "image_id": origin.image_id,
                             "file": origin.section,
@@ -339,6 +334,7 @@ class ImageStore:
                 )
                 reused_bytes += section["bytes"]
             else:
+                payload, pages = req.store.export_payload(handle)
                 name = f"{BLOB_PREFIX}{len(local_blobs):04d}"
                 local_blobs.append((name, key, pages, payload))
         return _PreparedSave(
@@ -471,18 +467,30 @@ class ImageStore:
                     prep.image_id, name, manifest["files"][name]["sha256"]
                 ),
             )
+        return self._image_info(
+            manifest, result["file_bytes"], prep.chain_length, prep.reused_bytes
+        )
+
+    def _image_info(
+        self, manifest: dict, total_bytes: int, chain_length: int, reused: int
+    ) -> ImageInfo:
+        files, blobs = manifest["files"], manifest["blobs"]
+        local = [files[b["file"]]["bytes"] for b in blobs if "file" in b]
         return ImageInfo(
-            image_id=prep.image_id,
-            path=self._image_path(prep.image_id),
+            image_id=manifest["image_id"],
+            path=self._image_path(manifest["image_id"]),
             created_at=manifest_created_at(manifest),
-            meta=manifest["meta"],
-            num_blobs=len(manifest["blobs"]),
-            blob_pages=result["blob_pages"],
-            total_bytes=result["file_bytes"],
-            codec_version=CODEC_V2,
-            base_image_id=prep.base_image_id,
-            chain_length=prep.chain_length,
-            reused_bytes=prep.reused_bytes,
+            meta=manifest.get("meta", {}),
+            num_blobs=len(blobs),
+            blob_pages=sum(b["pages"] for b in blobs),
+            total_bytes=total_bytes,
+            codec_version=manifest["codec_version"],
+            base_image_id=manifest.get("base_image_id"),
+            chain_length=chain_length,
+            reused_bytes=reused,
+            control_bytes=files[manifest["control_file"]]["bytes"],
+            local_blobs=len(local),
+            local_bytes=sum(local),
         )
 
     # ------------------------------------------------------------------
@@ -530,16 +538,6 @@ class ImageStore:
             current = self.manifest(current).get("base_image_id")
         return chain
 
-    def _decode_blob(self, data: bytes) -> dict:
-        decoded = codec2.decode_bytes(data)
-        if not isinstance(decoded, dict) or not {
-            "key",
-            "pages",
-            "payload",
-        } <= set(decoded):
-            raise ImageFormatError("malformed image blob record")
-        return decoded
-
     @contextlib.contextmanager
     def _readers(self):
         """Yield ``reader_of(image_id) -> (manifest, read, held)``:
@@ -563,20 +561,45 @@ class ImageStore:
 
             yield reader_of
 
-    def load(self, image_id: str) -> SuspendedQuery:
-        """Verify and decode an image into a resumable SuspendedQuery.
+    @staticmethod
+    def _staged(
+        data: bytes, fname: str, first_key: str, pages: int
+    ) -> StagedPayload:
+        """The verified section bytes ``data`` as a payload the state
+        store decodes on first read. A blob record embeds the key it was
+        first written under, so it is cross-checked against the entry of
+        the image that holds the section (``first_key``; a reference
+        keeps the section and may name it by a later key) — at decode
+        time, before the payload reaches any reader."""
 
-        Every file is checksum-verified before anything is decoded; for
-        delta images the base chain is walked and referenced blobs are
-        verified against *their* owning image's manifest, which must be
-        an image of that chain. A blob record embeds the key it was first
-        written under, so it is checked against the entry of the image
-        that holds the section (a reference keeps the section and may
-        name it by a later key). The returned structure has its dump
-        payloads staged in ``migrated_payloads`` and the section each came
-        from in ``payload_origins``; ``QuerySession.resume`` imports them
-        into the target database's state store, charging the page writes
-        there exactly as a migration to a replica would.
+        def decode():
+            record = codec2.decode_bytes(data)
+            fields = {"key", "pages", "payload"}
+            if not isinstance(record, dict) or not fields <= set(record):
+                raise ImageFormatError("malformed image blob record")
+            if record["key"] != first_key or record["pages"] != pages:
+                raise ImageFormatError(
+                    f"blob {fname!r} does not match its manifest entry"
+                )
+            return record["payload"]
+
+        return StagedPayload(decode)
+
+    def load(self, image_id: str) -> SuspendedQuery:
+        """Verify an image and stage it as a resumable SuspendedQuery.
+
+        The control record is decoded here. Every payload section the
+        image names — its own and, for a delta, those it references, each
+        checked to be held with the same page count by an image of its
+        base chain — is read and verified (size and SHA-256) before this
+        returns, but not decoded: ``migrated_payloads`` holds each as a
+        :class:`~repro.storage.statefile.StagedPayload` and
+        ``payload_origins`` the section it is. ``QuerySession.resume``
+        imports them into the target database's state store, charging
+        the page writes there exactly as a migration to a replica would;
+        the store decodes a payload when its handle is first read — a
+        section the resumed query never dereferences costs no decode —
+        and a malformed blob record raises :class:`ImageFormatError` then.
         """
         chain = self.chain(image_id)
         with self._readers() as reader_of:
@@ -592,15 +615,12 @@ class ImageStore:
                     fname = blob["ref"]["file"]
                     self._check_ref(blob, chain, reader_of)
                 _, read, held = reader_of(owner_id)
-                decoded = self._decode_blob(read(fname))
-                if (
-                    decoded["key"] != held[fname]["key"]
-                    or decoded["pages"] != blob["pages"]
-                ):
-                    raise ImageFormatError(
-                        f"blob {fname!r} does not match its manifest entry"
-                    )
-                payloads[blob["key"]] = (decoded["payload"], blob["pages"])
+                payloads[blob["key"]] = (
+                    self._staged(
+                        read(fname), fname, held[fname]["key"], blob["pages"]
+                    ),
+                    blob["pages"],
+                )
                 origins[blob["key"]] = PayloadOrigin(
                     owner_id, fname, held[fname]["sha256"]
                 )
@@ -632,7 +652,6 @@ class ImageStore:
 
     def info(self, image_id: str) -> ImageInfo:
         manifest = self.manifest(image_id)
-        path = self._image_path(image_id)
         base = manifest.get("base_image_id")
         reused = 0
         for blob in manifest["blobs"]:
@@ -648,19 +667,8 @@ class ImageStore:
             chain_length = len(self.chain(image_id)) if base else 1
         except (ImageNotFoundError, ImageFormatError):
             chain_length = 1
-        return ImageInfo(
-            image_id=manifest["image_id"],
-            path=path,
-            created_at=manifest_created_at(manifest),
-            meta=manifest.get("meta", {}),
-            num_blobs=len(manifest["blobs"]),
-            blob_pages=sum(b["pages"] for b in manifest["blobs"]),
-            total_bytes=os.path.getsize(path),
-            codec_version=manifest["codec_version"],
-            base_image_id=base,
-            chain_length=chain_length,
-            reused_bytes=reused,
-        )
+        size = os.path.getsize(self._image_path(image_id))
+        return self._image_info(manifest, size, chain_length, reused)
 
     def _image_ids(self) -> list[str]:
         """Ids of every packed image file under the root (one scan)."""

@@ -458,12 +458,14 @@ class Operator:
         forward from there.
         """
         graph = self.rt.graph
+        heap = self._heap_state_payload()
+        disk = self._disk_state()
         ckpt = Checkpoint(
             op_id=self.op_id,
             seq=graph.next_seq(self.op_id),
             payload={
                 "__full_state__": True,
-                "heap": self._heap_state_payload(),
+                "heap": {**heap, **disk} if disk else heap,
                 "control": self.control_state(),
             },
             work_at=self.work,
@@ -550,6 +552,7 @@ class Operator:
             kind=KIND_DUMP,
             target_control=self.control_state(),
             dump_handle=handle,
+            current_control=self._disk_state(),
             saved_rows=list(self._pending_rows),
         )
         ctx.sq.add_entry(entry)
@@ -566,7 +569,10 @@ class Operator:
             kind=KIND_DUMP_TO_CONTRACT,
             target_control=dict(contract.control),
             dump_handle=handle,
-            current_control=self.control_state(),
+            current_control={
+                **self.control_state(),
+                **(self._disk_state() or {}),
+            },
             saved_rows=list(contract.saved_rows),
         )
         ctx.sq.add_entry(entry)
@@ -677,6 +683,14 @@ class Operator:
 
     def _heap_state_payload(self):
         """The heap state object to dump; None for stateless operators."""
+        return None
+
+    def _disk_state(self) -> Optional[dict]:
+        """Disk-resident state outside the control state: per-partition
+        :class:`DumpHandle` lists (row snapshots while partitions grow),
+        or None. Handles inside a dumped payload would be neither
+        exported nor re-homed, so a dump entry carries this dict in
+        ``current_control`` and a full-state checkpoint beside the heap."""
         return None
 
     # ------------------------------------------------------------------

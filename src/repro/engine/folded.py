@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.engine import partitions
 from repro.engine.hash_join import HybridHashJoin, SimpleHashJoin
 from repro.engine.scan import TableScan
 from repro.storage.heapfile import ScanCursor
@@ -121,14 +122,13 @@ class SharedBuildMixin:
         # query's lane only (the ones super() counts: the spilled
         # partition's page reads, and one CPU tuple per build row).
         disk = self.rt.disk
-        pages = math.ceil(len(self._build_disk[p]) / self.build_tpp)
+        spilled = len(partitions.rows_of(self, self._build_disk[p]))
+        pages = math.ceil(spilled / self.build_tpp)
         with self.attribute_work():
             disk.absorbed_read_pages(pages)
-            disk.absorbed_cpu_tuples(
-                len(self.build_pending[p]) + len(self._build_disk[p])
-            )
+            disk.absorbed_cpu_tuples(len(self.build_pending[p]) + spilled)
         self._hash_table = cached
-        self._probe_rows = list(self._probe_disk[p])
+        self._probe_rows = partitions.rows_of(self, self._probe_disk[p])
         manager.note_build_hit()
         manager.stats.pages_absorbed += pages
 

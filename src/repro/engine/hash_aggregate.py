@@ -7,7 +7,8 @@ We again maintain the current aggregate value ... while processing the
 current bucket."
 
 Phase 1 partitions the input by group-key hash, flushing blocks to disk
-as they fill (charged); the phase boundary is a materialization point.
+as they fill (charged); the phase boundary is a materialization point:
+the partitions become payloads (:mod:`repro.engine.partitions`).
 Phase 2 loads one partition at a time, folds it into per-group aggregates,
 and emits the groups; partition boundaries are minimal-heap-state points.
 """
@@ -19,6 +20,7 @@ from typing import Optional, Sequence
 
 from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
+from repro.engine import partitions
 from repro.engine.aggregate import AGG_FUNCS
 from repro.engine.base import BATCH_ROWS, Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
@@ -61,7 +63,7 @@ class HashGroupAggregate(Operator):
         self.num_partitions = num_partitions
         self.phase = PHASE_PARTITION
         self.pending: list[list[Row]] = []
-        self._disk_rows: list[list[Row]] = []
+        self._disk_rows: list = []  # flushed rows, then sealed handles
         self.flushed_blocks: list[int] = []
         self.consumed = 0
         self.current_partition = -1
@@ -108,9 +110,6 @@ class HashGroupAggregate(Operator):
                 return None
             if self.phase == PHASE_PARTITION:
                 self._run_partition_phase()
-                self.phase = PHASE_EMIT
-                self.current_partition = -1
-                self.make_checkpoint()  # materialization point
             if self.emit_idx < len(self._groups):
                 row = self._groups[self.emit_idx]
                 self.emit_idx += 1
@@ -135,9 +134,6 @@ class HashGroupAggregate(Operator):
             return out
         if self.phase == PHASE_PARTITION:
             self._run_partition_phase()
-            self.phase = PHASE_EMIT
-            self.current_partition = -1
-            self.make_checkpoint()  # materialization point
         need = max_rows
         while need > 0:
             avail = len(self._groups) - self.emit_idx
@@ -158,7 +154,10 @@ class HashGroupAggregate(Operator):
 
     def _run_partition_phase(self) -> None:
         self._partition_input()
-        self._flush_all_pending()
+        self._end_partitioning()
+        self.phase = PHASE_EMIT
+        self.current_partition = -1
+        self.make_checkpoint()  # materialization point
 
     def _partition_input(
         self,
@@ -206,9 +205,12 @@ class HashGroupAggregate(Operator):
         self.pending[p] = []
         self.flushed_blocks[p] += 1
 
-    def _flush_all_pending(self) -> None:
+    def _end_partitioning(self) -> None:
+        """Flush the partial blocks and seal the partitions: they stop
+        growing here."""
         for p in range(self.num_partitions):
             self._flush_block(p)
+        partitions.seal(self, "part", self._disk_rows, self.child_tpp)
 
     def _advance_partition(self) -> bool:
         next_p = self.current_partition + 1
@@ -225,7 +227,7 @@ class HashGroupAggregate(Operator):
         return True
 
     def _load_partition(self, p: int) -> None:
-        rows = self._disk_rows[p]
+        rows = partitions.rows_of(self, self._disk_rows[p])
         pages = math.ceil(len(rows) / self.child_tpp)
         with self.attribute_work():
             self.rt.disk.read_pages(pages)
@@ -258,11 +260,18 @@ class HashGroupAggregate(Operator):
             "emit_idx": self.emit_idx,
         }
 
+    def _disk_state(self) -> dict:
+        return {
+            "disk_rows": partitions.snapshot(
+                self._disk_rows, self.current_partition
+            )
+        }
+
     def _checkpoint_payload(self) -> dict:
         return {
             "phase": self.phase,
             "consumed": self.consumed,
-            "disk_rows": [list(rows) for rows in self._disk_rows],
+            **self._disk_state(),
             "flushed": list(self.flushed_blocks),
             "current_partition": self.current_partition,
         }
@@ -270,7 +279,6 @@ class HashGroupAggregate(Operator):
     def _heap_state_payload(self):
         return {
             "pending": [list(b) for b in self.pending],
-            "disk_rows": [list(rows) for rows in self._disk_rows],
             "groups": list(self._groups),
         }
 
@@ -283,14 +291,25 @@ class HashGroupAggregate(Operator):
         self.flushed_blocks = list(control["flushed"])
         self.current_partition = control["current_partition"]
         self.pending = [list(b) for b in payload.get("pending", self.pending)]
-        self._disk_rows = [
-            list(r) for r in payload.get("disk_rows", self._disk_rows)
-        ]
+        self._restore_disk(payload)
         self._groups = list(payload.get("groups", []))
         self.emit_idx = control["emit_idx"]
 
+    def _restore_disk(self, state: dict) -> None:
+        """Take over the partitions of a checkpoint or dump entry; row
+        lists (a partition-phase snapshot, or an image from before
+        partitions were payloads) are sealed unless partitioning
+        resumes."""
+        self._disk_rows = partitions.snapshot(
+            state.get("disk_rows", self._disk_rows)
+        )
+        if self.phase != PHASE_PARTITION:
+            partitions.seal(self, "part", self._disk_rows, self.child_tpp)
+
     def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
         self._restore_heap_and_control(payload or {}, entry.target_control)
+        # The partition handles travel in the entry (``_disk_state``).
+        self._restore_disk(entry.current_control or {})
 
     def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
         ckpt = entry.ckpt_payload or {}
@@ -301,12 +320,7 @@ class HashGroupAggregate(Operator):
         else:
             self.phase = ckpt.get("phase", PHASE_PARTITION)
             self.consumed = ckpt.get("consumed", 0)
-            self._disk_rows = [
-                list(r)
-                for r in ckpt.get(
-                    "disk_rows", [[] for _ in range(self.num_partitions)]
-                )
-            ]
+            self._restore_disk(ckpt)
             self.flushed_blocks = list(
                 ckpt.get("flushed", [0] * self.num_partitions)
             )
@@ -320,7 +334,7 @@ class HashGroupAggregate(Operator):
         if self.phase == PHASE_PARTITION:
             # Checkpoint predates the phase boundary: redo partitioning.
             self._partition_input(skip_blocks=skip)
-            self._flush_all_pending()
+            self._end_partitioning()
         self.phase = PHASE_EMIT
         self.current_partition = target["current_partition"]
         if self.current_partition >= 0:

@@ -17,9 +17,11 @@ Checkpoint behaviour, following the paper:
   boundary in phase 2 (the current build partition is the heap state and
   it empties between partitions), so GoBack in phase 2 just reloads the
   current partition from disk;
-- a join-phase checkpoint or dump carries the spilled partitions from the
-  current one on: the join never returns to a finished partition, so a
-  suspend image does not re-write the ones the probe is done with;
+- at the phase boundary the spilled partitions become state-store
+  payloads (:mod:`repro.engine.partitions`): a join-phase checkpoint or
+  dump entry carries their handles, from the current partition on — the
+  join never returns to a finished one — so a suspend image writes each
+  partition once and a resume decodes only the ones it reads;
 - hybrid hash join keeps the first ``memory_partitions`` build partitions
   entirely in memory; those have no materialization point, making both
   suspend strategies expensive for them — exactly the weakness Example 9
@@ -29,10 +31,12 @@ Checkpoint behaviour, following the paper:
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Optional
 
 from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
+from repro.engine import partitions
 from repro.engine.base import BATCH_ROWS, Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
 from repro.relational.expressions import (
@@ -40,7 +44,6 @@ from repro.relational.expressions import (
     compile_left_key,
     compile_right_key,
 )
-from repro.storage.statefile import DumpHandle
 
 PHASE_PARTITION = "partition"
 PHASE_JOIN = "join"
@@ -77,10 +80,12 @@ class SimpleHashJoin(Operator):
         # partitions of the hybrid variant, all rows).
         self.build_pending: list[list[Row]] = []
         self.probe_pending: list[list[Row]] = []
-        # Per-partition flushed rows (simulated disk payloads built up
-        # incrementally; writes are charged per block as they fill).
-        self._build_disk: list[list[Row]] = []
-        self._probe_disk: list[list[Row]] = []
+        # Per-partition spilled state: while partitioning, the flushed
+        # rows (built up incrementally; writes are charged per block as
+        # they fill); in the join phase, the handle of the payload each
+        # non-empty partition was sealed as.
+        self._build_disk: list = []
+        self._probe_disk: list = []
         self.build_flushed_blocks: list[int] = []
         self.probe_flushed_blocks: list[int] = []
         self.build_consumed = 0
@@ -135,9 +140,6 @@ class SimpleHashJoin(Operator):
                 return None
             if self.phase == PHASE_PARTITION:
                 self._run_partition_phase()
-                self.current_partition = -1
-                self.phase = PHASE_JOIN
-                self.make_checkpoint()  # materialization point
             row = self._join_next()
             if row is not None:
                 return row
@@ -149,7 +151,19 @@ class SimpleHashJoin(Operator):
             self._partition_input(build_side=True)
             self.build_done = True
         self._partition_input(build_side=False)
-        self._flush_all_pending()
+        self._end_partitioning()
+        self.current_partition = -1
+        self.phase = PHASE_JOIN
+        self.make_checkpoint()  # materialization point
+
+    def _end_partitioning(self) -> None:
+        """Flush the partial blocks and seal the partitions: they stop
+        growing here."""
+        for p in range(self.memory_partitions, self.num_partitions):
+            self._flush_block(p, build_side=True)
+            self._flush_block(p, build_side=False)
+        partitions.seal(self, "build", self._build_disk, self.build_tpp)
+        partitions.seal(self, "probe", self._probe_disk, self.probe_tpp)
 
     def _partition_input(
         self,
@@ -220,12 +234,6 @@ class SimpleHashJoin(Operator):
         pending[p] = []
         flushed[p] += 1
 
-    def _flush_all_pending(self) -> None:
-        for p in range(self.num_partitions):
-            if not self._is_memory_partition(p):
-                self._flush_block(p, build_side=True)
-                self._flush_block(p, build_side=False)
-
     def _join_next(self) -> Optional[Row]:
         while True:
             if self._emit_matches is not None and self._emit_pos < len(
@@ -277,9 +285,6 @@ class SimpleHashJoin(Operator):
             return out
         if self.phase == PHASE_PARTITION:
             self._run_partition_phase()
-            self.current_partition = -1
-            self.phase = PHASE_JOIN
-            self.make_checkpoint()  # materialization point
         disk = self.rt.disk
         right_key = compile_right_key(self.condition)
         need = max_rows
@@ -351,18 +356,23 @@ class SimpleHashJoin(Operator):
         return True
 
     def _load_partition(self, p: int) -> None:
-        build_rows = list(self.build_pending[p]) + list(self._build_disk[p])
+        spilled = partitions.rows_of(self, self._build_disk[p])
         if not self._is_memory_partition(p):
-            pages = math.ceil(len(self._build_disk[p]) / self.build_tpp)
+            pages = math.ceil(len(spilled) / self.build_tpp)
             with self.attribute_work():
                 self.rt.disk.read_pages(pages)
         self._hash_table = {}
-        for row in build_rows:
+        for row in chain(self.build_pending[p], spilled):
             self.charge_cpu(1)
             key = self.condition.left_key(row)
             self._hash_table.setdefault(key, []).append(row)
-        # Probe rows stream one block at a time (charged as consumed).
-        self._probe_rows = list(self._probe_disk[p])
+        # Probe rows stream one block at a time (charged as consumed);
+        # neither side of a memory partition was ever spilled.
+        self._probe_rows = (
+            self.probe_pending[p]
+            if self._is_memory_partition(p)
+            else partitions.rows_of(self, self._probe_disk[p])
+        )
 
     # ------------------------------------------------------------------
     # State introspection
@@ -403,39 +413,23 @@ class SimpleHashJoin(Operator):
             "emit_probe_row": getattr(self, "_emit_probe_row", None),
         }
 
-    def _live_disk(self, partitions: list[list[Row]]) -> list[list[Row]]:
-        """Snapshot of the spilled partitions, finished ones left out.
-
-        The join never returns to a partition it has finished, and every
-        state a checkpoint or dump is restored or rolled forward to lies
-        at or after the snapshot, so partitions before the current one
-        are never read again. They stay in place as empty lists (the
-        partition count is control state). A boundary checkpoint is taken
-        before the partition index advances, so it keeps the partition
-        just finished: a contract migrated onto it still names that one.
-        Carrying the dead partitions would re-write them with every
-        suspend image of the join phase.
-        """
+    def _disk_state(self) -> dict:
         live = self.current_partition
-        return [
-            list(rows) if p >= live else []
-            for p, rows in enumerate(partitions)
-        ]
+        return {
+            "build_disk": partitions.snapshot(self._build_disk, live),
+            "probe_disk": partitions.snapshot(self._probe_disk, live),
+        }
 
     def _checkpoint_payload(self) -> dict:
+        mem = self.memory_partitions
         return {
             "phase": self.phase,
             "current_partition": self.current_partition,
-            "build_disk": self._live_disk(self._build_disk),
-            "probe_disk": self._live_disk(self._probe_disk),
-            "memory_rows": [
-                list(self.build_pending[p])
-                for p in range(self.memory_partitions)
-            ],
-            "memory_probe_rows": [
-                list(self.probe_pending[p])
-                for p in range(self.memory_partitions)
-            ],
+            **self._disk_state(),
+            # Heap state with no materialization point (Example 9): all
+            # of it, finished or not, as the live operator counts it.
+            "memory_rows": [list(b) for b in self.build_pending[:mem]],
+            "memory_probe_rows": [list(b) for b in self.probe_pending[:mem]],
             "build_flushed": list(self.build_flushed_blocks),
             "probe_flushed": list(self.probe_flushed_blocks),
         }
@@ -444,8 +438,6 @@ class SimpleHashJoin(Operator):
         return {
             "build_pending": [list(b) for b in self.build_pending],
             "probe_pending": [list(b) for b in self.probe_pending],
-            "build_disk": self._live_disk(self._build_disk),
-            "probe_disk": self._live_disk(self._probe_disk),
             "hash_rows": {
                 k: list(v) for k, v in self._hash_table.items()
             },
@@ -457,9 +449,13 @@ class SimpleHashJoin(Operator):
     # ------------------------------------------------------------------
     def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
         self._restore_heap_and_control(payload or {}, entry.target_control)
+        # The partition handles travel in the entry (``_disk_state``).
+        self._restore_disk(entry.current_control or {})
 
     def _restore_heap_and_control(self, payload: dict, control: dict) -> None:
-        """Restore complete state from a dump/full-checkpoint payload."""
+        """Restore complete state from a dump's or full-state
+        checkpoint's heap (and, in a checkpoint or an image from before
+        partitions were payloads, the disk state beside it)."""
         self.phase = control["phase"]
         self.build_consumed = control["build_consumed"]
         self.probe_consumed = control["probe_consumed"]
@@ -472,12 +468,7 @@ class SimpleHashJoin(Operator):
         self.probe_pending = [
             list(b) for b in payload.get("probe_pending", self.probe_pending)
         ]
-        self._build_disk = [
-            list(rows) for rows in payload.get("build_disk", self._build_disk)
-        ]
-        self._probe_disk = [
-            list(rows) for rows in payload.get("probe_disk", self._probe_disk)
-        ]
+        self._restore_disk(payload)
         self.current_partition = control["current_partition"]
         if self.phase == PHASE_JOIN and self.current_partition >= 0:
             self._hash_table = {}
@@ -492,6 +483,21 @@ class SimpleHashJoin(Operator):
                 self._emit_probe_row = probe_row
                 self._emit_pos = control["emit_pos"]
 
+    def _restore_disk(self, state: dict) -> None:
+        """Take over the spilled partitions of a checkpoint or dump
+        entry. Row lists — a partition-phase snapshot, or a join-phase
+        image from before partitions were payloads — are sealed unless
+        partitioning resumes."""
+        self._build_disk = partitions.snapshot(
+            state.get("build_disk", self._build_disk)
+        )
+        self._probe_disk = partitions.snapshot(
+            state.get("probe_disk", self._probe_disk)
+        )
+        if self.phase != PHASE_PARTITION:
+            partitions.seal(self, "build", self._build_disk, self.build_tpp)
+            partitions.seal(self, "probe", self._probe_disk, self.probe_tpp)
+
     def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
         ckpt = entry.ckpt_payload or {}
         target = entry.target_control
@@ -501,12 +507,7 @@ class SimpleHashJoin(Operator):
             self._restore_heap_and_control(heap, control)
         else:
             self.phase = ckpt.get("phase", PHASE_PARTITION)
-            self._build_disk = [list(r) for r in ckpt.get(
-                "build_disk", [[] for _ in range(self.num_partitions)]
-            )]
-            self._probe_disk = [list(r) for r in ckpt.get(
-                "probe_disk", [[] for _ in range(self.num_partitions)]
-            )]
+            self._restore_disk(ckpt)
             self.build_flushed_blocks = list(
                 ckpt.get("build_flushed", [0] * self.num_partitions)
             )
@@ -528,7 +529,7 @@ class SimpleHashJoin(Operator):
         # skipping to the probe cursor.
         if ckpt.get("phase", PHASE_PARTITION) == PHASE_PARTITION:
             self._roll_forward_partitioning(target)
-            self._flush_all_pending()
+            self._end_partitioning()
         self.build_consumed = target["build_consumed"]
         self.probe_consumed = target["probe_consumed"]
         self.build_done = target["build_done"]
@@ -587,18 +588,3 @@ class HybridHashJoin(SimpleHashJoin):
         if not 0 <= memory_partitions <= num_partitions:
             raise ValueError("memory_partitions out of range")
         self.memory_partitions = memory_partitions
-
-    def _load_partition(self, p: int) -> None:
-        if self._is_memory_partition(p):
-            # Build rows already in memory; probe rows stream from disk
-            # plus any pending in-memory block.
-            self._hash_table = {}
-            for row in self.build_pending[p]:
-                self.charge_cpu(1)
-                key = self.condition.left_key(row)
-                self._hash_table.setdefault(key, []).append(row)
-            self._probe_rows = list(self._probe_disk[p]) + list(
-                self.probe_pending[p]
-            )
-            return
-        super()._load_partition(p)

@@ -165,10 +165,6 @@ class TokenManager:
             self._redeemed = entries
         return self._redeemed
 
-    def redeemed(self) -> set:
-        """A copy of the set of redeemed token strings."""
-        return set(self._ledger())
-
     def _mark_redeemed(self, token: ContinuationToken, text: str) -> None:
         created = not os.path.exists(self._ledger_path)
         line = json.dumps(

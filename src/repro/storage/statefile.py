@@ -12,6 +12,11 @@ the image section that holds its bytes (:class:`PayloadOrigin`). It is
 bookkeeping about real bytes only — nothing here is charged for it — and
 is what lets a delta image reference an unchanged payload instead of
 re-encoding it (``repro.durability.store``).
+
+A payload imported from an image arrives *staged* (:class:`StagedPayload`)
+and is decoded by the first read of its handle, so state a resume never
+touches is never decoded; an import whose section the store already
+holds under another live key shares that payload.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.common.errors import StorageError
 from repro.storage.disk import SimulatedDisk
@@ -64,6 +69,24 @@ class PayloadOrigin(NamedTuple):
     sha256: str
 
 
+class StagedPayload:
+    """A payload still in its encoded form, decoded at most once by the
+    ``decode`` of whoever staged it (the store stays codec-agnostic). A
+    ``decode`` that raises is tried — and fails — again on the next read."""
+
+    __slots__ = ("_decode", "_payload")
+
+    def __init__(self, decode: Callable[[], Any]):
+        self._decode: Optional[Callable[[], Any]] = decode
+        self._payload: Any = None
+
+    def get(self) -> Any:
+        if self._decode is not None:
+            self._payload = self._decode()
+            self._decode = None  # releases the staged bytes
+        return self._payload
+
+
 class StateStore:
     """Keyed object store with page-granular I/O charging.
 
@@ -96,6 +119,9 @@ class StateStore:
         # side table, not a DumpHandle field: handles are serialized into
         # control records, provenance must never change image bytes.
         self._origins: dict[str, PayloadOrigin] = {}
+        # The reverse lookup: origin -> the live keys whose payload is
+        # that section. They all share one payload object.
+        self._holders: dict[PayloadOrigin, set[str]] = {}
 
     def fresh_key(self, prefix: str, scope: Optional[str] = None) -> str:
         """Generate a unique key with the given prefix.
@@ -116,8 +142,15 @@ class StateStore:
         if pages < 0:
             raise ValueError(f"negative page count {pages}")
         self._disk.write_pages(pages)
+        return self.materialized(key, payload, pages)
+
+    def materialized(self, key: str, payload: Any, pages: int) -> DumpHandle:
+        """Register under ``key`` state its owner has already written,
+        and paid for, page by page (a hash partition's flushed blocks):
+        nothing is charged here, and the owner keeps charging its own
+        reads (see :meth:`peek`)."""
         self._objects[key] = (payload, pages)
-        self._origins.pop(key, None)
+        self._forget_origin(key)
         return DumpHandle(self._store_id, key, pages)
 
     def dump_tuples(
@@ -129,10 +162,18 @@ class StateStore:
         pages = math.ceil(len(rows) / tuples_per_page) if rows else 0
         return self.dump(key, list(rows), pages)
 
-    def load(self, handle: DumpHandle) -> Any:
-        """Read back a payload, charging its size in page reads."""
+    def _read(self, handle: DumpHandle) -> tuple[Any, int]:
+        """``(payload, pages)`` behind ``handle``; a staged payload is
+        decoded here, on its first read."""
         self._check_handle(handle)
         payload, pages = self._objects[handle.key]
+        if type(payload) is StagedPayload:
+            payload = payload.get()
+        return payload, pages
+
+    def load(self, handle: DumpHandle) -> Any:
+        """Read back a payload, charging its size in page reads."""
+        payload, pages = self._read(handle)
         self._disk.read_pages(pages)
         return payload
 
@@ -143,16 +184,16 @@ class StateStore:
         sublists already consumed). Returns the full payload but charges
         only the unread suffix.
         """
-        self._check_handle(handle)
-        payload, pages = self._objects[handle.key]
+        payload, pages = self._read(handle)
         remaining = max(0, pages - first_page)
         self._disk.read_pages(remaining)
         return payload
 
     def peek(self, handle: DumpHandle) -> Any:
-        """Read a payload without charging (testing only)."""
-        self._check_handle(handle)
-        return self._objects[handle.key][0]
+        """Read a payload without charging: for an operator that charges
+        the pages itself, block by block as its cursor crosses them (sort
+        sublists, spilled hash partitions), and for tests."""
+        return self._read(handle)[0]
 
     def export_payload(self, handle: DumpHandle) -> tuple[Any, int]:
         """Return ``(payload, pages)`` for migration/persistence, uncharged.
@@ -162,9 +203,7 @@ class StateStore:
         *same* simulated-disk bytes, so charging again would double-count.
         The importing side pays for its own copy via :meth:`import_payload`.
         """
-        self._check_handle(handle)
-        payload, pages = self._objects[handle.key]
-        return payload, pages
+        return self._read(handle)
 
     def import_payload(
         self,
@@ -176,8 +215,11 @@ class StateStore:
         """Store a migrated payload under a fresh local key, charging the
         page writes — the receiving side of a migration pays the transfer.
 
-        ``origin`` names the verified image section the payload was decoded
-        from (``ImageStore.load`` supplies it); see :meth:`origin_of`.
+        ``origin`` names the verified image section the payload is
+        (``ImageStore.load`` supplies it, payload staged); see
+        :meth:`origin_of`. If the store holds that section under another
+        live key, the new key shares its payload, decoded or still
+        staged, and ``payload`` is dropped. The charge is the same.
         """
         return self._import_as(
             self.fresh_key(import_prefix(key)), payload, pages, origin
@@ -190,22 +232,37 @@ class StateStore:
         pages: int,
         origin: Optional[PayloadOrigin],
     ) -> DumpHandle:
+        for holder in self._holders.get(origin, ()):
+            payload = self._objects[holder][0]
+            break
         handle = self.dump(key, payload, pages)
         if origin is not None:
-            self._origins[key] = origin
+            self._set_origin(key, origin)
         return handle
+
+    def _set_origin(self, key: str, origin: PayloadOrigin) -> None:
+        self._forget_origin(key)
+        self._origins[key] = origin
+        self._holders.setdefault(origin, set()).add(key)
+
+    def _forget_origin(self, key: str) -> None:
+        origin = self._origins.pop(key, None)
+        if origin is not None:
+            holders = self._holders[origin]
+            holders.discard(key)
+            if not holders:
+                del self._holders[origin]
 
     def free(self, handle: DumpHandle) -> None:
         """Release a payload. Freeing is not charged (deallocation)."""
         self._check_handle(handle)
-        del self._objects[handle.key]
-        self._origins.pop(handle.key, None)
+        self.free_keys((handle.key,))
 
     def free_keys(self, keys) -> None:
         """Release the payloads under ``keys``; absent keys are skipped."""
         for key in keys:
             self._objects.pop(key, None)
-            self._origins.pop(key, None)
+            self._forget_origin(key)
 
     def origin_of(self, key: str) -> Optional[PayloadOrigin]:
         """The image section that holds ``key``'s payload, if one is known.
@@ -222,7 +279,7 @@ class StateStore:
         """Record that ``key``'s payload has just been durably committed
         as ``origin`` (``ImageStore`` calls this after a save)."""
         if key in self._objects:
-            self._origins[key] = origin
+            self._set_origin(key, origin)
 
     def exists(self, key: str) -> bool:
         return key in self._objects

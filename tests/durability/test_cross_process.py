@@ -28,20 +28,22 @@ REPO_SRC = os.path.join(
 SHAPES = ("sort", "hashjoin", "hashagg")
 
 
-def run_cli(*argv: str) -> str:
+def run_python(*argv: str) -> str:
+    """Stdout of a fresh interpreter with this checkout on its path."""
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (
         REPO_SRC if not existing else REPO_SRC + os.pathsep + existing
     )
     out = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
+        [sys.executable, *argv], env=env, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
     return out.stdout
+
+
+def run_cli(*argv: str) -> str:
+    return run_python("-m", "repro.cli", *argv)
 
 
 @pytest.mark.parametrize("recipe", SHAPES)
@@ -106,3 +108,66 @@ def test_images_listing_and_recover_cli(tmp_path):
     )
     assert report["committed"] == [suspended["image_id"]]
     assert report["torn"] == ["halfdone"]
+
+
+#: Run in a fresh interpreter that has only ever *loaded* ``base``:
+#: resume, run a little, commit a delta; print the delta's blob table.
+DELTA_AFTER_LOAD = """
+import json, sys
+from repro.core.lifecycle import QuerySession, SuspendSpec
+from repro.durability import ImageStore, build_recipe
+
+store = ImageStore(sys.argv[1])
+db, _ = build_recipe("hashjoin")
+session = QuerySession.resume(db, store.load("base"), name="hashjoin")
+rows = session.execute(max_rows=20).rows
+session.suspend(
+    SuspendSpec(persist_to=store, image_id="delta", base_image_id="base")
+)
+print(json.dumps({"blobs": store.manifest("delta")["blobs"], "rows": rows}))
+"""
+
+
+def test_mid_probe_hash_join_across_processes(tmp_path):
+    """Partition sections are a pure function of the query: two processes
+    write identical image bytes, and a third that only loaded the image
+    references every one of them from its delta."""
+    from repro.durability import ImageStore
+    from repro.durability.format import CONTROL_NAME_V2
+
+    prefixes = []
+    for root in (tmp_path / "a", tmp_path / "b"):
+        suspended = json.loads(
+            run_cli(
+                "suspend", "--recipe", "hashjoin", "--images", str(root),
+                "--rows", "1500", "--id", "base", "--json",
+            )
+        )
+        store = ImageStore(str(root))
+        control = store.manifest("base")["files"][CONTROL_NAME_V2]
+        with open(store.info("base").path, "rb") as fh:
+            prefixes.append(fh.read(control["offset"] + control["bytes"]))
+    assert prefixes[0] == prefixes[1] and prefixes[0]
+    partitions = {
+        b["key"] for b in store.manifest("base")["blobs"] if "/hj_" in b["key"]
+    }
+    assert len(partitions) >= 4
+
+    delta = json.loads(
+        run_python("-c", DELTA_AFTER_LOAD, str(tmp_path / "b"))
+    )
+    carried = [b for b in delta["blobs"] if "hj_" in b["key"]]
+    assert carried and all(
+        b.get("ref", {}).get("image_id") == "base" for b in carried
+    )
+    # Only heap state (the current partition's hash table) was written.
+    assert len(delta["blobs"]) - len(carried) <= 1
+    assert store.validate("delta") == []
+
+    db, plan = build_recipe("hashjoin")
+    reference = QuerySession(db, plan).execute().rows
+    rest = QuerySession.resume(
+        build_recipe("hashjoin")[0], store.load("delta")
+    ).execute().rows
+    got = [tuple(r) for r in suspended["rows"] + delta["rows"]] + rest
+    assert got == reference

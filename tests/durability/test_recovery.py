@@ -110,14 +110,19 @@ class TestRecoveryScan:
         assert sorted(report.torn) == ["a-delta", "z-base"]
 
 
-def restamped_copy(store, source_id, image_id, restamp):
+def restamped_copy(store, source_id, image_id, restamp, sections=None):
     """Commit a byte-for-byte copy of ``source_id`` whose manifest went
-    through ``restamp``: trailer, CRC, tiling and section hashes are all
-    good, so only what ``restamp`` changed can make a reader refuse it."""
+    through ``restamp`` (and whose ``sections`` — name -> bytes — were
+    replaced): trailer, CRC, tiling and section hashes are all good, so
+    only what was changed can make a reader refuse it."""
     manifest = store.manifest(source_id)
+    sections = sections or {}
     with open_image(store.info(source_id).path, manifest) as read:
         files = [
-            (name, lambda sink, data=read(name): sink(data))
+            (
+                name,
+                lambda sink, data=sections.get(name) or read(name): sink(data),
+            )
             for name in sorted(
                 manifest["files"], key=lambda n: manifest["files"][n]["offset"]
             )

@@ -123,34 +123,42 @@ class TestHashJoinSuspendResume:
 
 
 class TestSnapshotsLeaveOutFinishedPartitions:
-    """A join-phase checkpoint or dump carries the spilled partitions from
-    the current one on; the ones the probe is done with are empty lists."""
+    """From the phase boundary on a spilled partition is a state-store
+    payload, and a join-phase checkpoint or dump entry carries the
+    handles from the current partition on; the ones the probe is done
+    with are empty lists."""
 
     @staticmethod
-    def snapshot(db, entry):
-        """``(current partition, payload)`` of the entry's snapshot."""
+    def snapshot(entry):
+        """``(current partition, disk state)`` of the entry's snapshot."""
         if entry.kind == "goback":
             payload = entry.ckpt_payload
             if payload.get("__full_state__"):
                 return payload["control"]["current_partition"], payload["heap"]
             return payload["current_partition"], payload
-        current = (entry.current_control or entry.target_control)[
-            "current_partition"
-        ]
-        return current, db.state_store.peek(entry.dump_handle)
+        return entry.target_control["current_partition"], entry.current_control
+
+    @staticmethod
+    def spilled_partitions(plan):
+        """Every spilled partition's rows, read just past the boundary."""
+        db = make_small_db()
+        session = QuerySession(db, plan)
+        session.execute(max_rows=1)
+        join = session.runtime.op_named("hj")
+        return {
+            side: [
+                db.state_store.peek(part) if part else []
+                for part in getattr(join, f"_{side}")
+            ]
+            for side in ("build_disk", "probe_disk")
+        }
 
     @pytest.mark.parametrize("plan_fn", [shj_plan, hhj_plan])
     @pytest.mark.parametrize("strategy", ["all_dump", "all_goback", "lp"])
     def test_hops_through_the_join_phase(self, plan_fn, strategy):
         plan = plan_fn()
-        ref_db = make_small_db()
-        ref_session = QuerySession(ref_db, plan)
-        join = ref_session.runtime.op_named("hj")
-        ref = ref_session.execute().rows
-        full = {
-            "build_disk": [list(rows) for rows in join._build_disk],
-            "probe_disk": [list(rows) for rows in join._probe_disk],
-        }
+        ref = reference_rows(make_small_db, plan)
+        full = self.spilled_partitions(plan)
 
         db = make_small_db()
         session = QuerySession(db, plan)
@@ -162,14 +170,56 @@ class TestSnapshotsLeaveOutFinishedPartitions:
                 break
             op_id = session.runtime.op_named("hj").op_id
             sq = session.suspend(SuspendSpec(strategy=strategy))
-            current, payload = self.snapshot(db, sq.entry(op_id))
+            entry = sq.entry(op_id)
+            current, disk = self.snapshot(entry)
             for side, partitions in full.items():
-                for p, kept in enumerate(payload[side]):
-                    if p < current:
+                for p, kept in enumerate(disk[side]):
+                    if p < current or not partitions[p]:
                         assert kept == []
                         dropped += bool(partitions[p])
                     else:
-                        assert kept == partitions[p]
+                        # A handle, never rows — and nothing the dump
+                        # itself holds: handles inside a dumped payload
+                        # would not be exported or re-homed.
+                        assert db.state_store.peek(kept) == partitions[p]
+                        assert kept.key in sq.referenced_handles()
+            if entry.dump_handle is not None:
+                assert not set(full) & set(
+                    db.state_store.peek(entry.dump_handle)
+                )
             session = QuerySession.resume(db, sq)
         assert rows == ref
         assert dropped > 0
+
+    @pytest.mark.parametrize(
+        "strategy", ["all_dump", "all_goback", "lp", "dp"]
+    )
+    def test_a_resumed_join_holds_the_heap_an_uninterrupted_one_does(
+        self, strategy
+    ):
+        """A hybrid join's memory partitions are heap state the live
+        operator counts until it closes, finished or not; checkpoints
+        carry all of them, so a resumed join is charged for the same
+        heap as one that was never suspended."""
+        plan = hhj_plan()
+        solo = QuerySession(make_small_db(), plan)
+        db = make_small_db()
+        session = QuerySession(db, plan)
+        rows, past_memory = [], 0
+        while True:
+            rows.extend(session.execute(max_rows=40).rows)
+            solo.execute(max_rows=40)
+            if session.status.value == "completed":
+                break
+            session = QuerySession.resume(
+                db, session.suspend(SuspendSpec(strategy=strategy))
+            )
+            join, twin = (
+                s.runtime.op_named("hj") for s in (session, solo)
+            )
+            assert join.current_partition == twin.current_partition
+            assert join.heap_tuples() == twin.heap_tuples()
+            assert join.heap_pages() == twin.heap_pages()
+            past_memory += join.current_partition >= join.memory_partitions
+        assert rows == solo.rows
+        assert past_memory > 0

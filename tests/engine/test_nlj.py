@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database, QuerySession, QueryStatus, SuspendSpec
-from repro.common.errors import ReproError
+from repro.common.errors import ContractError, ReproError
 from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec, SortSpec
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
 from repro.relational.expressions import EquiJoinCondition, UniformSelect
@@ -172,3 +172,41 @@ class TestNLJSuspendResume:
             sq = session.suspend(SuspendSpec(budget=1e6))
             session = QuerySession.resume(db, sq)
         assert rows == ref.rows
+
+
+class TestNLJOverNLJ:
+    """The oldest open defect (ROADMAP item 1): a block NLJ whose outer
+    child is another block NLJ — the paper's Figure 2 composed with
+    itself — fails under GoBack in the lower join's short final pass
+    (slice 111). Not fixed yet: the strict xfails make the eventual fix
+    announce itself."""
+
+    GOBACK_DEFECT = pytest.mark.xfail(strict=True, raises=ContractError)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            "all_dump",
+            pytest.param("all_goback", marks=GOBACK_DEFECT),
+            pytest.param("lp", marks=GOBACK_DEFECT),
+        ],
+    )
+    def test_150_row_slices_with_suspend_resume_between(self, strategy):
+        plan = NLJSpec(
+            outer=tiny_nlj_plan(buffer_tuples=30),
+            inner=ScanSpec("S"),
+            condition=EquiJoinCondition(0, 0, modulus=7),
+            buffer_tuples=25,
+        )
+        ref = reference_rows(make_small_db, plan)
+        assert len(ref) == 21_575
+        db = make_small_db()
+        session = QuerySession(db, plan)
+        rows = []
+        while True:
+            rows.extend(session.execute(max_rows=150).rows)
+            if session.status is QueryStatus.COMPLETED:
+                break
+            sq = session.suspend(SuspendSpec(strategy=strategy))
+            session = QuerySession.resume(db, sq)
+        assert rows == ref

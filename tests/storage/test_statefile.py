@@ -8,6 +8,7 @@ from repro.storage.statefile import (
     DumpHandle,
     PayloadOrigin,
     ScopedStateStore,
+    StagedPayload,
     StateStore,
 )
 
@@ -213,3 +214,112 @@ class TestPayloadOrigin:
         store = StateStore(SimulatedDisk())
         handle = store.import_payload("k", [1], 1, origin=self.ORIGIN)
         assert handle == DumpHandle(handle.store_id, handle.key, 1)
+
+
+class TestMaterialized:
+    def test_registers_without_a_charge(self):
+        disk = SimulatedDisk()
+        store = StateStore(disk)
+        store.dump("k", [0], pages=1)
+        store.committed_to("k", TestPayloadOrigin.ORIGIN)
+        before = disk.counters.snapshot()
+        handle = store.materialized("k", [1, 2], pages=7)
+        assert disk.counters.minus(before).pages_written == 0
+        assert handle == DumpHandle(handle.store_id, "k", 7)
+        assert store.peek(handle) == [1, 2]
+        assert store.origin_of("k") is None  # new bytes under the key
+
+
+class TestStagedAndSharedPayloads:
+    """An import from an image section arrives staged (decoded on first
+    read, at most once) and shares the payload of any live key the store
+    already holds for the same section."""
+
+    ORIGIN = PayloadOrigin("img-1", "blob-0000", "ab" * 32)
+
+    @staticmethod
+    def staged(payload, calls):
+        def decode():
+            calls.append(1)
+            return payload
+
+        return StagedPayload(decode)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            StateStore.load,
+            StateStore.peek,
+            lambda store, h: store.load_pages_range(h, 0),
+            lambda store, h: store.export_payload(h)[0],
+        ],
+    )
+    def test_every_read_decodes_and_only_the_first(self, read):
+        store, calls = StateStore(SimulatedDisk()), []
+        handle = store.import_payload("k", self.staged([1, 2], calls), 1)
+        assert calls == []
+        assert read(store, handle) == [1, 2]
+        assert store.peek(handle) is store.load(handle)
+        assert calls == [1]
+
+    def test_a_failing_decode_fails_every_read(self):
+        def decode():
+            raise ValueError("malformed record")
+
+        store = StateStore(SimulatedDisk())
+        handle = store.import_payload("k", StagedPayload(decode), 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="malformed"):
+                store.load(handle)
+
+    def test_import_of_a_held_section_adopts_its_payload(self):
+        disk = SimulatedDisk()
+        store, calls = StateStore(disk), []
+        first = store.import_payload(
+            "k", self.staged([1], calls), 3, origin=self.ORIGIN
+        )
+        before = disk.counters.pages_written
+        second = store.import_payload(
+            "k", self.staged([1], calls), 3, origin=self.ORIGIN
+        )
+        # Charged like any import, under its own key ...
+        assert disk.counters.pages_written - before == 3
+        assert second.key != first.key
+        assert store.origin_of(second.key) == self.ORIGIN
+        # ... and one decode serves both keys.
+        assert store.load(second) is store.load(first)
+        assert calls == [1]
+
+    def test_a_committed_payload_is_adopted_undecoded(self):
+        store, calls = StateStore(SimulatedDisk()), []
+        rows = [1, 2, 3]
+        store.dump("k", rows, pages=1)
+        store.committed_to("k", self.ORIGIN)
+        handle = store.import_payload(
+            "k", self.staged(list(rows), calls), 1, origin=self.ORIGIN
+        )
+        assert store.load(handle) is rows and calls == []
+
+    def test_redump_unshares_and_free_leaves_the_other_readable(self):
+        store, calls = StateStore(SimulatedDisk()), []
+        a = store.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
+        b = store.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
+        c = store.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
+        store.dump(b.key, [2], pages=1)
+        assert store.load(b) == [2] and store.load(a) == [1]
+        store.free(a)
+        assert store.load(c) == [1] and calls == [1]
+        # The re-dumped key no longer stands for the section.
+        store.free(c)
+        d = store.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
+        assert store.load(d) == [1] and calls == [1, 1]
+
+    def test_another_store_shares_nothing(self):
+        one, other, calls = (
+            StateStore(SimulatedDisk()),
+            StateStore(SimulatedDisk()),
+            [],
+        )
+        a = one.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
+        b = other.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
+        assert one.load(a) is not other.load(b) and calls == [1, 1]
