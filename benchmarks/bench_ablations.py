@@ -17,12 +17,10 @@ Not figures from the paper, but direct tests of its design claims:
 
 import pytest
 
-from repro import Database, QuerySession
+from repro import Database, QuerySession, SuspendTrigger
 from repro.engine.config import EngineConfig
 from repro.harness.experiments import (
     measure_suspend_overhead,
-    nlj_buffer_trigger,
-    root_rows_trigger,
 )
 from repro.harness.report import format_table
 from repro.storage.disk import IOCostModel
@@ -41,7 +39,7 @@ def ablate_contract_migration():
     # has not reached a packet boundary yet). Migration re-pointed it to
     # the sorts' phase-boundary checkpoints as the build progressed;
     # without migration it still targets the empty initial checkpoint.
-    trigger = root_rows_trigger("mj", 1)
+    trigger = SuspendTrigger("mj", "emitted", 1)
     for migration in (True, False):
         config = EngineConfig(contract_migration=migration)
         r = measure_suspend_overhead(
@@ -64,7 +62,7 @@ def ablate_proactive_checkpointing():
     # Suspend during the third buffer fill: with proactive checkpointing
     # the fulfilling checkpoint is the last pass boundary; without it,
     # GoBack falls back to the initial checkpoint.
-    trigger = root_rows_trigger("scan_R", int(2.5 * plan.buffer_tuples / 0.9))
+    trigger = SuspendTrigger("scan_R", "emitted", int(2.5 * plan.buffer_tuples / 0.9))
     for proactive in (True, False):
         config = EngineConfig(proactive_checkpointing=proactive)
         r = measure_suspend_overhead(
@@ -92,7 +90,7 @@ def crossover_for_ratio(write_cost):
         # Rebuild with the custom cost model (build_nlj_s constructs the
         # default Database; patch the write cost before any charging).
         _, plan = build_nlj_s(selectivity=sel, scale=SCALE)
-        trigger = nlj_buffer_trigger("nlj", plan.buffer_tuples // 2)
+        trigger = SuspendTrigger("nlj", "fill", plan.buffer_tuples // 2)
         dump = measure_suspend_overhead(factory, trigger, "all_dump")
         goback = measure_suspend_overhead(factory, trigger, "all_goback")
         if goback.total_overhead <= dump.total_overhead:
@@ -179,7 +177,7 @@ def ablate_buffer_pool():
         return factory
 
     rows = []
-    trigger = nlj_buffer_trigger("nlj", 500)
+    trigger = SuspendTrigger("nlj", "fill", 500)
     for pool_pages in (0, 256):
         r = measure_suspend_overhead(
             factory_for(pool_pages), trigger, "all_goback"

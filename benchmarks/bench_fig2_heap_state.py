@@ -8,7 +8,7 @@ point where the operator checkpoints proactively.
 
 import pytest
 
-from repro import Database, QuerySession
+from repro import Database, QuerySession, QueryStatus, SuspendTrigger
 from repro.engine.plan import NLJSpec, ScanSpec
 from repro.harness.report import format_table
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
@@ -39,25 +39,40 @@ def running_example():
     return db, plan
 
 
-def trace_heap_state(sample_every=97):
+def sample_on(scan, every):
+    """Run the example, sampling both buffers each time ``scan`` has
+    produced ``every`` more rows — by re-arming a trigger on it."""
     db, plan = running_example()
     session = QuerySession(db, plan)
     samples = []
-    counter = [0]
+    produced = every
+    while True:
+        session.execute(
+            suspend_when=SuspendTrigger(scan, "emitted", produced),
+            collect=False,
+        )
+        if session.status is QueryStatus.COMPLETED:
+            return samples, session
+        samples.append(
+            {
+                "time": round(db.now, 1),
+                "nlj0_heap": session.op_named("nlj0").heap_tuples(),
+                "nlj1_heap": session.op_named("nlj1").heap_tuples(),
+            }
+        )
+        produced += every
 
-    def sampler(rt):
-        counter[0] += 1
-        if counter[0] % sample_every == 0:
-            samples.append(
-                {
-                    "time": round(rt.disk.now, 1),
-                    "nlj0_heap": rt.op_named("nlj0").heap_tuples(),
-                    "nlj1_heap": rt.op_named("nlj1").heap_tuples(),
-                }
-            )
-        return False
 
-    session.execute(suspend_when=sampler, collect=False)
+def trace_heap_state():
+    """One clock per phase: the scan of R moves while the child NLJ
+    fills, the scan of S while it joins (and the parent fills), the scan
+    of T while the parent joins. Runs are deterministic, so the three
+    sampled runs merge into one timeline."""
+    samples = []
+    for scan, every in (("scan_R", 40), ("scan_S", 25), ("scan_T", 50)):
+        sampled, session = sample_on(scan, every)
+        samples.extend(sampled)
+    samples.sort(key=lambda sample: sample["time"])
     graph = session.runtime.graph
     ckpts = {
         name: graph.latest_checkpoint(session.op_named(name).op_id).seq

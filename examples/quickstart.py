@@ -15,6 +15,7 @@ from repro import (
     ScanSpec,
     SuspendSpec,
     SuspendStrategy,
+    SuspendTrigger,
 )
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
 from repro.relational.expressions import EquiJoinCondition, UniformSelect
@@ -43,7 +44,7 @@ def main():
     # the next safe point (the paper's "suspend exception").
     session = QuerySession(db, plan)
     result = session.execute(
-        suspend_when=lambda rt: rt.op_named("join").buffer_fill() >= 250
+        suspend_when=SuspendTrigger("join", "fill", 250)
     )
     print(f"produced {len(result.rows)} rows before the suspend request")
     print(f"join buffer holds {session.op_named('join').buffer_fill()} tuples")

@@ -11,11 +11,10 @@ Run:  python examples/suspend_budget_tuning.py
 
 import math
 
-from repro import QuerySession
+from repro import QuerySession, SuspendTrigger
 from repro.common.errors import SuspendBudgetInfeasibleError
 from repro.harness.experiments import (
     measure_suspend_overhead,
-    nlj_buffer_trigger,
     run_reference_to_milestone,
 )
 from repro.workloads import build_complex_plan
@@ -27,7 +26,7 @@ BUDGETS = (1.0, 15.0, 40.0, 100.0, math.inf)
 def main():
     factory = lambda: build_complex_plan(scale=SCALE)
     _, plan = factory()
-    trigger = nlj_buffer_trigger("nlj0", int(0.85 * plan.buffer_tuples))
+    trigger = SuspendTrigger("nlj0", "fill", int(0.85 * plan.buffer_tuples))
     db, p = factory()
     reference, _ = run_reference_to_milestone(db, p, trigger)
 

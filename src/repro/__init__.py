@@ -70,6 +70,7 @@ from repro.core.lifecycle import (
     SuspendStrategy,
 )
 from repro.engine.config import EngineConfig
+from repro.engine.runtime import SuspendTrigger
 from repro.engine.plan import (
     DupElimSpec,
     FilterSpec,
@@ -162,6 +163,7 @@ __all__ = [
     "SuspendPlan",
     "SuspendSpec",
     "SuspendStrategy",
+    "SuspendTrigger",
     "SuspendedQuery",
     "TokenError",
     "TokenExpiredError",

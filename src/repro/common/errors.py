@@ -49,6 +49,14 @@ class LifecycleError(ReproError, RuntimeError):
     """
 
 
+class InvalidTriggerError(ReproError, ValueError):
+    """Raised when a suspend trigger could never fire in the query it is
+    armed on: it names an operator the plan does not have, a counter that
+    operator does not keep (``fill`` on an operator without a buffer,
+    ``position`` on anything but a table scan), or a negative threshold.
+    """
+
+
 class ShardError(ReproError):
     """Raised for invalid sharded-execution operations.
 

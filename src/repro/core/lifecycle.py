@@ -2,10 +2,10 @@
 
 :class:`QuerySession` drives one query through the lifecycle:
 
-- ``execute()`` pulls tuples from the root operator. A suspend condition
-  (armed via ``suspend_when`` or requested directly) raises the suspend
-  exception at the next safe point and leaves the session ready for the
-  suspend phase.
+- ``execute()`` pulls tuples from the root operator. A suspend trigger
+  (armed via ``suspend_when``) raises the suspend exception at the next
+  safe point after its counter reaches its threshold and leaves the
+  session ready for the suspend phase.
 - ``suspend()`` chooses a suspend plan (online LP by default), carries it
   out via the recursive ``Suspend()``/``Suspend(Ctr)`` calls, writes the
   SuspendedQuery structure to disk, and discards the in-memory plan.
@@ -24,7 +24,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.durability.store import ImageStore
@@ -41,7 +41,12 @@ from repro.core.suspended_query import SuspendedQuery
 from repro.engine.base import BATCH_ROWS
 from repro.engine.config import EngineConfig
 from repro.engine.plan import PlanSpec, instantiate_plan
-from repro.engine.runtime import ResumeContext, Runtime, SuspendContext
+from repro.engine.runtime import (
+    ResumeContext,
+    Runtime,
+    SuspendContext,
+    SuspendTrigger,
+)
 from repro.storage.database import Database
 
 
@@ -206,19 +211,22 @@ class QuerySession:
     def execute(
         self,
         max_rows: Optional[int] = None,
-        suspend_when: Optional[Callable[[Runtime], bool]] = None,
+        suspend_when: Optional[SuspendTrigger] = None,
         collect: bool = True,
     ) -> ExecutionResult:
         """Run until completion, ``max_rows`` outputs, or a suspend request.
 
-        ``suspend_when`` is a predicate over the runtime; when it first
-        holds at a safe point, execution stops with status
-        ``SUSPEND_PENDING`` and :meth:`suspend` may be called.
+        ``suspend_when`` is a :class:`SuspendTrigger` — a counter of a
+        named operator reaching a threshold; at the first safe point
+        after it does, execution stops with status ``SUSPEND_PENDING``
+        and :meth:`suspend` may be called. A trigger that could never
+        fire in this plan is rejected here
+        (:class:`~repro.common.errors.InvalidTriggerError`).
         """
         if self.status not in (QueryStatus.RUNNING, QueryStatus.SUSPEND_PENDING):
             raise ReproError(f"cannot execute in status {self.status}")
         if suspend_when is not None:
-            self.runtime.controller.arm(suspend_when)
+            self.runtime.arm(suspend_when)
         produced: list = []
         count = 0
         start = self.db.now
@@ -232,31 +240,23 @@ class QuerySession:
             if tracer.trace_next
             else ()
         )
-        controller = self.runtime.controller
-        fired_before = controller.fired
         prev_lane = self.db.disk.set_lane(self.runtime.lane)
         try:
-            # A drain is a handful of next_batch() calls instead of one
-            # interpreted next() per root row; the operators themselves
-            # fall back to per-row next() only while a suspend condition
-            # is armed. They return short batches at checkpoint/phase
-            # boundaries and partial batches when a suspend condition
-            # fires mid-batch (the rows produced before it are kept).
+            # A drain is a handful of next_batch() calls. Operators return
+            # short batches at checkpoint/phase boundaries; an armed
+            # trigger raises from the entry poll of some call, after the
+            # rows before it were handed up.
             while True:
                 need = BATCH_ROWS if max_rows is None else max_rows - count
                 if need <= 0:
                     break
                 batch = self.root.next_batch(min(need, BATCH_ROWS))
-                if batch:
-                    count += len(batch)
-                    if collect:
-                        produced.extend(batch)
-                if controller.fired and not fired_before:
-                    self.status = QueryStatus.SUSPEND_PENDING
-                    break
                 if not batch:
                     self.status = QueryStatus.COMPLETED
                     break
+                count += len(batch)
+                if collect:
+                    produced.extend(batch)
         except SuspendRequested:
             self.status = QueryStatus.SUSPEND_PENDING
         finally:
@@ -474,6 +474,12 @@ class QuerySession:
         """
         if self.runtime.ops:
             self.root.close()
+        # Nothing may point back up the tree: the operators, and the rows
+        # their buffers and readers still hold, are then freed by
+        # reference counting when the session is dropped, not by the
+        # next full collection.
+        for op in self.runtime.ops.values():
+            op.parent = None
         self.runtime.ops.clear()
         self.runtime.ops_by_name.clear()
         if self.status is QueryStatus.COMPLETED:

@@ -8,7 +8,12 @@ paper's extensions (Table 1): ``SignContract(Ckpt)``, ``Suspend()``,
 
 from repro.engine.base import Operator
 from repro.engine.config import EngineConfig
-from repro.engine.runtime import Runtime, SuspendContext, SuspendController
+from repro.engine.runtime import (
+    Runtime,
+    SuspendContext,
+    SuspendController,
+    SuspendTrigger,
+)
 from repro.engine.plan import (
     FilterSpec,
     HybridHashJoinSpec,
@@ -48,6 +53,7 @@ __all__ = [
     "SortSpec",
     "SuspendContext",
     "SuspendController",
+    "SuspendTrigger",
     "instantiate_plan",
     "plan_operator_count",
     "validate_plan_spec",

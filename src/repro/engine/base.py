@@ -30,7 +30,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from repro.common.errors import ContractError, ReproError, SuspendRequested
+from repro.common.errors import ContractError, ReproError
 from repro.core.checkpoint import Checkpoint, Contract, control_state_bytes
 from repro.core.strategies import Strategy
 from repro.core.suspended_query import (
@@ -111,66 +111,67 @@ class Operator:
             self.make_checkpoint()
 
     def next(self) -> Optional[Row]:
-        """Return the next output row, or None when exhausted."""
-        self.rt.poll()
-        if self._pending_rows:
-            row = self._pending_rows.popleft()
-        else:
-            row = self._next()
-        if row is not None:
-            self.tuples_emitted += 1
-            self.charge_cpu(1)
-        return row
+        """Return the next output row, or None when exhausted: how a
+        parent pulls a *stream* child, whose position is the contract."""
+        rows = self.next_batch(1)
+        return rows[0] if rows else None
 
     def next_batch(self, max_rows: int) -> list:
-        """Return up to ``max_rows`` output rows (the vectorized path).
+        """Return up to ``max_rows`` output rows.
 
-        Semantics are identical to ``max_rows`` calls to :meth:`next`:
-
-        - at most ``max_rows`` rows are returned;
-        - an **empty** list means the operator is exhausted *unless* the
-          suspend controller fired mid-batch (drivers check
-          ``rt.controller.fired`` before treating empty as done);
+        - an **empty** list means the operator is exhausted;
         - a short non-empty batch means "call again" — operators end a
           batch early at checkpoint/phase boundaries so a batch never
           spans a checkpoint point: the checkpoint is then taken at the
-          start of the next call, at the exact virtual-clock instant and
-          operator state the row path would take it.
+          start of the next call, at the virtual-clock instant and
+          operator state a one-row-per-call run takes it.
 
-        The only thing that selects the per-row loop over :meth:`next` is
-        an armed suspend condition, whose polls must happen at the exact
-        row boundaries the row path uses (a suspend fired mid-batch keeps
-        the rows produced before it, exactly like a driver loop over
-        ``next()``). Otherwise ``poll()`` is provably a no-op and
-        subclass fast paths may amortize bookkeeping. Charges only count
-        integer events, so their order and grouping are free; what a fast
-        path owes is that it counts the *same* events as the row path and
-        that its counts are settled (:meth:`charge_cpu` called) before
+        Batch size is invisible to everything the paper accounts for:
+        rows, integer counters, per-operator tallies, checkpoints and
+        image bytes are the same for any sequence of ``max_rows`` values.
+        Charges only count integer events, so their order and grouping
+        are free; what a production hook owes is that its counts
+        (:meth:`charge_cpu`) *and its control state* are settled before
         anyone else can read them: before any call that leaves the
         operator's own loop — a child's ``next``/``next_batch``/
         ``rewind``, ``make_checkpoint``/``sign_contract``, a state-store
         dump or load — and before the batch returns, because a child's
-        reactive checkpoint stamps ``created_at`` from the shared lane.
+        reactive checkpoint stamps ``created_at`` from the shared lane
+        and a child's entry poll may raise the suspend exception.
 
-        Tracing observes whichever step runs, it never picks one: under
+        While a suspend trigger is armed every call polls at entry, and
+        the controller shortens the request of the watched operator and
+        of the operators above it (:class:`SuspendController`).
+
+        Tracing observes the call, it never changes it: under
         ``Tracer(next_sample_every=N)`` the call is recorded as an
         ``op.next_batch`` span when it is the operator's first or its
         rows cross a multiple of N.
         """
+        controller = self.rt.controller
+        if controller.armed:
+            controller.poll()
+            max_rows = controller.cap_rows(self, max_rows)
         if max_rows <= 0:
             return []
-        step = (
-            self._next_batch_rowloop
-            if self.rt.controller.armed
-            else self._next_batch_fast
-        )
         every = self._next_sample_every
-        if not every:
-            return step(max_rows)
-        emitted = self.tuples_emitted
-        start = self._tr.now()
-        rows = step(max_rows)
-        if emitted == 0 or (emitted + len(rows)) // every > emitted // every:
+        if every:
+            emitted = self.tuples_emitted
+            start = self._tr.now()
+        pending = self._pending_rows
+        if pending:
+            # Rows saved by contract migration (footnote 3 of the paper)
+            # or a resume come out first, then regular production.
+            rows = [pending.popleft() for _ in range(min(max_rows, len(pending)))]
+            self.tuples_emitted += len(rows)
+            self.charge_cpu(len(rows))
+            if len(rows) < max_rows:
+                rows.extend(self._next_batch(max_rows - len(rows)))
+        else:
+            rows = self._next_batch(max_rows)
+        if every and (
+            emitted == 0 or (emitted + len(rows)) // every > emitted // every
+        ):
             self._tr.event(
                 "op.next_batch",
                 ts=start,
@@ -181,66 +182,38 @@ class Operator:
             )
         return rows
 
-    def _next_batch_rowloop(self, max_rows: int) -> list:
-        """The row path: one :meth:`next` (and so one poll) per row, run
-        only while a suspend condition is armed."""
+    def _next_batch(self, max_rows: int) -> list:
+        """The production hook: up to ``max_rows`` regular output rows,
+        counted in ``tuples_emitted`` and charged one wrapper CPU tuple
+        each. A subclass defines this or the single-row :meth:`_next`,
+        which this default loops over; charges stay per-row there because
+        ``_next`` may call into children, which must see this operator's
+        counts settled."""
         rows: list = []
-        try:
-            while len(rows) < max_rows:
-                row = self.next()
-                if row is None:
-                    break
-                rows.append(row)
-        except SuspendRequested:
-            pass  # rt.controller.fired tells the driver
-        return rows
-
-    def _next_batch_fast(self, max_rows: int) -> list:
-        """Default unarmed fast path: the row loop with the poll hoisted
-        out of it.
-
-        Charges stay per-row because ``_next`` may call into children,
-        which must see this operator's counts settled; subclasses whose
-        production has child-free runs override this with truly
-        vectorized loops.
-        """
-        rows: list = []
-        append = rows.append
-        pending = self._pending_rows
-        _next = self._next
-        charge = self.charge_cpu
-        n = 0
-        while n < max_rows:
-            row = pending.popleft() if pending else _next()
+        while len(rows) < max_rows:
+            row = self._next()
             if row is None:
                 break
-            append(row)
+            rows.append(row)
             self.tuples_emitted += 1
-            charge(1)
-            n += 1
+            self.charge_cpu(1)
         return rows
 
     def _drain(self, child: "Operator", n: int) -> Sequence[Row]:
-        """Up to ``n`` rows from a heap child: a batch, or one ``next()``
-        while a suspend condition is armed (its predicate may read this
-        operator's state between rows). Empty means exhausted.
+        """Up to ``n`` rows from a heap child. Empty means exhausted.
 
         Rows from a heap child go straight into heap state, so the
         child's position always equals what this operator holds; callers
         ask for exactly the room left before their own next checkpoint
-        point, so a batch never spans one. Stream children, whose
-        position is the contract, are pulled with ``next()`` directly.
+        point, so a batch never spans one — and, while a ``fill`` trigger
+        watches this operator's buffer, for no more than the room left
+        before its threshold. Stream children, whose position is the
+        contract, are pulled with ``next()``.
         """
-        if self.rt.controller.armed:
-            row = child.next()
-            return () if row is None else (row,)
+        controller = self.rt.controller
+        if controller.armed:
+            n = min(n, controller.room(self, "fill"))
         return child.next_batch(n)
-
-    def _scan_chain(self) -> Optional[tuple["Operator", Optional["Operator"]]]:
-        """``(scan, filter or None)`` when this operator heads a table
-        scan with at most a filter above it — the shape
-        :func:`repro.engine.scan.chain_segments` fuses; else None."""
-        return None
 
     def close(self) -> None:
         self._do_close()
@@ -263,6 +236,8 @@ class Operator:
         """Subclass initialization; children are already open."""
 
     def _next(self) -> Optional[Row]:
+        """The single-row production hook of row-natured operators (see
+        :meth:`_next_batch`)."""
         raise NotImplementedError
 
     def _do_close(self) -> None:

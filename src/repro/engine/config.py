@@ -24,11 +24,10 @@ class EngineConfig:
             minimal-heap-state points. Disabling degrades every GoBack to
             the initial checkpoints only — used by ablations.
 
-    Which execution path runs is not a tunable: sessions drive
-    ``Operator.next_batch``, and each operator takes its vectorized loop
-    unless a suspend condition is armed, in which case it runs row by
-    row. Both count the same integer events, so they agree on the
-    virtual clock by construction.
+    How execution is batched is not a tunable: sessions drive
+    ``Operator.next_batch``, each operator has one body, and batch size
+    is invisible to the virtual clock (integer events, counted the same
+    in any grouping).
     """
 
     contract_migration: bool = True

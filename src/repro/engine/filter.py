@@ -12,12 +12,9 @@ prefix from the child.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Optional
-
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import Runtime
-from repro.engine.scan import TableScan, chain_segments
+from repro.engine.scan import TableScan, fused_scan
 from repro.relational.expressions import Predicate
 from repro.relational.schema import Schema
 
@@ -43,49 +40,52 @@ class Filter(Operator):
     def child(self) -> Operator:
         return self.children[0]
 
-    def _next(self) -> Optional[Row]:
-        while True:
-            row = self.child.next()
+    def _next_batch(self, max_rows: int) -> list:
+        """Directly over a table scan the fused loop; otherwise, and
+        while a saved row below or an open contract makes the next match
+        special, one child row at a time."""
+        child = self.child
+        fused = isinstance(child, TableScan)
+        migrating = self.rt.config.contract_migration
+        matches = self.predicate.matches
+        out: list = []
+        while len(out) < max_rows:
+            if fused and not (
+                child._pending_rows
+                or (migrating and self._open_contracts())
+            ):
+                out += fused_scan(child, self, max_rows - len(out))
+                break
+            row = child.next()
             if row is None:
-                return None
+                break
             self.charge_cpu(1)
-            if self.predicate.matches(row):
-                if self.rt.config.contract_migration:
+            if matches(row):
+                if migrating:
                     self._migrate_open_contracts(row)
-                return row
+                out.append(row)
+                self.tuples_emitted += 1
+                self.charge_cpu(1)
+        return out
 
     def rewind(self) -> None:
         self.child.rewind()
 
-    def _has_open_contracts(self) -> bool:
-        """A contract signed since the last emission could migrate on the
-        next match; the fused batch loop defers to the row-exact loop
-        while one exists (none can *appear* mid-batch: contracts are only
-        created at checkpoints, and a batch never spans one)."""
-        return any(
-            c.emitted_at_signing == self.tuples_emitted and not c.saved_rows
+    def _open_contracts(self) -> list:
+        """Contracts signed since the last emission: the next match
+        migrates them, so the fused loop waits while one exists (none can
+        *appear* mid-batch: contracts are only created at checkpoints,
+        and a batch never spans one)."""
+        return [
+            c
             for c in self.rt.graph.contracts_of_child(self.op_id)
-        )
-
-    def _scan_chain(self):
-        if isinstance(self.child, TableScan):
-            return self.child, self
-        return None
-
-    def _next_batch_fast(self, max_rows: int) -> list:
-        if self._scan_chain() is None:
-            return super()._next_batch_fast(max_rows)
-        return list(chain.from_iterable(chain_segments(self, max_rows)))
+            if c.emitted_at_signing == self.tuples_emitted and not c.saved_rows
+        ]
 
     def _migrate_open_contracts(self, row: Row) -> None:
         """Footnote-3 migration: save the matching tuple in any contract
         signed since the last emission and re-anchor it after the match."""
-        graph = self.rt.graph
-        open_contracts = [
-            c
-            for c in graph.contracts_of_child(self.op_id)
-            if c.emitted_at_signing == self.tuples_emitted and not c.saved_rows
-        ]
+        open_contracts = self._open_contracts()
         if not open_contracts:
             return
         fresh = self._reactive_checkpoint()
@@ -94,7 +94,7 @@ class Filter(Operator):
             contract.control = self.control_state()
             contract.work_at_signing = self.work
             contract.saved_rows = [row]
-        graph.prune()
+        self.rt.graph.prune()
 
     # Resume -------------------------------------------------------------
     def _resume_from_dump(self, entry, payload, ctx) -> None:

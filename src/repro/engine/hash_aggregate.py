@@ -104,31 +104,16 @@ class HashGroupAggregate(Operator):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _next(self) -> Optional[Row]:
-        while True:
-            if self.phase == PHASE_DONE:
-                return None
-            if self.phase == PHASE_PARTITION:
-                self._run_partition_phase()
-            if self.emit_idx < len(self._groups):
-                row = self._groups[self.emit_idx]
-                self.emit_idx += 1
-                return row
-            if not self._advance_partition():
-                self.phase = PHASE_DONE
-                return None
-
-    def _next_batch_fast(self, max_rows: int) -> list:
-        """Vectorized group drain: one slice per emit run.
+    def _next_batch(self, max_rows: int) -> list:
+        """Run the partition phase on the first call, then emit groups
+        one slice per run.
 
         Emitting groups charges nothing but the per-row wrapper CPU
         tuple, so a whole run is one charge. Partition boundaries end a
         non-empty batch so the boundary checkpoint (and the partition
-        load's I/O) happens at the start of the next call, at the exact
-        instant the row path does it.
+        load's I/O) happens at the start of the next call, with nothing
+        emitted after it.
         """
-        if self._pending_rows:
-            return super()._next_batch_fast(max_rows)
         out: list = []
         if self.phase == PHASE_DONE:
             return out

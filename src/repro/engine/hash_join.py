@@ -134,18 +134,6 @@ class SimpleHashJoin(Operator):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _next(self) -> Optional[Row]:
-        while True:
-            if self.phase == PHASE_DONE:
-                return None
-            if self.phase == PHASE_PARTITION:
-                self._run_partition_phase()
-            row = self._join_next()
-            if row is not None:
-                return row
-            self.phase = PHASE_DONE
-            return None
-
     def _run_partition_phase(self) -> None:
         if not self.build_done:
             self._partition_input(build_side=True)
@@ -234,52 +222,17 @@ class SimpleHashJoin(Operator):
         pending[p] = []
         flushed[p] += 1
 
-    def _join_next(self) -> Optional[Row]:
-        while True:
-            if self._emit_matches is not None and self._emit_pos < len(
-                self._emit_matches
-            ):
-                return self._emit_next()
-            self._emit_matches = None
-            if self.current_partition >= 0:
-                while self.probe_pos < len(self._probe_rows):
-                    probe_row = self._probe_rows[self.probe_pos]
-                    self.probe_pos += 1
-                    if (
-                        not self._is_memory_partition(self.current_partition)
-                        and self.probe_pos % self.probe_tpp == 1
-                    ):
-                        with self.attribute_work():
-                            self.rt.disk.read_pages(1)
-                    key = self.condition.right_key(probe_row)
-                    matches = self._hash_table.get(key)
-                    if matches:
-                        self.charge_cpu(1)
-                        # Emit the matching pairs one at a time.
-                        self._emit_matches = matches
-                        self._emit_pos = 0
-                        self._emit_probe_row = probe_row
-                        return self._emit_next()
-            if not self._advance_partition():
-                return None
-
-    def _emit_next(self) -> Optional[Row]:
-        row = self._emit_matches[self._emit_pos] + self._emit_probe_row
-        self._emit_pos += 1
-        return row
-
-    def _next_batch_fast(self, max_rows: int) -> list:
-        """Vectorized probe/emit drain for the join phase.
+    def _next_batch(self, max_rows: int) -> list:
+        """Run the partition phase on the first call, then probe and emit
+        in runs.
 
         Match charges and emit-wrapper charges accumulate in ``crun`` and
-        settle once before the batch returns. Partition boundaries end
-        the batch (when it is non-empty) so the boundary checkpoint fires
-        at the start of the next call, at the exact virtual-clock instant
-        and operator state the row path fires it — with nothing pending,
-        since every pending charge belongs to a row already in ``out``.
+        settle once before the batch returns (the join phase calls no
+        one). Partition boundaries end the batch (when it is non-empty)
+        so the boundary checkpoint is taken at the start of the next
+        call, with nothing pending: every pending charge belongs to a row
+        already in ``out``.
         """
-        if self._pending_rows:
-            return super()._next_batch_fast(max_rows)
         out: list = []
         if self.phase == PHASE_DONE:
             return out
@@ -321,7 +274,7 @@ class SimpleHashJoin(Operator):
                             disk.read_pages(1)
                     matches = ht_get(right_key(probe_row))
                     if matches:
-                        crun += 1  # the row path's match charge
+                        crun += 1  # the match charge
                         self._emit_matches = matches
                         self._emit_pos = 0
                         self._emit_probe_row = probe_row

@@ -99,14 +99,48 @@ class MergeJoin(Operator):
             self.r_consumed += 1
             self.charge_cpu(1)
 
-    def _next(self) -> Optional[Row]:
-        while True:
+    def _next_batch(self, max_rows: int) -> list:
+        """Form a packet pair (advance, collect left, collect right — the
+        steps that pull the children, one tuple at a time), then drain
+        its cross product in runs.
+
+        Emitting charges only the per-row wrapper CPU tuple, so a run is
+        one charge. Packet exhaustion ends a non-empty batch: the
+        minimal-heap-state checkpoint is then taken at the start of the
+        next call, with nothing emitted after it.
+        """
+        out: list = []
+        need = max_rows
+        while need > 0:
             if self.state == STATE_DONE:
-                return None
+                break
             if self.state == STATE_EMIT:
-                row = self._emit_step()
-                if row is not None:
-                    return row
+                lp = self.left_packet
+                rp = self.right_packet
+                ln, rn = len(lp), len(rp)
+                l_idx, r_idx = self.l_idx, self.r_idx
+                take = min((ln - l_idx) * rn - r_idx, need)
+                if take > 0:
+                    k = 0
+                    while k < take:
+                        row_l = lp[l_idx]
+                        run = min(rn - r_idx, take - k)
+                        out.extend(
+                            [row_l + rp[j] for j in range(r_idx, r_idx + run)]
+                        )
+                        k += run
+                        r_idx += run
+                        if r_idx >= rn:
+                            r_idx = 0
+                            l_idx += 1
+                    self.l_idx = l_idx
+                    self.r_idx = r_idx
+                    self.tuples_emitted += take
+                    self.charge_cpu(take)
+                    need -= take
+                    continue
+                if out:
+                    break
                 # Packet pair exhausted: minimal-heap-state point.
                 self.left_packet = []
                 self.right_packet = []
@@ -117,7 +151,7 @@ class MergeJoin(Operator):
             if self.state == STATE_ADVANCE:
                 if not self._advance():
                     self.state = STATE_DONE
-                    return None
+                    break
                 self.state = STATE_COLLECT_LEFT
             if self.state == STATE_COLLECT_LEFT:
                 self._collect_side(left_side=True)
@@ -127,6 +161,7 @@ class MergeJoin(Operator):
                 self.l_idx = 0
                 self.r_idx = 0
                 self.state = STATE_EMIT
+        return out
 
     def _advance(self) -> bool:
         """Move both lookaheads to the next matching key; False at EOF.
@@ -191,77 +226,6 @@ class MergeJoin(Operator):
             else:
                 self.right_packet.append(lookahead)
                 self.r_next = None
-
-    def _emit_step(self) -> Optional[Row]:
-        if self.l_idx >= len(self.left_packet):
-            return None
-        row = self.left_packet[self.l_idx] + self.right_packet[self.r_idx]
-        self.r_idx += 1
-        if self.r_idx >= len(self.right_packet):
-            self.r_idx = 0
-            self.l_idx += 1
-        return row
-
-    def _next_batch_fast(self, max_rows: int) -> list:
-        """Vectorized cross-product drain of the current packet pair.
-
-        Emitting charges only the per-row wrapper CPU tuple, so a run is
-        one charge. Packet exhaustion ends a non-empty batch (the
-        minimal-heap-state checkpoint then fires at the start of the next
-        call, at the row path's exact instant); advance and collect steps
-        pull children, so they run through the row-exact ``_next``.
-        """
-        if self._pending_rows:
-            return super()._next_batch_fast(max_rows)
-        out: list = []
-        need = max_rows
-        while need > 0:
-            if self.state == STATE_EMIT:
-                lp = self.left_packet
-                rp = self.right_packet
-                ln, rn = len(lp), len(rp)
-                l_idx, r_idx = self.l_idx, self.r_idx
-                remaining = (ln - l_idx) * rn - r_idx
-                if remaining > 0:
-                    take = min(remaining, need)
-                    k = 0
-                    while k < take:
-                        row_l = lp[l_idx]
-                        run = min(rn - r_idx, take - k)
-                        out.extend(
-                            [row_l + rp[j] for j in range(r_idx, r_idx + run)]
-                        )
-                        k += run
-                        r_idx += run
-                        if r_idx >= rn:
-                            r_idx = 0
-                            l_idx += 1
-                    self.l_idx = l_idx
-                    self.r_idx = r_idx
-                    self.tuples_emitted += take
-                    self.charge_cpu(take)
-                    need -= take
-                    continue
-                if out:
-                    break
-                # Packet pair exhausted: minimal-heap-state point (the
-                # row path's transition, verbatim).
-                self.left_packet = []
-                self.right_packet = []
-                self.l_idx = 0
-                self.r_idx = 0
-                self.state = STATE_ADVANCE
-                self.make_checkpoint()
-            if self.state == STATE_DONE:
-                break
-            row = self._next()  # advance/collect: row-exact child pulls
-            if row is None:
-                break
-            out.append(row)
-            self.tuples_emitted += 1
-            self.charge_cpu(1)
-            need -= 1
-        return out
 
     # ------------------------------------------------------------------
     # Generalized per-child suspend plans (Section 3.4)

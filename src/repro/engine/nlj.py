@@ -89,49 +89,19 @@ class BlockNLJ(Operator):
         """Tuples currently in the outer buffer (suspend-trigger hook)."""
         return len(self.buffer)
 
-    def _next(self) -> Optional[Row]:
-        while True:
-            if self.phase == PHASE_DONE:
-                return None
-            if self.phase == PHASE_FILL:
-                self._fill_buffer()
-                if not self.buffer:
-                    self.phase = PHASE_DONE
-                    return None
-                self.inner.rewind()
-                self.inner_row = None
-                self.cursor = 0
-                self.phase = PHASE_JOIN
-            row = self._join_step()
-            if row is not None:
-                return row
-            if self.phase == PHASE_JOIN:
-                # Pass complete: discard the buffer. This is the
-                # minimal-heap-state point.
-                self.buffer = []
-                self.cursor = 0
-                self.inner_row = None
-                self.passes += 1
-                if self.outer_exhausted:
-                    self.phase = PHASE_DONE
-                    return None
-                self.make_checkpoint()
-                self.phase = PHASE_FILL
+    def _next_batch(self, max_rows: int) -> list:
+        """Fill the buffer, then join the inner child's tuples against
+        it: compiled join condition, hoisted buffer scan, and CPU charges
+        counted in ``crun`` between child pulls.
 
-    def _next_batch_fast(self, max_rows: int) -> list:
-        """Vectorized inner loop: compiled join condition, hoisted buffer
-        scan, and CPU charges counted in ``crun`` between child pulls.
-
-        Every call into a child (outer fill, inner pull) settles the
-        pending count first, so a reactive checkpoint below reads settled
-        integers. A pass boundary ends a non-empty batch with the
-        state of the last emitted row persisted — the tail scan and the
-        exhausted inner pull are chargeless and side-effect-free, so the
-        next call replays them and fires the end-of-pass checkpoint at
-        the row path's exact instant.
+        Every call into a child (outer fill, inner pull) first settles
+        the pending count, so a reactive checkpoint below reads settled
+        integers, and writes the cursor and inner tuple back, so a
+        suspend raised by the child's entry poll finds the control state
+        of exactly this point. A pass boundary ends a non-empty batch,
+        so the end-of-pass checkpoint is taken at the start of the next
+        call, with nothing emitted after it.
         """
-        if self._pending_rows:
-            return super()._next_batch_fast(max_rows)
         matches = compile_join_matches(self.condition)
         out: list = []
         append = out.append
@@ -156,18 +126,18 @@ class BlockNLJ(Operator):
             inner_next = self.inner.next
             inner_row = self.inner_row
             cursor = self.cursor
-            last_cursor = cursor
-            last_inner = inner_row
             pass_done = False
             while True:
                 if inner_row is None:
                     self.charge_cpu(crun)
                     crun = 0
+                    self.inner_row = None
+                    self.cursor = cursor
                     nxt = inner_next()
                     if nxt is None:
                         pass_done = True
                         break
-                    crun += 1  # the row path's inner-consume charge
+                    crun += 1  # the inner-consume charge
                     inner_row = nxt
                     cursor = 0
                 while cursor < nbuf:
@@ -178,38 +148,31 @@ class BlockNLJ(Operator):
                         self.tuples_emitted += 1
                         crun += 1  # the wrapper charge
                         need -= 1
-                        last_cursor = cursor
-                        last_inner = inner_row
                         if need == 0:
                             break
                 if need == 0:
                     break
                 if cursor >= nbuf:
                     inner_row = None
-            if pass_done and out:
-                # Rows were produced this batch (necessarily from this
-                # pass: any earlier boundary ended the batch); persist the
-                # post-last-emit state and let the next call replay the
-                # chargeless tail and run the boundary transition.
-                self.inner_row = last_inner
-                self.cursor = last_cursor
-                break
             self.inner_row = inner_row
             self.cursor = cursor
-            if pass_done:
-                # The row path's end-of-pass transition, verbatim (crun is
-                # zero: it was settled before the exhausted inner pull).
-                self.buffer = []
-                self.cursor = 0
-                self.inner_row = None
-                self.passes += 1
-                if self.outer_exhausted:
-                    self.phase = PHASE_DONE
-                    break
-                self.make_checkpoint()
-                self.phase = PHASE_FILL
-                continue
-            break  # need == 0
+            if out or not pass_done:
+                # The request is met, or the pass ended with rows to hand
+                # up first: the next call finds the inner child exhausted
+                # again (a chargeless pull) and runs the transition.
+                break
+            # Pass complete: discard the buffer. This is the
+            # minimal-heap-state point (crun is zero: it was settled
+            # before the exhausted inner pull).
+            self.buffer = []
+            self.cursor = 0
+            self.inner_row = None
+            self.passes += 1
+            if self.outer_exhausted:
+                self.phase = PHASE_DONE
+                break
+            self.make_checkpoint()
+            self.phase = PHASE_FILL
         self.charge_cpu(crun)
         return out
 
@@ -222,24 +185,6 @@ class BlockNLJ(Operator):
                 break
             buffer.extend(rows)
             self.charge_cpu(len(rows))
-
-    def _join_step(self) -> Optional[Row]:
-        """Produce the next join output of the current pass, or None when
-        the pass is exhausted (leaving phase untouched)."""
-        while True:
-            if self.inner_row is None:
-                inner = self.inner.next()
-                if inner is None:
-                    return None  # pass exhausted
-                self.charge_cpu(1)
-                self.inner_row = inner
-                self.cursor = 0
-            while self.cursor < len(self.buffer):
-                outer_row = self.buffer[self.cursor]
-                self.cursor += 1
-                if self.condition.matches(outer_row, self.inner_row):
-                    return outer_row + self.inner_row
-            self.inner_row = None
 
     # ------------------------------------------------------------------
     # State introspection

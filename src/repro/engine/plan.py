@@ -381,4 +381,9 @@ def instantiate_plan(spec: PlanSpec, runtime: Runtime) -> Operator:
             return DuplicateEliminate(op_id, name, child, runtime)
         raise TypeError(f"unknown plan spec node {type(node).__name__}")
 
-    return build(spec)
+    try:
+        return build(spec)
+    finally:
+        # A recursive closure is a reference cycle; this one would keep
+        # the runtime (contract graph, lane) alive until a collection.
+        build = None

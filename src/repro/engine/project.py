@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.engine.base import Operator, Row
+from repro.engine.base import Operator
+from repro.engine.filter import Filter
 from repro.engine.runtime import Runtime
-from repro.engine.scan import chain_segments
+from repro.engine.scan import TableScan
 from repro.relational.expressions import compile_projection
 
 
@@ -33,29 +34,32 @@ class Project(Operator):
     def child(self) -> Operator:
         return self.children[0]
 
-    def _next(self) -> Optional[Row]:
-        row = self.child.next()
-        if row is None:
-            return None
-        self.charge_cpu(1)
-        return tuple(row[i] for i in self.columns)
-
     def rewind(self) -> None:
         self.child.rewind()
 
-    def _next_batch_fast(self, max_rows: int) -> list:
-        """Pipeline fusion for the scan(-filter)-project chain: project
-        each segment of the fused loop. Chains it doesn't know fall back
-        to the default per-row fast loop, which is exact for any child."""
-        if self._pending_rows or self.child._scan_chain() is None:
-            return super()._next_batch_fast(max_rows)
+    def _next_batch(self, max_rows: int) -> list:
+        """Project a batch of the child when the child is a scan(→filter)
+        chain, where nothing reads the clock mid-batch; any other child
+        may checkpoint beneath a batch, so it is pulled one row at a time
+        with this operator's charges settled in between."""
         project = compile_projection(self.columns)
-        out: list = []
-        for segment in chain_segments(self.child, max_rows):
-            out.extend([project(row) for row in segment])
-            self.tuples_emitted += len(segment)
+        child = self.child
+        if isinstance(child, Filter):
+            child = child.child
+        if isinstance(child, TableScan):
+            rows = self.child.next_batch(max_rows)
+            self.tuples_emitted += len(rows)
             # the examine charge + the wrapper charge per projected row
-            self.charge_cpu(2 * len(segment))
+            self.charge_cpu(2 * len(rows))
+            return [project(row) for row in rows]
+        out: list = []
+        while len(out) < max_rows:
+            row = self.child.next()
+            if row is None:
+                break
+            out.append(project(row))
+            self.tuples_emitted += 1
+            self.charge_cpu(2)
         return out
 
     def _resume_from_dump(self, entry, payload, ctx) -> None:

@@ -9,10 +9,15 @@ safe point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+import sys
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
-from repro.common.errors import LifecycleError, SuspendRequested
+from repro.common.errors import (
+    InvalidTriggerError,
+    LifecycleError,
+    SuspendRequested,
+)
 from repro.core.contract_graph import ContractGraph
 from repro.core.strategies import SuspendPlan
 from repro.core.suspended_query import SuspendedQuery
@@ -27,45 +32,65 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fold.manager import FoldBinding
 
 
-class SuspendController:
-    """Arms a suspend condition and raises at the next safe poll.
+#: What a trigger may watch, and the operator attribute that counts it.
+TRIGGER_COUNTERS = {
+    "fill": "buffer_fill",  # tuples in a sort / block-NLJ buffer
+    "position": "tuples_consumed",  # base tuples a table scan has read
+    "emitted": "tuples_emitted",  # rows any operator has produced
+}
 
-    Operators poll at points where their in-memory state is internally
+
+@dataclass(frozen=True)
+class SuspendTrigger:
+    """A suspend point, stated the way the paper states every one it
+    measures: a counter of a named operator reaching a value — "% of
+    buffer filled" (``fill``), "after N tuples of R" (``position``), or
+    rows produced (``emitted``)."""
+
+    op: str
+    counter: str
+    threshold: int
+
+
+class SuspendController:
+    """Arms a :class:`SuspendTrigger` and raises at the next safe poll.
+
+    Operators poll at entry to every ``next()``/``next_batch()`` while a
+    trigger is armed — points where their in-memory state is internally
     consistent (between tuples); the paper's analogue is handling the
-    suspend exception "at the query's next blocking step". The condition
-    is a predicate over the runtime, so experiments can express triggers
-    like "suspend when the NLJ outer buffer is 50% full" or "after the
-    scan of R has produced 100,000 tuples".
+    suspend exception "at the query's next blocking step". So that the
+    first poll after the counter reaches the threshold finds every
+    operator between the same two tuples whatever the batch sizes, the
+    watched operator never moves its counter past the threshold inside
+    one call (:meth:`room`), and the operators above it — whose output
+    would otherwise run on after the counter moved beneath them — hand
+    up one row per call (:meth:`cap_rows`).
     """
 
     def __init__(self):
-        self._condition: Optional[Callable[["Runtime"], bool]] = None
-        self._fired = False
+        self._trigger: Optional[SuspendTrigger] = None
+        self._op: Optional["Operator"] = None
+        self._above: frozenset = frozenset()
         self._suppressed = 0
+        #: True while a live trigger could still fire.
+        self.armed = False
 
-    def arm(self, condition: Callable[["Runtime"], bool]) -> None:
-        """Install a suspend condition; it fires at most once."""
-        self._condition = condition
-        self._fired = False
+    def arm(self, trigger: SuspendTrigger, op: "Operator") -> None:
+        """Watch ``trigger`` on ``op`` (the operator it names, validated
+        by :meth:`Runtime.arm`); it fires at most once."""
+        self._trigger = trigger
+        self._op = op
+        above = []
+        while op.parent is not None:
+            op = op.parent
+            above.append(op)
+        self._above = frozenset(above)
+        self.armed = True
 
     def disarm(self) -> None:
-        self._condition = None
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def armed(self) -> bool:
-        """True while a live condition could still fire.
-
-        The batched execution path checks this once per batch: when no
-        condition is armed, ``poll()`` is a no-op and the vectorized fast
-        loops may skip it wholesale; when armed, operators degrade to the
-        per-row loop so the poll happens at the exact row boundaries the
-        row path polls at.
-        """
-        return self._condition is not None and not self._fired
+        self._trigger = self._op = None
+        self._above = frozenset()
+        self.armed = False
 
     def suppress(self) -> None:
         """Disable polling (used inside the suspend and resume phases)."""
@@ -76,13 +101,32 @@ class SuspendController:
             raise LifecycleError("unbalanced SuspendController.unsuppress()")
         self._suppressed -= 1
 
-    def poll(self, runtime: "Runtime") -> None:
-        """Raise :class:`SuspendRequested` if the armed condition holds."""
-        if self._fired or self._suppressed or self._condition is None:
-            return
-        if self._condition(runtime):
-            self._fired = True
-            raise SuspendRequested("suspend condition met")
+    def _left(self) -> int:
+        value = getattr(self._op, TRIGGER_COUNTERS[self._trigger.counter])
+        if callable(value):
+            value = value()
+        return self._trigger.threshold - value
+
+    def poll(self) -> None:
+        """Raise :class:`SuspendRequested` if the armed trigger's counter
+        has reached its threshold."""
+        if self.armed and not self._suppressed and self._left() <= 0:
+            self.armed = False
+            raise SuspendRequested(f"suspend trigger met: {self._trigger}")
+
+    def room(self, op: "Operator", *counters: str) -> int:
+        """How far ``op`` may move any of ``counters`` before the armed
+        trigger's threshold; unbounded unless the trigger watches one of
+        them on ``op``."""
+        if op is self._op and self.armed and self._trigger.counter in counters:
+            return self._left()
+        return sys.maxsize
+
+    def cap_rows(self, op: "Operator", max_rows: int) -> int:
+        """Rows ``op`` may hand up from one call while armed."""
+        if op in self._above:
+            return min(max_rows, 1)
+        return min(max_rows, self.room(op, "emitted"))
 
 
 class Runtime:
@@ -137,8 +181,31 @@ class Runtime:
     def op_named(self, name: str) -> "Operator":
         return self.ops_by_name[name]
 
-    def poll(self) -> None:
-        self.controller.poll(self)
+    def arm(self, trigger: SuspendTrigger) -> None:
+        """Arm ``trigger`` after checking it can fire in this query: the
+        operator exists and has the counter."""
+        if not isinstance(trigger, SuspendTrigger):
+            raise TypeError(
+                "suspend_when takes a SuspendTrigger(op, counter, threshold), "
+                f"not {type(trigger).__name__}"
+            )
+        op = self.ops_by_name.get(trigger.op)
+        if op is None:
+            raise InvalidTriggerError(
+                f"no operator named {trigger.op!r} in this plan; it has "
+                f"{sorted(self.ops_by_name)}"
+            )
+        if not hasattr(op, TRIGGER_COUNTERS.get(trigger.counter, "")):
+            raise InvalidTriggerError(
+                f"operator {op.name!r} ({type(op).__name__}) has no "
+                f"{trigger.counter!r} counter; 'fill' is kept by sorts and "
+                "block NLJs, 'position' by table scans, 'emitted' by all"
+            )
+        if trigger.threshold < 0:
+            raise InvalidTriggerError(
+                f"negative trigger threshold {trigger.threshold}"
+            )
+        self.controller.arm(trigger, op)
 
     def memory_in_use(self) -> int:
         """Bytes of operator heap state currently held (page-granular)."""

@@ -10,8 +10,7 @@ suspend-plan optimizer trades off against dumping ancestors' state.
 from __future__ import annotations
 
 import sys
-from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
@@ -21,55 +20,52 @@ from repro.relational.schema import Schema
 from repro.storage.heapfile import HeapFile, TuplePosition
 
 
-def chain_segments(
-    top: Operator, limit: Optional[int] = None
-) -> Iterator[Sequence[Row]]:
-    """The fused scan(→filter) loop: yield the rows ``top`` emits, one
-    list per page segment, at most ``limit`` rows in all.
+def fused_scan(scan: "TableScan", filt: Optional[Operator], limit: int) -> list:
+    """Up to ``limit`` rows of ``scan`` — of the filter ``filt`` directly
+    above it, when given: the one fused scan(→filter) loop.
 
-    ``top`` is the head of a chain :meth:`Operator._scan_chain` accepts.
     Instead of one ``next()`` per examined row, the scan's cursor is
-    walked page by page with a compiled predicate. Each segment counts the
-    events the row path counts — the page read where the cursor steps
-    onto the page, one wrapper tuple per examined row for the scan, one
-    examine tuple per examined row plus one wrapper tuple per match for
-    the filter — and settles them before yielding, so the consumer (which
-    settles its own counts before asking for the next segment) and any
-    checkpoint taken between segments read settled integers.
+    walked page by page with a compiled predicate. Each page segment
+    counts one wrapper tuple per examined row for the scan (and the page
+    read where the cursor steps onto the page), one examine tuple per
+    examined row plus one wrapper tuple per match for the filter, and
+    settles them before the next page is fetched.
 
-    While the chain holds pending rows, or the filter carries an open
-    contract (``Filter._has_open_contracts``: its first match migrates
-    the contract and saves the row), rows come one at a time through
-    ``top.next()`` — the row-exact prefix.
+    While a trigger watches the scan, a segment examines no more rows
+    than are left before its threshold, and a call ends with the first
+    segment that produced rows: stepping onto the next page — at the end
+    of the file, past it — moves the scan's position, so it belongs
+    after the entry poll of the call that does it. With no rows in hand
+    (a filter still looking for a match) each segment starts with the
+    poll a ``next()`` on the scan would make there.
     """
-    scan, filt = top._scan_chain()
-    need = sys.maxsize if limit is None else limit
-    migrating = filt is not None and scan.rt.config.contract_migration
-    while need > 0 and (
-        scan._pending_rows
-        or (filt is not None and filt._pending_rows)
-        or (migrating and filt._has_open_contracts())
-    ):
-        row = top.next()
-        if row is None:
-            return
-        need -= 1
-        yield (row,)
+    controller = scan.rt.controller
     cursor = scan._cursor
     pred = compile_predicate(filt.predicate) if filt is not None else None
+    out: list = []
+    need = limit
     while need > 0:
-        with scan.attribute_work():
-            page = cursor.current_page()
+        room = sys.maxsize
+        if controller.armed:
+            room = controller.room(scan, "position", "emitted")
+            if room < sys.maxsize:
+                if out:
+                    break
+                controller.poll()
+        page = cursor.loaded_page()
         if page is None:
-            return
-        rest = page[cursor.position().slot:]
+            with scan.attribute_work():
+                page = cursor.current_page()
+            if page is None:
+                break
+        slot = cursor.slot
         if pred is None:
-            rows = rest[:need]
+            rows = page[slot:slot + min(need, room)]
             examined = len(rows)
         else:
             rows = []
             examined = 0
-            for row in rest:
+            for row in page[slot:slot + room]:
                 examined += 1
                 if pred(row):
                     rows.append(row)
@@ -82,7 +78,8 @@ def chain_segments(
             filt.tuples_emitted += len(rows)
             filt.charge_cpu(examined + len(rows))
         need -= len(rows)
-        yield rows
+        out += rows
+    return out
 
 
 class TableScan(Operator):
@@ -99,15 +96,8 @@ class TableScan(Operator):
     def _do_open(self) -> None:
         self._cursor = self.table.cursor()
 
-    def _next(self) -> Optional[Row]:
-        with self.attribute_work():
-            return self._cursor.next()
-
-    def _scan_chain(self):
-        return self, None
-
-    def _next_batch_fast(self, max_rows: int) -> list:
-        return list(chain.from_iterable(chain_segments(self, max_rows)))
+    def _next_batch(self, max_rows: int) -> list:
+        return fused_scan(self, None, max_rows)
 
     def rewind(self) -> None:
         self._cursor.rewind()

@@ -115,11 +115,6 @@ class TwoPhaseMergeSort(Operator):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _next(self) -> Optional[Row]:
-        if self.phase == PHASE_BUILD:
-            self._run_build()
-        return self._merge_next()
-
     def _run_build(self) -> None:
         while not self.child_exhausted:
             self._refill_buffer(self.buffer_tuples)
@@ -154,36 +149,15 @@ class TwoPhaseMergeSort(Operator):
         for reader, pos in zip(self._readers, positions):
             reader.seek(pos)
 
-    def _merge_next(self) -> Optional[Row]:
-        best = None
-        best_reader = None
-        for reader in self._readers:
-            row = reader.peek()
-            if row is None:
-                continue
-            key = self.sort_key(row)
-            if best is None or key < best:
-                best = key
-                best_reader = reader
-        if best_reader is None:
-            return None
-        row = best_reader.peek()
-        best_reader.advance()
-        self.charge_cpu(1)
-        return row
+    def _next_batch(self, max_rows: int) -> list:
+        """Run the build on the first call, then drain the merge with
+        cached sublist heads: only the reader just advanced is re-peeked.
 
-    def _next_batch_fast(self, max_rows: int) -> list:
-        """Vectorized merge drain with cached sublist heads.
-
-        The row path recomputes every reader's head key per output row;
-        here heads are cached and only the advanced reader is re-peeked.
         A re-peek that crosses a sublist page boundary charges its page
-        read to the row that triggers it, as the row path does (at the
-        top of the next row's scan); the merge and wrapper charges settle
-        once, before the batch returns.
+        read to the row that triggers it; the merge and wrapper charges
+        settle once, before the batch returns (the merge phase calls no
+        one).
         """
-        if self._pending_rows:
-            return super()._next_batch_fast(max_rows)
         if self.phase == PHASE_BUILD:
             self._run_build()
         readers = self._readers
@@ -216,6 +190,9 @@ class TwoPhaseMergeSort(Operator):
         self.tuples_emitted += len(out)
         self.charge_cpu(2 * len(out))  # the merge charge + the wrapper charge
         return out
+
+    def _do_close(self) -> None:
+        self._readers = []  # each points back at this operator
 
     def rewind(self) -> None:
         if self.phase == PHASE_BUILD:

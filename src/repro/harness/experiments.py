@@ -33,10 +33,9 @@ from repro.core.lifecycle import (
 from repro.core.strategies import SuspendPlan
 from repro.engine.config import EngineConfig
 from repro.engine.plan import PlanSpec
-from repro.engine.runtime import Runtime
+from repro.engine.runtime import SuspendTrigger
 from repro.storage.database import Database
 
-Trigger = Callable[[Runtime], bool]
 WorkloadFactory = Callable[[], tuple[Database, PlanSpec]]
 
 
@@ -64,7 +63,7 @@ class OverheadResult:
 def run_reference_to_milestone(
     db: Database,
     plan: PlanSpec,
-    trigger: Trigger,
+    trigger: SuspendTrigger,
     milestone_rows: int = 1,
     config: Optional[EngineConfig] = None,
 ) -> tuple[float, int]:
@@ -84,7 +83,7 @@ def run_reference_to_milestone(
 
 def measure_suspend_overhead(
     factory: WorkloadFactory,
-    trigger: Trigger,
+    trigger: SuspendTrigger,
     strategy: str,
     budget: float = math.inf,
     milestone_rows: int = 1,
@@ -134,30 +133,3 @@ def measure_suspend_overhead(
         suspend_plan=sq.suspend_plan,
         rows_before_suspend=rows_before,
     )
-
-
-def nlj_buffer_trigger(op_name: str, fill: int) -> Trigger:
-    """Suspend when an NLJ/sort buffer reaches ``fill`` tuples."""
-
-    def trigger(rt: Runtime) -> bool:
-        return rt.op_named(op_name).buffer_fill() >= fill
-
-    return trigger
-
-
-def scan_position_trigger(op_name: str, tuples: int) -> Trigger:
-    """Suspend when a table scan has consumed ``tuples`` base tuples."""
-
-    def trigger(rt: Runtime) -> bool:
-        return rt.op_named(op_name).tuples_consumed() >= tuples
-
-    return trigger
-
-
-def root_rows_trigger(op_name: str, rows: int) -> Trigger:
-    """Suspend when an operator has emitted ``rows`` tuples."""
-
-    def trigger(rt: Runtime) -> bool:
-        return rt.op_named(op_name).tuples_emitted >= rows
-
-    return trigger

@@ -18,11 +18,10 @@ from repro.core.costs import build_cost_model
 from repro.core.optimizer import build_lp_plan
 from repro.core.strategies import Strategy
 from repro.core.tree_optimizer import build_dp_plan
+from repro.engine.runtime import SuspendTrigger
 from repro.harness.experiments import (
     measure_suspend_overhead,
-    nlj_buffer_trigger,
     run_reference_to_milestone,
-    scan_position_trigger,
 )
 from repro.planning.cost_model import (
     Example9Scenario,
@@ -92,7 +91,7 @@ def fig8_rows(
     for sel in selectivities:
         factory = lambda: build_nlj_s(selectivity=sel, scale=scale)
         _, plan = factory()
-        trigger = nlj_buffer_trigger("nlj", plan.buffer_tuples // 2)
+        trigger = SuspendTrigger("nlj", "fill", plan.buffer_tuples // 2)
         db, p = factory()
         ref, _ = run_reference_to_milestone(db, p, trigger)
         row = {"selectivity": sel}
@@ -114,8 +113,8 @@ def fig9_rows(
     for frac in fill_fractions:
         factory = lambda: build_smj_s(selectivity=0.5, scale=scale)
         _, plan = factory()
-        trigger = nlj_buffer_trigger(
-            "sort_R", int(frac * plan.left.buffer_tuples)
+        trigger = SuspendTrigger(
+            "sort_R", "fill", int(frac * plan.left.buffer_tuples)
         )
         db, p = factory()
         ref, _ = run_reference_to_milestone(db, p, trigger)
@@ -141,8 +140,8 @@ def fig10_rows(
         for frac in fill_fractions:
             factory = lambda: build_nlj_s(selectivity=sel, scale=scale)
             _, plan = factory()
-            trigger = nlj_buffer_trigger(
-                "nlj", max(1, int(frac * plan.buffer_tuples))
+            trigger = SuspendTrigger(
+                "nlj", "fill", max(1, int(frac * plan.buffer_tuples))
             )
             db, p = factory()
             ref, _ = run_reference_to_milestone(db, p, trigger)
@@ -182,7 +181,7 @@ def fig12_rows(
     rows = []
     for point in suspend_points:
         factory = lambda: build_skewed_nlj_s(scale=scale)
-        trigger = scan_position_trigger("scan_R", point)
+        trigger = SuspendTrigger("scan_R", "position", point)
         db, plan = factory()
         ref, _ = run_reference_to_milestone(db, plan, trigger)
         online = measure_suspend_overhead(
@@ -209,7 +208,7 @@ def fig13_results(scale=100):
     """Complex-plan strategy comparison; returns (results, names)."""
     factory = lambda: build_complex_plan(scale=scale)
     _, plan = factory()
-    trigger = nlj_buffer_trigger("nlj0", int(0.85 * plan.buffer_tuples))
+    trigger = SuspendTrigger("nlj0", "fill", int(0.85 * plan.buffer_tuples))
     db, p = factory()
     ref, _ = run_reference_to_milestone(db, p, trigger)
     results = {
@@ -229,7 +228,7 @@ def fig14_rows(
 ) -> list[dict]:
     """Left-deep 3-NLJ plan: overhead vs suspend budget."""
     factory = lambda: build_left_deep_nlj(scale=scale)
-    trigger = nlj_buffer_trigger("nlj2", int(0.85 * 200_000 / scale))
+    trigger = SuspendTrigger("nlj2", "fill", int(0.85 * 200_000 / scale))
     db, plan = factory()
     ref, _ = run_reference_to_milestone(db, plan, trigger)
     rows = []

@@ -169,8 +169,8 @@ class ScanCursor:
         this steps past exhausted pages and charges the page read exactly
         where :meth:`next` would (lazily, on the call that needs the first
         row of the new page), but consumes nothing — callers slice from
-        ``position().slot`` and then :meth:`advance` by the rows taken, so
-        the cursor lands in the identical state the row path leaves it in.
+        :attr:`slot` and then :meth:`advance` by the rows taken, so the
+        cursor lands in the state that many :meth:`next` calls leave it in.
         Returns None at end of file.
         """
         while True:
@@ -184,6 +184,21 @@ class ScanCursor:
             self._page_no += 1
             self._slot = 0
             self._page_rows = None
+
+    def loaded_page(self) -> Optional[Sequence[Row]]:
+        """What :meth:`current_page` would return without fetching or
+        stepping — the page under the cursor, when it is loaded and has
+        rows left — else None. Lets a caller that attributes the fetch's
+        charges skip that bookkeeping on the calls that charge nothing."""
+        rows = self._page_rows
+        if rows is not None and self._slot < len(rows):
+            return rows
+        return None
+
+    @property
+    def slot(self) -> int:
+        """Slot of the next tuple on the current page."""
+        return self._slot
 
     def advance(self, n: int) -> None:
         """Consume ``n`` rows from the current page (after current_page())."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import QuerySession
+from repro import QuerySession, SuspendTrigger
 from repro.core.costs import build_cost_model
 
 from tests.conftest import make_small_db, tiny_nlj_plan, tiny_smj_plan
@@ -42,8 +42,7 @@ class TestChainLinks:
                 db, tiny_nlj_plan(selectivity=1.0, buffer_tuples=150)
             )
             session.execute(
-                suspend_when=lambda rt: rt.op_named("nlj").buffer_fill()
-                >= fill
+                suspend_when=SuspendTrigger("nlj", "fill", fill)
             )
             model = build_cost_model(session.runtime)
             scan = session.op_named("scan_R").op_id
@@ -55,7 +54,7 @@ class TestChainLinks:
         db = make_small_db()
         session = QuerySession(db, tiny_nlj_plan(selectivity=1.0, buffer_tuples=250))
         session.execute(
-            suspend_when=lambda rt: rt.op_named("nlj").buffer_fill() >= 250
+            suspend_when=SuspendTrigger("nlj", "fill", 250)
         )
         model = build_cost_model(session.runtime)
         nlj = session.op_named("nlj")

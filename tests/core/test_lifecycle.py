@@ -1,6 +1,8 @@
 """Unit tests for the execute/suspend/resume lifecycle."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro import (
     QueryStatus,
     SuspendSpec,
     SuspendStrategy,
+    SuspendTrigger,
 )
 from repro.common.errors import ReproError
 from repro.durability import ImageStore
@@ -123,7 +126,7 @@ class TestSuspendPhase:
                 db, tiny_nlj_plan(selectivity=1.0, buffer_tuples=250)
             )
             session.execute(
-                suspend_when=lambda rt: rt.op_named("nlj").buffer_fill() >= 250
+                suspend_when=SuspendTrigger("nlj", "fill", 250)
             )
             session.suspend(SuspendSpec(strategy=strategy))
             costs[strategy] = session.last_suspend_cost
@@ -256,3 +259,26 @@ class TestStateStoreRelease:
             assert rows == ref
             resumed.close()
             assert len(db.state_store) == before
+
+
+class TestClosedSessionIsNotCyclicGarbage:
+    """After ``close()`` nothing in the operator tree points back up, so
+    dropping the session frees it — and the decoded rows its sort readers
+    hold — by reference counting, with the collector off."""
+
+    @pytest.mark.parametrize("end", ["close", "suspend"])
+    def test_tree_dies_with_the_session(self, end):
+        gc.disable()
+        try:
+            session = QuerySession(make_small_db(), tiny_smj_plan())
+            session.execute(max_rows=5)
+            refs = [
+                weakref.ref(session.root),
+                weakref.ref(session.op_named("sort_R")._readers[0]),
+                weakref.ref(session.runtime),
+            ]
+            getattr(session, end)()
+            del session
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()

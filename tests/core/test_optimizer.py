@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro import QuerySession
+from repro import QuerySession, SuspendTrigger
 from repro.common.errors import SuspendBudgetInfeasibleError
 from repro.core.costs import build_cost_model
 from repro.core.optimizer import (
@@ -48,7 +48,7 @@ class TestCostModel:
         session = session_at(tiny_nlj_plan(selectivity=1.0, buffer_tuples=200), 0)
         db_session = session
         db_session.execute(
-            suspend_when=lambda rt: rt.op_named("nlj").buffer_fill() >= 200
+            suspend_when=SuspendTrigger("nlj", "fill", 200)
         )
         model = build_cost_model(session.runtime)
         nlj = session.op_named("nlj").op_id
@@ -108,7 +108,7 @@ class TestLPPlan:
         the heap-holding operator (Figure 14's low-budget regime)."""
         session = session_at(tiny_nlj_plan(selectivity=0.9, buffer_tuples=200), 0)
         session.execute(
-            suspend_when=lambda rt: rt.op_named("nlj").buffer_fill() >= 200
+            suspend_when=SuspendTrigger("nlj", "fill", 200)
         )
         model = build_cost_model(session.runtime)
         nlj = session.op_named("nlj").op_id

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import QuerySession
+from repro import QuerySession, SuspendTrigger
 from repro.core.static_optimizer import choose_static_plan
 from repro.core.strategies import Strategy
 from repro.workloads import build_nlj_s, build_skewed_nlj_s
@@ -40,8 +40,7 @@ class TestStaticOptimizer:
         # Execution is inside the low-selectivity (0.1) prefix, where
         # all-DumpState would be the right call.
         session.execute(
-            suspend_when=lambda rt: rt.op_named("scan_R").tuples_consumed()
-            >= 1000
+            suspend_when=SuspendTrigger("scan_R", "position", 1000)
         )
         chosen = choose_static_plan(session.runtime)
         assert plan_kind(chosen) == "mostly_goback"
@@ -53,10 +52,7 @@ class TestStaticOptimizer:
             db2, plan2 = build_skewed_nlj_s(scale=400)
             session = QuerySession(db2, plan2)
             session.execute(
-                suspend_when=lambda rt: rt.op_named(
-                    "scan_R"
-                ).tuples_consumed()
-                >= point
+                suspend_when=SuspendTrigger("scan_R", "position", point)
             )
             kinds.add(plan_kind(choose_static_plan(session.runtime)))
         assert len(kinds) == 1

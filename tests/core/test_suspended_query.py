@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database, QuerySession, SuspendSpec
+from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
 from repro.common.errors import StorageError
 from repro.core.suspended_query import (
     KIND_DUMP,
@@ -70,7 +70,7 @@ class TestSuspendedQuery:
             db, tiny_nlj_plan(selectivity=1.0, buffer_tuples=250)
         )
         session.execute(
-            suspend_when=lambda rt: rt.op_named("nlj").buffer_fill() >= 250
+            suspend_when=SuspendTrigger("nlj", "fill", 250)
         )
         sq = session.suspend(SuspendSpec(strategy="all_goback"))
         assert sq.nominal_bytes() < 5_000

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.cli import run_images
-from repro.core.lifecycle import QuerySession, QueryStatus, SuspendSpec
+from repro.core.lifecycle import QuerySession, SuspendSpec
 from repro.durability import ImageStore, codec2
 from repro.durability.format import CONTROL_NAME_V2, ImageFormatError
 from repro.engine.plan import HybridHashJoinSpec, ScanSpec
@@ -48,12 +48,8 @@ def run_into(session, partition):
     """Execute until the join enters ``partition``. A suspend there goes
     back to the boundary checkpoint just taken, which still names the
     partition before."""
-    session.execute(
-        suspend_when=lambda rt: (
-            rt.op_named("hj").current_partition >= partition
-        )
-    )
-    assert session.status is QueryStatus.SUSPEND_PENDING
+    while session.op_named("hj").current_partition < partition:
+        session.execute(max_rows=1)
     return session.rows
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, QuerySession, SuspendSpec
+from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
 from repro.engine.plan import (
     DupElimSpec,
     GroupAggSpec,
@@ -84,13 +84,12 @@ class TestGroupAggregate:
         plan = agg_plan("sum", 2)
         ref = reference_rows(group_db, plan)
         session = QuerySession(db, plan)
-        # Trigger inside the accumulation of group 3 (after ~70 child rows
-        # have been consumed by the aggregate's sort child).
-        session.execute(
-            suspend_when=lambda rt: rt.op_named("agg").in_group
-            and rt.op_named("agg").current_key == (3,)
-        )
+        # Groups are 20 rows each: the sort's 65th row is the fifth of
+        # group 3.
+        session.execute(suspend_when=SuspendTrigger("s", "emitted", 65))
         assert session.status.value == "suspend_pending"
+        agg = session.op_named("agg")
+        assert agg.in_group and agg.current_key == (3,)
         first_rows = list(session.rows)
         sq = session.suspend(SuspendSpec(strategy="lp"))
         resumed = QuerySession.resume(db, sq)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, QuerySession, SuspendSpec
+from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
 from repro.engine.plan import GroupAggSpec, HashGroupAggSpec, ScanSpec, SortSpec
 from repro.relational.datagen import BASE_SCHEMA
 
@@ -18,7 +18,7 @@ def group_db():
 
 def hash_plan(func="count", agg_col=2, partitions=4):
     return HashGroupAggSpec(
-        child=ScanSpec("G"),
+        child=ScanSpec("G", label="g"),
         group_columns=(0,),
         agg_func=func,
         agg_column=agg_col,
@@ -86,10 +86,9 @@ class TestHashGroupAggregateSuspendResume:
         plan = hash_plan("sum")
         ref = reference_rows(group_db, plan)
         session = QuerySession(db, plan)
-        session.execute(
-            suspend_when=lambda rt: rt.op_named("hagg").consumed >= 100
-        )
+        session.execute(suspend_when=SuspendTrigger("g", "emitted", 100))
         assert session.status.value == "suspend_pending"
+        assert session.op_named("hagg").consumed == 100
         sq = session.suspend(SuspendSpec(strategy="lp"))
         resumed = QuerySession.resume(db, sq)
         assert resumed.execute().rows == ref

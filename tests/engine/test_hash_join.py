@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, QuerySession, SuspendSpec
+from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
 from repro.engine.plan import (
     FilterSpec,
     HybridHashJoinSpec,
@@ -113,10 +113,9 @@ class TestHashJoinSuspendResume:
         plan = shj_plan()
         ref = reference_rows(make_small_db, plan)
         session = QuerySession(db, plan)
-        session.execute(
-            suspend_when=lambda rt: rt.op_named("hj").build_consumed >= 50
-        )
+        session.execute(suspend_when=SuspendTrigger("f", "emitted", 50))
         assert session.status.value == "suspend_pending"
+        assert session.op_named("hj").build_consumed == 50
         sq = session.suspend(SuspendSpec(strategy="lp"))
         resumed = QuerySession.resume(db, sq)
         assert resumed.execute().rows == ref

@@ -1,9 +1,18 @@
 """Unit tests for block nested-loop join: execution, checkpoints, skipping."""
 
+import hashlib
+
 import pytest
 
-from repro import Database, QuerySession, QueryStatus, SuspendSpec
+from repro import (
+    Database,
+    QuerySession,
+    QueryStatus,
+    SuspendSpec,
+    SuspendTrigger,
+)
 from repro.common.errors import ContractError, ReproError
+from repro.durability.codec2 import encode_suspended_query
 from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec, SortSpec
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
 from repro.relational.expressions import EquiJoinCondition, UniformSelect
@@ -15,6 +24,7 @@ from tests.conftest import (
     suspend_resume_rows,
     tiny_nlj_plan,
 )
+from tests.properties.test_property_batch_equivalence import reset_id_counters
 
 
 def expected_nlj_output(db, selectivity, modulus, buffer_tuples):
@@ -98,9 +108,7 @@ class TestNLJCheckpoints:
     def test_heap_pages_tracks_buffer(self):
         db = make_small_db()
         session = QuerySession(db, tiny_nlj_plan(selectivity=1.0, buffer_tuples=150))
-        session.execute(
-            suspend_when=lambda rt: rt.op_named("nlj").buffer_fill() >= 120
-        )
+        session.execute(suspend_when=SuspendTrigger("nlj", "fill", 120))
         nlj = session.op_named("nlj")
         assert nlj.heap_tuples() == 120
         assert nlj.heap_pages() == 2  # 120 tuples at 100/page
@@ -172,6 +180,52 @@ class TestNLJSuspendResume:
             sq = session.suspend(SuspendSpec(budget=1e6))
             session = QuerySession.resume(db, sq)
         assert rows == ref.rows
+
+
+class TestSuspendRaisedByTheInnerPull:
+    """An ``emitted`` trigger on the inner scan, firing mid-pass under an
+    emitting NLJ. Expected values were recorded from the per-row path at
+    the parent of the change that deleted it.
+
+    The 31st inner tuple matches nothing in the buffer, so the join pulls
+    the inner child again and *that* call's entry poll raises: the NLJ
+    must have settled the consume charge and written its cursor and
+    inner tuple back before the pull (drop either and this fails). The
+    30th tuple matches, so there the join hands its row up and the poll
+    of its own next call raises.
+    """
+
+    def stopped_at(self, inner_tuples):
+        reset_id_counters()
+        db = make_small_db()
+        plan = tiny_nlj_plan(buffer_tuples=12, modulus=40)
+        session = QuerySession(db, plan)
+        session.execute(
+            suspend_when=SuspendTrigger("scan_S", "emitted", inner_tuples)
+        )
+        assert session.status is QueryStatus.SUSPEND_PENDING
+        return db, session, session.op_named("nlj")
+
+    def image_sha(self, session):
+        sq = session.suspend(SuspendSpec(strategy="all_goback"))
+        return hashlib.sha256(encode_suspended_query(sq)).hexdigest()[:16]
+
+    def test_raised_between_two_inner_tuples(self):
+        db, session, nlj = self.stopped_at(31)
+        assert len(session.rows) == 9
+        assert (nlj.cursor, nlj.inner_row) == (12, None)
+        assert nlj.tally.cpu_tuples == 52
+        assert session.op_named("scan_S").tally.cpu_tuples == 31
+        assert repr(db.now) == "2.155"
+        assert self.image_sha(session) == "c0b0cee70c942028"
+
+    def test_raised_after_a_match_was_handed_up(self):
+        db, session, nlj = self.stopped_at(30)
+        assert len(session.rows) == 8
+        assert nlj.cursor == 6 and nlj.inner_row[2] == 29
+        assert nlj.tally.cpu_tuples == 50
+        assert repr(db.now) == "2.152"
+        assert self.image_sha(session) == "581dbfd5a50cebc1"
 
 
 class TestNLJOverNLJ:

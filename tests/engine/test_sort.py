@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, QuerySession, SuspendSpec
+from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
 from repro.engine.plan import ScanSpec, SortSpec
 from repro.engine.sort import PHASE_BUILD, PHASE_MERGE
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
@@ -107,7 +107,7 @@ class TestSortSuspendResume:
         db = sort_db()
         session = QuerySession(db, plan)
         session.execute(
-            suspend_when=lambda rt: rt.op_named("sort").buffer_fill() >= 30
+            suspend_when=SuspendTrigger("sort", "fill", 30)
         )
         assert session.op_named("sort").phase == PHASE_BUILD
         sq = session.suspend(SuspendSpec(strategy="lp"))

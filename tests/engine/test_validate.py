@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import QuerySession, SuspendSpec
+from repro import QuerySession, SuspendSpec, SuspendTrigger
 from repro.engine.plan import (
     DupElimSpec,
     FilterSpec,
@@ -124,7 +124,7 @@ class TestMemoryAccounting:
         session = QuerySession(db, tiny_nlj_plan(buffer_tuples=200))
         assert session.memory_in_use() == 0
         session.execute(
-            suspend_when=lambda rt: rt.op_named("nlj").buffer_fill() >= 150
+            suspend_when=SuspendTrigger("nlj", "fill", 150)
         )
         held = session.memory_in_use()
         assert held >= 2 * db.cost_model.page_bytes  # 150 tuples = 2 pages
@@ -135,7 +135,7 @@ class TestMemoryAccounting:
         db = make_small_db()
         session = QuerySession(db, tiny_nlj_plan(buffer_tuples=200))
         session.execute(
-            suspend_when=lambda rt: rt.op_named("nlj").buffer_fill() >= 150
+            suspend_when=SuspendTrigger("nlj", "fill", 150)
         )
         session.suspend(SuspendSpec(strategy="all_goback"))
         assert session.memory_in_use() == 0

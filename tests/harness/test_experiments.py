@@ -4,12 +4,10 @@ import math
 
 import pytest
 
+from repro import SuspendTrigger
 from repro.harness.experiments import (
     measure_suspend_overhead,
-    nlj_buffer_trigger,
-    root_rows_trigger,
     run_reference_to_milestone,
-    scan_position_trigger,
 )
 from repro.workloads import build_nlj_s
 
@@ -18,7 +16,7 @@ def factory():
     return build_nlj_s(selectivity=0.5, scale=250)
 
 
-TRIGGER = nlj_buffer_trigger("nlj", 400)
+TRIGGER = SuspendTrigger("nlj", "fill", 400)
 
 
 class TestHarness:
@@ -63,7 +61,8 @@ class TestHarness:
 
     def test_never_firing_trigger_raises(self):
         with pytest.raises(RuntimeError):
-            measure_suspend_overhead(factory, lambda rt: False, "all_dump")
+            never = SuspendTrigger("nlj", "emitted", 10**9)
+            measure_suspend_overhead(factory, never, "all_dump")
 
     def test_budget_constrains_suspend_cost(self):
         constrained = measure_suspend_overhead(
@@ -76,5 +75,6 @@ class TestHarness:
 
         db, plan = factory()
         session = QuerySession(db, plan)
-        session.execute(suspend_when=scan_position_trigger("scan_R", 50))
+        trigger = SuspendTrigger("scan_R", "position", 50)
+        session.execute(suspend_when=trigger)
         assert session.op_named("scan_R").tuples_consumed() == 50

@@ -7,12 +7,11 @@ simulator actually charges when those plans run.
 
 import pytest
 
-from repro import QuerySession
+from repro import QuerySession, SuspendTrigger
 from repro.core.costs import build_cost_model
 from repro.core.optimizer import choose_suspend_plan, estimate_plan_cost
 from repro.harness.experiments import (
     measure_suspend_overhead,
-    nlj_buffer_trigger,
 )
 from repro.workloads import build_nlj_s
 
@@ -22,7 +21,7 @@ from repro.workloads import build_nlj_s
 def test_estimates_track_measurements(selectivity, strategy):
     factory = lambda: build_nlj_s(selectivity=selectivity, scale=200)
     _, plan = factory()
-    trigger = nlj_buffer_trigger("nlj", plan.buffer_tuples // 2)
+    trigger = SuspendTrigger("nlj", "fill", plan.buffer_tuples // 2)
 
     # Estimated costs at the suspend point.
     db, p = factory()
@@ -50,7 +49,7 @@ def test_lp_choice_agrees_with_measured_winner():
     for selectivity in (0.1, 1.0):
         factory = lambda: build_nlj_s(selectivity=selectivity, scale=200)
         _, plan = factory()
-        trigger = nlj_buffer_trigger("nlj", plan.buffer_tuples // 2)
+        trigger = SuspendTrigger("nlj", "fill", plan.buffer_tuples // 2)
         dump = measure_suspend_overhead(factory, trigger, "all_dump")
         goback = measure_suspend_overhead(factory, trigger, "all_goback")
         lp = measure_suspend_overhead(factory, trigger, "lp")

@@ -1,9 +1,8 @@
 """Determinism: the virtual-clock design makes every run reproducible."""
 
-from repro import QuerySession, SuspendSpec
+from repro import QuerySession, SuspendSpec, SuspendTrigger
 from repro.harness.experiments import (
     measure_suspend_overhead,
-    nlj_buffer_trigger,
 )
 from repro.workloads import build_complex_plan, build_nlj_s
 
@@ -23,7 +22,7 @@ def test_overhead_measurements_are_bit_identical():
     for _ in range(2):
         factory = lambda: build_complex_plan(scale=400)
         _, plan = factory()
-        trigger = nlj_buffer_trigger("nlj0", int(0.85 * plan.buffer_tuples))
+        trigger = SuspendTrigger("nlj0", "fill", int(0.85 * plan.buffer_tuples))
         r = measure_suspend_overhead(factory, trigger, "lp")
         results.append(
             (r.total_overhead, r.suspend_cost, r.resume_cost)

@@ -4,8 +4,7 @@ import pickle
 
 import pytest
 
-from repro import QuerySession, SuspendSpec
-from repro.harness.experiments import nlj_buffer_trigger
+from repro import QuerySession, SuspendSpec, SuspendTrigger
 from repro.workloads import build_complex_plan, build_smj_s
 
 
@@ -20,7 +19,7 @@ class TestComplexPlanMigration:
 
         session = QuerySession(db, plan)
         first = session.execute(
-            suspend_when=nlj_buffer_trigger("nlj0", 400)
+            suspend_when=SuspendTrigger("nlj0", "fill", 400)
         )
         sq = session.suspend(SuspendSpec(strategy=strategy))
         sq.export_payloads(db.state_store)

@@ -9,12 +9,10 @@ import math
 
 import pytest
 
+from repro import SuspendTrigger
 from repro.harness.experiments import (
     measure_suspend_overhead,
-    nlj_buffer_trigger,
-    root_rows_trigger,
     run_reference_to_milestone,
-    scan_position_trigger,
 )
 from repro.workloads import (
     build_complex_plan,
@@ -29,7 +27,7 @@ SCALE = 400  # paper scale / 400: R has 5,500 tuples, buffers 500
 def overhead(selectivity, strategy, scale=SCALE):
     factory = lambda: build_nlj_s(selectivity=selectivity, scale=scale)
     _, plan = factory()
-    trigger = nlj_buffer_trigger("nlj", plan.buffer_tuples // 2)
+    trigger = SuspendTrigger("nlj", "fill", plan.buffer_tuples // 2)
     return measure_suspend_overhead(factory, trigger, strategy)
 
 
@@ -75,8 +73,8 @@ class TestFigure9Shape:
         for frac in (0.25, 0.9):
             factory = lambda: build_nlj_s(selectivity=0.9, scale=SCALE)
             _, plan = factory()
-            trigger = nlj_buffer_trigger(
-                "nlj", int(plan.buffer_tuples * frac)
+            trigger = SuspendTrigger(
+                "nlj", "fill", int(plan.buffer_tuples * frac)
             )
             dump = measure_suspend_overhead(factory, trigger, "all_dump")
             goback = measure_suspend_overhead(factory, trigger, "all_goback")
@@ -87,14 +85,14 @@ class TestFigure9Shape:
 class TestFigure12Shape:
     def test_online_beats_static_in_low_selectivity_region(self):
         factory = lambda: build_skewed_nlj_s(scale=SCALE)
-        trigger = scan_position_trigger("scan_R", 3000)
+        trigger = SuspendTrigger("scan_R", "position", 3000)
         online = measure_suspend_overhead(factory, trigger, "lp")
         static = measure_suspend_overhead(factory, trigger, "static")
         assert online.total_overhead < static.total_overhead
 
     def test_online_matches_static_in_high_selectivity_region(self):
         factory = lambda: build_skewed_nlj_s(scale=SCALE)
-        trigger = scan_position_trigger("scan_R", 6500)
+        trigger = SuspendTrigger("scan_R", "position", 6500)
         online = measure_suspend_overhead(factory, trigger, "lp")
         static = measure_suspend_overhead(factory, trigger, "static")
         assert online.total_overhead <= static.total_overhead + 1.0
@@ -104,7 +102,7 @@ class TestFigure13Shape:
     def test_hybrid_beats_both_purists(self):
         factory = lambda: build_complex_plan(scale=SCALE)
         _, plan = factory()
-        trigger = nlj_buffer_trigger("nlj0", int(0.85 * plan.buffer_tuples))
+        trigger = SuspendTrigger("nlj0", "fill", int(0.85 * plan.buffer_tuples))
         results = {
             s: measure_suspend_overhead(factory, trigger, s)
             for s in ("all_dump", "all_goback", "lp")
@@ -122,7 +120,7 @@ class TestFigure13Shape:
 class TestFigure14Shape:
     def test_overhead_decreases_as_budget_grows(self):
         factory = lambda: build_left_deep_nlj(scale=SCALE)
-        trigger = nlj_buffer_trigger("nlj2", 400)
+        trigger = SuspendTrigger("nlj2", "fill", 400)
         db, plan = factory()
         ref, _ = run_reference_to_milestone(db, plan, trigger)
         overheads = []

@@ -7,7 +7,7 @@ that exact plan and assert the behaviours the paper narrates.
 
 import pytest
 
-from repro import Database, QuerySession, SuspendSpec
+from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
 from repro.core.strategies import OpDecision, SuspendPlan
 from repro.core.suspended_query import KIND_DUMP, KIND_GOBACK
 from repro.engine.plan import NLJSpec, ScanSpec
@@ -44,10 +44,8 @@ def session_at_t5():
     """Run to the paper's t5: NLJ0 mid-fill, NLJ1 past its checkpoint."""
     db = running_example_db()
     session = QuerySession(db, running_example_plan())
-    session.execute(
-        suspend_when=lambda rt: rt.op_named("nlj0").buffer_fill() >= 60
-        and rt.op_named("nlj1").tuples_emitted > 0
-    )
+    session.execute(suspend_when=SuspendTrigger("nlj0", "fill", 60))
+    assert session.op_named("nlj1").tuples_emitted > 0
     assert session.status.value == "suspend_pending"
     return db, session
 

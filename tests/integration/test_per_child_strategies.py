@@ -9,7 +9,7 @@ cheap).
 
 import pytest
 
-from repro import Database, QuerySession, SuspendSpec
+from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
 from repro.common.errors import InvalidSuspendPlanError
 from repro.core.strategies import OpDecision, SuspendPlan
 from repro.engine.plan import FilterSpec, MergeJoinSpec, ScanSpec, SortSpec
@@ -123,13 +123,10 @@ class TestPerChildEconomics:
         """Dumping the duplicate-heavy right packet while regenerating
         the cheap left side costs less total overhead than regenerating
         both sides."""
-        from repro.harness.experiments import (
-            measure_suspend_overhead,
-            root_rows_trigger,
-        )
+        from repro.harness.experiments import measure_suspend_overhead
 
         factory = lambda: (skewed_packet_db(), packet_plan())
-        trigger = root_rows_trigger("mj", 25)
+        trigger = SuspendTrigger("mj", "emitted", 25)
 
         goback = measure_suspend_overhead(factory, trigger, "all_goback")
 

@@ -161,9 +161,12 @@ class TestNextSampling:
             assert {"dur", "op", "emitted", "max_rows", "produced"} <= set(r)
             assert r["produced"] <= r["max_rows"]
         # The root and the heap child (the NLJ's filtered outer) are
-        # pulled by batch; the stream child (the inner scan) and the scan
-        # fused under the filter never receive a next_batch call.
-        assert {r["op_name"] for r in spans} == {"nlj", "filter"}
+        # pulled by batch, the stream child (the inner scan) one row per
+        # call; the scan fused under the filter receives a call only
+        # while the filter steps row by row (an open contract to migrate).
+        assert {r["op_name"] for r in spans} >= {"nlj", "filter", "scan_T"}
+        assert {r["max_rows"] for r in spans if r["op_name"] == "scan_T"} == {1}
+        assert {r["max_rows"] for r in spans if r["op_name"] == "scan_R"} <= {1}
 
     def test_no_next_spans_by_default(self, cycle):
         tracer, _ = cycle

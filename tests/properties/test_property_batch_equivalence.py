@@ -1,27 +1,25 @@
-"""Property: the vectorized batch path is bit-identical to the row path.
+"""Property: batch size is invisible to everything the paper accounts for.
 
-Hypothesis drives random plan shapes, data sizes, drain patterns,
-scheduler quanta, and suspend points; the invariants are byte-for-byte
-equality of output rows, virtual-clock totals, I/O counters, per-operator
-work/emitted bookkeeping, and serialized suspend images — including a
-suspend condition that fires mid-batch — plus conservation: the integer
-events attributed to the operators add up to exactly what the query's
-lane counted.
+Hypothesis drives random plan shapes, data, drain patterns, typed suspend
+triggers on any operator of the plan, and suspend strategies; the
+invariant is that the same run with every ``next_batch`` request clamped
+to one row — one poll, one production step per row — equals the
+free-running run byte for byte: output rows, virtual-clock totals, I/O
+counters, per-operator work/emitted bookkeeping and serialized suspend
+images. A trigger on a leaf fires mid-build, mid-partitioning or
+mid-drain of a heap child, so the stop lands inside every phase. Plus
+conservation: the integer events attributed to the operators add up to
+exactly what the query's lane counted. What the deleted per-row path
+produced is pinned separately (``tests/engine/test_golden_row_path.py``).
 
-The row path is pinned through the dispatcher that selects it
-(``Operator.next_batch``): an armed suspend condition that never fires —
-the one thing that selects it in the product — or, where no condition
-can be armed (scheduler quanta, the run after a resume and the resume's
-own roll-forward), the test-local :func:`row_path`, which swaps the
-dispatcher for the per-row loop. Tracing selects nothing: the last
-property runs every plan under ``Tracer(next_sample_every=N)`` and
-demands the untraced run's rows, clock, counters, per-operator work and
-image bytes.
+Tracing selects nothing: the last property runs every plan under
+``Tracer(next_sample_every=N)`` and demands the untraced run's rows,
+clock, counters, per-operator work and image bytes.
 
 Beyond one operator over a scan, the plans put a stateful child that
 checkpoints mid-drain under every heap-drain site (sort buffer, NLJ
 outer buffer, hash-join and hash-aggregate partitioning), so batches
-that end at the child's checkpoint points are compared with per-row
+that end at the child's checkpoint points are compared with one-row
 pulls there too.
 """
 
@@ -32,16 +30,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.checkpoint as checkpoint_module
-from repro import (
-    Database,
-    QueryScheduler,
-    QuerySession,
-    SchedulerConfig,
-    SuspendSpec,
-)
+from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
 from repro.core.lifecycle import QueryStatus
 from repro.durability.codec2 import encode_suspended_query
 from repro.engine.base import Operator
+from repro.engine.runtime import TRIGGER_COUNTERS, Runtime
 from repro.engine.plan import (
     FilterSpec,
     GroupAggSpec,
@@ -54,6 +47,7 @@ from repro.engine.plan import (
     ScanSpec,
     SimpleHashJoinSpec,
     SortSpec,
+    instantiate_plan,
 )
 from repro.obs.tracer import Tracer
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
@@ -182,28 +176,16 @@ def fingerprint(db, session):
     return (repr(db.now), db.disk.counters.snapshot(), ops)
 
 
-def never(rt):
-    return False
-
-
-def pin(batch):
-    """``execute`` keywords selecting the batch path or the row path."""
-    return {} if batch else {"suspend_when": never}
-
-
 @contextmanager
-def row_path(pinned=True):
-    """Pin every operator to the row path for the duration by swapping
-    the dispatcher for the per-row loop it selects under an armed
-    condition (so ``_drain``'s ``child.next_batch(n)`` is ``n`` polled
-    ``next()`` calls too); ``pinned=False`` leaves the batch path."""
-    dispatcher = Operator.next_batch
-    if pinned:
-        Operator.next_batch = Operator._next_batch_rowloop
+def one_row_requests():
+    """Clamp every ``next_batch`` request — the driver's, a heap drain's —
+    to one row for the duration."""
+    free = Operator.next_batch
+    Operator.next_batch = lambda op, max_rows: free(op, min(max_rows, 1))
     try:
         yield
     finally:
-        Operator.next_batch = dispatcher
+        Operator.next_batch = free
 
 
 def events(counters):
@@ -217,21 +199,55 @@ def assert_work_conserved(session):
     assert tuple(map(sum, zip(*tallies))) == events(lane.counters)
 
 
-def run_drained(db, plan, batch, drains):
-    session = QuerySession(db, plan)
+def stop_keywords(db, plan, stop):
+    """``execute`` keywords for the slice that ends in the suspend: an
+    unarmed ``max_rows`` cut (the suspend a scheduler quantum or a token
+    hop takes), or a trigger on whichever operator and counter of this
+    plan the drawn indexes select."""
+    how, which, n = stop
+    if how == "max_rows":
+        return {"max_rows": n}
+    runtime = Runtime(db)
+    instantiate_plan(plan, runtime)
+    ops = list(runtime.ops.values())
+    op = ops[which % len(ops)]
+    counters = [c for c, attr in TRIGGER_COUNTERS.items() if hasattr(op, attr)]
+    counter = counters[which // len(ops) % len(counters)]
+    return {"suspend_when": SuspendTrigger(op.name, counter, n)}
+
+
+def run_suspended(db, plan, stop, strategy, tracer=None, drains=()):
+    keywords = stop_keywords(db, plan, stop)
+    reset_id_counters()
+    session = QuerySession(db, plan, tracer=tracer)
     rows = []
     for drain in drains:
         if session.status is QueryStatus.COMPLETED:
             break
-        rows.extend(session.execute(max_rows=drain, **pin(batch)).rows)
+        rows.extend(session.execute(max_rows=drain).rows)
         assert_work_conserved(session)
     if session.status is not QueryStatus.COMPLETED:
-        rows.extend(session.execute(**pin(batch)).rows)
+        rows.extend(session.execute(**keywords).rows)
     assert_work_conserved(session)
-    return rows, fingerprint(db, session)
+    if session.status is QueryStatus.COMPLETED:
+        return rows, None, None, fingerprint(db, session)
+    at_stop = fingerprint(db, session)
+    sq = session.suspend(SuspendSpec(strategy=strategy))
+    image = encode_suspended_query(sq)
+    resumed = QuerySession.resume(db, sq, tracer=tracer)
+    rows.extend(resumed.execute().rows)
+    return rows, at_stop, image, fingerprint(db, resumed)
 
 
-@SLOW
+STOPS = st.tuples(
+    st.sampled_from(["trigger", "trigger", "max_rows"]),
+    st.integers(0, 40),
+    st.integers(0, 120),
+)
+STRATEGIES = st.sampled_from(["all_dump", "all_goback", "lp"])
+
+
+@settings(SLOW, max_examples=60)
 @given(
     kind=st.sampled_from(PLAN_KINDS),
     r_size=st.integers(40, 160),
@@ -241,9 +257,11 @@ def run_drained(db, plan, batch, drains):
     buffer_tuples=st.integers(5, 60),
     modulus=st.integers(5, 40),
     pool_pages=st.sampled_from([0, 0, 4]),
-    drains=st.lists(st.integers(1, 200), max_size=4),
+    drains=st.lists(st.integers(1, 200), max_size=2),
+    stop=STOPS,
+    strategy=STRATEGIES,
 )
-def test_batch_row_identical(
+def test_mid_batch_suspend_image_identical(
     kind,
     r_size,
     s_size,
@@ -253,112 +271,25 @@ def test_batch_row_identical(
     modulus,
     pool_pages,
     drains,
+    stop,
+    strategy,
 ):
+    """Batch-size invariance: a run cut into slices, stopped by a trigger
+    or a ``max_rows`` cut, suspended, resumed (a batched roll-forward)
+    and finished is the same run when every request is for one row —
+    the rows, the clock and bookkeeping at the stop and at the end, and
+    the image."""
     plan = build_plan(kind, selectivity, buffer_tuples, modulus)
-    ref_rows, ref_fp = run_drained(
-        build_db(r_size, s_size, seed, pool_pages), plan, False, ()
+    with one_row_requests():
+        ref = run_suspended(
+            build_db(r_size, s_size, seed, pool_pages),
+            plan, stop, strategy, drains=drains,
+        )
+    got = run_suspended(
+        build_db(r_size, s_size, seed, pool_pages),
+        plan, stop, strategy, drains=drains,
     )
-    got_rows, got_fp = run_drained(
-        build_db(r_size, s_size, seed, pool_pages), plan, True, drains
-    )
-    assert got_rows == ref_rows
-    assert got_fp == ref_fp
-
-
-def run_scheduled(db, quantum_rows, batch, plans):
-    sched = QueryScheduler(db, SchedulerConfig(quantum_rows=quantum_rows))
-    for i, (name, plan) in enumerate(plans):
-        sched.submit(name, plan, arrival_time=float(i))
-    with row_path(not batch):
-        sched.run()
-    return (
-        {r.name: (r.rows, repr(r.stats.completed_at)) for r in sched.records},
-        repr(db.now),
-        db.disk.counters.snapshot(),
-    )
-
-
-@SLOW
-@given(
-    quantum_rows=st.integers(1, 150),
-    seed=st.integers(0, 10_000),
-    selectivity=st.floats(0.2, 1.0),
-    buffer_tuples=st.integers(10, 50),
-    kinds=st.lists(
-        st.sampled_from(PLAN_KINDS), min_size=2, max_size=5, unique=True
-    ),
-)
-def test_batch_row_identical_under_scheduler_quanta(
-    quantum_rows, seed, selectivity, buffer_tuples, kinds
-):
-    """Interleaved queries cut into quanta: both paths agree on every
-    query's rows and completion time and on the shared clock."""
-    plans = [
-        (kind, build_plan(kind, selectivity, buffer_tuples, 15))
-        for kind in kinds
-    ]
-    ref = run_scheduled(build_db(110, 60, seed), quantum_rows, False, plans)
-    got = run_scheduled(build_db(110, 60, seed), quantum_rows, True, plans)
     assert got == ref
-
-
-def stop_keywords(stop):
-    """``execute`` keywords for the first slice of a suspended run: an
-    armed trigger on the root's output or on the query's CPU count (which
-    fires anywhere — mid-build, mid-partitioning, mid-drain of a heap
-    child), or an unarmed ``max_rows`` cut, the suspend a scheduler
-    quantum or a token hop takes on the batch path."""
-    how, n = stop
-    if how == "max_rows":
-        return {"max_rows": n}
-    if how == "root_rows":
-        return {"suspend_when": lambda rt: rt.root().tuples_emitted >= n}
-    return {"suspend_when": lambda rt: rt.lane.counters.cpu_tuples >= 25 * n}
-
-
-def run_suspended(db, plan, stop, strategy, tracer=None):
-    reset_id_counters()
-    session = QuerySession(db, plan, tracer=tracer)
-    first = session.execute(**stop_keywords(stop))
-    if session.status is QueryStatus.COMPLETED:
-        return first.rows, None, fingerprint(db, session)
-    sq = session.suspend(SuspendSpec(strategy=strategy))
-    image = encode_suspended_query(sq)
-    resumed = QuerySession.resume(db, sq, tracer=tracer)
-    rest = resumed.execute()
-    return first.rows + rest.rows, image, fingerprint(db, resumed)
-
-
-STOPS = st.tuples(
-    st.sampled_from(["root_rows", "cpu_tuples", "max_rows"]),
-    st.integers(1, 80),
-)
-STRATEGIES = st.sampled_from(["all_dump", "all_goback", "lp"])
-
-
-@SLOW
-@given(
-    kind=st.sampled_from(PLAN_KINDS),
-    seed=st.integers(0, 10_000),
-    selectivity=st.floats(0.2, 1.0),
-    buffer_tuples=st.integers(10, 50),
-    stop=STOPS,
-    strategy=STRATEGIES,
-)
-def test_mid_batch_suspend_image_identical(
-    kind, seed, selectivity, buffer_tuples, stop, strategy
-):
-    """A suspend — a condition firing mid-batch, or a ``max_rows`` cut on
-    the batch path — must leave the same image as the row path (where it
-    lands between rows), and the resume's batched roll-forward and the
-    rest of the run the same clock and output."""
-    plan = build_plan(kind, selectivity, buffer_tuples, 15)
-    with row_path():
-        ref = run_suspended(build_db(110, 60, seed), plan, stop, strategy)
-    got = run_suspended(build_db(110, 60, seed), plan, stop, strategy)
-    assert got[0] == ref[0]
-    assert got[1] == ref[1]
-    assert got[2] == ref[2]
 
 
 @SLOW

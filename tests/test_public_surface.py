@@ -102,6 +102,42 @@ def test_engine_config_has_no_execution_path_switch():
     }
 
 
+def all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_subclasses(sub)
+
+
+def test_every_operator_has_one_production_hook():
+    """One body per operator: a class defines the single-row hook or the
+    batch hook, never both, and ``next``/``next_batch`` — the entries
+    that poll, cap and trace — have one definition, on the base class.
+    ``suspend_when`` is a trigger value, not a predicate."""
+    import repro.engine.folded  # noqa: F401  (defines operator subclasses)
+    from repro.engine.base import Operator
+
+    operators = {
+        cls
+        for cls in all_subclasses(Operator)
+        if cls.__module__.startswith("repro.")
+    }
+    assert len(operators) >= 18
+    for cls in operators:
+        assert not {"next", "next_batch"} & set(vars(cls)), cls
+        hooks = [
+            hook
+            for hook in ("_next", "_next_batch")
+            if getattr(cls, hook) is not getattr(Operator, hook)
+        ]
+        assert len(hooks) == 1, (cls, hooks)
+    assert not hasattr(Operator, "_next_batch_rowloop")
+    execute = inspect.signature(QuerySession.execute)
+    assert list(execute.parameters) == [
+        "self", "max_rows", "suspend_when", "collect"
+    ]
+    assert "Callable" not in str(execute.parameters["suspend_when"].annotation)
+
+
 def test_clock_has_no_ordered_charge_variants():
     """Time is derived from integer counters, so there is nothing for an
     ``add_each``/``*_each`` replay of float additions to keep in step."""
