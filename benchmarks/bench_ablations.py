@@ -17,7 +17,7 @@ Not figures from the paper, but direct tests of its design claims:
 
 import pytest
 
-from repro import Database, QuerySession, SuspendTrigger
+from repro import SuspendTrigger
 from repro.engine.config import EngineConfig
 from repro.harness.experiments import (
     measure_suspend_overhead,
@@ -141,71 +141,6 @@ def test_ablation_proactive_checkpointing(benchmark):
     on = next(r for r in rows if r["proactive_checkpoints"] == "on")
     off = next(r for r in rows if r["proactive_checkpoints"] == "off")
     assert off["total_overhead"] > on["total_overhead"] * 1.5
-
-
-def ablate_buffer_pool():
-    """Why the experiments run without a buffer pool: with one sized to
-    the (scaled) tables, GoBack's recomputation reads hit cache and the
-    dump-vs-goback tradeoff collapses — misrepresenting the paper's
-    big-table regime where redo is real I/O."""
-    from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
-    from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec
-    from repro.relational.expressions import EquiJoinCondition, UniformSelect
-
-    def factory_for(pool_pages):
-        def factory():
-            db = Database(buffer_pool_pages=pool_pages)
-            db.create_table(
-                "R", BASE_SCHEMA, generate_uniform_table(11_000, seed=7)
-            )
-            db.create_table(
-                "T", BASE_SCHEMA, generate_uniform_table(1_100, seed=8)
-            )
-            plan = NLJSpec(
-                outer=FilterSpec(
-                    ScanSpec("R", label="scan_R"),
-                    UniformSelect(1, 0.1),
-                    label="filter",
-                ),
-                inner=ScanSpec("T", label="scan_T"),
-                condition=EquiJoinCondition(0, 0, modulus=500),
-                buffer_tuples=1_000,
-                label="nlj",
-            )
-            return db, plan
-
-        return factory
-
-    rows = []
-    trigger = SuspendTrigger("nlj", "fill", 500)
-    for pool_pages in (0, 256):
-        r = measure_suspend_overhead(
-            factory_for(pool_pages), trigger, "all_goback"
-        )
-        rows.append(
-            {
-                "buffer_pool_pages": pool_pages,
-                "goback_total_overhead": round(r.total_overhead, 1),
-            }
-        )
-    return rows
-
-
-def test_ablation_buffer_pool(benchmark):
-    rows = once(benchmark, ablate_buffer_pool)
-    text = format_table(
-        rows,
-        title=(
-            "Ablation - buffer pool vs GoBack redo cost (all-GoBack, "
-            "NLJ_S-like plan, selectivity 0.1)"
-        ),
-    )
-    record_result("ablation_buffer_pool", text)
-    without = rows[0]["goback_total_overhead"]
-    with_pool = rows[1]["goback_total_overhead"]
-    # With the pool covering the scanned region, redo is nearly free —
-    # which is exactly why the paper-regime experiments disable it.
-    assert with_pool < without / 3
 
 
 def test_ablation_cost_ratio(benchmark):

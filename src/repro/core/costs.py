@@ -228,6 +228,11 @@ def build_cost_model(runtime: "Runtime") -> SuspendCostModel:
         if link.fulfilling_ckpt_id is None:
             continue
         fulfilling = graph.checkpoint(link.fulfilling_ckpt_id)
+        # "Dump to contract" restores the target's cursors over the heap
+        # dumped now, so it needs the heap the contract was signed over.
+        # This test is true to that only because operators never discard
+        # heap state without a checkpoint (a block NLJ checkpoints at the
+        # end of its last pass too): no newer checkpoint, same heap.
         if latest is not None and latest.seq > fulfilling.seq:
             cannot_dump.add((i, j))
 

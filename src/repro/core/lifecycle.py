@@ -274,17 +274,6 @@ class QuerySession:
                 pages_read=io.pages_read,
                 pages_written=io.pages_written,
             )
-            pool = self.db.buffer_pool
-            if pool is not None:
-                pool.publish_metrics(tracer.metrics)
-                tracer.event(
-                    "pool.stats",
-                    ts=self.db.now,
-                    hits=pool.hits,
-                    misses=pool.misses,
-                    evictions=pool.evictions,
-                    hit_rate=round(pool.hit_rate, 6),
-                )
             # The exact per-operator account of this call, for every
             # operator whose counters moved during it.
             cost_model = self.db.disk.cost_model

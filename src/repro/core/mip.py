@@ -1,9 +1,8 @@
-"""A small mixed-integer programming solver for suspend-plan selection.
+"""The zero-one program solver behind suspend-plan selection.
 
-The Section 5 program has only zero-one variables and O(nh) constraints,
-so a straightforward branch-and-bound over LP relaxations (solved with
-``scipy.optimize.linprog``/HiGHS) is ample: the paper reports sub-60 ms
-solves for 101-operator plans and our solver is in the same regime.
+The Section 5 program has only zero-one variables and O(nh) constraints;
+HiGHS's branch-and-bound (``scipy.optimize.milp``) solves it well inside
+the paper's regime (sub-60 ms solves for 101-operator plans).
 
 The module is generic: it solves
 
@@ -18,11 +17,11 @@ matrix from the paper's Equations (1)-(8).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import LinearConstraint, linprog, milp
+from scipy.optimize import LinearConstraint, milp
 
 #: Tolerance for treating an LP value as integral.
 INT_TOL = 1e-6
@@ -39,99 +38,31 @@ class MIPResult:
 
 
 def solve_binary_program(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    max_nodes: int = 100_000,
-    use_highs_mip: bool = True,
+    c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray
 ) -> MIPResult:
-    """Solve min c@x, A_ub@x <= b_ub, x in {0,1}^n.
-
-    Uses HiGHS's branch-and-bound (``scipy.optimize.milp``) when
-    available/enabled, falling back to the built-in branch-and-bound over
-    LP relaxations otherwise (the fallback doubles as a cross-check in
-    tests).
-    """
+    """Solve min c@x, A_ub@x <= b_ub, x in {0,1}^n with HiGHS."""
     num_vars = len(c)
     if num_vars == 0:
         feasible = b_ub.size == 0 or bool(np.all(b_ub >= -INT_TOL))
         return MIPResult(
             x=np.zeros(0), objective=0.0, nodes_explored=0, feasible=feasible
         )
-    if use_highs_mip:
-        constraints = []
-        if a_ub.size:
-            constraints.append(
-                LinearConstraint(a_ub, -np.inf * np.ones(len(b_ub)), b_ub)
-            )
-        res = milp(
-            c,
-            constraints=constraints,
-            integrality=np.ones(num_vars),
-            bounds=(0, 1),
+    constraints = []
+    if a_ub.size:
+        constraints.append(
+            LinearConstraint(a_ub, -np.inf * np.ones(len(b_ub)), b_ub)
         )
-        if res.success:
-            x = np.round(res.x)
-            return MIPResult(
-                x=x, objective=float(c @ x), nodes_explored=1, feasible=True
-            )
-        return MIPResult(
-            x=None, objective=math.inf, nodes_explored=1, feasible=False
-        )
-
-    best_x: Optional[np.ndarray] = None
-    best_obj = math.inf
-    nodes = 0
-
-    # Depth-first stack of (fixed assignments) nodes.
-    stack: list[dict[int, float]] = [{}]
-    while stack and nodes < max_nodes:
-        fixed = stack.pop()
-        nodes += 1
-        bounds = [
-            (fixed.get(i, 0.0), fixed.get(i, 1.0)) for i in range(num_vars)
-        ]
-        res = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs"
-        )
-        if not res.success:
-            continue  # infeasible subtree
-        if res.fun >= best_obj - INT_TOL:
-            continue  # bounded by incumbent
-        x = res.x
-        frac_idx = _most_fractional(x)
-        if frac_idx is None:
-            x = np.round(x)
-            obj = float(c @ x)
-            if obj < best_obj:
-                best_obj = obj
-                best_x = x
-            continue
-        # Branch on the most fractional variable; explore the rounding
-        # closest to the LP value first (stack order: second pushed is
-        # explored first).
-        lo = dict(fixed)
-        lo[frac_idx] = 0.0
-        hi = dict(fixed)
-        hi[frac_idx] = 1.0
-        if x[frac_idx] >= 0.5:
-            stack.append(lo)
-            stack.append(hi)
-        else:
-            stack.append(hi)
-            stack.append(lo)
-
-    return MIPResult(
-        x=best_x,
-        objective=best_obj if best_x is not None else math.inf,
-        nodes_explored=nodes,
-        feasible=best_x is not None,
+    res = milp(
+        c,
+        constraints=constraints,
+        integrality=np.ones(num_vars),
+        bounds=(0, 1),
     )
-
-
-def _most_fractional(x: np.ndarray) -> Optional[int]:
-    frac = np.abs(x - np.round(x))
-    idx = int(np.argmax(frac))
-    if frac[idx] <= INT_TOL:
-        return None
-    return idx
+    if res.success:
+        x = np.round(res.x)
+        return MIPResult(
+            x=x, objective=float(c @ x), nodes_explored=1, feasible=True
+        )
+    return MIPResult(
+        x=None, objective=math.inf, nodes_explored=1, feasible=False
+    )

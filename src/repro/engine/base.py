@@ -53,6 +53,10 @@ Row = tuple
 #: checkpoint/contract protocol.
 BATCH_ROWS = 1024
 
+#: Marks the payload of a post-resume full-state checkpoint
+#: (:meth:`Operator._reactive_checkpoint`).
+_FULL_STATE = "__full_state__"
+
 
 class Operator:
     """Base physical operator. Subclasses implement the ``_``-hooks."""
@@ -328,18 +332,9 @@ class Operator:
                     )
                 return None  # ablation mode: keep only the initial checkpoint
         graph = self.rt.graph
-        ckpt = Checkpoint(
-            op_id=self.op_id,
-            seq=graph.next_seq(self.op_id),
-            payload=self._checkpoint_payload(),
-            work_at=self.work,
-            emitted_at=self.tuples_emitted,
-            reactive=not self.STATEFUL,
-            created_at=self.rt.disk.query_now,
+        ckpt = self._new_checkpoint(
+            self._checkpoint_payload(), reactive=not self.STATEFUL
         )
-        graph.add_checkpoint(ckpt)
-        for child in self.children:
-            child.sign_contract(anchor_ckpt=ckpt)
         migrated = 0
         if self.rt.config.contract_migration:
             migrated = graph.migrate_contracts(
@@ -369,6 +364,55 @@ class Operator:
             ).inc()
         return ckpt
 
+    def _new_checkpoint(self, payload: dict, reactive: bool) -> Checkpoint:
+        """Register a checkpoint holding ``payload`` and sign contracts
+        with every child at this instant."""
+        graph = self.rt.graph
+        ckpt = Checkpoint(
+            op_id=self.op_id,
+            seq=graph.next_seq(self.op_id),
+            payload=payload,
+            work_at=self.work,
+            emitted_at=self.tuples_emitted,
+            reactive=reactive,
+            created_at=self.rt.disk.query_now,
+        )
+        graph.add_checkpoint(ckpt)
+        for child in self.children:
+            child.sign_contract(anchor_ckpt=ckpt)
+        return ckpt
+
+    def _reactive_checkpoint(self) -> Checkpoint:
+        """The checkpoint that fulfills a contract signed now by an
+        operator with no proactive checkpoint to point at.
+
+        For a stateless operator that is every contract, and the
+        checkpoint holds its checkpoint payload (Section 3.1). A
+        stateful operator has no proactive one only in the window
+        between a resume and its next minimal-heap-state point — right
+        after a resume the contract graph has not re-formed yet
+        (Section 3.3: "the contract graph will be gradually reformed") —
+        and bridges it with a payload that carries its full current
+        state: ``heap`` (heap state, with the disk state beside it) and
+        ``control``. :meth:`_resume_goback` restores such a payload
+        directly and rolls forward from there, and it is charged like a
+        dump if a suspend plan ever goes back to it (``control_state_bytes``
+        prices ``heap`` at tuple width), so the cost accounting stays
+        honest. No other module knows this payload's shape.
+        """
+        if not self.STATEFUL:
+            return self._new_checkpoint(self._checkpoint_payload(), reactive=True)
+        heap = self._heap_state_payload()
+        disk = self._disk_state()
+        return self._new_checkpoint(
+            {
+                _FULL_STATE: True,
+                "heap": {**heap, **disk} if disk else heap,
+                "control": self.control_state(),
+            },
+            reactive=True,
+        )
+
     def sign_contract(
         self,
         anchor_ckpt: Optional[Checkpoint] = None,
@@ -376,18 +420,10 @@ class Operator:
     ) -> Contract:
         """Sign a contract: agree to regenerate output from this point on."""
         graph = self.rt.graph
-        if self.STATEFUL:
-            fulfilling = graph.latest_checkpoint(self.op_id)
-            if fulfilling is None:
-                # Right after a resume the contract graph has not re-formed
-                # yet (Section 3.3: "the contract graph will be gradually
-                # reformed"). Until the next minimal-heap-state point, the
-                # operator bridges the gap with a reactive checkpoint that
-                # carries its full current state; its (large) payload is
-                # charged like a dump if a suspend plan ever goes back to
-                # it, so the cost accounting stays honest.
-                fulfilling = self._full_state_checkpoint()
-        else:
+        fulfilling = (
+            graph.latest_checkpoint(self.op_id) if self.STATEFUL else None
+        )
+        if fulfilling is None:
             fulfilling = self._reactive_checkpoint()
         contract = Contract(
             parent_op_id=self.parent.op_id if self.parent else -1,
@@ -401,6 +437,7 @@ class Operator:
             work_at_signing=self.work,
             emitted_at_signing=self.tuples_emitted,
             signed_at=self.rt.disk.query_now,
+            saved_rows=list(self._pending_rows),
         )
         for child in self.stream_children():
             contract.nested[child.op_id] = child.sign_contract(
@@ -424,52 +461,6 @@ class Operator:
             ).inc()
         return contract
 
-    def _full_state_checkpoint(self) -> Checkpoint:
-        """Reactive full-state checkpoint for a stateful operator.
-
-        Used only in the window between a resume and the operator's next
-        minimal-heap-state point. The payload carries the complete heap
-        and control state; GoBack resume restores it directly and rolls
-        forward from there.
-        """
-        graph = self.rt.graph
-        heap = self._heap_state_payload()
-        disk = self._disk_state()
-        ckpt = Checkpoint(
-            op_id=self.op_id,
-            seq=graph.next_seq(self.op_id),
-            payload={
-                "__full_state__": True,
-                "heap": {**heap, **disk} if disk else heap,
-                "control": self.control_state(),
-            },
-            work_at=self.work,
-            emitted_at=self.tuples_emitted,
-            reactive=True,
-            created_at=self.rt.disk.query_now,
-        )
-        graph.add_checkpoint(ckpt)
-        for child in self.children:
-            child.sign_contract(anchor_ckpt=ckpt)
-        return ckpt
-
-    def _reactive_checkpoint(self) -> Checkpoint:
-        """Reactive checkpoint for a stateless operator (Section 3.1)."""
-        graph = self.rt.graph
-        ckpt = Checkpoint(
-            op_id=self.op_id,
-            seq=graph.next_seq(self.op_id),
-            payload=self._checkpoint_payload(),
-            work_at=self.work,
-            emitted_at=self.tuples_emitted,
-            reactive=True,
-            created_at=self.rt.disk.query_now,
-        )
-        graph.add_checkpoint(ckpt)
-        for child in self.children:
-            child.sign_contract(anchor_ckpt=ckpt)
-        return ckpt
-
     # ------------------------------------------------------------------
     # Suspend phase
     # ------------------------------------------------------------------
@@ -489,22 +480,18 @@ class Operator:
             raise ContractError(
                 f"operator {self.name} has no checkpoint for GoBack"
             )
-        self._add_goback_entry(ctx, target_control=self.control_state(),
-                               ckpt=ckpt, saved_rows=[])
+        self._add_goback_entry(ctx, self.control_state(), ckpt, contract=None)
         self._suspend_children_for_goback(ctx, ckpt, enforced_contract=None)
 
     def do_suspend_to(self, contract: Contract, ctx: SuspendContext) -> None:
         """``Suspend(Ctr)``: suspend so resume continues from the contract."""
         decision = ctx.plan.decision(self.op_id)
-        owes_nothing = (
-            self.tuples_emitted == contract.emitted_at_signing
-            and not contract.saved_rows
-        )
         if decision.strategy is Strategy.DUMP:
-            if owes_nothing:
-                # No output produced since the contract was signed, so the
-                # current state already satisfies it: dump exactly as for a
-                # plain Suspend().
+            if self.tuples_emitted == contract.emitted_at_signing:
+                # No output produced since the contract was signed (so the
+                # rows pending now are the ones pending then): the current
+                # state already satisfies it, dump exactly as for a plain
+                # Suspend().
                 self._suspend_as_dump(ctx)
                 return
             self._suspend_as_dump_to_contract(ctx, contract)
@@ -512,13 +499,20 @@ class Operator:
         # GoBack: restore the fulfilling checkpoint and roll forward to the
         # contract point on resume.
         ckpt = ctx.graph.checkpoint(contract.child_ckpt_id)
-        self._add_goback_entry(
-            ctx,
-            target_control=dict(contract.control),
-            ckpt=ckpt,
-            saved_rows=list(contract.saved_rows),
-        )
+        self._add_goback_entry(ctx, dict(contract.control), ckpt, contract)
         self._suspend_children_for_goback(ctx, ckpt, enforced_contract=contract)
+
+    def _owed_rows(self, contract: Optional[Contract]) -> list:
+        """The ``saved_rows`` of a suspend entry: rows this operator has
+        been handed back (by a resume, or footnote 3's migration) and must
+        emit before regular production from the entry's target. A contract
+        records the rows pending at its signing — a superset of the ones
+        pending later, and the target is the signing point — so an entry
+        that suspends to a contract owes the contract's rows, and a plain
+        ``Suspend()`` the ones pending now."""
+        return list(
+            self._pending_rows if contract is None else contract.saved_rows
+        )
 
     def _suspend_as_dump(self, ctx: SuspendContext) -> None:
         handle = self._dump_heap_state(ctx)
@@ -528,7 +522,7 @@ class Operator:
             target_control=self.control_state(),
             dump_handle=handle,
             current_control=self._disk_state(),
-            saved_rows=list(self._pending_rows),
+            saved_rows=self._owed_rows(None),
         )
         ctx.sq.add_entry(entry)
         self._trace_suspend_entry(entry, handle)
@@ -548,7 +542,7 @@ class Operator:
                 **self.control_state(),
                 **(self._disk_state() or {}),
             },
-            saved_rows=list(contract.saved_rows),
+            saved_rows=self._owed_rows(contract),
         )
         ctx.sq.add_entry(entry)
         self._trace_suspend_entry(entry, handle)
@@ -604,9 +598,9 @@ class Operator:
         ctx: SuspendContext,
         target_control: dict,
         ckpt: Checkpoint,
-        saved_rows: list,
+        contract: Optional[Contract],
     ) -> None:
-        saved = list(saved_rows) + list(self._pending_rows)
+        saved = self._owed_rows(contract)
         entry = OpSuspendEntry(
             op_id=self.op_id,
             kind=KIND_GOBACK,
@@ -719,10 +713,36 @@ class Operator:
             )
 
     def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        """Restore the checkpoint payload, then roll forward to the target."""
+        """Restore the fulfilling checkpoint — a post-resume full-state
+        one (:meth:`_reactive_checkpoint`) or the operator's own — then
+        roll forward to the target. Stateless operators, whose children
+        hold the position, override this with nothing."""
+        ckpt = entry.ckpt_payload or {}
+        if ckpt.get(_FULL_STATE):
+            self._restore_full_state(ckpt["heap"], ckpt["control"])
+        else:
+            self._restore_checkpoint(ckpt)
+        self._roll_forward(entry.target_control, entry, ctx)
+
+    def _restore_checkpoint(self, ckpt: dict) -> None:
+        """Restore the state a :meth:`_checkpoint_payload` describes."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement GoBack resume"
         )
+
+    def _restore_full_state(self, heap, control: dict) -> None:
+        """Restore complete state: ``heap`` is what
+        :meth:`_heap_state_payload` returned (with the
+        :meth:`_disk_state` merged in when there is one), ``control``
+        what :meth:`control_state` did."""
+        raise NotImplementedError
+
+    def _roll_forward(
+        self, target: dict, entry: OpSuspendEntry, ctx: ResumeContext
+    ) -> None:
+        """Redo work from the restored state to the control state
+        ``target``, skipping what the operator's semantics allow."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Suspend-time cost estimation (Section 5 constants)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.engine import partitions
 from repro.engine.hash_join import HybridHashJoin, SimpleHashJoin
 from repro.engine.scan import TableScan
 from repro.storage.heapfile import ScanCursor
@@ -122,13 +121,13 @@ class SharedBuildMixin:
         # query's lane only (the ones super() counts: the spilled
         # partition's page reads, and one CPU tuple per build row).
         disk = self.rt.disk
-        spilled = len(partitions.rows_of(self, self._build_disk[p]))
-        pages = math.ceil(spilled / self.build_tpp)
+        spilled = len(self.build.rows(p))
+        pages = math.ceil(spilled / self.build.tuples_per_page)
         with self.attribute_work():
             disk.absorbed_read_pages(pages)
-            disk.absorbed_cpu_tuples(len(self.build_pending[p]) + spilled)
+            disk.absorbed_cpu_tuples(len(self.build.pending[p]) + spilled)
         self._hash_table = cached
-        self._probe_rows = partitions.rows_of(self, self._probe_disk[p])
+        self._probe_rows = self.probe.rows(p)
         manager.note_build_hit()
         manager.stats.pages_absorbed += pages
 

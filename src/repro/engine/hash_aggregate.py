@@ -16,13 +16,12 @@ and emits the groups; partition boundaries are minimal-heap-state points.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
-from repro.engine import partitions
 from repro.engine.aggregate import AGG_FUNCS
-from repro.engine.base import BATCH_ROWS, Operator, Row
+from repro.engine.base import Operator, Row
+from repro.engine.partitions import PartitionedInput
 from repro.engine.runtime import ResumeContext, Runtime
 from repro.relational.expressions import compile_projection
 from repro.relational.schema import Column, Schema
@@ -62,29 +61,17 @@ class HashGroupAggregate(Operator):
         self.agg_column = agg_column
         self.num_partitions = num_partitions
         self.phase = PHASE_PARTITION
-        self.pending: list[list[Row]] = []
-        self._disk_rows: list = []  # flushed rows, then sealed handles
-        self.flushed_blocks: list[int] = []
-        self.consumed = 0
+        self.input = PartitionedInput(
+            self, child, "part", compile_projection(self.group_columns),
+            child.schema.tuples_per_page(runtime.disk.cost_model.page_bytes),
+            num_partitions,
+        )
         self.current_partition = -1
         self._groups: list[Row] = []
         self.emit_idx = 0
 
-    @property
-    def child(self) -> Operator:
-        return self.children[0]
-
-    @property
-    def child_tpp(self) -> int:
-        return self.child.schema.tuples_per_page(
-            self.rt.disk.cost_model.page_bytes
-        )
-
-    def _do_open(self) -> None:
-        k = self.num_partitions
-        self.pending = [[] for _ in range(k)]
-        self._disk_rows = [[] for _ in range(k)]
-        self.flushed_blocks = [0] * k
+    def _do_close(self) -> None:
+        self.input = None  # it points back at this operator
 
     def _group_key(self, row: Row) -> tuple:
         return tuple(row[i] for i in self.group_columns)
@@ -138,64 +125,11 @@ class HashGroupAggregate(Operator):
         return out
 
     def _run_partition_phase(self) -> None:
-        self._partition_input()
-        self._end_partitioning()
+        self.input.drain()
+        self.input.end()
         self.phase = PHASE_EMIT
         self.current_partition = -1
         self.make_checkpoint()  # materialization point
-
-    def _partition_input(
-        self,
-        limit: Optional[int] = None,
-        skip_blocks: Optional[list[int]] = None,
-    ) -> None:
-        """Hash the heap child's rows into partitions: to exhaustion, or
-        (GoBack roll-forward) exactly ``limit`` more rows — the same
-        shape as the hash join's phase 1
-        (``SimpleHashJoin._partition_input``): flushes are data-dependent
-        so each write is charged by the row that fills the block, and the
-        consume charges settle once per batch."""
-        key_fn = compile_projection(self.group_columns)
-        pending = self.pending
-        tpp = self.child_tpp
-        k = self.num_partitions
-        while limit is None or limit > 0:
-            rows = self._drain(self.child, BATCH_ROWS if limit is None else limit)
-            if not rows:
-                if limit is None:
-                    break
-                raise ContractError(f"{self.name}: child exhausted during GoBack")
-            for row in rows:
-                p = hash(key_fn(row)) % k
-                plist = pending[p]
-                plist.append(row)
-                if len(plist) >= tpp:
-                    self._flush_block(p, skip_blocks)
-            self.consumed += len(rows)
-            if limit is not None:
-                limit -= len(rows)
-            self.charge_cpu(len(rows))
-
-    def _flush_block(
-        self, p: int, skip_blocks: Optional[list[int]] = None
-    ) -> None:
-        if not self.pending[p]:
-            return
-        if skip_blocks is None or skip_blocks[p] <= self.flushed_blocks[p]:
-            with self.attribute_work():
-                self.rt.disk.write_pages(1)
-        # else: block already on disk from before the suspend (the
-        # contract recorded the flushed counts) — skip the rewrite.
-        self._disk_rows[p].extend(self.pending[p])
-        self.pending[p] = []
-        self.flushed_blocks[p] += 1
-
-    def _end_partitioning(self) -> None:
-        """Flush the partial blocks and seal the partitions: they stop
-        growing here."""
-        for p in range(self.num_partitions):
-            self._flush_block(p)
-        partitions.seal(self, "part", self._disk_rows, self.child_tpp)
 
     def _advance_partition(self) -> bool:
         next_p = self.current_partition + 1
@@ -212,8 +146,8 @@ class HashGroupAggregate(Operator):
         return True
 
     def _load_partition(self, p: int) -> None:
-        rows = partitions.rows_of(self, self._disk_rows[p])
-        pages = math.ceil(len(rows) / self.child_tpp)
+        rows = self.input.rows(p)
+        pages = math.ceil(len(rows) / self.input.tuples_per_page)
         with self.attribute_work():
             self.rt.disk.read_pages(pages)
         aggregates: dict = {}
@@ -229,97 +163,87 @@ class HashGroupAggregate(Operator):
     # ------------------------------------------------------------------
     def heap_tuples(self) -> int:
         if self.phase == PHASE_PARTITION:
-            return sum(len(b) for b in self.pending)
+            return sum(len(b) for b in self.input.pending)
         return len(self._groups)
 
     def heap_pages(self) -> int:
         tuples = self.heap_tuples()
-        return math.ceil(tuples / self.child_tpp) if tuples else 0
+        return math.ceil(tuples / self.input.tuples_per_page) if tuples else 0
 
     def control_state(self) -> dict:
         return {
             "phase": self.phase,
-            "consumed": self.consumed,
-            "flushed": list(self.flushed_blocks),
+            "consumed": self.input.consumed,
+            "flushed": list(self.input.flushed),
             "current_partition": self.current_partition,
             "emit_idx": self.emit_idx,
         }
 
     def _disk_state(self) -> dict:
-        return {
-            "disk_rows": partitions.snapshot(
-                self._disk_rows, self.current_partition
-            )
-        }
+        return {"disk_rows": self.input.snapshot(self.current_partition)}
 
     def _checkpoint_payload(self) -> dict:
         return {
             "phase": self.phase,
-            "consumed": self.consumed,
+            "consumed": self.input.consumed,
             **self._disk_state(),
-            "flushed": list(self.flushed_blocks),
+            "flushed": list(self.input.flushed),
             "current_partition": self.current_partition,
         }
 
     def _heap_state_payload(self):
         return {
-            "pending": [list(b) for b in self.pending],
+            "pending": [list(b) for b in self.input.pending],
             "groups": list(self._groups),
         }
 
     # ------------------------------------------------------------------
     # Resume
     # ------------------------------------------------------------------
-    def _restore_heap_and_control(self, payload: dict, control: dict) -> None:
+    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
+        # The partition handles travel in the entry (``_disk_state``).
+        self._restore_full_state(
+            {**(payload or {}), **(entry.current_control or {})},
+            entry.target_control,
+        )
+
+    def _restore_full_state(self, heap: dict, control: dict) -> None:
         self.phase = control["phase"]
-        self.consumed = control["consumed"]
-        self.flushed_blocks = list(control["flushed"])
+        self.input.consumed = control["consumed"]
+        self.input.flushed = list(control["flushed"])
         self.current_partition = control["current_partition"]
-        self.pending = [list(b) for b in payload.get("pending", self.pending)]
-        self._restore_disk(payload)
-        self._groups = list(payload.get("groups", []))
+        self.input.pending = [
+            list(b) for b in heap.get("pending", self.input.pending)
+        ]
+        self._restore_disk(heap)
+        self._groups = list(heap.get("groups", []))
         self.emit_idx = control["emit_idx"]
 
-    def _restore_disk(self, state: dict) -> None:
-        """Take over the partitions of a checkpoint or dump entry; row
-        lists (a partition-phase snapshot, or an image from before
-        partitions were payloads) are sealed unless partitioning
-        resumes."""
-        self._disk_rows = partitions.snapshot(
-            state.get("disk_rows", self._disk_rows)
+    def _restore_checkpoint(self, ckpt: dict) -> None:
+        self.phase = ckpt.get("phase", PHASE_PARTITION)
+        self.input.consumed = ckpt.get("consumed", 0)
+        self.input.flushed = list(
+            ckpt.get("flushed", [0] * self.num_partitions)
         )
-        if self.phase != PHASE_PARTITION:
-            partitions.seal(self, "part", self._disk_rows, self.child_tpp)
+        self._restore_disk(ckpt)
 
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
-        self._restore_heap_and_control(payload or {}, entry.target_control)
-        # The partition handles travel in the entry (``_disk_state``).
-        self._restore_disk(entry.current_control or {})
+    def _restore_disk(self, state: dict) -> None:
+        """Take over the spilled partitions of a checkpoint or dump
+        entry (sealed unless partitioning resumes)."""
+        self.input.restore(
+            state.get("disk_rows"), sealed=self.phase != PHASE_PARTITION
+        )
 
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        ckpt = entry.ckpt_payload or {}
-        target = entry.target_control
-        if ckpt.get("__full_state__"):
-            control = dict(ckpt["control"])
-            self._restore_heap_and_control(ckpt["heap"] or {}, control)
-        else:
-            self.phase = ckpt.get("phase", PHASE_PARTITION)
-            self.consumed = ckpt.get("consumed", 0)
-            self._restore_disk(ckpt)
-            self.flushed_blocks = list(
-                ckpt.get("flushed", [0] * self.num_partitions)
-            )
-
-        skip = list(target["flushed"])
+    def _roll_forward(self, target: dict, entry, ctx: ResumeContext) -> None:
+        skip = target["flushed"]
         if target["phase"] == PHASE_PARTITION:
-            self._partition_input(target["consumed"] - self.consumed, skip)
-            self.phase = PHASE_PARTITION
+            self.input.drain(target["consumed"] - self.input.consumed, skip)
             return
-        # Target in the emit phase.
         if self.phase == PHASE_PARTITION:
-            # Checkpoint predates the phase boundary: redo partitioning.
-            self._partition_input(skip_blocks=skip)
-            self._end_partitioning()
+            # The restored state predates the phase boundary: redo the
+            # partitioning.
+            self.input.drain(skip_blocks=skip)
+            self.input.end()
         self.phase = PHASE_EMIT
         self.current_partition = target["current_partition"]
         if self.current_partition >= 0:

@@ -34,10 +34,9 @@ import math
 from itertools import chain
 from typing import Optional
 
-from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
-from repro.engine import partitions
-from repro.engine.base import BATCH_ROWS, Operator, Row
+from repro.engine.base import Operator, Row
+from repro.engine.partitions import PartitionedInput
 from repro.engine.runtime import ResumeContext, Runtime
 from repro.relational.expressions import (
     EquiJoinCondition,
@@ -76,20 +75,17 @@ class SimpleHashJoin(Operator):
         self.condition = condition
         self.num_partitions = num_partitions
         self.phase = PHASE_PARTITION
-        # Per-partition in-memory rows not yet flushed (or, for memory
-        # partitions of the hybrid variant, all rows).
-        self.build_pending: list[list[Row]] = []
-        self.probe_pending: list[list[Row]] = []
-        # Per-partition spilled state: while partitioning, the flushed
-        # rows (built up incrementally; writes are charged per block as
-        # they fill); in the join phase, the handle of the payload each
-        # non-empty partition was sealed as.
-        self._build_disk: list = []
-        self._probe_disk: list = []
-        self.build_flushed_blocks: list[int] = []
-        self.probe_flushed_blocks: list[int] = []
-        self.build_consumed = 0
-        self.probe_consumed = 0
+        page_bytes = runtime.disk.cost_model.page_bytes
+        self.build = PartitionedInput(
+            self, build, "build", compile_left_key(condition),
+            build.schema.tuples_per_page(page_bytes),
+            num_partitions, self.memory_partitions,
+        )
+        self.probe = PartitionedInput(
+            self, probe, "probe", compile_right_key(condition),
+            probe.schema.tuples_per_page(page_bytes),
+            num_partitions, self.memory_partitions,
+        )
         self.build_done = False
         self.current_partition = -1
         self._hash_table: dict = {}
@@ -99,128 +95,28 @@ class SimpleHashJoin(Operator):
         self._emit_pos = 0
         self._emit_probe_row: Optional[Row] = None
 
-    @property
-    def build_child(self) -> Operator:
-        return self.children[0]
-
-    @property
-    def probe_child(self) -> Operator:
-        return self.children[1]
-
-    @property
-    def build_tpp(self) -> int:
-        return self.build_child.schema.tuples_per_page(
-            self.rt.disk.cost_model.page_bytes
-        )
-
-    @property
-    def probe_tpp(self) -> int:
-        return self.probe_child.schema.tuples_per_page(
-            self.rt.disk.cost_model.page_bytes
-        )
-
-    def _do_open(self) -> None:
-        k = self.num_partitions
-        self.build_pending = [[] for _ in range(k)]
-        self.probe_pending = [[] for _ in range(k)]
-        self._build_disk = [[] for _ in range(k)]
-        self._probe_disk = [[] for _ in range(k)]
-        self.build_flushed_blocks = [0] * k
-        self.probe_flushed_blocks = [0] * k
-
     def _is_memory_partition(self, p: int) -> bool:
         return p < self.memory_partitions
+
+    def _do_close(self) -> None:
+        self.build = self.probe = None  # each points back at this operator
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _run_partition_phase(self) -> None:
         if not self.build_done:
-            self._partition_input(build_side=True)
+            self.build.drain()
             self.build_done = True
-        self._partition_input(build_side=False)
+        self.probe.drain()
         self._end_partitioning()
         self.current_partition = -1
         self.phase = PHASE_JOIN
         self.make_checkpoint()  # materialization point
 
     def _end_partitioning(self) -> None:
-        """Flush the partial blocks and seal the partitions: they stop
-        growing here."""
-        for p in range(self.memory_partitions, self.num_partitions):
-            self._flush_block(p, build_side=True)
-            self._flush_block(p, build_side=False)
-        partitions.seal(self, "build", self._build_disk, self.build_tpp)
-        partitions.seal(self, "probe", self._probe_disk, self.probe_tpp)
-
-    def _partition_input(
-        self,
-        build_side: bool,
-        limit: Optional[int] = None,
-        skip_blocks: Optional[list[int]] = None,
-    ) -> None:
-        """Hash one input's rows into partitions: to exhaustion, or
-        (GoBack roll-forward) exactly ``limit`` more rows.
-
-        Both inputs are heap children and phase 1 has no checkpoint
-        point of its own, so the drain asks for whole batches. Block
-        flushes are data-dependent, so each write is charged by the row
-        that fills the block; this operator's consume charges settle once
-        per batch. ``skip_blocks`` is the roll-forward's per-partition
-        count of blocks already on disk (see :meth:`_flush_block`).
-        """
-        child = self.build_child if build_side else self.probe_child
-        cond = self.condition
-        key_fn = compile_left_key(cond) if build_side else compile_right_key(cond)
-        pending = self.build_pending if build_side else self.probe_pending
-        tpp = self.build_tpp if build_side else self.probe_tpp
-        k = self.num_partitions
-        mem_k = self.memory_partitions
-        while limit is None or limit > 0:
-            rows = self._drain(child, BATCH_ROWS if limit is None else limit)
-            if not rows:
-                if limit is None:
-                    break
-                side = "build" if build_side else "probe"
-                raise ContractError(f"{self.name}: {side} child exhausted early")
-            for row in rows:
-                p = hash(key_fn(row)) % k
-                plist = pending[p]
-                plist.append(row)
-                # Hybrid: neither side of a memory partition spills —
-                # that is the I/O saving hybrid hash buys by giving up
-                # the materialization point.
-                if p >= mem_k and len(plist) >= tpp:
-                    self._flush_block(p, build_side, skip_blocks)
-            if build_side:
-                self.build_consumed += len(rows)
-            else:
-                self.probe_consumed += len(rows)
-            if limit is not None:
-                limit -= len(rows)
-            self.charge_cpu(len(rows))
-
-    def _flush_block(
-        self,
-        p: int,
-        build_side: bool,
-        skip_blocks: Optional[list[int]] = None,
-    ) -> None:
-        pending = self.build_pending if build_side else self.probe_pending
-        disk = self._build_disk if build_side else self._probe_disk
-        flushed = (
-            self.build_flushed_blocks if build_side else self.probe_flushed_blocks
-        )
-        if not pending[p]:
-            return
-        if skip_blocks is None or skip_blocks[p] <= flushed[p]:
-            with self.attribute_work():
-                self.rt.disk.write_pages(1)
-        # else: block already on disk from before the suspend — skip the
-        # rewrite, keep only the bookkeeping.
-        disk[p].extend(pending[p])
-        pending[p] = []
-        flushed[p] += 1
+        self.build.end()
+        self.probe.end()
 
     def _next_batch(self, max_rows: int) -> list:
         """Run the partition phase on the first call, then probe and emit
@@ -265,7 +161,7 @@ class SimpleHashJoin(Operator):
                 pos = self.probe_pos
                 ht_get = self._hash_table.get
                 mem = self._is_memory_partition(self.current_partition)
-                tpp = self.probe_tpp
+                tpp = self.probe.tuples_per_page
                 while pos < n_probe:
                     probe_row = probe_rows[pos]
                     pos += 1
@@ -309,22 +205,22 @@ class SimpleHashJoin(Operator):
         return True
 
     def _load_partition(self, p: int) -> None:
-        spilled = partitions.rows_of(self, self._build_disk[p])
+        spilled = self.build.rows(p)
         if not self._is_memory_partition(p):
-            pages = math.ceil(len(spilled) / self.build_tpp)
+            pages = math.ceil(len(spilled) / self.build.tuples_per_page)
             with self.attribute_work():
                 self.rt.disk.read_pages(pages)
         self._hash_table = {}
-        for row in chain(self.build_pending[p], spilled):
+        for row in chain(self.build.pending[p], spilled):
             self.charge_cpu(1)
             key = self.condition.left_key(row)
             self._hash_table.setdefault(key, []).append(row)
         # Probe rows stream one block at a time (charged as consumed);
         # neither side of a memory partition was ever spilled.
         self._probe_rows = (
-            self.probe_pending[p]
+            self.probe.pending[p]
             if self._is_memory_partition(p)
-            else partitions.rows_of(self, self._probe_disk[p])
+            else self.probe.rows(p)
         )
 
     # ------------------------------------------------------------------
@@ -332,33 +228,33 @@ class SimpleHashJoin(Operator):
     # ------------------------------------------------------------------
     def heap_tuples(self) -> int:
         if self.phase == PHASE_PARTITION:
-            total = sum(len(b) for b in self.build_pending)
-            total += sum(len(b) for b in self.probe_pending)
+            total = sum(len(b) for b in self.build.pending)
+            total += sum(len(b) for b in self.probe.pending)
             return total
         total = sum(len(rows) for rows in self._hash_table.values())
         total += sum(
-            len(self.build_pending[p])
+            len(self.build.pending[p])
             for p in range(self.memory_partitions)
             if p != self.current_partition
         )
         # Hybrid keeps the probe rows of memory partitions in memory too.
         total += sum(
-            len(self.probe_pending[p]) for p in range(self.memory_partitions)
+            len(self.probe.pending[p]) for p in range(self.memory_partitions)
         )
         return total
 
     def heap_pages(self) -> int:
         tuples = self.heap_tuples()
-        return math.ceil(tuples / self.build_tpp) if tuples else 0
+        return math.ceil(tuples / self.build.tuples_per_page) if tuples else 0
 
     def control_state(self) -> dict:
         return {
             "phase": self.phase,
-            "build_consumed": self.build_consumed,
-            "probe_consumed": self.probe_consumed,
+            "build_consumed": self.build.consumed,
+            "probe_consumed": self.probe.consumed,
             "build_done": self.build_done,
-            "build_flushed": list(self.build_flushed_blocks),
-            "probe_flushed": list(self.probe_flushed_blocks),
+            "build_flushed": list(self.build.flushed),
+            "probe_flushed": list(self.probe.flushed),
             "current_partition": self.current_partition,
             "probe_pos": self.probe_pos,
             "emit_pos": getattr(self, "_emit_pos", 0),
@@ -369,8 +265,8 @@ class SimpleHashJoin(Operator):
     def _disk_state(self) -> dict:
         live = self.current_partition
         return {
-            "build_disk": partitions.snapshot(self._build_disk, live),
-            "probe_disk": partitions.snapshot(self._probe_disk, live),
+            "build_disk": self.build.snapshot(live),
+            "probe_disk": self.probe.snapshot(live),
         }
 
     def _checkpoint_payload(self) -> dict:
@@ -381,16 +277,16 @@ class SimpleHashJoin(Operator):
             **self._disk_state(),
             # Heap state with no materialization point (Example 9): all
             # of it, finished or not, as the live operator counts it.
-            "memory_rows": [list(b) for b in self.build_pending[:mem]],
-            "memory_probe_rows": [list(b) for b in self.probe_pending[:mem]],
-            "build_flushed": list(self.build_flushed_blocks),
-            "probe_flushed": list(self.probe_flushed_blocks),
+            "memory_rows": [list(b) for b in self.build.pending[:mem]],
+            "memory_probe_rows": [list(b) for b in self.probe.pending[:mem]],
+            "build_flushed": list(self.build.flushed),
+            "probe_flushed": list(self.probe.flushed),
         }
 
     def _heap_state_payload(self):
         return {
-            "build_pending": [list(b) for b in self.build_pending],
-            "probe_pending": [list(b) for b in self.probe_pending],
+            "build_pending": [list(b) for b in self.build.pending],
+            "probe_pending": [list(b) for b in self.probe.pending],
             "hash_rows": {
                 k: list(v) for k, v in self._hash_table.items()
             },
@@ -401,123 +297,95 @@ class SimpleHashJoin(Operator):
     # Resume
     # ------------------------------------------------------------------
     def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
-        self._restore_heap_and_control(payload or {}, entry.target_control)
         # The partition handles travel in the entry (``_disk_state``).
-        self._restore_disk(entry.current_control or {})
+        self._restore_full_state(
+            {**(payload or {}), **(entry.current_control or {})},
+            entry.target_control,
+        )
 
-    def _restore_heap_and_control(self, payload: dict, control: dict) -> None:
+    def _restore_full_state(self, heap: dict, control: dict) -> None:
         """Restore complete state from a dump's or full-state
-        checkpoint's heap (and, in a checkpoint or an image from before
-        partitions were payloads, the disk state beside it)."""
+        checkpoint's heap (with the disk state beside it)."""
+        build, probe = self.build, self.probe
         self.phase = control["phase"]
-        self.build_consumed = control["build_consumed"]
-        self.probe_consumed = control["probe_consumed"]
+        build.consumed = control["build_consumed"]
+        probe.consumed = control["probe_consumed"]
         self.build_done = control["build_done"]
-        self.build_flushed_blocks = list(control["build_flushed"])
-        self.probe_flushed_blocks = list(control["probe_flushed"])
-        self.build_pending = [
-            list(b) for b in payload.get("build_pending", self.build_pending)
-        ]
-        self.probe_pending = [
-            list(b) for b in payload.get("probe_pending", self.probe_pending)
-        ]
-        self._restore_disk(payload)
+        build.flushed = list(control["build_flushed"])
+        probe.flushed = list(control["probe_flushed"])
+        build.pending = [list(b) for b in heap.get("build_pending", build.pending)]
+        probe.pending = [list(b) for b in heap.get("probe_pending", probe.pending)]
+        self._restore_disk(heap)
         self.current_partition = control["current_partition"]
         if self.phase == PHASE_JOIN and self.current_partition >= 0:
-            self._hash_table = {}
-            for key, rows in payload.get("hash_rows", {}).items():
-                self._hash_table[key] = list(rows)
-            self._probe_rows = list(payload.get("probe_rows", []))
-            self.probe_pos = control["probe_pos"]
-            if control["emit_active"]:
-                probe_row = control["emit_probe_row"]
-                key = self.condition.right_key(probe_row)
-                self._emit_matches = self._hash_table.get(key, [])
-                self._emit_probe_row = probe_row
-                self._emit_pos = control["emit_pos"]
+            self._hash_table = {
+                key: list(rows) for key, rows in heap.get("hash_rows", {}).items()
+            }
+            self._probe_rows = list(heap.get("probe_rows", []))
+            self._restore_probe_cursor(control)
 
     def _restore_disk(self, state: dict) -> None:
         """Take over the spilled partitions of a checkpoint or dump
-        entry. Row lists — a partition-phase snapshot, or a join-phase
-        image from before partitions were payloads — are sealed unless
-        partitioning resumes."""
-        self._build_disk = partitions.snapshot(
-            state.get("build_disk", self._build_disk)
-        )
-        self._probe_disk = partitions.snapshot(
-            state.get("probe_disk", self._probe_disk)
-        )
-        if self.phase != PHASE_PARTITION:
-            partitions.seal(self, "build", self._build_disk, self.build_tpp)
-            partitions.seal(self, "probe", self._probe_disk, self.probe_tpp)
+        entry (sealed unless partitioning resumes)."""
+        sealed = self.phase != PHASE_PARTITION
+        self.build.restore(state.get("build_disk"), sealed)
+        self.probe.restore(state.get("probe_disk"), sealed)
 
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        ckpt = entry.ckpt_payload or {}
-        target = entry.target_control
-        if ckpt.get("__full_state__"):
-            heap = ckpt["heap"] or {}
-            control = ckpt["control"]
-            self._restore_heap_and_control(heap, control)
-        else:
-            self.phase = ckpt.get("phase", PHASE_PARTITION)
-            self._restore_disk(ckpt)
-            self.build_flushed_blocks = list(
-                ckpt.get("build_flushed", [0] * self.num_partitions)
-            )
-            self.probe_flushed_blocks = list(
-                ckpt.get("probe_flushed", [0] * self.num_partitions)
-            )
-            for p, rows in enumerate(ckpt.get("memory_rows", [])):
-                self.build_pending[p] = list(rows)
-            for p, rows in enumerate(ckpt.get("memory_probe_rows", [])):
-                self.probe_pending[p] = list(rows)
+    def _restore_probe_cursor(self, control: dict) -> None:
+        """Reposition inside the loaded partition: the probe cursor and,
+        mid-emit, the match list of the probe row being emitted."""
+        self.probe_pos = control["probe_pos"]
+        if control["emit_active"]:
+            probe_row = control["emit_probe_row"]
+            key = self.condition.right_key(probe_row)
+            self._emit_matches = self._hash_table.get(key, [])
+            self._emit_probe_row = probe_row
+            self._emit_pos = control["emit_pos"]
 
-        if target["phase"] == PHASE_PARTITION:
-            self._roll_forward_partitioning(target)
-            return
-        # Target in the join phase. If the checkpoint predates the phase
-        # boundary (proactive checkpointing disabled), the partitioning
-        # must be redone first; otherwise the partitions are on disk and
-        # roll-forward is just reloading the current partition and
-        # skipping to the probe cursor.
-        if ckpt.get("phase", PHASE_PARTITION) == PHASE_PARTITION:
-            self._roll_forward_partitioning(target)
-            self._end_partitioning()
-        self.build_consumed = target["build_consumed"]
-        self.probe_consumed = target["probe_consumed"]
+    def _restore_checkpoint(self, ckpt: dict) -> None:
+        k = self.num_partitions
+        self.phase = ckpt.get("phase", PHASE_PARTITION)
+        self._restore_disk(ckpt)
+        self.build.flushed = list(ckpt.get("build_flushed", [0] * k))
+        self.probe.flushed = list(ckpt.get("probe_flushed", [0] * k))
+        for p, rows in enumerate(ckpt.get("memory_rows", [])):
+            self.build.pending[p] = list(rows)
+        for p, rows in enumerate(ckpt.get("memory_probe_rows", [])):
+            self.probe.pending[p] = list(rows)
+
+    def _roll_forward(self, target: dict, entry, ctx: ResumeContext) -> None:
+        if self.phase == PHASE_PARTITION:
+            # Re-consume the children up to the target counts, re-hashing
+            # rows. Blocks flushed *after* the checkpoint are rewritten
+            # (redone work), except that the flushed-block counts the
+            # contract recorded at signing let the operator skip the ones
+            # it knows are already on disk — the paper's optimization.
+            self.build.drain(
+                target["build_consumed"] - self.build.consumed,
+                target["build_flushed"],
+            )
+            self.probe.drain(
+                target["probe_consumed"] - self.probe.consumed,
+                target["probe_flushed"],
+            )
+            if target["phase"] != PHASE_PARTITION:
+                # The restored state predates the phase boundary
+                # (proactive checkpointing disabled, or a full-state
+                # checkpoint taken while partitioning).
+                self._end_partitioning()
+        # A join-phase checkpoint does not carry the input counts.
+        self.build.consumed = target["build_consumed"]
+        self.probe.consumed = target["probe_consumed"]
         self.build_done = target["build_done"]
+        if target["phase"] == PHASE_PARTITION:
+            return
+        # The partitions are on disk: roll-forward is just reloading the
+        # current partition and skipping to the probe cursor.
         self.phase = PHASE_JOIN
         self.current_partition = target["current_partition"]
         if self.current_partition >= 0:
             self._load_partition(self.current_partition)
-            self.probe_pos = target["probe_pos"]
-            if target["emit_active"]:
-                probe_row = target["emit_probe_row"]
-                key = self.condition.right_key(probe_row)
-                self._emit_matches = self._hash_table.get(key, [])
-                self._emit_probe_row = probe_row
-                self._emit_pos = target["emit_pos"]
-
-    def _roll_forward_partitioning(self, target: dict) -> None:
-        """Re-consume children up to the target counts, re-hashing rows.
-
-        Blocks that were already flushed before the checkpoint live in the
-        checkpoint's disk payload; blocks flushed *after* it are rewritten
-        (their writes are redone work), except that the flushed-block
-        counts recorded in the contract let the operator skip rewriting
-        blocks it knows are already on disk — the paper's optimization.
-        """
-        # The contract recorded the flushed-block counts at signing time —
-        # those blocks are already on disk and their rewrites are skipped.
-        skip_build = list(target.get("build_flushed", [0] * self.num_partitions))
-        skip_probe = list(target.get("probe_flushed", [0] * self.num_partitions))
-        self._partition_input(
-            True, target["build_consumed"] - self.build_consumed, skip_build
-        )
-        self.build_done = target["build_done"]
-        self._partition_input(
-            False, target["probe_consumed"] - self.probe_consumed, skip_probe
-        )
+            self._restore_probe_cursor(target)
 
 
 class HybridHashJoin(SimpleHashJoin):
@@ -535,9 +403,9 @@ class HybridHashJoin(SimpleHashJoin):
         num_partitions: int = 8,
         memory_partitions: int = 2,
     ):
+        if not 0 <= memory_partitions <= num_partitions:
+            raise ValueError("memory_partitions out of range")
+        self.memory_partitions = memory_partitions  # read by the base init
         super().__init__(
             op_id, name, build, probe, runtime, condition, num_partitions
         )
-        if not 0 <= memory_partitions <= num_partitions:
-            raise ValueError("memory_partitions out of range")
-        self.memory_partitions = memory_partitions

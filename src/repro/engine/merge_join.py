@@ -24,10 +24,10 @@ cursors (Section 3.3 skipping).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.common.errors import ContractError
-from repro.core.suspended_query import OpSuspendEntry
+from repro.core.suspended_query import KIND_GOBACK, OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
 from repro.relational.expressions import EquiJoinCondition
@@ -37,6 +37,22 @@ STATE_COLLECT_LEFT = "collect_left"
 STATE_COLLECT_RIGHT = "collect_right"
 STATE_EMIT = "emit"
 STATE_DONE = "done"
+
+
+class _Side:
+    """One input of the merge: its child, the lookahead tuple (``None``:
+    needs a pull, unless ``eof``), the count of tuples consumed, and the
+    current value packet."""
+
+    __slots__ = ("child", "key_fn", "next", "eof", "consumed", "packet")
+
+    def __init__(self, child: Operator, key_fn: Callable[[Row], object]):
+        self.child = child
+        self.key_fn = key_fn
+        self.next: Optional[Row] = None
+        self.eof = False
+        self.consumed = 0
+        self.packet: list[Row] = []
 
 
 class MergeJoin(Operator):
@@ -59,44 +75,32 @@ class MergeJoin(Operator):
         self.condition = condition
         self.state = STATE_ADVANCE
         self.collect_key = None
-        self.left_packet: list[Row] = []
-        self.right_packet: list[Row] = []
+        self.left = _Side(left, condition.left_key)
+        self.right = _Side(right, condition.right_key)
+        #: Cursor into the cross product of the two packets.
         self.l_idx = 0
         self.r_idx = 0
-        self.l_next: Optional[Row] = None
-        self.r_next: Optional[Row] = None
-        self.l_eof = False
-        self.r_eof = False
-        self.l_consumed = 0
-        self.r_consumed = 0
 
-    @property
-    def left(self) -> Operator:
-        return self.children[0]
-
-    @property
-    def right(self) -> Operator:
-        return self.children[1]
+    def _named_sides(self) -> tuple:
+        """Each side with its prefix and packet name in the image
+        format (``control_state``, ``_checkpoint_payload`` and
+        ``_heap_state_payload`` spell the keys out: their order is part
+        of the format)."""
+        return (
+            (self.left, "l", "left_packet"),
+            (self.right, "r", "right_packet"),
+        )
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _pull_left(self) -> None:
-        row = self.left.next()
-        self.l_next = row
+    def _pull(self, side: _Side) -> None:
+        row = side.child.next()
+        side.next = row
         if row is None:
-            self.l_eof = True
+            side.eof = True
         else:
-            self.l_consumed += 1
-            self.charge_cpu(1)
-
-    def _pull_right(self) -> None:
-        row = self.right.next()
-        self.r_next = row
-        if row is None:
-            self.r_eof = True
-        else:
-            self.r_consumed += 1
+            side.consumed += 1
             self.charge_cpu(1)
 
     def _next_batch(self, max_rows: int) -> list:
@@ -115,8 +119,8 @@ class MergeJoin(Operator):
             if self.state == STATE_DONE:
                 break
             if self.state == STATE_EMIT:
-                lp = self.left_packet
-                rp = self.right_packet
+                lp = self.left.packet
+                rp = self.right.packet
                 ln, rn = len(lp), len(rp)
                 l_idx, r_idx = self.l_idx, self.r_idx
                 take = min((ln - l_idx) * rn - r_idx, need)
@@ -142,8 +146,8 @@ class MergeJoin(Operator):
                 if out:
                     break
                 # Packet pair exhausted: minimal-heap-state point.
-                self.left_packet = []
-                self.right_packet = []
+                self.left.packet = []
+                self.right.packet = []
                 self.l_idx = 0
                 self.r_idx = 0
                 self.state = STATE_ADVANCE
@@ -154,10 +158,10 @@ class MergeJoin(Operator):
                     break
                 self.state = STATE_COLLECT_LEFT
             if self.state == STATE_COLLECT_LEFT:
-                self._collect_side(left_side=True)
+                self._collect(self.left)
                 self.state = STATE_COLLECT_RIGHT
             if self.state == STATE_COLLECT_RIGHT:
-                self._collect_side(left_side=False)
+                self._collect(self.right)
                 self.l_idx = 0
                 self.r_idx = 0
                 self.state = STATE_EMIT
@@ -171,61 +175,42 @@ class MergeJoin(Operator):
         discarded by nulling the lookahead, so every child pull happens
         with consistent state (restartability).
         """
+        left, right = self.left, self.right
         while True:
-            if self.l_next is None:
-                if self.l_eof:
-                    return False
-                self._pull_left()
-                if self.l_next is None:
-                    return False
-            if self.r_next is None:
-                if self.r_eof:
-                    return False
-                self._pull_right()
-                if self.r_next is None:
-                    return False
-            lkey = self.condition.left_key(self.l_next)
-            rkey = self.condition.right_key(self.r_next)
+            for side in (left, right):
+                if side.next is None:
+                    if side.eof:
+                        return False
+                    self._pull(side)
+                    if side.next is None:
+                        return False
+            lkey = left.key_fn(left.next)
+            rkey = right.key_fn(right.next)
             if lkey < rkey:
-                self.l_next = None
+                left.next = None
             elif lkey > rkey:
-                self.r_next = None
+                right.next = None
             else:
                 self.collect_key = lkey
                 return True
 
-    def _collect_side(self, left_side: bool) -> None:
+    def _collect(self, side: _Side) -> None:
         """Collect the value packet for ``collect_key`` on one side.
 
         Restartable: each appended tuple nulls the lookahead before the
         next pull, so a suspend landing inside the pull resumes cleanly.
         """
         while True:
-            lookahead = self.l_next if left_side else self.r_next
-            if lookahead is None:
-                if (self.l_eof if left_side else self.r_eof):
+            if side.next is None:
+                if side.eof:
                     return
-                if left_side:
-                    self._pull_left()
-                    lookahead = self.l_next
-                else:
-                    self._pull_right()
-                    lookahead = self.r_next
-                if lookahead is None:
+                self._pull(side)
+                if side.next is None:
                     return  # child exhausted
-            key = (
-                self.condition.left_key(lookahead)
-                if left_side
-                else self.condition.right_key(lookahead)
-            )
-            if key != self.collect_key:
+            if side.key_fn(side.next) != self.collect_key:
                 return  # lookahead stays for the next packet
-            if left_side:
-                self.left_packet.append(lookahead)
-                self.l_next = None
-            else:
-                self.right_packet.append(lookahead)
-                self.r_next = None
+            side.packet.append(side.next)
+            side.next = None
 
     # ------------------------------------------------------------------
     # Generalized per-child suspend plans (Section 3.4)
@@ -266,17 +251,15 @@ class MergeJoin(Operator):
         plain Suspend()); regenerated-side children suspend to the
         fulfilling checkpoint's contracts as in a normal GoBack.
         """
-        from repro.core.suspended_query import KIND_GOBACK, OpSuspendEntry
-
         target = (
             dict(contract.control) if contract is not None
             else self.control_state()
         )
-        dumped = {}
-        if self.left.op_id in decision.dump_children:
-            dumped["left_packet"] = list(self.left_packet)
-        if self.right.op_id in decision.dump_children:
-            dumped["right_packet"] = list(self.right_packet)
+        dumped = {
+            packet: list(side.packet)
+            for side, _, packet in self._named_sides()
+            if side.child.op_id in decision.dump_children
+        }
         rows = sum(len(v) for v in dumped.values())
         per_page = self.schema.tuples_per_page(
             self.rt.disk.cost_model.page_bytes
@@ -294,7 +277,7 @@ class MergeJoin(Operator):
             target_control=target,
             ckpt_payload=dict(ckpt.payload),
             dump_handle=handle,
-            saved_rows=list(contract.saved_rows) if contract else [],
+            saved_rows=self._owed_rows(contract),
         )
         ctx.sq.add_entry(entry)
         for child in self.children:
@@ -308,7 +291,7 @@ class MergeJoin(Operator):
     # State introspection
     # ------------------------------------------------------------------
     def heap_tuples(self) -> int:
-        return len(self.left_packet) + len(self.right_packet)
+        return len(self.left.packet) + len(self.right.packet)
 
     def heap_pages(self) -> int:
         per_page = self.schema.tuples_per_page(
@@ -318,63 +301,66 @@ class MergeJoin(Operator):
         return math.ceil(total / per_page) if total else 0
 
     def control_state(self) -> dict:
+        left, right = self.left, self.right
         return {
             "state": self.state,
             "collect_key": self.collect_key,
-            "l_consumed": self.l_consumed,
-            "r_consumed": self.r_consumed,
-            "l_len": len(self.left_packet),
-            "r_len": len(self.right_packet),
+            "l_consumed": left.consumed,
+            "r_consumed": right.consumed,
+            "l_len": len(left.packet),
+            "r_len": len(right.packet),
             "l_idx": self.l_idx,
             "r_idx": self.r_idx,
-            "l_next": self.l_next,
-            "r_next": self.r_next,
-            "l_eof": self.l_eof,
-            "r_eof": self.r_eof,
+            "l_next": left.next,
+            "r_next": right.next,
+            "l_eof": left.eof,
+            "r_eof": right.eof,
         }
 
     def _checkpoint_payload(self) -> dict:
         # At a minimal-heap-state point the packets are empty; only the
         # consumed counts (baseline for roll-forward) and lookahead remain.
+        left, right = self.left, self.right
         return {
-            "l_consumed": self.l_consumed,
-            "r_consumed": self.r_consumed,
-            "l_next": self.l_next,
-            "r_next": self.r_next,
-            "l_eof": self.l_eof,
-            "r_eof": self.r_eof,
+            "l_consumed": left.consumed,
+            "r_consumed": right.consumed,
+            "l_next": left.next,
+            "r_next": right.next,
+            "l_eof": left.eof,
+            "r_eof": right.eof,
         }
 
     def _heap_state_payload(self):
         return {
-            "left_packet": list(self.left_packet),
-            "right_packet": list(self.right_packet),
+            "left_packet": list(self.left.packet),
+            "right_packet": list(self.right.packet),
         }
 
     # ------------------------------------------------------------------
     # Resume
     # ------------------------------------------------------------------
-    def _restore_control(self, control: dict) -> None:
+    def _restore_sides(self, state: dict, packets: dict) -> None:
+        """Each side's position from ``state`` (a control state or a
+        checkpoint payload) and its packet from ``packets``."""
+        for side, prefix, packet in self._named_sides():
+            side.consumed = state[f"{prefix}_consumed"]
+            side.next = state[f"{prefix}_next"]
+            side.eof = state[f"{prefix}_eof"]
+            side.packet = list(packets.get(packet, []))
+
+    def _restore_control(self, control: dict, packets: dict) -> None:
         self.state = control["state"]
         self.collect_key = control["collect_key"]
         self.l_idx = control["l_idx"]
         self.r_idx = control["r_idx"]
-        self.l_next = control["l_next"]
-        self.r_next = control["r_next"]
-        self.l_eof = control["l_eof"]
-        self.r_eof = control["r_eof"]
-        self.l_consumed = control["l_consumed"]
-        self.r_consumed = control["r_consumed"]
+        self._restore_sides(control, packets)
 
     def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
         target = entry.target_control
         current = entry.current_control or target
-        payload = payload or {"left_packet": [], "right_packet": []}
         # The dumped packets and consumption state reflect the suspend
         # point; the output position restarts from the contract point.
-        self.left_packet = list(payload["left_packet"])[: current["l_len"]]
-        self.right_packet = list(payload["right_packet"])[: current["r_len"]]
-        self._restore_control(current)
+        self._restore_control(current, payload or {})
         if target["state"] == STATE_EMIT:
             self.l_idx = target["l_idx"]
             self.r_idx = target["r_idx"]
@@ -384,32 +370,16 @@ class MergeJoin(Operator):
             self.l_idx = 0
             self.r_idx = 0
 
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        """Re-consume child tuples from the checkpoint to the target counts,
-        keeping only what is needed to rebuild the current packets."""
-        ckpt = entry.ckpt_payload or {
-            "l_consumed": 0,
-            "r_consumed": 0,
-            "l_next": None,
-            "r_next": None,
-            "l_eof": False,
-            "r_eof": False,
-        }
-        seed_left: list[Row] = []
-        seed_right: list[Row] = []
-        if ckpt.get("__full_state__"):
-            heap = ckpt["heap"] or {}
-            seed_left = list(heap.get("left_packet", []))
-            seed_right = list(heap.get("right_packet", []))
-            ckpt = ckpt["control"]
-        target = entry.target_control
-        self.l_consumed = ckpt["l_consumed"]
-        self.r_consumed = ckpt["r_consumed"]
-        self.l_next = ckpt["l_next"]
-        self.r_next = ckpt["r_next"]
-        self.l_eof = ckpt["l_eof"]
-        self.r_eof = ckpt["r_eof"]
+    def _restore_checkpoint(self, ckpt: dict) -> None:
+        self._restore_sides(ckpt, {})
 
+    def _restore_full_state(self, heap: dict, control: dict) -> None:
+        self._restore_sides(control, heap)
+
+    def _roll_forward(self, target: dict, entry, ctx: ResumeContext) -> None:
+        """Re-consume child tuples from the restored counts to the target
+        counts, keeping only what is needed to rebuild the current
+        packets."""
         # Per-child dumps (Section 3.4): sides whose packet was written
         # to disk are reloaded instead of regenerated; their children
         # kept their positions, so no roll-forward pulls happen there.
@@ -417,67 +387,43 @@ class MergeJoin(Operator):
         if entry.dump_handle is not None:
             with self.attribute_work():
                 dumped = ctx.store.load(entry.dump_handle)
+        packets = {}
+        for side, prefix, packet in self._named_sides():
+            packet_len = target[f"{prefix}_len"]
+            if packet in dumped:
+                packets[packet] = dumped[packet][:packet_len]
+            else:
+                packets[packet] = self._rebuild_packet(
+                    side,
+                    target[f"{prefix}_consumed"],
+                    packet_len,
+                    target[f"{prefix}_next"],
+                )
+        self._restore_control(target, packets)
 
-        if "left_packet" in dumped:
-            self.left_packet = list(dumped["left_packet"])[: target["l_len"]]
-        else:
-            self.left_packet = self._roll_forward_side(
-                left_side=True,
-                seed=seed_left,
-                lookahead=self.l_next,
-                consumed_target=target["l_consumed"],
-                packet_len=target["l_len"],
-                target_lookahead=target["l_next"],
-            )
-        if "right_packet" in dumped:
-            self.right_packet = list(dumped["right_packet"])[: target["r_len"]]
-        else:
-            self.right_packet = self._roll_forward_side(
-                left_side=False,
-                seed=seed_right,
-                lookahead=self.r_next,
-                consumed_target=target["r_consumed"],
-                packet_len=target["r_len"],
-                target_lookahead=target["r_next"],
-            )
-        self._restore_control(target)
-
-    def _roll_forward_side(
-        self,
-        left_side,
-        seed,
-        lookahead,
-        consumed_target,
-        packet_len,
-        target_lookahead,
+    def _rebuild_packet(
+        self, side: _Side, consumed_target, packet_len, target_lookahead
     ) -> list[Row]:
         """Re-pull one side up to the target consumed count.
 
-        The stream of tuples seen — ``seed`` (a full-state checkpoint's
-        packet, usually empty), the checkpoint lookahead (if any), and the
-        re-pulled tuples — reproduces the original consumption order. If
-        the target has a lookahead, the final seen tuple is it and the
+        The stream of tuples seen — the restored packet (a full-state
+        checkpoint's, usually empty), the restored lookahead (if any), and
+        the re-pulled tuples — reproduces the original consumption order.
+        If the target has a lookahead, the final seen tuple is it and the
         ``packet_len`` tuples before it form the packet; otherwise the
         packet is the last ``packet_len`` seen tuples.
         """
-        window: list[Row] = list(seed)
-        if lookahead is not None:
-            window.append(lookahead)
+        window = list(side.packet)
+        if side.next is not None:
+            window.append(side.next)
         keep = packet_len + 1
-        consumed = self.l_consumed if left_side else self.r_consumed
-        while consumed < consumed_target:
-            if left_side:
-                self._pull_left()
-                row = self.l_next
-            else:
-                self._pull_right()
-                row = self.r_next
-            consumed += 1
-            if row is None:
+        while side.consumed < consumed_target:
+            self._pull(side)
+            if side.next is None:
                 raise ContractError(
                     f"{self.name}: child exhausted during GoBack roll-forward"
                 )
-            window.append(row)
+            window.append(side.next)
             if len(window) > keep:
                 window.pop(0)
         packet_source = window if target_lookahead is None else window[:-1]

@@ -168,11 +168,8 @@ class BlockNLJ(Operator):
             self.cursor = 0
             self.inner_row = None
             self.passes += 1
-            if self.outer_exhausted:
-                self.phase = PHASE_DONE
-                break
             self.make_checkpoint()
-            self.phase = PHASE_FILL
+            self.phase = PHASE_DONE if self.outer_exhausted else PHASE_FILL
         self.charge_cpu(crun)
         return out
 
@@ -251,21 +248,19 @@ class BlockNLJ(Operator):
             self.inner_row = None
             self.outer_exhausted = current["outer_exhausted"]
 
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
+    def _restore_checkpoint(self, ckpt: dict) -> None:
+        self.buffer = []
+        self.outer_exhausted = False
+        self.passes = ckpt.get("passes", 0)
+
+    def _restore_full_state(self, heap, control: dict) -> None:
+        self.buffer = list(heap or [])
+        self._restore_control(control)
+
+    def _roll_forward(self, target: dict, entry, ctx: ResumeContext) -> None:
         """Refill the buffer from the (already repositioned) outer child,
         then jump straight to the target cursor and inner tuple — skipping
         every join already produced before the target."""
-        target = entry.target_control
-        ckpt = entry.ckpt_payload or {}
-        if ckpt.get("__full_state__"):
-            # Post-resume full-state checkpoint: restore its heap and
-            # control, then keep rolling forward to the target below.
-            self.buffer = list(ckpt["heap"] or [])
-            self._restore_control(ckpt["control"])
-        else:
-            self.buffer = []
-            self.outer_exhausted = False
-            self.passes = ckpt.get("passes", 0)
         # Skip whole passes between the checkpoint and the target (only
         # possible when the fulfilling checkpoint predates the current
         # pass, e.g. with proactive checkpointing disabled): their outer

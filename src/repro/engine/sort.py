@@ -255,23 +255,21 @@ class TwoPhaseMergeSort(Operator):
             self.child_exhausted = True
             self._init_readers(control["positions"])
 
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        ckpt = entry.ckpt_payload or {}
-        target = entry.target_control
-        if ckpt.get("__full_state__"):
-            control = ckpt["control"]
-            self.sort_buffer = list(ckpt["heap"] or [])
-            self.sublists = list(control["sublists"])
-            self.phase = control["phase"]
-            self.child_exhausted = control.get(
-                "child_exhausted", self.phase == PHASE_MERGE
-            )
-        else:
-            self.sublists = list(ckpt.get("sublists", []))
-            self.child_exhausted = ckpt.get("child_exhausted", False)
-            self.sort_buffer = []
-            self.phase = PHASE_BUILD
+    def _restore_checkpoint(self, ckpt: dict) -> None:
+        self.sublists = list(ckpt.get("sublists", []))
+        self.child_exhausted = ckpt.get("child_exhausted", False)
+        self.sort_buffer = []
+        self.phase = PHASE_BUILD
 
+    def _restore_full_state(self, heap, control: dict) -> None:
+        self.sort_buffer = list(heap or [])
+        self.sublists = list(control["sublists"])
+        self.phase = control["phase"]
+        self.child_exhausted = control.get(
+            "child_exhausted", self.phase == PHASE_MERGE
+        )
+
+    def _roll_forward(self, target: dict, entry, ctx: ResumeContext) -> None:
         if self.phase == PHASE_MERGE:
             # Full-state checkpoint taken in the merge phase: only the
             # cursors move between checkpoint and target.

@@ -184,12 +184,8 @@ class FoldManager:
 
         A query is a *candidate* when it has foldable leaves at all, and
         *grafted* when some other live member reads one of its tables or
-        shares a build-side fingerprint. Databases with a buffer pool
-        attached are not folded: the pool's hit/miss charging would make
-        folded and unfolded lane timelines diverge.
+        shares a build-side fingerprint.
         """
-        if self.db.buffer_pool is not None:
-            return None
         from repro.fold.fingerprint import iter_specs
 
         tables = scan_tables(plan_spec)

@@ -99,7 +99,7 @@ class SchedulerConfig:
     #: admitted queries and graft them onto shared scan producers and
     #: build-side hash tables. Off by default — folding changes global
     #: I/O and co-scheduling order (never per-query outputs, clocks, or
-    #: images). Not applied when the database has a buffer pool.
+    #: images).
     fold: bool = False
     #: Pages a fold producer may buffer per table (bounds fold memory).
     fold_window_pages: int = 64

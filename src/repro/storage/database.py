@@ -22,23 +22,11 @@ from repro.storage.statefile import StateStore
 class Database:
     """Simulated single-node DBMS instance."""
 
-    def __init__(
-        self,
-        cost_model: Optional[IOCostModel] = None,
-        buffer_pool_pages: int = 0,
-    ):
+    def __init__(self, cost_model: Optional[IOCostModel] = None):
         self.cost_model = cost_model or IOCostModel()
         self.disk = SimulatedDisk(cost_model=self.cost_model)
         self.catalog = Catalog()
         self.state_store = StateStore(self.disk)
-        if buffer_pool_pages > 0:
-            from repro.storage.buffer import BufferPool
-
-            self.buffer_pool = BufferPool(self.disk, buffer_pool_pages)
-        else:
-            # Experiments run without a pool by default: the paper's redo
-            # economics assume tables >> RAM (see repro.storage.buffer).
-            self.buffer_pool = None
 
     @property
     def now(self) -> float:
@@ -56,11 +44,7 @@ class Database:
         if tuples_per_page is None:
             tuples_per_page = schema.tuples_per_page(self.cost_model.page_bytes)
         table = HeapFile(
-            name,
-            schema,
-            self.disk,
-            tuples_per_page=tuples_per_page,
-            buffer_pool=self.buffer_pool,
+            name, schema, self.disk, tuples_per_page=tuples_per_page
         )
         table.bulk_load(rows)
         self.catalog.register_table(table)

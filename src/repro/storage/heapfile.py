@@ -44,7 +44,6 @@ class HeapFile:
         schema: Schema,
         disk: SimulatedDisk,
         tuples_per_page: int = 100,
-        buffer_pool=None,
     ):
         if tuples_per_page <= 0:
             raise ValueError(f"tuples_per_page must be positive, got {tuples_per_page}")
@@ -52,7 +51,6 @@ class HeapFile:
         self.schema = schema
         self.tuples_per_page = tuples_per_page
         self._disk = disk
-        self._pool = buffer_pool
         self._pages: list[list[Row]] = []
         self._num_tuples = 0
 
@@ -73,20 +71,13 @@ class HeapFile:
             self._num_tuples += 1
 
     def read_page(self, page_no: int) -> Sequence[Row]:
-        """Return the rows on ``page_no``, charging one page read.
-
-        With a buffer pool attached, a cached page costs only a CPU
-        charge (see :mod:`repro.storage.buffer`).
-        """
+        """Return the rows on ``page_no``, charging one page read."""
         if not 0 <= page_no < len(self._pages):
             raise StorageError(
                 f"table {self.name!r}: page {page_no} out of range "
                 f"[0, {len(self._pages)})"
             )
-        if self._pool is not None:
-            self._pool.read_page((self.name, page_no))
-        else:
-            self._disk.read_pages(1)
+        self._disk.read_pages(1)
         return self._pages[page_no]
 
     def peek_page(self, page_no: int) -> Sequence[Row]:

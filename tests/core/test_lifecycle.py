@@ -16,7 +16,13 @@ from repro import (
 )
 from repro.common.errors import ReproError
 from repro.durability import ImageStore
-from repro.engine.plan import NLJSpec, ScanSpec, SortSpec
+from repro.engine.plan import (
+    HashGroupAggSpec,
+    NLJSpec,
+    ScanSpec,
+    SimpleHashJoinSpec,
+    SortSpec,
+)
 from repro.relational.expressions import EquiJoinCondition
 
 from tests.conftest import make_small_db, tiny_nlj_plan, tiny_smj_plan
@@ -264,21 +270,39 @@ class TestStateStoreRelease:
 class TestClosedSessionIsNotCyclicGarbage:
     """After ``close()`` nothing in the operator tree points back up, so
     dropping the session frees it — and the decoded rows its sort readers
-    hold — by reference counting, with the collector off."""
+    and the rows its hash partitions hold — by reference counting, with
+    the collector off."""
+
+    PLANS = [
+        (tiny_smj_plan(), lambda s: s.op_named("sort_R")._readers[0]),
+        (
+            SimpleHashJoinSpec(
+                build=ScanSpec("R"),
+                probe=ScanSpec("S"),
+                condition=EquiJoinCondition(0, 0),
+            ),
+            lambda s: s.root.build,
+        ),
+        (
+            HashGroupAggSpec(ScanSpec("R"), (0,), "count", 1),
+            lambda s: s.root.input,
+        ),
+    ]
 
     @pytest.mark.parametrize("end", ["close", "suspend"])
     def test_tree_dies_with_the_session(self, end):
         gc.disable()
         try:
-            session = QuerySession(make_small_db(), tiny_smj_plan())
-            session.execute(max_rows=5)
-            refs = [
-                weakref.ref(session.root),
-                weakref.ref(session.op_named("sort_R")._readers[0]),
-                weakref.ref(session.runtime),
-            ]
-            getattr(session, end)()
-            del session
-            assert [ref() for ref in refs] == [None, None, None]
+            for plan, back_pointer in self.PLANS:
+                session = QuerySession(make_small_db(), plan)
+                session.execute(max_rows=5)
+                refs = [
+                    weakref.ref(session.root),
+                    weakref.ref(back_pointer(session)),
+                    weakref.ref(session.runtime),
+                ]
+                getattr(session, end)()
+                del session
+                assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()

@@ -106,7 +106,7 @@ class TestFullStateCheckpoint:
         nlj = resumed.op_named("nlj")
         graph = resumed.runtime.graph
         assert graph.latest_checkpoint(nlj.op_id) is None
-        fulfilling = nlj._full_state_checkpoint()
+        fulfilling = nlj._reactive_checkpoint()
         assert fulfilling.payload["__full_state__"] is True
         assert fulfilling.payload["heap"] == nlj._heap_state_payload()
         assert fulfilling.reactive

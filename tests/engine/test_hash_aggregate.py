@@ -88,7 +88,7 @@ class TestHashGroupAggregateSuspendResume:
         session = QuerySession(db, plan)
         session.execute(suspend_when=SuspendTrigger("g", "emitted", 100))
         assert session.status.value == "suspend_pending"
-        assert session.op_named("hagg").consumed == 100
+        assert session.op_named("hagg").input.consumed == 100
         sq = session.suspend(SuspendSpec(strategy="lp"))
         resumed = QuerySession.resume(db, sq)
         assert resumed.execute().rows == ref

@@ -115,7 +115,7 @@ class TestHashJoinSuspendResume:
         session = QuerySession(db, plan)
         session.execute(suspend_when=SuspendTrigger("f", "emitted", 50))
         assert session.status.value == "suspend_pending"
-        assert session.op_named("hj").build_consumed == 50
+        assert session.op_named("hj").build.consumed == 50
         sq = session.suspend(SuspendSpec(strategy="lp"))
         resumed = QuerySession.resume(db, sq)
         assert resumed.execute().rows == ref
@@ -147,9 +147,11 @@ class TestSnapshotsLeaveOutFinishedPartitions:
         return {
             side: [
                 db.state_store.peek(part) if part else []
-                for part in getattr(join, f"_{side}")
+                for part in parts.disk
             ]
-            for side in ("build_disk", "probe_disk")
+            for side, parts in (
+                ("build_disk", join.build), ("probe_disk", join.probe)
+            )
         }
 
     @pytest.mark.parametrize("plan_fn", [shj_plan, hhj_plan])

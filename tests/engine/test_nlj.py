@@ -11,7 +11,7 @@ from repro import (
     SuspendSpec,
     SuspendTrigger,
 )
-from repro.common.errors import ContractError, ReproError
+from repro.common.errors import ReproError
 from repro.durability.codec2 import encode_suspended_query
 from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec, SortSpec
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
@@ -229,36 +229,38 @@ class TestSuspendRaisedByTheInnerPull:
 
 
 class TestNLJOverNLJ:
-    """The oldest open defect (ROADMAP item 1): a block NLJ whose outer
-    child is another block NLJ — the paper's Figure 2 composed with
-    itself — fails under GoBack in the lower join's short final pass
-    (slice 111). Not fixed yet: the strict xfails make the eventual fix
-    announce itself."""
+    """A block NLJ whose outer child is another block NLJ — the paper's
+    Figure 2 composed with itself — suspended and resumed between every
+    slice. Two rules keep it right under GoBack (PROTOCOL §1): a
+    contract carries the rows its signer still owed (after a resume that
+    left the filter one saved row, the lower join's next pass-boundary
+    contract used to drop it), and the lower join checkpoints at the end
+    of its last pass too (a "dump to contract" used to restore a cursor
+    over the discarded buffer). The first case is ROADMAP item 1's."""
 
-    GOBACK_DEFECT = pytest.mark.xfail(strict=True, raises=ContractError)
-
+    @pytest.mark.parametrize("slice_rows", [37, 150, 401])
+    @pytest.mark.parametrize("strategy", ["all_dump", "all_goback", "lp"])
     @pytest.mark.parametrize(
-        "strategy",
-        [
-            "all_dump",
-            pytest.param("all_goback", marks=GOBACK_DEFECT),
-            pytest.param("lp", marks=GOBACK_DEFECT),
-        ],
+        "lower, upper, modulus",
+        [(30, 25, 7), (17, 9, 5), (40, 13, 3), (11, 31, 7)],
     )
-    def test_150_row_slices_with_suspend_resume_between(self, strategy):
+    def test_slices_with_suspend_resume_between(
+        self, lower, upper, modulus, strategy, slice_rows
+    ):
         plan = NLJSpec(
-            outer=tiny_nlj_plan(buffer_tuples=30),
+            outer=tiny_nlj_plan(buffer_tuples=lower),
             inner=ScanSpec("S"),
-            condition=EquiJoinCondition(0, 0, modulus=7),
-            buffer_tuples=25,
+            condition=EquiJoinCondition(0, 0, modulus=modulus),
+            buffer_tuples=upper,
         )
         ref = reference_rows(make_small_db, plan)
-        assert len(ref) == 21_575
+        if (lower, upper, modulus) == (30, 25, 7):
+            assert len(ref) == 21_575
         db = make_small_db()
         session = QuerySession(db, plan)
         rows = []
         while True:
-            rows.extend(session.execute(max_rows=150).rows)
+            rows.extend(session.execute(max_rows=slice_rows).rows)
             if session.status is QueryStatus.COMPLETED:
                 break
             sq = session.suspend(SuspendSpec(strategy=strategy))

@@ -82,16 +82,6 @@ class TestAcquire:
 
 
 class TestManager:
-    def test_buffer_pool_refuses_folding(self):
-        db = Database(buffer_pool_pages=8)
-        db.create_table(
-            "R", BASE_SCHEMA, generate_uniform_table(100, seed=1)
-        )
-        manager = FoldManager(db)
-        from repro.engine.plan import ScanSpec
-
-        assert manager.admit("q1", ScanSpec("R")) is None
-
     def test_admit_grafts_mutually(self):
         db = make_db()
         manager = FoldManager(db)

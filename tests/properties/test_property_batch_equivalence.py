@@ -69,8 +69,8 @@ PLAN_KINDS = (
 )
 
 
-def build_db(r_size, s_size, seed, pool_pages=0):
-    db = Database(buffer_pool_pages=pool_pages)
+def build_db(r_size, s_size, seed):
+    db = Database()
     db.create_table("R", BASE_SCHEMA, generate_uniform_table(r_size, seed=seed))
     db.create_table(
         "S", BASE_SCHEMA, generate_uniform_table(s_size, seed=seed + 1)
@@ -256,7 +256,6 @@ STRATEGIES = st.sampled_from(["all_dump", "all_goback", "lp"])
     selectivity=st.floats(0.05, 1.0),
     buffer_tuples=st.integers(5, 60),
     modulus=st.integers(5, 40),
-    pool_pages=st.sampled_from([0, 0, 4]),
     drains=st.lists(st.integers(1, 200), max_size=2),
     stop=STOPS,
     strategy=STRATEGIES,
@@ -269,7 +268,6 @@ def test_mid_batch_suspend_image_identical(
     selectivity,
     buffer_tuples,
     modulus,
-    pool_pages,
     drains,
     stop,
     strategy,
@@ -282,11 +280,11 @@ def test_mid_batch_suspend_image_identical(
     plan = build_plan(kind, selectivity, buffer_tuples, modulus)
     with one_row_requests():
         ref = run_suspended(
-            build_db(r_size, s_size, seed, pool_pages),
+            build_db(r_size, s_size, seed),
             plan, stop, strategy, drains=drains,
         )
     got = run_suspended(
-        build_db(r_size, s_size, seed, pool_pages),
+        build_db(r_size, s_size, seed),
         plan, stop, strategy, drains=drains,
     )
     assert got == ref

@@ -1,4 +1,5 @@
-"""Property: the two MIP backends agree on random binary programs."""
+"""Property: HiGHS agrees with brute-force enumeration on random binary
+programs."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.core.mip import solve_binary_program
+
+from tests.core.test_mip import enumerate_binary_program
 
 FAST = settings(
     max_examples=40,
@@ -17,26 +20,23 @@ FAST = settings(
 
 @FAST
 @given(
-    n=st.integers(1, 6),
+    n=st.integers(1, 12),
     m=st.integers(0, 4),
     seed=st.integers(0, 100_000),
 )
-def test_highs_and_fallback_agree(n, m, seed):
+def test_highs_agrees_with_enumeration(n, m, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=n)
     a = rng.normal(size=(m, n))
     b = rng.uniform(-0.5, n, size=m)
-    highs = solve_binary_program(
-        c, sparse.csr_matrix(a), b, use_highs_mip=True
-    )
-    bnb = solve_binary_program(c, a, b, use_highs_mip=False)
-    assert highs.feasible == bnb.feasible
+    highs = solve_binary_program(c, sparse.csr_matrix(a), b)
+    ref = enumerate_binary_program(c, a, b)
+    assert highs.feasible == ref.feasible
     if highs.feasible:
-        assert highs.objective == pytest.approx(bnb.objective, abs=1e-6)
-        # both solutions must actually satisfy the constraints
-        for res in (highs, bnb):
-            assert np.all(a @ res.x <= b + 1e-6)
-            assert set(np.unique(res.x)).issubset({0.0, 1.0})
+        assert highs.objective == pytest.approx(ref.objective, abs=1e-6)
+        # the solution must actually satisfy the constraints
+        assert np.all(a @ highs.x <= b + 1e-6)
+        assert set(np.unique(highs.x)).issubset({0.0, 1.0})
 
 
 @FAST

@@ -37,7 +37,7 @@ def build_db(r_size, s_size, seed):
     return db
 
 
-plan_strategy = st.sampled_from(["nlj", "smj", "nlj_over_sort"])
+plan_strategy = st.sampled_from(["nlj", "smj", "nlj_over_sort", "nlj_over_nlj"])
 
 
 def build_plan(kind, selectivity, buffer_tuples, modulus):
@@ -45,6 +45,13 @@ def build_plan(kind, selectivity, buffer_tuples, modulus):
     if kind == "nlj":
         return NLJSpec(
             outer=filtered,
+            inner=ScanSpec("S"),
+            condition=EquiJoinCondition(0, 0, modulus=modulus),
+            buffer_tuples=buffer_tuples,
+        )
+    if kind == "nlj_over_nlj":
+        return NLJSpec(
+            outer=build_plan("nlj", selectivity, buffer_tuples + 5, modulus),
             inner=ScanSpec("S"),
             condition=EquiJoinCondition(0, 0, modulus=modulus),
             buffer_tuples=buffer_tuples,
@@ -124,27 +131,29 @@ def test_budgeted_lp_equivalence(kind, seed, selectivity, point, budget):
 
 @SLOW
 @given(
+    kind=plan_strategy,
     seed=st.integers(0, 10_000),
-    points=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+    slices=st.lists(st.integers(1, 400), min_size=1, max_size=4),
     strategies=st.lists(
         st.sampled_from(["all_dump", "all_goback", "lp"]),
-        min_size=2,
+        min_size=1,
         max_size=4,
     ),
 )
-def test_repeated_suspend_resume(seed, points, strategies):
-    """Any sequence of suspend/resume cycles preserves output."""
-    plan = build_plan("nlj", 0.6, 25, 20)
+def test_repeated_suspend_resume(kind, seed, slices, strategies):
+    """Slices run to completion with a suspend/resume cycle between every
+    two (the drawn slice sizes and strategies repeat) preserve output."""
+    plan = build_plan(kind, 0.6, 25, 20)
     ref = QuerySession(build_db(120, 70, seed), plan).execute().rows
     db = build_db(120, 70, seed)
     session = QuerySession(db, plan)
     rows = []
-    for point, strategy in zip(points, strategies):
-        rows += session.execute(max_rows=point).rows
+    for cycle in range(len(ref) + 1):
+        rows += session.execute(max_rows=slices[cycle % len(slices)]).rows
         if session.status.value == "completed":
             break
-        sq = session.suspend(SuspendSpec(strategy=strategy))
+        sq = session.suspend(
+            SuspendSpec(strategy=strategies[cycle % len(strategies)])
+        )
         session = QuerySession.resume(db, sq)
-    if session.status.value != "completed":
-        rows += session.execute().rows
     assert rows == ref

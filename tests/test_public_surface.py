@@ -138,6 +138,29 @@ def test_every_operator_has_one_production_hook():
     assert "Callable" not in str(execute.parameters["suspend_when"].annotation)
 
 
+def test_an_operator_file_holds_only_what_is_its_own():
+    """Shared knowledge is stated once: no helper under ``repro.engine``
+    branches on which side called it, the post-resume full-state payload
+    is known to ``engine/base.py`` alone, and one site constructs a
+    ``Checkpoint``."""
+    import ast
+
+    engine = ROOT / "src" / "repro" / "engine"
+    sources = {path: path.read_text() for path in sorted(engine.glob("*.py"))}
+    for path, text in sources.items():
+        args = [
+            arg.arg
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.FunctionDef, ast.Lambda))
+            for arg in node.args.args + node.args.kwonlyargs
+        ]
+        assert not {"build_side", "left_side"} & set(args), path
+    assert [p.name for p, text in sources.items() if "__full_state__" in text] == [
+        "base.py"
+    ]
+    assert sum(text.count("Checkpoint(") for text in sources.values()) == 1
+
+
 def test_clock_has_no_ordered_charge_variants():
     """Time is derived from integer counters, so there is nothing for an
     ``add_each``/``*_each`` replay of float additions to keep in step."""
