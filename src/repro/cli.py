@@ -286,7 +286,6 @@ def run_suspend_to_image(
     as_json: bool = False,
     strategy: str = "lp",
     budget: Optional[float] = None,
-    delta: bool = True,
 ) -> str:
     """Run a recipe partway, suspend, and commit a durable image."""
     from repro.core.lifecycle import QuerySession, QueryStatus, SuspendSpec
@@ -301,7 +300,6 @@ def run_suspend_to_image(
         strategy=strategy,
         budget=float("inf") if budget is None else budget,
         persist_to=images,
-        delta=delta,
         image_id=image_id,
         image_meta={
             "recipe": recipe,
@@ -379,8 +377,8 @@ def run_images(
     store = ImageStore(images)
     if recover:
         report = store.recover().as_dict()
-        # The per-image scan skips shard-set directories; judge the
-        # global cuts separately so nothing under the root goes unjudged.
+        # The scan judges each image on its own, cut images included;
+        # whether a cut and its members agree spans images.
         cuts = classify_shardsets(store)
         if as_json:
             return json.dumps({**report, "shardset_cuts": cuts.as_dict()})
@@ -552,11 +550,11 @@ def run_shard_resume(
     """Verify a shard set, rebuild its recipe, and finish the query."""
     from repro.durability import ImageStore, build_recipe
     from repro.shard import ShardCoordinator
-    from repro.shard.manifest import load_shardset
+    from repro.shard.manifest import load_cut
 
     store = ImageStore(images)
-    doc, _ = load_shardset(store, gid)
-    meta = doc.get("meta", {})
+    load_cut(store, gid)
+    meta = store.info(gid).meta
     if "recipe" not in meta:
         raise SystemExit(
             f"shard set {gid!r} carries no recipe metadata; resume it "
@@ -1029,6 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--json", action="store_true")
     _add_obs_flags(lg)
 
+    from repro.core.lifecycle import SuspendStrategy
     from repro.durability.recipes import RECIPES
 
     susp = sub.add_parser(
@@ -1051,7 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
     susp.add_argument("--json", action="store_true")
     susp.add_argument(
         "--strategy",
-        choices=("lp", "mip", "all_dump", "all_goback"),
+        choices=[s.value for s in SuspendStrategy],
         default="lp",
         help="suspend-plan strategy (default lp)",
     )
@@ -1060,12 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="suspend-time budget in virtual time units (default: none)",
-    )
-    susp.add_argument(
-        "--no-delta",
-        dest="delta",
-        action="store_false",
-        help="commit a full image even when a base image exists",
     )
     susp.add_argument(
         "--shards",
@@ -1303,23 +1296,17 @@ def _dispatch(args) -> int:
                 as_json=args.json,
                 strategy=args.strategy,
                 budget=args.budget,
-                delta=args.delta,
             )
         )
         return 0
     if args.command == "resume-image":
-        import os
+        from repro.durability import ImageStore
+        from repro.shard.manifest import names_shard_set
 
-        from repro.durability.format import CHANNELS_NAME, SHARDSET_NAME
-
-        # A shard-set directory counts even when the commit crashed before
-        # SHARDSET.json landed — routing it through the shard path yields a
-        # precise InconsistentCutError instead of "no committed image".
-        is_shardset = any(
-            os.path.exists(os.path.join(args.images, args.id, name))
-            for name in (SHARDSET_NAME, CHANNELS_NAME)
-        )
-        if is_shardset:
+        # A shard set counts even when its cut never committed (only its
+        # members did): the shard path then says precisely why it cannot
+        # resume instead of "no committed image".
+        if names_shard_set(ImageStore(args.images), args.id):
             from repro.common.errors import InconsistentCutError
 
             try:

@@ -66,13 +66,14 @@ class ShardError(ReproError):
 
 
 class InconsistentCutError(ShardError):
-    """Raised when a shard-set image does not form a consistent global cut.
+    """Raised when a shard set does not form a consistent global cut.
 
-    A global suspend commits N per-shard images plus the exchange-channel
-    state under one shard-set manifest; resuming from a shard set whose
-    manifest is missing/torn, or whose member images cannot all be
-    recovered, raises this error rather than silently resuming a subset of
-    shards against a cut they do not share.
+    A global suspend commits N per-shard images, then one cut image
+    holding the exchange-channel state and the member list; resuming
+    from a shard set whose cut image is missing/torn, or whose member
+    images cannot all be recovered or belong to another cut, raises this
+    error rather than silently resuming a subset of shards against a cut
+    they do not share.
     """
 
 

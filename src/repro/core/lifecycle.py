@@ -94,20 +94,17 @@ class SuspendSpec:
     - ``persist_to`` — an :class:`~repro.durability.store.ImageStore`
       or image-root path; the suspended query is additionally committed
       as a durable on-disk image;
-    - ``delta`` — commit repeat suspends as delta images against
-      ``base_image_id`` (or the scheduler-tracked previous image)
-      instead of rewriting unchanged state;
     - ``image_id`` / ``image_meta`` — explicit id and metadata for the
       committed image;
-    - ``base_image_id`` — existing image to delta against (requires
-      ``delta=True``).
+    - ``base_image_id`` — existing image to commit a delta against:
+      payloads unchanged since they were committed to, or loaded from,
+      its chain are referenced instead of rewritten.
     """
 
     strategy: SuspendStrategy = SuspendStrategy.LP
     budget: float = math.inf
     plan: Optional[SuspendPlan] = None
     persist_to: Union["ImageStore", str, None] = None
-    delta: bool = True
     image_id: Optional[str] = None
     image_meta: Optional[dict] = None
     base_image_id: Optional[str] = None
@@ -408,9 +405,7 @@ class QuerySession:
                 self.db.state_store,
                 image_id=options.image_id,
                 meta=options.image_meta,
-                base_image_id=(
-                    options.base_image_id if options.delta else None
-                ),
+                base_image_id=options.base_image_id,
                 tracer=self.runtime.tracer,
             )
         return sq

@@ -10,26 +10,26 @@ Layers, bottom up:
 
 - :mod:`~repro.durability.faults` — crash-point hooks and torn-write
   injection, threaded through every file operation;
-- :mod:`~repro.durability.codec` — the tagged-JSON value codec (plan
-  specs in shard manifests and worker messages; not an image format);
 - :mod:`~repro.durability.codec2` — the v2 binary columnar codec
   (typed column segments, string interning, CRC'd zlib frames,
-  streaming chunked writes), the one image encoding (``CODEC_V2``);
+  streaming chunked writes), the one value codec (``CODEC_V2``): image
+  sections and shard-worker messages alike;
 - :mod:`~repro.durability.format` — the packed one-file-per-image
   layout (sections, manifest, trailer; one fsync + rename + dir-fsync
   per commit), its verified reader — the one image layout
   (``LAYOUT_VERSION``) — and the tmp+fsync+rename discipline of the
-  small metadata files;
+  pins file;
 - :mod:`~repro.durability.store` — the :class:`ImageStore`: save, load,
-  list, validate, GC, and the startup recovery scan with quarantine;
+  list, validate, GC, and the startup recovery scan with quarantine.
+  Every durable object is an image: a sharded query's global cut is
+  one too (:meth:`ImageStore.save_cut`), committed by the same path;
 - :mod:`~repro.durability.harness` — the crash-matrix harness proving no
   injected fault can produce silent corruption;
 - :mod:`~repro.durability.recipes` — deterministic database+plan builders
   so a fresh process can rebuild the base tables an image expects.
 """
 
-from repro.durability.codec import CodecError
-from repro.durability.codec2 import CODEC_V2, V2_FORMAT_VERSION
+from repro.durability.codec2 import CODEC_V2, V2_FORMAT_VERSION, CodecError
 from repro.durability.faults import (
     FaultInjector,
     InjectedCrash,

@@ -1,11 +1,10 @@
-"""Codec v2: the binary columnar image encoding.
+"""Codec v2: the binary columnar value codec.
 
-Where the value codec (:mod:`repro.durability.codec`) turns every value
-into tagged JSON — readable, but paying Python-level per-value dispatch on
-both sides plus JSON text overhead — v2 is a binary format built for the
-suspend path's actual data: big, regular collections of rows (saved rows,
-dumped heap state, sort sublists, hash partitions) plus small irregular
-control dicts. Design points:
+The one value encoding in the repository: suspend images, the global cut
+of a sharded query and the shard-worker pipe all carry codec-v2 bytes.
+It is built for the suspend path's actual data: big, regular collections
+of rows (saved rows, dumped heap state, sort sublists, hash partitions)
+plus small irregular control dicts. Design points:
 
 - **Columnar row blocks.** A list of same-arity tuples whose columns are
   uniformly typed (the common case for every dump payload) is encoded as
@@ -28,11 +27,15 @@ control dicts. Design points:
   members are sorted by ``repr``, floats are packed exactly, zlib runs at
   a fixed level.
 
-The value domain is exactly the tagged-JSON codec's: scalars, lists,
-tuples, dicts with arbitrary keys, sets/frozensets, :class:`DumpHandle`
-references, and the registered spec/predicate dataclasses. ``CODEC_V2``
-is recorded in the image manifest as ``codec_version`` and is the only
-value the reader accepts.
+The value domain: scalars, lists, tuples, dicts with arbitrary keys,
+sets/frozensets, :class:`DumpHandle` references (decoded unhomed, with
+``store_id=-1``, until ``SuspendedQuery.import_payloads`` re-homes them),
+and the registered spec/predicate dataclasses. ``CODEC_V2`` is recorded
+in the image manifest as ``codec_version`` and is the only value the
+reader accepts.
+
+The class registry below is the codec's compatibility surface: renaming
+a spec or predicate class breaks images already on disk.
 """
 
 from __future__ import annotations
@@ -42,10 +45,25 @@ import struct
 import zlib
 from typing import Any, Callable, Iterator, Optional
 
+from repro.common.errors import ReproError
 from repro.core.strategies import OpDecision, Strategy, SuspendPlan
 from repro.core.suspended_query import OpSuspendEntry, SuspendedQuery
-from repro.durability.codec import _DATACLASSES, CodecError
+from repro.engine import plan as plan_module
+from repro.relational import expressions as expr_module
 from repro.storage.statefile import DumpHandle
+
+
+class CodecError(ReproError):
+    """Raised when a value cannot be encoded or decoded."""
+
+
+#: Spec and predicate dataclasses a value may hold, by class name.
+_DATACLASSES = {
+    obj.__name__: obj
+    for module in (plan_module, expr_module)
+    for obj in vars(module).values()
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+}
 
 #: Codec identifier recorded in the image manifest.
 CODEC_V2 = 2

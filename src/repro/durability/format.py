@@ -55,12 +55,6 @@ BLOB_PREFIX = "blob-"
 #: Torn-write labels of the two parts that are not manifested files.
 MANIFEST_LABEL = "manifest"
 TRAILER_LABEL = "trailer"
-#: Shard-set commit-protocol files (see ``repro.shard.manifest``): a
-#: shard-set directory groups N per-shard images plus channel state into
-#: one atomic unit. ``CHANNELS_NAME`` is written first, ``SHARDSET_NAME``
-#: last — its rename is the global commit point.
-SHARDSET_NAME = "SHARDSET.json"
-CHANNELS_NAME = "CHANNELS.json"
 
 #: Version of the image layout + manifest schema this build reads and
 #: writes.
@@ -90,40 +84,17 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def atomic_write(
-    directory: str,
-    name: str,
-    data: bytes,
-    injector: Optional[FaultInjector] = None,
-) -> None:
-    """Write ``data`` to ``directory/name`` via tmp + fsync + rename.
-
-    The discipline of the small metadata documents (pins, shard-set
-    files). Crash points exposed to the injector, in order:
-
-    - ``before:<name>`` — nothing written yet;
-    - a torn-write opportunity on ``<name>`` (half the bytes reach the
-      temp file, then the crash);
-    - ``written:<name>`` — temp file durable, rename not yet done;
-    - ``renamed:<name>`` — file committed under its final name.
-    """
-    injector = injector or FaultInjector()
-    injector.point(f"before:{name}")
+def atomic_write(directory: str, name: str, data: bytes) -> None:
+    """Write ``data`` to ``directory/name`` via tmp + fsync + rename +
+    directory fsync: the commit of the pins file, the one document under
+    an image root that is rewritten whole."""
     tmp_path = os.path.join(directory, name + TMP_SUFFIX)
-    final_path = os.path.join(directory, name)
-    torn = injector.wants_torn(name)
-    payload = data[: max(1, len(data) // 2)] if torn else data
     with open(tmp_path, "wb") as fh:
-        fh.write(payload)
+        fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
-    if torn:
-        # The crash struck mid-write: the partial temp file stays behind.
-        raise InjectedCrash(f"torn:{name}")
-    injector.point(f"written:{name}")
-    os.replace(tmp_path, final_path)
+    os.replace(tmp_path, os.path.join(directory, name))
     fsync_dir(directory)
-    injector.point(f"renamed:{name}")
 
 
 def write_packed_image(

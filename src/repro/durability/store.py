@@ -34,6 +34,10 @@ Responsibilities:
   disk writes on resume; the state store decodes a payload when it is
   first read). The packed ``<id>.rimg`` with codec-v2 sections is the
   only form read; any other layout or codec stamp is a format error;
+- :meth:`ImageStore.save_cut` / :meth:`load_cut` — a sharded query's
+  global cut (:mod:`repro.shard.manifest`) as an image of its own: the
+  coordinator record is its control section, it holds no payload
+  section, and it is committed by the same path as every image;
 - :meth:`ImageStore.recover` — the startup scan: classify every entry
   under the root as committed, torn, or orphaned, and quarantine the bad
   ones instead of crashing;
@@ -58,12 +62,10 @@ from repro.durability.faults import FaultInjector
 from repro.obs.tracer import NULL_TRACER
 from repro.durability.format import (
     BLOB_PREFIX,
-    CHANNELS_NAME,
     CONTROL_NAME_V2,
     IMAGE_SUFFIX,
     LAYOUT_VERSION,
     QUARANTINE_DIR,
-    SHARDSET_NAME,
     TMP_SUFFIX,
     ImageFormatError,
     atomic_write,
@@ -96,6 +98,14 @@ PINS_NAME = "PINS.json"
 #: (:class:`repro.serve.tokens.TokenManager`); named here so the
 #: recovery scan knows it is store metadata, not an image.
 TOKENS_NAME = "TOKENS.json"
+
+#: Image-metadata key set on a shard-set cut (:meth:`ImageStore.save_cut`):
+#: its control section is a coordinator record, not a suspended query.
+CUT_META_KEY = "shard_cut"
+
+
+def _is_cut(manifest: dict) -> bool:
+    return bool((manifest.get("meta") or {}).get(CUT_META_KEY))
 
 
 def _held_sections(manifest: dict) -> dict[str, dict]:
@@ -153,10 +163,6 @@ class RecoveryReport:
     torn: list[str] = field(default_factory=list)
     orphaned: list[str] = field(default_factory=list)
     quarantined: list[str] = field(default_factory=list)
-    #: Shard-set directories found at the root. They are not images; the
-    #: scan leaves them in place for
-    #: :func:`repro.shard.manifest.classify_shardsets` to judge.
-    shardsets: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -164,7 +170,6 @@ class RecoveryReport:
             "torn": list(self.torn),
             "orphaned": list(self.orphaned),
             "quarantined": list(self.quarantined),
-            "shardsets": list(self.shardsets),
         }
 
 
@@ -192,10 +197,11 @@ class _PreparedSave:
     #: Manifest entries for payloads reused from the base chain.
     ref_blobs: list
     reused_bytes: int
-    sq: SuspendedQuery
+    #: The control record: a SuspendedQuery's, or a shard-set cut's.
+    control: dict
     #: The exporting StateStore: told, once the image is committed, which
     #: section now holds each locally written payload.
-    store: StateStore
+    store: Optional[StateStore]
     meta: dict
 
 
@@ -280,12 +286,40 @@ class ImageStore:
             for prep, result in zip(preps, results)
         ]
 
-    def _prepare_save(self, req: SaveRequest) -> _PreparedSave:
-        image_id = req.image_id or f"img-{uuid.uuid4().hex[:12]}"
+    def save_cut(
+        self, record: dict, image_id: str, meta: Optional[dict] = None
+    ) -> ImageInfo:
+        """Commit a sharded query's global cut as an image.
+
+        ``record`` (the coordinator record of :mod:`repro.shard.manifest`)
+        is the control section and there is no payload section; the
+        commit is :meth:`save`'s, so its rename is the cut's commit point.
+        The image is marked ``CUT_META_KEY`` in its metadata, which is how
+        :meth:`load` tells it from a suspended query.
+        """
+        self._check_new_id(image_id)
+        prep = _PreparedSave(
+            image_id=image_id,
+            base_image_id=None,
+            chain_length=1,
+            local_blobs=[],
+            ref_blobs=[],
+            reused_bytes=0,
+            control=record,
+            store=None,
+            meta={**(meta or {}), CUT_META_KEY: True},
+        )
+        return self._finish_save(prep, self._write_image(prep), None)
+
+    def _check_new_id(self, image_id: str) -> None:
         if os.sep in image_id or image_id.startswith("."):
             raise ValueError(f"invalid image id {image_id!r}")
         if os.path.lexists(self._image_path(image_id)):
             raise ValueError(f"image {image_id!r} already exists")
+
+    def _prepare_save(self, req: SaveRequest) -> _PreparedSave:
+        image_id = req.image_id or f"img-{uuid.uuid4().hex[:12]}"
+        self._check_new_id(image_id)
 
         base_image_id = req.base_image_id
         chain: list[str] = []
@@ -344,7 +378,7 @@ class ImageStore:
             local_blobs=local_blobs,
             ref_blobs=ref_blobs,
             reused_bytes=reused_bytes,
-            sq=req.sq,
+            control=codec2.suspended_query_to_record(req.sq),
             store=req.store,
             meta=dict(req.meta or {}),
         )
@@ -361,9 +395,7 @@ class ImageStore:
             (name, stream({"key": key, "pages": pages, "payload": payload}))
             for name, key, pages, payload in prep.local_blobs
         ]
-        files.append(
-            (CONTROL_NAME_V2, stream(codec2.suspended_query_to_record(prep.sq)))
-        )
+        files.append((CONTROL_NAME_V2, stream(prep.control)))
         blobs = [
             {"file": name, "key": key, "pages": pages}
             for name, key, pages, _ in prep.local_blobs
@@ -604,6 +636,11 @@ class ImageStore:
         chain = self.chain(image_id)
         with self._readers() as reader_of:
             manifest, read, _ = reader_of(image_id)
+            if _is_cut(manifest):
+                raise ImageFormatError(
+                    f"image {image_id!r} is a shard-set cut, not a suspended "
+                    "query: resume it with ShardCoordinator.resume"
+                )
             sq = codec2.decode_suspended_query(read(manifest["control_file"]))
             payloads: dict = {}
             origins: dict = {}
@@ -627,6 +664,18 @@ class ImageStore:
         sq.migrated_payloads = payloads
         sq.payload_origins = origins
         return sq
+
+    def load_cut(self, image_id: str) -> dict:
+        """The verified, decoded coordinator record of the shard-set cut
+        ``image_id`` (see :meth:`save_cut`); any other image is an
+        :class:`ImageFormatError`."""
+        with self._readers() as reader_of:
+            manifest, read, _ = reader_of(image_id)
+            if not _is_cut(manifest):
+                raise ImageFormatError(
+                    f"image {image_id!r} is not a shard-set cut"
+                )
+            return codec2.decode_bytes(read(manifest["control_file"]))
 
     @staticmethod
     def _check_ref(blob: dict, chain: list[str], reader_of) -> None:
@@ -889,9 +938,10 @@ class ImageStore:
           with no valid trailer, a short manifest, a bad checksum or a
           layout/codec version other than this build's, or a delta whose
           chain is broken;
-        - *orphaned*: anything else at the root — stray files, and every
-          directory that is not a shard set (an image directory written
-          by a pre-packed-layout build included).
+        - *orphaned*: anything else at the root — stray files and every
+          directory (an image directory written by a pre-packed-layout
+          build, or a shard-set directory written before the global cut
+          became an image, included).
 
         Images are reported by image id. Torn and orphaned entries are
         moved under ``<root>/quarantine/`` (never deleted: they are
@@ -918,7 +968,7 @@ class ImageStore:
                 continue  # store metadata (or its tmp), not an image
             label = name
             if os.path.isdir(os.path.join(self.root, name)):
-                status = self._classify_directory(name)
+                status = "orphaned"
             elif name.endswith(IMAGE_SUFFIX):
                 label = name[: -len(IMAGE_SUFFIX)]
                 status = "torn" if self.validate(label) else "committed"
@@ -927,14 +977,11 @@ class ImageStore:
                 status = "torn"
             else:
                 status = "orphaned"
-            if status == "shardset":
-                report.shardsets.append(name)
+            getattr(report, status).append(label)
+            if status == "committed":
+                entry_of[label] = name
             else:
-                getattr(report, status).append(label)
-                if status == "committed":
-                    entry_of[label] = name
-                else:
-                    self._quarantine(name, report)
+                self._quarantine(name, report)
             if tracer.enabled:
                 tracer.event(
                     "image.recover_entry", image_id=label, status=status
@@ -959,17 +1006,6 @@ class ImageStore:
                 quarantined=len(report.quarantined),
             )
         return report
-
-    def _classify_directory(self, name: str) -> str:
-        """A root *directory*: a shard set, or nothing this build knows."""
-        entries = os.listdir(os.path.join(self.root, name))
-        if any(e.startswith((SHARDSET_NAME, CHANNELS_NAME)) for e in entries):
-            # A shard-set directory (committed or torn): not an image.
-            # Its verdict — consistent cut or torn — is a cross-image
-            # judgement this per-image scan cannot make;
-            # repro.shard.manifest.classify_shardsets owns it.
-            return "shardset"
-        return "orphaned"
 
     def _quarantine(self, name: str, report: RecoveryReport) -> None:
         qdir = os.path.join(self.root, QUARANTINE_DIR)

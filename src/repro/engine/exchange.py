@@ -17,7 +17,7 @@ re-reads, cursor-only control state — applies to shard fragments without
 any new protocol. Materializing a channel before its consumers run is
 what makes the global cut well-defined: in-flight rows live either in the
 producer's uncommitted output (covered by its image) or in the channel's
-serialized buffers (covered by the shard-set manifest), never in a pipe.
+serialized buffers (covered by the cut image), never in a pipe.
 """
 
 from __future__ import annotations

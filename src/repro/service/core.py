@@ -270,8 +270,7 @@ class ExecutorCore:
         checked before the first is written, and images and trace records
         follow victim order.
 
-        With delta spill enabled (``config.suspend.delta``), a repeat
-        suspend commits a delta against the query's previous image:
+        A repeat suspend commits a delta against the query's previous image:
         materialized operator state that has not been re-dumped since it
         was committed to — or, after a resume from the image, loaded
         from — a section of the base chain is referenced there instead
@@ -307,31 +306,19 @@ class ExecutorCore:
         """Commit every victim's SuspendedQuery as a durable image."""
         from repro.durability.store import SaveRequest
 
-        delta = self.config.suspend.delta
-        requests = []
-        previous_ids = []
-        for victim in victims:
-            base = victim.image_id if delta else None
-            previous_ids.append(victim.image_id if delta else None)
-            if victim.image_id is not None and base is None:
-                # Supersede the spill from an earlier suspend of this
-                # query (delta off: chains are never formed).
-                self.image_store.delete(victim.image_id)
-            requests.append(
-                SaveRequest(
-                    sq=victim.sq,
-                    store=self.db.state_store,
-                    image_id=f"{victim.name}-s{victim.stats.suspends}",
-                    meta={
-                        "query": victim.name,
-                        "priority": victim.priority,
-                    },
-                    base_image_id=base,
-                )
+        requests = [
+            SaveRequest(
+                sq=victim.sq,
+                store=self.db.state_store,
+                image_id=f"{victim.name}-s{victim.stats.suspends}",
+                meta={"query": victim.name, "priority": victim.priority},
+                base_image_id=victim.image_id,
             )
+            for victim in victims
+        ]
         infos = self.image_store.save_many(requests, tracer=self.tracer)
-        for victim, previous, info in zip(victims, previous_ids, infos):
-            victim.image_id = info.image_id
+        for victim, info in zip(victims, infos):
+            previous, victim.image_id = victim.image_id, info.image_id
             if previous is not None and info.base_image_id is None:
                 # The save was promoted to a full image (MAX_CHAIN
                 # rebase): the old chain no longer backs anything —

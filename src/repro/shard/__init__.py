@@ -13,12 +13,14 @@ guarantees to the whole fleet:
 - :mod:`repro.shard.worker` — the shard worker interface and the
   in-process implementation (one :class:`QuerySession` per shard);
 - :mod:`repro.shard.worker_proc` — the same interface backed by a real
-  child process, so shard crashes are process deaths;
+  child process (codec-v2 messages over its stdio), so shard crashes
+  are process deaths;
 - :mod:`repro.shard.coordinator` — quantum-interleaved execution and the
   two-phase consistent-cut suspend protocol under a *global* budget;
-- :mod:`repro.shard.manifest` — the shard-set image: N per-shard images
-  plus channel state committed as one atomic unit, with recovery
-  classification (committed cut / torn / stranded members).
+- :mod:`repro.shard.manifest` — the global cut: N per-shard images named
+  by one more image (channel state, member list) whose rename is the
+  commit point, with the judgement that spans images (committed cut /
+  torn / stranded members).
 """
 
 from repro.shard.coordinator import GlobalSuspendReport, ShardCoordinator

@@ -23,7 +23,7 @@ The two-phase consistent-cut suspend (:meth:`suspend_global`)
 Phase 1 — *quiesce and plan*. The coordinator only suspends at a pass
 boundary, so every shard session sits at a safe point and every in-flight
 batch is either inside a shard's operator state (covered by its image) or
-in a channel buffer (covered by the shard-set manifest); the channels are
+in a channel buffer (covered by the cut image); the channels are
 frozen by construction — nothing moves during the cut. Each running
 shard then reports two MIP estimates: its unbudgeted-LP suspend cost and
 its all-GoBack floor. The *global* budget is allocated per shard as
@@ -33,15 +33,15 @@ cheapest valid plan, and slack flows to the shards with the most state.
 Phase 2 — *commit*. Each running shard runs its own suspend-plan MIP
 against its allocated budget and commits an ordinary durable image
 (``<gid>--s<k>``). When every member image is down, the coordinator
-writes the shard-set directory — channel state first, then
-``SHARDSET.json``, whose rename is the single global commit point. A
-crash anywhere before it leaves stranded member images and **no** cut;
-recovery classifies, never guesses (see :mod:`repro.shard.manifest`).
+commits the cut — one more image, ``<gid>``, holding the coordinator
+record and the channel buffers — whose rename is the single global
+commit point. A crash anywhere before it leaves stranded member images
+and **no** cut; recovery classifies, never guesses (see
+:mod:`repro.shard.manifest`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import uuid
 from dataclasses import dataclass, field
@@ -51,7 +51,6 @@ from repro.common.errors import (
     ShardError,
     SuspendBudgetInfeasibleError,
 )
-from repro.durability.codec import spec_from_dict, spec_to_dict
 from repro.durability.faults import FaultInjector
 from repro.durability.store import ImageStore
 from repro.engine.config import EngineConfig
@@ -60,9 +59,8 @@ from repro.obs.tracer import current_tracer, make_trace_id
 from repro.shard.manifest import (
     MEMBER_DONE,
     MEMBER_RUNNING,
-    load_shardset,
+    load_cut,
     shard_image_id,
-    write_shardset,
 )
 from repro.shard.partition import (
     ShardedCatalog,
@@ -95,31 +93,6 @@ class ChannelState:
             if self.key_modulus:
                 key = key % self.key_modulus
             self.buffers[shard_of_value(key, num_shards)].append(row)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "key_column": self.key_column,
-            "key_modulus": self.key_modulus,
-            "schema_names": list(self.schema_names),
-            "bytes_per_tuple": self.bytes_per_tuple,
-            "materialized": self.materialized,
-            "buffers": [[list(row) for row in part] for part in self.buffers],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ChannelState":
-        return ChannelState(
-            name=data["name"],
-            key_column=data["key_column"],
-            key_modulus=data["key_modulus"],
-            schema_names=tuple(data["schema_names"]),
-            bytes_per_tuple=data["bytes_per_tuple"],
-            buffers=[
-                [tuple(row) for row in part] for part in data["buffers"]
-            ],
-            materialized=data["materialized"],
-        )
 
 
 @dataclass
@@ -167,13 +140,12 @@ class ShardCoordinator:
         self.config = config or EngineConfig()
         base = tracer if tracer is not None else current_tracer()
         #: One trace identity for the whole distributed query, derived
-        #: from its durable shape (plan spec + shard count) so resume in
-        #: any process rejoins the same trace. Every coordinator record
-        #: and every shard-worker record carries it.
+        #: from its durable shape (the plan spec's repr + shard count) and
+        #: carried in the cut, so resume in any process rejoins the same
+        #: trace. Every coordinator record and every shard-worker record
+        #: carries it.
         self.trace_id = trace_id or make_trace_id(
-            "shard",
-            json.dumps(spec_to_dict(plan_spec), sort_keys=True),
-            self.catalog.num_shards,
+            "shard", plan_spec, self.catalog.num_shards
         )
         self.tracer = base.bind(trace_id=self.trace_id)
         self.quantum_rows = quantum_rows
@@ -238,7 +210,7 @@ class ShardCoordinator:
                         "columns": table.schema.names(),
                         "bytes_per_tuple": table.schema.bytes_per_tuple,
                         "tuples_per_page": table.tuples_per_page,
-                        "rows": [list(r) for r in parts[k]],
+                        "rows": parts[k],
                     }
                 )
         return payloads
@@ -330,7 +302,7 @@ class ShardCoordinator:
             if self.frag_done[k]:
                 continue
             result = worker.run_quantum(self.quantum_rows)
-            rows = [tuple(r) for r in result["rows"]]
+            rows = result["rows"]
             if stage.output == SHUFFLE:
                 self.channels[stage.channel].route(rows, self.num_shards)
             else:
@@ -400,7 +372,7 @@ class ShardCoordinator:
         self.workers[shard].arm_fault(kind, point)
 
     def arm_shardset_fault(self, injector: FaultInjector) -> None:
-        """Arm faults on the coordinator's own shard-set commit."""
+        """Arm faults on the coordinator's own commit: the cut image."""
         self._shardset_fault = injector
 
     def _allocate_budgets(self, budget: float, running: list) -> dict:
@@ -456,7 +428,7 @@ class ShardCoordinator:
                 budget=budget,
                 running=len(running),
             )
-        # Phase 2: commit member images, then the shard-set manifest.
+        # Phase 2: commit member images, then the cut.
         members = []
         for k in range(self.num_shards):
             if self.frag_done[k]:
@@ -476,28 +448,23 @@ class ShardCoordinator:
                     "image_id": result["image_id"],
                 }
             )
-        channels_doc = {
-            "gid": gid,
+        record = {
             "stage_index": self.stage_idx,
             "frag_done": list(self.frag_done),
             "delivered_rows": self.delivered_before + len(self.output_rows),
-            "plan": spec_to_dict(self.plan_spec),
+            "plan": self.plan_spec,
             "catalog": self.catalog.to_dict(),
             "quantum_rows": self.quantum_rows,
             # The trace identity survives the cut: a resuming coordinator
             # (any process) rejoins the same distributed trace.
             "trace_id": self.trace_id,
             "channels": {
-                name: ch.to_dict() for name, ch in sorted(self.channels.items())
+                name: vars(ch) for name, ch in sorted(self.channels.items())
             },
+            "members": members,
         }
-        write_shardset(
-            root,
-            gid,
-            channels_doc,
-            members,
-            meta=meta,
-            injector=self._shardset_fault,
+        ImageStore(root, injector=self._shardset_fault).save_cut(
+            record, gid, meta=meta
         )
         self.done = True  # this incarnation is over; resume from the cut
         self._stage_started = False
@@ -528,35 +495,31 @@ class ShardCoordinator:
         tracer=None,
         worker_mode: str = "inproc",
     ) -> "ShardCoordinator":
-        """Rebuild a coordinator from shard-set ``gid`` under ``root``.
+        """Rebuild a coordinator from shard set ``gid`` under ``root``.
 
         ``db`` is the deterministically rebuilt source database (same
         rows the original was sharded from — the cross-process recipe
-        convention). The shard-set is verified end to end first; any
-        defect raises :class:`InconsistentCutError` before any shard is
-        touched.
+        convention). The cut is verified end to end first; any defect
+        raises :class:`InconsistentCutError` before any shard is touched.
         """
-        store = ImageStore(root)
-        doc, channels_doc = load_shardset(store, gid)
-        catalog = ShardedCatalog.from_dict(channels_doc["catalog"])
-        plan_spec = spec_from_dict(channels_doc["plan"])
+        record = load_cut(ImageStore(root), gid)
         coord = cls(
             db,
-            plan_spec,
-            catalog=catalog,
+            record["plan"],
+            catalog=ShardedCatalog.from_dict(record["catalog"]),
             config=config,
             tracer=tracer,
             worker_mode=worker_mode,
-            quantum_rows=channels_doc.get("quantum_rows", 64),
-            trace_id=channels_doc.get("trace_id"),
+            quantum_rows=record["quantum_rows"],
+            trace_id=record["trace_id"],
             _start=False,
         )
-        coord.stage_idx = channels_doc["stage_index"]
-        coord.frag_done = [bool(f) for f in channels_doc["frag_done"]]
-        coord.delivered_before = channels_doc["delivered_rows"]
+        coord.stage_idx = record["stage_index"]
+        coord.frag_done = record["frag_done"]
+        coord.delivered_before = record["delivered_rows"]
         coord.channels = {
-            name: ChannelState.from_dict(data)
-            for name, data in channels_doc["channels"].items()
+            name: ChannelState(**data)
+            for name, data in record["channels"].items()
         }
         # Rebuild materialized channel tables before any fragment touches
         # them (resumed scans hold cursors into these files).
@@ -564,11 +527,11 @@ class ShardCoordinator:
             if channel.materialized:
                 channel.materialized = False
                 coord._materialize_channel(channel)
-        members = {m["shard"]: m for m in doc["members"]}
-        for k in range(coord.num_shards):
-            member = members[k]
+        for member in record["members"]:
             if member["status"] == MEMBER_RUNNING:
-                coord.workers[k].resume_fragment(root, member["image_id"])
+                coord.workers[member["shard"]].resume_fragment(
+                    root, member["image_id"]
+                )
         coord._stage_started = True
         if coord.tracer.enabled:
             coord.tracer.event(

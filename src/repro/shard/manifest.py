@@ -1,52 +1,39 @@
-"""The shard-set image: N per-shard images committed as one global cut.
+"""The global cut: N per-shard images named by one more image.
 
 Layout under an image root shared by every shard::
 
     <root>/<gid>--s0.rimg        # ordinary per-shard suspend images,
     <root>/<gid>--s1.rimg        #   committed by the normal ImageStore
     ...                          #   protocol (one packed file each)
-    <root>/<gid>/
-        CHANNELS.json            # channel + coordinator state, written
-                                 #   with the atomic tmp/fsync/rename
-                                 #   discipline, checksummed below
-        SHARDSET.json            # written last; its rename is the
-                                 #   *global* commit point
+    <root>/<gid>.rimg            # the cut, committed last
 
-A shard-set is committed iff ``SHARDSET.json`` exists, parses, its
-recorded checksum matches ``CHANNELS.json``, and every member image it
-names verifies under the per-image protocol. Anything less is **torn**:
-the cut never happened, and the member images that did commit are
-*stranded* — individually valid but useless, because resuming a subset of
-shards against a cut the others never joined would be silent corruption.
-:func:`classify_shardsets` makes that judgement explicit; resume raises
+The cut is an ordinary packed image (:meth:`ImageStore.save_cut`) with no
+payload section: its control section is the coordinator record — stage
+index, finished fragments, delivered rows, plan spec, catalog, quantum,
+trace id, channel buffers and the member list. Its rename is the *global*
+commit point, and the recovery scan classifies it like any image.
+
+A shard set is committed iff the cut image verifies and every running
+member it names verifies and carries the cut's gid and its own shard
+index in its ``shard_group`` / ``shard`` metadata. Anything less is
+**torn**: the cut never happened (or names images of another cut), and
+the member images that did commit are *stranded* — individually valid
+but useless, because resuming a subset of shards against a cut the
+others never joined would be silent corruption. :func:`classify_shardsets`
+makes that judgement explicit; resume raises
 :class:`~repro.common.errors.InconsistentCutError` instead of guessing.
-
-``ImageStore.recover()`` deliberately skips shard-set directories (they
-are not images) and reports them in ``RecoveryReport.shardsets``; run
-:func:`classify_shardsets` after it to judge the cuts, on the same root.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.common.errors import InconsistentCutError, ShardError
-from repro.durability.faults import FaultInjector
-from repro.durability.format import (
-    CHANNELS_NAME,
-    SHARDSET_NAME,
-    atomic_write,
-    dump_json,
-    fsync_dir,
-    load_json,
-    sha256_hex,
+from repro.common.errors import InconsistentCutError, ReproError
+from repro.durability.store import (
+    CUT_META_KEY,
+    ImageNotFoundError,
+    ImageStore,
 )
-from repro.durability.store import ImageStore
-
-#: Version of the shard-set directory layout + SHARDSET.json schema.
-SHARDSET_VERSION = 1
 
 #: Member statuses a shard can hold at the cut.
 MEMBER_RUNNING = "running"  # fragment mid-flight: has a per-shard image
@@ -58,117 +45,75 @@ def shard_image_id(gid: str, shard: int) -> str:
     return f"{gid}--s{shard}"
 
 
-def write_shardset(
-    root: str,
-    gid: str,
-    channels_doc: dict,
-    members: list,
-    meta: Optional[dict] = None,
-    injector: Optional[FaultInjector] = None,
-) -> str:
-    """Commit the shard-set directory for ``gid``; returns its path.
-
-    Called *after* every member image committed. Writes the channel
-    state, then the shard-set manifest whose rename is the global commit
-    point — a crash between the two leaves a torn shard-set and N
-    stranded member images, which is exactly what recovery classifies.
-    """
-    if os.sep in gid or gid.startswith("."):
-        raise ShardError(f"invalid shard-set id {gid!r}")
-    directory = os.path.join(root, gid)
-    os.makedirs(directory, exist_ok=True)
-    injector = injector or FaultInjector()
-    injector.point("shardset:begin")
-    channels_bytes = dump_json(channels_doc)
-    atomic_write(directory, CHANNELS_NAME, channels_bytes, injector)
-    doc = {
-        "shardset_version": SHARDSET_VERSION,
-        "gid": gid,
-        "num_shards": len(members),
-        "members": members,
-        "channels_sha256": sha256_hex(channels_bytes),
-        "channels_bytes": len(channels_bytes),
-        "meta": meta or {},
-    }
-    atomic_write(directory, SHARDSET_NAME, dump_json(doc), injector)
-    fsync_dir(root)
-    injector.point("shardset:committed")
-    return directory
-
-
-def _check_members(doc: dict, store: ImageStore) -> list:
-    """Problems with a shard-set's member images ([] = all verify)."""
+def _check_members(record: dict, store: ImageStore, gid: str) -> list:
+    """Problems with a cut's member images ([] = all verify)."""
     problems = []
-    members = doc.get("members", [])
-    if len(members) != doc.get("num_shards"):
-        problems.append("member list does not match num_shards")
+    members = record["members"]
+    if [m["shard"] for m in members] != list(range(len(record["frag_done"]))):
+        problems.append("member list does not match the shard count")
     for member in members:
-        status = member.get("status")
-        if status == MEMBER_DONE:
+        if member["status"] == MEMBER_DONE:
             continue
-        if status != MEMBER_RUNNING:
-            problems.append(
-                f"shard {member.get('shard')}: unknown status {status!r}"
-            )
-            continue
-        image_id = member.get("image_id")
-        if not image_id:
-            problems.append(f"shard {member.get('shard')}: no image id")
-            continue
+        image_id = member["image_id"]
         member_problems = store.validate(image_id)
-        problems.extend(
-            f"member {image_id!r}: {p}" for p in member_problems
-        )
+        if not member_problems:
+            meta = store.manifest(image_id).get("meta") or {}
+            if (meta.get("shard_group"), meta.get("shard")) != (
+                gid,
+                member["shard"],
+            ):
+                member_problems = [
+                    f"is shard {meta.get('shard')!r} of cut "
+                    f"{meta.get('shard_group')!r}, not shard "
+                    f"{member['shard']} of {gid!r}"
+                ]
+        problems.extend(f"member {image_id!r}: {p}" for p in member_problems)
     return problems
 
 
-def _load_checked(root: str, gid: str) -> tuple:
-    """Parse and fully verify shard-set ``gid``; raises on any defect."""
-    directory = os.path.join(root, gid)
-    manifest_path = os.path.join(directory, SHARDSET_NAME)
-    if not os.path.exists(manifest_path):
-        raise InconsistentCutError(
-            f"shard-set {gid!r} has no committed manifest — the global "
-            "suspend never reached its commit point"
-        )
-    doc = load_json(manifest_path)
-    if not isinstance(doc, dict) or doc.get("shardset_version") != SHARDSET_VERSION:
-        raise InconsistentCutError(
-            f"shard-set {gid!r}: unsupported or malformed manifest"
-        )
-    channels_path = os.path.join(directory, CHANNELS_NAME)
-    try:
-        with open(channels_path, "rb") as fh:
-            channels_bytes = fh.read()
-    except FileNotFoundError:
-        raise InconsistentCutError(
-            f"shard-set {gid!r}: channel state file is missing"
-        ) from None
-    if len(channels_bytes) != doc.get("channels_bytes") or sha256_hex(
-        channels_bytes
-    ) != doc.get("channels_sha256"):
-        raise InconsistentCutError(
-            f"shard-set {gid!r}: channel state fails its checksum"
-        )
-    channels_doc = load_json(channels_path)
-    return doc, channels_doc
+def load_cut(store: ImageStore, gid: str) -> dict:
+    """The coordinator record of committed shard set ``gid``.
 
-
-def load_shardset(store: ImageStore, gid: str) -> tuple:
-    """Load a committed shard-set: ``(shardset_doc, channels_doc)``.
-
-    Verifies the manifest, the channel-state checksum, **and** every
-    member image before returning; any defect raises
-    :class:`InconsistentCutError` — a shard-set is all-or-nothing.
+    Verifies the cut image **and** every running member before returning;
+    any defect raises :class:`InconsistentCutError` — a shard set is
+    all-or-nothing.
     """
-    doc, channels_doc = _load_checked(store.root, gid)
-    problems = _check_members(doc, store)
+    try:
+        record = store.load_cut(gid)
+    except ImageNotFoundError:
+        raise InconsistentCutError(
+            f"shard set {gid!r} has no committed cut image — the global "
+            "suspend never reached its commit point"
+        ) from None
+    except ReproError as exc:
+        raise InconsistentCutError(f"shard set {gid!r}: {exc}") from None
+    problems = _check_members(record, store, gid)
     if problems:
         raise InconsistentCutError(
-            f"shard-set {gid!r} is not a consistent cut: "
+            f"shard set {gid!r} is not a consistent cut: "
             + "; ".join(problems)
         )
-    return doc, channels_doc
+    return record
+
+
+def _shard_sets(store: ImageStore) -> tuple[set, dict]:
+    """``(cut image ids, gid -> member image ids)`` under the root."""
+    cuts: set = set()
+    members: dict = {}
+    for info in store.list_images():
+        if info.meta.get(CUT_META_KEY):
+            cuts.add(info.image_id)
+        elif "shard_group" in info.meta:
+            members.setdefault(info.meta["shard_group"], []).append(
+                info.image_id
+            )
+    return cuts, members
+
+
+def names_shard_set(store: ImageStore, gid: str) -> bool:
+    """Whether ``gid`` is a shard set's id — its cut committed or not."""
+    cuts, members = _shard_sets(store)
+    return gid in cuts or gid in members
 
 
 @dataclass
@@ -180,8 +125,8 @@ class ShardSetRecovery:
     #: gid -> reason. The cut never committed (or fails verification).
     torn: dict = field(default_factory=dict)
     #: gid -> member image ids that committed under a gid with no
-    #: committed shard-set: individually valid images belonging to an
-    #: aborted global suspend. Never resumable as a cut; safe to delete.
+    #: committed cut: individually valid images belonging to an aborted
+    #: global suspend. Never resumable as a cut; safe to delete.
     stranded: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -193,41 +138,24 @@ class ShardSetRecovery:
 
 
 def classify_shardsets(store: ImageStore) -> ShardSetRecovery:
-    """Judge every shard-set under ``store.root``: committed cut or torn.
+    """Judge every shard set under ``store.root``: committed cut or torn.
 
-    Run after ``store.recover()`` (which quarantines torn *member*
-    images and skips shard-set directories). Every gid seen — via a
-    shard-set directory or via a member image's ``shard_group`` metadata
-    — ends up classified: a fully verified cut is ``committed``;
-    everything else is ``torn`` with a reason, and its surviving member
-    images are listed ``stranded``. Nothing is guessed and nothing is
-    silently resumable.
+    ``store.recover()`` has already judged each image on its own; this is
+    the judgement that spans images. Every gid seen — a cut image's id or
+    a member image's ``shard_group`` — ends up classified: a cut that
+    :func:`load_cut` accepts is ``committed``; everything else is
+    ``torn`` with a reason, and its surviving member images are listed
+    ``stranded``. Nothing is guessed and nothing is silently resumable.
     """
     report = ShardSetRecovery()
-    gids = set()
-    for name in sorted(os.listdir(store.root)):
-        path = os.path.join(store.root, name)
-        if not os.path.isdir(path):
-            continue
-        entries = os.listdir(path)
-        if any(e.startswith((SHARDSET_NAME, CHANNELS_NAME)) for e in entries):
-            gids.add(name)
-    members_by_gid: dict = {}
-    for info in store.list_images():
-        gid = (info.meta or {}).get("shard_group")
-        if gid is not None:
-            members_by_gid.setdefault(gid, []).append(info.image_id)
-            gids.add(gid)
-    for gid in sorted(gids):
+    cuts, members = _shard_sets(store)
+    for gid in sorted(cuts | set(members)):
         try:
-            doc, _ = _load_checked(store.root, gid)
-            problems = _check_members(doc, store)
-            if problems:
-                raise InconsistentCutError("; ".join(problems))
-        except Exception as exc:  # classification never raises on bad content
+            load_cut(store, gid)
+        except InconsistentCutError as exc:
             report.torn[gid] = str(exc)
-            if gid in members_by_gid:
-                report.stranded[gid] = sorted(members_by_gid[gid])
+            if gid in members:
+                report.stranded[gid] = sorted(members[gid])
             continue
         report.committed.append(gid)
     return report

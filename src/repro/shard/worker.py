@@ -214,7 +214,6 @@ class InProcessShardWorker(ShardWorker):
                 persist_to=store,
                 image_id=image_id,
                 image_meta=meta,
-                delta=False,
             )
         )
         info = session.last_image

@@ -1,14 +1,15 @@
 """Process-backed shard worker: the same interface, a real process.
 
-The parent side (:class:`ProcessShardWorker`) speaks a JSON-lines
-protocol over the child's stdin/stdout; the child
-(``python -m repro.shard.worker_proc``) builds its shard database from
-the shipped table rows and delegates every request to an ordinary
-:class:`~repro.shard.worker.InProcessShardWorker`. Plan fragments cross
-the boundary via the durability codec's spec encoding; suspend images
-are committed by the child directly into the shared on-disk image root,
-so the coordinator's shard-set protocol is identical for both worker
-kinds.
+The parent side (:class:`ProcessShardWorker`) and the child
+(``python -m repro.shard.worker_proc``) exchange length-prefixed codec-v2
+frames (:mod:`repro.durability.codec2`) over the child's binary
+stdin/stdout. The child builds its shard database from the shipped table
+rows and calls the :class:`~repro.shard.worker.InProcessShardWorker`
+method each request names, with the request's arguments — rows, plan
+fragments, budgets and trace records cross the boundary as the values
+they are. Suspend images are committed by the child directly into the
+shared on-disk image root, so the coordinator's cut protocol is
+identical for both worker kinds.
 
 What the process boundary buys is *real* crash semantics for the fault
 matrix: an armed crash makes the child ``os._exit`` mid-commit or
@@ -19,8 +20,9 @@ cleanup handlers — and the parent surfaces the broken pipe as a
 
 from __future__ import annotations
 
-import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from typing import Optional
@@ -31,12 +33,33 @@ from repro.common.errors import (
     ShardError,
     SuspendBudgetInfeasibleError,
 )
-from repro.durability.codec import spec_from_dict, spec_to_dict
+from repro.durability import codec2
 from repro.shard.worker import InProcessShardWorker, ShardWorker
 from repro.storage.database import Database
 
 #: Exit code the child uses for an injected crash (real process death).
 CRASH_EXIT_CODE = 23
+
+#: Length prefix of one message frame.
+_LENGTH = struct.Struct("<I")
+
+
+def _send(stream, message) -> None:
+    data = codec2.encode_bytes(message)
+    stream.write(_LENGTH.pack(len(data)) + data)
+    stream.flush()
+
+
+def _receive(stream):
+    """The next message on ``stream``, or None at end of stream."""
+    header = stream.read(_LENGTH.size)
+    if len(header) < _LENGTH.size:
+        return None
+    (size,) = _LENGTH.unpack(header)
+    data = stream.read(size)
+    if len(data) < size:
+        return None
+    return codec2.decode_bytes(data)
 
 
 class ProcessShardWorker(ShardWorker):
@@ -71,14 +94,12 @@ class ProcessShardWorker(ShardWorker):
         self.proc = subprocess.Popen(
             [
                 sys.executable,
-                "-u",
                 "-c",
                 "from repro.shard.worker_proc import main; main()",
             ],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             env=env,
-            text=True,
         )
         self._call(
             "init",
@@ -95,22 +116,19 @@ class ProcessShardWorker(ShardWorker):
                 f"shard {self.shard_id} worker process is dead "
                 f"(exit code {self.proc.returncode})"
             )
-        request = {"op": op, **kwargs}
         try:
-            self.proc.stdin.write(json.dumps(request) + "\n")
-            self.proc.stdin.flush()
-            line = self.proc.stdout.readline()
+            _send(self.proc.stdin, {"op": op, "args": kwargs})
+            response = _receive(self.proc.stdout)
         except (BrokenPipeError, OSError) as exc:
             raise ShardError(
                 f"shard {self.shard_id} worker process died during {op!r}"
             ) from exc
-        if not line:
+        if response is None:
             self.proc.wait()
             raise ShardError(
                 f"shard {self.shard_id} worker process died during {op!r} "
                 f"(exit code {self.proc.returncode})"
             )
-        response = json.loads(line)
         if not response["ok"]:
             err_type = response.get("error_type")
             message = f"shard {self.shard_id}: {err_type}: {response['error']}"
@@ -126,18 +144,16 @@ class ProcessShardWorker(ShardWorker):
         self._call(
             "create_channel_table",
             name=name,
-            column_names=list(column_names),
+            column_names=column_names,
             bytes_per_tuple=bytes_per_tuple,
-            rows=[list(r) for r in rows],
+            rows=rows,
         )
 
     def start_fragment(self, spec) -> None:
-        self._call("start_fragment", spec=spec_to_dict(spec))
+        self._call("start_fragment", spec=spec)
 
     def run_quantum(self, max_rows: int) -> dict:
-        result = self._call("run_quantum", max_rows=max_rows)
-        result["rows"] = [tuple(r) for r in result["rows"]]
-        return result
+        return self._call("run_quantum", max_rows=max_rows)
 
     def progress(self) -> dict:
         return self._call("progress")
@@ -159,15 +175,14 @@ class ProcessShardWorker(ShardWorker):
         self,
         root: str,
         image_id: str,
-        budget: float = float("inf"),
+        budget: float = math.inf,
         meta: Optional[dict] = None,
     ) -> dict:
         return self._call(
             "suspend_to_image",
             root=root,
             image_id=image_id,
-            # JSON has no Infinity literal in strict mode; encode as null.
-            budget=None if budget == float("inf") else budget,
+            budget=budget,
             meta=meta,
         )
 
@@ -183,8 +198,7 @@ class ProcessShardWorker(ShardWorker):
     def close(self) -> None:
         if self.proc.poll() is None:
             try:
-                self.proc.stdin.write(json.dumps({"op": "shutdown"}) + "\n")
-                self.proc.stdin.flush()
+                _send(self.proc.stdin, {"op": "shutdown", "args": {}})
             except (BrokenPipeError, OSError):
                 pass
             try:
@@ -203,20 +217,21 @@ class ProcessShardWorker(ShardWorker):
 # ----------------------------------------------------------------------
 # Child side
 # ----------------------------------------------------------------------
-def _build_worker(request: dict) -> InProcessShardWorker:
+def _build_worker(
+    shard_id: int, num_shards: int, tables: list, trace: dict
+) -> InProcessShardWorker:
     from repro.relational.schema import Schema
 
     db = Database()
-    for table in request["tables"]:
+    for table in tables:
         db.create_table(
             table["name"],
             Schema.of(
                 table["columns"], bytes_per_tuple=table["bytes_per_tuple"]
             ),
-            rows=[tuple(r) for r in table["rows"]],
+            rows=table["rows"],
             tuples_per_page=table["tuples_per_page"],
         )
-    trace = request.get("trace") or {"enabled": False}
     tracer = None
     if trace.get("enabled"):
         from repro.obs.tracer import Tracer
@@ -226,79 +241,43 @@ def _build_worker(request: dict) -> InProcessShardWorker:
         # them over the pipe for the global merge.
         root = Tracer(next_sample_every=int(trace.get("sample") or 0))
         tracer = root.bind(trace_id=trace.get("trace_id"))
-    return InProcessShardWorker(
-        request["shard_id"], request["num_shards"], db, tracer=tracer
-    )
+    return InProcessShardWorker(shard_id, num_shards, db, tracer=tracer)
 
 
-def _handle(worker: Optional[InProcessShardWorker], request: dict):
-    op = request["op"]
-    if op == "create_channel_table":
-        worker.create_channel_table(
-            request["name"],
-            request["column_names"],
-            request["bytes_per_tuple"],
-            [tuple(r) for r in request["rows"]],
-        )
-        return None
-    if op == "start_fragment":
-        worker.start_fragment(spec_from_dict(request["spec"]))
-        return None
-    if op == "run_quantum":
-        result = worker.run_quantum(request["max_rows"])
-        return {"rows": [list(r) for r in result["rows"]], "done": result["done"]}
-    if op == "progress":
-        return worker.progress()
+def _handle(worker: Optional[InProcessShardWorker], op: str, args: dict):
     if op == "drain_trace":
-        from repro.obs.export import _jsonable
-
-        records = [_jsonable(r) for r in worker.tracer.records]
+        records = list(worker.tracer.records)
         worker.tracer.records.clear()
         return records
-    if op == "estimate_suspend_cost":
-        return worker.estimate_suspend_cost()
-    if op == "suspend_to_image":
-        budget = request["budget"]
-        return worker.suspend_to_image(
-            request["root"],
-            request["image_id"],
-            budget=float("inf") if budget is None else budget,
-            meta=request["meta"],
-        )
-    if op == "resume_fragment":
-        if worker._fault == ("crash", "resume"):
-            # Injected mid-resume death: the real thing, not an exception.
-            os._exit(CRASH_EXIT_CODE)
-        return worker.resume_fragment(request["root"], request["image_id"])
-    if op == "arm_fault":
-        worker.arm_fault(request["kind"], request["point"])
-        return None
-    if op == "now":
-        return worker.now()
-    raise ShardError(f"unknown worker op {request['op']!r}")
+    if op == "resume_fragment" and worker._fault == ("crash", "resume"):
+        # Injected mid-resume death: the real thing, not an exception.
+        os._exit(CRASH_EXIT_CODE)
+    method = getattr(InProcessShardWorker, op, None)
+    if op.startswith("_") or not callable(method):
+        raise ShardError(f"unknown worker op {op!r}")
+    return method(worker, **args)
 
 
 def main() -> None:
     from repro.durability.faults import InjectedCrash
 
+    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
     worker: Optional[InProcessShardWorker] = None
-    for line in sys.stdin:
-        if not line.strip():
-            continue
-        request = json.loads(line)
-        if request["op"] == "shutdown":
+    while True:
+        request = _receive(stdin)
+        if request is None or request["op"] == "shutdown":
             break
         try:
             if request["op"] == "init":
-                worker = _build_worker(request)
+                worker = _build_worker(**request["args"])
                 result = None
             else:
-                result = _handle(worker, request)
+                result = _handle(worker, request["op"], request["args"])
             response = {"ok": True, "result": result}
         except InjectedCrash:
             # The simulated crash becomes a genuine one: no response, no
             # cleanup, no atexit handlers — the parent sees a dead pipe.
-            sys.stdout.flush()
+            stdout.flush()
             os._exit(CRASH_EXIT_CODE)
         except ReproError as exc:
             response = {
@@ -306,8 +285,7 @@ def main() -> None:
                 "error_type": type(exc).__name__,
                 "error": str(exc),
             }
-        sys.stdout.write(json.dumps(response) + "\n")
-        sys.stdout.flush()
+        _send(stdout, response)
 
 
 if __name__ == "__main__":

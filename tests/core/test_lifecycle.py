@@ -74,7 +74,6 @@ class TestSuspendSpec:
         assert spec.budget == math.inf
         assert spec.plan is None
         assert spec.persist_to is None
-        assert spec.delta is True
 
     def test_strategy_strings_are_coerced(self):
         assert (

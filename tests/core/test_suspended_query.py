@@ -75,6 +75,18 @@ class TestSuspendedQuery:
         sq = session.suspend(SuspendSpec(strategy="all_goback"))
         assert sq.nominal_bytes() < 5_000
 
+    def test_referenced_handles_walks_nested_state(self):
+        sq = SuspendedQuery(plan_spec=None, suspend_plan=SuspendPlan())
+        sq.add_entry(
+            OpSuspendEntry(
+                op_id=0,
+                kind=KIND_DUMP,
+                target_control={"sublists": [DumpHandle(1, "sub#1", 2)]},
+                dump_handle=DumpHandle(1, "dump#1", 3),
+            )
+        )
+        assert set(sq.referenced_handles()) == {"sub#1", "dump#1"}
+
 
 class TestMigrationPayloads:
     def test_export_import_roundtrip_to_replica(self):

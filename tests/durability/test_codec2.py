@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 
 from repro.core.lifecycle import QuerySession
 from repro.durability import build_recipe
-from repro.durability.codec import CodecError
 from repro.durability.codec2 import (
     FLAG_ZLIB,
     FRAME_HEADER,
     STREAM_MAGIC,
+    T_OBJ,
     T_ROWS,
+    T_SDEF,
+    CodecError,
     decode_bytes,
     decode_suspended_query,
     encode_bytes,
@@ -32,7 +34,8 @@ from repro.durability.codec2 import (
     iter_frame_payloads,
     suspended_query_to_record,
 )
-from repro.engine.plan import ScanSpec, SortSpec
+from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec, SortSpec
+from repro.relational.expressions import EquiJoinCondition, ValueIn
 from repro.storage.statefile import DumpHandle
 
 REPO_SRC = os.path.join(
@@ -44,6 +47,12 @@ REPO_SRC = os.path.join(
 def roundtrip(value, **kwargs):
     data = encode_bytes(value, **kwargs)
     return decode_bytes(data), data
+
+
+def framed(raw: bytes) -> bytes:
+    """``raw`` value bytes as a one-frame, uncompressed v2 stream."""
+    header = FRAME_HEADER.pack(b"F2", 0, len(raw), len(raw), zlib.crc32(raw))
+    return STREAM_MAGIC + header + raw
 
 
 class TestValueRoundTrip:
@@ -90,6 +99,43 @@ class TestValueRoundTrip:
         spec = SortSpec(ScanSpec("R"), key_columns=(0,), buffer_tuples=10)
         decoded, _ = roundtrip(spec)
         assert decoded == spec
+
+    def test_plan_spec_roundtrip(self):
+        """A whole plan tree with predicate dataclasses (a frozenset
+        field included), as the shard cut and worker pipe carry it."""
+        spec = NLJSpec(
+            outer=FilterSpec(
+                ScanSpec("R", label="scan_R"),
+                ValueIn(0, frozenset({5, 7})),
+                label="f",
+            ),
+            inner=SortSpec(
+                ScanSpec("S", label="scan_S"),
+                key_columns=(0,),
+                buffer_tuples=100,
+                label="sort",
+            ),
+            condition=EquiJoinCondition(0, 0, modulus=40),
+            buffer_tuples=50,
+            label="nlj",
+        )
+        decoded, data = roundtrip(spec)
+        assert decoded == spec
+        assert encode_bytes(decoded) == data
+
+    def test_unencodable_value_rejected(self):
+        with pytest.raises(CodecError, match="cannot encode"):
+            encode_bytes(object())
+
+    def test_unknown_class_rejected(self):
+        name = b"NoSuchSpec"
+        raw = bytes([T_OBJ, T_SDEF, len(name)]) + name + bytes([0])
+        with pytest.raises(CodecError, match="unknown class 'NoSuchSpec'"):
+            decode_bytes(framed(raw))
+
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(CodecError, match="unknown v2 value tag"):
+            decode_bytes(framed(bytes([200])))
 
     def test_string_interning_shrinks_repeats(self):
         repeated = ["the-same-label"] * 500

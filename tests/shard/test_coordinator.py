@@ -10,10 +10,11 @@ from repro.common.errors import (
     SuspendBudgetInfeasibleError,
 )
 from repro.core.lifecycle import QuerySession
-from repro.durability import ImageStore, build_recipe
+from repro.durability import ImageFormatError, ImageStore, build_recipe
 from repro.engine.plan import ScanSpec
 from repro.shard import ShardCoordinator, shard_image_id
-from repro.shard.manifest import MEMBER_DONE, MEMBER_RUNNING, load_shardset
+from repro.shard.manifest import MEMBER_DONE, MEMBER_RUNNING, load_cut
+from tests.conftest import flip_byte, record_device_calls
 
 
 def single_engine_rows(recipe, scale=2):
@@ -47,6 +48,22 @@ class TestEquivalence:
         times = [w.now() for w in coord.workers]
         assert coord.global_now() == max(times)
         assert coord.global_now() < sum(times)
+
+    def test_partitioned_scan_makespan_falls_as_shards_are_added(self):
+        """Shards scan their partitions in parallel on their own virtual
+        clocks, so the makespan of a partitioned scan shrinks with every
+        shard added — deterministically, with no wall clock involved."""
+        db, _ = build_recipe("hashjoin", scale=2)
+        single = QuerySession(db, ScanSpec("P"))
+        single.execute()
+        makespans = [db.now]
+        for shards in (2, 4, 8):
+            db, _ = build_recipe("hashjoin", scale=2)
+            coord = ShardCoordinator(db, ScanSpec("P"), num_shards=shards)
+            coord.run()
+            makespans.append(coord.global_now())
+        assert makespans == sorted(makespans, reverse=True)
+        assert len(set(makespans)) == len(makespans)
 
 
 class TestGlobalSuspendResume:
@@ -99,8 +116,8 @@ class TestGlobalSuspendResume:
             pytest.skip("both fragments finished in the same pass")
         before = list(coord.output_rows)
         coord.suspend_global(str(tmp_path), gid="cut3")
-        doc, _ = load_shardset(ImageStore(str(tmp_path)), "cut3")
-        statuses = {m["shard"]: m["status"] for m in doc["members"]}
+        record = load_cut(ImageStore(str(tmp_path)), "cut3")
+        statuses = {m["shard"]: m["status"] for m in record["members"]}
         assert MEMBER_DONE in statuses.values()
         assert MEMBER_RUNNING in statuses.values()
         db, _ = build_recipe("hashagg", scale=2)
@@ -140,11 +157,12 @@ class TestCutVerification:
         return gid
 
     def test_tampered_channel_state_refused(self, tmp_path):
+        """The channel buffers ride in the coordinator record, the cut
+        image's control section: one flipped byte fails its checksum."""
         gid = self.make_cut(tmp_path)
-        channels = tmp_path / gid / "CHANNELS.json"
-        channels.write_bytes(channels.read_bytes() + b" ")
+        flip_byte(ImageStore(str(tmp_path)), gid, "control")
         db, _ = build_recipe("hashjoin", scale=2)
-        with pytest.raises(InconsistentCutError):
+        with pytest.raises(InconsistentCutError, match="checksum"):
             ShardCoordinator.resume(db, str(tmp_path), gid)
 
     def test_damaged_member_image_refused(self, tmp_path):
@@ -193,6 +211,38 @@ class TestCutVerification:
         resumed = ShardCoordinator.resume(db, str(tmp_path), "cutr")
         assert before + resumed.run() == full
         assert calls == [0, 1]
+
+    def test_member_of_another_cut_refused(self, tmp_path):
+        """One global cut id: a cut naming a member image committed for
+        another cut (here: shard 1 of ``other``) is torn."""
+        gid = self.make_cut(tmp_path)
+        self.make_cut(tmp_path, gid="other")
+        store = ImageStore(str(tmp_path))
+        record = store.load_cut(gid)
+        record["members"][1]["image_id"] = shard_image_id("other", 1)
+        store.delete(gid)
+        store.save_cut(record, gid)
+        db, _ = build_recipe("hashjoin", scale=2)
+        with pytest.raises(InconsistentCutError, match="of cut 'other'"):
+            ShardCoordinator.resume(db, str(tmp_path), gid)
+
+    def test_cut_image_is_not_a_suspended_query(self, tmp_path):
+        gid = self.make_cut(tmp_path)
+        with pytest.raises(ImageFormatError, match="shard-set cut"):
+            ImageStore(str(tmp_path)).load(gid)
+
+    def test_cut_commit_is_two_fsyncs_and_one_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """Members commit first (2 fsyncs + 1 rename each, as any image);
+        the cut itself is one more image: 2 fsyncs, 1 rename."""
+        coord = make_coordinator("hashjoin", 2)
+        coord.run(max_rows=5)
+        calls = record_device_calls(monkeypatch)
+        coord.suspend_global(str(tmp_path), gid="cutf")
+        images = 1 + sum(not done for done in coord.frag_done)
+        assert calls.count("fsync") == 2 * images
+        assert calls.count("rename") == images
 
 
 class TestBudgetAllocation:

@@ -1,13 +1,19 @@
 """Shard crash matrix: every cut is committed or torn, never wrong.
 
 Two fault surfaces exist in a global suspend: a *member* image commit
-(one shard's ordinary durable image) and the *shard-set* commit (channel
-state + manifest, whose rename is the global commit point). For every
-injected crash the invariant is the same: after ``ImageStore.recover()``
-plus :func:`classify_shardsets`, the cut is either fully committed and
-resumable, or classified torn with its surviving members listed as
-stranded — and a torn cut can never be resumed.
+(one shard's ordinary durable image) and the *cut* commit (one more
+image, holding the coordinator record, whose rename is the global commit
+point). For every injected crash the invariant is the same: after
+``ImageStore.recover()`` plus :func:`classify_shardsets`, the cut is
+either fully committed and resumable, or classified torn with its
+surviving members listed as stranded — and a torn cut can never be
+resumed. The cut's crash points and torn-write labels are not listed
+here: a recorder run enumerates them, as
+:func:`repro.durability.harness.enumerate_faults` does for one image.
 """
+
+import os
+import tempfile
 
 import pytest
 
@@ -18,19 +24,6 @@ from repro.shard import ShardCoordinator, classify_shardsets
 
 SHARDS = 4
 
-#: Shard-set commit crash points, in protocol order. The cut exists iff
-#: the crash struck after the manifest rename.
-SHARDSET_POINTS = [
-    ("shardset:begin", False),
-    ("before:CHANNELS.json", False),
-    ("written:CHANNELS.json", False),
-    ("renamed:CHANNELS.json", False),
-    ("before:SHARDSET.json", False),
-    ("written:SHARDSET.json", False),
-    ("renamed:SHARDSET.json", True),
-    ("shardset:committed", True),
-]
-
 
 def make_running_coordinator(shards=SHARDS):
     db, plan = build_recipe("hashjoin", scale=2)
@@ -38,6 +31,24 @@ def make_running_coordinator(shards=SHARDS):
     coord.run(max_rows=20)
     assert not coord.done
     return coord
+
+
+def recorded_cut_faults() -> tuple[list, list]:
+    """Every crash point and torn-write label one clean cut commit passes."""
+    recorder = FaultInjector()
+    coord = make_running_coordinator(shards=2)
+    coord.arm_shardset_fault(recorder)
+    with tempfile.TemporaryDirectory() as root:
+        coord.suspend_global(root, gid="probe")
+    return (
+        list(dict.fromkeys(recorder.observed_points)),
+        list(dict.fromkeys(recorder.observed_torn)),
+    )
+
+
+CUT_POINTS, CUT_TORN_LABELS = recorded_cut_faults()
+#: The rename of the cut image is the global commit point.
+COMMIT_POINT = "renamed:image"
 
 
 def classify(root):
@@ -82,35 +93,43 @@ class TestMemberCommitCrash:
         assert_resume_refused(tmp_path, "g2")
 
 
-class TestShardSetCommitCrash:
-    @pytest.mark.parametrize("point,committed", SHARDSET_POINTS)
-    def test_every_commit_step(self, tmp_path, point, committed):
+class TestCutCommitCrash:
+    def test_the_recorder_sees_the_image_commit_protocol(self):
+        assert COMMIT_POINT in CUT_POINTS
+        assert CUT_POINTS.index(COMMIT_POINT) < len(CUT_POINTS) - 1
+        assert CUT_TORN_LABELS
+
+    @pytest.mark.parametrize("point", CUT_POINTS)
+    def test_every_recorded_crash_point(self, tmp_path, point):
         coord = make_running_coordinator(shards=2)
         coord.arm_shardset_fault(FaultInjector.crashing_at(point))
         with pytest.raises(InjectedCrash):
             coord.suspend_global(str(tmp_path), gid="g3")
         report, cuts = classify(tmp_path)
-        # Every member image committed before the shard-set step began.
-        assert sorted(report.committed) == ["g3--s0", "g3--s1"]
-        if committed:
+        members = ["g3--s0", "g3--s1"]
+        if CUT_POINTS.index(point) >= CUT_POINTS.index(COMMIT_POINT):
             # The crash struck after the global commit point: the cut
             # survived whole and resumes normally.
+            assert sorted(report.committed) == ["g3"] + members
             assert cuts.committed == ["g3"]
             db, _ = build_recipe("hashjoin", scale=2)
             resumed = ShardCoordinator.resume(db, str(tmp_path), "g3")
             assert resumed.run()  # runs to completion
         else:
+            # Every member image committed before the cut's commit began.
+            assert sorted(report.committed) == members
             assert "g3" in cuts.torn
-            assert cuts.stranded["g3"] == ["g3--s0", "g3--s1"]
+            assert cuts.stranded["g3"] == members
             assert_resume_refused(tmp_path, "g3")
 
-    @pytest.mark.parametrize("label", ["CHANNELS.json", "SHARDSET.json"])
-    def test_torn_shardset_files(self, tmp_path, label):
+    @pytest.mark.parametrize("label", CUT_TORN_LABELS)
+    def test_every_recorded_torn_write(self, tmp_path, label):
         coord = make_running_coordinator(shards=2)
         coord.arm_shardset_fault(FaultInjector.tearing(label))
         with pytest.raises(InjectedCrash):
             coord.suspend_global(str(tmp_path), gid="g4")
-        _, cuts = classify(tmp_path)
+        report, cuts = classify(tmp_path)
+        assert report.torn == ["g4"]
         assert "g4" in cuts.torn
         assert cuts.stranded["g4"] == ["g4--s0", "g4--s1"]
         assert_resume_refused(tmp_path, "g4")
@@ -122,9 +141,7 @@ class TestNoSilentCorruption:
         good = make_running_coordinator(shards=2)
         good.suspend_global(str(tmp_path), gid="good")
         bad = make_running_coordinator(shards=2)
-        bad.arm_shardset_fault(
-            FaultInjector.crashing_at("before:SHARDSET.json")
-        )
+        bad.arm_shardset_fault(FaultInjector.crashing_at("written:image"))
         with pytest.raises(InjectedCrash):
             bad.suspend_global(str(tmp_path), gid="bad")
         _, cuts = classify(tmp_path)
@@ -132,13 +149,26 @@ class TestNoSilentCorruption:
         assert set(cuts.torn) == {"bad"}
         assert cuts.stranded == {"bad": ["bad--s0", "bad--s1"]}
 
-    def test_recover_leaves_shardset_directories_alone(self, tmp_path):
+    def test_committed_cut_is_a_committed_image(self, tmp_path):
         coord = make_running_coordinator(shards=2)
         coord.suspend_global(str(tmp_path), gid="keep")
-        store = ImageStore(str(tmp_path))
-        report = store.recover()
-        assert report.shardsets == ["keep"]
+        report = ImageStore(str(tmp_path)).recover()
+        assert sorted(report.committed) == ["keep", "keep--s0", "keep--s1"]
         assert report.quarantined == []
         # Recovery did not damage the cut: it still resumes.
         db, _ = build_recipe("hashjoin", scale=2)
         assert ShardCoordinator.resume(db, str(tmp_path), "keep").run()
+
+    def test_old_format_shard_set_directory_is_quarantined(self, tmp_path):
+        """A ``<gid>/`` directory of JSON documents (what builds wrote
+        before the cut became an image) is orphaned: moved to quarantine,
+        never half-read, never a cut."""
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "CHANNELS.json").write_text("{}")
+        (old / "SHARDSET.json").write_text('{"shardset_version": 1}')
+        report, cuts = classify(tmp_path)
+        assert report.orphaned == ["old"]
+        assert report.quarantined == [os.path.join("quarantine", "old")]
+        assert cuts.committed == [] and cuts.torn == {}
+        assert_resume_refused(tmp_path, "old")

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main, run_demo
+from repro.durability import ImageStore, build_recipe
 from repro.obs import NULL_TRACER, current_tracer, read_jsonl
+from repro.shard import ShardCoordinator
 
 
 class TestParser:
@@ -165,3 +167,65 @@ class TestSuspendBeforeCompletion:
             "point; lower --rows or raise --scale"
         )
         assert not images.exists() or not any(images.iterdir())
+
+
+def advertised_choices(command: str, option: str) -> list:
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions if a.dest == "command"
+    ).choices[command]
+    return list(
+        next(a for a in sub._actions if option in a.option_strings).choices
+    )
+
+
+class TestSuspendStrategies:
+    @pytest.mark.parametrize(
+        "strategy", advertised_choices("suspend", "--strategy")
+    )
+    def test_every_advertised_strategy_commits_an_image(
+        self, strategy, tmp_path, capsys
+    ):
+        images = str(tmp_path / "images")
+        argv = ["suspend", "--recipe", "sort", "--images", images]
+        assert main(argv + ["--strategy", strategy, "--json"]) == 0
+        image_id = json.loads(capsys.readouterr().out)["image_id"]
+        assert ImageStore(images).validate(image_id) == []
+
+
+class TestShardRoundTrip:
+    """The sharded CLI path: cut, recover, resume in the same root."""
+
+    def suspend(self, images, gid, shards=2):
+        argv = ["suspend", "--recipe", "hashjoin", "--images", images]
+        argv += ["--shards", str(shards), "--rows", "40", "--quantum", "16"]
+        return main(argv + ["--gid", gid, "--budget", "2000", "--json"])
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_suspend_recover_resume(self, shards, tmp_path, capsys):
+        db, plan = build_recipe("hashjoin")
+        full = ShardCoordinator(
+            db, plan, num_shards=shards, quantum_rows=16
+        ).run()
+        images = str(tmp_path / "images")
+        assert self.suspend(images, "smoke", shards) == 0
+        before = json.loads(capsys.readouterr().out)["rows"]
+        assert main(["images", "--images", images, "--recover"]) == 0
+        recovered = capsys.readouterr().out
+        assert "torn: -" in recovered and "orphaned: -" in recovered
+        assert "shardset cuts committed: smoke" in recovered
+        argv = ["resume-image", "--images", images, "--id", "smoke"]
+        assert main(argv + ["--json"]) == 0
+        after = json.loads(capsys.readouterr().out)["rows"]
+        assert [tuple(r) for r in before + after] == full
+
+    def test_torn_cut_is_a_one_line_error(self, tmp_path, capsys):
+        images = str(tmp_path / "images")
+        assert self.suspend(images, "torn") == 0
+        ImageStore(images).delete("torn")  # the cut never committed
+        with pytest.raises(SystemExit) as exit_info:
+            main(["resume-image", "--images", images, "--id", "torn"])
+        message = exit_info.value.code
+        assert message.startswith("cannot resume shard set 'torn': ")
+        assert "never reached its commit point" in message
+        assert "\n" not in message

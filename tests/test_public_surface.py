@@ -41,6 +41,7 @@ REMOVED_PARAMETERS = {
     "commit_workers",
     "max_chain",
     "compress",
+    "delta",
 }
 
 
@@ -85,7 +86,6 @@ def test_image_store_has_no_tunables_and_one_format():
         "budget",
         "plan",
         "persist_to",
-        "delta",
         "image_id",
         "image_meta",
         "base_image_id",
