@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
+from repro.relational.expressions import compile_fold, compile_projection
 from repro.relational.schema import Column, Schema
 
 #: Supported aggregate functions.
@@ -43,8 +44,8 @@ class GroupAggregate(Operator):
         agg_func: str,
         agg_column: int,
     ):
-        if agg_func not in AGG_FUNCS:
-            raise ValueError(f"unsupported aggregate {agg_func!r}")
+        # compile_fold raises ValueError for an unknown ``agg_func``.
+        self._fold_row = compile_fold(agg_func, agg_column)
         cols = tuple(
             child.schema.columns[i] for i in group_columns
         ) + (Column(f"{agg_func}_{child.schema.columns[agg_column].name}"),)
@@ -53,6 +54,7 @@ class GroupAggregate(Operator):
         self.group_columns = tuple(group_columns)
         self.agg_func = agg_func
         self.agg_column = agg_column
+        self._key_of = compile_projection(self.group_columns)
         self.current_key: Optional[tuple] = None
         self.agg_value = None
         self.lookahead: Optional[Row] = None
@@ -64,21 +66,6 @@ class GroupAggregate(Operator):
     def child(self) -> Operator:
         return self.children[0]
 
-    def _group_key(self, row: Row) -> tuple:
-        return tuple(row[i] for i in self.group_columns)
-
-    def _fold(self, value, row: Row):
-        x = row[self.agg_column]
-        if self.agg_func == "count":
-            return (value or 0) + 1
-        if value is None:
-            return x
-        if self.agg_func == "sum":
-            return value + x
-        if self.agg_func == "min":
-            return min(value, x)
-        return max(value, x)
-
     def _next(self) -> Optional[Row]:
         if self.exhausted:
             return None
@@ -89,8 +76,8 @@ class GroupAggregate(Operator):
             if self.lookahead is None:
                 self.exhausted = True
                 return None
-            self.current_key = self._group_key(self.lookahead)
-            self.agg_value = self._fold(None, self.lookahead)
+            self.current_key = self._key_of(self.lookahead)
+            self.agg_value = self._fold_row(None, self.lookahead)
             self.in_group = True
             self.charge_cpu(1)
         # The in_group flag makes this loop restartable: a suspend that
@@ -102,10 +89,10 @@ class GroupAggregate(Operator):
                 self.exhausted = True
                 break
             self.charge_cpu(1)
-            if self._group_key(row) != self.current_key:
+            if self._key_of(row) != self.current_key:
                 self.lookahead = row
                 break
-            self.agg_value = self._fold(self.agg_value, row)
+            self.agg_value = self._fold_row(self.agg_value, row)
         self.in_group = False
         return self.current_key + (self.agg_value,)
 

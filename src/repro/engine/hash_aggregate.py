@@ -19,11 +19,10 @@ import math
 from typing import Sequence
 
 from repro.core.suspended_query import OpSuspendEntry
-from repro.engine.aggregate import AGG_FUNCS
 from repro.engine.base import Operator, Row
 from repro.engine.partitions import PartitionedInput
 from repro.engine.runtime import ResumeContext, Runtime
-from repro.relational.expressions import compile_projection
+from repro.relational.expressions import compile_fold, compile_projection
 from repro.relational.schema import Column, Schema
 
 PHASE_PARTITION = "partition"
@@ -47,8 +46,8 @@ class HashGroupAggregate(Operator):
         agg_column: int,
         num_partitions: int = 8,
     ):
-        if agg_func not in AGG_FUNCS:
-            raise ValueError(f"unsupported aggregate {agg_func!r}")
+        # compile_fold raises ValueError for an unknown ``agg_func``.
+        self._fold_row = compile_fold(agg_func, agg_column)
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
         cols = tuple(
@@ -72,21 +71,6 @@ class HashGroupAggregate(Operator):
 
     def _do_close(self) -> None:
         self.input = None  # it points back at this operator
-
-    def _group_key(self, row: Row) -> tuple:
-        return tuple(row[i] for i in self.group_columns)
-
-    def _fold(self, value, row: Row):
-        x = row[self.agg_column]
-        if self.agg_func == "count":
-            return (value or 0) + 1
-        if value is None:
-            return x
-        if self.agg_func == "sum":
-            return value + x
-        if self.agg_func == "min":
-            return min(value, x)
-        return max(value, x)
 
     # ------------------------------------------------------------------
     # Execution
@@ -150,11 +134,14 @@ class HashGroupAggregate(Operator):
         pages = math.ceil(len(rows) / self.input.tuples_per_page)
         with self.attribute_work():
             self.rt.disk.read_pages(pages)
+        key_of = compile_projection(self.group_columns)
+        fold = self._fold_row
         aggregates: dict = {}
+        get = aggregates.get
         for row in rows:
-            self.charge_cpu(1)
-            key = self._group_key(row)
-            aggregates[key] = self._fold(aggregates.get(key), row)
+            key = key_of(row)
+            aggregates[key] = fold(get(key), row)
+        self.charge_cpu(len(rows))
         self._groups = [key + (value,) for key, value in aggregates.items()]
         self.emit_idx = 0
 

@@ -210,11 +210,13 @@ class SimpleHashJoin(Operator):
             pages = math.ceil(len(spilled) / self.build.tuples_per_page)
             with self.attribute_work():
                 self.rt.disk.read_pages(pages)
-        self._hash_table = {}
-        for row in chain(self.build.pending[p], spilled):
-            self.charge_cpu(1)
-            key = self.condition.left_key(row)
-            self._hash_table.setdefault(key, []).append(row)
+        key_of = compile_left_key(self.condition)
+        table: dict = {}
+        memory = self.build.pending[p]
+        for row in chain(memory, spilled):
+            table.setdefault(key_of(row), []).append(row)
+        self.charge_cpu(len(memory) + len(spilled))
+        self._hash_table = table
         # Probe rows stream one block at a time (charged as consumed);
         # neither side of a memory partition was ever spilled.
         self._probe_rows = (

@@ -4,7 +4,10 @@ Each outer-loop iteration fills a large in-memory *outer buffer* from the
 outer (left) child, then rewinds the inner (right) child and joins every
 inner tuple against the buffer. The buffer is the heap state; the control
 state is the fill count, the buffer cursor, and the current inner tuple
-(Section 2).
+(Section 2). The join condition is an equality, so an inner tuple finds
+its matches by key in a per-pass index of the buffer instead of comparing
+with every buffered tuple; the index is derived state, never dumped, and
+the cursor and inner tuple move exactly as the nested scan moves them.
 
 Checkpoint/contract behaviour (Sections 3 and 4):
 
@@ -23,13 +26,18 @@ Checkpoint/contract behaviour (Sections 3 and 4):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Optional
 
 from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
-from repro.relational.expressions import EquiJoinCondition, compile_join_matches
+from repro.relational.expressions import (
+    EquiJoinCondition,
+    compile_left_key,
+    compile_right_key,
+)
 
 PHASE_FILL = "fill"
 PHASE_JOIN = "join"
@@ -66,6 +74,8 @@ class BlockNLJ(Operator):
         self.phase = PHASE_FILL
         self.cursor = 0
         self.inner_row: Optional[Row] = None
+        #: Buffer positions by join key (:meth:`_key_index`).
+        self._index: Optional[dict] = None
         self.outer_exhausted = False
         #: Completed join passes; lets a GoBack that restores an older
         #: checkpoint skip whole intervening passes during roll-forward.
@@ -91,9 +101,14 @@ class BlockNLJ(Operator):
 
     def _next_batch(self, max_rows: int) -> list:
         """Fill the buffer, then join the inner child's tuples against
-        it: compiled join condition, hoisted buffer scan, and CPU charges
-        counted in ``crun`` between child pulls.
+        it: each inner tuple looks up its key in the pass's key index and
+        visits only the matching buffer positions from ``cursor`` on, in
+        buffer order, with CPU charges counted in ``crun`` between child
+        pulls.
 
+        The lookup leaves exactly the control state the nested scan of
+        Section 2 would: ``cursor`` is one past the last match emitted,
+        and ``len(buffer)`` with no inner tuple once a tuple is done.
         Every call into a child (outer fill, inner pull) first settles
         the pending count, so a reactive checkpoint below reads settled
         integers, and writes the cursor and inner tuple back, so a
@@ -102,9 +117,8 @@ class BlockNLJ(Operator):
         so the end-of-pass checkpoint is taken at the start of the next
         call, with nothing emitted after it.
         """
-        matches = compile_join_matches(self.condition)
+        right_key = compile_right_key(self.condition)
         out: list = []
-        append = out.append
         need = max_rows
         crun = 0
         while need > 0:
@@ -123,6 +137,9 @@ class BlockNLJ(Operator):
                 self.phase = PHASE_JOIN
             buffer = self.buffer
             nbuf = len(buffer)
+            if self._index is None:
+                self._index = self._key_index()
+            lookup = self._index.get
             inner_next = self.inner.next
             inner_row = self.inner_row
             cursor = self.cursor
@@ -133,27 +150,23 @@ class BlockNLJ(Operator):
                     crun = 0
                     self.inner_row = None
                     self.cursor = cursor
-                    nxt = inner_next()
-                    if nxt is None:
+                    inner_row = inner_next()
+                    if inner_row is None:
                         pass_done = True
                         break
                     crun += 1  # the inner-consume charge
-                    inner_row = nxt
                     cursor = 0
-                while cursor < nbuf:
-                    outer_row = buffer[cursor]
-                    cursor += 1
-                    if matches(outer_row, inner_row):
-                        append(outer_row + inner_row)
-                        self.tuples_emitted += 1
-                        crun += 1  # the wrapper charge
-                        need -= 1
-                        if need == 0:
-                            break
+                positions = lookup(right_key(inner_row), ())
+                start = bisect_left(positions, cursor)
+                take = positions[start:start + need]
+                out.extend([buffer[p] + inner_row for p in take])
+                self.tuples_emitted += len(take)
+                crun += len(take)  # the wrapper charges
+                need -= len(take)
                 if need == 0:
+                    cursor = take[-1] + 1
                     break
-                if cursor >= nbuf:
-                    inner_row = None
+                cursor, inner_row = nbuf, None
             self.inner_row = inner_row
             self.cursor = cursor
             if out or not pass_done:
@@ -161,10 +174,11 @@ class BlockNLJ(Operator):
                 # up first: the next call finds the inner child exhausted
                 # again (a chargeless pull) and runs the transition.
                 break
-            # Pass complete: discard the buffer. This is the
-            # minimal-heap-state point (crun is zero: it was settled
+            # Pass complete: discard the buffer and its index. This is
+            # the minimal-heap-state point (crun is zero: it was settled
             # before the exhausted inner pull).
             self.buffer = []
+            self._index = None
             self.cursor = 0
             self.inner_row = None
             self.passes += 1
@@ -172,6 +186,19 @@ class BlockNLJ(Operator):
             self.phase = PHASE_DONE if self.outer_exhausted else PHASE_FILL
         self.charge_cpu(crun)
         return out
+
+    def _key_index(self) -> dict:
+        """The buffer positions holding each join key, ascending.
+
+        Derived from the buffer, so never heap state: it is built on the
+        first join step after the buffer is filled or restored (restores
+        run on a freshly instantiated operator) and dropped with it.
+        """
+        left_key = compile_left_key(self.condition)
+        index: dict = {}
+        for pos, row in enumerate(self.buffer):
+            index.setdefault(left_key(row), []).append(pos)
+        return index
 
     def _fill_buffer(self) -> None:
         buffer = self.buffer

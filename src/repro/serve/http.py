@@ -25,10 +25,12 @@ Routes (see docs/SERVING.md for a curl session):
   remaining work for the query the token names (no redemption);
 - ``GET /obs/health`` — liveness plus serving counters and trace state.
 
-Error mapping: malformed token → 400, already redeemed → 409 (conflict:
-the continuation was consumed), image GC'd → 410 (gone), unknown
-catalog entry / unknown progress query / disabled metrics → 404,
-duplicate session name → 409. Every error body is
+Error mapping: a malformed request (a ``Content-Length`` that is not a
+decimal count, a body that is not a JSON object, a ``priority`` that is
+not an integer) or a malformed token → 400, already redeemed → 409
+(conflict: the continuation was consumed), image GC'd → 410 (gone),
+unknown catalog entry / unknown progress query / disabled metrics → 404,
+duplicate session name → 409, oversized body → 413. Every error body is
 ``{"error": <message>, "code": <machine tag>?}``.
 """
 
@@ -127,11 +129,12 @@ class ServeApp:
                     "queries": sorted(self.catalog),
                 }
             session = body.get("as") or self._session_name(name)
+            priority = body.get("priority", 0)
+            if not isinstance(priority, int):
+                return 400, {"error": f"priority {priority!r} is not an integer"}
             try:
                 result = self.service.begin(
-                    session,
-                    self.catalog[name],
-                    priority=int(body.get("priority", 0)),
+                    session, self.catalog[name], priority=priority
                 )
             except ReproError as exc:
                 return 409, {"error": str(exc)}
@@ -178,6 +181,29 @@ def _response_bytes(status: int, payload: dict) -> bytes:
     return head + body
 
 
+class _Rejected(Exception):
+    """``(status, message)``: a request answered with a 4xx before it
+    reaches the app."""
+
+
+async def _read_body(reader, content_length: str) -> Optional[dict]:
+    """The request body: a JSON object, or None when there is none."""
+    if not content_length.isdigit():
+        raise _Rejected(400, f"bad Content-Length {content_length!r}")
+    if int(content_length) > MAX_BODY_BYTES:
+        raise _Rejected(413, "body too large")
+    if not int(content_length):
+        return None
+    raw = await reader.readexactly(int(content_length))
+    try:
+        body = json.loads(raw)
+    except ValueError:
+        raise _Rejected(400, "body is not JSON") from None
+    if not isinstance(body, dict):
+        raise _Rejected(400, "body is not a JSON object")
+    return body
+
+
 async def _handle_connection(app: ServeApp, reader, writer):
     try:
         request_line = await reader.readline()
@@ -185,27 +211,20 @@ async def _handle_connection(app: ServeApp, reader, writer):
         if len(parts) < 2:
             return
         method, path = parts[0].upper(), parts[1]
-        content_length = 0
+        content_length = "0"
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             header = line.decode("ascii", "replace")
             if header.lower().startswith("content-length:"):
-                content_length = int(header.split(":", 1)[1].strip())
-        if content_length > MAX_BODY_BYTES:
-            writer.write(_response_bytes(413, {"error": "body too large"}))
+                content_length = header.split(":", 1)[1].strip()
+        try:
+            body = await _read_body(reader, content_length)
+        except _Rejected as exc:
+            status, message = exc.args
+            writer.write(_response_bytes(status, {"error": message}))
             return
-        body = None
-        if content_length:
-            raw = await reader.readexactly(content_length)
-            try:
-                body = json.loads(raw)
-            except ValueError:
-                writer.write(
-                    _response_bytes(400, {"error": "body is not JSON"})
-                )
-                return
         loop = asyncio.get_running_loop()
         try:
             status, payload = await loop.run_in_executor(

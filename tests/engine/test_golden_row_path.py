@@ -17,9 +17,6 @@ def test_every_engine_case_matches_the_row_path():
     assert not wrong, (wrong[:5], got[wrong[0]], GOLDEN["cases"][wrong[0]])
 
 
-@pytest.mark.parametrize(
-    "name", [name for name in make_golden.EXPERIMENTS if name != "fig12"]
-)
+@pytest.mark.parametrize("name", make_golden.EXPERIMENTS)
 def test_experiment_stdout_matches_the_row_path(name):
-    """(``fig12`` runs as a CI step: ``make_golden --check fig12``.)"""
     assert make_golden.experiment_stdout(name) == GOLDEN["experiments"][name]

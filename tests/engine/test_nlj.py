@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Database,
@@ -13,6 +15,7 @@ from repro import (
 )
 from repro.common.errors import ReproError
 from repro.durability.codec2 import encode_suspended_query
+from repro.engine.nlj import PHASE_JOIN
 from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec, SortSpec
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
 from repro.relational.expressions import EquiJoinCondition, UniformSelect
@@ -266,3 +269,101 @@ class TestNLJOverNLJ:
             sq = session.suspend(SuspendSpec(strategy=strategy))
             session = QuerySession.resume(db, sq)
         assert rows == ref
+
+
+def nested_scan(buffer, inner_rows, condition, cursor, inner_row, splits):
+    """The Section 2 inner loop, one comparison per buffered tuple: for
+    each request size, the rows handed up and the ``(cursor, inner_row)``
+    left behind, plus the CPU tuples charged (one per inner tuple
+    consumed, one per row emitted). The buffer is the last pass's."""
+    pulls = iter(inner_rows)
+    calls, cpu, done = [], 0, False
+    for n in splits:
+        batch = []
+        while not done and len(batch) < n:
+            if inner_row is None:
+                inner_row = next(pulls, None)
+                if inner_row is None:
+                    done = not batch  # the pass ends with nothing in hand
+                    cursor = 0 if done else cursor
+                    break
+                cpu += 1
+                cursor = 0
+            while cursor < len(buffer) and len(batch) < n:
+                outer_row = buffer[cursor]
+                cursor += 1
+                if condition.matches(outer_row, inner_row):
+                    batch.append(outer_row + inner_row)
+                    cpu += 1
+            if len(batch) < n:
+                inner_row = None
+        calls.append((batch, cursor, inner_row))
+    return calls, cpu
+
+
+keyed_rows = st.lists(
+    st.tuples(st.integers(-3, 3), st.floats(0, 1), st.integers(0, 99)),
+    max_size=14,
+)
+
+
+class TestKeyedPass:
+    """The keyed lookup is the nested scan: same rows in the same order,
+    the same ``(cursor, inner_row)`` after every request, the same CPU
+    tuples — from any point of a pass, under any request sizes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        buffer=keyed_rows.filter(bool),
+        inner=keyed_rows,
+        modulus=st.integers(0, 4),
+        data=st.data(),
+        splits=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+    )
+    def test_keyed_pass_equals_the_nested_scan(
+        self, buffer, inner, modulus, data, splits
+    ):
+        consumed = data.draw(st.integers(0, len(inner)), label="consumed")
+        live = consumed > 0 and data.draw(st.booleans(), label="live")
+        inner_row = inner[consumed - 1] if live else None
+        cursor = data.draw(st.integers(0, len(buffer)), label="cursor")
+        condition = EquiJoinCondition(0, 0, modulus=modulus)
+
+        db = Database()
+        db.create_table("R", BASE_SCHEMA, [])
+        db.create_table("S", BASE_SCHEMA, inner)
+        plan = NLJSpec(
+            outer=ScanSpec("R"),
+            inner=ScanSpec("S"),
+            condition=condition,
+            buffer_tuples=len(buffer),
+            label="nlj",
+        )
+        nlj = QuerySession(db, plan).op_named("nlj")
+        # A pass in progress: the buffer filled, the inner child past
+        # ``consumed`` tuples, the outer child spent.
+        nlj.buffer = list(buffer)
+        nlj.outer_exhausted = True
+        nlj.phase = PHASE_JOIN
+        nlj.inner.rewind()
+        for _ in range(consumed):
+            nlj.inner.next()
+        nlj.cursor, nlj.inner_row = cursor, inner_row
+
+        got = []
+        for n in splits:
+            rows = nlj.next_batch(n)
+            got.append((rows, nlj.cursor, nlj.inner_row))
+        expected, cpu = nested_scan(
+            buffer, inner[consumed:], condition, cursor, inner_row, splits
+        )
+        assert got == expected
+        assert nlj.tally.cpu_tuples == cpu
+
+    def test_heap_state_is_the_buffer_and_nothing_else(self):
+        session = QuerySession(make_small_db(), tiny_nlj_plan(modulus=7))
+        session.execute(max_rows=25)
+        nlj = session.op_named("nlj")
+        assert nlj.phase == PHASE_JOIN and nlj.buffer
+        assert nlj._heap_state_payload() == nlj.buffer
+        assert nlj.heap_tuples() == len(nlj.buffer)

@@ -3,6 +3,7 @@
 import asyncio
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -183,6 +184,53 @@ class TestLiveServer:
         conn.request("POST", "/queries", body=b"not json {")
         assert conn.getresponse().status == 400
         conn.close()
+
+
+def raw_exchange(port, request_bytes):
+    """Send ``request_bytes`` as they are; the reply's status and JSON."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request_bytes)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestHostileInput:
+    """Malformed requests get a 400 with the usual error body, over a
+    real socket, instead of a dropped connection or a 500."""
+
+    @pytest.mark.parametrize("length", ["abc", "1e3", "-5"])
+    def test_bad_content_length(self, live_server, caplog, length):
+        status, payload = raw_exchange(
+            live_server,
+            b"POST /queries HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: " + length.encode() + b"\r\n\r\n",
+        )
+        assert status == 400
+        assert payload == {"error": f"bad Content-Length {length!r}"}
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    @pytest.mark.parametrize("body", ["[1, 2]", "7", '"sorted-join"', "null"])
+    def test_body_that_is_not_an_object(self, live_server, body):
+        status, payload = raw_exchange(
+            live_server,
+            b"POST /queries HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body.encode()),
+        )
+        assert status == 400
+        assert payload == {"error": "body is not a JSON object"}
+
+    def test_priority_that_is_not_an_integer(self, live_server):
+        status, payload = request(
+            live_server,
+            "POST",
+            "/queries",
+            {"query": "sorted-join", "priority": "x"},
+        )
+        assert status == 400
+        assert payload == {"error": "priority 'x' is not an integer"}
 
 
 class TestObsRoutes:

@@ -29,6 +29,10 @@ from repro.engine.config import EngineConfig
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 REMOVED_EXPORTS = {"SuspendOptions", "CODEC_V1", "FORMAT_VERSION"}
+#: Functions no module under ``src/repro`` may define again: a second
+#: join-matching path beside the block NLJ's key index, and per-operator
+#: fold/group-key helpers beside ``compile_fold``/``compile_projection``.
+REMOVED_DEFINITIONS = {"compile_join_matches", "_fold", "_group_key"}
 REMOVED_PARAMETERS = {
     "legacy",
     "codec",
@@ -159,6 +163,18 @@ def test_an_operator_file_holds_only_what_is_its_own():
         "base.py"
     ]
     assert sum(text.count("Checkpoint(") for text in sources.values()) == 1
+
+
+def test_one_matching_path_and_one_fold_table():
+    import ast
+
+    defined = {
+        node.name
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert not REMOVED_DEFINITIONS & defined
 
 
 def test_clock_has_no_ordered_charge_variants():
