@@ -33,7 +33,7 @@ The serving commands expose the continuation-token front end:
 ``serve-http`` binds the asyncio HTTP server over a query catalog
 (each request runs one quantum and returns rows plus a resumable
 token; see docs/SERVING.md), and ``loadgen`` runs the deterministic
-load generator behind BENCH_serve.json.
+load generator and prints its report.
 
 Observability: every subcommand accepts ``--trace-out PATH`` (JSONL
 trace) and ``--metrics PATH`` (text metrics snapshot); ``--trace`` only

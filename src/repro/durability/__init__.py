@@ -17,10 +17,11 @@ Layers, bottom up:
 - :mod:`~repro.durability.format` — the packed one-file-per-image
   layout (sections, manifest, trailer; one fsync + rename + dir-fsync
   per commit), its verified reader — the one image layout
-  (``LAYOUT_VERSION``) — and the tmp+fsync+rename discipline of the
-  pins file;
+  (``LAYOUT_VERSION``);
 - :mod:`~repro.durability.store` — the :class:`ImageStore`: save, load,
-  list, validate, GC, and the startup recovery scan with quarantine.
+  list, validate, GC, the startup recovery scan with quarantine, and
+  the root's one metadata file, an append-only ledger of token
+  redemptions and GC pins.
   Every durable object is an image: a sharded query's global cut is
   one too (:meth:`ImageStore.save_cut`), committed by the same path;
 - :mod:`~repro.durability.harness` — the crash-matrix harness proving no

@@ -84,19 +84,6 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def atomic_write(directory: str, name: str, data: bytes) -> None:
-    """Write ``data`` to ``directory/name`` via tmp + fsync + rename +
-    directory fsync: the commit of the pins file, the one document under
-    an image root that is rewritten whole."""
-    tmp_path = os.path.join(directory, name + TMP_SUFFIX)
-    with open(tmp_path, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp_path, os.path.join(directory, name))
-    fsync_dir(directory)
-
-
 def write_packed_image(
     root: str,
     image_id: str,
@@ -194,11 +181,6 @@ def parse_json(data: bytes, what: str) -> Any:
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ImageFormatError(f"unreadable JSON in {what}: {exc}") from exc
-
-
-def load_json(path: str) -> Any:
-    with open(path, "rb") as fh:
-        return parse_json(fh.read(), path)
 
 
 def read_manifest(path: str) -> dict:

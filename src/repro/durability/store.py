@@ -42,12 +42,19 @@ Responsibilities:
   under the root as committed, torn, or orphaned, and quarantine the bad
   ones instead of crashing;
 - :meth:`ImageStore.list_images` / :meth:`validate` / :meth:`delete` /
-  :meth:`gc` — inventory management.
+  :meth:`gc` — inventory management;
+- the ledger (``TOKENS.json``) — the root's one metadata file: an
+  append-only record of redeemed continuation tokens (:meth:`claim`) and
+  GC pins (:meth:`pin` / :meth:`unpin`), appended under an exclusive
+  ``flock`` so any number of store instances, in any number of
+  processes, can share one root.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
+import json
 import os
 import time
 import uuid
@@ -68,10 +75,7 @@ from repro.durability.format import (
     QUARANTINE_DIR,
     TMP_SUFFIX,
     ImageFormatError,
-    atomic_write,
-    dump_json,
     fsync_dir,
-    load_json,
     manifest_created_at,
     open_image,
     read_manifest,
@@ -91,12 +95,10 @@ MAX_CHAIN = 8
 #: Hard ceiling on base+delta chain traversal (cycle/corruption guard).
 MAX_CHAIN_WALK = 64
 
-#: Root-level file recording pinned image ids (one JSON document).
-PINS_NAME = "PINS.json"
-
-#: Root-level continuation-token ledger kept by the serving layer
-#: (:class:`repro.serve.tokens.TokenManager`); named here so the
-#: recovery scan knows it is store metadata, not an image.
+#: The root's one metadata file: an append-only ledger, one compact JSON
+#: record per line — a redeemed continuation token ``{"img", "q",
+#: "token"}`` (see :mod:`repro.serve.tokens`), a GC pin ``{"pin", "release"}``
+#: or an unpin ``{"unpin"}``.
 TOKENS_NAME = "TOKENS.json"
 
 #: Image-metadata key set on a shard-set cut (:meth:`ImageStore.save_cut`):
@@ -224,6 +226,11 @@ class ImageStore:
         # a hit still stats the image so deletions by other store
         # instances over the same root are noticed.
         self._manifest_cache: dict[str, dict] = {}
+        # The ledger as folded so far: the offset just past the last
+        # newline-terminated record read, and what the records say.
+        self._ledger_offset = 0
+        self._redeemed: set[str] = set()
+        self._pinned: set[str] = set()
         os.makedirs(self.root, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -881,20 +888,82 @@ class ImageStore:
         return deleted
 
     # ------------------------------------------------------------------
-    # Pinning (token-aware GC)
+    # The ledger: token redemptions and pins (token-aware GC)
     # ------------------------------------------------------------------
+    def _catch_up(self, fd: int) -> int:
+        """Fold the records appended since the last read (by any writer);
+        returns the ledger's size. Only newline-terminated lines are
+        records: a tail without one is an append still in progress, or
+        a crash's torn fragment that the next append terminates."""
+        start = self._ledger_offset
+        size = os.fstat(fd).st_size
+        data = os.pread(fd, size - start, start)
+        complete = data.rfind(b"\n") + 1
+        for line in data[:complete].split(b"\n"):
+            try:
+                record = json.loads(line)
+                if "token" in record:
+                    self._redeemed.add(record["token"])
+                elif "pin" in record:
+                    self._pinned.discard(record["release"])
+                    self._pinned.add(record["pin"])
+                elif "unpin" in record:
+                    self._pinned.discard(record["unpin"])
+            except (ValueError, KeyError, TypeError):
+                # A terminated torn fragment: the redeem or pin it would
+                # have recorded was never acknowledged.
+                continue
+        self._ledger_offset = start + complete
+        return size
+
+    def _append(self, record_for) -> bool:
+        """Append ``record_for()`` to the ledger; returns whether it did.
+
+        Under an exclusive ``flock``: catch up on other writers, ask
+        ``record_for`` (``None`` = nothing to record), end a torn tail
+        with a newline so it stays a line of its own, write and fsync
+        the record. The first record also syncs the root, which makes
+        the file's name durable.
+        """
+        with open(os.path.join(self.root, TOKENS_NAME), "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # released by the close
+            size = self._catch_up(fh.fileno())
+            record = record_for()
+            if record is None:
+                return False
+            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            torn = b"\n" if size > self._ledger_offset else b""
+            fh.write(torn + line.encode("utf-8") + b"\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+            if size == 0:
+                fsync_dir(self.root)
+            self._catch_up(fh.fileno())
+            return True
+
+    def claim(self, image_id: str, query: str, token: str) -> bool:
+        """Durably record the redeem of ``token``, which resumes
+        ``image_id``; returns ``False`` if it was already redeemed, here
+        or by any other store instance over this root. Raises
+        :class:`ImageNotFoundError` (recording nothing) if the image is
+        gone."""
+
+        def record():
+            if token in self._redeemed:
+                return None
+            self.manifest(image_id)
+            return {"img": image_id, "q": query, "token": token}
+
+        return self._append(record)
+
     def pins(self) -> set[str]:
         """Image ids currently pinned against :meth:`gc`."""
-        path = os.path.join(self.root, PINS_NAME)
-        if not os.path.exists(path):
-            return set()
-        doc = load_json(path)
-        return set(doc.get("pinned", []))
-
-    def _write_pins(self, pinned: set) -> None:
-        atomic_write(
-            self.root, PINS_NAME, dump_json({"pinned": sorted(pinned)})
-        )
+        try:
+            with open(os.path.join(self.root, TOKENS_NAME), "rb") as fh:
+                self._catch_up(fh.fileno())
+        except FileNotFoundError:
+            pass
+        return set(self._pinned)
 
     def pin(self, image_id: str, release: Optional[str] = None) -> None:
         """Durably protect an image (and its chain) from :meth:`gc`.
@@ -902,32 +971,35 @@ class ImageStore:
         The pin names the tip only; :meth:`gc` expands it to the full
         base+delta chain at collection time, so re-pinning after a delta
         commit is not required for ancestors — only for the new tip.
-        ``release`` names a pin to drop in the same durable write (the
-        tip the new image supersedes). Pinning a missing image raises
+        ``release`` names a pin to drop in the same ledger record (the
+        tip the new image supersedes); a pin that changes nothing
+        records nothing. Pinning a missing image raises
         :class:`ImageNotFoundError`.
         """
         self.manifest(image_id)  # existence + structural check
-        before = self.pins()
-        pinned = (before - {release}) | {image_id}
-        if pinned != before:
-            self._write_pins(pinned)
+
+        def record():
+            pinned = (self._pinned - {release}) | {image_id}
+            if pinned == self._pinned:
+                return None
+            return {"pin": image_id, "release": release}
+
+        self._append(record)
 
     def unpin(self, image_id: str) -> bool:
         """Drop a pin; returns whether it existed. Never raises on a
         missing image — unpinning is how a consumed token releases its
         image, which may already be gone."""
-        pinned = self.pins()
-        if image_id not in pinned:
-            return False
-        pinned.discard(image_id)
-        self._write_pins(pinned)
-        return True
+        return self._append(
+            lambda: {"unpin": image_id} if image_id in self._pinned else None
+        )
 
     # ------------------------------------------------------------------
     # Recovery scan
     # ------------------------------------------------------------------
     def recover(self, tracer=None) -> RecoveryReport:
-        """Classify every root entry; quarantine torn/orphaned ones.
+        """Classify every root entry but the ledger; quarantine
+        torn/orphaned ones.
 
         - *committed*: a packed ``<id>.rimg`` whose trailer and manifest
           parse and whose files all verify — safe to resume from; for
@@ -941,7 +1013,8 @@ class ImageStore:
         - *orphaned*: anything else at the root — stray files and every
           directory (an image directory written by a pre-packed-layout
           build, or a shard-set directory written before the global cut
-          became an image, included).
+          became an image, included), and a ``PINS.json`` left by a
+          build that kept pins in a document of their own.
 
         Images are reported by image id. Torn and orphaned entries are
         moved under ``<root>/quarantine/`` (never deleted: they are
@@ -962,10 +1035,8 @@ class ImageStore:
         report = RecoveryReport()
         entry_of: dict[str, str] = {}  # committed image id -> root entry
         for name in sorted(os.listdir(self.root)):
-            if name == QUARANTINE_DIR or name.startswith(
-                (PINS_NAME, TOKENS_NAME)
-            ):
-                continue  # store metadata (or its tmp), not an image
+            if name in (QUARANTINE_DIR, TOKENS_NAME):
+                continue
             label = name
             if os.path.isdir(os.path.join(self.root, name)):
                 status = "orphaned"

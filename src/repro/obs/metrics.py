@@ -139,8 +139,8 @@ class Summary:
     Unlike :class:`Histogram` (fixed buckets, O(1) memory) a Summary
     retains every observation, so its percentiles are exact — the same
     numbers :func:`repro.obs.slo.latency_summary` computes. The serving
-    load generator publishes per-request latencies here so BENCH_serve
-    and ``/obs/metrics`` report from one source. Use for bounded sample
+    load generator publishes per-request latencies here so its report
+    and ``/obs/metrics`` come from one source. Use for bounded sample
     counts (one observation per request of a bench run), not unbounded
     hot paths.
     """

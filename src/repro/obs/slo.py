@@ -2,9 +2,9 @@
 
 The serving layer and its load generator publish per-request latencies
 (virtual-clock time inside one request) and per-session service totals.
-This module turns those samples into the numbers BENCH_serve.json and
-the ``serve-smoke`` CI job report: p50/p99 latency and the Jain fairness
-index over what each session received.
+This module turns those samples into the numbers the load generator
+reports: p50/p99 latency and the Jain fairness index over what each
+session received.
 
 Everything here is pure arithmetic over the caller's samples — no
 tracer, no registry — so the same functions serve tests, benchmarks,

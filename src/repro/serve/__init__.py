@@ -19,7 +19,7 @@ Layers, bottom up:
 - :mod:`repro.serve.http` — the asyncio HTTP/1.1 front end
   (``python -m repro.cli serve-http``);
 - :mod:`repro.serve.loadgen` — the deterministic load generator behind
-  BENCH_serve.json and the ``serve-smoke`` CI job.
+  ``repro loadgen``.
 """
 
 from repro.serve.http import ServeApp, run_server, serve_async

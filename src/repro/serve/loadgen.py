@@ -13,7 +13,7 @@ What it measures, on the shared virtual clock:
 - **per-request latency** (resume + quantum + suspend time inside one
   request), observed into a ``loadgen_request_latency`` Summary on the
   service's metrics registry — the *same* registry ``/obs/metrics``
-  exposes, so BENCH_serve.json and the live endpoint report identical
+  exposes, so the report and the live endpoint give identical
   numbers (p50/p99 via :mod:`repro.obs.slo`, computed once);
 - **fairness**: the Jain index over each session's total service time,
   overall and per catalog plan;
@@ -26,9 +26,9 @@ What it measures, on the shared virtual clock:
   delta in name only — how many bytes those commits *reused* from their
   base chain against how many they wrote, per catalog plan.
 
-Used by ``benchmarks/bench_serve.py`` (full run, ≥1000 sessions →
-BENCH_serve.json) and the ``serve-smoke`` CI job (reduced run that
-fails on any determinism divergence).
+Used by ``repro loadgen`` and ``tests/serve/test_loadgen.py``, which
+fails on any determinism divergence and on delta hops that reuse less
+than they write.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def run_loadgen(
     tracer=None,
     plan_names: Optional[list] = None,
 ) -> dict:
-    """Run the simulation; returns the BENCH_serve.json report dict."""
+    """Run the simulation; returns the report dict."""
     db_factory, catalog = serve_catalog(scale=scale, seed=seed)
     if plan_names:
         catalog = {n: catalog[n] for n in plan_names}

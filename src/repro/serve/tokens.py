@@ -17,25 +17,26 @@ Wire format (``rst1.<payload>.<crc>``):
   signature: tokens are capabilities only as far as the store is.
 
 :class:`TokenManager` adds the at-most-once discipline on top of an
-:class:`~repro.durability.store.ImageStore`:
+:class:`~repro.durability.store.ImageStore`, whose ledger (``TOKENS.json``
+under the image root) records both halves:
 
 - **issue** pins the image (token-pinned GC: ``store.gc()`` spares the
   pinned tip and, via chain expansion, every delta ancestor) and
-  releases the superseded image's pin, in one durable pin write;
-- **redeem** durably marks the token consumed *before* the caller
-  resumes, so a second redeem — any process, any time — fails with
-  :class:`TokenRedeemedError`; a token whose image has been collected
-  fails with :class:`TokenExpiredError` instead of a stack trace from
-  the store internals.
+  releases the superseded image's pin, in one ledger record;
+- **redeem** durably records the token as consumed *before* the caller
+  resumes, so a second redeem — any store instance, any process, any
+  time — fails with :class:`TokenRedeemedError`; a token whose image has
+  been collected fails with :class:`TokenExpiredError` instead of a
+  stack trace from the store internals.
 
-The redeemed ledger lives next to the images (``TOKENS.json`` under the
-image root), so it shares the store's crash story and survives server
-restarts. It is append-only JSONL — one fsynced line per redeem, never
-rewritten — so redeeming stays O(1) however many requests a server has
-served. A line is appended *before* the resume runs; a torn final line
-(crash mid-append) is ignored on read, which is safe because the resume
-it would have recorded never happened. One server process per image
-root is assumed: managers cache the redeemed set after first read.
+The ledger is append-only — one fsynced line per record, never
+rewritten — and every append checks and claims under one exclusive
+lock, so any number of server processes may share an image root.
+A store reads only the records appended since its last read, so
+redeeming stays O(1) however many requests the root has served. A
+redeem is recorded *before* the resume runs; a torn final line (crash
+mid-append) is never a record, which is safe because the resume it
+would have recorded never happened.
 """
 
 from __future__ import annotations
@@ -43,17 +44,11 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import ReproError
-from repro.durability.store import (
-    ImageNotFoundError,
-    ImageStore,
-    TOKENS_NAME,
-)
-from repro.durability.format import fsync_dir
+from repro.durability.store import ImageNotFoundError, ImageStore
 
 TOKEN_PREFIX = "rst1"
 
@@ -141,44 +136,6 @@ class TokenManager:
 
     def __init__(self, store: ImageStore):
         self.store = store
-        self._ledger_path = os.path.join(store.root, TOKENS_NAME)
-        self._redeemed: Optional[set] = None
-
-    # -- ledger --------------------------------------------------------
-    def _ledger(self) -> set:
-        """The live set of redeemed token strings (cached after first
-        read); membership tests against it keep :meth:`redeem` O(1)."""
-        if self._redeemed is None:
-            entries = set()
-            if os.path.exists(self._ledger_path):
-                with open(self._ledger_path, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            entries.add(json.loads(line)["token"])
-                        except (ValueError, KeyError, TypeError):
-                            # A torn tail from a crash mid-append: the
-                            # resume it would have recorded never ran.
-                            continue
-            self._redeemed = entries
-        return self._redeemed
-
-    def _mark_redeemed(self, token: ContinuationToken, text: str) -> None:
-        created = not os.path.exists(self._ledger_path)
-        line = json.dumps(
-            {"img": token.image_id, "q": token.query, "token": text},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        with open(self._ledger_path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        if created:
-            fsync_dir(self.store.root)
-        self._ledger().add(text)
 
     # -- lifecycle -----------------------------------------------------
     def issue(
@@ -207,7 +164,7 @@ class TokenManager:
         ).encode()
 
     def redeem(self, text: str) -> ContinuationToken:
-        """Consume a token: validate, check the ledger, mark redeemed.
+        """Consume a token: validate it and claim it in the ledger.
 
         On success the image is guaranteed present at the time of the
         call and the token can never be redeemed again — the durable
@@ -216,21 +173,21 @@ class TokenManager:
         next issued token.
         """
         token = ContinuationToken.decode(text)
-        canonical = token.encode()
-        if canonical in self._ledger():
-            raise TokenRedeemedError(
-                f"token for {token.query!r} (image {token.image_id}) was "
-                "already redeemed; a continuation may be resumed only once"
-            )
         try:
-            self.store.manifest(token.image_id)
+            claimed = self.store.claim(
+                token.image_id, token.query, token.encode()
+            )
         except ImageNotFoundError:
             raise TokenExpiredError(
                 f"token for {token.query!r} names image "
                 f"{token.image_id!r}, which no longer exists "
                 "(garbage-collected or never committed here)"
             ) from None
-        self._mark_redeemed(token, canonical)
+        if not claimed:
+            raise TokenRedeemedError(
+                f"token for {token.query!r} (image {token.image_id}) was "
+                "already redeemed; a continuation may be resumed only once"
+            )
         return token
 
     def release(self, image_id: str) -> None:

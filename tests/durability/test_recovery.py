@@ -277,3 +277,24 @@ class TestOldFormatsAreRejected:
             "blob-0000.bin",
         ]
         assert store.load("good").entries
+
+    def test_ledger_stays_and_a_pins_document_is_orphaned(self, tmp_path):
+        """The ledger is the root's one metadata file; a ``PINS.json``
+        left by a build that kept pins in a document of their own is
+        quarantined, and the pin it held is not honoured."""
+        committed_image(tmp_path)
+        committed_image(tmp_path, "other")
+        store = ImageStore(str(tmp_path))
+        store.pin("good")
+        (tmp_path / "PINS.json").write_text('{"pinned": ["other"]}')
+        report = store.recover()
+        assert report.orphaned == ["PINS.json"]
+        assert report.committed == ["good", "other"]
+        assert sorted(os.listdir(tmp_path)) == [
+            "TOKENS.json",
+            "good.rimg",
+            "other.rimg",
+            "quarantine",
+        ]
+        assert ImageStore(str(tmp_path)).pins() == {"good"}
+        assert store.gc() == ["other"]

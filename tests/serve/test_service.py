@@ -190,14 +190,15 @@ class TestDeltaVersusFullEquivalence:
 
 
 class TestHopDurabilityBudget:
-    def test_steady_state_continue_is_at_most_five_fsyncs(
+    def test_steady_state_continue_is_four_fsyncs_and_one_rename(
         self, tmp_path, monkeypatch
     ):
-        """1 (redeem ledger line) + 2 (packed image + root) + 2 (pin
-        write) whatever the image's blob count — sorted-join commits 17-18
-        blobs per hop, which the directory layout paid ~40 fsyncs for.
-        A chain rebase (every max_chain-th hop) adds the one sync of
-        ``delete_chain``."""
+        """1 (redeem ledger record) + 2 (packed image + root) + 1 (pin
+        ledger record), and the image's rename, whatever the image's
+        blob count — sorted-join commits 17-18 blobs per hop, which the
+        directory layout paid ~40 fsyncs for. A chain rebase (every
+        max_chain-th hop) adds the one sync of ``delete_chain``; the
+        completing request is redeem + unpin + chain delete."""
         service, catalog = make_service(str(tmp_path))
         result = service.begin("q1", catalog["sorted-join"])
         result = service.continue_query(result.token)  # creates the ledger
@@ -209,6 +210,7 @@ class TestHopDurabilityBudget:
             if result.done:
                 break
             blobs = service.image_store.manifest(result.image_id)["blobs"]
+            assert calls.count("rename") == 1
             per_hop.append(
                 (
                     calls.count("fsync"),
@@ -217,9 +219,10 @@ class TestHopDurabilityBudget:
                     sum("file" in b for b in blobs),
                 )
             )
+        assert calls == ["fsync"] * 3
         assert len(per_hop) >= 12 and max(b for _, _, b, _ in per_hop) >= 10
         for fsyncs, rebased, _, _ in per_hop:
-            assert fsyncs <= (6 if rebased else 5)
+            assert fsyncs <= (5 if rebased else 4)
         # Those 17-18 payloads are the sort's sublists, unchanged since
         # the first image: a hop that does not rebase the chain writes
         # at most the join's re-dumped buffer and references the rest

@@ -1,5 +1,7 @@
 """The continuation-token wire format and the at-most-once ledger."""
 
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -109,7 +111,7 @@ class TestTokenManagerLifecycle:
 
     def test_redeem_never_copies_or_walks_the_ledger(self, tmp_path):
         """Redeeming is O(1) in the number of tokens ever redeemed: the
-        cached ledger is only probed and appended to."""
+        store's folded ledger is only probed and appended to."""
 
         class ProbeOnlyLedger:
             def __init__(self):
@@ -124,7 +126,7 @@ class TestTokenManagerLifecycle:
         store = ImageStore(str(tmp_path))
         commit_image(store, "img-1")
         manager = TokenManager(store)
-        manager._redeemed = ProbeOnlyLedger()
+        store._redeemed = ProbeOnlyLedger()
         text = manager.issue("q1", "img-1", 1)
         assert manager.redeem(text).image_id == "img-1"
         with pytest.raises(TokenRedeemedError):
@@ -170,8 +172,9 @@ class TestTokenManagerLifecycle:
         assert store.list_images()[0].image_id == "img-2"
 
     def test_supersede_is_one_durable_pin_write(self, tmp_path, monkeypatch):
-        """The new pin and the released one travel in a single PINS.json
-        commit: one temp-file fsync, one rename, one root fsync."""
+        """The new pin and the released one travel in a single ledger
+        record: one fsync of the appended line, no rename, and no root
+        sync once the ledger exists."""
         store = ImageStore(str(tmp_path))
         commit_image(store, "img-1")
         commit_image(store, "img-2")
@@ -179,8 +182,126 @@ class TestTokenManagerLifecycle:
         manager.issue("q1", "img-1", 1)
         calls = record_device_calls(monkeypatch)
         manager.issue("q1", "img-2", 2, release="img-1")
-        assert calls == ["fsync", "rename", "fsync"]
+        assert calls == ["fsync"]
         assert store.pins() == {"img-2"}
+
+    def test_a_pin_that_changes_nothing_records_nothing(self, tmp_path):
+        store = ImageStore(str(tmp_path))
+        commit_image(store, "img-1")
+        store.pin("img-1")
+        size = os.path.getsize(tmp_path / "TOKENS.json")
+        store.pin("img-1")
+        store.pin("img-1", release="img-9")
+        assert not store.unpin("img-9")
+        assert os.path.getsize(tmp_path / "TOKENS.json") == size
+
+    def test_a_parent_ledger_reads_unchanged(self, tmp_path):
+        """A redeem line is ``{"img","q","token"}``, byte for byte what
+        the ledger held before pins moved into it."""
+        store = ImageStore(str(tmp_path))
+        commit_image(store, "img-1")
+        text = ContinuationToken("q1", "img-1", 1).encode()
+        line = '{"img":"img-1","q":"q1","token":"%s"}\n' % text
+        (tmp_path / "TOKENS.json").write_text(line)
+        with pytest.raises(TokenRedeemedError):
+            TokenManager(store).redeem(text)
+        other = ContinuationToken("q1", "img-1", 2).encode()
+        TokenManager(store).redeem(other)
+        assert (tmp_path / "TOKENS.json").read_text() == line + (
+            '{"img":"img-1","q":"q1","token":"%s"}\n' % other
+        )
+
+    def test_a_torn_tail_does_not_swallow_the_next_redeem(self, tmp_path):
+        """A crash mid-append leaves a fragment with no newline; the next
+        append ends it first, so its own record stays a line of its own
+        and a fresh manager sees the redeem."""
+        store = ImageStore(str(tmp_path))
+        commit_image(store, "img-1")
+        (tmp_path / "TOKENS.json").write_text('{"img":"x","q":"y","tok')
+        text = TokenManager(store).issue("q1", "img-1", 1)
+        TokenManager(store).redeem(text)
+        with pytest.raises(TokenRedeemedError):
+            TokenManager(ImageStore(str(tmp_path))).redeem(text)
+        assert ImageStore(str(tmp_path)).pins() == {"img-1"}
+
+
+def race(root, tokens, pins, start, results):
+    """One contending process: redeem every token it can, pin ``pins``,
+    and report how many redeems it won. ``start`` lines both phases up
+    with the other contender's."""
+    store = ImageStore(root)
+    manager = TokenManager(store)
+    won = 0
+    start.wait(timeout=60)
+    for text in tokens:
+        try:
+            manager.redeem(text)
+            won += 1
+        except TokenRedeemedError:
+            pass
+    start.wait(timeout=60)
+    for image_id in pins:
+        store.pin(image_id)
+    results.put(won)
+
+
+class TestOneRootManyStores:
+    """Redeems and pins from several stores over one root serialise on
+    the ledger: no token is redeemed twice, no pin is lost."""
+
+    TOKENS = 400
+    IMAGES = 40
+
+    def setup_root(self, root):
+        store = ImageStore(root)
+        for i in range(self.IMAGES):
+            commit_image(store, f"img-{i}")
+        tokens = [
+            ContinuationToken("q", "img-0", seq).encode()
+            for seq in range(self.TOKENS)
+        ]
+        half = self.IMAGES // 2
+        images = [f"img-{i}" for i in range(self.IMAGES)]
+        return tokens, [images[:half], images[half:]]
+
+    def test_two_processes(self, tmp_path):
+        root = str(tmp_path)
+        tokens, halves = self.setup_root(root)
+        ctx = multiprocessing.get_context("spawn")
+        start, results = ctx.Barrier(len(halves)), ctx.Queue()
+        workers = [
+            ctx.Process(
+                target=race, args=(root, tokens, half, start, results)
+            )
+            for half in halves
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        won = [results.get(timeout=10) for _ in workers]
+        assert sum(won) == self.TOKENS
+        assert ImageStore(root).pins() == set(halves[0] + halves[1])
+
+    def test_two_stores_in_one_process(self, tmp_path):
+        root = str(tmp_path)
+        tokens, halves = self.setup_root(root)
+        managers = [TokenManager(ImageStore(root)) for _ in halves]
+        won = 0
+        for text in tokens:
+            for manager in managers:
+                try:
+                    manager.redeem(text)
+                    won += 1
+                except TokenRedeemedError:
+                    pass
+        for manager, half in zip(managers, halves):
+            for image_id in half:
+                manager.store.pin(image_id)
+        assert won == self.TOKENS
+        for manager in managers:
+            assert manager.store.pins() == set(halves[0] + halves[1])
 
 
 class TestTraceFields:

@@ -33,6 +33,10 @@ REMOVED_EXPORTS = {"SuspendOptions", "CODEC_V1", "FORMAT_VERSION"}
 #: join-matching path beside the block NLJ's key index, and per-operator
 #: fold/group-key helpers beside ``compile_fold``/``compile_projection``.
 REMOVED_DEFINITIONS = {"compile_join_matches", "_fold", "_group_key"}
+#: Names no module under ``repro.durability`` may bind again: the pins
+#: document and the rewrite-whole commit it needed. Pins are ledger
+#: records beside token redemptions, in the root's one metadata file.
+REMOVED_DURABILITY_NAMES = {"PINS_NAME", "atomic_write", "load_json"}
 REMOVED_PARAMETERS = {
     "legacy",
     "codec",
@@ -175,6 +179,17 @@ def test_one_matching_path_and_one_fold_table():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     assert not REMOVED_DEFINITIONS & defined
+
+
+def test_the_image_root_has_one_metadata_file():
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(
+        repro.durability.__path__, "repro.durability."
+    ):
+        module = importlib.import_module(info.name)
+        assert not REMOVED_DURABILITY_NAMES & set(vars(module)), info.name
 
 
 def test_clock_has_no_ordered_charge_variants():
