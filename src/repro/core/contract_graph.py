@@ -109,16 +109,6 @@ class ContractGraph:
             c for c in self._contracts.values() if c.child_op_id == op_id
         ]
 
-    def incoming_contracts(self, ckpt_id: int) -> list[Contract]:
-        """Live contracts fulfilled by checkpoint ``ckpt_id``."""
-        return [
-            c for c in self._contracts.values() if c.child_ckpt_id == ckpt_id
-        ]
-
-    @property
-    def num_checkpoints(self) -> int:
-        return len(self._checkpoints)
-
     @property
     def num_contracts(self) -> int:
         return len(self._contracts)

@@ -151,20 +151,6 @@ class SuspendedQuery:
                     handles[handle.key] = handle
         return handles
 
-    def to_record(self) -> dict:
-        """Codec-v2 control record (dump payloads not included; see
-        :meth:`export_payloads` / the durability ImageStore). Tuples and
-        DumpHandles stay objects: the binary codec encodes them natively."""
-        from repro.durability import codec2  # local: import cycle
-
-        return codec2.suspended_query_to_record(self)
-
-    @classmethod
-    def from_record(cls, data: dict) -> "SuspendedQuery":
-        from repro.durability import codec2  # local: import cycle
-
-        return codec2.suspended_query_from_record(data)
-
     # ------------------------------------------------------------------
     # Migration support (the Grid scenario)
     # ------------------------------------------------------------------

@@ -42,7 +42,6 @@ from repro.durability.harness import (
     CrashOutcome,
     enumerate_faults,
     run_crash_matrix,
-    run_delta_crash_matrix,
 )
 from repro.durability.recipes import RECIPES, build_recipe
 from repro.durability.store import (
@@ -71,7 +70,6 @@ __all__ = [
     "CrashOutcome",
     "enumerate_faults",
     "run_crash_matrix",
-    "run_delta_crash_matrix",
     "RECIPES",
     "build_recipe",
 ]

@@ -22,20 +22,21 @@ truncates *inside a CRC'd frame*, one on the manifest truncates JSON
 mid-document, one on the trailer leaves a file with no valid trailer.
 All must classify as torn, never silently corrupt.
 
-The **delta matrix** (:func:`run_delta_crash_matrix`) commits a base
-image cleanly, continues from it the way a resumed process does (load,
-re-import the payloads), re-dumps one payload, and strikes the *delta*
-commit — a delta whose references rest on payload provenance carried
-across the load. The claim strengthens: the delta is torn/quarantined as
-usual AND the base image must remain committed and loadable — a crashed
-delta can never take its chain down with it.
+Given a ``base_image_id``, the same matrix runs on a **delta** commit:
+the query is committed cleanly as the base, continued from it the way a
+resumed process does (load, re-import the payloads), one payload is
+re-dumped, and the fault strikes the *delta* commit — a delta whose
+references rest on payload provenance carried across the load. The
+claim strengthens: the delta is torn/quarantined as usual AND the base
+image must remain committed and loadable — a crashed delta can never
+take its chain down with it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.core.suspended_query import SuspendedQuery
 from repro.durability.faults import FaultInjector, InjectedCrash
@@ -62,19 +63,53 @@ class CrashOutcome:
     #: The failure the claim forbids: classified committed but broken.
     silent_corruption: bool
     detail: str = ""
-    #: Delta matrix only: the pre-existing base image survived intact.
+    #: With a base commit: the pre-existing base image survived intact.
     base_intact: bool = True
+
+
+def bump_one_generation(sq: SuspendedQuery, store: StateStore) -> None:
+    """Re-dump one referenced payload so the next delta must rewrite it.
+
+    The payload bytes are unchanged but the dump forgets where they were
+    durable, which is exactly what a repeat suspend after more execution
+    looks like to the delta planner — so the delta commit carries one
+    local blob alongside its base-chain references.
+    """
+    handles = sq.referenced_handles()
+    if not handles:
+        return
+    key = sorted(handles)[0]
+    payload, pages = store.export_payload(handles[key])
+    store.dump(key, payload, pages)
+
+
+def _commit_base(
+    sq: SuspendedQuery, store: StateStore, root: str, base_image_id: str
+) -> SuspendedQuery:
+    """Commit ``base_image_id`` and return the query as a resume from it
+    holds it: loaded back, payloads re-imported under fresh keys whose
+    origins are sections of the base, one of them re-dumped."""
+    image_store = ImageStore(root)
+    image_store.save(sq, store, image_id=base_image_id)
+    resumed = image_store.load(base_image_id)
+    resumed.import_payloads(store)
+    bump_one_generation(resumed, store)
+    return resumed
 
 
 def enumerate_faults(
     sq: SuspendedQuery,
     store: StateStore,
     scratch_root: str,
+    base_image_id: Optional[str] = None,
 ) -> tuple[list[str], list[str]]:
-    """Record every crash point and torn-write label one save passes."""
+    """Record every crash point and torn-write label one save passes
+    (with ``base_image_id``: one delta commit against that base)."""
+    if base_image_id is not None:
+        sq = _commit_base(sq, store, scratch_root, base_image_id)
     recorder = FaultInjector()
     ImageStore(scratch_root, injector=recorder).save(
-        sq, store, image_id="probe"
+        sq, store, image_id="probe", base_image_id=base_image_id
     )
     points = list(dict.fromkeys(recorder.observed_points))
     torn = list(dict.fromkeys(recorder.observed_torn))
@@ -111,12 +146,24 @@ def run_one_fault(
     root: str,
     injector: FaultInjector,
     fault: str,
+    base_image_id: Optional[str] = None,
 ) -> CrashOutcome:
-    """Inject one fault into a save under a fresh ``root``; classify."""
+    """Inject one fault into a save under a fresh ``root``; classify.
+
+    With ``base_image_id`` the query is first committed cleanly as that
+    base and the fault strikes the delta commit against it. Beyond the
+    no-silent-corruption claim, the base must then survive every
+    mid-chain crash: it was durable before the delta began, and nothing
+    the delta does may disturb it.
+    """
+    if base_image_id is not None:
+        sq = _commit_base(sq, store, root, base_image_id)
     crashed = False
     detail = ""
     try:
-        ImageStore(root, injector=injector).save(sq, store, image_id="img")
+        ImageStore(root, injector=injector).save(
+            sq, store, image_id="img", base_image_id=base_image_id
+        )
     except InjectedCrash as exc:
         crashed = True
         detail = str(exc)
@@ -137,153 +184,17 @@ def run_one_fault(
         if crashed and fault not in post_commit:
             silent = True
             detail = detail or "pre-commit crash left a committed image"
-    return CrashOutcome(
-        fault=fault,
-        crashed=crashed,
-        classification=classification,
-        loaded=loaded,
-        silent_corruption=silent,
-        detail=detail,
-    )
-
-
-def run_crash_matrix(
-    make_suspended: "Callable",
-    root: str,
-) -> list[CrashOutcome]:
-    """Run the full fault matrix; returns one outcome per fault.
-
-    ``make_suspended()`` must return a fresh ``(sq, state_store)`` pair —
-    fresh so each variant's save sees identical inputs regardless of what
-    earlier variants did. Faults are enumerated from a clean recorder run,
-    then each crash point and each torn-write label gets its own image
-    root under ``root``.
-    """
-    sq, store = make_suspended()
-    points, torn_labels = enumerate_faults(
-        sq, store, os.path.join(root, "probe")
-    )
-    outcomes: list[CrashOutcome] = []
-    for index, point in enumerate(points):
-        sq, store = make_suspended()
-        outcomes.append(
-            run_one_fault(
-                sq,
-                store,
-                os.path.join(root, f"crash-{index:02d}"),
-                FaultInjector.crashing_at(point),
-                fault=f"crash:{point}",
-            )
+    base_intact = True
+    if base_image_id is not None:
+        base_loaded, base_broken, base_problem = (
+            _check_committed(survivor, sq, base_image_id)
+            if base_image_id in report.committed
+            else (False, True, "base image not committed after delta crash")
         )
-    for index, label in enumerate(torn_labels):
-        sq, store = make_suspended()
-        outcomes.append(
-            run_one_fault(
-                sq,
-                store,
-                os.path.join(root, f"torn-{index:02d}"),
-                FaultInjector.tearing(label),
-                fault=f"torn:{label}",
-            )
-        )
-    return outcomes
-
-
-# ----------------------------------------------------------------------
-# Delta-commit matrix
-# ----------------------------------------------------------------------
-def bump_one_generation(sq: SuspendedQuery, store: StateStore) -> None:
-    """Re-dump one referenced payload so the next delta must rewrite it.
-
-    The payload bytes are unchanged but the dump forgets where they were
-    durable, which is exactly what a repeat suspend after more execution
-    looks like to the delta planner — so the delta commit carries one
-    local blob alongside its base-chain references.
-    """
-    handles = sq.referenced_handles()
-    if not handles:
-        return
-    key = sorted(handles)[0]
-    payload, pages = store.export_payload(handles[key])
-    store.dump(key, payload, pages)
-
-
-def _commit_base(
-    sq: SuspendedQuery, store: StateStore, root: str
-) -> SuspendedQuery:
-    """Commit ``base`` and return the query as a resume from it holds it:
-    loaded back, payloads re-imported under fresh keys whose origins are
-    sections of ``base``, one of them re-dumped."""
-    image_store = ImageStore(root)
-    image_store.save(sq, store, image_id="base")
-    resumed = image_store.load("base")
-    resumed.import_payloads(store)
-    bump_one_generation(resumed, store)
-    return resumed
-
-
-def enumerate_delta_faults(
-    make_suspended: "Callable",
-    scratch_root: str,
-) -> tuple[list[str], list[str]]:
-    """Crash points / torn labels a *delta* commit actually passes."""
-    sq, store = make_suspended()
-    sq = _commit_base(sq, store, scratch_root)
-    recorder = FaultInjector()
-    ImageStore(scratch_root, injector=recorder).save(
-        sq, store, image_id="probe", base_image_id="base"
-    )
-    points = list(dict.fromkeys(recorder.observed_points))
-    torn = list(dict.fromkeys(recorder.observed_torn))
-    return points, torn
-
-
-def run_one_delta_fault(
-    make_suspended: "Callable",
-    root: str,
-    injector: FaultInjector,
-    fault: str,
-) -> CrashOutcome:
-    """Commit a base cleanly, then inject ``fault`` into the delta commit.
-
-    Beyond the usual no-silent-corruption claim, the base image must
-    survive every mid-chain crash: it was durably committed before the
-    delta began, and nothing the delta does may disturb it.
-    """
-    sq, store = make_suspended()
-    sq = _commit_base(sq, store, root)
-    crashed = False
-    detail = ""
-    try:
-        ImageStore(root, injector=injector).save(
-            sq, store, image_id="img", base_image_id="base"
-        )
-    except InjectedCrash as exc:
-        crashed = True
-        detail = str(exc)
-
-    survivor = ImageStore(root)
-    report = survivor.recover()
-    classification = _classify(report, "img")
-    base_loaded, base_broken, base_problem = (
-        _check_committed(survivor, sq, "base")
-        if "base" in report.committed
-        else (False, True, "base image not committed after delta crash")
-    )
-    base_intact = base_loaded and not base_broken
-
-    loaded = False
-    silent = False
-    if classification == "committed":
-        loaded, silent, problem = _check_committed(survivor, sq, "img")
-        detail = problem or detail
-        post_commit = {f"crash:{p}" for p in _POST_COMMIT_POINTS}
-        if crashed and fault not in post_commit:
+        base_intact = base_loaded and not base_broken
+        if not base_intact:
             silent = True
-            detail = detail or "pre-commit crash left a committed delta"
-    if not base_intact:
-        silent = True
-        detail = detail or base_problem
+            detail = detail or base_problem
     return CrashOutcome(
         fault=fault,
         crashed=crashed,
@@ -295,31 +206,42 @@ def run_one_delta_fault(
     )
 
 
-def run_delta_crash_matrix(
+def run_crash_matrix(
     make_suspended: "Callable",
     root: str,
+    base_image_id: Optional[str] = None,
 ) -> list[CrashOutcome]:
-    """The delta-commit fault sweep: every fault, base must survive."""
-    points, torn_labels = enumerate_delta_faults(
-        make_suspended, os.path.join(root, "probe")
+    """Run the full fault matrix; returns one outcome per fault.
+
+    ``make_suspended()`` must return a fresh ``(sq, state_store)`` pair —
+    fresh so each variant's save sees identical inputs regardless of what
+    earlier variants did. Faults are enumerated from a clean recorder run,
+    then each crash point and each torn-write label gets its own image
+    root under ``root``. ``base_image_id`` sweeps a delta commit instead
+    (see :func:`run_one_fault`).
+    """
+    sq, store = make_suspended()
+    points, torn_labels = enumerate_faults(
+        sq, store, os.path.join(root, "probe"), base_image_id
     )
+    faults = [
+        (f"crash-{i:02d}", FaultInjector.crashing_at(p), f"crash:{p}")
+        for i, p in enumerate(points)
+    ] + [
+        (f"torn-{i:02d}", FaultInjector.tearing(lb), f"torn:{lb}")
+        for i, lb in enumerate(torn_labels)
+    ]
     outcomes: list[CrashOutcome] = []
-    for index, point in enumerate(points):
+    for name, injector, fault in faults:
+        sq, store = make_suspended()
         outcomes.append(
-            run_one_delta_fault(
-                make_suspended,
-                os.path.join(root, f"crash-{index:02d}"),
-                FaultInjector.crashing_at(point),
-                fault=f"crash:{point}",
-            )
-        )
-    for index, label in enumerate(torn_labels):
-        outcomes.append(
-            run_one_delta_fault(
-                make_suspended,
-                os.path.join(root, f"torn-{index:02d}"),
-                FaultInjector.tearing(label),
-                fault=f"torn:{label}",
+            run_one_fault(
+                sq,
+                store,
+                os.path.join(root, name),
+                injector,
+                fault=fault,
+                base_image_id=base_image_id,
             )
         )
     return outcomes

@@ -345,10 +345,9 @@ class Operator:
                 self.work,
             )
         pruned = graph.prune()
-        if self.rt.config.check_invariants:
-            graph.check_theorem1_bound(
-                num_operators=len(self.rt.ops), height=self.rt.plan_height()
-            )
+        graph.check_theorem1_bound(
+            num_operators=len(self.rt.ops), height=self.rt.plan_height()
+        )
         if self._tr.enabled:
             self._tr.event(
                 "checkpoint.taken",

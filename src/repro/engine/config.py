@@ -17,9 +17,6 @@ class EngineConfig:
         contract_migration: enable Section 3.4 contract migration (re-point
             a contract to a newer checkpoint when no output was produced in
             between, plus the filter's saved-tuple variant).
-        check_invariants: assert contract-graph invariants (Theorem 1
-            bound) after every checkpoint. Cheap for realistic plans; can
-            be disabled for very large stress runs.
         proactive_checkpointing: enable proactive checkpoints at
             minimal-heap-state points. Disabling degrades every GoBack to
             the initial checkpoints only — used by ablations.
@@ -31,5 +28,4 @@ class EngineConfig:
     """
 
     contract_migration: bool = True
-    check_invariants: bool = True
     proactive_checkpointing: bool = True

@@ -35,6 +35,8 @@ class Filter(Operator):
         super().__init__(op_id, name, [child], runtime, child.schema)
         self.predicate = predicate
         self.REWINDABLE = child.REWINDABLE
+        #: Ids of contracts left unmigrated by a rewind (:meth:`rewind`).
+        self._rewound: set = set()
 
     @property
     def child(self) -> Operator:
@@ -69,17 +71,29 @@ class Filter(Operator):
         return out
 
     def rewind(self) -> None:
+        # A contract signed before the rewind holds a position in the
+        # abandoned pass; the next match comes from the new one, so
+        # saving it there would replay the new pass from the old point.
+        self._rewound = {c.contract_id for c in self._unmatched_contracts()}
         self.child.rewind()
 
-    def _open_contracts(self) -> list:
-        """Contracts signed since the last emission: the next match
-        migrates them, so the fused loop waits while one exists (none can
-        *appear* mid-batch: contracts are only created at checkpoints,
-        and a batch never spans one)."""
+    def _unmatched_contracts(self) -> list:
+        """Contracts signed since the last emission."""
         return [
             c
             for c in self.rt.graph.contracts_of_child(self.op_id)
             if c.emitted_at_signing == self.tuples_emitted and not c.saved_rows
+        ]
+
+    def _open_contracts(self) -> list:
+        """Contracts the next match migrates: signed since the last
+        emission and not before a rewind. The fused loop waits while one
+        exists (none can *appear* mid-batch: contracts are only created
+        at checkpoints, and a batch never spans one)."""
+        return [
+            c
+            for c in self._unmatched_contracts()
+            if c.contract_id not in self._rewound
         ]
 
     def _migrate_open_contracts(self, row: Row) -> None:

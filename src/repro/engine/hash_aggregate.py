@@ -121,9 +121,10 @@ class HashGroupAggregate(Operator):
             return False
         if self.current_partition >= 0:
             # Previous partition's groups discarded: minimal-heap-state
-            # point.
+            # point. ``emit_idx`` stays past the last group, so a contract
+            # migrated here rolls forward to the end of this partition,
+            # not to its start.
             self._groups = []
-            self.emit_idx = 0
             self.make_checkpoint()
         self.current_partition = next_p
         self._load_partition(next_p)

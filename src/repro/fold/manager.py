@@ -40,10 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.plan import PlanSpec
     from repro.storage.database import Database
 
-#: Default cap on buffered pages per producer window.
-DEFAULT_WINDOW_PAGES = 64
-#: Default cap on cached shared build-side hash tables (per manager).
-DEFAULT_BUILD_TABLES = 32
+#: Cap on buffered pages per producer window (bounds fold memory).
+WINDOW_PAGES = 64
+#: Cap on cached shared build-side hash tables (per manager).
+BUILD_TABLES = 32
 
 
 @dataclass
@@ -102,10 +102,6 @@ class FoldProducer:
         self._high_water = -1
 
     @property
-    def num_consumers(self) -> int:
-        return len(self._consumers)
-
-    @property
     def window_size(self) -> int:
         return len(self._pages)
 
@@ -159,16 +155,8 @@ class FoldManager:
     """Detects foldable work among admitted queries and owns the shared
     producers and build-table cache they graft onto."""
 
-    def __init__(
-        self,
-        db: "Database",
-        window_pages: int = DEFAULT_WINDOW_PAGES,
-        build_tables: int = DEFAULT_BUILD_TABLES,
-        tracer=None,
-    ):
+    def __init__(self, db: "Database", tracer=None):
         self.db = db
-        self.window_pages = window_pages
-        self.build_tables = max(0, build_tables)
         self.tracer = tracer
         self.stats = FoldStats()
         self._producers: dict[str, FoldProducer] = {}
@@ -252,13 +240,10 @@ class FoldManager:
         producer = self._producers.get(table.name)
         if producer is None:
             producer = FoldProducer(
-                table, self.db.disk, self.stats, self.window_pages
+                table, self.db.disk, self.stats, WINDOW_PAGES
             )
             self._producers[table.name] = producer
         return producer
-
-    def producer_named(self, table_name: str) -> Optional[FoldProducer]:
-        return self._producers.get(table_name)
 
     # ------------------------------------------------------------------
     # Shared build-side hash tables
@@ -270,11 +255,9 @@ class FoldManager:
         return per_part.get(partition)
 
     def store_build(self, build_key: str, partition: int, table: dict) -> None:
-        if self.build_tables <= 0:
-            return
         per_part = self._build_cache.get(build_key)
         if per_part is None:
-            while len(self._build_cache) >= self.build_tables:
+            while len(self._build_cache) >= BUILD_TABLES:
                 # FIFO eviction: oldest fingerprint's tables go first.
                 oldest = next(iter(self._build_cache))
                 del self._build_cache[oldest]

@@ -51,14 +51,6 @@ class OverheadResult:
     suspend_plan: SuspendPlan
     rows_before_suspend: int
 
-    def as_row(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "suspend": round(self.suspend_cost, 2),
-            "resume": round(self.resume_cost, 2),
-            "total_overhead": round(self.total_overhead, 2),
-        }
-
 
 def run_reference_to_milestone(
     db: Database,

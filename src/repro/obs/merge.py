@@ -30,7 +30,7 @@ and in-process-mode runs of one query are comparable modulo nothing.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.obs.tracer import TRACE_FORMAT_VERSION
 
@@ -104,10 +104,7 @@ def merge_traces(
     return merged
 
 
-def split_by_shard(
-    records: Iterable[dict],
-    coordinator_lane: str = COORDINATOR_LANE,
-) -> list[tuple[str, list[dict]]]:
+def split_by_shard(records: Iterable[dict]) -> list[tuple[str, list[dict]]]:
     """Split one trace into lanes by each record's ``shard`` field.
 
     The inverse-of-merge normalizer: an in-process sharded run emits all
@@ -115,12 +112,12 @@ def split_by_shard(
     that tag and re-merging yields the exact shape a process-worker run's
     merged trace has, so the two modes can be compared record-for-record.
     Records without a ``shard`` field (coordinator spans, trace.meta) go
-    to ``coordinator_lane``.
+    to the coordinator lane.
     """
     by_lane: dict[str, list[dict]] = {}
     for record in records:
         shard = record.get("shard")
-        lane = coordinator_lane if shard is None else shard_lane(shard)
+        lane = COORDINATOR_LANE if shard is None else shard_lane(shard)
         by_lane.setdefault(lane, []).append(record)
     return sorted(by_lane.items(), key=lambda kv: _lane_rank(kv[0]))
 
@@ -139,7 +136,6 @@ def strip_lanes(records: Iterable[dict]) -> list[dict]:
 def merge_shard_trace(
     coordinator_records: Iterable[dict],
     shard_records: dict[int, Iterable[dict]],
-    extra_streams: Optional[Sequence[tuple[str, Iterable[dict]]]] = None,
 ) -> list[dict]:
     """Convenience wrapper: coordinator + per-shard streams by shard id."""
     streams: list[tuple[str, Iterable[dict]]] = [
@@ -147,6 +143,4 @@ def merge_shard_trace(
     ]
     for shard_id in sorted(shard_records):
         streams.append((shard_lane(shard_id), shard_records[shard_id]))
-    if extra_streams:
-        streams.extend(extra_streams)
     return merge_traces(streams)

@@ -173,8 +173,6 @@ class QueryService(ExecutorCore):
             # the query suspends below.
             self.note_progress(record, emit=False)
         rows = record.rows[produced:]
-        if not self.config.collect_rows:
-            rows = []
         if status is QueryStatus.COMPLETED:
             result = ServeResult(
                 query=record.name,

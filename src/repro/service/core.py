@@ -43,7 +43,6 @@ from repro.core.lifecycle import (
     SuspendSpec,
 )
 from repro.core.suspended_query import SuspendedQuery
-from repro.engine.config import EngineConfig
 from repro.obs.progress import (
     emit_progress,
     estimate_cardinalities,
@@ -80,29 +79,22 @@ class SchedulerConfig:
             scheduler's reaction latency; keep it small relative to a
             query's total output.
         suspend: one :class:`~repro.core.lifecycle.SuspendSpec` covering
-            the whole suspend surface — plan strategy and budget, the
-            durable image store (``persist_to``), delta spill, and
-            parallel-commit workers. When no valid plan fits the
-            budget, victims retry unbudgeted rather than fail.
-        engine_config: per-session engine configuration.
-        collect_rows: keep every query's output rows on its record
-            (memory in the *host* process only; disable for large runs).
+            the whole suspend surface — plan strategy and budget, and
+            the durable image store (``persist_to``). When no valid
+            plan fits the budget, victims retry unbudgeted rather than
+            fail.
     """
 
     policy: Union[str, PressurePolicy] = "suspend-resume"
     memory_budget: Optional[int] = None
     quantum_rows: int = 64
     suspend: SuspendSpec = field(default_factory=SuspendSpec)
-    engine_config: Optional[EngineConfig] = None
-    collect_rows: bool = True
     #: Shared-work folding (``repro.fold``): detect common subplans among
     #: admitted queries and graft them onto shared scan producers and
     #: build-side hash tables. Off by default — folding changes global
     #: I/O and co-scheduling order (never per-query outputs, clocks, or
     #: images).
     fold: bool = False
-    #: Pages a fold producer may buffer per table (bounds fold memory).
-    fold_window_pages: int = 64
     #: Observability tracer for this run; defaults to the process-wide
     #: tracer (:func:`repro.obs.tracer.current_tracer`), a no-op unless
     #: tracing was explicitly enabled.
@@ -188,11 +180,7 @@ class ExecutorCore:
         if self.config.fold:
             from repro.fold.manager import FoldManager
 
-            self.fold_manager = FoldManager(
-                db,
-                window_pages=self.config.fold_window_pages,
-                tracer=self.tracer,
-            )
+            self.fold_manager = FoldManager(db, tracer=self.tracer)
 
     def _resolve_image_store(self) -> Optional["ImageStore"]:
         return self.config.suspend.resolve_image_store()
@@ -255,10 +243,6 @@ class ExecutorCore:
             and r.priority < record.priority
             and r.memory_in_use() > 0
         ]
-
-    def suspend_victim(self, victim: QueryRecord) -> None:
-        """Suspend a victim within the configured per-suspend budget."""
-        self.suspend_victims([victim])
 
     def suspend_victims(self, victims: list[QueryRecord]) -> None:
         """Suspend one pressure event's victims; spill images in a batch.
@@ -354,7 +338,6 @@ class ExecutorCore:
         record.session = QuerySession(
             self.db,
             record.arrival.plan,
-            config=self.config.engine_config,
             priority=record.priority,
             name=record.name,
             tracer=self.record_tracer(record),
@@ -375,7 +358,6 @@ class ExecutorCore:
         return QuerySession.resume(
             self.db,
             record.sq,
-            config=self.config.engine_config,
             priority=record.priority,
             name=record.name,
             tracer=self.record_tracer(record),
@@ -406,8 +388,7 @@ class ExecutorCore:
         else:
             result = record.session.execute(max_rows=self.config.quantum_rows)
         record.stats.rows_emitted += len(result.rows)
-        if self.config.collect_rows:
-            record.rows.extend(result.rows)
+        record.rows.extend(result.rows)
         self.note_memory()
         if self.tracer.enabled:
             self.note_progress(record)

@@ -109,10 +109,6 @@ class QueryScheduler(ExecutorCore):
             self.stats.fold = self.fold_manager.stats.as_dict()
         return self.stats
 
-    def run_to_completion(self) -> SchedulerStats:  # pragma: no cover
-        """Alias for :meth:`run` (reads better at call sites)."""
-        return self.run()
-
     @classmethod
     def run_workload(
         cls,

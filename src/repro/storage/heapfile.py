@@ -26,9 +26,6 @@ class TuplePosition:
     page_no: int
     slot: int
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.page_no, self.slot)
-
 
 class HeapFile:
     """A paged, append-only table file.

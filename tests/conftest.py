@@ -141,8 +141,3 @@ def flip_byte(store, image_id: str, name: str) -> None:
         byte = fh.read(1)
         fh.seek(-1, 1)
         fh.write(bytes([byte[0] ^ 0x40]))
-
-
-@pytest.fixture
-def small_db() -> Database:
-    return make_small_db()

@@ -30,10 +30,7 @@ from repro.durability import (
 )
 from repro.durability.faults import FaultInjector, InjectedCrash
 from repro.durability.format import IMAGE_SUFFIX, TRAILER, ImageFormatError
-from repro.durability.harness import (
-    run_delta_crash_matrix,
-    run_one_fault,
-)
+from repro.durability.harness import run_one_fault
 
 
 def make_suspended():
@@ -123,7 +120,9 @@ def test_full_matrix_via_harness(tmp_path):
 
 def test_delta_matrix_base_survives_every_fault(tmp_path):
     """Mid-chain delta commit faults: delta torn/absent, base intact."""
-    outcomes = run_delta_crash_matrix(make_suspended, str(tmp_path))
+    outcomes = run_crash_matrix(
+        make_suspended, str(tmp_path), base_image_id="base"
+    )
     assert len(outcomes) >= 8
     for o in outcomes:
         assert not o.silent_corruption, f"{o.fault}: {o.detail}"

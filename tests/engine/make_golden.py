@@ -3,9 +3,10 @@
 ``golden_row_path.json`` was recorded at the last commit that still had a
 per-row implementation of every operator (one ``next()``, and so one
 suspend poll, per row), with that path pinned. It holds, for each of the
-12 ``PLAN_KINDS`` x 10 stops (a ``fill``, ``position``, root ``emitted``
-and leaf ``emitted`` trigger at two thresholds each, ``position`` also
-just past the table's end, and a ``max_rows`` cut) x 3 strategies, what the run looked like at the stop (rows, clock,
+12 ``PLAN_KINDS`` of ``tests/properties/plans.py`` x 10 stops (a
+``fill``, ``position``, root ``emitted`` and leaf ``emitted`` trigger at
+two thresholds each, ``position`` also just past the table's end, and a
+``max_rows`` cut) x 3 strategies, what the run looked like at the stop (rows, clock,
 I/O counters, every operator's ``(emitted, tally)`` and control state),
 the bytes of the suspend image, and the same after the resumed run
 finished — plus the stdout of the ten ``repro experiment`` commands.
@@ -35,13 +36,7 @@ from repro.cli import main as cli_main
 from repro.core.lifecycle import QueryStatus
 from repro.durability.codec2 import encode_suspended_query
 
-from tests.properties.test_property_batch_equivalence import (
-    PLAN_KINDS,
-    build_db,
-    build_plan,
-    events,
-    reset_id_counters,
-)
+from tests.properties.plans import PLAN_KINDS, build_db, build_plan, events
 
 GOLDEN = Path(__file__).with_name("golden_row_path.json")
 STRATEGIES = ("all_dump", "all_goback", "lp")
@@ -130,7 +125,6 @@ def snapshot(db, session, rows):
 
 
 def run_case(kind, index, keywords, strategy):
-    reset_id_counters()
     db = build_db(110, 60, 7 + index)
     session = QuerySession(db, plan_of(kind, index))
     first = session.execute(**keywords)

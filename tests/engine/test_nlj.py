@@ -27,7 +27,6 @@ from tests.conftest import (
     suspend_resume_rows,
     tiny_nlj_plan,
 )
-from tests.properties.test_property_batch_equivalence import reset_id_counters
 
 
 def expected_nlj_output(db, selectivity, modulus, buffer_tuples):
@@ -199,7 +198,6 @@ class TestSuspendRaisedByTheInnerPull:
     """
 
     def stopped_at(self, inner_tuples):
-        reset_id_counters()
         db = make_small_db()
         plan = tiny_nlj_plan(buffer_tuples=12, modulus=40)
         session = QuerySession(db, plan)

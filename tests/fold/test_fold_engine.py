@@ -7,9 +7,6 @@ only the *global* disk traffic changes. Fold split on suspend is the
 same property applied mid-flight.
 """
 
-import itertools
-
-import repro.core.checkpoint as checkpoint_module
 from repro import Database, QuerySession, SuspendSpec
 from repro.core.lifecycle import QueryStatus
 from repro.durability.codec2 import encode_suspended_query
@@ -49,11 +46,6 @@ def shj_plan(selectivity, hybrid=False):
         num_partitions=4,
         **kwargs,
     )
-
-
-def reset_id_counters():
-    checkpoint_module._ckpt_ids = itertools.count(1)
-    checkpoint_module._contract_ids = itertools.count(1)
 
 
 def lane_state(session):
@@ -120,7 +112,6 @@ class TestSharedScanEquivalence:
 
 class TestFoldSplitOnSuspend:
     def run_solo_suspend(self, plan, point):
-        reset_id_counters()
         db = build_db()
         session = QuerySession(db, plan, name="victim")
         first = session.execute(max_rows=point)
@@ -128,7 +119,6 @@ class TestFoldSplitOnSuspend:
         return first.rows, encode_suspended_query(sq)
 
     def run_folded_suspend(self, plan, sibling_plan, point, chunk=10):
-        reset_id_counters()
         db = build_db()
         manager = FoldManager(db)
         victim = QuerySession(

@@ -3,12 +3,13 @@
 The fundamental invariant of the whole system: for any plan, any suspend
 point, and any valid suspend plan, the concatenation of pre-suspend and
 post-resume output equals the uninterrupted run's output, tuple for
-tuple, in order.
+tuple, in order. These are fixed plans and fixed schedules run through
+the in-place mode of the differential harness
+(``tests/properties/test_differential.py``).
 """
 
 import pytest
 
-from repro import Database, QuerySession, SuspendSpec
 from repro.engine.plan import (
     DupElimSpec,
     FilterSpec,
@@ -22,19 +23,14 @@ from repro.engine.plan import (
     SimpleHashJoinSpec,
     SortSpec,
 )
-from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
 from repro.relational.expressions import EquiJoinCondition, UniformSelect
 
-from tests.conftest import reference_rows, suspend_resume_rows
-
-
-def mkdb():
-    db = Database()
-    db.create_table("R", BASE_SCHEMA, generate_uniform_table(300, seed=1))
-    db.create_table("S", BASE_SCHEMA, generate_uniform_table(200, seed=2))
-    db.create_index("idx_S", "S", 0)
-    return db
-
+from tests.properties.plans import Case
+from tests.properties.test_differential import (
+    Schedule,
+    check_in_place,
+    reference,
+)
 
 COND = EquiJoinCondition(0, 0, modulus=40)
 
@@ -69,7 +65,7 @@ PLANS = {
     ),
     "inlj": IndexNLJSpec(
         outer=FilterSpec(ScanSpec("R"), UniformSelect(1, 0.5)),
-        index="idx_S",
+        index="S_key",
         outer_key_column=0,
     ),
     "agg": GroupAggSpec(
@@ -107,56 +103,35 @@ PLANS = {
 }
 
 
+def case(plan_name):
+    return Case(300, 200, 1, PLANS[plan_name])
+
+
+def cuts(*rows):
+    return tuple(("max_rows", 0, n) for n in rows)
+
+
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 @pytest.mark.parametrize("strategy", ["all_dump", "all_goback", "lp", "dp"])
 def test_equivalence_across_points(plan_name, strategy):
-    plan = PLANS[plan_name]
-    ref = reference_rows(mkdb, plan)
-    assert ref, f"plan {plan_name} must produce output"
+    ref = reference(case(plan_name))
+    assert ref.rows, f"plan {plan_name} must produce output"
     for point in (1, 7, 33, 150):
-        got = suspend_resume_rows(mkdb, plan, point, strategy)
-        if got is None:
-            continue
-        assert got == ref, f"{plan_name}/{strategy}@{point}"
+        schedule = Schedule(cuts(point), (strategy,))
+        check_in_place(case(plan_name), schedule, ref)
 
 
 @pytest.mark.parametrize("plan_name", ["nlj", "smj", "deep", "shj", "hhj", "inlj"])
 def test_double_suspend_equivalence(plan_name):
-    plan = PLANS[plan_name]
-    ref = reference_rows(mkdb, plan)
+    ref = reference(case(plan_name))
     for strategies in (("all_dump", "all_goback"), ("all_goback", "lp"), ("lp", "lp")):
-        db = mkdb()
-        session = QuerySession(db, plan)
-        rows = session.execute(max_rows=5).rows
-        sq = session.suspend(SuspendSpec(strategy=strategies[0]))
-        session = QuerySession.resume(db, sq)
-        rows += session.execute(max_rows=9).rows
-        if session.status.value != "completed":
-            sq2 = session.suspend(SuspendSpec(strategy=strategies[1]))
-            session = QuerySession.resume(db, sq2)
-            rows += session.execute().rows
-        assert rows == ref, f"{plan_name}/{strategies}"
+        check_in_place(case(plan_name), Schedule(cuts(5, 9), strategies), ref)
 
 
 def test_triple_suspend_chain():
-    plan = PLANS["nlj"]
-    ref = reference_rows(mkdb, plan)
-    db = mkdb()
-    session = QuerySession(db, plan)
-    rows = session.execute(max_rows=3).rows
-    for strategy in ("all_goback", "lp", "all_dump"):
-        if session.status.value == "completed":
-            break
-        sq = session.suspend(SuspendSpec(strategy=strategy))
-        session = QuerySession.resume(db, sq)
-        rows += session.execute(max_rows=20).rows
-    rows += session.execute().rows if session.status.value != "completed" else []
-    assert rows == ref
+    schedule = Schedule(cuts(3, 20, 20), ("all_goback", "lp", "all_dump"))
+    check_in_place(case("nlj"), schedule)
 
 
 def test_budget_constrained_suspend_is_still_correct():
-    plan = PLANS["deep"]
-    ref = reference_rows(mkdb, plan)
-    got = suspend_resume_rows(mkdb, plan, 25, "lp", budget=10.0)
-    if got is not None:
-        assert got == ref
+    check_in_place(case("deep"), Schedule(cuts(25), ("lp",), budget=10.0))

@@ -8,7 +8,7 @@ from repro.core.checkpoint import Checkpoint, Contract
 from repro.core.contract_graph import ContractGraph
 
 from tests.conftest import make_small_db
-from tests.properties.test_property_suspend_resume import build_db, build_plan
+from tests.properties.plans import build_db, build_plan
 
 FAST = settings(
     max_examples=30,

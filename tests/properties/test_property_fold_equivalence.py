@@ -1,194 +1,55 @@
 """Property: shared-work folding is invisible to every folded member.
 
-Hypothesis drives random plan pairs/triples over shared tables, random
-interleavings, and random suspend points; the invariants are the fold
-contract — byte-identical per-query outputs, identical as-if-solo lane
-clocks and counters, and byte-identical durable suspend images versus
-an unfolded run, including a fold split fired mid-drain.
+Hypothesis draws pairs and triples of scan-filter-project and hash-join
+plans over shared tables, interleavings and suspend points, and runs
+them through the folded mode of the differential harness
+(``test_differential.py``): per-query outputs and as-if-solo lanes equal
+the solo runs, and the durable images of a member split mid-drain equal
+an unfolded run's bytes.
 """
 
-import itertools
-
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.checkpoint as checkpoint_module
-from repro import Database, QuerySession, SuspendSpec
-from repro.core.lifecycle import QueryStatus
-from repro.durability.codec2 import encode_suspended_query
-from repro.engine.plan import (
-    FilterSpec,
-    ProjectSpec,
-    ScanSpec,
-    SimpleHashJoinSpec,
-)
-from repro.fold.manager import FoldManager
-from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
-from repro.relational.expressions import EquiJoinCondition, UniformSelect
-
-SLOW = settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
-def build_db(r_size, s_size, seed):
-    db = Database()
-    db.create_table("R", BASE_SCHEMA, generate_uniform_table(r_size, seed=seed))
-    db.create_table(
-        "S", BASE_SCHEMA, generate_uniform_table(s_size, seed=seed + 1)
-    )
-    return db
-
-
-def build_plan(kind, selectivity, modulus):
-    filtered = FilterSpec(ScanSpec("R"), UniformSelect(1, selectivity))
-    if kind == "sfp":
-        return ProjectSpec(filtered, columns=(0, 2))
-    return SimpleHashJoinSpec(
-        build=ScanSpec("S"),
-        probe=filtered,
-        condition=EquiJoinCondition(0, 0, modulus=modulus),
-        num_partitions=4,
-    )
-
-
-def reset_id_counters():
-    checkpoint_module._ckpt_ids = itertools.count(1)
-    checkpoint_module._contract_ids = itertools.count(1)
-
-
-def lane_state(session):
-    lane = session.runtime.lane
-    return (repr(lane.now), lane.counters.snapshot())
-
-
-def run_solo(db_factory, plan, name):
-    reset_id_counters()
-    db = db_factory()
-    session = QuerySession(db, plan, name=name)
-    rows = session.execute().rows
-    return rows, lane_state(session)
-
-
-def run_solo_suspended(db_factory, plan, name, point):
-    """Solo drain-to-point, suspend, resume, finish; None if completed."""
-    reset_id_counters()
-    db = db_factory()
-    session = QuerySession(db, plan, name=name)
-    first = session.execute(max_rows=point)
-    if session.status is QueryStatus.COMPLETED:
-        return None
-    sq = session.suspend(SuspendSpec(strategy="all_dump"))
-    image = encode_suspended_query(sq)
-    resumed = QuerySession.resume(db, sq, name=name)
-    return first.rows + resumed.execute().rows, image
-
+from tests.properties.plans import Case, build_plan
+from tests.properties.test_differential import SLOW, Schedule, check_folded
 
 plans_strategy = st.lists(
-    st.tuples(
+    st.builds(
+        build_plan,
         st.sampled_from(["sfp", "shj"]),
         st.floats(0.1, 1.0),
+        st.just(0),
         st.integers(5, 40),
     ),
     min_size=2,
     max_size=3,
 )
-
-
-@SLOW
-@given(
-    specs=plans_strategy,
+tables = dict(
     r_size=st.integers(60, 200),
     s_size=st.integers(40, 100),
     seed=st.integers(0, 10_000),
-    chunk=st.integers(5, 60),
 )
-def test_folded_members_match_solo_runs(specs, r_size, s_size, seed, chunk):
-    def db_factory():
-        return build_db(r_size, s_size, seed)
-
-    plans = [build_plan(*spec) for spec in specs]
-    solo = [
-        run_solo(db_factory, plan, f"q{i}") for i, plan in enumerate(plans)
-    ]
-
-    reset_id_counters()
-    db = db_factory()
-    manager = FoldManager(db)
-    sessions = [
-        QuerySession(
-            db, plan, name=f"q{i}", fold=manager.admit(f"q{i}", plan)
-        )
-        for i, plan in enumerate(plans)
-    ]
-    rows = [[] for _ in sessions]
-    live = list(range(len(sessions)))
-    while live:
-        for i in list(live):
-            rows[i].extend(sessions[i].execute(max_rows=chunk).rows)
-            if sessions[i].status is QueryStatus.COMPLETED:
-                live.remove(i)
-    for i in range(len(plans)):
-        assert rows[i] == solo[i][0]
-        assert lane_state(sessions[i]) == solo[i][1]
 
 
-@SLOW
+@settings(SLOW, max_examples=15)
+@given(plans=plans_strategy, chunk=st.integers(5, 60), **tables)
+def test_folded_members_match_solo_runs(plans, r_size, s_size, seed, chunk):
+    case = Case(r_size, s_size, seed, plans[0], tuple(plans[1:]))
+    check_folded(case, Schedule(()), chunk)
+
+
+@settings(SLOW, max_examples=15)
 @given(
-    specs=plans_strategy,
-    r_size=st.integers(60, 200),
-    s_size=st.integers(40, 100),
-    seed=st.integers(0, 10_000),
+    plans=plans_strategy,
     chunk=st.integers(5, 40),
     point=st.integers(1, 60),
+    **tables,
 )
 def test_fold_split_image_matches_unfolded(
-    specs, r_size, s_size, seed, chunk, point
+    plans, r_size, s_size, seed, chunk, point
 ):
     """Suspending a folded member mid-drain must leave the same durable
     image bytes and final output as the identical unfolded suspend."""
-
-    def db_factory():
-        return build_db(r_size, s_size, seed)
-
-    plans = [build_plan(*spec) for spec in specs]
-    ref = run_solo_suspended(db_factory, plans[0], "q0", point)
-    if ref is None:
-        return  # query finished before the suspend point; nothing to split
-
-    reset_id_counters()
-    db = db_factory()
-    manager = FoldManager(db)
-    victim = QuerySession(
-        db, plans[0], name="q0", fold=manager.admit("q0", plans[0])
-    )
-    siblings = [
-        QuerySession(
-            db, plan, name=f"q{i}", fold=manager.admit(f"q{i}", plan)
-        )
-        for i, plan in enumerate(plans[1:], start=1)
-    ]
-    first = []
-    while len(first) < point and victim.status is not QueryStatus.COMPLETED:
-        first.extend(
-            victim.execute(max_rows=min(chunk, point - len(first))).rows
-        )
-        for sibling in siblings:
-            if sibling.status is not QueryStatus.COMPLETED:
-                sibling.execute(max_rows=chunk)
-    assert victim.status is not QueryStatus.COMPLETED
-    sq = victim.suspend(SuspendSpec(strategy="all_dump"))
-    manager.note_split("q0")
-    assert encode_suspended_query(sq) == ref[1]
-
-    resumed = QuerySession.resume(db, sq, name="q0")
-    got = first + resumed.execute().rows
-    assert got == ref[0]
-    # The surviving members are untouched by the split.
-    for i, sibling in enumerate(siblings, start=1):
-        solo_rows = run_solo(db_factory, plans[i], f"q{i}")[0]
-        if sibling.status is not QueryStatus.COMPLETED:
-            sibling.execute()
-        assert sibling.rows == solo_rows
+    case = Case(r_size, s_size, seed, plans[0], tuple(plans[1:]))
+    check_folded(case, Schedule((("max_rows", 0, point),)), chunk)

@@ -19,7 +19,7 @@ from repro.core.optimizer import (
 )
 from repro.core.strategies import validate_suspend_plan
 
-from tests.properties.test_property_suspend_resume import build_db, build_plan
+from tests.properties.plans import build_db, build_plan
 
 FAST = settings(
     max_examples=25,

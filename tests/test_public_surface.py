@@ -105,7 +105,6 @@ def test_image_store_has_no_tunables_and_one_format():
 def test_engine_config_has_no_execution_path_switch():
     assert field_names(EngineConfig) == {
         "contract_migration",
-        "check_invariants",
         "proactive_checkpointing",
     }
 
