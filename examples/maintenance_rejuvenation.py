@@ -6,20 +6,23 @@ completion times is hard — so in-flight queries must be suspended within
 a deadline, the process restarted, and the queries resumed afterwards.
 
 This example runs several analytical queries to different depths,
-suspends all of them under a per-query suspend budget, serializes their
-SuspendedQuery structures (with payloads exported, they are
+suspends all of them under a per-query suspend budget, commits each as a
+durable suspend image (control record plus every payload it references:
 self-contained), "reboots" into a fresh process image whose disk still
-holds the database, and resumes every query to completion.
+holds the database and the image root, and resumes every query to
+completion from its image.
 
 Run:  python examples/maintenance_rejuvenation.py
 """
 
-import pickle
+import shutil
+import tempfile
 
 from repro import (
     Database,
     FilterSpec,
     GroupAggSpec,
+    ImageStore,
     NLJSpec,
     QuerySession,
     ScanSpec,
@@ -86,29 +89,29 @@ def main():
         sessions[name] = session
     print("maintenance window opens; suspending in-flight queries:")
 
-    # --- Suspend everything within a budget and serialize. -------------
-    wire = {}
+    # --- Suspend everything within a budget and commit the images. -----
+    image_root = tempfile.mkdtemp(prefix="rejuvenation-images-")
     deadline_budget = 40.0
     for name, session in sessions.items():
         sq = session.suspend(
             SuspendSpec(strategy=SuspendStrategy.LP, budget=deadline_budget)
         )
-        sq.export_payloads(db.state_store)
-        wire[name] = pickle.dumps(sq)
+        info = ImageStore(image_root).save(sq, db.state_store, image_id=name)
         print(
             f"  {name}: suspended in {session.last_suspend_cost:6.1f} units, "
-            f"{len(wire[name]):,} bytes saved"
+            f"{info.total_bytes:,} bytes saved"
         )
 
     # --- Reboot: the old process image is gone. ------------------------
     del db, sessions
     print("rebooting the DBMS ...")
     fresh_db = build_database()
+    images = ImageStore(image_root)
 
     # --- Resume every query on the rejuvenated instance. ---------------
     print("resuming:")
     for name in QUERIES:
-        sq = pickle.loads(wire[name])
+        sq = images.load(name)
         resumed = QuerySession.resume(fresh_db, sq)
         rest = resumed.execute().rows
         combined = partials[name] + rest
@@ -119,6 +122,7 @@ def main():
         )
         assert ok
     print("all queries completed with no lost work across the reboot")
+    shutil.rmtree(image_root)
 
 
 if __name__ == "__main__":

@@ -433,8 +433,7 @@ def run_images(
             else ""
         )
         lines.append(
-            f"{row['image_id']}: codec v{row['codec_version']}, "
-            f"{row['total_bytes']} bytes, "
+            f"{row['image_id']}: {row['total_bytes']} bytes, "
             f"{row['num_blobs']} blobs{chain}, "
             f"control {row['control_bytes']} bytes, sections "
             f"{row['local_blobs']} local ({row['local_bytes']} bytes) + "
@@ -683,8 +682,6 @@ def run_serve_http(
         quantum_rows=quantum_rows,
         suspend=SuspendSpec(persist_to=images),
         tracer=tracer,
-        host=host,
-        port=port,
         fold=fold,
     )
     service = QueryService(db_factory(), config)

@@ -96,11 +96,11 @@ class SuspendedQuery:
     #: The query's as-if-solo virtual clock (its lane) at the end of the
     #: suspend phase. Resume restarts the lane here so the per-query
     #: timeline stays continuous across the gap — in any process, under
-    #: any schedule, folded or not. Defaults to ``suspended_at`` when
-    #: decoding images written before this field existed.
+    #: any schedule, folded or not.
     query_clock: float = 0.0
-    #: Dump payloads exported for migration to a replica (see
-    #: :meth:`export_payloads`). Empty when resuming in place.
+    #: Payloads staged by ``ImageStore.load`` for a resume on another
+    #: database (key -> ``(payload, pages)``; see :meth:`import_payloads`).
+    #: Empty when resuming in place.
     migrated_payloads: dict = field(default_factory=dict)
     #: For payloads staged by ``ImageStore.load`` (still encoded, each a
     #: :class:`~repro.storage.statefile.StagedPayload`): key -> the
@@ -154,20 +154,6 @@ class SuspendedQuery:
     # ------------------------------------------------------------------
     # Migration support (the Grid scenario)
     # ------------------------------------------------------------------
-    def export_payloads(self, store: StateStore) -> None:
-        """Copy every referenced stored payload into the structure itself.
-
-        Used when migrating to a replica DBMS whose state store does not
-        hold the dumps or the operators' disk-resident state (sorted
-        sublists, hash partitions). The paper notes that shipping state
-        over the network costs an order of magnitude more than local
-        dumps; the *receiving* side charges the transfer when importing.
-        """
-        self.migrated_payloads = {
-            key: store.export_payload(handle)
-            for key, handle in self.referenced_handles().items()
-        }
-
     def import_payloads(self, store: StateStore) -> None:
         """Re-home migrated payloads into ``store``, charging the writes,
         and rewrite every handle in the structure to point at them."""

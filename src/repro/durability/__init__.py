@@ -11,12 +11,14 @@ Layers, bottom up:
 - :mod:`~repro.durability.faults` — crash-point hooks and torn-write
   injection, threaded through every file operation;
 - :mod:`~repro.durability.codec2` — the v2 binary columnar codec
-  (typed column segments, string interning, CRC'd zlib frames,
-  streaming chunked writes), the one value codec (``CODEC_V2``): image
-  sections and shard-worker messages alike;
+  (typed column segments, string interning, one zlib stream per value,
+  streamed in chunks), the one value codec: image sections and
+  shard-worker messages alike. It only encodes values; it neither
+  frames nor checksums them;
 - :mod:`~repro.durability.format` — the packed one-file-per-image
-  layout (sections, manifest, trailer; one fsync + rename + dir-fsync
-  per commit), its verified reader — the one image layout
+  layout (sections, manifest with each section's size and SHA-256,
+  trailer; one fsync + rename + dir-fsync per commit), its verified
+  reader — the one image layout and the image's one format stamp
   (``LAYOUT_VERSION``);
 - :mod:`~repro.durability.store` — the :class:`ImageStore`: save, load,
   list, validate, GC, the startup recovery scan with quarantine, and
@@ -30,7 +32,7 @@ Layers, bottom up:
   so a fresh process can rebuild the base tables an image expects.
 """
 
-from repro.durability.codec2 import CODEC_V2, V2_FORMAT_VERSION, CodecError
+from repro.durability.codec2 import CodecError
 from repro.durability.faults import (
     FaultInjector,
     InjectedCrash,
@@ -53,8 +55,6 @@ from repro.durability.store import (
 )
 
 __all__ = [
-    "V2_FORMAT_VERSION",
-    "CODEC_V2",
     "LAYOUT_VERSION",
     "CodecError",
     "ImageFormatError",

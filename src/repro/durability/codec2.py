@@ -15,11 +15,11 @@ plus small irregular control dicts. Design points:
 - **String interning.** Every short string is written once (``SDEF``) and
   referenced by index afterwards (``SREF``); operator labels, dict keys,
   and dataclass field names collapse to one-byte varints.
-- **Frames.** The encoded byte stream is chunked into frames of bounded
-  size, each carrying its own CRC32 and an optional zlib-compressed
-  payload, behind a fixed stream magic. Frames are pure transport: the
-  value encoding runs straight through frame boundaries, so the encoder
-  can stream chunks to disk and its peak buffered memory is one chunk.
+- **One zlib stream.** The value bytes run through one zlib compressor
+  a chunk at a time, so the encoder streams to disk and its peak
+  buffered memory is about one chunk. The codec neither frames nor
+  checksums: an image section is one such stream, and the packed file
+  (:mod:`repro.durability.format`) records its size and SHA-256.
 - **Determinism.** Encoding the same value twice — in the same or a
   different process — yields byte-identical output (PROTOCOL.md §7's
   determinism rule, extended to image bytes): dict order is insertion
@@ -30,9 +30,8 @@ plus small irregular control dicts. Design points:
 The value domain: scalars, lists, tuples, dicts with arbitrary keys,
 sets/frozensets, :class:`DumpHandle` references (decoded unhomed, with
 ``store_id=-1``, until ``SuspendedQuery.import_payloads`` re-homes them),
-and the registered spec/predicate dataclasses. ``CODEC_V2`` is recorded
-in the image manifest as ``codec_version`` and is the only value the
-reader accepts.
+and the registered spec/predicate dataclasses. The encoding carries no
+version stamp of its own: the image's ``layout_version`` covers it.
 
 The class registry below is the codec's compatibility surface: renaming
 a spec or predicate class breaks images already on disk.
@@ -43,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 import zlib
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.common.errors import ReproError
 from repro.core.strategies import OpDecision, Strategy, SuspendPlan
@@ -65,20 +64,8 @@ _DATACLASSES = {
     if isinstance(obj, type) and dataclasses.is_dataclass(obj)
 }
 
-#: Codec identifier recorded in the image manifest.
-CODEC_V2 = 2
-
-#: Record-level version stamped inside the v2 control record.
-V2_FORMAT_VERSION = 2
-
-#: First bytes of every v2-encoded file.
-STREAM_MAGIC = b"RIMG2\x00"
-FRAME_MAGIC = b"F2"
-FRAME_HEADER = struct.Struct("<2sBIII")  # magic, flags, raw, stored, crc32
-FLAG_ZLIB = 0x01
-
-#: Target uncompressed frame payload size; the encoder's peak buffered
-#: memory is bounded by (roughly) one chunk.
+#: Value bytes the encoder buffers before handing them to zlib; its peak
+#: buffered memory is bounded by (roughly) one chunk.
 DEFAULT_CHUNK_BYTES = 256 * 1024
 #: zlib level: 1 trades a little ratio for a lot of speed, which is the
 #: right trade for a suspend path racing a wall clock.
@@ -126,20 +113,14 @@ def _unzigzag(u: int) -> int:
 
 
 class _Encoder:
-    """Streaming value encoder: fills a buffer, flushes frames to a sink."""
+    """Streaming value encoder: fills a buffer, compresses it into a sink."""
 
-    __slots__ = ("buf", "sink", "chunk_bytes", "compress", "strings")
+    __slots__ = ("buf", "sink", "zip", "strings")
 
-    def __init__(
-        self,
-        sink: Callable[[bytes], None],
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        compress: bool = True,
-    ):
+    def __init__(self, sink: Callable[[bytes], None]):
         self.buf = bytearray()
         self.sink = sink
-        self.chunk_bytes = max(1024, chunk_bytes)
-        self.compress = compress
+        self.zip = zlib.compressobj(ZLIB_LEVEL)
         self.strings: dict[str, int] = {}
 
     # -- low-level emitters -------------------------------------------
@@ -171,27 +152,19 @@ class _Encoder:
             self.buf.append(T_SREF)
             self.uvarint(index)
 
-    # -- frames --------------------------------------------------------
-    def _flush(self, force: bool = False) -> None:
-        if not self.buf or (not force and len(self.buf) < self.chunk_bytes):
-            return
-        raw = bytes(self.buf)
-        self.buf.clear()
-        flags = 0
-        payload = raw
-        if self.compress:
-            packed = zlib.compress(raw, ZLIB_LEVEL)
-            if len(packed) < len(raw):
-                flags = FLAG_ZLIB
-                payload = packed
-        header = FRAME_HEADER.pack(
-            FRAME_MAGIC, flags, len(raw), len(payload), zlib.crc32(payload)
-        )
-        self.sink(header + payload)
+    # -- output ------------------------------------------------------
+    def _push(self, out: bytes) -> None:
+        if out:
+            self.sink(out)
 
     def maybe_flush(self) -> None:
-        if len(self.buf) >= self.chunk_bytes:
-            self._flush()
+        if len(self.buf) >= DEFAULT_CHUNK_BYTES:
+            self._push(self.zip.compress(self.buf))
+            self.buf.clear()
+
+    def finish(self) -> None:
+        self._push(self.zip.compress(self.buf) + self.zip.flush())
+        self.buf.clear()
 
     # -- values --------------------------------------------------------
     def value(self, v: Any) -> None:
@@ -432,73 +405,39 @@ class _Decoder:
 # ----------------------------------------------------------------------
 # Stream API
 # ----------------------------------------------------------------------
-def encode_to_stream(
-    value: Any,
-    sink: Callable[[bytes], None],
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    compress: bool = True,
-) -> None:
-    """Encode ``value`` as magic + frames, pushing chunks into ``sink``.
-
-    The sink receives the stream magic first, then one ``bytes`` object
-    per frame as the encoder's buffer fills; peak buffered memory is
-    bounded by roughly one chunk.
-    """
-    sink(STREAM_MAGIC)
-    enc = _Encoder(sink, chunk_bytes=chunk_bytes, compress=compress)
+def encode_to_stream(value: Any, sink: Callable[[bytes], None]) -> None:
+    """Encode ``value`` as one zlib stream, pushing compressed chunks
+    into ``sink`` as the encoder's buffer fills; peak buffered memory is
+    bounded by roughly one chunk. Where the chunks split depends on the
+    chunk size, the bytes they join into do not."""
+    enc = _Encoder(sink)
     enc.value(value)
-    enc._flush(force=True)
+    enc.finish()
 
 
-def encode_bytes(
-    value: Any,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    compress: bool = True,
-) -> bytes:
+def encode_bytes(value: Any) -> bytes:
     """Encode ``value`` into one in-memory byte string."""
     chunks: list[bytes] = []
-    encode_to_stream(
-        value, chunks.append, chunk_bytes=chunk_bytes, compress=compress
-    )
+    encode_to_stream(value, chunks.append)
     return b"".join(chunks)
 
 
-def iter_frame_payloads(data: bytes) -> Iterator[bytes]:
-    """Yield each frame's raw (decompressed) payload, verifying CRCs."""
-    if not data.startswith(STREAM_MAGIC):
-        raise CodecError("not a v2 image stream (bad magic)")
-    view = memoryview(data)
-    pos = len(STREAM_MAGIC)
-    end = len(data)
-    while pos < end:
-        if end - pos < FRAME_HEADER.size:
-            raise CodecError("truncated v2 frame header")
-        magic, flags, raw_len, stored_len, crc = FRAME_HEADER.unpack_from(
-            view, pos
-        )
-        if magic != FRAME_MAGIC:
-            raise CodecError("corrupt v2 frame (bad frame magic)")
-        pos += FRAME_HEADER.size
-        if end - pos < stored_len:
-            raise CodecError("truncated v2 frame payload")
-        payload = bytes(view[pos : pos + stored_len])
-        pos += stored_len
-        if zlib.crc32(payload) != crc:
-            raise CodecError("v2 frame CRC mismatch (torn or corrupt frame)")
-        if flags & FLAG_ZLIB:
-            try:
-                payload = zlib.decompress(payload)
-            except zlib.error as exc:
-                raise CodecError(f"v2 frame decompression failed: {exc}") from exc
-        if len(payload) != raw_len:
-            raise CodecError("v2 frame length mismatch")
-        yield payload
-
-
 def decode_bytes(data: bytes) -> Any:
-    """Decode one value from a v2 stream produced by :func:`encode_bytes`."""
+    """Decode one value from a stream produced by :func:`encode_bytes`.
+
+    The stream must end exactly where ``data`` does: ``zlib.decompress``
+    would silently ignore bytes after its end.
+    """
+    unzip = zlib.decompressobj()
     try:
-        buffer = b"".join(iter_frame_payloads(data))
+        buffer = unzip.decompress(data)
+    except zlib.error as exc:
+        raise CodecError(f"corrupt v2 value stream: {exc}") from exc
+    if not unzip.eof:
+        raise CodecError("truncated v2 value stream")
+    if unzip.unused_data:
+        raise CodecError("trailing bytes after the v2 value stream")
+    try:
         dec = _Decoder(buffer)
         value = dec.value()
     except (IndexError, struct.error) as exc:
@@ -515,7 +454,6 @@ def suspended_query_to_record(sq: SuspendedQuery) -> dict:
     """Raw-value control record; v2 needs no JSON tagging of values."""
     plan = sq.suspend_plan
     return {
-        "format_version": V2_FORMAT_VERSION,
         "plan_spec": sq.plan_spec,
         "suspend_plan": {
             "source": plan.source,
@@ -548,12 +486,6 @@ def suspended_query_to_record(sq: SuspendedQuery) -> dict:
 
 
 def suspended_query_from_record(record: dict) -> SuspendedQuery:
-    version = record.get("format_version")
-    if version != V2_FORMAT_VERSION:
-        raise CodecError(
-            f"unsupported v2 record version {version!r} "
-            f"(this build reads version {V2_FORMAT_VERSION})"
-        )
     plan_data = record["suspend_plan"]
     decisions = {
         op_id: OpDecision(
@@ -566,11 +498,11 @@ def suspended_query_from_record(record: dict) -> SuspendedQuery:
     sq = SuspendedQuery(
         plan_spec=record["plan_spec"],
         suspend_plan=SuspendPlan(
-            decisions=decisions, source=plan_data.get("source", "manual")
+            decisions=decisions, source=plan_data["source"]
         ),
         root_rows_emitted=record["root_rows_emitted"],
         suspended_at=record["suspended_at"],
-        query_clock=record.get("query_clock", record["suspended_at"]),
+        query_clock=record["query_clock"],
     )
     for item in record["entries"]:
         sq.add_entry(
@@ -587,11 +519,9 @@ def suspended_query_from_record(record: dict) -> SuspendedQuery:
     return sq
 
 
-def encode_suspended_query(
-    sq: SuspendedQuery, chunk_bytes: int = DEFAULT_CHUNK_BYTES
-) -> bytes:
+def encode_suspended_query(sq: SuspendedQuery) -> bytes:
     """One-call control-record encode (tests and benchmarks)."""
-    return encode_bytes(suspended_query_to_record(sq), chunk_bytes=chunk_bytes)
+    return encode_bytes(suspended_query_to_record(sq))
 
 
 def decode_suspended_query(data: bytes) -> SuspendedQuery:

@@ -4,7 +4,8 @@ One image is one **packed file** under the image root — the only layout
 this build reads or writes (``LAYOUT_VERSION``)::
 
     <root>/<image_id>.rimg
-        blob-0000 ...     # one codec-v2 stream per locally written payload
+        blob-0000 ...     # one codec-v2 value stream (zlib) per locally
+                          #   written payload
         control           # the SuspendedQuery control record (codec v2)
         manifest          # JSON: per-file offset, size and SHA-256,
                           #   blob table, base image, metadata
@@ -25,10 +26,13 @@ A reader trusts nothing before checking it: the trailer must carry the
 magic, its offset and length must account for every byte of the file,
 the manifest must match the trailer's CRC, the files must tile the space
 before the manifest exactly, and each file is verified against its size
-and SHA-256 before it is decoded. Anything less is a torn image — and
-so is a well-formed file whose manifest names a layout or codec version
-other than this build's: the stamps are how a format change is detected,
-and an image in another format is rejected whole, never half-read.
+and SHA-256 before it is decoded. Those checks are the only framing
+and integrity layer: a section is nothing but the codec's value stream.
+Anything less is a torn image — and so is a well-formed file whose
+manifest names a layout version other than this build's: that one stamp
+covers the layout, the manifest schema and the value encoding, so any
+format change bumps it, and an image in another format is rejected
+whole, never half-read.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import zlib
 from typing import Any, Callable, Iterator, Optional
 
 from repro.common.errors import ReproError
-from repro.durability.codec2 import CODEC_V2
 from repro.durability.faults import FaultInjector, InjectedCrash
 
 #: Suffix of a packed image file; ``<image_id>.rimg`` under the root.
@@ -56,9 +59,9 @@ BLOB_PREFIX = "blob-"
 MANIFEST_LABEL = "manifest"
 TRAILER_LABEL = "trailer"
 
-#: Version of the image layout + manifest schema this build reads and
-#: writes.
-LAYOUT_VERSION = 2
+#: Version of the image layout, manifest schema and value encoding this
+#: build reads and writes — the image's only format stamp.
+LAYOUT_VERSION = 3
 
 #: manifest offset, manifest length, CRC-32 of (offset, length, manifest
 #: bytes), magic — the last bytes of every packed image.
@@ -102,8 +105,8 @@ def write_packed_image(
     Crash points, in order: ``before:<name>`` ahead of each file,
     ``before:manifest``, ``written:image`` (temp file complete and
     durable, rename not yet done), ``renamed:image``, ``committed``. Torn
-    writes: one opportunity per file (the write stops mid-chunk, i.e.
-    inside a CRC'd codec frame), one inside the manifest, one inside the
+    writes: one opportunity per file (the write stops mid-chunk, inside
+    the section's value stream), one inside the manifest, one inside the
     trailer. Every one of them leaves only the temp file behind.
     """
     injector = injector or FaultInjector()
@@ -275,12 +278,6 @@ def validate_manifest_dict(manifest: Any) -> None:
     for field in ("image_id", "files", "blobs", "control_file"):
         if field not in manifest:
             raise ImageFormatError(f"manifest lacks required field {field!r}")
-    codec_version = manifest.get("codec_version")
-    if codec_version != CODEC_V2:
-        raise ImageFormatError(
-            f"unsupported codec version {codec_version!r} "
-            f"(this build reads version {CODEC_V2})"
-        )
     base = manifest.get("base_image_id")
     if base is not None and not isinstance(base, str):
         raise ImageFormatError("malformed base_image_id (must be a string)")

@@ -18,7 +18,7 @@ through recovery and classified.
 
 An image is one packed file (:func:`~repro.durability.format.
 write_packed_image`): a torn write on a blob or the control record
-truncates *inside a CRC'd frame*, one on the manifest truncates JSON
+truncates *inside its value stream*, one on the manifest truncates JSON
 mid-document, one on the trailer leaves a file with no valid trailer.
 All must classify as torn, never silently corrupt.
 

@@ -13,9 +13,9 @@ Responsibilities:
   each), encode the control record, and commit the image as one
   packed file with the protocol of :mod:`repro.durability.format`: one
   ``fsync`` of the file, one rename (the commit point), one ``fsync`` of
-  the root. Images are written with the v2 binary columnar codec
-  (:mod:`repro.durability.codec2`) and stamped ``codec_version: 2`` in
-  the manifest;
+  the root. Each section is one value stream of the binary columnar
+  codec (:mod:`repro.durability.codec2`); the manifest's
+  ``layout_version`` is the image's one format stamp;
 - **delta images** — ``save(..., base_image_id=...)`` commits only the
   payloads whose bytes are not already a section of an image in the base
   chain. The state store remembers, per key, the verified section a
@@ -33,7 +33,7 @@ Responsibilities:
   origin of each, for import (the migration path charges the simulated-
   disk writes on resume; the state store decodes a payload when it is
   first read). The packed ``<id>.rimg`` with codec-v2 sections is the
-  only form read; any other layout or codec stamp is a format error;
+  only form read; any other layout stamp is a format error;
 - :meth:`ImageStore.save_cut` / :meth:`load_cut` — a sharded query's
   global cut (:mod:`repro.shard.manifest`) as an image of its own: the
   coordinator record is its control section, it holds no payload
@@ -64,7 +64,6 @@ from typing import Optional
 from repro.common.errors import ReproError
 from repro.core.suspended_query import SuspendedQuery
 from repro.durability import codec2
-from repro.durability.codec2 import CODEC_V2
 from repro.durability.faults import FaultInjector
 from repro.obs.tracer import NULL_TRACER
 from repro.durability.format import (
@@ -138,8 +137,6 @@ class ImageInfo:
     num_blobs: int
     blob_pages: int
     total_bytes: int
-    #: Which codec wrote the image (``CODEC_V2``, binary columnar).
-    codec_version: int
     #: For delta images: the image this one's references resolve into.
     base_image_id: Optional[str] = None
     #: Number of images in the base+delta chain, this one included.
@@ -210,9 +207,9 @@ class _PreparedSave:
 class ImageStore:
     """Durable suspend images under ``root``, one packed file per image.
 
-    Images are written with codec v2 as ``<image_id>.rimg`` and nothing
-    else under the root is read as an image. ``injector`` places crash
-    points and torn writes inside a commit (the crash-matrix harness).
+    Images are written as ``<image_id>.rimg`` and nothing else under the
+    root is read as an image. ``injector`` places crash points and torn
+    writes inside a commit (the crash-matrix harness).
     """
 
     def __init__(
@@ -413,8 +410,6 @@ class ImageStore:
         def build_manifest(table: dict) -> dict:
             return {
                 "layout_version": LAYOUT_VERSION,
-                "format_version": codec2.V2_FORMAT_VERSION,
-                "codec_version": CODEC_V2,
                 "base_image_id": prep.base_image_id,
                 "image_id": prep.image_id,
                 "created_ns": time.time_ns(),
@@ -475,7 +470,6 @@ class ImageStore:
                 ts=now,
                 dur=0.0,
                 image_id=prep.image_id,
-                codec_version=CODEC_V2,
                 base_image_id=prep.base_image_id,
                 num_blobs=len(manifest["blobs"]),
                 reused_blobs=len(prep.ref_blobs),
@@ -523,7 +517,6 @@ class ImageStore:
             num_blobs=len(blobs),
             blob_pages=sum(b["pages"] for b in blobs),
             total_bytes=total_bytes,
-            codec_version=manifest["codec_version"],
             base_image_id=manifest.get("base_image_id"),
             chain_length=chain_length,
             reused_bytes=reused,

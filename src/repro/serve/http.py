@@ -30,7 +30,8 @@ decimal count, a body that is not a JSON object, a ``priority`` that is
 not an integer) or a malformed token → 400, already redeemed → 409
 (conflict: the continuation was consumed), image GC'd → 410 (gone),
 unknown catalog entry / unknown progress query / disabled metrics → 404,
-duplicate session name → 409, oversized body → 413. Every error body is
+duplicate session name → 409, oversized body → 413, a request line or
+header line past the stream's 64 KiB limit → 431. Every error body is
 ``{"error": <message>, "code": <machine tag>?}``.
 """
 
@@ -160,6 +161,7 @@ STATUS_TEXT = {
     409: "Conflict",
     410: "Gone",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -182,49 +184,73 @@ def _response_bytes(status: int, payload: dict) -> bytes:
 
 
 class _Rejected(Exception):
-    """``(status, message)``: a request answered with a 4xx before it
+    """``(status, payload)``: a request answered with a 4xx before it
     reaches the app."""
+
+
+async def _read_line(reader) -> bytes:
+    """One line of the request head. A line longer than the stream's
+    buffer limit (asyncio's default: 64 KiB) makes ``readline`` raise
+    ``ValueError``; it is answered, not dropped."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _Rejected(
+            431,
+            {
+                "error": "request line or header too large",
+                "code": "header_too_large",
+            },
+        ) from None
 
 
 async def _read_body(reader, content_length: str) -> Optional[dict]:
     """The request body: a JSON object, or None when there is none."""
     if not content_length.isdigit():
-        raise _Rejected(400, f"bad Content-Length {content_length!r}")
+        raise _Rejected(
+            400, {"error": f"bad Content-Length {content_length!r}"}
+        )
     if int(content_length) > MAX_BODY_BYTES:
-        raise _Rejected(413, "body too large")
+        raise _Rejected(413, {"error": "body too large"})
     if not int(content_length):
         return None
     raw = await reader.readexactly(int(content_length))
     try:
         body = json.loads(raw)
     except ValueError:
-        raise _Rejected(400, "body is not JSON") from None
+        raise _Rejected(400, {"error": "body is not JSON"}) from None
     if not isinstance(body, dict):
-        raise _Rejected(400, "body is not a JSON object")
+        raise _Rejected(400, {"error": "body is not a JSON object"})
     return body
+
+
+async def _read_request(reader) -> Optional[tuple[str, str, Optional[dict]]]:
+    """``(method, path, body)`` of the request on ``reader``, or None
+    when the client sent no request line."""
+    parts = (await _read_line(reader)).decode("ascii", "replace").split()
+    if len(parts) < 2:
+        return None
+    content_length = "0"
+    while True:
+        line = await _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        header = line.decode("ascii", "replace")
+        if header.lower().startswith("content-length:"):
+            content_length = header.split(":", 1)[1].strip()
+    return parts[0].upper(), parts[1], await _read_body(reader, content_length)
 
 
 async def _handle_connection(app: ServeApp, reader, writer):
     try:
-        request_line = await reader.readline()
-        parts = request_line.decode("ascii", "replace").split()
-        if len(parts) < 2:
-            return
-        method, path = parts[0].upper(), parts[1]
-        content_length = "0"
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            header = line.decode("ascii", "replace")
-            if header.lower().startswith("content-length:"):
-                content_length = header.split(":", 1)[1].strip()
         try:
-            body = await _read_body(reader, content_length)
+            request = await _read_request(reader)
         except _Rejected as exc:
-            status, message = exc.args
-            writer.write(_response_bytes(status, {"error": message}))
+            writer.write(_response_bytes(*exc.args))
             return
+        if request is None:
+            return
+        method, path, body = request
         loop = asyncio.get_running_loop()
         try:
             status, payload = await loop.run_in_executor(

@@ -48,12 +48,9 @@ from repro.service.trace import QueryArrival
 from repro.storage.database import Database
 
 
-@dataclass
-class ServeConfig(SchedulerConfig):
-    """SchedulerConfig plus the HTTP front end's listen address."""
-
-    host: str = "127.0.0.1"
-    port: int = 8351
+#: The serving front end takes the one scheduler config; the listen
+#: address is :func:`~repro.serve.http.run_server`'s own.
+ServeConfig = SchedulerConfig
 
 
 @dataclass

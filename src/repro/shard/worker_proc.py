@@ -1,8 +1,8 @@
 """Process-backed shard worker: the same interface, a real process.
 
 The parent side (:class:`ProcessShardWorker`) and the child
-(``python -m repro.shard.worker_proc``) exchange length-prefixed codec-v2
-frames (:mod:`repro.durability.codec2`) over the child's binary
+(``python -m repro.shard.worker_proc``) exchange length-prefixed
+codec-v2 value streams (:mod:`repro.durability.codec2`) over the child's binary
 stdin/stdout. The child builds its shard database from the shipped table
 rows and calls the :class:`~repro.shard.worker.InProcessShardWorker`
 method each request names, with the request's arguments — rows, plan

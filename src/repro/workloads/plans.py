@@ -33,6 +33,7 @@ from repro.engine.plan import (
     ScanSpec,
     SortSpec,
 )
+from repro.obs.tracer import NULL_TRACER, use_tracer
 from repro.service.trace import ArrivalTrace, Workload
 from repro.relational.datagen import (
     BASE_SCHEMA,
@@ -358,16 +359,21 @@ def mixed_q_hi_plan(scale: int = 1) -> PlanSpec:
 def _solo_profile(
     db: Database, plan: PlanSpec, quantum: int = 512
 ) -> tuple[float, int]:
-    """(completion time, peak heap bytes) of an uninterrupted solo run."""
-    session = QuerySession(db, plan)
-    start = db.now
-    peak = 0
-    while True:
-        result = session.execute(max_rows=quantum, collect=False)
-        peak = max(peak, session.memory_in_use())
-        if result.status is QueryStatus.COMPLETED:
-            break
-    session.close()
+    """(completion time, peak heap bytes) of an uninterrupted solo run.
+
+    A calibration run made while the workload is built, not part of it:
+    it runs untraced, so none of its records reach the process tracer.
+    """
+    with use_tracer(NULL_TRACER):
+        session = QuerySession(db, plan)
+        start = db.now
+        peak = 0
+        while True:
+            result = session.execute(max_rows=quantum, collect=False)
+            peak = max(peak, session.memory_in_use())
+            if result.status is QueryStatus.COMPLETED:
+                break
+        session.close()
     return db.now - start, peak
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
+from repro import Database, ImageStore, QuerySession, SuspendSpec, SuspendTrigger
 from repro.common.errors import StorageError
 from repro.core.suspended_query import (
     KIND_DUMP,
@@ -89,8 +89,8 @@ class TestSuspendedQuery:
 
 
 class TestMigrationPayloads:
-    def test_export_import_roundtrip_to_replica(self):
-        """The Grid scenario: dump payloads travel inside the structure
+    def test_export_import_roundtrip_to_replica(self, tmp_path):
+        """The Grid scenario: dump payloads travel in a durable image
         and are re-homed (and charged) on the replica."""
         db = make_small_db()
         plan = tiny_nlj_plan()
@@ -99,10 +99,11 @@ class TestMigrationPayloads:
         session = QuerySession(db, plan)
         first = session.execute(max_rows=20)
         sq = session.suspend(SuspendSpec(strategy="all_dump"))
-        sq.export_payloads(db.state_store)
+        images = ImageStore(str(tmp_path))
+        images.save(sq, db.state_store, image_id="q")
 
         replica = db.replicate()
-        shipped = pickle.loads(pickle.dumps(sq))
+        shipped = images.load("q")
         before_writes = replica.disk.counters.pages_written
         resumed = QuerySession.resume(replica, shipped)
         assert replica.disk.counters.pages_written > before_writes
@@ -114,7 +115,7 @@ class TestMigrationPayloads:
         session.execute(max_rows=20)
         sq = session.suspend(SuspendSpec(strategy="all_dump"))
         replica = db.replicate()
-        # forgot export_payloads: resume on the replica must fail loudly
+        # the payloads stayed behind: resume on the replica must fail loudly
         with pytest.raises(StorageError):
             QuerySession.resume(replica, sq)
 

@@ -1,28 +1,28 @@
 """Codec v2 unit and property tests.
 
 Round-trip identity over the full value domain, the columnar rows fast
-path, frame/CRC integrity, and — the PROTOCOL.md §7 determinism rule
-extended to image bytes — byte-identical re-encode, including across two
-interpreter processes.
+path, the integrity of the one zlib stream a value is (truncation,
+trailing bytes, a flipped byte: its frame is zlib's own), and — the PROTOCOL.md §7 determinism
+rule extended to image bytes — byte-identical re-encode, including
+across two interpreter processes and across chunk sizes.
 """
 
 import hashlib
 import os
-import struct
+import pickle
 import subprocess
 import sys
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.lifecycle import QuerySession
-from repro.durability import build_recipe
+from repro.durability import build_recipe, codec2
 from repro.durability.codec2 import (
-    FLAG_ZLIB,
-    FRAME_HEADER,
-    STREAM_MAGIC,
+    DEFAULT_CHUNK_BYTES,
     T_OBJ,
     T_ROWS,
     T_SDEF,
@@ -31,8 +31,6 @@ from repro.durability.codec2 import (
     decode_suspended_query,
     encode_bytes,
     encode_suspended_query,
-    iter_frame_payloads,
-    suspended_query_to_record,
 )
 from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec, SortSpec
 from repro.relational.expressions import EquiJoinCondition, ValueIn
@@ -44,15 +42,19 @@ REPO_SRC = os.path.join(
 )
 
 
-def roundtrip(value, **kwargs):
-    data = encode_bytes(value, **kwargs)
+def roundtrip(value):
+    data = encode_bytes(value)
     return decode_bytes(data), data
 
 
-def framed(raw: bytes) -> bytes:
-    """``raw`` value bytes as a one-frame, uncompressed v2 stream."""
-    header = FRAME_HEADER.pack(b"F2", 0, len(raw), len(raw), zlib.crc32(raw))
-    return STREAM_MAGIC + header + raw
+def streamed(raw: bytes) -> bytes:
+    """``raw`` value bytes as a stream :func:`decode_bytes` accepts."""
+    return zlib.compress(raw, codec2.ZLIB_LEVEL)
+
+
+def value_bytes(data: bytes) -> bytes:
+    """The uncompressed value bytes of an encoded stream."""
+    return zlib.decompress(data)
 
 
 class TestValueRoundTrip:
@@ -131,32 +133,30 @@ class TestValueRoundTrip:
         name = b"NoSuchSpec"
         raw = bytes([T_OBJ, T_SDEF, len(name)]) + name + bytes([0])
         with pytest.raises(CodecError, match="unknown class 'NoSuchSpec'"):
-            decode_bytes(framed(raw))
+            decode_bytes(streamed(raw))
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(CodecError, match="unknown v2 value tag"):
-            decode_bytes(framed(bytes([200])))
+            decode_bytes(streamed(bytes([200])))
 
     def test_string_interning_shrinks_repeats(self):
         repeated = ["the-same-label"] * 500
-        _, data = roundtrip(repeated, compress=False)
+        raw = value_bytes(encode_bytes(repeated))
         # One SDEF carries the bytes; 499 SREFs are ~2 bytes each.
-        assert len(data) < 500 * len("the-same-label")
+        assert len(raw) < 500 * len("the-same-label")
 
 
 class TestColumnarRows:
     def test_i64_f64_str_rows(self):
         rows = [(i, i * 0.5, f"s{i % 3}") for i in range(100)]
-        decoded, data = roundtrip(rows, compress=False)
+        decoded, data = roundtrip(rows)
         assert decoded == rows
         assert all(type(r) is tuple for r in decoded)
-        payload = b"".join(iter_frame_payloads(data))
-        assert payload[0] == T_ROWS
+        assert value_bytes(data)[0] == T_ROWS
 
     def test_rows_use_bulk_packs(self):
         rows = [(i, float(i)) for i in range(1000)]
-        _, data = roundtrip(rows, compress=False)
-        payload = b"".join(iter_frame_payloads(data))
+        payload = value_bytes(encode_bytes(rows))
         # Two fixed-width column segments dominate: ~16 bytes per row,
         # nowhere near a per-cell tagged encoding.
         assert len(payload) < 1000 * 18
@@ -183,52 +183,70 @@ class TestColumnarRows:
             assert decoded == value
 
 
+def big_rows() -> list:
+    """A value whose encoding spans more than three chunks."""
+    return [(i, float(i), f"payload-{i}") for i in range(30_000)]
+
+
 class TestFrames:
+    """A value's one frame is zlib's own (RFC 1950): a two-byte header,
+    the deflate data, an Adler-32 trailer. The codec adds no magic, frame
+    header or CRC of its own (the image's manifest checks each section),
+    and every damage to the stream is still a :class:`CodecError`."""
+
     def test_stream_magic_and_multiple_frames(self):
-        rows = [(i, float(i), "payload") for i in range(5000)]
-        data = encode_bytes(rows, chunk_bytes=4096, compress=False)
-        assert data.startswith(STREAM_MAGIC)
-        frames = 0
-        pos = len(STREAM_MAGIC)
-        while pos < len(data):
-            _, _, _, stored, _ = FRAME_HEADER.unpack_from(data, pos)
-            pos += FRAME_HEADER.size + stored
-            frames += 1
-        assert frames > 1
+        """A value spanning three chunks: the sink receives it as it
+        fills, one zlib stream (header ``78 01``: deflate, level 1)
+        that round-trips."""
+        rows = big_rows()
+        chunks = []
+        codec2.encode_to_stream(rows, chunks.append)
+        data = b"".join(chunks)
+        assert len(chunks) >= 3 and all(chunks)
+        assert data[:2] == b"\x78\x01" and data == encode_bytes(rows)
+        assert len(value_bytes(data)) >= 3 * DEFAULT_CHUNK_BYTES
         assert decode_bytes(data) == rows
 
     def test_compression_marks_flag_and_shrinks(self):
+        """Every stream is compressed (the header's CM field says
+        deflate); a repetitive value shrinks well."""
         rows = [(i % 5, 0.25, "label") for i in range(2000)]
-        plain = encode_bytes(rows, compress=False)
-        packed = encode_bytes(rows, compress=True)
-        assert len(packed) < len(plain)
-        flags = packed[len(STREAM_MAGIC) + 2]
-        assert flags & FLAG_ZLIB
-        assert decode_bytes(packed) == rows
+        data = encode_bytes(rows)
+        assert data[0] & 0x0F == 8
+        assert len(data) < len(value_bytes(data)) // 4
+        assert decode_bytes(data) == rows
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(CodecError, match="magic"):
+        with pytest.raises(CodecError, match="corrupt"):
             decode_bytes(b"NOPE" + encode_bytes([1, 2, 3])[4:])
 
     def test_crc_flip_detected(self):
-        data = bytearray(encode_bytes({"k": list(range(50))}))
-        data[-1] ^= 0xFF
-        with pytest.raises(CodecError, match="CRC"):
-            decode_bytes(bytes(data))
+        """A flipped byte anywhere: caught by the header check, the
+        deflate decoder or the Adler-32 trailer."""
+        data = encode_bytes({"k": list(range(50))})
+        for at in (0, 1, len(data) // 2, len(data) - 1):
+            flipped = bytearray(data)
+            flipped[at] ^= 0xFF
+            with pytest.raises(CodecError):
+                decode_bytes(bytes(flipped))
 
     def test_truncation_detected_at_every_cut(self):
         data = encode_bytes([(i, float(i)) for i in range(64)])
-        for cut in (3, len(STREAM_MAGIC) + 4, len(data) // 2, len(data) - 1):
+        for cut in range(len(data)):
             with pytest.raises(CodecError):
                 decode_bytes(data[:cut])
 
     def test_trailing_garbage_detected(self):
-        payload = zlib.compress(b"\x00", 1)  # valid frame, bogus tail value
-        data = encode_bytes("x") + FRAME_HEADER.pack(
-            b"F2", FLAG_ZLIB, 1, len(payload), zlib.crc32(payload)
-        ) + payload
-        with pytest.raises(CodecError):
-            decode_bytes(data)
+        """Bytes after the stream's end (which ``zlib.decompress`` would
+        ignore), and value bytes after the value inside the stream."""
+        data = encode_bytes("x")
+        for damaged in (
+            data + b"\x00",
+            data + encode_bytes("y"),
+            streamed(value_bytes(data) + b"\x00"),
+        ):
+            with pytest.raises(CodecError, match="trailing"):
+                decode_bytes(damaged)
 
 
 # ----------------------------------------------------------------------
@@ -308,13 +326,14 @@ def test_property_roundtrip_identity_and_deterministic_reencode(value):
 
 
 @PROP
-@given(
-    value=values,
-    chunk=st.sampled_from([1024, 4096, 256 * 1024]),
-    compress=st.booleans(),
-)
-def test_property_framing_never_changes_the_value(value, chunk, compress):
-    data = encode_bytes(value, chunk_bytes=chunk, compress=compress)
+@given(value=values, chunk=st.sampled_from([1, 64, 4096]))
+def test_property_framing_never_changes_the_value(value, chunk):
+    """Where the encoder cuts its buffer into chunks for zlib is
+    invisible in the stream: any chunk size yields the same bytes, which
+    decode to the value."""
+    with mock.patch.object(codec2, "DEFAULT_CHUNK_BYTES", chunk):
+        data = encode_bytes(value)
+    assert data == encode_bytes(value)
     assert decode_bytes(data) == normalize_handles(value)
 
 
@@ -330,14 +349,17 @@ def make_suspended(recipe="sort", rows=150):
 
 _ENCODE_SNIPPET = """
 import hashlib
+import pickle
 from repro.core.lifecycle import QuerySession
 from repro.durability import build_recipe
-from repro.durability.codec2 import encode_suspended_query
+from repro.durability.codec2 import encode_bytes, encode_suspended_query
 db, plan = build_recipe({recipe!r})
 session = QuerySession(db, plan)
 session.execute(max_rows={rows})
 sq = session.suspend()
 print(hashlib.sha256(encode_suspended_query(sq)).hexdigest())
+with open({rows_file!r}, "rb") as fh:
+    print(hashlib.sha256(encode_bytes(pickle.load(fh))).hexdigest())
 """
 
 
@@ -358,18 +380,17 @@ def test_suspended_query_roundtrip(recipe):
     assert encode_suspended_query(back) == data
 
 
-def test_control_record_version_checked():
-    sq, _ = make_suspended("hashagg", rows=6)
-    record = suspended_query_to_record(sq)
-    assert decode_suspended_query(encode_bytes(record)).entries
-    record["format_version"] = 999
-    with pytest.raises(CodecError, match="record version 999"):
-        decode_suspended_query(encode_bytes(record))
-
-
 def test_cross_process_encode_is_byte_identical(tmp_path):
+    """A control record, and a value spanning three chunks, encode to
+    the same bytes in another interpreter."""
     sq, _ = make_suspended("sort", rows=150)
-    local = hashlib.sha256(encode_suspended_query(sq)).hexdigest()
+    rows = big_rows()
+    local = [
+        hashlib.sha256(data).hexdigest()
+        for data in (encode_suspended_query(sq), encode_bytes(rows))
+    ]
+    rows_file = tmp_path / "rows.pickle"
+    rows_file.write_bytes(pickle.dumps(rows))
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (
@@ -379,11 +400,13 @@ def test_cross_process_encode_is_byte_identical(tmp_path):
         [
             sys.executable,
             "-c",
-            _ENCODE_SNIPPET.format(recipe="sort", rows=150),
+            _ENCODE_SNIPPET.format(
+                recipe="sort", rows=150, rows_file=str(rows_file)
+            ),
         ],
         env=env,
         capture_output=True,
         text=True,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == local
+    assert out.stdout.split() == local

@@ -187,11 +187,11 @@ class TestOldFormatsAreRejected:
     @pytest.mark.parametrize(
         "restamp",
         [
-            lambda m: m.update(codec_version=1),
-            lambda m: m.pop("codec_version"),
             lambda m: m.update(layout_version=1),
+            lambda m: m.update(layout_version=2),
+            lambda m: m.pop("layout_version"),
         ],
-        ids=["codec-v1", "codec-absent", "layout-1"],
+        ids=["layout-1", "layout-2", "layout-absent"],
     )
     def test_foreign_version_stamp_is_a_format_error_and_torn(
         self, restamp, tmp_path

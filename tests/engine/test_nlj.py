@@ -187,7 +187,9 @@ class TestNLJSuspendResume:
 class TestSuspendRaisedByTheInnerPull:
     """An ``emitted`` trigger on the inner scan, firing mid-pass under an
     emitting NLJ. Expected values were recorded from the per-row path at
-    the parent of the change that deleted it.
+    the parent of the change that deleted it; the image SHAs again when
+    the codec's frame layer was deleted, with the decoded control records
+    checked identical.
 
     The 31st inner tuple matches nothing in the buffer, so the join pulls
     the inner child again and *that* call's entry poll raises: the NLJ
@@ -218,7 +220,7 @@ class TestSuspendRaisedByTheInnerPull:
         assert nlj.tally.cpu_tuples == 52
         assert session.op_named("scan_S").tally.cpu_tuples == 31
         assert repr(db.now) == "2.155"
-        assert self.image_sha(session) == "c0b0cee70c942028"
+        assert self.image_sha(session) == "af60e95dbde7f073"
 
     def test_raised_after_a_match_was_handed_up(self):
         db, session, nlj = self.stopped_at(30)
@@ -226,7 +228,7 @@ class TestSuspendRaisedByTheInnerPull:
         assert nlj.cursor == 6 and nlj.inner_row[2] == 29
         assert nlj.tally.cpu_tuples == 50
         assert repr(db.now) == "2.152"
-        assert self.image_sha(session) == "581dbfd5a50cebc1"
+        assert self.image_sha(session) == "33abca8a7928c8d3"
 
 
 class TestNLJOverNLJ:

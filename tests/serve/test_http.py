@@ -185,6 +185,27 @@ class TestLiveServer:
         assert conn.getresponse().status == 400
         conn.close()
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /obs/health HTTP/1.1\r\nX-Big: " + b"a" * 100_000 + b"\r\n\r\n",
+            b"GET /obs/health?" + b"a" * 100_000 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["header", "request_line"],
+    )
+    def test_oversized_head_line_is_a_431(
+        self, live_server, caplog, request_bytes
+    ):
+        """A head line past asyncio's 64 KiB stream limit is answered,
+        not dropped with an unhandled ``ValueError`` in the log."""
+        status, payload = raw_exchange(live_server, request_bytes)
+        assert status == 431
+        assert payload == {
+            "error": "request line or header too large",
+            "code": "header_too_large",
+        }
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
 
 def raw_exchange(port, request_bytes):
     """Send ``request_bytes`` as they are; the reply's status and JSON."""

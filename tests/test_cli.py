@@ -76,6 +76,8 @@ class TestObservabilityFlags:
                     str(trace_path),
                     "--metrics",
                     str(metrics_path),
+                    "--trace-sample",
+                    "64",
                 ]
             )
             == 0
@@ -90,6 +92,10 @@ class TestObservabilityFlags:
             "sched.quantum",
         } <= types
         assert records[0]["type"] == "trace.meta"
+        # The workload's calibration runs are not part of the traced run:
+        # every per-operator record belongs to a named query.
+        stats = [r for r in records if r["type"] == "op.stats"]
+        assert stats and all(r.get("query") for r in stats)
         assert "query_suspends_total" in metrics_path.read_text()
         # The process default tracer is cleared after the run.
         assert current_tracer() is NULL_TRACER

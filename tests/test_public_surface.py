@@ -10,10 +10,12 @@ benchmark wraps at run time (``bench/layers.py``) stops resolving.
 """
 
 import argparse
+import ast
 import dataclasses
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -23,12 +25,26 @@ import repro.durability.format
 import repro.storage.disk
 from repro import QuerySession, SchedulerConfig, SuspendSpec
 from repro.cli import build_parser
-from repro.durability import ImageInfo, ImageStore, SaveRequest
+from repro.durability import ImageInfo, ImageStore, SaveRequest, codec2
 from repro.engine.config import EngineConfig
+from repro.serve.service import ServeConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-REMOVED_EXPORTS = {"SuspendOptions", "CODEC_V1", "FORMAT_VERSION"}
+REMOVED_EXPORTS = {
+    "SuspendOptions",
+    "CODEC_V1",
+    "FORMAT_VERSION",
+    "CODEC_V2",
+    "V2_FORMAT_VERSION",
+}
+#: The codec's own framing and stamps: a section is one zlib value
+#: stream, checked by the image's manifest, stamped by ``layout_version``
+#: alone. No line under ``src`` may name any of these again.
+REMOVED_STREAM_NAMES = re.compile(
+    r"STREAM_MAGIC|FRAME_|iter_frame_payloads|CODEC_V2|V2_FORMAT_VERSION"
+    r"|codec_version|format_version"
+)
 #: Functions no module under ``src/repro`` may define again: a second
 #: join-matching path beside the block NLJ's key index, and per-operator
 #: fold/group-key helpers beside ``compile_fold``/``compile_projection``.
@@ -49,6 +65,7 @@ REMOVED_PARAMETERS = {
     "commit_workers",
     "max_chain",
     "compress",
+    "chunk_bytes",
     "delta",
 }
 
@@ -84,6 +101,9 @@ def test_no_removed_parameter_or_field():
         field_names(SchedulerConfig),
     ):
         assert not REMOVED_PARAMETERS & names
+    # The listen address is ``run_server``'s; the serving config has none.
+    assert ServeConfig is SchedulerConfig
+    assert not {"host", "port"} & field_names(SchedulerConfig)
 
 
 def test_image_store_has_no_tunables_and_one_format():
@@ -98,8 +118,28 @@ def test_image_store_has_no_tunables_and_one_format():
         "image_meta",
         "base_image_id",
     }
-    assert "layout_version" not in field_names(ImageInfo)
+    assert not {"layout_version", "codec_version"} & field_names(ImageInfo)
     assert not hasattr(repro.durability.format, "is_layout1_file")
+    # A section is one value stream: no frame, CRC or stamp of the
+    # codec's own, and no codec knob.
+    src = ROOT / "src"
+    named = [
+        f"{path.relative_to(src)}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if REMOVED_STREAM_NAMES.search(line)
+    ]
+    assert not named
+    format_source = (src / "repro" / "durability" / "format.py").read_text()
+    assert "repro.durability.codec2" not in {
+        node.module
+        for node in ast.walk(ast.parse(format_source))
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert parameters(codec2.encode_to_stream) == {"value", "sink"}
+    assert parameters(codec2.encode_bytes) == {"value"}
+    assert parameters(codec2.encode_suspended_query) == {"sq"}
+    assert parameters(codec2._Encoder.__init__) == {"self", "sink"}
 
 
 def test_engine_config_has_no_execution_path_switch():
@@ -150,8 +190,6 @@ def test_an_operator_file_holds_only_what_is_its_own():
     branches on which side called it, the post-resume full-state payload
     is known to ``engine/base.py`` alone, and one site constructs a
     ``Checkpoint``."""
-    import ast
-
     engine = ROOT / "src" / "repro" / "engine"
     sources = {path: path.read_text() for path in sorted(engine.glob("*.py"))}
     for path, text in sources.items():
@@ -169,8 +207,6 @@ def test_an_operator_file_holds_only_what_is_its_own():
 
 
 def test_one_matching_path_and_one_fold_table():
-    import ast
-
     defined = {
         node.name
         for path in (ROOT / "src" / "repro").rglob("*.py")
