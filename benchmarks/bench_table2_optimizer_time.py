@@ -3,9 +3,12 @@
 The paper: left-deep NLJ chains with table scans at the leaves — the
 worst case for the number of MIP variables/constraints — timed at 11 to
 101 operators (1.6 ms to 59 ms on their testbed). We report the same
-series for our formulation + HiGHS solve; the expected *shape* is
-low-millisecond solves at small plans growing polynomially with plan
-size, fast enough to run at suspend time.
+series for the shipped solver: building the cost model from the live
+runtime plus the exact tree DP over Pareto frontiers
+(``optimizer.optimal_plan``), with the paper program's variable count
+beside it. The expected *shape* is low-millisecond solves at small
+plans growing polynomially with plan size, fast enough to run at
+suspend time.
 """
 
 import time
@@ -14,7 +17,7 @@ import pytest
 
 from repro import QuerySession
 from repro.core.costs import build_cost_model
-from repro.core.optimizer import build_lp_plan
+from repro.core.optimizer import optimal_plan
 from repro.harness import figures
 from repro.harness.report import format_table
 from repro.workloads import build_nlj_chain
@@ -26,7 +29,7 @@ PLAN_SIZES = (11, 21, 41, 61, 81, 101)
 
 def optimize_once(session):
     model = build_cost_model(session.runtime)
-    plan = build_lp_plan(model)
+    plan = optimal_plan(model)
     return model, plan
 
 

@@ -6,8 +6,8 @@
   and its validity rules (Sections 3.2 and 5).
 - :mod:`repro.core.suspended_query` — the SuspendedQuery structure.
 - :mod:`repro.core.costs` — suspend-time cost constants (d, g, c).
-- :mod:`repro.core.mip` / :mod:`repro.core.optimizer` — the
-  mixed-integer-programming suspend-plan optimizer (Section 5).
+- :mod:`repro.core.optimizer` — the Section 5 suspend-plan program and
+  its one exact solver, a budget-aware tree DP (no MIP library).
 - :mod:`repro.core.static_optimizer` — the offline baseline of Figure 12.
 - :mod:`repro.core.lifecycle` — the execute/suspend/resume query lifecycle.
 """

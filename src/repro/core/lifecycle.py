@@ -60,19 +60,17 @@ class QueryStatus(Enum):
 class SuspendStrategy(Enum):
     """How :meth:`QuerySession.suspend` chooses its suspend plan.
 
-    - ``LP`` — the paper's online MIP optimizer (Section 5);
-    - ``DP`` — the exact tree dynamic program (no budget support);
+    - ``LP`` — the paper's online optimizer (Section 5): the exact
+      optimum of its zero-one program, budget included
+      (:func:`repro.core.optimizer.optimal_plan`);
     - ``ALL_DUMP`` / ``ALL_GOBACK`` — the purist baselines;
-    - ``STATIC`` — the table-statistics-only baseline (Figure 12);
-    - ``EXHAUSTIVE`` — brute-force enumeration (testing/cross-validation).
+    - ``STATIC`` — the table-statistics-only baseline (Figure 12).
     """
 
     LP = "lp"
-    DP = "dp"
     ALL_DUMP = "all_dump"
     ALL_GOBACK = "all_goback"
     STATIC = "static"
-    EXHAUSTIVE = "exhaustive"
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,8 @@
 """Online suspend-plan optimization (Section 5).
 
-Builds the paper's mixed-integer program from the suspend-time cost model
-and solves it with :mod:`repro.core.mip`. Variables x_{i,j} (operator i
-goes back to the chain initiated by j ∈ anc(i)) map onto
-:class:`~repro.core.strategies.OpDecision`; constraints follow
-Equations (3)-(8):
+The paper's zero-one program has variables x_{i,j} (operator i goes back
+to the chain initiated by j ∈ anc(i)), which map onto
+:class:`~repro.core.strategies.OpDecision`, and constraints
 
 (3)  Σ_j x_{i,j} <= 1
 (4)  x_{i,j} <= x_{par(i),j}              for j ∈ anc(par(i))
@@ -13,25 +11,33 @@ Equations (3)-(8):
 (7)  Σ_i [ d^s_i (1 - Σ_j x_{i,j}) + Σ_j g^s_{i,j} x_{i,j} ] <= C
 (8)  x_{i,j} ∈ {0, 1}
 
-The objective is the total suspend+resume overhead, Equations (1)+(2).
+minimizing the total suspend+resume overhead, Equations (1)+(2).
 
-``enumerate_valid_plans`` provides an exhaustive optimizer used to
-cross-validate the MIP on small plans and as the reference in property
-tests.
+:func:`optimal_plan` solves it exactly by dynamic programming over the
+operator tree. Rules (3)-(6) only relate an operator to its parent, so
+given the chain context an operator inherits ("no chain", or "chain
+anchored at j") the valid choices for its subtree do not depend on the
+rest of the plan. Only the budget (7) couples subtrees, and it is a sum
+of non-negative terms; so each (operator, chain context) keeps the Pareto
+frontier of its subtree's (suspend cost, total cost), drops points over
+the budget and prunes dominated ones. The root's cheapest point is the
+optimum.
+
+Ties are broken by one rule: among totals equal within
+:data:`COST_TOL`, the lower suspend cost wins, then DumpState over GoBack
+at the highest operator where two plans differ. (Plans that agree above
+an operator give it one chain context and so at most one GoBack choice:
+no tie between anchors is left to break.)
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
-
-import numpy as np
-from scipy import sparse
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import SuspendBudgetInfeasibleError
 from repro.core.costs import SuspendCostModel, build_cost_model
-from repro.core.mip import solve_binary_program
 from repro.core.strategies import (
     OpDecision,
     Strategy,
@@ -43,6 +49,9 @@ from repro.core.strategies import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.runtime import Runtime
+
+#: Two costs closer than this are equal (see the tie-break rule above).
+COST_TOL = 1e-9
 
 
 @dataclass
@@ -73,194 +82,120 @@ def estimate_plan_cost(plan: SuspendPlan, model: SuspendCostModel) -> PlanCost:
     return PlanCost(suspend=suspend, resume=resume)
 
 
-def build_lp_plan(
+def _pareto(points: list, limit: float) -> list:
+    """The points ``(suspend, total, ...)`` within ``limit`` that no
+    other point matches or beats on both costs, in their given order (an
+    earlier point wins a tie)."""
+    if len(points) == 1:
+        return points if points[0][0] <= limit else []
+    kept: list = []
+    for p in points:
+        s, t = p[0], p[1]
+        if s > limit or any(
+            k[0] <= s + COST_TOL and k[1] <= t + COST_TOL for k in kept
+        ):
+            continue
+        kept = [
+            k for k in kept
+            if not (s <= k[0] + COST_TOL and t <= k[1] + COST_TOL)
+        ]
+        kept.append(p)
+    return kept
+
+
+def _children_of(model: SuspendCostModel) -> dict[Optional[int], list[int]]:
+    children_of: dict[Optional[int], list[int]] = {}
+    for i in model.op_ids:
+        children_of.setdefault(model.parent.get(i), []).append(i)
+    return children_of
+
+
+def plan_frontiers(
+    model: SuspendCostModel, budget: float = math.inf
+) -> dict[tuple[int, Optional[int]], list]:
+    """The Pareto frontier of every (operator, chain context) the root's
+    frontier, at key ``(root, None)``, draws on. A point is ``(suspend,
+    total, decision, child points)`` for the operator's subtree."""
+    children_of = _children_of(model)
+    limit = budget + COST_TOL
+    dump = OpDecision.dump()
+    goback = {j: OpDecision.goback(j) for j in {j for _, j in model.links}}
+    frontiers: dict[tuple[int, Optional[int]], list] = {}
+
+    def frontier(i: int, chain: Optional[int]) -> list:
+        key = (i, chain)
+        if key in frontiers:
+            return frontiers[key]
+        # Valid choices, DumpState first: under no chain, dump or start
+        # the operator's own chain; under chain j, dump unless c_{i,j}
+        # forbids it, or follow j.
+        options = []
+        if chain is None or (i, chain) not in model.cannot_dump_under:
+            options.append(dump)
+        anchor = i if chain is None else chain
+        if (i, anchor) in model.links:
+            options.append(goback[anchor])
+        points = []
+        for decision in options:
+            j = decision.goback_anchor
+            if j is None:
+                partial = [(model.d_s[i], model.d_s[i] + model.d_r[i], ())]
+            else:
+                s = model.g_s[(i, j)]
+                partial = [(s, s + model.g_r[(i, j)], ())]
+            for child in children_of.get(i, ()):
+                sub = frontier(child, j)
+                partial = _pareto(
+                    [
+                        (s + c[0], t + c[1], picks + (c,))
+                        for s, t, picks in partial
+                        for c in sub
+                    ],
+                    limit,
+                )
+                if not partial:
+                    break
+            points += [(s, t, decision, picks) for s, t, picks in partial]
+        frontiers[key] = _pareto(points, limit)
+        return frontiers[key]
+
+    (root,) = children_of[None]
+    frontier(root, None)
+    return frontiers
+
+
+def optimal_plan(
     model: SuspendCostModel, budget: float = math.inf, tracer=None
 ) -> SuspendPlan:
-    """Solve the Section 5 MIP and decode the optimal suspend plan."""
-    pairs = sorted(model.links)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    n = len(pairs)
-
-    # Objective: constant Σ(d_s + d_r) plus per-variable deltas.
-    c = np.zeros(n)
-    for (i, j), k in index.items():
-        c[k] = (
-            model.g_s[(i, j)]
-            + model.g_r[(i, j)]
-            - model.d_s[i]
-            - model.d_r[i]
-        )
-
-    # Constraints are built sparsely (COO triplets); plans of 100+
-    # operators have thousands of variables and dense rows dominate the
-    # optimizer's runtime otherwise.
-    coo_rows: list[int] = []
-    coo_cols: list[int] = []
-    coo_vals: list[float] = []
-    rhs: list[float] = []
-
-    def add_row(coeffs: dict[int, float], bound: float) -> None:
-        row_idx = len(rhs)
-        for k, v in coeffs.items():
-            coo_rows.append(row_idx)
-            coo_cols.append(k)
-            coo_vals.append(v)
-        rhs.append(bound)
-
-    for i in model.op_ids:
-        anchors = model.anchors_of(i)
-        # (3): at most one anchor.
-        if anchors:
-            add_row({index[(i, j)]: 1.0 for j in anchors}, 1.0)
-        parent = model.parent.get(i)
-        if parent is None:
-            continue
-        parent_anchors = set(model.anchors_of(parent))
-        for j in anchors:
-            if j == i:
-                # (5): own chain only under a dumping parent.
-                coeffs = {index[(i, i)]: 1.0}
-                for pj in parent_anchors:
-                    coeffs[index[(parent, pj)]] = 1.0
-                add_row(coeffs, 1.0)
-            else:
-                # (4): chain must pass through the parent.
-                if (parent, j) in index:
-                    add_row(
-                        {index[(i, j)]: 1.0, index[(parent, j)]: -1.0}, 0.0
-                    )
-                else:
-                    add_row({index[(i, j)]: 1.0}, 0.0)  # unreachable chain
-        # (6): forced propagation when dumping is invalid under chain j.
-        for pj in parent_anchors:
-            if pj == parent and parent == i:
-                continue
-            if (i, pj) in model.cannot_dump_under:
-                if (i, pj) in index:
-                    add_row(
-                        {
-                            index[(parent, pj)]: 1.0,
-                            index[(i, pj)]: -1.0,
-                        },
-                        0.0,
-                    )
-                else:
-                    # The operator can neither dump nor join chain pj:
-                    # the parent must not anchor there at all.
-                    add_row({index[(parent, pj)]: 1.0}, 0.0)
-
-    # (7): suspend budget.
-    if budget != math.inf:
-        coeffs = {}
-        for (i, j), k in index.items():
-            coeffs[k] = model.g_s[(i, j)] - model.d_s[i]
-        bound = budget - sum(model.d_s.values())
-        add_row(coeffs, bound)
-
-    a_ub = sparse.csr_matrix(
-        (coo_vals, (coo_rows, coo_cols)), shape=(len(rhs), n)
-    )
-    b_ub = np.array(rhs)
-    result = solve_binary_program(c, a_ub, b_ub)
+    """The cheapest valid plan whose suspend cost fits ``budget``."""
+    frontiers = plan_frontiers(model, budget)
+    children_of = _children_of(model)
+    (root,) = children_of[None]
+    top = frontiers[(root, None)]
+    best = min(top, key=lambda p: p[1]) if top else None
     if tracer is not None and tracer.enabled:
         tracer.event(
             "mip.solve",
-            variables=n,
-            constraints=len(rhs),
-            nodes_explored=result.nodes_explored,
-            objective=round(float(result.objective), 6),
-            feasible=result.feasible,
+            variables=len(model.links),
+            frontier_max=max(map(len, frontiers.values())),
+            objective=round(best[1], 6) if best else math.inf,
+            feasible=best is not None,
             budget=budget,
         )
-        tracer.metrics.counter("mip_nodes_explored_total").inc(
-            result.nodes_explored
-        )
-    if not result.feasible:
+    if best is None:
         raise SuspendBudgetInfeasibleError(
             f"no valid suspend plan fits within budget {budget}"
         )
 
     decisions: dict[int, OpDecision] = {}
-    for i in model.op_ids:
-        chosen = None
-        for j in model.anchors_of(i):
-            if result.x[index[(i, j)]] > 0.5:
-                chosen = j
-                break
-        if chosen is None:
-            decisions[i] = OpDecision.dump()
-        else:
-            decisions[i] = OpDecision.goback(chosen)
+    stack = [(root, best)]
+    while stack:
+        i, (_, _, decision, picks) = stack.pop()
+        decisions[i] = decision
+        stack.extend(zip(children_of.get(i, ()), picks))
     plan = SuspendPlan(decisions=decisions, source="lp")
     validate_suspend_plan(plan, model.topology())
     return plan
-
-
-def enumerate_valid_plans(model: SuspendCostModel) -> Iterator[SuspendPlan]:
-    """Yield every valid suspend plan (exponential; small plans only)."""
-    children_of: dict[Optional[int], list[int]] = {}
-    for i in model.op_ids:
-        children_of.setdefault(model.parent.get(i), []).append(i)
-    root = children_of[None][0]
-
-    def options(i: int, chain: Optional[int]) -> list[OpDecision]:
-        opts = []
-        if chain is None:
-            opts.append(OpDecision.dump())
-            if (i, i) in model.links:
-                opts.append(OpDecision.goback(i))
-        else:
-            if (i, chain) in model.links:
-                opts.append(OpDecision.goback(chain))
-            if (i, chain) not in model.cannot_dump_under:
-                opts.append(OpDecision.dump())
-        return opts
-
-    def assign(
-        todo: list[tuple[int, Optional[int]]], acc: dict[int, OpDecision]
-    ) -> Iterator[dict[int, OpDecision]]:
-        if not todo:
-            yield dict(acc)
-            return
-        (i, chain), rest = todo[0], todo[1:]
-        for decision in options(i, chain):
-            acc[i] = decision
-            child_chain = (
-                decision.goback_anchor
-                if decision.strategy is Strategy.GOBACK
-                else None
-            )
-            child_todo = [
-                (child, child_chain) for child in children_of.get(i, [])
-            ]
-            yield from assign(child_todo + rest, acc)
-            del acc[i]
-
-    for decisions in assign([(root, None)], {}):
-        if len(decisions) == len(model.op_ids):
-            plan = SuspendPlan(decisions=decisions, source="exhaustive")
-            validate_suspend_plan(plan, model.topology())
-            yield plan
-
-
-def exhaustive_best_plan(
-    model: SuspendCostModel, budget: float = math.inf
-) -> SuspendPlan:
-    """Brute-force optimum; reference implementation for tests."""
-    best = None
-    best_cost = math.inf
-    for plan in enumerate_valid_plans(model):
-        cost = estimate_plan_cost(plan, model)
-        if cost.suspend > budget + 1e-9:
-            continue
-        if cost.total < best_cost - 1e-12:
-            best_cost = cost.total
-            best = plan
-    if best is None:
-        raise SuspendBudgetInfeasibleError(
-            f"no valid suspend plan fits within budget {budget}"
-        )
-    return best
 
 
 def choose_suspend_plan(
@@ -273,25 +208,15 @@ def choose_suspend_plan(
 
     ``strategy`` is one of:
 
-    - ``"lp"`` — the paper's online optimizer (MIP);
-    - ``"all_dump"`` / ``"all_goback"`` — the purist baselines;
-    - ``"exhaustive"`` — brute force (testing).
+    - ``"lp"`` — the paper's online optimizer, :func:`optimal_plan`;
+    - ``"all_dump"`` / ``"all_goback"`` — the purist baselines.
     """
     if model is None:
         model = build_cost_model(runtime)
-    topo = model.topology()
-    tracer = getattr(runtime, "tracer", None)
     if strategy == "lp":
-        return build_lp_plan(model, budget=budget, tracer=tracer)
-    if strategy == "dp":
-        from repro.core.tree_optimizer import build_dp_plan
-
-        if budget != math.inf:
-            # The DP cannot encode the global budget constraint.
-            return build_lp_plan(model, budget=budget, tracer=tracer)
-        return build_dp_plan(model)
-    if strategy == "exhaustive":
-        return exhaustive_best_plan(model, budget=budget)
+        tracer = getattr(runtime, "tracer", None)
+        return optimal_plan(model, budget=budget, tracer=tracer)
+    topo = model.topology()
     if strategy == "all_dump":
         plan = all_dump_plan(topo)
     elif strategy == "all_goback":

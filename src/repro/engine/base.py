@@ -545,19 +545,23 @@ class Operator:
         )
         ctx.sq.add_entry(entry)
         self._trace_suspend_entry(entry, handle)
-        # Heap children have not moved since the contract was signed (the
-        # c_{i,j} restriction guarantees the same batch), so they suspend
-        # to their current positions; stream children are repositioned via
-        # the nested contracts captured at signing time.
+        # A stateful operator's heap children have not moved since the
+        # contract was signed (the c_{i,j} restriction guarantees the same
+        # batch), so they suspend to their current positions. Every other
+        # child goes back to where it stood at signing: the nested contract
+        # captured then or, when the contract was migrated or its signer
+        # is stateless (it nests none), the contract signed at the
+        # fulfilling checkpoint.
+        stream = self.stream_children()
         for child in self.children:
-            if child in self.stream_children():
-                nested = contract.nested.get(child.op_id)
-                if nested is not None:
-                    child.do_suspend_to(nested, ctx)
-                else:
-                    child.do_suspend(ctx)
-            else:
+            if self.STATEFUL and child not in stream:
                 child.do_suspend(ctx)
+                continue
+            nested = contract.nested.get(child.op_id)
+            if nested is None:
+                ckpt = ctx.graph.checkpoint(contract.child_ckpt_id)
+                nested = ctx.graph.contract_from(ckpt, child.op_id)
+            child.do_suspend_to(nested, ctx)
 
     def _suspend_children_for_goback(
         self,

@@ -15,9 +15,8 @@ from typing import Optional
 from repro import QuerySession
 from repro.common.errors import SuspendBudgetInfeasibleError
 from repro.core.costs import build_cost_model
-from repro.core.optimizer import build_lp_plan
+from repro.core.optimizer import optimal_plan
 from repro.core.strategies import Strategy
-from repro.core.tree_optimizer import build_dp_plan
 from repro.engine.runtime import SuspendTrigger
 from repro.harness.experiments import (
     measure_suspend_overhead,
@@ -58,7 +57,8 @@ PAPER_TABLE2_MS = {
 
 
 def table2_rows(plan_sizes=(11, 21, 41, 61, 81, 101)) -> list[dict]:
-    """Optimizer wall-time vs plan size on left-deep NLJ chains."""
+    """Optimizer wall-time (cost model plus the shipped solver) vs plan
+    size on left-deep NLJ chains, with the MIP's variable count."""
     rows = []
     for k in plan_sizes:
         db, plan = build_nlj_chain(k)
@@ -66,16 +66,12 @@ def table2_rows(plan_sizes=(11, 21, 41, 61, 81, 101)) -> list[dict]:
         session.execute(max_rows=2)
         start = time.perf_counter()
         model = build_cost_model(session.runtime)
-        build_lp_plan(model)
+        optimal_plan(model)
         elapsed_ms = (time.perf_counter() - start) * 1000
-        start = time.perf_counter()
-        build_dp_plan(model)
-        dp_ms = (time.perf_counter() - start) * 1000
         rows.append(
             {
                 "operators": k,
                 "optimize_ms": round(elapsed_ms, 3),
-                "dp_ms": round(dp_ms, 3),
                 "mip_variables": len(model.links),
                 "paper_ms": PAPER_TABLE2_MS.get(k, "-"),
             }

@@ -2,7 +2,7 @@
 
 A deliberately small, dependency-free HTTP/1.1 server
 (``asyncio.start_server`` + hand-rolled request parsing — the container
-has no aiohttp and the protocol surface is four routes). The asyncio
+has no aiohttp and the protocol surface is five routes). The asyncio
 loop owns connection handling; the actual query work is synchronous and
 single-writer (one shared virtual clock), so every request body is
 executed under one lock on the default thread-pool executor. Parsing
@@ -11,25 +11,23 @@ engine.
 
 Routes (see docs/SERVING.md for a curl session):
 
-- ``GET /healthz`` — liveness, plus the served catalog names;
-- ``GET /catalog`` — the plans this server can start;
 - ``POST /queries`` — body ``{"query": <catalog name>, "as": <session
   name>?, "priority": <int>?}``; runs the first quantum, returns rows
   plus a continuation token (or ``"status": "done"``);
 - ``POST /continue`` — body ``{"token": "rst1...."}``; next quantum.
-- ``GET /metrics`` — plain-text metrics snapshot; 404 (typed error JSON)
-  when tracing is off, so the body shape never depends on config;
 - ``GET /obs/metrics`` — the full registry snapshot as JSON (works with
-  tracing off: serving metrics like request latencies are always kept);
+  tracing off: serving metrics like request latencies are always kept),
+  plus the plain-text exposition under ``text`` when tracing is on;
 - ``GET /obs/progress/<token>`` — live fraction-complete and estimated
   remaining work for the query the token names (no redemption);
-- ``GET /obs/health`` — liveness plus serving counters and trace state.
+- ``GET /obs/health`` — liveness, the plans this server can start
+  (``queries``), serving counters and trace state.
 
 Error mapping: a malformed request (a ``Content-Length`` that is not a
 decimal count, a body that is not a JSON object, a ``priority`` that is
 not an integer) or a malformed token → 400, already redeemed → 409
 (conflict: the continuation was consumed), image GC'd → 410 (gone),
-unknown catalog entry / unknown progress query / disabled metrics → 404,
+unknown catalog entry / unknown progress query / unknown route → 404,
 duplicate session name → 409, oversized body → 413, a request line or
 header line past the stream's 64 KiB limit → 431. Every error body is
 ``{"error": <message>, "code": <machine tag>?}``.
@@ -73,32 +71,20 @@ class ServeApp:
             return self._route(method, path, body)
 
     def _route(self, method, path, body):
-        if method == "GET" and path == "/healthz":
-            return 200, {"ok": True, "queries": sorted(self.catalog)}
-        if method == "GET" and path == "/catalog":
-            return 200, {"queries": sorted(self.catalog)}
-        if method == "GET" and path == "/metrics":
-            if not self.service.tracer.enabled:
-                # Typed error, not a branch-dependent body shape: the
-                # exposition endpoint either serves text metrics or says
-                # why it cannot.
-                return 404, {
-                    "error": "tracing disabled: no metrics exposition",
-                    "code": "metrics_disabled",
-                }
-            return 200, {
-                "text": self.service.tracer.metrics.render_text()
-            }
         if method == "GET" and path == "/obs/metrics":
             # The JSON snapshot works with tracing off too: the stats
             # registry (shared with the tracer when tracing is on)
             # always exists and always carries the serving counters.
-            return 200, {
-                "tracing": self.service.tracer.enabled,
+            tracer = self.service.tracer
+            payload = {
+                "tracing": tracer.enabled,
                 "metrics": self.service.stats.registry.as_dict(
                     include_volatile=True
                 ),
             }
+            if tracer.enabled:
+                payload["text"] = tracer.metrics.render_text()
+            return 200, payload
         if method == "GET" and path.startswith("/obs/progress/"):
             token_text = path[len("/obs/progress/"):]
             try:
@@ -115,6 +101,7 @@ class ServeApp:
             stats = self.service.stats
             return 200, {
                 "ok": True,
+                "queries": sorted(self.catalog),
                 "tracing": self.service.tracer.enabled,
                 "now": round(self.service.db.now, 6),
                 "queries_admitted": stats.queries_admitted,
@@ -167,15 +154,10 @@ STATUS_TEXT = {
 
 
 def _response_bytes(status: int, payload: dict) -> bytes:
-    if set(payload) == {"text"}:  # metrics exposition
-        body = payload["text"].encode("utf-8")
-        ctype = "text/plain; charset=utf-8"
-    else:
-        body = (json.dumps(payload) + "\n").encode("utf-8")
-        ctype = "application/json"
+    body = (json.dumps(payload) + "\n").encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {STATUS_TEXT.get(status, 'Unknown')}\r\n"
-        f"Content-Type: {ctype}\r\n"
+        "Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
         "Connection: close\r\n"
         "\r\n"

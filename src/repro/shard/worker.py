@@ -23,7 +23,7 @@ from typing import Optional
 from repro.common.errors import ShardError
 from repro.core.costs import build_cost_model
 from repro.core.lifecycle import QuerySession, QueryStatus, SuspendSpec
-from repro.core.optimizer import build_lp_plan, estimate_plan_cost
+from repro.core.optimizer import estimate_plan_cost, optimal_plan
 from repro.core.strategies import all_goback_plan
 from repro.durability.faults import FaultInjector
 from repro.durability.store import ImageStore
@@ -178,7 +178,7 @@ class InProcessShardWorker(ShardWorker):
         """
         session = self._require_session()
         model = build_cost_model(session.runtime)
-        lp = build_lp_plan(model, budget=math.inf)
+        lp = optimal_plan(model)
         floor = all_goback_plan(model.topology())
         return {
             "est": estimate_plan_cost(lp, model).suspend,

@@ -1,4 +1,4 @@
-"""Unit tests for the binary-program solver, cross-checked against
+"""Unit tests for the HiGHS binary-program oracle, cross-checked against
 brute-force enumeration."""
 
 from itertools import product
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.mip import MIPResult, solve_binary_program
+from tests.oracles import MIPResult, solve_binary_program
 
 
 def enumerate_binary_program(c, a, b) -> MIPResult:
@@ -19,7 +19,7 @@ def enumerate_binary_program(c, a, b) -> MIPResult:
         x = np.array(bits)
         if np.all(a @ x <= b + 1e-6) and c @ x < best_obj:
             best_x, best_obj = x, float(c @ x)
-    return MIPResult(best_x, best_obj, 2 ** len(c), best_x is not None)
+    return MIPResult(best_x, best_obj, best_x is not None)
 
 
 def solve_both(c, a, b):

@@ -8,15 +8,14 @@ from repro import QuerySession, SuspendTrigger
 from repro.common.errors import SuspendBudgetInfeasibleError
 from repro.core.costs import build_cost_model
 from repro.core.optimizer import (
-    build_lp_plan,
     choose_suspend_plan,
-    enumerate_valid_plans,
     estimate_plan_cost,
-    exhaustive_best_plan,
+    optimal_plan,
 )
 from repro.core.strategies import Strategy, validate_suspend_plan
 
 from tests.conftest import make_small_db, tiny_nlj_plan, tiny_smj_plan
+from tests.oracles import enumerate_valid_plans, exhaustive_best_plan
 
 
 def session_at(plan, point):
@@ -70,7 +69,7 @@ class TestLPPlan:
             if session.status.value == "completed":
                 continue
             model = build_cost_model(session.runtime)
-            lp = estimate_plan_cost(build_lp_plan(model), model)
+            lp = estimate_plan_cost(optimal_plan(model), model)
             ex = estimate_plan_cost(exhaustive_best_plan(model), model)
             assert lp.total == pytest.approx(ex.total)
 
@@ -79,7 +78,7 @@ class TestLPPlan:
         session = session_at(tiny_nlj_plan(), 40)
         model = build_cost_model(session.runtime)
         try:
-            lp = build_lp_plan(model, budget=budget)
+            lp = optimal_plan(model, budget=budget)
         except SuspendBudgetInfeasibleError:
             with pytest.raises(SuspendBudgetInfeasibleError):
                 exhaustive_best_plan(model, budget=budget)
@@ -95,12 +94,12 @@ class TestLPPlan:
         session = session_at(tiny_nlj_plan(), 40)
         model = build_cost_model(session.runtime)
         with pytest.raises(SuspendBudgetInfeasibleError):
-            build_lp_plan(model, budget=0.0)
+            optimal_plan(model, budget=0.0)
 
     def test_lp_plan_is_valid(self):
         session = session_at(tiny_smj_plan(), 30)
         model = build_cost_model(session.runtime)
-        plan = build_lp_plan(model)
+        plan = optimal_plan(model)
         validate_suspend_plan(plan, model.topology())
 
     def test_tight_budget_prefers_goback(self):
@@ -112,7 +111,7 @@ class TestLPPlan:
         )
         model = build_cost_model(session.runtime)
         nlj = session.op_named("nlj").op_id
-        tight = build_lp_plan(model, budget=model.d_s[nlj] * 0.5)
+        tight = optimal_plan(model, budget=model.d_s[nlj] * 0.5)
         assert tight.decisions[nlj].strategy is Strategy.GOBACK
 
 
@@ -133,7 +132,7 @@ class TestEnumeration:
 class TestChooseSuspendPlan:
     def test_all_strategies_produce_valid_plans(self):
         session = session_at(tiny_nlj_plan(), 40)
-        for strategy in ("lp", "all_dump", "all_goback", "exhaustive"):
+        for strategy in ("lp", "all_dump", "all_goback"):
             plan = choose_suspend_plan(session.runtime, strategy=strategy)
             validate_suspend_plan(
                 plan, build_cost_model(session.runtime).topology()
@@ -141,5 +140,6 @@ class TestChooseSuspendPlan:
 
     def test_unknown_strategy_rejected(self):
         session = session_at(tiny_nlj_plan(), 40)
-        with pytest.raises(ValueError):
-            choose_suspend_plan(session.runtime, strategy="bogus")
+        for strategy in ("bogus", "dp", "exhaustive"):
+            with pytest.raises(ValueError):
+                choose_suspend_plan(session.runtime, strategy=strategy)

@@ -1,6 +1,8 @@
-"""Unit tests for the DP suspend-plan optimizer (budget-free exact)."""
+"""The shipped suspend-plan solver is a tree DP
+(:func:`repro.core.optimizer.optimal_plan`): it must pick what the
+HiGHS program and brute force pick (``tests/oracles.py``), and do it
+faster than HiGHS."""
 
-import math
 import time
 
 import pytest
@@ -8,16 +10,15 @@ import pytest
 from repro import QuerySession, SuspendSpec
 from repro.core.costs import build_cost_model
 from repro.core.optimizer import (
-    build_lp_plan,
     choose_suspend_plan,
     estimate_plan_cost,
-    exhaustive_best_plan,
+    optimal_plan,
 )
 from repro.core.strategies import validate_suspend_plan
-from repro.core.tree_optimizer import build_dp_plan
 from repro.workloads import build_nlj_chain
 
 from tests.conftest import make_small_db, tiny_nlj_plan, tiny_smj_plan
+from tests.oracles import exhaustive_best_plan, mip_plan
 
 
 def session_at(plan, point):
@@ -35,18 +36,17 @@ class TestDPOptimizer:
         if session.status.value == "completed":
             return
         model = build_cost_model(session.runtime)
-        dp = estimate_plan_cost(build_dp_plan(model), model)
-        lp = estimate_plan_cost(build_lp_plan(model), model)
+        dp = optimal_plan(model)
         ex = estimate_plan_cost(exhaustive_best_plan(model), model)
-        assert dp.total == pytest.approx(ex.total)
-        assert dp.total == pytest.approx(lp.total)
+        assert estimate_plan_cost(dp, model).total == pytest.approx(ex.total)
+        assert dp.decisions == mip_plan(model).decisions
 
     def test_dp_plan_is_valid(self):
         session = session_at(tiny_smj_plan(), 40)
         model = build_cost_model(session.runtime)
-        plan = build_dp_plan(model)
+        plan = optimal_plan(model)
         validate_suspend_plan(plan, model.topology())
-        assert plan.source == "dp"
+        assert plan.source == "lp"
 
     def test_dp_strategy_via_lifecycle(self):
         db = make_small_db()
@@ -54,15 +54,16 @@ class TestDPOptimizer:
         ref = QuerySession(make_small_db(), plan).execute().rows
         session = QuerySession(db, plan)
         first = session.execute(max_rows=25)
-        sq = session.suspend(SuspendSpec(strategy="dp"))
+        sq = session.suspend(SuspendSpec(strategy="lp", budget=15.0))
         resumed = QuerySession.resume(db, sq)
         assert first.rows + resumed.execute().rows == ref
 
-    def test_dp_with_budget_falls_back_to_lp(self):
+    def test_dp_honours_a_finite_budget(self):
         session = session_at(tiny_nlj_plan(), 40)
-        plan = choose_suspend_plan(session.runtime, strategy="dp", budget=5.0)
+        plan = choose_suspend_plan(session.runtime, strategy="lp", budget=5.0)
         model = build_cost_model(session.runtime)
         assert estimate_plan_cost(plan, model).suspend <= 5.0 + 1e-9
+        assert plan.decisions == mip_plan(model, budget=5.0).decisions
 
     def test_dp_much_faster_than_mip_on_large_chains(self):
         db, chain = build_nlj_chain(61)
@@ -71,11 +72,11 @@ class TestDPOptimizer:
         model = build_cost_model(session.runtime)
 
         start = time.perf_counter()
-        dp = build_dp_plan(model)
+        dp = optimal_plan(model)
         dp_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        lp = build_lp_plan(model)
+        lp = mip_plan(model)
         lp_time = time.perf_counter() - start
 
         assert estimate_plan_cost(dp, model).total == pytest.approx(

@@ -193,7 +193,7 @@ class TestSnapshotsLeaveOutFinishedPartitions:
         assert dropped > 0
 
     @pytest.mark.parametrize(
-        "strategy", ["all_dump", "all_goback", "lp", "dp"]
+        "strategy", ["all_dump", "all_goback", "lp"]
     )
     def test_a_resumed_join_holds_the_heap_an_uninterrupted_one_does(
         self, strategy

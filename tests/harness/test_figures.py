@@ -12,7 +12,10 @@ class TestFigureSeries:
         rows = figures.table2_rows(plan_sizes=(3, 5))
         assert [r["operators"] for r in rows] == [3, 5]
         assert all(r["optimize_ms"] > 0 for r in rows)
-        assert all(r["dp_ms"] > 0 for r in rows)
+        assert all(r["mip_variables"] > 0 for r in rows)
+        assert set(rows[0]) == {
+            "operators", "optimize_ms", "mip_variables", "paper_ms",
+        }
 
     def test_fig8_reduced(self):
         rows = figures.fig8_rows(selectivities=(0.1, 0.9), scale=400)

@@ -11,7 +11,6 @@ import pytest
 from repro import QuerySession, SuspendSpec
 from repro.common.errors import InvalidSuspendPlanError
 from repro.core.costs import build_cost_model
-from repro.core.optimizer import enumerate_valid_plans
 from repro.core.strategies import OpDecision, Strategy, SuspendPlan
 from repro.core.suspended_query import KIND_DUMP_TO_CONTRACT
 
@@ -22,6 +21,7 @@ from tests.conftest import (
     tiny_nlj_plan,
     tiny_smj_plan,
 )
+from tests.oracles import enumerate_valid_plans
 
 
 def forced_plan(session, **name_decisions):

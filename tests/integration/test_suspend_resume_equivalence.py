@@ -10,6 +10,9 @@ the in-place mode of the differential harness
 
 import pytest
 
+from repro import QuerySession
+from repro.core.costs import build_cost_model
+from repro.core.optimizer import optimal_plan
 from repro.engine.plan import (
     DupElimSpec,
     FilterSpec,
@@ -25,6 +28,7 @@ from repro.engine.plan import (
 )
 from repro.relational.expressions import EquiJoinCondition, UniformSelect
 
+from tests.oracles import mip_plan
 from tests.properties.plans import Case
 from tests.properties.test_differential import (
     Schedule,
@@ -111,13 +115,29 @@ def cuts(*rows):
     return tuple(("max_rows", 0, n) for n in rows)
 
 
+def check_dp_picks_the_mip_plan(plan_name, point):
+    """The plan the shipped solver (a tree DP) picks at ``point`` is the
+    one the HiGHS oracle picks."""
+    session = QuerySession(case(plan_name).db(), PLANS[plan_name])
+    session.execute(max_rows=point)
+    if session.status.value != "completed":
+        model = build_cost_model(session.runtime)
+        assert optimal_plan(model).decisions == mip_plan(model).decisions
+
+
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 @pytest.mark.parametrize("strategy", ["all_dump", "all_goback", "lp", "dp"])
 def test_equivalence_across_points(plan_name, strategy):
+    """``dp`` is no strategy of its own any more: ``lp`` is solved by the
+    tree DP, so that case resumes the ``lp`` plan after checking, at each
+    point, that the DP picks what the HiGHS oracle picks."""
     ref = reference(case(plan_name))
     assert ref.rows, f"plan {plan_name} must produce output"
+    suspend_as = "lp" if strategy == "dp" else strategy
     for point in (1, 7, 33, 150):
-        schedule = Schedule(cuts(point), (strategy,))
+        if strategy == "dp":
+            check_dp_picks_the_mip_plan(plan_name, point)
+        schedule = Schedule(cuts(point), (suspend_as,))
         check_in_place(case(plan_name), schedule, ref)
 
 

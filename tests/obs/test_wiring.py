@@ -88,6 +88,21 @@ class TestSessionWiring:
             if d["strategy"] == "goback":
                 assert "goback_anchor" in d
 
+    def test_mip_solve_reports_what_the_solver_did(self, cycle):
+        tracer, _ = cycle
+        (solve,) = [r for r in tracer.records if r["type"] == "mip.solve"]
+        (plan,) = [r for r in tracer.records if r["type"] == "suspend.plan"]
+        fields = set(solve) - {"type", "ts", "seq", "query"}
+        assert fields == {
+            "variables", "frontier_max", "objective", "feasible", "budget",
+        }
+        assert solve["feasible"] and solve["variables"] > 0
+        assert solve["frontier_max"] >= 1
+        assert solve["objective"] == pytest.approx(
+            plan["est_suspend"] + plan["est_resume"], abs=1e-5
+        )
+        assert "mip_nodes_explored_total" not in tracer.metrics.render_text()
+
     def test_suspend_and_resume_metrics_recorded(self, cycle):
         tracer, _ = cycle
         metrics = tracer.metrics

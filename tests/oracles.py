@@ -1,0 +1,242 @@
+"""Reference suspend-plan solvers, for tests only.
+
+The product ships one solver, :func:`repro.core.optimizer.optimal_plan`.
+These are the independent references it is checked against:
+
+- :func:`mip_plan` builds the paper's zero-one program, Equations (1)-(8),
+  as a sparse constraint matrix and solves it with HiGHS
+  (:func:`solve_binary_program`, ``scipy.optimize.milp``);
+- :func:`enumerate_valid_plans` / :func:`exhaustive_best_plan` walk every
+  valid suspend plan (exponential; small plans only).
+
+numpy and scipy are test dependencies: nothing under ``src/`` imports
+this module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterator, Optional
+
+import numpy as np
+from scipy import sparse
+from scipy.optimize import LinearConstraint, milp
+
+from repro.common.errors import SuspendBudgetInfeasibleError
+from repro.core.costs import SuspendCostModel
+from repro.core.optimizer import estimate_plan_cost
+from repro.core.strategies import (
+    OpDecision,
+    Strategy,
+    SuspendPlan,
+    validate_suspend_plan,
+)
+
+#: Tolerance for treating an LP value as integral.
+INT_TOL = 1e-6
+
+
+@dataclass
+class MIPResult:
+    """Outcome of a solve. ``x`` is None when the program is infeasible."""
+
+    x: Optional[np.ndarray]
+    objective: float
+    feasible: bool
+
+
+def solve_binary_program(
+    c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray
+) -> MIPResult:
+    """Solve min c@x, A_ub@x <= b_ub, x in {0,1}^n with HiGHS."""
+    num_vars = len(c)
+    if num_vars == 0:
+        feasible = b_ub.size == 0 or bool(np.all(b_ub >= -INT_TOL))
+        return MIPResult(x=np.zeros(0), objective=0.0, feasible=feasible)
+    constraints = []
+    if a_ub.size:
+        constraints.append(
+            LinearConstraint(a_ub, -np.inf * np.ones(len(b_ub)), b_ub)
+        )
+    res = milp(
+        c,
+        constraints=constraints,
+        integrality=np.ones(num_vars),
+        bounds=(0, 1),
+    )
+    if res.success:
+        x = np.round(res.x)
+        return MIPResult(x=x, objective=float(c @ x), feasible=True)
+    return MIPResult(x=None, objective=math.inf, feasible=False)
+
+
+def mip_plan(model: SuspendCostModel, budget: float = math.inf) -> SuspendPlan:
+    """Solve the Section 5 MIP with HiGHS and decode the suspend plan."""
+    pairs = sorted(model.links)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    n = len(pairs)
+
+    # Objective: constant Σ(d_s + d_r) plus per-variable deltas.
+    c = np.zeros(n)
+    for (i, j), k in index.items():
+        c[k] = (
+            model.g_s[(i, j)]
+            + model.g_r[(i, j)]
+            - model.d_s[i]
+            - model.d_r[i]
+        )
+
+    coo_rows: list[int] = []
+    coo_cols: list[int] = []
+    coo_vals: list[float] = []
+    rhs: list[float] = []
+
+    def add_row(coeffs: dict[int, float], bound: float) -> None:
+        row_idx = len(rhs)
+        for k, v in coeffs.items():
+            coo_rows.append(row_idx)
+            coo_cols.append(k)
+            coo_vals.append(v)
+        rhs.append(bound)
+
+    for i in model.op_ids:
+        anchors = model.anchors_of(i)
+        # (3): at most one anchor.
+        if anchors:
+            add_row({index[(i, j)]: 1.0 for j in anchors}, 1.0)
+        parent = model.parent.get(i)
+        if parent is None:
+            continue
+        parent_anchors = set(model.anchors_of(parent))
+        for j in anchors:
+            if j == i:
+                # (5): own chain only under a dumping parent.
+                coeffs = {index[(i, i)]: 1.0}
+                for pj in parent_anchors:
+                    coeffs[index[(parent, pj)]] = 1.0
+                add_row(coeffs, 1.0)
+            else:
+                # (4): chain must pass through the parent.
+                if (parent, j) in index:
+                    add_row(
+                        {index[(i, j)]: 1.0, index[(parent, j)]: -1.0}, 0.0
+                    )
+                else:
+                    add_row({index[(i, j)]: 1.0}, 0.0)  # unreachable chain
+        # (6): forced propagation when dumping is invalid under chain j.
+        for pj in parent_anchors:
+            if pj == parent and parent == i:
+                continue
+            if (i, pj) in model.cannot_dump_under:
+                if (i, pj) in index:
+                    add_row(
+                        {
+                            index[(parent, pj)]: 1.0,
+                            index[(i, pj)]: -1.0,
+                        },
+                        0.0,
+                    )
+                else:
+                    # The operator can neither dump nor join chain pj:
+                    # the parent must not anchor there at all.
+                    add_row({index[(parent, pj)]: 1.0}, 0.0)
+
+    # (7): suspend budget.
+    if budget != math.inf:
+        coeffs = {}
+        for (i, j), k in index.items():
+            coeffs[k] = model.g_s[(i, j)] - model.d_s[i]
+        bound = budget - sum(model.d_s.values())
+        add_row(coeffs, bound)
+
+    a_ub = sparse.csr_matrix(
+        (coo_vals, (coo_rows, coo_cols)), shape=(len(rhs), n)
+    )
+    result = solve_binary_program(c, a_ub, np.array(rhs))
+    if not result.feasible:
+        raise SuspendBudgetInfeasibleError(
+            f"no valid suspend plan fits within budget {budget}"
+        )
+
+    decisions: dict[int, OpDecision] = {}
+    for i in model.op_ids:
+        chosen = None
+        for j in model.anchors_of(i):
+            if result.x[index[(i, j)]] > 0.5:
+                chosen = j
+                break
+        if chosen is None:
+            decisions[i] = OpDecision.dump()
+        else:
+            decisions[i] = OpDecision.goback(chosen)
+    plan = SuspendPlan(decisions=decisions, source="mip")
+    validate_suspend_plan(plan, model.topology())
+    return plan
+
+
+def enumerate_valid_plans(model: SuspendCostModel) -> Iterator[SuspendPlan]:
+    """Yield every valid suspend plan (exponential; small plans only)."""
+    children_of: dict[Optional[int], list[int]] = {}
+    for i in model.op_ids:
+        children_of.setdefault(model.parent.get(i), []).append(i)
+    root = children_of[None][0]
+
+    def options(i: int, chain: Optional[int]) -> list[OpDecision]:
+        opts = []
+        if chain is None:
+            opts.append(OpDecision.dump())
+            if (i, i) in model.links:
+                opts.append(OpDecision.goback(i))
+        else:
+            if (i, chain) in model.links:
+                opts.append(OpDecision.goback(chain))
+            if (i, chain) not in model.cannot_dump_under:
+                opts.append(OpDecision.dump())
+        return opts
+
+    def assign(
+        todo: list[tuple[int, Optional[int]]], acc: dict[int, OpDecision]
+    ) -> Iterator[dict[int, OpDecision]]:
+        if not todo:
+            yield dict(acc)
+            return
+        (i, chain), rest = todo[0], todo[1:]
+        for decision in options(i, chain):
+            acc[i] = decision
+            child_chain = (
+                decision.goback_anchor
+                if decision.strategy is Strategy.GOBACK
+                else None
+            )
+            child_todo = [
+                (child, child_chain) for child in children_of.get(i, [])
+            ]
+            yield from assign(child_todo + rest, acc)
+            del acc[i]
+
+    for decisions in assign([(root, None)], {}):
+        if len(decisions) == len(model.op_ids):
+            plan = SuspendPlan(decisions=decisions, source="exhaustive")
+            validate_suspend_plan(plan, model.topology())
+            yield plan
+
+
+def exhaustive_best_plan(
+    model: SuspendCostModel, budget: float = math.inf
+) -> SuspendPlan:
+    """Brute-force optimum over :func:`enumerate_valid_plans`."""
+    best = None
+    best_cost = math.inf
+    for plan in enumerate_valid_plans(model):
+        cost = estimate_plan_cost(plan, model)
+        if cost.suspend > budget + 1e-9:
+            continue
+        if cost.total < best_cost - 1e-12:
+            best_cost = cost.total
+            best = plan
+    if best is None:
+        raise SuspendBudgetInfeasibleError(
+            f"no valid suspend plan fits within budget {budget}"
+        )
+    return best

@@ -7,9 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro.core.mip import solve_binary_program
-
 from tests.core.test_mip import enumerate_binary_program
+from tests.oracles import solve_binary_program
 
 FAST = settings(
     max_examples=40,

@@ -1,7 +1,10 @@
 """Properties of the suspend-plan optimizer.
 
-The MIP solution must always equal the exhaustive optimum, satisfy the
-validity rules, and respect the budget — for random runtime states.
+The shipped solver (:func:`~repro.core.optimizer.optimal_plan`) must reach
+the optimum the HiGHS program and brute-force enumeration reach
+(``tests/oracles.py``), under finite budgets down to infeasible ones, with
+a valid plan within the budget; and every frontier it keeps must be
+strictly non-dominated — for random runtime states.
 """
 
 import math
@@ -13,19 +16,66 @@ from repro import QuerySession
 from repro.common.errors import SuspendBudgetInfeasibleError
 from repro.core.costs import build_cost_model
 from repro.core.optimizer import (
-    build_lp_plan,
+    COST_TOL,
     estimate_plan_cost,
-    exhaustive_best_plan,
+    optimal_plan,
+    plan_frontiers,
 )
 from repro.core.strategies import validate_suspend_plan
 
-from tests.properties.plans import build_db, build_plan
+from tests.oracles import exhaustive_best_plan, mip_plan
+from tests.properties.plans import build_db, build_plan, cases
 
 FAST = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+#: Budgets as fractions of the unbudgeted optimum's suspend cost.
+FRACTIONS = st.sampled_from([None, 1.0, 0.9, 0.7, 0.5, 0.3, 0.0])
+
+
+def model_at(case_or_kind, seed, selectivity, point):
+    if isinstance(case_or_kind, str):
+        db = build_db(110, 60, seed)
+        plan = build_plan(case_or_kind, selectivity, 20, 15)
+    else:
+        db, plan = case_or_kind.db(), case_or_kind.plan
+    session = QuerySession(db, plan)
+    session.execute(max_rows=point)
+    if session.status.value == "completed":
+        return None
+    return build_cost_model(session.runtime)
+
+
+def budget_of(model, fraction, drawn):
+    if fraction is None:
+        return drawn
+    free = estimate_plan_cost(optimal_plan(model), model).suspend
+    return free * fraction
+
+
+def optimum(solver, model, budget):
+    """``solver``'s plan cost, or None when no plan fits ``budget``."""
+    try:
+        plan = solver(model, budget=budget)
+    except SuspendBudgetInfeasibleError:
+        return None
+    validate_suspend_plan(plan, model.topology())
+    return estimate_plan_cost(plan, model)
+
+
+def check_solvers_agree(model, budget):
+    shipped, highs, brute = (
+        optimum(solver, model, budget)
+        for solver in (optimal_plan, mip_plan, exhaustive_best_plan)
+    )
+    assert (shipped is None) == (highs is None) == (brute is None)
+    if shipped is None:
+        return
+    assert abs(shipped.total - brute.total) <= 1e-6
+    assert abs(shipped.total - highs.total) <= 1e-6
+    assert shipped.suspend <= budget + 1e-6
 
 
 @FAST
@@ -34,35 +84,40 @@ FAST = settings(
     seed=st.integers(0, 10_000),
     selectivity=st.floats(0.1, 1.0),
     point=st.integers(1, 250),
-    budget=st.one_of(st.just(math.inf), st.floats(0.1, 80.0)),
+    fraction=FRACTIONS,
+    drawn=st.one_of(st.just(math.inf), st.floats(0.1, 80.0)),
 )
-def test_lp_equals_exhaustive_optimum(kind, seed, selectivity, point, budget):
-    plan = build_plan(kind, selectivity, 20, 15)
-    db = build_db(110, 60, seed)
-    session = QuerySession(db, plan)
-    session.execute(max_rows=point)
-    if session.status.value == "completed":
-        return
-    model = build_cost_model(session.runtime)
-    try:
-        lp = build_lp_plan(model, budget=budget)
-        lp_cost = estimate_plan_cost(lp, model)
-    except SuspendBudgetInfeasibleError:
-        lp = lp_cost = None
-    try:
-        ex = exhaustive_best_plan(model, budget=budget)
-        ex_cost = estimate_plan_cost(ex, model)
-    except SuspendBudgetInfeasibleError:
-        ex = ex_cost = None
+def test_lp_equals_exhaustive_optimum(
+    kind, seed, selectivity, point, fraction, drawn
+):
+    model = model_at(kind, seed, selectivity, point)
+    if model is not None:
+        check_solvers_agree(model, budget_of(model, fraction, drawn))
 
-    assert (lp is None) == (ex is None)
-    if lp is None:
+
+@FAST
+@given(
+    case=cases(),
+    point=st.integers(1, 150),
+    fraction=FRACTIONS,
+    drawn=st.one_of(st.just(math.inf), st.floats(0.0, 50.0)),
+)
+def test_shipped_solver_equals_both_oracles_on_generated_plans(
+    case, point, fraction, drawn
+):
+    model = model_at(case, 0, 0, point)
+    if model is None:
         return
-    validate_suspend_plan(lp, model.topology())
-    assert lp_cost.total <= ex_cost.total + 1e-6
-    assert lp_cost.total >= ex_cost.total - 1e-6
-    if budget != math.inf:
-        assert lp_cost.suspend <= budget + 1e-6
+    budget = budget_of(model, fraction, drawn)
+    check_solvers_agree(model, budget)
+    for frontier in plan_frontiers(model, budget).values():
+        assert all(p[0] <= budget + COST_TOL for p in frontier)
+        for a in frontier:
+            for b in frontier:
+                if a is not b:
+                    assert not (
+                        a[0] <= b[0] + COST_TOL and a[1] <= b[1] + COST_TOL
+                    )
 
 
 @FAST

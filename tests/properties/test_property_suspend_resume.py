@@ -18,7 +18,7 @@ from tests.properties.test_differential import (
     reference,
 )
 
-STRATEGIES = ["all_dump", "all_goback", "lp", "dp"]
+STRATEGIES = ["all_dump", "all_goback", "lp"]
 
 
 @settings(SLOW, max_examples=25)

@@ -26,25 +26,25 @@ def make_app(image_root, tracer=None):
 
 class TestRoutes:
     def test_healthz_and_catalog(self, tmp_path):
+        """One health route: ``/obs/health`` also names the catalog."""
         app = make_app(str(tmp_path))
-        status, payload = app.handle("GET", "/healthz", None)
+        for gone in ("/healthz", "/catalog"):
+            assert app.handle("GET", gone, None)[0] == 404
+        status, payload = app.handle("GET", "/obs/health", None)
         assert status == 200 and payload["ok"]
-        status, payload = app.handle("GET", "/catalog", None)
-        assert status == 200
         assert payload["queries"] == sorted(app.catalog)
 
     def test_metrics_route(self, tmp_path):
-        # Tracing off: a typed 404 error, never a branch-dependent body.
-        status, payload = make_app(str(tmp_path)).handle(
-            "GET", "/metrics", None
-        )
-        assert status == 404
-        assert payload["code"] == "metrics_disabled"
-        assert "text" not in payload
+        """One metrics route: ``/obs/metrics`` adds the text exposition
+        when tracing is on."""
+        app = make_app(str(tmp_path))
+        assert app.handle("GET", "/metrics", None)[0] == 404
+        status, payload = app.handle("GET", "/obs/metrics", None)
+        assert status == 200 and "text" not in payload
 
         app = make_app(str(tmp_path / "traced"), tracer=Tracer())
         app.handle("POST", "/queries", {"query": "sorted-join"})
-        status, payload = app.handle("GET", "/metrics", None)
+        status, payload = app.handle("GET", "/obs/metrics", None)
         assert status == 200
         assert "serve_requests_total" in payload["text"]
 
@@ -146,15 +146,13 @@ def request(port, method, path, body=None):
     response = conn.getresponse()
     raw = response.read()
     conn.close()
-    if response.getheader("Content-Type", "").startswith("text/plain"):
-        return response.status, raw.decode("utf-8")
     return response.status, json.loads(raw)
 
 
 class TestLiveServer:
     def test_end_to_end_session_over_sockets(self, live_server):
         port = live_server
-        status, payload = request(port, "GET", "/healthz")
+        status, payload = request(port, "GET", "/obs/health")
         assert status == 200 and payload["ok"]
 
         status, payload = request(
@@ -281,6 +279,7 @@ class TestObsRoutes:
         status, payload = app.handle("GET", "/obs/health", None)
         assert status == 200 and payload["ok"]
         assert payload["queries_admitted"] == 1
+        assert payload["queries"] == sorted(app.catalog)
         assert payload["now"] > 0
 
     def test_obs_progress_monotone_across_hops(self, tmp_path):

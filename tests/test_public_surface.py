@@ -46,9 +46,23 @@ REMOVED_STREAM_NAMES = re.compile(
     r"|codec_version|format_version"
 )
 #: Functions no module under ``src/repro`` may define again: a second
-#: join-matching path beside the block NLJ's key index, and per-operator
-#: fold/group-key helpers beside ``compile_fold``/``compile_projection``.
-REMOVED_DEFINITIONS = {"compile_join_matches", "_fold", "_group_key"}
+#: join-matching path beside the block NLJ's key index, per-operator
+#: fold/group-key helpers beside ``compile_fold``/``compile_projection``,
+#: and a second suspend-plan solver beside ``optimizer.optimal_plan`` (the
+#: HiGHS program and brute force are test oracles, ``tests/oracles.py``).
+REMOVED_DEFINITIONS = {
+    "compile_join_matches",
+    "_fold",
+    "_group_key",
+    "build_lp_plan",
+    "build_dp_plan",
+    "solve_binary_program",
+    "enumerate_valid_plans",
+    "exhaustive_best_plan",
+}
+#: Strategies and modules of the solvers that no longer ship.
+REMOVED_STRATEGIES = {"DP", "EXHAUSTIVE"}
+REMOVED_MODULES = {"repro.core.mip", "repro.core.tree_optimizer"}
 #: Names no module under ``repro.durability`` may bind again: the pins
 #: document and the rewrite-whole commit it needed. Pins are ledger
 #: records beside token redemptions, in the root's one metadata file.
@@ -216,6 +230,21 @@ def test_one_matching_path_and_one_fold_table():
     assert not REMOVED_DEFINITIONS & defined
 
 
+def test_one_suspend_plan_solver():
+    import importlib.util
+
+    from repro import SuspendStrategy
+
+    assert not REMOVED_STRATEGIES & set(SuspendStrategy.__members__)
+    values = {s.value for s in SuspendStrategy}
+    assert values == {"lp", "all_dump", "all_goback", "static"}
+    for parser in walk_parsers(build_parser()):
+        for action in parser._actions:
+            if "--strategy" in action.option_strings:
+                assert set(action.choices) == values
+    assert not [m for m in REMOVED_MODULES if importlib.util.find_spec(m)]
+
+
 def test_the_image_root_has_one_metadata_file():
     import importlib
     import pkgutil
@@ -272,3 +301,36 @@ def test_every_name_the_benchmark_wraps_resolves():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_runtime_needs_neither_numpy_nor_scipy(tmp_path):
+    """numpy and scipy are test dependencies only: with both blocked, the
+    package and its CLI import and ``repro suspend`` commits an image."""
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "import repro, repro.cli\n"
+        "sys.exit(repro.cli.main(['suspend', '--recipe', 'sort',"
+        f" '--images', {str(tmp_path)!r}, '--id', 'img']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "img.rimg").is_file()
+    imports = re.compile(r"^\s*(import|from)\s+(numpy|scipy)\b", re.M)
+    assert not [
+        path.name
+        for path in (ROOT / "src").rglob("*.py")
+        if imports.search(path.read_text())
+    ]
