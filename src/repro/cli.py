@@ -15,6 +15,7 @@ Usage::
     python -m repro.cli images --images ./images [--recover | --gc]
     python -m repro.cli trace summary out.jsonl
     python -m repro.cli trace convert out.jsonl -o out.chrome.json
+    python -m repro.cli trace progress out.jsonl
 
 Each experiment prints the same series its benchmark records; the demo
 walks one suspend/resume cycle end to end with the online optimizer;
@@ -42,7 +43,10 @@ exists on ``workload``/``serve``, where it names the arrival trace. The
 experiment serve --trace-out out.jsonl`` yields one trace with
 checkpoints, per-operator MIP decisions, and scheduler quanta; ``repro
 trace convert`` turns any trace into Chrome ``trace_event`` JSON that
-opens in Perfetto (https://ui.perfetto.dev).
+opens in Perfetto (https://ui.perfetto.dev). A sharded ``suspend`` or
+``resume-image`` writes one trace too, whatever its ``--worker-mode``:
+process workers send their records back with each reply, so both worker
+kinds write the same file.
 """
 
 from __future__ import annotations
@@ -447,31 +451,6 @@ def run_images(
     return "\n".join(lines)
 
 
-def _write_shard_sidecars(coord, trace_out: Optional[str]) -> None:
-    """Write process-worker children's trace streams as sidecar files.
-
-    Each child buffers its own records (``repro.obs`` child tracer) and
-    the coordinator drains them over the pipe; writing them as
-    ``<trace-out>.shard<k>.jsonl`` next to the coordinator trace lets
-    ``repro trace merge`` rebuild the one global timeline offline.
-    In-process workers share the coordinator's sink, so there is nothing
-    to write in that mode.
-    """
-    if not trace_out:
-        return
-    traces = coord.collect_shard_traces()
-    if not traces:
-        return
-    from repro.obs import write_jsonl
-
-    for k in sorted(traces):
-        path = f"{trace_out}.shard{k}.jsonl"
-        n = write_jsonl(traces[k], path)
-        print(
-            f"wrote {n} shard-{k} trace records to {path}", file=sys.stderr
-        )
-
-
 def run_shard_suspend(
     recipe: str,
     images: str,
@@ -484,7 +463,6 @@ def run_shard_suspend(
     as_json: bool = False,
     worker_mode: str = "inproc",
     quantum: int = 64,
-    trace_out: Optional[str] = None,
 ) -> str:
     """Run a recipe sharded, then commit a consistent-cut shard set."""
     from repro.durability import build_recipe
@@ -512,7 +490,6 @@ def run_shard_suspend(
             "shards": shards,
         },
     )
-    _write_shard_sidecars(coord, trace_out)
     if as_json:
         return json.dumps(
             {
@@ -544,7 +521,6 @@ def run_shard_resume(
     gid: str,
     as_json: bool = False,
     worker_mode: str = "inproc",
-    trace_out: Optional[str] = None,
 ) -> str:
     """Verify a shard set, rebuild its recipe, and finish the query."""
     from repro.durability import ImageStore, build_recipe
@@ -565,7 +541,6 @@ def run_shard_resume(
     coord = ShardCoordinator.resume(db, images, gid, worker_mode=worker_mode)
     rows = coord.run()
     coord.close()
-    _write_shard_sidecars(coord, trace_out)
     if as_json:
         return json.dumps(
             {
@@ -795,58 +770,6 @@ def run_trace_convert(path: str, output: Optional[str] = None) -> str:
         f"wrote {n} Chrome trace events to {out}\n"
         f"open it at https://ui.perfetto.dev or chrome://tracing"
     )
-
-
-def run_trace_merge(
-    files: list, output: Optional[str] = None
-) -> str:
-    """Merge coordinator + shard trace streams into one global timeline.
-
-    With one file, records are split into lanes by their ``shard`` field
-    (the in-process sharded shape); with several, the first file is the
-    coordinator lane and ``*.shardK.jsonl`` sidecars map to shard lanes.
-    """
-    import os
-    import re
-
-    from repro.obs import (
-        COORDINATOR_LANE,
-        merge_traces,
-        shard_lane,
-        split_by_shard,
-        write_jsonl,
-    )
-
-    if len(files) == 1:
-        streams = split_by_shard(_load_trace_or_die(files[0]))
-    else:
-        streams = []
-        for i, path in enumerate(files):
-            match = re.search(r"\.shard(\d+)\.jsonl$", path)
-            if match:
-                lane = shard_lane(int(match.group(1)))
-            elif i == 0:
-                lane = COORDINATOR_LANE
-            else:
-                lane = os.path.basename(path)
-            streams.append((lane, _load_trace_or_die(path)))
-    merged = merge_traces(streams)
-    out = output if output is not None else files[0] + ".merged.jsonl"
-    n = write_jsonl(merged, out)
-    meta = merged[0]
-    lanes = ", ".join(meta["lanes"])
-    trace_id = meta.get("trace_id")
-    lines = [
-        f"merged {len(files)} stream file(s) into {n} records at {out}",
-        f"lanes: {lanes}",
-    ]
-    if trace_id:
-        lines.append(f"trace_id: {trace_id} (consistent across all lanes)")
-    else:
-        lines.append(
-            "trace_id: mixed or absent (streams disagree on identity)"
-        )
-    return "\n".join(lines)
 
 
 def run_trace_progress(path: str) -> str:
@@ -1135,21 +1058,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output path (default: <file>.chrome.json)",
     )
-    tmerge = trsub.add_parser(
-        "merge",
-        help="merge coordinator + shard trace streams into one timeline "
-        "(one file: split by shard field; several: first is coordinator, "
-        "*.shardK.jsonl sidecars are shard lanes)",
-    )
-    tmerge.add_argument(
-        "files", nargs="+", help="JSONL trace files (coordinator first)"
-    )
-    tmerge.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="merged output path (default: <first file>.merged.jsonl)",
-    )
     tprog = trsub.add_parser(
         "progress",
         help="per-query progress timelines from query.progress records",
@@ -1278,7 +1186,6 @@ def _dispatch(args) -> int:
                     as_json=args.json,
                     worker_mode=args.worker_mode,
                     quantum=args.quantum,
-                    trace_out=getattr(args, "trace_out", None),
                 )
             )
             return 0
@@ -1313,7 +1220,6 @@ def _dispatch(args) -> int:
                         args.id,
                         as_json=args.json,
                         worker_mode=getattr(args, "worker_mode", "inproc"),
-                        trace_out=getattr(args, "trace_out", None),
                     )
                 )
             except InconsistentCutError as exc:
@@ -1338,8 +1244,6 @@ def _dispatch(args) -> int:
             print(run_trace_summary(args.file))
         elif args.trace_command == "convert":
             print(run_trace_convert(args.file, output=args.output))
-        elif args.trace_command == "merge":
-            print(run_trace_merge(args.files, output=args.output))
         else:
             print(run_trace_progress(args.file))
         return 0

@@ -8,13 +8,16 @@ whole suspend/resume lifecycle observable:
 
 - :class:`Tracer` (:mod:`repro.obs.tracer`) — typed span/event records
   on the virtual clock, a no-op :class:`NullTracer` default so untraced
-  runs pay nothing, and ``bind()`` context propagation;
+  runs pay nothing, ``bind()`` context propagation, and ``adopt()`` for
+  records emitted in another process (a process shard worker's come
+  back with each call's reply, so a sharded run is one trace whatever
+  the worker kind);
 - :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — counters,
   gauges, fixed-bucket histograms; the scheduler's public stats are
   views over one of these;
 - exporters (:mod:`repro.obs.export`) — deterministic JSONL, Chrome
-  ``trace_event`` JSON (opens in Perfetto), and a plain-text metrics
-  snapshot.
+  ``trace_event`` JSON (opens in Perfetto; shard records get one track
+  per ``shard``), and a plain-text metrics snapshot.
 
 Enable tracing for any block of code::
 
@@ -26,8 +29,9 @@ Enable tracing for any block of code::
     write_jsonl(tracer.records, "out.jsonl")
 
 or pass a tracer explicitly to ``QuerySession(..., tracer=...)`` /
-``SchedulerConfig(tracer=...)``. The CLI exposes the same via
-``--trace``/``--metrics`` flags and the ``repro trace`` subcommand.
+``SchedulerConfig(tracer=...)``. The CLI exposes the same via the
+``--trace-out``/``--metrics`` flags and the ``repro trace summary |
+convert | progress`` subcommands.
 """
 
 from repro.obs.export import (
@@ -39,14 +43,6 @@ from repro.obs.export import (
     trace_lines,
     write_chrome_trace,
     write_jsonl,
-)
-from repro.obs.merge import (
-    COORDINATOR_LANE,
-    merge_shard_trace,
-    merge_traces,
-    shard_lane,
-    split_by_shard,
-    strip_lanes,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -78,7 +74,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "COORDINATOR_LANE",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",
@@ -97,8 +92,6 @@ __all__ = [
     "latency_summary",
     "load_trace",
     "make_trace_id",
-    "merge_shard_trace",
-    "merge_traces",
     "percentile",
     "progress_timeline",
     "publish_progress",
@@ -107,9 +100,6 @@ __all__ = [
     "render_progress",
     "render_summary",
     "set_current_tracer",
-    "shard_lane",
-    "split_by_shard",
-    "strip_lanes",
     "summarize",
     "to_chrome_trace",
     "trace_lines",

@@ -123,15 +123,15 @@ def _track_of(record: dict) -> tuple[str, str]:
 
     Queries are processes; operators are threads within them, so a
     suspend/resume cycle reads top-down like the plan itself. Records
-    with no query context land on the scheduler/system track. Merged
-    distributed traces (see :mod:`repro.obs.merge`) carry a ``lane``
-    field, which takes over the process dimension so each shard (and the
-    coordinator) gets its own lane in Perfetto.
+    with no query context land on the scheduler/system track. A shard
+    worker's records carry ``shard``, which takes over the process
+    dimension so each shard gets its own track in Perfetto; the
+    coordinator's records keep their query or system track.
     """
-    lane = record.get("lane")
+    shard = record.get("shard")
     query = record.get("query")
-    if lane is not None:
-        process = str(lane)
+    if shard is not None:
+        process = f"shard:{shard}"
     else:
         process = f"query:{query}" if query else "system"
     if "op" in record:
@@ -242,7 +242,7 @@ OP_STATS_FIELDS = ("rows", "pages_read", "pages_written", "work")
 def summarize(records: Iterable[dict]) -> dict:
     """Per-type counts, queries seen, the trace's time range, and the
     ``op.stats`` records summed per operator (one entry per
-    lane/query/op/name, in that order; empty when the trace has none)."""
+    shard/query/op/name, in that order; empty when the trace has none)."""
     counts: dict[str, int] = {}
     queries: set = set()
     operators: dict[tuple, dict] = {}
@@ -253,10 +253,10 @@ def summarize(records: Iterable[dict]) -> dict:
         if record.get("query"):
             queries.add(record["query"])
         if record["type"] == "op.stats":
-            # The name is part of the identity: a shard lane runs one
-            # plan per stage, each numbering its operators from zero.
+            # The name is part of the identity: a shard runs one plan
+            # per stage, each numbering its operators from zero.
             key = (
-                str(record.get("lane", "")),
+                str(record.get("shard", "")),
                 str(record.get("query", "")),
                 record["op"],
                 record.get("op_name", ""),
@@ -264,7 +264,7 @@ def summarize(records: Iterable[dict]) -> dict:
             totals = operators.setdefault(
                 key,
                 dict(
-                    zip(("lane", "query", "op", "name"), key),
+                    zip(("shard", "query", "op", "name"), key),
                     **dict.fromkeys(OP_STATS_FIELDS, 0),
                 ),
             )
@@ -305,7 +305,7 @@ def render_summary(records: Iterable[dict]) -> str:
                   "pages written", "work")
         table = [header] + [
             (
-                "/".join(filter(None, (t["lane"], t["query"]))) or "-",
+                t["query"] or "-",
                 str(t["op"]),
                 t["name"],
                 str(t["rows"]),

@@ -41,7 +41,7 @@ from typing import Optional
 from repro.obs.metrics import MetricsRegistry
 
 #: Version of the trace record schema (see docs/PROTOCOL.md section 7).
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 
 def make_trace_id(*parts) -> str:
@@ -142,6 +142,17 @@ class Tracer:
         self._sink.records.append(record)
         return record
 
+    def adopt(self, records) -> None:
+        """Append records another tracer emitted (a shard worker's, in its
+        own process): each gets this tracer's default fields under its
+        own and the next ``seq`` of this sink, exactly as if it had been
+        emitted here."""
+        for foreign in records:
+            record = dict(self._fields)
+            record.update(foreign)
+            record["seq"] = self._sink.next_seq()
+            self._sink.records.append(record)
+
     @contextmanager
     def span(self, etype: str, **fields):
         """Record a duration span around a block.
@@ -204,6 +215,9 @@ class NullTracer(Tracer):
 
     def event(self, etype, ts=None, **fields):
         return None
+
+    def adopt(self, records) -> None:
+        pass
 
     @contextmanager
     def span(self, etype, **fields):

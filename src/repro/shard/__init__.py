@@ -10,11 +10,12 @@ guarantees to the whole fleet:
 - :mod:`repro.shard.planner` — splitting a single-engine plan into
   per-shard fragments joined by exchange channels (partitioned scan,
   shuffle hash join, partial/final aggregation);
-- :mod:`repro.shard.worker` — the shard worker interface and the
-  in-process implementation (one :class:`QuerySession` per shard);
-- :mod:`repro.shard.worker_proc` — the same interface backed by a real
-  child process (codec-v2 messages over its stdio), so shard crashes
-  are process deaths;
+- :mod:`repro.shard.worker` — the shard worker (one
+  :class:`QuerySession` per shard);
+- :mod:`repro.shard.worker_proc` — the same worker in a real child
+  process behind a by-name proxy (codec-v2 messages over its stdio,
+  each reply carrying the call's trace records), so shard crashes are
+  process deaths and a run still writes one trace;
 - :mod:`repro.shard.coordinator` — quantum-interleaved execution and the
   two-phase consistent-cut suspend protocol under a *global* budget;
 - :mod:`repro.shard.manifest` — the global cut: N per-shard images named
@@ -36,7 +37,7 @@ from repro.shard.partition import (
     shard_of_value,
 )
 from repro.shard.planner import ShardQueryPlan, ShardStage, plan_shards
-from repro.shard.worker import InProcessShardWorker, ShardWorker
+from repro.shard.worker import InProcessShardWorker
 from repro.shard.worker_proc import ProcessShardWorker
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "ShardQueryPlan",
     "ShardSetRecovery",
     "ShardStage",
-    "ShardWorker",
     "ShardedCatalog",
     "build_sharded_database",
     "classify_shardsets",

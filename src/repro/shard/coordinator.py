@@ -68,7 +68,7 @@ from repro.shard.partition import (
     shard_of_value,
 )
 from repro.shard.planner import SHUFFLE, ShardQueryPlan, plan_shards
-from repro.shard.worker import InProcessShardWorker, ShardWorker
+from repro.shard.worker import InProcessShardWorker
 from repro.storage.database import Database
 
 
@@ -150,11 +150,7 @@ class ShardCoordinator:
         self.tracer = base.bind(trace_id=self.trace_id)
         self.quantum_rows = quantum_rows
         self.worker_mode = worker_mode
-        #: Trace records drained from process-backed workers, keyed by
-        #: shard id (in-process workers share the coordinator's sink and
-        #: never appear here). See :meth:`collect_shard_traces`.
-        self.shard_traces: dict[int, list] = {}
-        self.workers: list[ShardWorker] = self._make_workers(db)
+        self.workers = self._make_workers(db)
         self.stage_idx = 0
         self.frag_done: list[bool] = []
         self.channels: dict[str, ChannelState] = {}
@@ -185,13 +181,10 @@ class ShardCoordinator:
             from repro.shard.worker_proc import ProcessShardWorker
 
             payloads = self._table_payloads(db)
-            trace = {
-                "enabled": self.tracer.enabled,
-                "sample": self.tracer.next_sample_every,
-                "trace_id": self.trace_id,
-            }
             return [
-                ProcessShardWorker(k, n, tables=payloads[k], trace=trace)
+                ProcessShardWorker(
+                    k, n, payloads[k], config=self.config, tracer=self.tracer
+                )
                 for k in range(n)
             ]
         raise ShardError(f"unknown worker mode {self.worker_mode!r}")
@@ -469,7 +462,6 @@ class ShardCoordinator:
         self.done = True  # this incarnation is over; resume from the cut
         self._stage_started = False
         cut_ts = self.global_now()  # before the workers go away
-        self.collect_shard_traces()
         for worker in self.workers:
             worker.close()
         if self.tracer.enabled:
@@ -542,21 +534,6 @@ class ShardCoordinator:
             )
         return coord
 
-    def collect_shard_traces(self) -> dict:
-        """Drain every worker's buffered trace records (idempotent).
-
-        Process-backed workers ship their child-side records over the
-        pipe and clear them, so repeated calls never duplicate; the
-        accumulated streams feed :func:`repro.obs.merge.merge_shard_trace`
-        together with the coordinator's own records.
-        """
-        for k, worker in enumerate(self.workers):
-            records = worker.drain_trace()
-            if records:
-                self.shard_traces.setdefault(k, []).extend(records)
-        return self.shard_traces
-
     def close(self) -> None:
-        self.collect_shard_traces()
         for worker in self.workers:
             worker.close()

@@ -1,18 +1,19 @@
-"""Shard workers: one engine instance per shard behind a small interface.
+"""The shard worker: one engine instance per shard.
 
 The coordinator never touches a shard's database or session directly —
-everything goes through :class:`ShardWorker`, whose operations are plain
-values (rows, dicts, floats). That keeps the in-process implementation
-here and the process-backed one in :mod:`repro.shard.worker_proc`
-interchangeable: the coordinator, the suspend protocol, and the tests run
-identically against both.
+everything goes through an :class:`InProcessShardWorker`, whose
+operations take and return plain values (rows, dicts, floats). In
+process mode the same class runs in a child process and
+:class:`~repro.shard.worker_proc.ProcessShardWorker` forwards each call
+to it by name over a pipe, so the coordinator, the suspend protocol, the
+trace and the tests are identical for both worker kinds.
 
-The in-process worker owns a shard-local :class:`Database` (its own
-virtual clock — shards run "in parallel", so global elapsed time is the
-max over shard clocks, not the sum) and drives a :class:`QuerySession`
-per fragment. Suspend goes through the session's normal spec-driven
-path, so a shard image is byte-for-byte the image a single-engine suspend
-of the same fragment would commit.
+The worker owns a shard-local :class:`Database` (its own virtual clock —
+shards run "in parallel", so global elapsed time is the max over shard
+clocks, not the sum) and drives a :class:`QuerySession` per fragment.
+Suspend goes through the session's normal spec-driven path, so a shard
+image is byte-for-byte the image a single-engine suspend of the same
+fragment would commit.
 """
 
 from __future__ import annotations
@@ -34,61 +35,8 @@ from repro.relational.schema import Schema
 from repro.storage.database import Database
 
 
-class ShardWorker:
-    """Interface every shard worker implements (see module docstring)."""
-
-    shard_id: int
-    num_shards: int
-
-    def create_channel_table(
-        self, name: str, column_names, bytes_per_tuple: int, rows
-    ) -> None:
-        raise NotImplementedError
-
-    def start_fragment(self, spec: PlanSpec) -> None:
-        raise NotImplementedError
-
-    def run_quantum(self, max_rows: int) -> dict:
-        raise NotImplementedError
-
-    def progress(self) -> dict:
-        """Fragment fraction-complete and cumulative rows (see
-        :mod:`repro.obs.progress`); ``fraction`` is 1.0 once done."""
-        raise NotImplementedError
-
-    def drain_trace(self) -> list:
-        """Trace records buffered in the worker's own process, shipped
-        once and cleared. In-process workers share the coordinator's
-        sink, so theirs is always empty."""
-        return []
-
-    def estimate_suspend_cost(self) -> dict:
-        raise NotImplementedError
-
-    def suspend_to_image(
-        self,
-        root: str,
-        image_id: str,
-        budget: float = math.inf,
-        meta: Optional[dict] = None,
-    ) -> dict:
-        raise NotImplementedError
-
-    def resume_fragment(self, root: str, image_id: str) -> dict:
-        raise NotImplementedError
-
-    def arm_fault(self, kind: str, point: str) -> None:
-        raise NotImplementedError
-
-    def now(self) -> float:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class InProcessShardWorker(ShardWorker):
-    """A shard worker running in the coordinator's process."""
+class InProcessShardWorker:
+    """One shard's engine (see module docstring)."""
 
     def __init__(
         self,
@@ -146,7 +94,8 @@ class InProcessShardWorker(ShardWorker):
         return {"rows": result.rows, "done": done}
 
     def progress(self) -> dict:
-        """This fragment's progress snapshot (plain values, pipe-safe)."""
+        """This fragment's progress snapshot (see
+        :mod:`repro.obs.progress`); ``fraction`` is 1.0 once done."""
         from repro.obs.progress import query_progress
 
         if self.session is None:

@@ -1,26 +1,30 @@
-"""Process-backed shard worker: the same interface, a real process.
+"""Process-backed shard worker: the in-process worker behind a pipe.
 
 The parent side (:class:`ProcessShardWorker`) and the child
 (``python -m repro.shard.worker_proc``) exchange length-prefixed
-codec-v2 value streams (:mod:`repro.durability.codec2`) over the child's binary
-stdin/stdout. The child builds its shard database from the shipped table
-rows and calls the :class:`~repro.shard.worker.InProcessShardWorker`
-method each request names, with the request's arguments — rows, plan
-fragments, budgets and trace records cross the boundary as the values
-they are. Suspend images are committed by the child directly into the
-shared on-disk image root, so the coordinator's cut protocol is
-identical for both worker kinds.
+codec-v2 value streams (:mod:`repro.durability.codec2`) over the child's
+binary stdin/stdout. The child builds its shard database from the
+shipped table rows and the coordinator's :class:`EngineConfig`, then
+calls the :class:`~repro.shard.worker.InProcessShardWorker` method each
+request names, with the request's arguments — rows, plan fragments and
+budgets cross the boundary as the values they are. Each reply carries
+the trace records the call emitted, which the parent appends to the
+coordinator's tracer, so a sharded run has one trace whatever the worker
+kind. Suspend images are committed by the child directly into the shared
+on-disk image root, so the coordinator's cut protocol is identical for
+both worker kinds.
 
 What the process boundary buys is *real* crash semantics for the fault
 matrix: an armed crash makes the child ``os._exit`` mid-commit or
 mid-resume — actual process death, not an exception unwinding through
 cleanup handlers — and the parent surfaces the broken pipe as a
-:class:`~repro.common.errors.ShardError`.
+:class:`~repro.common.errors.ShardError`. The records of the calls that
+completed before the crash are already in the parent's trace.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import os
 import struct
 import subprocess
@@ -34,7 +38,9 @@ from repro.common.errors import (
     SuspendBudgetInfeasibleError,
 )
 from repro.durability import codec2
-from repro.shard.worker import InProcessShardWorker, ShardWorker
+from repro.engine.config import EngineConfig
+from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.shard.worker import InProcessShardWorker
 from repro.storage.database import Database
 
 #: Exit code the child uses for an injected crash (real process death).
@@ -62,15 +68,15 @@ def _receive(stream):
     return codec2.decode_bytes(data)
 
 
-class ProcessShardWorker(ShardWorker):
-    """Parent-side proxy driving one shard in a child process.
+class ProcessShardWorker:
+    """Parent-side proxy for an :class:`InProcessShardWorker` in a child.
 
-    ``trace`` configures the child's own tracer:
-    ``{"enabled": bool, "sample": int, "trace_id": str | None}``. The
-    child buffers records in its own sink (virtual-clock timestamps, so
-    no cross-process skew) and ships them back through
-    :meth:`drain_trace`; :mod:`repro.obs.merge` interleaves them with
-    the coordinator's stream into one global timeline.
+    Every public method of the in-process worker is an op: calling it
+    here sends its name and arguments through :meth:`_call`. The child
+    traces with the coordinator's sampling period and attaches the
+    records a call emitted to that call's reply; they are appended to
+    ``tracer`` with this sink's next ``seq`` values, so a process-worker
+    run writes the same trace as an in-process one.
     """
 
     def __init__(
@@ -78,11 +84,12 @@ class ProcessShardWorker(ShardWorker):
         shard_id: int,
         num_shards: int,
         tables: list,
-        trace: Optional[dict] = None,
+        config: Optional[EngineConfig] = None,
+        tracer=None,
     ):
         self.shard_id = shard_id
         self.num_shards = num_shards
-        self.trace = trace or {"enabled": False}
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(repro.__file__))
         env["PYTHONPATH"] = os.pathsep.join(
@@ -103,21 +110,33 @@ class ProcessShardWorker(ShardWorker):
         )
         self._call(
             "init",
-            shard_id=shard_id,
-            num_shards=num_shards,
-            tables=tables,
-            trace=self.trace,
+            shard_id,
+            num_shards,
+            tables,
+            config=vars(config or EngineConfig()),
+            trace_sample=(
+                self.tracer.next_sample_every if self.tracer.enabled else None
+            ),
         )
 
-    # -- protocol -------------------------------------------------------
-    def _call(self, op: str, **kwargs):
+    def __getattr__(self, op: str):
+        """A public :class:`InProcessShardWorker` method, run in the child."""
+        if op.startswith("_") or not callable(
+            getattr(InProcessShardWorker, op, None)
+        ):
+            raise AttributeError(op)
+        return functools.partial(self._call, op)
+
+    def _call(self, op: str, *args, **kwargs):
         if self.proc.poll() is not None:
             raise ShardError(
                 f"shard {self.shard_id} worker process is dead "
                 f"(exit code {self.proc.returncode})"
             )
         try:
-            _send(self.proc.stdin, {"op": op, "args": kwargs})
+            _send(
+                self.proc.stdin, {"op": op, "args": args, "kwargs": kwargs}
+            )
             response = _receive(self.proc.stdout)
         except (BrokenPipeError, OSError) as exc:
             raise ShardError(
@@ -129,6 +148,7 @@ class ProcessShardWorker(ShardWorker):
                 f"shard {self.shard_id} worker process died during {op!r} "
                 f"(exit code {self.proc.returncode})"
             )
+        self.tracer.adopt(response["trace"])
         if not response["ok"]:
             err_type = response.get("error_type")
             message = f"shard {self.shard_id}: {err_type}: {response['error']}"
@@ -137,68 +157,10 @@ class ProcessShardWorker(ShardWorker):
             raise ShardError(message)
         return response.get("result")
 
-    # -- ShardWorker interface ------------------------------------------
-    def create_channel_table(
-        self, name: str, column_names, bytes_per_tuple: int, rows
-    ) -> None:
-        self._call(
-            "create_channel_table",
-            name=name,
-            column_names=column_names,
-            bytes_per_tuple=bytes_per_tuple,
-            rows=rows,
-        )
-
-    def start_fragment(self, spec) -> None:
-        self._call("start_fragment", spec=spec)
-
-    def run_quantum(self, max_rows: int) -> dict:
-        return self._call("run_quantum", max_rows=max_rows)
-
-    def progress(self) -> dict:
-        return self._call("progress")
-
-    def drain_trace(self) -> list:
-        """Ship the child's buffered trace records (cleared after)."""
-        if not self.trace.get("enabled"):
-            return []
-        if self.proc.poll() is not None:
-            # A crashed child's buffered records died with it; the
-            # coordinator's stream still shows the crash.
-            return []
-        return self._call("drain_trace")
-
-    def estimate_suspend_cost(self) -> dict:
-        return self._call("estimate_suspend_cost")
-
-    def suspend_to_image(
-        self,
-        root: str,
-        image_id: str,
-        budget: float = math.inf,
-        meta: Optional[dict] = None,
-    ) -> dict:
-        return self._call(
-            "suspend_to_image",
-            root=root,
-            image_id=image_id,
-            budget=budget,
-            meta=meta,
-        )
-
-    def resume_fragment(self, root: str, image_id: str) -> dict:
-        return self._call("resume_fragment", root=root, image_id=image_id)
-
-    def arm_fault(self, kind: str, point: str) -> None:
-        self._call("arm_fault", kind=kind, point=point)
-
-    def now(self) -> float:
-        return self._call("now")
-
     def close(self) -> None:
         if self.proc.poll() is None:
             try:
-                _send(self.proc.stdin, {"op": "shutdown", "args": {}})
+                _send(self.proc.stdin, {"op": "shutdown"})
             except (BrokenPipeError, OSError):
                 pass
             try:
@@ -218,7 +180,11 @@ class ProcessShardWorker(ShardWorker):
 # Child side
 # ----------------------------------------------------------------------
 def _build_worker(
-    shard_id: int, num_shards: int, tables: list, trace: dict
+    shard_id: int,
+    num_shards: int,
+    tables: list,
+    config: dict,
+    trace_sample: Optional[int],
 ) -> InProcessShardWorker:
     from repro.relational.schema import Schema
 
@@ -233,29 +199,27 @@ def _build_worker(
             tuples_per_page=table["tuples_per_page"],
         )
     tracer = None
-    if trace.get("enabled"):
-        from repro.obs.tracer import Tracer
+    if trace_sample is not None:
+        tracer = Tracer(next_sample_every=trace_sample)
+        # The coordinator's trace already opens with the one trace.meta.
+        tracer.records.clear()
+    return InProcessShardWorker(
+        shard_id,
+        num_shards,
+        db,
+        config=EngineConfig(**config),
+        tracer=tracer,
+    )
 
-        # The child runs its own root Tracer: records buffer here (with
-        # the shard's virtual-clock timestamps) until the parent drains
-        # them over the pipe for the global merge.
-        root = Tracer(next_sample_every=int(trace.get("sample") or 0))
-        tracer = root.bind(trace_id=trace.get("trace_id"))
-    return InProcessShardWorker(shard_id, num_shards, db, tracer=tracer)
 
-
-def _handle(worker: Optional[InProcessShardWorker], op: str, args: dict):
-    if op == "drain_trace":
-        records = list(worker.tracer.records)
-        worker.tracer.records.clear()
-        return records
+def _handle(worker: InProcessShardWorker, op: str, args, kwargs):
     if op == "resume_fragment" and worker._fault == ("crash", "resume"):
         # Injected mid-resume death: the real thing, not an exception.
         os._exit(CRASH_EXIT_CODE)
     method = getattr(InProcessShardWorker, op, None)
     if op.startswith("_") or not callable(method):
         raise ShardError(f"unknown worker op {op!r}")
-    return method(worker, **args)
+    return method(worker, *args, **kwargs)
 
 
 def main() -> None:
@@ -267,12 +231,13 @@ def main() -> None:
         request = _receive(stdin)
         if request is None or request["op"] == "shutdown":
             break
+        op, args, kwargs = request["op"], request["args"], request["kwargs"]
         try:
-            if request["op"] == "init":
-                worker = _build_worker(**request["args"])
+            if op == "init":
+                worker = _build_worker(*args, **kwargs)
                 result = None
             else:
-                result = _handle(worker, request["op"], request["args"])
+                result = _handle(worker, op, args, kwargs)
             response = {"ok": True, "result": result}
         except InjectedCrash:
             # The simulated crash becomes a genuine one: no response, no
@@ -285,6 +250,10 @@ def main() -> None:
                 "error_type": type(exc).__name__,
                 "error": str(exc),
             }
+        # What this call traced rides back with its reply.
+        records = worker.tracer.records if worker is not None else []
+        response["trace"] = list(records)
+        records.clear()
         _send(stdout, response)
 
 

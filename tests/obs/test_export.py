@@ -90,6 +90,23 @@ class TestChromeTrace:
         }
         assert pids["sched.quantum"] == pids["checkpoint.taken"]
 
+    def test_shard_records_get_one_process_per_shard(self):
+        records = [
+            {"type": "shard.stage_start", "ts": 0.0, "seq": 1},
+            {"type": "query.execute", "ts": 0.0, "dur": 1.0, "seq": 2,
+             "shard": 1, "query": "shard1"},
+            {"type": "op.stats", "ts": 1.0, "seq": 3, "shard": 0,
+             "query": "shard0", "op": 0, "op_name": "scan_B"},
+        ]
+        events = to_chrome_trace(records)["traceEvents"]
+        processes = [
+            e["args"]["name"] for e in events if e["name"] == "process_name"
+        ]
+        assert processes == ["system", "shard:1", "shard:0"]
+        table = render_summary(records).split("(op.stats):\n")[1]
+        assert table.splitlines()[1].split()[:3] == ["shard0", "0", "scan_B"]
+        assert summarize(records)["operators"][0]["shard"] == "0"
+
     def test_zero_duration_span_gets_minimum_width(self):
         events = to_chrome_trace(
             [{"type": "op.next_batch", "ts": 0.0, "dur": 0.0, "seq": 0, "op": 1}]
@@ -141,11 +158,11 @@ class TestSummaries:
             stats("p", 0, "hj", 7, 0, 0, 0.007),
         ]
         assert summarize(records)["operators"] == [
-            {"lane": "", "query": "p", "op": 0, "name": "hj", "rows": 7,
+            {"shard": "", "query": "p", "op": 0, "name": "hj", "rows": 7,
              "pages_read": 0, "pages_written": 0, "work": 0.007},
-            {"lane": "", "query": "q", "op": 0, "name": "sort", "rows": 0,
+            {"shard": "", "query": "q", "op": 0, "name": "sort", "rows": 0,
              "pages_read": 0, "pages_written": 2, "work": 4.1},
-            {"lane": "", "query": "q", "op": 1, "name": "scan_R", "rows": 150,
+            {"shard": "", "query": "q", "op": 1, "name": "scan_R", "rows": 150,
              "pages_read": 2, "pages_written": 0, "work": 2.15},
         ]
         table = render_summary(records).split("work by operator (op.stats):\n")[1]

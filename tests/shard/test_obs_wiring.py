@@ -1,23 +1,19 @@
-"""Distributed obs wiring: shard traces, merge, and cross-mode equality."""
+"""Distributed obs wiring: one trace per sharded run, whatever the
+worker kind."""
 
 import pytest
 
 from repro.durability import build_recipe
-from repro.obs import (
-    COORDINATOR_LANE,
-    Tracer,
-    merge_shard_trace,
-    merge_traces,
-    shard_lane,
-    split_by_shard,
-    strip_lanes,
-    trace_lines,
-)
+from repro.obs import Tracer, trace_lines
 from repro.shard import ShardCoordinator
 
 
-def run_traced(recipe="hashjoin", shards=2, mode="inproc", scale=2):
-    tracer = Tracer()
+def run_traced(
+    recipe="hashjoin", shards=2, mode="inproc", scale=2, sample=0, root=None
+):
+    """One traced sharded run; with ``root``, suspend it after 16 rows
+    and resume it from the cut into the same tracer."""
+    tracer = Tracer(next_sample_every=sample)
     db, plan = build_recipe(recipe, scale=scale, seed=1)
     coord = ShardCoordinator(
         db,
@@ -27,6 +23,13 @@ def run_traced(recipe="hashjoin", shards=2, mode="inproc", scale=2):
         quantum_rows=16,
         tracer=tracer,
     )
+    if root is not None:
+        coord.run(max_rows=16)
+        coord.suspend_global(root, gid="g1")
+        db, _ = build_recipe(recipe, scale=scale, seed=1)
+        coord = ShardCoordinator.resume(
+            db, root, "g1", tracer=tracer, worker_mode=mode
+        )
     coord.run()
     coord.close()
     return tracer, coord
@@ -70,52 +73,44 @@ class TestTraceIdentity:
 class TestDeterminism:
     @pytest.mark.parametrize("mode", ["inproc", "process"])
     def test_two_runs_are_byte_identical(self, mode):
-        tracer_a, coord_a = run_traced(mode=mode)
-        tracer_b, coord_b = run_traced(mode=mode)
+        tracer_a, _ = run_traced(mode=mode)
+        tracer_b, _ = run_traced(mode=mode)
         assert trace_lines(tracer_a.records) == trace_lines(
             tracer_b.records
         )
-        if mode == "process":
-            merged_a = merge_shard_trace(
-                tracer_a.records, coord_a.shard_traces
-            )
-            merged_b = merge_shard_trace(
-                tracer_b.records, coord_b.shard_traces
-            )
-            assert trace_lines(merged_a) == trace_lines(merged_b)
 
 
 class TestCrossModeEquality:
-    def test_process_merge_equals_inproc_merge_modulo_lanes(self):
-        tracer_in, _ = run_traced(mode="inproc")
-        tracer_pr, coord_pr = run_traced(mode="process")
-        merged_in = merge_traces(split_by_shard(tracer_in.records))
-        merged_pr = merge_shard_trace(
-            tracer_pr.records, coord_pr.shard_traces
-        )
-        assert strip_lanes(merged_in) == strip_lanes(merged_pr)
+    def test_process_merge_equals_inproc_merge_modulo_lanes(self, tmp_path):
+        # (The id is older than the one-trace transport.) The two worker
+        # kinds' traces are equal line for line, seq included, also
+        # across a suspend/resume.
+        for shards in (2, 4):
+            for root in (None, tmp_path / str(shards)):
+                lines = {
+                    mode: trace_lines(
+                        run_traced(
+                            shards=shards,
+                            mode=mode,
+                            sample=64,
+                            root=None if root is None else str(root / mode),
+                        )[0].records
+                    )
+                    for mode in ("inproc", "process")
+                }
+                assert lines["process"] == lines["inproc"]
+                assert any('"op.stats"' in line for line in lines["process"])
 
     def test_four_shard_merged_trace_covers_every_lane(self):
-        # The acceptance shape: a 4-shard process-worker query whose
-        # merged trace has spans from all 4 children plus the
-        # coordinator, all under one trace_id.
+        # A 4-shard process-worker query: the coordinator's tracer holds
+        # execute spans from all 4 children, all under one trace_id.
         tracer, coord = run_traced(shards=4, mode="process")
-        merged = merge_shard_trace(tracer.records, coord.shard_traces)
-        meta = merged[0]
-        assert meta["lanes"] == [COORDINATOR_LANE] + [
-            shard_lane(k) for k in range(4)
-        ]
-        assert meta["trace_id"] == coord.trace_id
-        lanes_seen = {r["lane"] for r in merged[1:]}
-        assert lanes_seen == set(meta["lanes"])
-        for k in range(4):
-            spans = [
-                r
-                for r in merged
-                if r.get("lane") == shard_lane(k)
-                and r["type"] == "query.execute"
-            ]
-            assert spans, f"no execute spans from shard {k}"
+        assert [r["type"] for r in tracer.records].count("trace.meta") == 1
+        spans = [r for r in tracer.records if r["type"] == "query.execute"]
+        assert {r["shard"] for r in spans} == {0, 1, 2, 3}
+        assert {r["trace_id"] for r in spans} == {coord.trace_id}
+        seqs = [r["seq"] for r in tracer.records]
+        assert seqs == list(range(len(seqs)))
 
 
 class TestShardProgress:

@@ -4,11 +4,13 @@ import pytest
 
 from repro.common.errors import InconsistentCutError, ShardError
 from repro.durability import build_recipe
+from repro.engine.config import EngineConfig
+from repro.obs import Tracer
 from repro.shard import ShardCoordinator, classify_shardsets
 from repro.shard.worker_proc import CRASH_EXIT_CODE
 
 
-def make_coordinator(worker_mode, shards=2, quantum_rows=32):
+def make_coordinator(worker_mode, shards=2, quantum_rows=32, **kwargs):
     db, plan = build_recipe("hashjoin", scale=4)
     return ShardCoordinator(
         db,
@@ -16,6 +18,7 @@ def make_coordinator(worker_mode, shards=2, quantum_rows=32):
         num_shards=shards,
         worker_mode=worker_mode,
         quantum_rows=quantum_rows,
+        **kwargs,
     )
 
 
@@ -81,3 +84,54 @@ class TestProcessWorkers:
                 coord.run_pass()
         finally:
             coord.close()
+
+
+class TestProxy:
+    """The process worker is the in-process worker behind a pipe."""
+
+    def test_unknown_op_is_a_shard_error(self):
+        coord = make_coordinator("process")
+        try:
+            with pytest.raises(ShardError, match="unknown worker op 'bogus'"):
+                coord.workers[0]._call("bogus")
+            with pytest.raises(ShardError, match="unknown worker op"):
+                coord.workers[0]._call("_require_session")
+            # The child is still serving after the refusal.
+            assert coord.workers[0].progress()["shard"] == 0
+        finally:
+            coord.close()
+
+    def test_records_before_a_crash_reach_the_coordinator_trace(
+        self, tmp_path
+    ):
+        tracer = Tracer()
+        coord = make_coordinator("process", tracer=tracer)
+        try:
+            coord.run(max_rows=10)
+            coord.arm_shard_fault(1, "crash", "written:image")
+            with pytest.raises(ShardError, match="died"):
+                coord.suspend_global(str(tmp_path), gid="pdead")
+        finally:
+            coord.close()
+        seen = {(r["type"], r.get("shard")) for r in tracer.records}
+        # Both shards' quanta, and shard 0's whole member commit, came
+        # back with their replies before shard 1 died.
+        assert {("query.execute", 0), ("query.execute", 1)} <= seen
+        assert {("query.suspend", 0), ("image.commit", 0)} <= seen
+        assert ("image.commit", 1) not in seen
+
+    def test_engine_config_reaches_every_worker_kind(self):
+        def estimates(mode, config):
+            coord = make_coordinator(mode, quantum_rows=16, config=config)
+            try:
+                coord.run(max_rows=40)
+                return [w.estimate_suspend_cost() for w in coord.workers]
+            finally:
+                coord.close()
+
+        ablated = EngineConfig(
+            proactive_checkpointing=False, contract_migration=False
+        )
+        inproc = estimates("inproc", ablated)
+        assert estimates("process", ablated) == inproc
+        assert inproc != estimates("inproc", EngineConfig())

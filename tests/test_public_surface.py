@@ -1,12 +1,13 @@
 """Guard on the public surface: one suspend vocabulary, one image format,
-one commit path, one clock mechanism.
+one commit path, one clock mechanism, one trace per sharded run.
 
 The deprecated suspend-API generations, codec v1 and the directory
 layout (writers and readers), the parallel-commit pool and the
-``ImageStore`` tunables, the CLI aliases, the execution-path switch and
-the float-order charge variants are gone; these checks fail if any of
-them (or a new hidden spelling) comes back, and if a name the repository
-benchmark wraps at run time (``bench/layers.py``) stops resolving.
+``ImageStore`` tunables, the CLI aliases, the execution-path switch,
+the float-order charge variants and the shard-trace merge layer are
+gone; these checks fail if any of them (or a new hidden spelling) comes
+back, and if a name the repository benchmark wraps at run time
+(``bench/layers.py``) stops resolving.
 """
 
 import argparse
@@ -59,6 +60,10 @@ REMOVED_DEFINITIONS = {
     "solve_binary_program",
     "enumerate_valid_plans",
     "exhaustive_best_plan",
+    "drain_trace",
+    "collect_shard_traces",
+    "run_trace_merge",
+    "_write_shard_sidecars",
 }
 #: Strategies and modules of the solvers that no longer ship.
 REMOVED_STRATEGIES = {"DP", "EXHAUSTIVE"}
@@ -67,6 +72,16 @@ REMOVED_MODULES = {"repro.core.mip", "repro.core.tree_optimizer"}
 #: document and the rewrite-whole commit it needed. Pins are ledger
 #: records beside token redemptions, in the root's one metadata file.
 REMOVED_DURABILITY_NAMES = {"PINS_NAME", "atomic_write", "load_json"}
+#: The shard-trace merge layer: a process worker's records come back with
+#: each reply, so a sharded run has one trace and nothing to merge.
+REMOVED_TRACE_EXPORTS = {
+    "COORDINATOR_LANE",
+    "merge_shard_trace",
+    "merge_traces",
+    "shard_lane",
+    "split_by_shard",
+    "strip_lanes",
+}
 REMOVED_PARAMETERS = {
     "legacy",
     "codec",
@@ -254,6 +269,31 @@ def test_the_image_root_has_one_metadata_file():
     ):
         module = importlib.import_module(info.name)
         assert not REMOVED_DURABILITY_NAMES & set(vars(module)), info.name
+
+
+def test_a_process_worker_is_a_proxy_and_a_run_is_one_trace():
+    import importlib.util
+
+    import repro.obs
+    import repro.shard
+    from repro.shard import ProcessShardWorker
+
+    assert not REMOVED_TRACE_EXPORTS & set(vars(repro.obs))
+    assert importlib.util.find_spec("repro.obs.merge") is None
+    assert "ShardWorker" not in vars(repro.shard)
+    own = {
+        name
+        for name in vars(ProcessShardWorker)
+        if not (name.startswith("__") and name.endswith("__"))
+    }
+    assert own == {"_call", "close", "kill"}
+    assert "__getattr__" in vars(ProcessShardWorker)
+    for parser in walk_parsers(build_parser()):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction) and (
+                "summary" in action.choices
+            ):
+                assert set(action.choices) == {"summary", "convert", "progress"}
 
 
 def test_clock_has_no_ordered_charge_variants():
