@@ -19,7 +19,7 @@ under each policy on identical fresh databases.
 Run:  python examples/mixed_priority_workload.py
 """
 
-from repro.harness import compare_policies, policy_comparison_rows, print_table
+from repro.harness import compare_policies, format_table, policy_comparison_rows
 from repro.workloads import mixed_priority_trace
 
 
@@ -27,10 +27,10 @@ def main():
     workload = mixed_priority_trace(scale=4, seed=1)
     results = compare_policies(workload)
 
-    print_table(
+    print(format_table(
         policy_comparison_rows(results),
         title="policy comparison (best combined turnaround first)",
-    )
+    ))
 
     sr = results["suspend-resume"]
     print("\nsuspend-resume timeline:")

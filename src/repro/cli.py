@@ -1,12 +1,9 @@
-"""Command-line interface: run the paper's experiments and a demo.
+"""Command-line interface: the paper's experiments, workloads and images.
 
 Usage::
 
-    python -m repro.cli list
     python -m repro.cli experiment fig8 [--scale 200]
     python -m repro.cli experiment table2
-    python -m repro.cli experiment serve --trace-out out.jsonl
-    python -m repro.cli demo [--rows 20]
     python -m repro.cli workload --trace mixed --seed 1
     python -m repro.cli serve-http --images ./images --port 8351
     python -m repro.cli loadgen --sessions 200 --json
@@ -17,18 +14,20 @@ Usage::
     python -m repro.cli trace convert out.jsonl -o out.chrome.json
     python -m repro.cli trace progress out.jsonl
 
-Each experiment prints the same series its benchmark records; the demo
-walks one suspend/resume cycle end to end with the online optimizer;
-``workload`` (alias ``serve``) replays a multi-query arrival trace
-through the scheduler under each pressure policy and prints per-query
-latencies plus the memory-pressure timeline.
+Each experiment prints the same series its benchmark records
+(``experiment -h`` lists them); ``workload`` replays a multi-query
+arrival trace through the scheduler under each pressure policy and
+prints per-query latencies plus the memory-pressure timeline. Every
+leaf command binds its own handler (``set_defaults(run=...)``), which
+takes the parsed namespace.
 
 The image commands exercise the durable-image subsystem across real
 process boundaries: ``suspend`` runs a named recipe partway and commits a
-suspend image to disk, ``resume-image`` rebuilds the recipe's database in
-*this* process and finishes the query from the image, and ``images``
-lists, validates, recovers, or garbage-collects an image root. All three
-take ``--json`` for machine-readable output.
+suspend image to disk (with ``--shards``, a globally consistent cut over
+that many shard workers), ``resume-image`` rebuilds the recipe's database
+in *this* process and finishes the query from the image or cut, and
+``images`` lists, validates, recovers, or garbage-collects an image root.
+All three take ``--json`` for machine-readable output.
 
 The serving commands expose the continuation-token front end:
 ``serve-http`` binds the asyncio HTTP server over a query catalog
@@ -36,22 +35,22 @@ The serving commands expose the continuation-token front end:
 token; see docs/SERVING.md), and ``loadgen`` runs the deterministic
 load generator and prints its report.
 
-Observability: every subcommand accepts ``--trace-out PATH`` (JSONL
-trace) and ``--metrics PATH`` (text metrics snapshot); ``--trace`` only
-exists on ``workload``/``serve``, where it names the arrival trace. The
-``experiment serve`` entry runs a mixed scheduler workload, so ``repro
-experiment serve --trace-out out.jsonl`` yields one trace with
-checkpoints, per-operator MIP decisions, and scheduler quanta; ``repro
-trace convert`` turns any trace into Chrome ``trace_event`` JSON that
-opens in Perfetto (https://ui.perfetto.dev). A sharded ``suspend`` or
-``resume-image`` writes one trace too, whatever its ``--worker-mode``:
-process workers send their records back with each reply, so both worker
-kinds write the same file.
+Observability: every command that runs queries accepts ``--trace-out
+PATH`` (JSONL trace) and ``--metrics PATH`` (text metrics snapshot);
+``--trace`` only exists on ``workload``, where it names the arrival
+trace. ``repro workload --policy suspend-resume --trace-out out.jsonl``
+yields one trace with checkpoints, per-operator MIP decisions, and
+scheduler quanta; ``repro trace convert`` turns any trace into Chrome
+``trace_event`` JSON that opens in Perfetto (https://ui.perfetto.dev). A
+sharded ``suspend`` or ``resume-image`` writes one trace too, whatever
+its ``--worker-mode``: process workers send their records back with each
+reply, so both worker kinds write the same file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional
@@ -60,54 +59,15 @@ from repro.harness import figures
 from repro.harness.report import format_table
 
 
-def _exp_table2(args) -> str:
-    rows = figures.table2_rows()
-    return format_table(
-        rows, title="Table 2 - optimizer time vs plan size"
+def _fig12_rows(scale):
+    points = (4_000, 10_000, 16_000, 19_000, 23_000, 28_000)
+    return figures.fig12_rows(
+        tuple(p * 100 // scale for p in points), scale=scale
     )
 
 
-def _exp_fig2(args) -> str:
-    return (
-        "Figure 2 is a trace benchmark; run "
-        "`pytest benchmarks/bench_fig2_heap_state.py --benchmark-only`."
-    )
-
-
-def _exp_fig8(args) -> str:
-    rows = figures.fig8_rows(scale=args.scale)
-    return format_table(
-        rows, title="Figure 8 - NLJ_S overhead vs filter selectivity"
-    )
-
-
-def _exp_fig9(args) -> str:
-    rows = figures.fig9_rows(scale=args.scale)
-    return format_table(
-        rows, title="Figure 9 - SMJ_S overhead vs suspend point"
-    )
-
-
-def _exp_fig10(args) -> str:
-    rows = figures.fig10_rows(scale=max(args.scale, 200))
-    return format_table(
-        rows,
-        title="Figure 10 - NLJ_S overhead surface (selectivity x point)",
-    )
-
-
-def _exp_fig12(args) -> str:
-    scale_points = tuple(
-        p * 100 // args.scale for p in (4_000, 10_000, 16_000, 19_000, 23_000, 28_000)
-    )
-    rows = figures.fig12_rows(scale_points, scale=args.scale)
-    return format_table(
-        rows, title="Figure 12 - online vs static optimizer (skewed data)"
-    )
-
-
-def _exp_fig13(args) -> str:
-    results, names = figures.fig13_results(scale=args.scale)
+def _fig13_rows(scale):
+    results, names = figures.fig13_results(scale=scale)
     rows = [
         {
             "strategy": s,
@@ -116,65 +76,68 @@ def _exp_fig13(args) -> str:
         }
         for s, r in results.items()
     ]
-    text = format_table(rows, title="Figure 13 - complex 10-operator plan")
-    text += "\n\nFigure 11 - suspend plan chosen online:\n"
-    text += results["lp"].suspend_plan.describe(names)
-    return text
-
-
-def _exp_fig14(args) -> str:
-    rows = figures.fig14_rows(scale=args.scale)
-    return format_table(
-        rows, title="Figure 14 - overhead vs suspend budget"
+    return rows, (
+        "\n\nFigure 11 - suspend plan chosen online:\n"
+        + results["lp"].suspend_plan.describe(names)
     )
 
 
-def _exp_fig15(args) -> str:
+def _fig15_rows(scale):
     rows, choice = figures.fig15_rows()
-    text = format_table(rows, title="Figure 15 / Example 9 - HHJ vs SMJ")
-    text += (
+    return rows, (
         f"\nchoice without suspends: {choice.without_suspend}; "
         f"expecting a suspend: {choice.with_suspend}"
     )
-    return text
 
 
-def _exp_ex10(args) -> str:
+def _ex10_rows(scale):
     rows, crossover = figures.ex10_rows()
-    text = format_table(rows, title="Example 10 - NLJ vs SMJ")
-    text += f"\ncrossover suspend point: {crossover:.0f} tuples"
-    return text
+    return rows, f"\ncrossover suspend point: {crossover:.0f} tuples"
 
 
-def _exp_serve(args) -> str:
-    # A scheduler-served mixed workload under the suspend-resume policy:
-    # the one run whose trace shows checkpoints, MIP decisions, durable
-    # spills, and scheduler quanta together.
-    return run_workload("mixed", seed=1, scale=4, policy="suspend-resume")
-
-
+#: name -> (title, rows function of ``--scale``). A rows function returns
+#: the table's rows, or ``(rows, footer)`` when text follows the table.
 EXPERIMENTS = {
-    "serve": _exp_serve,
-    "table2": _exp_table2,
-    "fig2": _exp_fig2,
-    "fig8": _exp_fig8,
-    "fig9": _exp_fig9,
-    "fig10": _exp_fig10,
-    "fig12": _exp_fig12,
-    "fig13": _exp_fig13,
-    "fig14": _exp_fig14,
-    "fig15": _exp_fig15,
-    "ex10": _exp_ex10,
+    "table2": (
+        "Table 2 - optimizer time vs plan size",
+        lambda scale: figures.table2_rows(),
+    ),
+    "fig8": (
+        "Figure 8 - NLJ_S overhead vs filter selectivity",
+        lambda scale: figures.fig8_rows(scale=scale),
+    ),
+    "fig9": (
+        "Figure 9 - SMJ_S overhead vs suspend point",
+        lambda scale: figures.fig9_rows(scale=scale),
+    ),
+    "fig10": (
+        "Figure 10 - NLJ_S overhead surface (selectivity x point)",
+        lambda scale: figures.fig10_rows(scale=max(scale, 200)),
+    ),
+    "fig12": (
+        "Figure 12 - online vs static optimizer (skewed data)",
+        _fig12_rows,
+    ),
+    "fig13": ("Figure 13 - complex 10-operator plan", _fig13_rows),
+    "fig14": (
+        "Figure 14 - overhead vs suspend budget",
+        lambda scale: figures.fig14_rows(scale=scale),
+    ),
+    "fig15": ("Figure 15 / Example 9 - HHJ vs SMJ", _fig15_rows),
+    "ex10": ("Example 10 - NLJ vs SMJ", _ex10_rows),
 }
 
 
-def run_workload(
-    trace: str,
-    seed: int = 1,
-    scale: int = 4,
-    policy: Optional[str] = None,
-    fold: bool = False,
-) -> str:
+def run_experiment(args) -> str:
+    """One paper table or figure, as a text table."""
+    title, rows_of = EXPERIMENTS[args.name]
+    rows, footer = rows_of(args.scale), ""
+    if isinstance(rows, tuple):
+        rows, footer = rows
+    return format_table(rows, title=title) + footer
+
+
+def run_workload(args) -> str:
     """Replay an arrival trace under one or all pressure policies."""
     from repro.harness.scheduling import (
         DEFAULT_POLICIES,
@@ -183,9 +146,9 @@ def run_workload(
     )
     from repro.workloads.plans import TRACES
 
-    workload = TRACES[trace](scale=scale, seed=seed)
-    policies = DEFAULT_POLICIES if policy is None else (policy,)
-    results = compare_policies(workload, policies=policies, fold=fold)
+    workload = TRACES[args.trace](scale=args.scale, seed=args.seed)
+    policies = DEFAULT_POLICIES if args.policy is None else (args.policy,)
+    results = compare_policies(workload, policies=policies, fold=args.fold)
 
     budget = workload.memory_budget
     lines = [
@@ -230,49 +193,6 @@ def run_workload(
     return "\n".join(lines)
 
 
-def run_demo(rows_before_suspend: int = 20) -> str:
-    """One suspend/resume cycle on a small join, narrated."""
-    from repro import Database, QuerySession, SuspendSpec, SuspendStrategy
-    from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec
-    from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
-    from repro.relational.expressions import EquiJoinCondition, UniformSelect
-
-    db = Database()
-    db.create_table("R", BASE_SCHEMA, generate_uniform_table(2_000, seed=1))
-    db.create_table("S", BASE_SCHEMA, generate_uniform_table(400, seed=2))
-    plan = NLJSpec(
-        outer=FilterSpec(
-            ScanSpec("R", label="scan_R"), UniformSelect(1, 0.5), label="filter"
-        ),
-        inner=ScanSpec("S", label="scan_S"),
-        condition=EquiJoinCondition(0, 0, modulus=100),
-        buffer_tuples=300,
-        label="join",
-    )
-    lines = []
-    session = QuerySession(db, plan)
-    first = session.execute(max_rows=rows_before_suspend)
-    lines.append(
-        f"executed: {len(first.rows)} rows in {first.elapsed:.1f} time units"
-    )
-    sq = session.suspend(SuspendSpec(strategy=SuspendStrategy.LP))
-    lines.append(f"suspended in {session.last_suspend_cost:.1f} time units")
-    lines.append("suspend plan:")
-    lines.append(
-        sq.suspend_plan.describe(
-            {0: "join", 1: "filter", 2: "scan_R", 3: "scan_S"}
-        )
-    )
-    resumed = QuerySession.resume(db, sq)
-    lines.append(f"resumed in {resumed.last_resume_cost:.1f} time units")
-    rest = resumed.execute()
-    lines.append(
-        f"finished: {len(rest.rows)} more rows "
-        f"({len(first.rows) + len(rest.rows)} total)"
-    )
-    return "\n".join(lines)
-
-
 def _completed_before_suspend(recipe: str, rows: int) -> str:
     return (
         f"recipe {recipe!r} completed ({rows} rows) before the suspend "
@@ -280,44 +200,46 @@ def _completed_before_suspend(recipe: str, rows: int) -> str:
     )
 
 
-def run_suspend_to_image(
-    recipe: str,
-    images: str,
-    rows: int = 50,
-    scale: int = 1,
-    seed: int = 0,
-    image_id: Optional[str] = None,
-    as_json: bool = False,
-    strategy: str = "lp",
-    budget: Optional[float] = None,
-) -> str:
-    """Run a recipe partway, suspend, and commit a durable image."""
+def _recipe_meta(args) -> dict:
+    return {"recipe": args.recipe, "scale": args.scale, "seed": args.seed}
+
+
+def _budget(args) -> float:
+    return float("inf") if args.budget is None else args.budget
+
+
+def run_suspend(args) -> str:
+    """Run a recipe partway, suspend, and commit a durable image (or,
+    with ``--shards``, a consistent-cut shard set)."""
+    if args.shards:
+        if args.strategy != "lp":
+            args.error("--strategy applies only without --shards")
+        return _suspend_shards(args)
+    if args.quantum is not None or args.worker_mode is not None:
+        args.error("--quantum and --worker-mode apply only with --shards")
     from repro.core.lifecycle import QuerySession, QueryStatus, SuspendSpec
     from repro.durability import build_recipe
 
-    db, plan = build_recipe(recipe, scale=scale, seed=seed)
-    session = QuerySession(db, plan, name=recipe)
-    result = session.execute(max_rows=rows)
+    db, plan = build_recipe(args.recipe, scale=args.scale, seed=args.seed)
+    session = QuerySession(db, plan, name=args.recipe)
+    result = session.execute(max_rows=args.rows)
     if result.status is QueryStatus.COMPLETED:
-        raise SystemExit(_completed_before_suspend(recipe, len(result.rows)))
+        raise SystemExit(
+            _completed_before_suspend(args.recipe, len(result.rows))
+        )
     session.suspend(SuspendSpec(
-        strategy=strategy,
-        budget=float("inf") if budget is None else budget,
-        persist_to=images,
-        image_id=image_id,
-        image_meta={
-            "recipe": recipe,
-            "scale": scale,
-            "seed": seed,
-            "rows_emitted": len(result.rows),
-        },
+        strategy=args.strategy,
+        budget=_budget(args),
+        persist_to=args.images,
+        image_id=args.id,
+        image_meta={**_recipe_meta(args), "rows_emitted": len(result.rows)},
     ))
     info = session.last_image
-    if as_json:
+    if args.json:
         return json.dumps(
             {
                 "image_id": info.image_id,
-                "recipe": recipe,
+                "recipe": args.recipe,
                 "rows": [list(r) for r in result.rows],
                 "suspend_cost": session.last_suspend_cost,
                 "bytes": info.total_bytes,
@@ -325,66 +247,158 @@ def run_suspend_to_image(
             }
         )
     return (
-        f"recipe {recipe!r}: emitted {len(result.rows)} rows, then "
+        f"recipe {args.recipe!r}: emitted {len(result.rows)} rows, then "
         f"suspended in {session.last_suspend_cost:.1f} time units\n"
-        f"image {info.image_id} committed under {images}: "
+        f"image {info.image_id} committed under {args.images}: "
         f"{info.total_bytes} bytes, {info.num_blobs} payload blobs"
     )
 
 
-def run_resume_from_image(
-    images: str, image_id: str, as_json: bool = False
-) -> str:
-    """Rebuild an image's recipe database and finish the query from it."""
+def _suspend_shards(args) -> str:
+    """Run a recipe sharded, then commit a consistent-cut shard set."""
+    from repro.durability import build_recipe
+    from repro.shard import ShardCoordinator
+
+    db, plan = build_recipe(args.recipe, scale=args.scale, seed=args.seed)
+    coord = ShardCoordinator(
+        db,
+        plan,
+        num_shards=args.shards,
+        worker_mode=args.worker_mode or "inproc",
+        quantum_rows=args.quantum or 64,
+    )
+    delivered = coord.run(max_rows=args.rows)
+    if coord.done:
+        raise SystemExit(_completed_before_suspend(args.recipe, len(delivered)))
+    report = coord.suspend_global(
+        args.images,
+        budget=_budget(args),
+        gid=args.id,
+        meta={**_recipe_meta(args), "shards": args.shards},
+    )
+    if args.json:
+        return json.dumps(
+            {
+                "gid": report.gid,
+                "recipe": args.recipe,
+                "shards": args.shards,
+                "rows": [list(r) for r in delivered],
+                "budgets": {str(k): v for k, v in report.budgets.items()},
+                "suspend_costs": {
+                    str(k): v for k, v in report.costs.items()
+                },
+                "suspend_latency": report.latency,
+            }
+        )
+    budgets = ", ".join(
+        f"s{k}={report.budgets[k]:.1f}" for k in sorted(report.budgets)
+    )
+    return (
+        f"recipe {args.recipe!r} on {args.shards} shards: delivered "
+        f"{len(delivered)} rows, then cut globally\n"
+        f"shard set {report.gid} committed under {args.images}: "
+        f"suspend latency {report.latency:.1f} (parallel), "
+        f"budgets [{budgets}]"
+    )
+
+
+def run_resume_image(args) -> str:
+    """Rebuild an image's (or a shard set's) recipe database and finish
+    the query from it."""
     from repro.core.lifecycle import QuerySession
     from repro.durability import ImageStore, build_recipe
+    from repro.shard.manifest import names_shard_set
 
-    store = ImageStore(images)
-    meta = store.info(image_id).meta
+    store = ImageStore(args.images)
+    # A shard set counts even when its cut never committed (only its
+    # members did): the shard path then says precisely why it cannot
+    # resume instead of "no committed image".
+    if names_shard_set(store, args.id):
+        from repro.common.errors import InconsistentCutError
+
+        try:
+            return _resume_shards(args, store)
+        except InconsistentCutError as exc:
+            raise SystemExit(f"cannot resume shard set {args.id!r}: {exc}")
+    meta = store.info(args.id).meta
     if "recipe" not in meta:
         raise SystemExit(
-            f"image {image_id!r} carries no recipe metadata; "
+            f"image {args.id!r} carries no recipe metadata; "
             "resume it programmatically against the database it expects"
         )
     db, _ = build_recipe(
         meta["recipe"], scale=meta.get("scale", 1), seed=meta.get("seed", 0)
     )
-    sq = store.load(image_id)
+    sq = store.load(args.id)
     session = QuerySession.resume(db, sq, name=meta["recipe"])
     result = session.execute()
-    if as_json:
+    if args.json:
         return json.dumps(
             {
-                "image_id": image_id,
+                "image_id": args.id,
                 "recipe": meta["recipe"],
                 "rows": [list(r) for r in result.rows],
                 "resume_cost": session.last_resume_cost,
             }
         )
     return (
-        f"image {image_id}: resumed recipe {meta['recipe']!r} in "
+        f"image {args.id}: resumed recipe {meta['recipe']!r} in "
         f"{session.last_resume_cost:.1f} time units, emitted "
         f"{len(result.rows)} remaining rows"
     )
 
 
-def run_images(
-    images: str,
-    recover: bool = False,
-    gc: bool = False,
-    as_json: bool = False,
-) -> str:
+def _resume_shards(args, store) -> str:
+    """Verify a shard set, rebuild its recipe, and finish the query."""
+    from repro.durability import build_recipe
+    from repro.shard import ShardCoordinator
+    from repro.shard.manifest import load_cut
+
+    gid = args.id
+    load_cut(store, gid)
+    meta = store.info(gid).meta
+    if "recipe" not in meta:
+        raise SystemExit(
+            f"shard set {gid!r} carries no recipe metadata; resume it "
+            "programmatically against the database it expects"
+        )
+    db, _ = build_recipe(
+        meta["recipe"], scale=meta.get("scale", 1), seed=meta.get("seed", 0)
+    )
+    coord = ShardCoordinator.resume(
+        db, args.images, gid, worker_mode=args.worker_mode
+    )
+    rows = coord.run()
+    coord.close()
+    if args.json:
+        return json.dumps(
+            {
+                "gid": gid,
+                "recipe": meta["recipe"],
+                "shards": coord.num_shards,
+                "rows": [list(r) for r in rows],
+                "delivered_before": coord.delivered_before,
+            }
+        )
+    return (
+        f"shard set {gid}: resumed recipe {meta['recipe']!r} on "
+        f"{coord.num_shards} shards, emitted {len(rows)} remaining rows "
+        f"({coord.delivered_before} were delivered before the cut)"
+    )
+
+
+def run_images(args) -> str:
     """List, recover, or garbage-collect an image root."""
     from repro.durability import ImageStore
     from repro.shard import classify_shardsets
 
-    store = ImageStore(images)
-    if recover:
+    store = ImageStore(args.images)
+    if args.recover:
         report = store.recover().as_dict()
         # The scan judges each image on its own, cut images included;
         # whether a cut and its members agree spans images.
         cuts = classify_shardsets(store)
-        if as_json:
+        if args.json:
             return json.dumps({**report, "shardset_cuts": cuts.as_dict()})
         lines = [
             f"{state}: {', '.join(names) if names else '-'}"
@@ -406,9 +420,9 @@ def run_images(
                     )
                 )
         return "\n".join(lines)
-    if gc:
+    if args.gc:
         deleted = store.gc()
-        if as_json:
+        if args.json:
             return json.dumps({"deleted": deleted})
         return f"deleted {len(deleted)} image(s): {', '.join(deleted) or '-'}"
     infos = store.list_images()
@@ -423,10 +437,10 @@ def run_images(
             }
         )
     cuts = classify_shardsets(store)
-    if as_json:
+    if args.json:
         return json.dumps({"images": rows, "shardset_cuts": cuts.as_dict()})
     if not rows and not cuts.committed and not cuts.torn:
-        return f"no committed images under {images}"
+        return f"no committed images under {args.images}"
     lines = []
     for row in rows:
         status = "ok" if row["valid"] else "INVALID: " + "; ".join(row["problems"])
@@ -451,197 +465,7 @@ def run_images(
     return "\n".join(lines)
 
 
-def run_shard_suspend(
-    recipe: str,
-    images: str,
-    rows: int = 50,
-    scale: int = 1,
-    seed: int = 0,
-    shards: int = 2,
-    budget: Optional[float] = None,
-    gid: Optional[str] = None,
-    as_json: bool = False,
-    worker_mode: str = "inproc",
-    quantum: int = 64,
-) -> str:
-    """Run a recipe sharded, then commit a consistent-cut shard set."""
-    from repro.durability import build_recipe
-    from repro.shard import ShardCoordinator
-
-    db, plan = build_recipe(recipe, scale=scale, seed=seed)
-    coord = ShardCoordinator(
-        db,
-        plan,
-        num_shards=shards,
-        worker_mode=worker_mode,
-        quantum_rows=quantum,
-    )
-    delivered = coord.run(max_rows=rows)
-    if coord.done:
-        raise SystemExit(_completed_before_suspend(recipe, len(delivered)))
-    report = coord.suspend_global(
-        images,
-        budget=float("inf") if budget is None else budget,
-        gid=gid,
-        meta={
-            "recipe": recipe,
-            "scale": scale,
-            "seed": seed,
-            "shards": shards,
-        },
-    )
-    if as_json:
-        return json.dumps(
-            {
-                "gid": report.gid,
-                "recipe": recipe,
-                "shards": shards,
-                "rows": [list(r) for r in delivered],
-                "budgets": {str(k): v for k, v in report.budgets.items()},
-                "suspend_costs": {
-                    str(k): v for k, v in report.costs.items()
-                },
-                "suspend_latency": report.latency,
-            }
-        )
-    budgets = ", ".join(
-        f"s{k}={report.budgets[k]:.1f}" for k in sorted(report.budgets)
-    )
-    return (
-        f"recipe {recipe!r} on {shards} shards: delivered "
-        f"{len(delivered)} rows, then cut globally\n"
-        f"shard set {report.gid} committed under {images}: "
-        f"suspend latency {report.latency:.1f} (parallel), "
-        f"budgets [{budgets}]"
-    )
-
-
-def run_shard_resume(
-    images: str,
-    gid: str,
-    as_json: bool = False,
-    worker_mode: str = "inproc",
-) -> str:
-    """Verify a shard set, rebuild its recipe, and finish the query."""
-    from repro.durability import ImageStore, build_recipe
-    from repro.shard import ShardCoordinator
-    from repro.shard.manifest import load_cut
-
-    store = ImageStore(images)
-    load_cut(store, gid)
-    meta = store.info(gid).meta
-    if "recipe" not in meta:
-        raise SystemExit(
-            f"shard set {gid!r} carries no recipe metadata; resume it "
-            "programmatically against the database it expects"
-        )
-    db, _ = build_recipe(
-        meta["recipe"], scale=meta.get("scale", 1), seed=meta.get("seed", 0)
-    )
-    coord = ShardCoordinator.resume(db, images, gid, worker_mode=worker_mode)
-    rows = coord.run()
-    coord.close()
-    if as_json:
-        return json.dumps(
-            {
-                "gid": gid,
-                "recipe": meta["recipe"],
-                "shards": coord.num_shards,
-                "rows": [list(r) for r in rows],
-                "delivered_before": coord.delivered_before,
-            }
-        )
-    return (
-        f"shard set {gid}: resumed recipe {meta['recipe']!r} on "
-        f"{coord.num_shards} shards, emitted {len(rows)} remaining rows "
-        f"({coord.delivered_before} were delivered before the cut)"
-    )
-
-
-def run_workload_sharded(
-    scale: int = 4,
-    seed: int = 1,
-    shards: int = 2,
-    budget: Optional[float] = None,
-) -> str:
-    """Sharded serving demo: run, cut mid-flight, resume, verify.
-
-    Runs the shuffle-join and aggregation recipes on ``shards`` shard
-    workers with a global suspend at the halfway point, resumes from the
-    committed shard set, and checks delivery equals an uninterrupted
-    sharded run and (as a multiset) the single-engine run.
-    """
-    import tempfile
-
-    from repro.core.lifecycle import QuerySession
-    from repro.durability import build_recipe
-    from repro.shard import ShardCoordinator
-
-    lines = [f"sharded workload: {shards} shards, scale {scale}"]
-    table = []
-    # A small quantum guarantees a pass boundary (= a legal cut point)
-    # mid-drain even for low-cardinality outputs like the aggregate.
-    quantum = 4
-    for recipe in ("hashjoin", "hashagg"):
-        db, plan = build_recipe(recipe, scale=scale, seed=seed)
-        single = QuerySession(db, plan, name=recipe)
-        single_rows = single.execute().rows
-        single_time = db.now
-
-        db2, _ = build_recipe(recipe, scale=scale, seed=seed)
-        full_coord = ShardCoordinator(
-            db2, plan, num_shards=shards, quantum_rows=quantum
-        )
-        full_rows = full_coord.run()
-        full_time = full_coord.global_now()
-
-        db3, _ = build_recipe(recipe, scale=scale, seed=seed)
-        coord = ShardCoordinator(
-            db3, plan, num_shards=shards, quantum_rows=quantum
-        )
-        before = coord.run(max_rows=max(1, len(full_rows) // 2))
-        if coord.done:
-            raise SystemExit(
-                f"recipe {recipe!r} finished before the demo's cut point"
-            )
-        with tempfile.TemporaryDirectory() as root:
-            report = coord.suspend_global(
-                root,
-                budget=float("inf") if budget is None else budget,
-            )
-            db4, _ = build_recipe(recipe, scale=scale, seed=seed)
-            resumed = ShardCoordinator.resume(db4, root, report.gid)
-            after = resumed.run()
-        consistent = before + after == full_rows
-        equivalent = sorted(full_rows) == sorted(single_rows)
-        table.append(
-            {
-                "recipe": recipe,
-                "rows": len(full_rows),
-                "single_time": round(single_time, 1),
-                "sharded_time": round(full_time, 1),
-                "suspend_latency": round(report.latency, 1),
-                "cut_consistent": "yes" if consistent else "NO",
-                "output_equal": "yes" if equivalent else "NO",
-            }
-        )
-    lines.append("")
-    lines.append(
-        format_table(table, title="sharded vs single-engine (virtual time)")
-    )
-    return "\n".join(lines)
-
-
-def run_serve_http(
-    images: Optional[str],
-    host: str = "127.0.0.1",
-    port: int = 8351,
-    scale: int = 8,
-    seed: int = 1,
-    quantum_rows: int = 64,
-    tracer=None,
-    fold: bool = False,
-) -> int:
+def run_serve_http(args) -> None:
     """Serve the demo catalog over HTTP with continuation tokens."""
     import tempfile
 
@@ -649,65 +473,49 @@ def run_serve_http(
     from repro.serve import QueryService, ServeApp, ServeConfig, run_server
     from repro.workloads.plans import serve_catalog
 
+    images = args.images
     if images is None:
         images = tempfile.mkdtemp(prefix="repro-serve-")
         print(f"no --images given; committing images under {images}")
-    db_factory, catalog = serve_catalog(scale=scale, seed=seed)
+    db_factory, catalog = serve_catalog(scale=args.scale, seed=args.seed)
     config = ServeConfig(
-        quantum_rows=quantum_rows,
+        quantum_rows=args.quantum_rows,
         suspend=SuspendSpec(persist_to=images),
-        tracer=tracer,
-        fold=fold,
+        fold=args.fold,
     )
     service = QueryService(db_factory(), config)
     print(
         f"catalog: {', '.join(sorted(catalog))} "
-        f"(quantum {quantum_rows} rows, images under {images})"
+        f"(quantum {args.quantum_rows} rows, images under {images})"
     )
-    run_server(ServeApp(service, catalog), host=host, port=port)
-    return 0
+    run_server(ServeApp(service, catalog), host=args.host, port=args.port)
 
 
-def run_loadgen_cli(
-    images: Optional[str],
-    sessions: int = 200,
-    scale: int = 8,
-    seed: int = 1,
-    quantum_rows: int = 32,
-    output: Optional[str] = None,
-    as_json: bool = False,
-    tracer=None,
-) -> str:
+def run_loadgen_cli(args) -> str:
     """Drive the load generator and report latency/fairness/determinism."""
     import tempfile
 
     from repro.serve import run_loadgen
 
-    if images is not None:
+    root = (
+        contextlib.nullcontext(args.images)
+        if args.images is not None
+        else tempfile.TemporaryDirectory(prefix="repro-loadgen-")
+    )
+    with root as images:
         report = run_loadgen(
             images,
-            sessions=sessions,
-            scale=scale,
-            seed=seed,
-            quantum_rows=quantum_rows,
-            tracer=tracer,
+            sessions=args.sessions,
+            scale=args.scale,
+            seed=args.seed,
+            quantum_rows=args.quantum_rows,
         )
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as root:
-            report = run_loadgen(
-                root,
-                sessions=sessions,
-                scale=scale,
-                seed=seed,
-                quantum_rows=quantum_rows,
-                tracer=tracer,
-            )
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"wrote report to {output}", file=sys.stderr)
-    if as_json:
+        print(f"wrote report to {args.output}", file=sys.stderr)
+    if args.json:
         return json.dumps(report, sort_keys=True)
     latency = report["latency"]
     fairness = report["fairness"]
@@ -752,19 +560,19 @@ def _load_trace_or_die(path: str) -> list:
         raise SystemExit(f"error: {exc}")
 
 
-def run_trace_summary(path: str) -> str:
+def run_trace_summary(args) -> str:
     """Per-type record counts and headline metrics for a JSONL trace."""
     from repro.obs import render_summary
 
-    return render_summary(_load_trace_or_die(path))
+    return render_summary(_load_trace_or_die(args.file))
 
 
-def run_trace_convert(path: str, output: Optional[str] = None) -> str:
+def run_trace_convert(args) -> str:
     """Convert a JSONL trace to Chrome trace_event JSON (Perfetto)."""
     from repro.obs import write_chrome_trace
 
-    records = _load_trace_or_die(path)
-    out = output if output is not None else path + ".chrome.json"
+    records = _load_trace_or_die(args.file)
+    out = args.output if args.output is not None else args.file + ".chrome.json"
     n = write_chrome_trace(records, out)
     return (
         f"wrote {n} Chrome trace events to {out}\n"
@@ -772,11 +580,11 @@ def run_trace_convert(path: str, output: Optional[str] = None) -> str:
     )
 
 
-def run_trace_progress(path: str) -> str:
+def run_trace_progress(args) -> str:
     """Per-query progress timelines from ``query.progress`` records."""
     from repro.obs import render_progress
 
-    return render_progress(_load_trace_or_die(path))
+    return render_progress(_load_trace_or_die(args.file))
 
 
 def _positive_int(text: str) -> int:
@@ -821,12 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description=(
             "Query Suspend and Resume (SIGMOD 2007) reproduction: run the "
-            "paper's experiments and demos."
+            "paper's experiments, workloads and durable images."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list available experiments")
 
     exp = sub.add_parser("experiment", help="run one paper experiment")
     exp.add_argument("name", choices=sorted(EXPERIMENTS))
@@ -837,54 +643,43 @@ def build_parser() -> argparse.ArgumentParser:
         help="data scale divisor vs the paper's sizes (default 100)",
     )
     _add_obs_flags(exp)
-
-    demo = sub.add_parser("demo", help="one suspend/resume cycle, narrated")
-    demo.add_argument("--rows", type=int, default=20)
-    _add_obs_flags(demo)
+    exp.set_defaults(run=run_experiment)
 
     from repro.workloads.plans import TRACES
 
-    for alias in ("workload", "serve"):
-        wl = sub.add_parser(
-            alias,
-            help="replay a multi-query arrival trace through the scheduler",
-        )
-        wl.add_argument(
-            "--trace",
-            choices=sorted(TRACES),
-            default="mixed",
-            help="arrival trace to replay (default mixed)",
-        )
-        wl.add_argument("--seed", type=int, default=1)
-        wl.add_argument(
-            "--scale",
-            type=_positive_int,
-            default=4,
-            help="data scale divisor vs the paper's sizes (default 4)",
-        )
-        wl.add_argument(
-            "--policy",
-            choices=("suspend-resume", "kill-restart", "wait"),
-            default=None,
-            help="run a single policy instead of comparing all three",
-        )
-        wl.add_argument(
-            "--fold",
-            action="store_true",
-            help="fold shared work across concurrent queries: common "
-            "scans drain once through shared producers, common hash-join "
-            "build sides are built once (outputs, per-query clocks, and "
-            "suspend images are unchanged; see docs/PROTOCOL.md #11)",
-        )
-        wl.add_argument(
-            "--shards",
-            type=_positive_int,
-            default=None,
-            help="run the sharded-execution demo on N shard workers "
-            "instead of the scheduler trace: shuffle join + aggregation "
-            "with a mid-run globally consistent suspend/resume",
-        )
-        _add_obs_flags(wl)
+    wl = sub.add_parser(
+        "workload",
+        help="replay a multi-query arrival trace through the scheduler",
+    )
+    wl.add_argument(
+        "--trace",
+        choices=sorted(TRACES),
+        default="mixed",
+        help="arrival trace to replay (default mixed)",
+    )
+    wl.add_argument("--seed", type=int, default=1)
+    wl.add_argument(
+        "--scale",
+        type=_positive_int,
+        default=4,
+        help="data scale divisor vs the paper's sizes (default 4)",
+    )
+    wl.add_argument(
+        "--policy",
+        choices=("suspend-resume", "kill-restart", "wait"),
+        default=None,
+        help="run a single policy instead of comparing all three",
+    )
+    wl.add_argument(
+        "--fold",
+        action="store_true",
+        help="fold shared work across concurrent queries: common "
+        "scans drain once through shared producers, common hash-join "
+        "build sides are built once (outputs, per-query clocks, and "
+        "suspend images are unchanged; see docs/PROTOCOL.md #11)",
+    )
+    _add_obs_flags(wl)
+    wl.set_defaults(run=run_workload)
 
     sh = sub.add_parser(
         "serve-http",
@@ -917,6 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(shared scan page windows persist across token hops)",
     )
     _add_obs_flags(sh)
+    sh.set_defaults(run=run_serve_http)
 
     lg = sub.add_parser(
         "loadgen",
@@ -946,6 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lg.add_argument("--json", action="store_true")
     _add_obs_flags(lg)
+    lg.set_defaults(run=run_loadgen_cli)
 
     from repro.core.lifecycle import SuspendStrategy
     from repro.durability.recipes import RECIPES
@@ -966,13 +763,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     susp.add_argument("--scale", type=_positive_int, default=1)
     susp.add_argument("--seed", type=int, default=0)
-    susp.add_argument("--id", default=None, help="explicit image id")
+    susp.add_argument(
+        "--id",
+        default=None,
+        help="explicit image id, or shard-set id with --shards "
+        "(default: generated)",
+    )
     susp.add_argument("--json", action="store_true")
     susp.add_argument(
         "--strategy",
         choices=[s.value for s in SuspendStrategy],
         default="lp",
-        help="suspend-plan strategy (default lp)",
+        help="suspend-plan strategy (default lp; without --shards)",
     )
     susp.add_argument(
         "--budget",
@@ -989,24 +791,21 @@ def build_parser() -> argparse.ArgumentParser:
         "(hashjoin/hashagg recipes; --budget becomes the global budget)",
     )
     susp.add_argument(
-        "--gid",
-        default=None,
-        help="explicit shard-set id (with --shards; default: generated)",
-    )
-    susp.add_argument(
         "--quantum",
         type=_positive_int,
-        default=64,
-        help="rows per shard per round-robin pass (with --shards)",
+        default=None,
+        help="rows per shard per round-robin pass (with --shards; "
+        "default 64)",
     )
     susp.add_argument(
         "--worker-mode",
         choices=("inproc", "process"),
-        default="inproc",
+        default=None,
         help="shard workers in-process or one child process per shard "
-        "(with --shards)",
+        "(with --shards; default inproc)",
     )
     _add_obs_flags(susp)
+    susp.set_defaults(run=run_suspend, error=susp.error)
 
     res = sub.add_parser(
         "resume-image",
@@ -1023,6 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
         "or one child process per shard",
     )
     _add_obs_flags(res)
+    res.set_defaults(run=run_resume_image)
 
     img = sub.add_parser(
         "images", help="list/validate/recover/gc a durable-image root"
@@ -1038,6 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--gc", action="store_true", help="delete every committed image"
     )
     img.add_argument("--json", action="store_true")
+    img.set_defaults(run=run_images)
 
     tr = sub.add_parser(
         "trace", help="inspect or convert a JSONL observability trace"
@@ -1047,6 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
         "summary", help="print per-type record counts and headline metrics"
     )
     tsum.add_argument("file", help="JSONL trace file")
+    tsum.set_defaults(run=run_trace_summary)
     tconv = trsub.add_parser(
         "convert",
         help="convert to Chrome trace_event JSON (opens in Perfetto)",
@@ -1058,11 +860,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output path (default: <file>.chrome.json)",
     )
+    tconv.set_defaults(run=run_trace_convert)
     tprog = trsub.add_parser(
         "progress",
         help="per-query progress timelines from query.progress records",
     )
     tprog.add_argument("file", help="JSONL trace file")
+    tprog.set_defaults(run=run_trace_progress)
     return parser
 
 
@@ -1105,149 +909,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     tracer = _install_tracer(args)
     try:
-        return _dispatch(args)
+        out = args.run(args)
+        if out is not None:
+            print(out)
     finally:
         _export_tracer(tracer, args)
-
-
-def _dispatch(args) -> int:
-    if args.command == "list":
-        print("available experiments:")
-        for name in sorted(EXPERIMENTS):
-            print(f"  {name}")
-        return 0
-    if args.command == "experiment":
-        print(EXPERIMENTS[args.name](args))
-        return 0
-    if args.command == "demo":
-        print(run_demo(args.rows))
-        return 0
-    if args.command in ("workload", "serve"):
-        if args.shards:
-            print(
-                run_workload_sharded(
-                    scale=args.scale, seed=args.seed, shards=args.shards
-                )
-            )
-        else:
-            print(
-                run_workload(
-                    args.trace,
-                    seed=args.seed,
-                    scale=args.scale,
-                    policy=args.policy,
-                    fold=args.fold,
-                )
-            )
-        return 0
-    if args.command == "serve-http":
-        from repro.obs import current_tracer
-
-        tracer = current_tracer()
-        return run_serve_http(
-            args.images,
-            host=args.host,
-            port=args.port,
-            scale=args.scale,
-            seed=args.seed,
-            quantum_rows=args.quantum_rows,
-            tracer=tracer if tracer.enabled else None,
-            fold=args.fold,
-        )
-    if args.command == "loadgen":
-        from repro.obs import current_tracer
-
-        tracer = current_tracer()
-        print(
-            run_loadgen_cli(
-                args.images,
-                sessions=args.sessions,
-                scale=args.scale,
-                seed=args.seed,
-                quantum_rows=args.quantum_rows,
-                output=args.output,
-                as_json=args.json,
-                tracer=tracer if tracer.enabled else None,
-            )
-        )
-        return 0
-    if args.command == "suspend":
-        if args.shards:
-            print(
-                run_shard_suspend(
-                    args.recipe,
-                    args.images,
-                    rows=args.rows,
-                    scale=args.scale,
-                    seed=args.seed,
-                    shards=args.shards,
-                    budget=args.budget,
-                    gid=args.gid,
-                    as_json=args.json,
-                    worker_mode=args.worker_mode,
-                    quantum=args.quantum,
-                )
-            )
-            return 0
-        print(
-            run_suspend_to_image(
-                args.recipe,
-                args.images,
-                rows=args.rows,
-                scale=args.scale,
-                seed=args.seed,
-                image_id=args.id,
-                as_json=args.json,
-                strategy=args.strategy,
-                budget=args.budget,
-            )
-        )
-        return 0
-    if args.command == "resume-image":
-        from repro.durability import ImageStore
-        from repro.shard.manifest import names_shard_set
-
-        # A shard set counts even when its cut never committed (only its
-        # members did): the shard path then says precisely why it cannot
-        # resume instead of "no committed image".
-        if names_shard_set(ImageStore(args.images), args.id):
-            from repro.common.errors import InconsistentCutError
-
-            try:
-                print(
-                    run_shard_resume(
-                        args.images,
-                        args.id,
-                        as_json=args.json,
-                        worker_mode=getattr(args, "worker_mode", "inproc"),
-                    )
-                )
-            except InconsistentCutError as exc:
-                raise SystemExit(f"cannot resume shard set {args.id!r}: {exc}")
-        else:
-            print(
-                run_resume_from_image(args.images, args.id, as_json=args.json)
-            )
-        return 0
-    if args.command == "images":
-        print(
-            run_images(
-                args.images,
-                recover=args.recover,
-                gc=args.gc,
-                as_json=args.json,
-            )
-        )
-        return 0
-    if args.command == "trace":
-        if args.trace_command == "summary":
-            print(run_trace_summary(args.file))
-        elif args.trace_command == "convert":
-            print(run_trace_convert(args.file, output=args.output))
-        else:
-            print(run_trace_progress(args.file))
-        return 0
-    return 1  # pragma: no cover - argparse enforces choices
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,10 +7,12 @@ mid-``write``). A crash is modeled as :class:`InjectedCrash` unwinding out
 of the writer: the files already durable stay exactly as a real crash
 would leave them, and nothing is cleaned up.
 
-The same injector doubles as a *recorder*: a clean run with a default
-injector logs every crash point and every torn-write opportunity it
-passed, which is how the fault harness enumerates the full matrix without
-hard-coding the commit protocol's step list.
+The same injector doubles as a *recorder*: a clean run with a fresh
+``FaultInjector()`` logs every crash point and every torn-write
+opportunity it passed, which is how the fault harness enumerates the
+full matrix without hard-coding the commit protocol's step list. A store
+built without an injector gets the shared :data:`NULL_INJECTOR`, which
+neither records nor crashes, so a long-running process keeps no log.
 """
 
 from __future__ import annotations
@@ -65,6 +67,23 @@ class FaultInjector:
         """Record a torn-write opportunity; True if it should be taken."""
         self.observed_torn.append(label)
         return label in self.torn_points
+
+
+class NullInjector(FaultInjector):
+    """The production injector: passes every point, records nothing.
+
+    A single shared instance (:data:`NULL_INJECTOR`) is the default of
+    every store and writer.
+    """
+
+    def point(self, name: str) -> None:
+        pass
+
+    def wants_torn(self, label: str) -> bool:
+        return False
+
+
+NULL_INJECTOR = NullInjector()
 
 
 def crash_variants(points: Iterable[str]) -> list[FaultInjector]:

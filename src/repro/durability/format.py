@@ -46,7 +46,7 @@ import zlib
 from typing import Any, Callable, Iterator, Optional
 
 from repro.common.errors import ReproError
-from repro.durability.faults import FaultInjector, InjectedCrash
+from repro.durability.faults import NULL_INJECTOR, FaultInjector, InjectedCrash
 
 #: Suffix of a packed image file; ``<image_id>.rimg`` under the root.
 IMAGE_SUFFIX = ".rimg"
@@ -109,7 +109,7 @@ def write_packed_image(
     the section's value stream), one inside the manifest, one inside the
     trailer. Every one of them leaves only the temp file behind.
     """
-    injector = injector or FaultInjector()
+    injector = NULL_INJECTOR if injector is None else injector
     final_path = os.path.join(root, image_id + IMAGE_SUFFIX)
     tmp_path = final_path + TMP_SUFFIX
     table: dict[str, dict] = {}

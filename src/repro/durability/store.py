@@ -64,7 +64,7 @@ from typing import Optional
 from repro.common.errors import ReproError
 from repro.core.suspended_query import SuspendedQuery
 from repro.durability import codec2
-from repro.durability.faults import FaultInjector
+from repro.durability.faults import NULL_INJECTOR, FaultInjector
 from repro.obs.tracer import NULL_TRACER
 from repro.durability.format import (
     BLOB_PREFIX,
@@ -209,7 +209,9 @@ class ImageStore:
 
     Images are written as ``<image_id>.rimg`` and nothing else under the
     root is read as an image. ``injector`` places crash points and torn
-    writes inside a commit (the crash-matrix harness).
+    writes inside a commit (the crash-matrix harness); without one the
+    store shares :data:`~repro.durability.faults.NULL_INJECTOR`, which
+    records nothing.
     """
 
     def __init__(
@@ -218,7 +220,7 @@ class ImageStore:
         injector: Optional[FaultInjector] = None,
     ):
         self.root = os.fspath(root)
-        self.injector = injector or FaultInjector()
+        self.injector = NULL_INJECTOR if injector is None else injector
         # Manifests are immutable once committed, so they cache cleanly;
         # a hit still stats the image so deletions by other store
         # instances over the same root are noticed.

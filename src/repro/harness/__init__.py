@@ -5,7 +5,7 @@ from repro.harness.experiments import (
     measure_suspend_overhead,
     run_reference_to_milestone,
 )
-from repro.harness.report import format_table, print_table
+from repro.harness.report import format_table
 from repro.harness.scheduling import (
     DEFAULT_POLICIES,
     compare_policies,
@@ -19,6 +19,5 @@ __all__ = [
     "format_table",
     "measure_suspend_overhead",
     "policy_comparison_rows",
-    "print_table",
     "run_reference_to_milestone",
 ]

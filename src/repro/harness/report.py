@@ -6,7 +6,7 @@ report; these helpers keep the output aligned and diff-friendly.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 def format_table(
@@ -34,11 +34,3 @@ def format_table(
             "  ".join(str(row.get(c, "")).rjust(widths[c]) for c in columns)
         )
     return "\n".join(lines)
-
-
-def print_table(
-    rows: Sequence[Mapping],
-    columns: Optional[Sequence[str]] = None,
-    title: Optional[str] = None,
-) -> None:
-    print(format_table(rows, columns, title))

@@ -162,15 +162,14 @@ class QueryService(ExecutorCore):
     # ------------------------------------------------------------------
     def _step(self, record: QueryRecord, kind: str) -> ServeResult:
         start = self.db.now
-        produced = len(record.rows)
-        status = self.run_quantum(record)
+        quantum = self.run_quantum(record)
         if not self.tracer.enabled and record.session is not None:
             # run_quantum snapshots progress only when tracing; the live
             # endpoint wants it either way, and the session is gone once
             # the query suspends below.
             self.note_progress(record, emit=False)
-        rows = record.rows[produced:]
-        if status is QueryStatus.COMPLETED:
+        rows = quantum.rows
+        if quantum.status is QueryStatus.COMPLETED:
             result = ServeResult(
                 query=record.name,
                 status="done",

@@ -38,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from repro.common.errors import SuspendBudgetInfeasibleError
 from repro.core.lifecycle import (
+    ExecutionResult,
     QuerySession,
     QueryStatus,
     SuspendSpec,
@@ -114,7 +115,6 @@ class QueryRecord:
     #: Id of the durable spill image from the most recent suspend, when
     #: the core is configured with an image store.
     image_id: Optional[str] = None
-    rows: list = field(default_factory=list)
     #: Distributed-trace identity: every span this query emits — in this
     #: process or any it continues into — carries this id.
     trace_id: Optional[str] = None
@@ -316,7 +316,6 @@ class ExecutorCore:
         victim.session.close()
         victim.session = None
         victim.sq = None
-        victim.rows.clear()
         victim.stats.rows_emitted = 0
         victim.state = QueryState.WAITING
         victim.stats.kills += 1
@@ -374,8 +373,12 @@ class ExecutorCore:
         record.stats.resumes += 1
         self.mark("resume", record)
 
-    def run_quantum(self, record: QueryRecord) -> QueryStatus:
-        """Execute one quantum on a READY record; handle completion."""
+    def run_quantum(self, record: QueryRecord) -> ExecutionResult:
+        """Execute one quantum on a READY record; handle completion.
+
+        The quantum's rows go to the caller in the returned result; the
+        core keeps none of them.
+        """
         if self.tracer.enabled:
             with self.tracer.span(
                 "sched.quantum", query=record.name, trace_id=record.trace_id
@@ -388,13 +391,12 @@ class ExecutorCore:
         else:
             result = record.session.execute(max_rows=self.config.quantum_rows)
         record.stats.rows_emitted += len(result.rows)
-        record.rows.extend(result.rows)
         self.note_memory()
         if self.tracer.enabled:
             self.note_progress(record)
         if result.status is QueryStatus.COMPLETED:
             self.complete(record)
-        return result.status
+        return result
 
     def note_progress(self, record: QueryRecord, emit: bool = True):
         """Snapshot, trace, and gauge a record's progress (quantum edge).

@@ -153,13 +153,12 @@ class ScanCursor:
     def current_page(self) -> Optional[Sequence[Row]]:
         """Rows of the page under the cursor, fetching it if needed.
 
-        The batched scan path consumes the file in page-sized segments:
-        this steps past exhausted pages and charges the page read exactly
-        where :meth:`next` would (lazily, on the call that needs the first
-        row of the new page), but consumes nothing — callers slice from
-        :attr:`slot` and then :meth:`advance` by the rows taken, so the
-        cursor lands in the state that many :meth:`next` calls leave it in.
-        Returns None at end of file.
+        The scan consumes the file in page-sized segments: this steps
+        past exhausted pages (a short final page included) and charges
+        the page read lazily, on the call that needs the first row of the
+        new page, but consumes nothing — callers slice from :attr:`slot`
+        and then :meth:`advance` by the rows taken. Returns None at end
+        of file.
         """
         while True:
             if self._page_no >= self._file.num_pages:
@@ -191,20 +190,3 @@ class ScanCursor:
     def advance(self, n: int) -> None:
         """Consume ``n`` rows from the current page (after current_page())."""
         self._slot += n
-
-    def next(self) -> Optional[Row]:
-        """Return the next row, or None at end of file."""
-        while True:
-            if self._page_no >= self._file.num_pages:
-                return None
-            if self._page_rows is None:
-                self._page_rows = self._fetch_page(self._page_no)
-                self._pages_fetched += 1
-            if self._slot < len(self._page_rows):
-                row = self._page_rows[self._slot]
-                self._slot += 1
-                return row
-            # Page exhausted (possibly a short final page): advance.
-            self._page_no += 1
-            self._slot = 0
-            self._page_rows = None

@@ -102,6 +102,19 @@ class TestInventory:
             store.save(sq, db.state_store, image_id="../escape")
 
 
+class TestDefaultInjector:
+    def test_a_store_without_an_injector_keeps_no_crash_log(self, tmp_path):
+        """Only a harness that passes its own ``FaultInjector()`` records
+        crash points; a serving store saves forever and logs nothing."""
+        store = ImageStore(str(tmp_path))
+        for n in range(3):
+            db, sq, _ = suspend_partway("sort")
+            store.save(sq, db.state_store, image_id=f"img-{n}")
+        assert store.injector.observed_points == []
+        assert store.injector.observed_torn == []
+        assert ImageStore(str(tmp_path / "other")).injector is store.injector
+
+
 class TestSaveMany:
     def _requests(self):
         requests = []

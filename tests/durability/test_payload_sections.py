@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.cli import run_images
+from repro.cli import main
 from repro.core.lifecycle import QuerySession, SuspendSpec
 from repro.durability import ImageStore, codec2
 from repro.durability.format import CONTROL_NAME_V2, ImageFormatError
@@ -233,7 +233,7 @@ class TestImageSizes:
         [(0, 8 * 1024, 0.15), (2, 9 * 1024, 0.30)],
     )
     def test_the_second_image_is_a_few_kilobytes(
-        self, tmp_path, memory_partitions, control_limit, share
+        self, tmp_path, capsys, memory_partitions, control_limit, share
     ):
         store = ImageStore(str(tmp_path))
         db, session = mid_probe(
@@ -260,7 +260,8 @@ class TestImageSizes:
         )
 
         # ``repro images`` shows the same split, text and JSON.
-        listing = run_images(str(tmp_path))
+        assert main(["images", "--images", str(tmp_path)]) == 0
+        listing = capsys.readouterr().out
         assert (
             f"control {first.control_bytes} bytes, sections 12 local "
             f"({first.local_bytes} bytes) + 0 referenced (0 bytes)"
@@ -269,7 +270,8 @@ class TestImageSizes:
             f"control {second.control_bytes} bytes, sections 0 local "
             f"(0 bytes) + 10 referenced ({second.reused_bytes} bytes)"
         ) in listing
-        as_json = json.loads(run_images(str(tmp_path), as_json=True))
+        assert main(["images", "--images", str(tmp_path), "--json"]) == 0
+        as_json = json.loads(capsys.readouterr().out)
         assert [
             (i["control_bytes"], i["local_blobs"], i["local_bytes"])
             for i in as_json["images"]

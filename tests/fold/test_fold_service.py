@@ -39,10 +39,18 @@ def run_burst(k, fold, quantum_rows=32):
     db = build_db()
     config = SchedulerConfig(fold=fold, quantum_rows=quantum_rows)
     scheduler = QueryScheduler(db, config)
+    rows = {}
+    run_quantum = scheduler.run_quantum
+
+    def collecting(record):
+        result = run_quantum(record)
+        rows.setdefault(record.name, []).extend(result.rows)
+        return result
+
+    scheduler.run_quantum = collecting
     for i in range(k):
         scheduler.submit(f"q{i}", filter_plan(0.5))
     stats = scheduler.run()
-    rows = {r.name: list(r.rows) for r in scheduler.records}
     return rows, stats, db.disk.counters.pages_read
 
 

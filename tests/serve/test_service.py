@@ -148,6 +148,33 @@ class TestStatelessness:
         assert record.sq is None  # image is the only resume path
         assert record.session is None
 
+    def test_no_served_row_is_retained(self, tmp_path):
+        """Rows go out with the response and nowhere else: after 300
+        requests over 12 outstanding sessions, no query record holds a
+        row the service returned."""
+        service, catalog = make_service(str(tmp_path))
+        plans = sorted(catalog)
+        returned = set()
+        outstanding = []
+        for n in range(300):
+            if len(outstanding) < 12:
+                name = f"q{n}"
+                result = service.begin(name, catalog[plans[n % len(plans)]])
+            else:
+                result = service.continue_query(outstanding.pop(0).token)
+            returned.update(id(row) for row in result.rows)
+            if not result.done:
+                outstanding.append(result)
+        assert returned
+        held = [
+            (record.name, field)
+            for record in service.records
+            for field, value in vars(record).items()
+            if isinstance(value, list)
+            and any(id(row) in returned for row in value)
+        ]
+        assert held == []
+
     def test_old_token_rejected_after_continue(self, tmp_path):
         service, catalog = make_service(str(tmp_path))
         first = service.begin("q1", catalog["sorted-join"])
@@ -264,13 +291,16 @@ class TestStateStoreHygiene:
         record = core.track(QueryArrival("q", catalog["sorted-join"], 0.0, 0))
         core.admit(record)
         core.start_session(record)
-        core.run_quantum(record)
+        rows = list(core.run_quantum(record).rows)
         core.suspend_victims([record])
         assert record.sq is not None and len(core.db.state_store) > 0
         core.adopt_resumed_session(record, core.open_resumed_session(record))
-        while core.run_quantum(record) is not QueryStatus.COMPLETED:
-            pass
-        assert record.rows == solo_rows(catalog["sorted-join"])
+        while True:
+            result = core.run_quantum(record)
+            rows += result.rows
+            if result.status is QueryStatus.COMPLETED:
+                break
+        assert rows == solo_rows(catalog["sorted-join"])
         assert len(core.db.state_store) == 0
 
 

@@ -10,7 +10,7 @@ from repro.service import (
     SchedulerConfig,
 )
 from repro.service.policies import select_victims
-from repro.core.lifecycle import SuspendSpec
+from repro.core.lifecycle import QuerySession, SuspendSpec
 from repro.workloads.plans import (
     mixed_priority_trace,
     mixed_q_hi_plan,
@@ -207,7 +207,8 @@ class TestSubmissionRules:
         stats = scheduler.run()
         assert record.state is QueryState.DONE
         assert stats.suspends == stats.kills == 0
-        assert stats.per_query["q"].rows_emitted == len(record.rows) > 0
+        solo = QuerySession(workload.db_factory(), mixed_q_hi_plan(SCALE))
+        assert stats.per_query["q"].rows_emitted == len(solo.execute().rows) > 0
 
 
 class TestVictimSelection:

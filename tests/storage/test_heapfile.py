@@ -56,20 +56,31 @@ class TestHeapFile:
         assert disk.now == 0.0
 
 
+def take(cur, n=None):
+    """Up to ``n`` rows (all when None), stepped the way ``TableScan``
+    steps a cursor: slice the page from ``current_page()`` at ``slot``,
+    then ``advance()`` by the rows taken."""
+    rows = []
+    while n is None or len(rows) < n:
+        page = cur.current_page()
+        if page is None:
+            break
+        stop = len(page) if n is None else cur.slot + n - len(rows)
+        taken = page[cur.slot:stop]
+        rows.extend(taken)
+        cur.advance(len(taken))
+    return rows
+
+
 class TestScanCursor:
     def test_sequential_read_returns_all_rows(self):
         hf, _ = make_file(25, 10)
-        cur = hf.cursor()
-        rows = []
-        while (row := cur.next()) is not None:
-            rows.append(row)
-        assert rows == [(i, i * 2) for i in range(25)]
+        assert take(hf.cursor()) == [(i, i * 2) for i in range(25)]
 
     def test_charges_one_read_per_page(self):
         hf, disk = make_file(25, 10)
         cur = hf.cursor()
-        while cur.next() is not None:
-            pass
+        take(cur)
         assert disk.counters.pages_read == 3
         assert cur.pages_fetched == 3
 
@@ -77,44 +88,39 @@ class TestScanCursor:
         hf, _ = make_file(25, 10)
         cur = hf.cursor()
         assert cur.position() == TuplePosition(0, 0)
-        for _ in range(12):
-            cur.next()
+        take(cur, 12)
         assert cur.position() == TuplePosition(1, 2)
         assert cur.tuples_consumed() == 12
 
     def test_seek_and_reread_charges_again(self):
         hf, disk = make_file(25, 10)
         cur = hf.cursor()
-        for _ in range(15):
-            cur.next()
+        take(cur, 15)
         charged = disk.counters.pages_read
         cur.seek(TuplePosition(0, 5))
-        assert cur.next() == (5, 10)
+        assert take(cur, 1) == [(5, 10)]
         assert disk.counters.pages_read == charged + 1
 
     def test_rewind(self):
         hf, _ = make_file()
         cur = hf.cursor()
-        for _ in range(7):
-            cur.next()
+        take(cur, 7)
         cur.rewind()
-        assert cur.next() == (0, 0)
+        assert take(cur, 1) == [(0, 0)]
 
     def test_exhausted_cursor_keeps_returning_none(self):
         hf, _ = make_file(5, 10)
         cur = hf.cursor()
-        for _ in range(5):
-            cur.next()
-        assert cur.next() is None
-        assert cur.next() is None
+        take(cur, 5)
+        assert cur.current_page() is None
+        assert cur.current_page() is None
+        assert take(cur, 1) == []
 
     def test_empty_file(self):
         disk = SimulatedDisk()
         hf = HeapFile("empty", SCHEMA, disk)
-        assert hf.cursor().next() is None
+        assert hf.cursor().current_page() is None
 
     def test_short_final_page_boundary(self):
         hf, _ = make_file(21, 10)
-        cur = hf.cursor()
-        count = sum(1 for _ in iter(cur.next, None))
-        assert count == 21
+        assert len(take(hf.cursor())) == 21

@@ -4,19 +4,13 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main, run_demo
+from repro.cli import build_parser, main
 from repro.durability import ImageStore, build_recipe
 from repro.obs import NULL_TRACER, current_tracer, read_jsonl
 from repro.shard import ShardCoordinator
 
 
 class TestParser:
-    def test_list_command(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
-
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
@@ -24,20 +18,6 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
-
-
-class TestDemo:
-    def test_demo_narrates_a_full_cycle(self, capsys):
-        assert main(["demo", "--rows", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "executed: 5 rows" in out
-        assert "suspended in" in out
-        assert "resumed in" in out
-        assert "finished:" in out
-
-    def test_run_demo_returns_text(self):
-        text = run_demo(rows_before_suspend=3)
-        assert "suspend plan:" in text
 
 
 class TestExperiments:
@@ -70,8 +50,9 @@ class TestObservabilityFlags:
         assert (
             main(
                 [
-                    "experiment",
-                    "serve",
+                    "workload",
+                    "--policy",
+                    "suspend-resume",
                     "--trace-out",
                     str(trace_path),
                     "--metrics",
@@ -123,8 +104,9 @@ class TestObservabilityFlags:
 
     def test_trace_summary_and_convert(self, tmp_path, capsys):
         trace_path = tmp_path / "out.jsonl"
-        demo = ["demo", "--rows", "5", "--trace-out", str(trace_path)]
-        assert main(demo) == 0
+        images = str(tmp_path / "images")
+        argv = ["suspend", "--recipe", "sort", "--images", images]
+        assert main(argv + ["--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
 
         assert main(["trace", "summary", str(trace_path)]) == 0
@@ -149,7 +131,7 @@ class TestObservabilityFlags:
         assert {"M", "X", "i"} <= phases
 
     def test_untraced_run_installs_no_tracer(self, capsys):
-        assert main(["demo", "--rows", "5"]) == 0
+        assert main(["experiment", "fig15"]) == 0
         assert current_tracer() is NULL_TRACER
 
 
@@ -205,7 +187,7 @@ class TestShardRoundTrip:
     def suspend(self, images, gid, shards=2):
         argv = ["suspend", "--recipe", "hashjoin", "--images", images]
         argv += ["--shards", str(shards), "--rows", "40", "--quantum", "16"]
-        return main(argv + ["--gid", gid, "--budget", "2000", "--json"])
+        return main(argv + ["--id", gid, "--budget", "2000", "--json"])
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_suspend_recover_resume(self, shards, tmp_path, capsys):
@@ -235,3 +217,37 @@ class TestShardRoundTrip:
         assert message.startswith("cannot resume shard set 'torn': ")
         assert "never reached its commit point" in message
         assert "\n" not in message
+
+
+class TestSuspendFlags:
+    """``suspend`` rejects a flag its mode would ignore, and ``--id`` names
+    whatever it commits: the image, or the cut with ``--shards``."""
+
+    def suspend(self, tmp_path, *extra):
+        argv = ["suspend", "--recipe", "hashjoin"]
+        return main(argv + ["--images", str(tmp_path / "images"), *extra])
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--shards", "2", "--strategy", "all_dump"],
+            ["--quantum", "16"],
+            ["--worker-mode", "process"],
+        ],
+        ids=["strategy-with-shards", "quantum-alone", "worker-mode-alone"],
+    )
+    def test_an_ignored_flag_is_a_usage_error(self, extra, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self.suspend(tmp_path, *extra)
+        assert exit_info.value.code == 2
+        assert "usage: repro suspend" in capsys.readouterr().err
+        assert not (tmp_path / "images").exists()
+
+    def test_the_default_strategy_is_accepted_with_shards(self, tmp_path):
+        assert self.suspend(tmp_path, "--shards", "2", "--strategy", "lp") == 0
+
+    def test_id_names_the_cut(self, tmp_path, capsys):
+        assert self.suspend(tmp_path, "--shards", "2", "--id", "cut1") == 0
+        assert "shard set cut1 committed" in capsys.readouterr().out
+        store = ImageStore(str(tmp_path / "images"))
+        assert store.info("cut1").meta["shard_cut"] is True

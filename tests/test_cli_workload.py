@@ -30,10 +30,6 @@ class TestWorkloadCommand:
         assert "policy wait - per-query latency" in out
         assert "policy comparison" not in out
 
-    def test_serve_alias(self, capsys):
-        assert main(["serve", "--policy", "wait"]) == 0
-        assert "per-query latency" in capsys.readouterr().out
-
     def test_unknown_trace_rejected(self):
         with pytest.raises(SystemExit):
             main(["workload", "--trace", "nope"])

@@ -64,6 +64,9 @@ REMOVED_DEFINITIONS = {
     "collect_shard_traces",
     "run_trace_merge",
     "_write_shard_sidecars",
+    "run_demo",
+    "run_workload_sharded",
+    "_dispatch",
 }
 #: Strategies and modules of the solvers that no longer ship.
 REMOVED_STRATEGIES = {"DP", "EXHAUSTIVE"}
@@ -96,6 +99,7 @@ REMOVED_PARAMETERS = {
     "compress",
     "chunk_bytes",
     "delta",
+    "gid",
 }
 
 
@@ -311,6 +315,53 @@ def walk_parsers(parser):
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
                 yield from walk_parsers(sub)
+
+
+def leaf_parsers(parser, path=()):
+    """``(command words, parser)`` for every parser with no subcommands."""
+    subs = [
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from leaf_parsers(sub, path + (name,))
+
+
+def test_one_cli_endpoint_per_job():
+    """One spelling per job: no alias, no listing or narrated demo, no
+    experiment that is a workload or a pointer to a benchmark — and each
+    leaf binds the handler that runs it."""
+    leaves = dict(leaf_parsers(build_parser()))
+    assert set(leaves) == {
+        "experiment",
+        "workload",
+        "serve-http",
+        "loadgen",
+        "suspend",
+        "resume-image",
+        "images",
+        "trace summary",
+        "trace convert",
+        "trace progress",
+    }
+    for name, parser in leaves.items():
+        assert callable(parser.get_default("run")), name
+    experiment = next(
+        a for a in leaves["experiment"]._actions if a.dest == "name"
+    )
+    assert experiment.choices == [
+        "ex10", "fig10", "fig12", "fig13", "fig14", "fig15", "fig8",
+        "fig9", "table2",
+    ]
+    options = {
+        option
+        for action in leaves["workload"]._actions
+        for option in action.option_strings
+    }
+    assert "--shards" not in options
 
 
 def test_cli_has_no_hidden_options():
