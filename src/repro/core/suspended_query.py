@@ -217,9 +217,7 @@ def _iter_handles(obj):
             obj = obj.values()
         elif not isinstance(obj, (list, tuple)):
             continue
-        if set(map(type, obj)) == _ROWS_ONLY and _all_scalars(
-            map(type, chain.from_iterable(obj))
-        ):
+        if _rows_of_scalars(obj):
             continue
         pending = [
             v
@@ -232,10 +230,19 @@ def _iter_handles(obj):
             stack += pending
 
 
+def _rows_of_scalars(obj) -> bool:
+    """Whether ``obj`` is a non-empty collection of tuples of nothing but
+    scalars (one inline partition): two C-level passes, no frame per row."""
+    return set(map(type, obj)) == _ROWS_ONLY and _all_scalars(
+        map(type, chain.from_iterable(obj))
+    )
+
+
 def _map_handles(obj, fn):
     """Return ``obj`` with every nested DumpHandle replaced by ``fn(h)``:
     a structurally equal copy (scalars, and tuples of nothing but
-    scalars, are immutable and shared with the original)."""
+    scalars, are immutable and shared with the original; a list of such
+    rows is copied whole, as :func:`_iter_handles` dismisses it)."""
     if isinstance(obj, DumpHandle):
         return fn(obj)
     if isinstance(obj, dict):
@@ -244,6 +251,8 @@ def _map_handles(obj, fn):
             for k, v in obj.items()
         }
     if isinstance(obj, list):
+        if _rows_of_scalars(obj):
+            return obj.copy()
         return [v if type(v) in _SCALARS else _map_handles(v, fn) for v in obj]
     if isinstance(obj, tuple):
         if _all_scalars(map(type, obj)):

@@ -5,7 +5,7 @@ this build reads or writes (``LAYOUT_VERSION``)::
 
     <root>/<image_id>.rimg
         blob-0000 ...     # one codec-v2 value stream (zlib) per locally
-                          #   written payload
+                          #   held payload, encoded or copied
         control           # the SuspendedQuery control record (codec v2)
         manifest          # JSON: per-file offset, size and SHA-256,
                           #   blob table, base image, metadata
@@ -60,8 +60,9 @@ MANIFEST_LABEL = "manifest"
 TRAILER_LABEL = "trailer"
 
 #: Version of the image layout, manifest schema and value encoding this
-#: build reads and writes — the image's only format stamp.
-LAYOUT_VERSION = 3
+#: build reads and writes — the image's only format stamp. 4: a local
+#: blob entry may carry ``section_key``, the key its record embeds.
+LAYOUT_VERSION = 4
 
 #: manifest offset, manifest length, CRC-32 of (offset, length, manifest
 #: bytes), magic — the last bytes of every packed image.
@@ -299,6 +300,10 @@ def validate_manifest_dict(manifest: Any) -> None:
             ):
                 raise ImageFormatError(
                     f"blob {blob['key']!r} names a file the manifest lacks"
+                )
+            if not isinstance(blob.get("section_key", ""), str):
+                raise ImageFormatError(
+                    f"blob {blob['key']!r} has a malformed section_key"
                 )
         elif "ref" in blob:
             ref = blob["ref"]

@@ -7,6 +7,7 @@ rule extended to image bytes — byte-identical re-encode, including
 across two interpreter processes and across chunk sizes.
 """
 
+import collections
 import hashlib
 import os
 import pickle
@@ -410,3 +411,110 @@ def test_cross_process_encode_is_byte_identical(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == local
+
+
+# ----------------------------------------------------------------------
+# The bytes themselves: a fast path may not change them
+# ----------------------------------------------------------------------
+Pair = collections.namedtuple("Pair", "a b")
+
+
+def old_rows_shape(v: list) -> bool:
+    """The row-block test as first written: one generator step per row."""
+    if len(v) < codec2.ROWS_MIN or type(v[0]) is not tuple:
+        return False
+    arity = len(v[0])
+    if not 1 <= arity <= codec2.ROWS_MAX_ARITY:
+        return False
+    return all(type(row) is tuple and len(row) == arity for row in v)
+
+
+cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+)
+arities = st.sampled_from([0, 1, 2, 3, codec2.ROWS_MAX_ARITY, 65])
+row_lists = st.one_of(
+    # same-arity tuples around ROWS_MIN, one column type or mixed
+    arities.flatmap(
+        lambda n: st.lists(
+            st.tuples(*[cells] * n) if n < 8 else st.just((1,) * n),
+            min_size=0,
+            max_size=codec2.ROWS_MIN + 2,
+        )
+    ),
+    # ragged arity
+    st.lists(st.lists(cells, max_size=3).map(tuple), max_size=7),
+    # list rows, namedtuple rows and a mix of row kinds
+    st.lists(
+        st.one_of(
+            st.tuples(cells, cells),
+            st.lists(cells, min_size=2, max_size=2),
+            st.builds(Pair, cells, cells),
+        ),
+        max_size=7,
+    ),
+)
+
+
+@PROP
+@given(rows=row_lists)
+def test_property_rows_shape_agrees_with_its_first_definition(rows):
+    assert codec2._rows_shape(rows) == old_rows_shape(rows)
+
+
+def codec_corpus() -> list:
+    """Fixed values over every encoder branch, row blocks above all:
+    exactly ``ROWS_MIN`` rows and one fewer, arity 64 and 65, ragged,
+    list rows, bool, None and mixed columns, int64 overflow, a block
+    spanning several chunks, and three control records. (A namedtuple
+    is no value of the codec's domain.)"""
+    n = codec2.ROWS_MIN
+    corpus = [
+        None,
+        True,
+        -(2**70),
+        2.5,
+        "x" * 600,
+        [(i, i * 0.5, f"s{i % 3}") for i in range(n)],
+        [(i, float(i)) for i in range(n - 1)],
+        [(i,) * 64 for i in range(n)],
+        [(i,) * 65 for i in range(n)],
+        [(1,), (2, 3), (4,), (5,), (6,)],
+        [[1, 2], [3, 4], [5, 6], [7, 8]],
+        [(i, (i, "p")) for i in range(n)],
+        [(True, 1), (False, 2), (True, 3), (False, None)],
+        [(None, i) for i in range(n)],
+        [(i, float(i) if i % 2 else i, "s" if i % 3 else None) for i in range(9)],
+        [(2**63 + i, -(2**63) - i) for i in range(n)],
+        [(i, i % 7 == 0, f"k{i % 50}", i / 3) for i in range(20_000)],
+        [(), (), (), ()],
+        {"rows": [(i, str(i)) for i in range(n)], "set": {3, 1, 2}},
+        frozenset({"a", "b"}),
+        DumpHandle(store_id=1, key="q/sort#1", pages=3),
+        SortSpec(ScanSpec("R"), key_columns=(0,), buffer_tuples=10),
+    ]
+    corpus += [
+        encode_suspended_query(make_suspended(recipe, rows=rows)[0])
+        for recipe, rows in (("sort", 150), ("hashjoin", 40), ("hashagg", 6))
+    ]
+    return corpus
+
+
+#: SHA-256 of :func:`codec_corpus`'s encodings, each length-prefixed,
+#: recorded with the per-row walks of the encoder: a faster walk may not
+#: change an image's bytes.
+CORPUS_SHA256 = (
+    "0a6ddf97b53a498c4d6f6add7a5b5a72aa923e5da4e21aa5262ca49a1d81a191"
+)
+
+
+def test_corpus_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for value in codec_corpus():
+        data = value if isinstance(value, bytes) else encode_bytes(value)
+        digest.update(len(data).to_bytes(8, "little") + data)
+    assert digest.hexdigest() == CORPUS_SHA256

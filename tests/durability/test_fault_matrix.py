@@ -10,7 +10,9 @@ An image is one packed file: blobs and the control record are binary
 frames streamed into it (a torn write truncates *inside* a CRC'd frame),
 then the manifest, then the trailer. The matrix runs for full commits
 and again for delta commits, where the base image must additionally
-survive every mid-chain crash. Every injected fault strikes before the
+survive every mid-chain crash, and for a rebasing commit — a full image
+that copies the base's sections instead of referencing them — where the
+base must survive the same way. Every injected fault strikes before the
 rename, so it can only leave a ``.rimg.tmp``; the last tests put the
 same torn bytes under the *final* name — as if the rename had become
 durable and the data had not — and require the same verdict.
@@ -47,11 +49,28 @@ _FAULTS: list = []
 def all_faults():
     if not _FAULTS:
         sq, store = make_suspended()
-        scratch = tempfile.mkdtemp(prefix="fault-probe-")
-        points, torn = enumerate_faults(sq, store, scratch)
+        with tempfile.TemporaryDirectory(prefix="fault-probe-") as scratch:
+            points, torn = enumerate_faults(sq, store, scratch)
         _FAULTS.extend(("crash", p) for p in points)
         _FAULTS.extend(("torn", lb) for lb in torn)
     return _FAULTS
+
+
+_REBASE_FAULTS: list = []
+
+
+def rebase_faults():
+    """The faults of a full commit of a query resumed from ``base``: it
+    copies the base's sections (all but the one re-dumped since)."""
+    if not _REBASE_FAULTS:
+        sq, store = make_suspended()
+        with tempfile.TemporaryDirectory(prefix="fault-probe-") as scratch:
+            points, torn = enumerate_faults(
+                sq, store, scratch, base_image_id="base", rebase=True
+            )
+        _REBASE_FAULTS.extend(("crash", p) for p in points)
+        _REBASE_FAULTS.extend(("torn", lb) for lb in torn)
+    return _REBASE_FAULTS
 
 
 def expected_classification(kind: str, name: str) -> set:
@@ -66,24 +85,32 @@ def expected_classification(kind: str, name: str) -> set:
 
 
 def pytest_generate_tests(metafunc):
-    if "fault" in metafunc.fixturenames:
-        cases = all_faults()
-        metafunc.parametrize(
-            "fault", cases, ids=[f"{k}:{n}" for k, n in cases]
-        )
+    for name, faults in (("fault", all_faults), ("rebase_fault", rebase_faults)):
+        if name in metafunc.fixturenames:
+            cases = faults()
+            metafunc.parametrize(
+                name, cases, ids=[f"{k}:{n}" for k, n in cases]
+            )
+
+
+def injector_for(kind: str, name: str) -> FaultInjector:
+    return (
+        FaultInjector.crashing_at(name)
+        if kind == "crash"
+        else FaultInjector.tearing(name)
+    )
 
 
 class TestCrashMatrix:
     def test_fault_leaves_no_silent_corruption(self, fault, tmp_path):
         kind, name = fault
-        injector = (
-            FaultInjector.crashing_at(name)
-            if kind == "crash"
-            else FaultInjector.tearing(name)
-        )
         sq, store = make_suspended()
         outcome = run_one_fault(
-            sq, store, str(tmp_path), injector, fault=f"{kind}:{name}"
+            sq,
+            store,
+            str(tmp_path),
+            injector_for(kind, name),
+            fault=f"{kind}:{name}",
         )
         assert not outcome.silent_corruption, outcome.detail
         assert outcome.classification in expected_classification(kind, name)
@@ -91,6 +118,44 @@ class TestCrashMatrix:
             assert outcome.loaded
         # Every fault except the two post-commit points actually crashed.
         assert outcome.crashed
+
+
+class TestRebaseCrashMatrix:
+    def test_fault_leaves_the_old_chain_loadable(self, rebase_fault, tmp_path):
+        """Every crash point and torn write of a commit that copies
+        sections: the new image torn (or absent, or committed past the
+        rename), the base it copies from committed and loadable."""
+        kind, name = rebase_fault
+        sq, store = make_suspended()
+        outcome = run_one_fault(
+            sq,
+            store,
+            str(tmp_path),
+            injector_for(kind, name),
+            fault=f"{kind}:{name}",
+            base_image_id="base",
+            rebase=True,
+        )
+        assert not outcome.silent_corruption, outcome.detail
+        assert outcome.base_intact, outcome.detail
+        assert outcome.classification in expected_classification(kind, name)
+        if outcome.classification == "committed":
+            assert outcome.loaded
+        assert outcome.crashed
+
+    def test_the_struck_commit_copies_sections(self, tmp_path):
+        """The sweep strikes a full image with copied sections: every one
+        of them gets its own torn write."""
+        sq, store = make_suspended()
+        enumerate_faults(
+            sq, store, str(tmp_path), base_image_id="base", rebase=True
+        )
+        probe = ImageStore(str(tmp_path)).manifest("probe")
+        assert probe["base_image_id"] is None
+        blobs = probe["blobs"]
+        copied = [b for b in blobs if "section_key" in b]
+        assert copied and len(blobs) - len(copied) == 1
+        assert {("torn", b["file"]) for b in blobs} <= set(rebase_faults())
 
 
 def test_matrix_covers_manifest_and_blob_torn_writes():

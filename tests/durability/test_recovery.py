@@ -189,9 +189,10 @@ class TestOldFormatsAreRejected:
         [
             lambda m: m.update(layout_version=1),
             lambda m: m.update(layout_version=2),
+            lambda m: m.update(layout_version=3),
             lambda m: m.pop("layout_version"),
         ],
-        ids=["layout-1", "layout-2", "layout-absent"],
+        ids=["layout-1", "layout-2", "layout-3", "layout-absent"],
     )
     def test_foreign_version_stamp_is_a_format_error_and_torn(
         self, restamp, tmp_path

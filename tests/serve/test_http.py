@@ -11,6 +11,7 @@ import pytest
 from repro.core.lifecycle import SuspendSpec
 from repro.obs import Tracer
 from repro.serve import QueryService, ServeApp, ServeConfig, serve_async
+from repro.serve import http as http_module
 from repro.workloads.plans import serve_catalog
 
 
@@ -203,6 +204,37 @@ class TestLiveServer:
             "code": "header_too_large",
         }
         assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+class TestSlowClient:
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /queries HTTP/1.1\r\nHost: loc",
+            b"POST /queries HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"qu",
+        ],
+        ids=["half_head", "half_body"],
+    )
+    def test_a_stalled_request_is_a_408(
+        self, live_server, monkeypatch, request_bytes
+    ):
+        """Part of a request, then silence: the server answers 408 once
+        its deadline passes instead of holding the connection open."""
+        monkeypatch.setattr(
+            http_module, "REQUEST_TIMEOUT_S", 0.3, raising=False
+        )
+        with socket.create_connection(("127.0.0.1", live_server)) as sock:
+            sock.settimeout(10)
+            sock.sendall(request_bytes)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"408"
+        assert json.loads(body) == {
+            "error": "request not received in time",
+            "code": "request_timeout",
+        }
 
 
 def raw_exchange(port, request_bytes):

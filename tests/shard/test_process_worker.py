@@ -1,5 +1,9 @@
 """Process-backed shard workers: same protocol, real process death."""
 
+import os
+import signal
+import threading
+
 import pytest
 
 from repro.common.errors import InconsistentCutError, ShardError
@@ -7,7 +11,8 @@ from repro.durability import build_recipe
 from repro.engine.config import EngineConfig
 from repro.obs import Tracer
 from repro.shard import ShardCoordinator, classify_shardsets
-from repro.shard.worker_proc import CRASH_EXIT_CODE
+from repro.shard import worker_proc
+from repro.shard.worker_proc import CRASH_EXIT_CODE, ProcessShardWorker
 
 
 def make_coordinator(worker_mode, shards=2, quantum_rows=32, **kwargs):
@@ -135,3 +140,37 @@ class TestProxy:
         inproc = estimates("inproc", ablated)
         assert estimates("process", ablated) == inproc
         assert inproc != estimates("inproc", EngineConfig())
+
+
+class TestHungWorker:
+    def test_a_stopped_child_is_killed_and_the_op_named(self, monkeypatch):
+        """A child that neither answers nor dies (``SIGSTOP``): the call
+        fails with a ``ShardError`` naming the op once the deadline
+        passes, and the child is killed and reaped. The call runs on a
+        daemon thread joined with a timeout, so a call with no deadline
+        fails this test instead of hanging the suite."""
+        worker = ProcessShardWorker(0, 1, tables=[])
+        monkeypatch.setattr(worker_proc, "DEADLINE_S", 0.5, raising=False)
+        os.kill(worker.proc.pid, signal.SIGSTOP)
+        outcome = []
+
+        def call():
+            try:
+                outcome.append(worker._call("now"))
+            except ShardError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        try:
+            assert not thread.is_alive(), "the call has no deadline"
+            (error,) = outcome
+            assert isinstance(error, ShardError)
+            assert "'now'" in str(error) and "0.5 s" in str(error)
+            assert worker.proc.returncode == -signal.SIGKILL
+        finally:
+            if worker.proc.poll() is None:
+                os.kill(worker.proc.pid, signal.SIGCONT)
+                worker.kill()
+            thread.join(timeout=20)
