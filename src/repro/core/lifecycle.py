@@ -371,6 +371,7 @@ class QuerySession:
             # timeline stays continuous across the gap.
             sq.query_clock = self.query_now
             sq.store_keys = list(self.runtime.store.keys)
+            sq.key_counters = self.runtime.store.key_counters(self.name)
         finally:
             self.db.disk.set_lane(prev_lane)
             controller.unsuppress()
@@ -456,6 +457,7 @@ class QuerySession:
         """
         if self.runtime.ops:
             self.root.close()
+            self.runtime.store.close_scope(self.name)
         # Nothing may point back up the tree: the operators, and the rows
         # their buffers and readers still hold, are then freed by
         # reference counting when the session is dropped, not by the
@@ -516,6 +518,7 @@ class QuerySession:
         controller.suppress()
         prev_lane = db.disk.set_lane(session.runtime.lane)
         try:
+            session.runtime.store.carry_key_counters(name, sq.key_counters)
             if sq.migrated_payloads:
                 sq.import_payloads(session.runtime.store)
             else:

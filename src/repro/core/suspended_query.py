@@ -113,6 +113,9 @@ class SuspendedQuery:
     #: never part of an image). A session resumed in place takes them
     #: over, so the query frees its payloads when it finally completes.
     store_keys: list = field(default_factory=list)
+    #: The suspended session's key counters (``StateStore.key_counters``),
+    #: continued by a resume: the keys it draws depend on the image alone.
+    key_counters: dict = field(default_factory=dict)
 
     def entry(self, op_id: int) -> OpSuspendEntry:
         if op_id not in self.entries:
@@ -155,27 +158,23 @@ class SuspendedQuery:
     # Migration support (the Grid scenario)
     # ------------------------------------------------------------------
     def import_payloads(self, store: StateStore) -> None:
-        """Re-home migrated payloads into ``store``, charging the writes,
-        and rewrite every handle in the structure to point at them."""
-        mapping: dict[str, DumpHandle] = {}
+        """Re-home migrated payloads into ``store`` under their own keys,
+        charging the writes, and rewrite every handle in the structure
+        to point at that store."""
+        handles = {
+            key: store.import_payload(
+                key, payload, pages, origin=self.payload_origins.get(key)
+            )
+            for key, (payload, pages) in self.migrated_payloads.items()
+        }
 
         def rehome(handle: DumpHandle) -> DumpHandle:
-            if handle.key in mapping:
-                return mapping[handle.key]
-            if handle.key not in self.migrated_payloads:
+            if handle.key not in handles:
                 raise StorageError(
                     f"migrated SuspendedQuery lacks payload for handle "
                     f"{handle.key!r}"
                 )
-            payload, pages = self.migrated_payloads[handle.key]
-            new = store.import_payload(
-                handle.key,
-                payload,
-                pages,
-                origin=self.payload_origins.get(handle.key),
-            )
-            mapping[handle.key] = new
-            return new
+            return handles[handle.key]
 
         for entry in self.entries.values():
             if entry.dump_handle is not None:

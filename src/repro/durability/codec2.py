@@ -511,6 +511,7 @@ def suspended_query_to_record(sq: SuspendedQuery) -> dict:
         "root_rows_emitted": sq.root_rows_emitted,
         "suspended_at": sq.suspended_at,
         "query_clock": sq.query_clock,
+        "key_counters": sq.key_counters,
     }
 
 
@@ -532,6 +533,7 @@ def suspended_query_from_record(record: dict) -> SuspendedQuery:
         root_rows_emitted=record["root_rows_emitted"],
         suspended_at=record["suspended_at"],
         query_clock=record["query_clock"],
+        key_counters=record["key_counters"],
     )
     for item in record["entries"]:
         sq.add_entry(

@@ -60,9 +60,9 @@ MANIFEST_LABEL = "manifest"
 TRAILER_LABEL = "trailer"
 
 #: Version of the image layout, manifest schema and value encoding this
-#: build reads and writes — the image's only format stamp. 4: a local
-#: blob entry may carry ``section_key``, the key its record embeds.
-LAYOUT_VERSION = 4
+#: build reads and writes — the image's only format stamp. 5: a payload
+#: keeps its key for life, and the control record carries key counters.
+LAYOUT_VERSION = 5
 
 #: manifest offset, manifest length, CRC-32 of (offset, length, manifest
 #: bytes), magic — the last bytes of every packed image.
@@ -300,10 +300,6 @@ def validate_manifest_dict(manifest: Any) -> None:
             ):
                 raise ImageFormatError(
                     f"blob {blob['key']!r} names a file the manifest lacks"
-                )
-            if not isinstance(blob.get("section_key", ""), str):
-                raise ImageFormatError(
-                    f"blob {blob['key']!r} has a malformed section_key"
                 )
         elif "ref" in blob:
             ref = blob["ref"]

@@ -90,8 +90,8 @@ def _commit_base(
     sq: SuspendedQuery, store: StateStore, root: str, base_image_id: str
 ) -> SuspendedQuery:
     """Commit ``base_image_id`` and return the query as a resume from it
-    holds it: loaded back, payloads re-imported under fresh keys whose
-    origins are sections of the base, one of them re-dumped."""
+    holds it: loaded back, payloads re-imported under their keys with
+    sections of the base as origins, one of them re-dumped."""
     image_store = ImageStore(root)
     image_store.save(sq, store, image_id=base_image_id)
     resumed = image_store.load(base_image_id)

@@ -28,9 +28,10 @@ Responsibilities:
 - **copied sections** — a payload whose origin is a section outside the
   new image's chain (the chain a ``MAX_CHAIN`` rebase leaves behind, or
   the image a resumed query was loaded from) is written by copying the
-  section's verified bytes, never decoded or re-encoded; its blob entry
-  records the key the copied record embeds (``section_key``). A section
-  that is gone or no longer verifies is encoded afresh instead;
+  section's verified bytes, never decoded or re-encoded (a payload keeps
+  the key its record embeds for life, so the copy is that record
+  verbatim). A section that is gone or no longer verifies is encoded
+  afresh instead;
 - :meth:`ImageStore.save_many` — commit a batch of images (one memory-
   pressure event's victims) serially in request order, after every
   request in the batch has been checked;
@@ -121,13 +122,6 @@ def _is_cut(manifest: dict) -> bool:
     return bool((manifest.get("meta") or {}).get(CUT_META_KEY))
 
 
-def _section_key(blob: dict) -> str:
-    """The key a local blob's record embeds: the key it was first written
-    under, which a copied section keeps (``section_key``) while the
-    payload lives on under another."""
-    return blob.get("section_key", blob["key"])
-
-
 def _held_sections(manifest: dict) -> dict[str, dict]:
     """``section -> {key, pages, sha256, bytes}`` for every payload an
     image physically holds (its references to ancestors excluded) — what
@@ -136,7 +130,7 @@ def _held_sections(manifest: dict) -> dict[str, dict]:
     files = manifest["files"]
     return {
         blob["file"]: {
-            "key": _section_key(blob),
+            "key": blob["key"],
             "pages": blob["pages"],
             "sha256": files[blob["file"]]["sha256"],
             "bytes": files[blob["file"]]["bytes"],
@@ -212,11 +206,10 @@ class _LocalBlob:
     key: str
     pages: int
     payload: Any = None
-    #: A section of another image that holds this payload's bytes, and
-    #: the key its record embeds; ``handle`` exports the payload in case
-    #: the section no longer verifies when it is copied.
+    #: A section of another image that holds this payload's bytes;
+    #: ``handle`` exports the payload in case the section no longer
+    #: verifies when it is copied.
     copy_of: Optional[PayloadOrigin] = None
-    section_key: Optional[str] = None
     handle: Optional[DumpHandle] = None
 
 
@@ -419,12 +412,7 @@ class ImageStore:
                 # query): copy the section's bytes, not re-encode them.
                 local_blobs.append(
                     _LocalBlob(
-                        name,
-                        key,
-                        handle.pages,
-                        copy_of=origin,
-                        section_key=section["key"],
-                        handle=handle,
+                        name, key, handle.pages, copy_of=origin, handle=handle
                     )
                 )
             else:
@@ -469,17 +457,12 @@ class ImageStore:
         """Encode (or copy) and durably write one prepared image."""
         self.injector.point("begin")
         start = time.perf_counter()
-        #: file name -> the key its copied section's record embeds
-        copied: dict[str, str] = {}
 
         def build_manifest(table: dict) -> dict:
-            blobs = []
-            for blob in prep.local_blobs:
-                entry = {"file": blob.name, "key": blob.key, "pages": blob.pages}
-                section_key = copied.get(blob.name)
-                if section_key not in (None, blob.key):
-                    entry["section_key"] = section_key
-                blobs.append(entry)
+            blobs = [
+                {"file": blob.name, "key": blob.key, "pages": blob.pages}
+                for blob in prep.local_blobs
+            ]
             blobs.extend(dict(entry) for entry in prep.ref_blobs)
             blobs.sort(key=lambda b: b["key"])
             return {
@@ -515,7 +498,6 @@ class ImageStore:
                                 f"be exported instead: {export_exc}"
                             ) from export_exc
                     else:
-                        copied[blob.name] = blob.section_key
                         sink(data)
                         return
                 record = {"key": blob.key, "pages": blob.pages, "payload": payload}
@@ -550,13 +532,8 @@ class ImageStore:
     ) -> ImageInfo:
         tracer = tracer if tracer is not None else NULL_TRACER
         manifest = result["manifest"]
-        total = result["payload_bytes"]
-        written = total
-        delta_ratio = (
-            written / (written + prep.reused_bytes)
-            if (written + prep.reused_bytes) > 0
-            else 1.0
-        )
+        total = result["payload_bytes"]  # > 0: the control section counts
+        delta_ratio = total / (total + prep.reused_bytes)
         if tracer.enabled:
             now = tracer.now()
             tracer.event(
@@ -572,7 +549,7 @@ class ImageStore:
                 step="control",
                 bytes=result["control_bytes"],
             )
-            # payload_bytes/bytes_written exclude the manifest (its
+            # payload_bytes excludes the manifest (its
             # commit time differs between runs, and trace records must
             # stay byte-deterministic). encode_seconds is wall clock, so
             # it goes to the volatile metrics only, never into trace
@@ -587,14 +564,12 @@ class ImageStore:
                 reused_blobs=len(prep.ref_blobs),
                 blob_pages=result["blob_pages"],
                 payload_bytes=total,
-                bytes_written=written,
                 reused_bytes=prep.reused_bytes,
                 delta_ratio=round(delta_ratio, 6),
             )
             metrics = tracer.metrics
             metrics.counter("image_commits_total").inc()
             metrics.counter("image_payload_bytes_total").inc(total)
-            metrics.counter("image_bytes_written_total").inc(written)
             metrics.counter(
                 "image_reused_bytes_total"
             ).inc(prep.reused_bytes)
@@ -673,16 +648,35 @@ class ImageStore:
 
     def chain(self, image_id: str) -> list[str]:
         """The base+delta chain, tip first, ending at the full image."""
+        chain, error = self._chain_in(image_id)
+        if error is not None:
+            raise error
+        return chain
+
+    def _chain_in(
+        self, image_id: str, manifests: Optional[dict] = None
+    ) -> tuple[list[str], Optional[ReproError]]:
+        """The base+delta chain of ``image_id``, tip first, as far as it
+        resolves through ``manifests`` (default: the images on disk), and
+        the error that stopped it short of a full image, if any."""
         chain: list[str] = []
         current: Optional[str] = image_id
         while current is not None:
             if current in chain or len(chain) >= MAX_CHAIN_WALK:
-                raise ImageFormatError(
+                return chain, ImageFormatError(
                     f"image chain at {image_id!r} is cyclic or too deep"
                 )
             chain.append(current)
-            current = self.manifest(current).get("base_image_id")
-        return chain
+            try:
+                manifest = (
+                    manifests[current] if manifests else self.manifest(current)
+                )
+            except KeyError:
+                return chain, ImageNotFoundError(f"no image {current!r}")
+            except (ImageNotFoundError, ImageFormatError) as exc:
+                return chain, exc
+            current = manifest.get("base_image_id")
+        return chain, None
 
     @contextlib.contextmanager
     def _readers(self):
@@ -708,23 +702,19 @@ class ImageStore:
             yield reader_of
 
     @staticmethod
-    def _staged(
-        data: bytes, fname: str, first_key: str, pages: int
-    ) -> StagedPayload:
+    def _staged(data: bytes, fname: str, key: str, pages: int) -> StagedPayload:
         """The verified section bytes ``data`` as a payload the state
-        store decodes on first read. A blob record embeds the key it was
-        first written under, so it is cross-checked against the entry of
-        the image that holds the section (``first_key``, its
-        :func:`_section_key`; a reference or a copy keeps the section and
-        may name it by a later key) — at decode time, before the payload
-        reaches any reader."""
+        store decodes on first read. A blob record embeds its payload's
+        key, so it is cross-checked against the blob entry naming it
+        (``key``, ``pages``) — at decode time, before the payload reaches
+        any reader."""
 
         def decode():
             record = codec2.decode_bytes(data)
             fields = {"key", "pages", "payload"}
             if not isinstance(record, dict) or not fields <= set(record):
                 raise ImageFormatError("malformed image blob record")
-            if record["key"] != first_key or record["pages"] != pages:
+            if record["key"] != key or record["pages"] != pages:
                 raise ImageFormatError(
                     f"blob {fname!r} does not match its manifest entry"
                 )
@@ -733,15 +723,15 @@ class ImageStore:
         return StagedPayload(decode)
 
     @staticmethod
-    def _check_record_key(data: bytes, fname: str, first_key: str) -> None:
-        """Raise unless the verified section ``data`` embeds ``first_key``
-        — what :meth:`_staged` checks at first read, for :meth:`validate`,
+    def _check_record_key(data: bytes, fname: str, key: str) -> None:
+        """Raise unless the verified section ``data`` embeds ``key`` —
+        what :meth:`_staged` checks at first read, for :meth:`validate`,
         from the head of the record without decoding its payload."""
         try:
-            key = codec2.record_key(data)
+            embedded = codec2.record_key(data)
         except codec2.CodecError as exc:
             raise ImageFormatError(f"blob {fname!r}: {exc}") from exc
-        if key != first_key:
+        if embedded != key:
             raise ImageFormatError(
                 f"blob {fname!r} does not match its manifest entry"
             )
@@ -779,12 +769,10 @@ class ImageStore:
                 else:
                     owner_id = blob["ref"]["image_id"]
                     fname = blob["ref"]["file"]
-                    self._check_ref(blob, chain, reader_of)
+                    self._check_ref(blob, chain, lambda i: reader_of(i)[2])
                 _, read, held = reader_of(owner_id)
                 payloads[blob["key"]] = (
-                    self._staged(
-                        read(fname), fname, held[fname]["key"], blob["pages"]
-                    ),
+                    self._staged(read(fname), fname, blob["key"], blob["pages"]),
                     blob["pages"],
                 )
                 origins[blob["key"]] = PayloadOrigin(
@@ -807,9 +795,10 @@ class ImageStore:
             return codec2.decode_bytes(read(manifest["control_file"]))
 
     @staticmethod
-    def _check_ref(blob: dict, chain: list[str], reader_of) -> None:
-        """Raise unless a reference names a payload section, of the same
-        page count, held by an image of ``chain``.
+    def _check_ref(blob: dict, chain: list[str], held_of) -> None:
+        """Raise unless a reference names a payload section held by an
+        image of ``chain`` (``held_of(image_id)``: its
+        :func:`_held_sections`) under the same key and page count.
 
         :meth:`gc` and :meth:`delete_chain` keep a tip's ``base_image_id``
         chain and nothing else, so bytes referenced from outside it would
@@ -821,11 +810,11 @@ class ImageStore:
                 f"reference into {ref['image_id']!r}, which is not in the "
                 "image's base chain"
             )
-        held = reader_of(ref["image_id"])[2].get(ref["file"])
-        if held is None or held["pages"] != blob["pages"]:
+        held = held_of(ref["image_id"]).get(ref["file"], {})
+        if (held.get("key"), held.get("pages")) != (blob["key"], blob["pages"]):
             raise ImageFormatError(
                 f"{ref['image_id']!r} holds no {blob['pages']}-page payload "
-                f"section {ref['file']!r}"
+                f"section {ref['file']!r} of {blob['key']!r}"
             )
 
     def info(self, image_id: str) -> ImageInfo:
@@ -841,10 +830,8 @@ class ImageStore:
                     ]
                 except (ImageNotFoundError, ImageFormatError, KeyError):
                     pass  # validate() reports broken refs in detail
-        try:
-            chain_length = len(self.chain(image_id)) if base else 1
-        except (ImageNotFoundError, ImageFormatError):
-            chain_length = 1
+        chain, error = self._chain_in(image_id)
+        chain_length = len(chain) if base and error is None else 1
         size = os.path.getsize(self._image_path(image_id))
         return self._image_info(manifest, size, chain_length, reused)
 
@@ -892,15 +879,37 @@ class ImageStore:
         same page count, and the section must verify against the
         ancestor's checksums.
         """
-        problems: list[str] = []
+        manifest, problems = self._own_problems(image_id)
+        if manifest is None:
+            return problems
+        problems += self._link_problems(image_id)
+        with self._readers() as reader_of:
+            for blob in manifest["blobs"]:
+                if "ref" not in blob:
+                    continue
+                ref = blob["ref"]
+                try:
+                    reader_of(ref["image_id"])[1](ref["file"])
+                except (ImageNotFoundError, ImageFormatError) as exc:
+                    problems.append(
+                        f"unresolvable blob reference {blob['key']!r} -> "
+                        f"{ref['image_id']}/{ref['file']}: {exc}"
+                    )
+        return problems
+
+    def _own_problems(self, image_id: str) -> tuple[Optional[dict], list[str]]:
+        """``image_id``'s manifest from disk (``None`` if unreadable) and
+        the problems of its own files: all :meth:`validate` checks but
+        the chain, each file read and hashed once."""
         # Validation is about what is on disk — bypass the cache.
         self._manifest_cache.pop(image_id, None)
         try:
             manifest = self.manifest(image_id)
         except ImageNotFoundError:
-            return [f"image {image_id!r} not found"]
+            return None, [f"image {image_id!r} not found"]
         except ImageFormatError as exc:
-            return [str(exc)]
+            return None, [str(exc)]
+        problems: list[str] = []
         with self._readers() as reader_of:
             _, read, held = reader_of(image_id)
             for name in manifest["files"]:
@@ -910,24 +919,25 @@ class ImageStore:
                         self._check_record_key(data, name, held[name]["key"])
                 except ImageFormatError as exc:
                     problems.append(str(exc))
-            chain = None
+        return manifest, problems
+
+    def _link_problems(
+        self, image_id: str, manifests: Optional[dict] = None
+    ) -> list[str]:
+        """Problems of ``image_id``'s chain (through ``manifests``, or from
+        disk) and references (:meth:`_check_ref`): manifests only."""
+        chain, error = self._chain_in(image_id, manifests)
+        if error is not None:
+            return [f"broken image chain: {error}"]
+        manifest_of = manifests.__getitem__ if manifests else self.manifest
+        held = {iid: _held_sections(manifest_of(iid)) for iid in chain}
+        problems = []
+        for blob in manifest_of(image_id)["blobs"]:
             try:
-                chain = self.chain(image_id)
-            except (ImageNotFoundError, ImageFormatError) as exc:
-                problems.append(f"broken image chain: {exc}")
-            for blob in manifest["blobs"]:
-                if "ref" not in blob:
-                    continue
-                ref = blob["ref"]
-                try:
-                    if chain is not None:
-                        self._check_ref(blob, chain, reader_of)
-                    reader_of(ref["image_id"])[1](ref["file"])
-                except (ImageNotFoundError, ImageFormatError) as exc:
-                    problems.append(
-                        f"unresolvable blob reference {blob['key']!r} -> "
-                        f"{ref['image_id']}/{ref['file']}: {exc}"
-                    )
+                if "ref" in blob:
+                    self._check_ref(blob, chain, held.__getitem__)
+            except ImageFormatError as exc:
+                problems.append(f"blob reference {blob['key']!r}: {exc}")
         return problems
 
     # ------------------------------------------------------------------
@@ -948,18 +958,6 @@ class ImageStore:
             raise ImageNotFoundError(f"no image {image_id!r}")
         fsync_dir(self.root)
 
-    @staticmethod
-    def _chain_in(manifests: dict, image_id: str) -> list[str]:
-        """The base+delta chain of ``image_id``, tip first, walked through
-        an ``id -> manifest`` map as far as it resolves."""
-        chain = [image_id]
-        while chain[-1] in manifests and len(chain) <= MAX_CHAIN_WALK:
-            base = manifests[chain[-1]].get("base_image_id")
-            if base is None or base in chain:
-                break
-            chain.append(base)
-        return chain
-
     def delete_chain(self, image_id: str) -> list[str]:
         """Delete an image together with its whole base+delta chain.
 
@@ -974,7 +972,7 @@ class ImageStore:
             base = manifest.get("base_image_id")
             if base is not None:
                 dependents.setdefault(base, []).append(iid)
-        doomed = self._chain_in(manifests, image_id)
+        doomed, _ = self._chain_in(image_id, manifests)
         seen = set(doomed)
         for iid in doomed:  # grows while iterating: transitive dependents
             for dep in dependents.get(iid, ()):
@@ -998,7 +996,7 @@ class ImageStore:
         manifests = self._manifests()
         protected: set[str] = set()
         for iid in set(keep or ()) | self.pins():
-            protected.update(self._chain_in(manifests, iid))
+            protected.update(self._chain_in(iid, manifests)[0])
         oldest_first = sorted(
             manifests, key=lambda i: (manifest_created_at(manifests[i]), i)
         )
@@ -1148,50 +1146,47 @@ class ImageStore:
 
         A crash mid-way through a *delta* commit quarantines only the
         torn tip: its base chain was committed earlier, still verifies,
-        and remains resumable. Deltas are scanned after their bases
-        (chain walks look upward only), so a quarantined base also takes
-        its now-unresolvable deltas to quarantine on the same scan or
-        the next one.
+        and remains resumable. A torn base takes its now-unresolvable
+        deltas to quarantine on the same scan: every file is hashed once,
+        then the chains are decided from the manifests
+        (:meth:`_link_problems`).
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         # Quarantine moves entries without going through delete().
         self._manifest_cache.clear()
-        report = RecoveryReport()
-        entry_of: dict[str, str] = {}  # committed image id -> root entry
+        entries: list[tuple] = []  # (name, label, status: None = an image)
+        committed: dict[str, dict] = {}  # image id -> manifest
         for name in sorted(os.listdir(self.root)):
             if name in (QUARANTINE_DIR, TOKENS_NAME):
                 continue
-            label = name
+            label, status = name, "orphaned"
             if os.path.isdir(os.path.join(self.root, name)):
-                status = "orphaned"
+                pass
             elif name.endswith(IMAGE_SUFFIX):
-                label = name[: -len(IMAGE_SUFFIX)]
-                status = "torn" if self.validate(label) else "committed"
+                label, status = name[: -len(IMAGE_SUFFIX)], None
+                manifest, problems = self._own_problems(label)
+                if not problems:
+                    committed[label] = manifest
             elif name.endswith(IMAGE_SUFFIX + TMP_SUFFIX):
                 label = name[: -len(IMAGE_SUFFIX + TMP_SUFFIX)]
                 status = "torn"
-            else:
-                status = "orphaned"
+            entries.append((name, label, status))
+        # Dropping an image strands deltas on it: sweep until stable.
+        while stranded := [
+            iid for iid in committed if self._link_problems(iid, committed)
+        ]:
+            for iid in stranded:
+                del committed[iid]
+        report = RecoveryReport()
+        for name, label, status in entries:
+            status = status or ("committed" if label in committed else "torn")
             getattr(report, status).append(label)
-            if status == "committed":
-                entry_of[label] = name
-            else:
+            if status != "committed":
                 self._quarantine(name, report)
             if tracer.enabled:
                 tracer.event(
                     "image.recover_entry", image_id=label, status=status
                 )
-        # A base quarantined on this pass strands deltas scanned before
-        # it; sweep until the set of committed images is self-consistent.
-        swept = True
-        while swept:
-            swept = False
-            for image_id in list(report.committed):
-                if self.validate(image_id):
-                    report.committed.remove(image_id)
-                    report.torn.append(image_id)
-                    self._quarantine(entry_of[image_id], report)
-                    swept = True
         if tracer.enabled:
             tracer.event(
                 "image.recover",

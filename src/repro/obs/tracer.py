@@ -41,7 +41,7 @@ from typing import Optional
 from repro.obs.metrics import MetricsRegistry
 
 #: Version of the trace record schema (see docs/PROTOCOL.md section 7).
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 
 
 def make_trace_id(*parts) -> str:

@@ -25,7 +25,8 @@ Routes (see docs/SERVING.md for a curl session):
 
 Error mapping: a malformed request (a ``Content-Length`` that is not a
 decimal count, a body that is not a JSON object, a ``priority`` that is
-not an integer) or a malformed token → 400, already redeemed → 409
+not an integer, an ``"as"`` that is not a session name — code
+``bad_name``) or a malformed token → 400, already redeemed → 409
 (conflict: the continuation was consumed), image GC'd → 410 (gone),
 unknown catalog entry / unknown progress query / unknown route → 404,
 duplicate session name → 409, oversized body → 413, a request line or
@@ -40,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import re
 import threading
 from typing import Optional
 
@@ -58,6 +60,8 @@ MAX_BODY_BYTES = 1 << 20
 #: in a 4 s ``serve_hops`` run, 2-core machine); 10 s also admits a
 #: ``MAX_BODY_BYTES`` body sent at 100 KiB/s or faster.
 REQUEST_TIMEOUT_S = 10.0
+#: A client-chosen session name (``"as"``), which prefixes image ids.
+SESSION_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,63}")
 
 
 class ServeApp:
@@ -123,7 +127,12 @@ class ServeApp:
                     "error": f"unknown query {name!r}",
                     "queries": sorted(self.catalog),
                 }
-            session = body.get("as") or self._session_name(name)
+            session = body.get("as")
+            if session is None:
+                session = self._session_name(name)
+            elif type(session) is not str or not SESSION_NAME.fullmatch(session):
+                error = f"bad session name {session!r}"
+                return 400, {"error": error, "code": "bad_name"}
             priority = body.get("priority", 0)
             if not isinstance(priority, int):
                 return 400, {"error": f"priority {priority!r} is not an integer"}

@@ -13,41 +13,22 @@ bookkeeping about real bytes only — nothing here is charged for it — and
 is what lets a delta image reference an unchanged payload instead of
 re-encoding it (``repro.durability.store``).
 
-A payload imported from an image arrives *staged* (:class:`StagedPayload`)
-and is decoded by the first read of its handle, so state a resume never
-touches is never decoded; an import whose section the store already
-holds under another live key shares that payload.
+A payload keeps the key it was first dumped under for its whole life: an
+import from an image stores it under that key again. It arrives *staged*
+(:class:`StagedPayload`) and is decoded by the first read of its handle,
+so state a resume never touches is never decoded; an import of a key the
+store already holds for the same section shares that payload.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.common.errors import StorageError
 from repro.storage.disk import SimulatedDisk
-
-
-#: A key minted by ``import_payload``: ``[<scope>/]import_<key>#<n>``.
-_IMPORTED_KEY = re.compile(r"^(?:[^/]*/)?import_(.*)#\d+$")
-
-
-def import_prefix(key: str) -> str:
-    """Fresh-key prefix for re-homing the payload stored under ``key``.
-
-    Derived from the key the payload was *first* dumped under: a payload
-    that has already been through an import (its key carries
-    ``import_...#n``) is unwrapped first, so a query that hops through
-    many images keeps keys of bounded length instead of one more
-    ``<scope>/import_`` layer per hop — keys are serialized into every
-    manifest, control record and blob header.
-    """
-    while (match := _IMPORTED_KEY.match(key)) is not None:
-        key = match.group(1)
-    return f"import_{key}"
 
 
 @dataclass(frozen=True)
@@ -104,13 +85,12 @@ class StateStore:
         self._disk = disk
         self._store_id = next(self._ids)
         self._objects: dict[str, tuple[Any, int]] = {}
-        self._key_seq = itertools.count(1)
-        # Per-(scope, prefix) counters for query-scoped keys. Scoped keys
-        # make the key sequence a query draws independent of how the
-        # scheduler interleaves it with other queries — dump keys are
-        # serialized into suspend images, so without scoping the image
-        # bytes would depend on what *other* queries did first.
-        self._scoped_seq: dict[tuple[str, str], itertools.count] = {}
+        # Key counters per scope (see :meth:`fresh_key`): dump keys are
+        # serialized into suspend images. A suspend carries its scope's
+        # counters, a resume continues them, and they go when the scope's
+        # last open session closes (:meth:`close_scope`).
+        self._counters: dict[Optional[str], dict[str, int]] = {}
+        self._open_scopes: dict[str, int] = {}  # scope -> open sessions
         # Payload provenance: key -> the image section that already holds
         # this payload's bytes. Recorded when a payload is imported from a
         # verified section or has just been committed to one; dropped by
@@ -119,9 +99,8 @@ class StateStore:
         # side table, not a DumpHandle field: handles are serialized into
         # control records, provenance must never change image bytes.
         self._origins: dict[str, PayloadOrigin] = {}
-        # The reverse lookup: origin -> the live keys whose payload is
-        # that section. They all share one payload object.
-        self._holders: dict[PayloadOrigin, set[str]] = {}
+        # key -> imports sharing its live payload beyond the first holder.
+        self._sharers: dict[str, int] = {}
 
     def fresh_key(self, prefix: str, scope: Optional[str] = None) -> str:
         """Generate a unique key with the given prefix.
@@ -130,12 +109,42 @@ class StateStore:
         namespaced as ``scope/prefix#N`` with a counter private to that
         (scope, prefix) pair, so the keys one query draws are a pure
         function of its own dump sequence. Unscoped keys keep the legacy
-        ``prefix#N`` format off a store-global counter.
+        ``prefix#N`` format off a store-global counter. A live key is
+        never drawn again.
         """
-        if scope is None:
-            return f"{prefix}#{next(self._key_seq)}"
-        seq = self._scoped_seq.setdefault((scope, prefix), itertools.count(1))
-        return f"{scope}/{prefix}#{next(seq)}"
+        counters = self._counters.setdefault(scope, {})
+        slot = prefix if scope is not None else ""
+        while True:
+            n = counters[slot] = counters.get(slot, 0) + 1
+            key = f"{prefix}#{n}" if scope is None else f"{scope}/{prefix}#{n}"
+            if key not in self._objects:
+                return key
+
+    def key_counters(self, scope: Optional[str]) -> dict[str, int]:
+        """``scope``'s key counters: ``{prefix: last n}``, or ``{"": n}``
+        (the store-global counter) for ``None``."""
+        return dict(self._counters.get(scope, ()))
+
+    def carry_key_counters(
+        self, scope: Optional[str], counters: dict[str, int]
+    ) -> None:
+        """Continue counters a suspend recorded: each becomes the larger
+        of its live and its carried value."""
+        live = self._counters.setdefault(scope, {})
+        live.update((k, n) for k, n in counters.items() if n > live.get(k, 0))
+
+    def open_scope(self, scope: Optional[str]) -> None:
+        if scope is not None:
+            self._open_scopes[scope] = self._open_scopes.get(scope, 0) + 1
+
+    def close_scope(self, scope: Optional[str]) -> None:
+        """A session of ``scope`` closed; with the last one, the scope's
+        key counters go (its suspends recorded them)."""
+        if scope is not None:
+            self._open_scopes[scope] -= 1
+            if not self._open_scopes[scope]:
+                del self._open_scopes[scope]
+                self._counters.pop(scope, None)
 
     def dump(self, key: str, payload: Any, pages: int) -> DumpHandle:
         """Store ``payload`` under ``key``, charging ``pages`` page writes."""
@@ -150,7 +159,7 @@ class StateStore:
         nothing is charged here, and the owner keeps charging its own
         reads (see :meth:`peek`)."""
         self._objects[key] = (payload, pages)
-        self._forget_origin(key)
+        self._origins.pop(key, None)
         return DumpHandle(self._store_id, key, pages)
 
     def dump_tuples(
@@ -212,46 +221,25 @@ class StateStore:
         pages: int,
         origin: Optional[PayloadOrigin] = None,
     ) -> DumpHandle:
-        """Store a migrated payload under a fresh local key, charging the
-        page writes — the receiving side of a migration pays the transfer.
+        """Store a migrated payload under its own key, charging the page
+        writes — the receiving side of a migration pays the transfer.
 
         ``origin`` names the verified image section the payload is
         (``ImageStore.load`` supplies it, payload staged); see
-        :meth:`origin_of`. If the store holds that section under another
-        live key, the new key shares its payload, decoded or still
-        staged, and ``payload`` is dropped. The charge is the same.
+        :meth:`origin_of`. If ``key`` is live, with an origin of the same
+        SHA-256, the import shares that payload, decoded or still staged,
+        for the same charge; any other live key raises StorageError.
         """
-        return self._import_as(
-            self.fresh_key(import_prefix(key)), payload, pages, origin
-        )
-
-    def _import_as(
-        self,
-        key: str,
-        payload: Any,
-        pages: int,
-        origin: Optional[PayloadOrigin],
-    ) -> DumpHandle:
-        for holder in self._holders.get(origin, ()):
-            payload = self._objects[holder][0]
-            break
+        if key in self._objects:
+            held = self._origins.get(key)
+            if origin is None or held is None or held.sha256 != origin.sha256:
+                raise StorageError(f"payload {key!r} is live with other bytes")
+            payload = self._objects[key][0]
+            self._sharers[key] = self._sharers.get(key, 0) + 1
         handle = self.dump(key, payload, pages)
         if origin is not None:
-            self._set_origin(key, origin)
+            self._origins[key] = origin
         return handle
-
-    def _set_origin(self, key: str, origin: PayloadOrigin) -> None:
-        self._forget_origin(key)
-        self._origins[key] = origin
-        self._holders.setdefault(origin, set()).add(key)
-
-    def _forget_origin(self, key: str) -> None:
-        origin = self._origins.pop(key, None)
-        if origin is not None:
-            holders = self._holders[origin]
-            holders.discard(key)
-            if not holders:
-                del self._holders[origin]
 
     def free(self, handle: DumpHandle) -> None:
         """Release a payload. Freeing is not charged (deallocation)."""
@@ -259,10 +247,16 @@ class StateStore:
         self.free_keys((handle.key,))
 
     def free_keys(self, keys) -> None:
-        """Release the payloads under ``keys``; absent keys are skipped."""
+        """Release the payloads under ``keys``; absent keys are skipped,
+        and a shared payload goes with its last holder."""
         for key in keys:
+            sharers = self._sharers.pop(key, 0)
+            if sharers > 1:
+                self._sharers[key] = sharers - 1
+            if sharers:
+                continue
             self._objects.pop(key, None)
-            self._forget_origin(key)
+            self._origins.pop(key, None)
 
     def origin_of(self, key: str) -> Optional[PayloadOrigin]:
         """The image section that holds ``key``'s payload, if one is known.
@@ -279,7 +273,7 @@ class StateStore:
         """Record that ``key``'s payload has just been durably committed
         as ``origin`` (``ImageStore`` calls this after a save)."""
         if key in self._objects:
-            self._set_origin(key, origin)
+            self._origins[key] = origin
 
     def exists(self, key: str) -> bool:
         return key in self._objects
@@ -315,6 +309,7 @@ class ScopedStateStore:
         self._base = base
         self.scope = scope
         self.keys: list[str] = []
+        base.open_scope(scope)  # closed by QuerySession.close
 
     def fresh_key(self, prefix: str) -> str:
         key = self._base.fresh_key(prefix, scope=self.scope)
@@ -333,9 +328,9 @@ class ScopedStateStore:
         pages: int,
         origin: Optional[PayloadOrigin] = None,
     ) -> DumpHandle:
-        return self._base._import_as(
-            self.fresh_key(import_prefix(key)), payload, pages, origin
-        )
+        handle = self._base.import_payload(key, payload, pages, origin)
+        self.keys.append(key)
+        return handle
 
     def __getattr__(self, name):
         return getattr(self._base, name)

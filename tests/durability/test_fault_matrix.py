@@ -33,6 +33,7 @@ from repro.durability import (
 from repro.durability.faults import FaultInjector, InjectedCrash
 from repro.durability.format import IMAGE_SUFFIX, TRAILER, ImageFormatError
 from repro.durability.harness import run_one_fault
+from repro.storage.statefile import StateStore
 
 
 def make_suspended():
@@ -143,18 +144,30 @@ class TestRebaseCrashMatrix:
             assert outcome.loaded
         assert outcome.crashed
 
-    def test_the_struck_commit_copies_sections(self, tmp_path):
+    def test_the_struck_commit_copies_sections(self, tmp_path, monkeypatch):
         """The sweep strikes a full image with copied sections: every one
         of them gets its own torn write."""
         sq, store = make_suspended()
+        exported = []
+        real_export = StateStore.export_payload
+
+        def export_payload(self, handle):
+            exported.append(handle.key)
+            return real_export(self, handle)
+
+        monkeypatch.setattr(StateStore, "export_payload", export_payload)
         enumerate_faults(
             sq, store, str(tmp_path), base_image_id="base", rebase=True
         )
-        probe = ImageStore(str(tmp_path)).manifest("probe")
+        images = ImageStore(str(tmp_path))
+        probe, base = images.manifest("probe"), images.manifest("base")
         assert probe["base_image_id"] is None
         blobs = probe["blobs"]
-        copied = [b for b in blobs if "section_key" in b]
-        assert copied and len(blobs) - len(copied) == 1
+        # The base exported every payload; after it only the re-dumped
+        # one was (to re-dump it, then to encode it in the struck commit),
+        # which copied every other section.
+        assert len(blobs) == len(base["blobs"]) > 1
+        assert len(set(exported[len(blobs) :])) == 1
         assert {("torn", b["file"]) for b in blobs} <= set(rebase_faults())
 
 
@@ -200,7 +213,7 @@ def test_delta_matrix_base_survives_every_fault(tmp_path):
     assert all(o.loaded for o in committed)
     # The struck commit really was a provenance delta across a load: the
     # two that survived hold one rewritten payload and reference the rest
-    # in ``base`` under the keys the re-import minted.
+    # in ``base``, every one under the key it was first dumped under.
     survivors = sorted(tmp_path.glob("crash-*/img" + IMAGE_SUFFIX))
     assert len(survivors) == 2
     for path in survivors:
@@ -210,8 +223,7 @@ def test_delta_matrix_base_survives_every_fault(tmp_path):
         refs = [b for b in blobs if "ref" in b]
         assert refs and len(blobs) - len(refs) == 1
         assert all(b["ref"]["image_id"] == "base" for b in refs)
-        assert all("import_" in b["key"] for b in refs)
-        assert not base_keys & {b["key"] for b in blobs}
+        assert {b["key"] for b in blobs} == base_keys
 
 
 # ----------------------------------------------------------------------

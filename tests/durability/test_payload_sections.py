@@ -4,8 +4,8 @@ at most once per state store.
 Spilled hash partitions are payload sections of their own (written by the
 first image, referenced by every later delta); ``ImageStore.load``
 verifies every section but decodes none; the state store decodes a staged
-payload on its first read and shares one payload among all keys imported
-from the same section.
+payload on its first read, and an import of a key it already holds for
+the same section shares that payload.
 """
 
 import dataclasses
@@ -15,9 +15,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.lifecycle import QuerySession, SuspendSpec
-from repro.durability import ImageStore, codec2
+from repro.durability import ImageStore, build_recipe, codec2
 from repro.durability.format import CONTROL_NAME_V2, ImageFormatError
 from repro.engine.plan import HybridHashJoinSpec, ScanSpec
+from repro.engine.runtime import SuspendTrigger
 from repro.relational.expressions import EquiJoinCondition
 from repro.storage.statefile import DumpHandle
 from tests.conftest import flip_byte, make_small_db
@@ -200,16 +201,16 @@ class TestDecodedAtMostOnce:
             session = QuerySession.resume(db, store.load(image_id), name="q")
             rows += run_into(session, 4 + cycle)
         # The saving database already held every section: nothing was
-        # ever decoded, and every key of one origin shares one object.
+        # ever decoded, and each section is one key, whose payload every
+        # reload shared.
         assert decoded_sections == []
         state = db.state_store
-        by_origin = {}
-        for key, (payload, _) in state._objects.items():
+        keys_of = {}
+        for key in state._objects:
             if state.origin_of(key) is not None:
-                by_origin.setdefault(state.origin_of(key), set()).add(id(payload))
-        assert len(by_origin) == 12
-        assert all(len(objects) == 1 for objects in by_origin.values())
-        assert max(len(h) for h in state._holders.values()) == 5
+                keys_of.setdefault(state.origin_of(key), []).append(key)
+        assert len(keys_of) == 12
+        assert all(len(keys) == 1 for keys in keys_of.values())
         rows += session.execute().rows
         assert rows == reference()
 
@@ -219,6 +220,59 @@ class TestDecodedAtMostOnce:
         assert decoded_sections
         mine = {id(p) for p, _ in state._objects.values()}
         assert not mine & {id(p) for p, _ in other.state_store._objects.values()}
+
+
+class TestOneImageResumedTwice:
+    """Two sessions of one scope resumed from one image into one
+    database share the image's payloads (one key each) and continue its
+    key counters."""
+
+    @staticmethod
+    def twins(tmp_path):
+        """The sort stopped in its run generation (two sublists written),
+        imaged, and resumed twice into one database; the rows so far."""
+        db, plan = build_recipe("sort")
+        first = QuerySession(db, plan, name="q")
+        rows = first.execute(
+            suspend_when=SuspendTrigger("scan_R", "position", 500)
+        ).rows
+        store = ImageStore(str(tmp_path))
+        first.suspend(SuspendSpec(persist_to=store))
+        target = build_recipe("sort")[0]
+        sessions = [
+            QuerySession.resume(
+                target, store.load(first.last_image.image_id), name="q"
+            )
+            for _ in range(2)
+        ]
+        solo = QuerySession(build_recipe("sort")[0], plan).execute().rows
+        return target, sessions, list(rows), solo
+
+    def test_both_draw_distinct_fresh_keys(self, tmp_path):
+        target, sessions, rows, solo = self.twins(tmp_path)
+        imported = set(sessions[0].runtime.store.keys)
+        assert len(imported) == 2
+        assert imported == set(sessions[1].runtime.store.keys)
+        outputs = [list(rows), list(rows)]
+        for out, session in zip(outputs, sessions):
+            out += session.execute(max_rows=5).rows
+        drawn = [set(s.runtime.store.keys) - imported for s in sessions]
+        assert drawn[0] and drawn[1] and not drawn[0] & drawn[1]
+        for out, session in zip(outputs, sessions):
+            out += session.execute().rows
+            session.close()
+        assert outputs == [solo, solo]
+        assert len(target.state_store) == 0
+
+    def test_one_completing_first_leaves_the_other_whole(self, tmp_path):
+        """The first to complete frees its keys and the scope's counters;
+        the other keeps the shared payloads and, drawing afresh, skips
+        the keys it still holds."""
+        target, sessions, rows, solo = self.twins(tmp_path)
+        for session in sessions:
+            assert rows + session.execute().rows == solo
+            session.close()
+        assert len(target.state_store) == 0
 
 
 class TestImageSizes:

@@ -4,9 +4,10 @@ Every ``MAX_CHAIN``-th save of a hopping query is a rebase: a full image,
 because the chain is long enough. Its payloads were loaded from, or last
 committed to, sections of the chain it leaves behind, so it copies those
 verified section bytes into the new image — no payload export, no decode,
-no encode — and records in the blob entry the key the copied record
-embeds (``section_key``; resume re-keys every payload). A section that
-no longer verifies, or whose image is gone, is encoded afresh instead.
+no encode. A payload keeps the key it was first dumped under, so the
+copied record names the key of the blob entry that holds it. A section
+that no longer verifies, or whose image is gone, is encoded afresh
+instead.
 """
 
 import os
@@ -151,12 +152,13 @@ class TestRebaseCopies:
         assert copied and all("file" in b for b in blobs)
         for blob in copied:
             origin = origins[blob["key"]]
-            assert section_bytes(
-                cycle.store, info.image_id, blob["file"]
-            ) == section_bytes(cycle.store, origin.image_id, origin.section)
-            # Resume re-keyed the payload: the entry names the key the
+            data = section_bytes(cycle.store, info.image_id, blob["file"])
+            assert data == section_bytes(
+                cycle.store, origin.image_id, origin.section
+            )
+            # The payload kept its key: the entry names the key the
             # copied record embeds.
-            assert blob["section_key"] != blob["key"]
+            assert codec2.record_key(data) == blob["key"]
         keys = {b["key"] for b in copied}
         assert not keys & set(calls["export"])
         assert not keys & set(calls["decode"])
@@ -189,23 +191,21 @@ class TestRebaseCopies:
 
 
 class TestSectionKey:
-    def test_a_tampered_section_key_fails_validate_and_first_read(
+    """A section's record embeds its payload's key, which every blob
+    entry naming the section must carry."""
+
+    def test_a_tampered_entry_key_fails_validate_and_first_read(
         self, tmp_path
     ):
         cycle = Cycle("sort", tmp_path)
         cycle.up_to_rebase()
         info = cycle.save()
         store = cycle.store
-        victim = next(
-            b for b in store.manifest(info.image_id)["blobs"]
-            if "section_key" in b
-        )
+        victim = store.manifest(info.image_id)["blobs"][0]
 
         def tamper(manifest):
             manifest["blobs"] = [
-                {**b, "section_key": b["section_key"] + "x"}
-                if b["key"] == victim["key"]
-                else b
+                {**b, "key": b["key"] + "x"} if b == victim else b
                 for b in manifest["blobs"]
             ]
 
@@ -214,31 +214,11 @@ class TestSectionKey:
         assert store.validate("twin") == []
         problems = store.validate("bad")
         assert problems and all("does not match" in p for p in problems)
-        assert store.recover().torn == ["bad"]
-
-        restamped_copy(store, info.image_id, "bad", tamper)
         sq = store.load("bad")  # verified and staged: no decode yet
-        staged, _ = sq.migrated_payloads[victim["key"]]
+        staged, _ = sq.migrated_payloads[victim["key"] + "x"]
         with pytest.raises(ImageFormatError, match="does not match"):
             staged.get()
-        with pytest.raises(ImageFormatError, match="does not match"):
-            QuerySession.resume(
-                cycle.factory(), store.load("bad"), name="q"
-            ).execute()
-
-    def test_a_malformed_section_key_is_a_format_error(self, tmp_path):
-        cycle = Cycle("sort", tmp_path)
-        cycle.up_to_rebase()
-        info = cycle.save()
-
-        def tamper(manifest):
-            first, *rest = manifest["blobs"]
-            manifest["blobs"] = [{**first, "section_key": 7}, *rest]
-
-        restamped_copy(cycle.store, info.image_id, "bad", tamper)
-        with pytest.raises(ImageFormatError, match="section_key"):
-            cycle.store.load("bad")
-
+        assert store.recover().torn == ["bad"]
 
     @pytest.mark.parametrize(
         "head",
@@ -300,9 +280,7 @@ class TestNeverCopiesUnverifiedBytes:
             b["key"]: b for b in cycle.store.manifest(info.image_id)["blobs"]
         }
         assert victims and victims <= set(calls["export"])
-        for key in victims:
-            assert "section_key" not in entries[key]
-        assert any("section_key" in b for b in entries.values())
+        assert set(entries) - set(calls["export"])  # the rest was copied
         cycle.store.delete_chain(ref["image_id"])
         assert cycle.store.validate(info.image_id) == []
         cycle.hop()
@@ -322,9 +300,6 @@ class TestNeverCopiesUnverifiedBytes:
         calls["export"].clear()
         info = store.save(sq, db.state_store, image_id="b")
         assert held and held <= set(calls["export"])
-        assert all(
-            "section_key" not in b for b in store.manifest("b")["blobs"]
-        )
         assert store.validate("b") == [] and info.local_blobs == len(held)
         rest = QuerySession.resume(factory(), store.load("b")).execute().rows
         assert rows + rest == solo("sort")
@@ -343,7 +318,13 @@ class TestNeverCopiesUnverifiedBytes:
         assert calls["export"] == [] and calls["decode"] == []
         blobs = store.manifest("b")["blobs"]
         assert info.local_blobs == len(blobs)
-        assert all(b["section_key"] != b["key"] for b in blobs)
+        sections = {
+            b["key"]: section_bytes(store, "a", b["file"])
+            for b in store.manifest("a")["blobs"]
+        }
+        assert {
+            b["key"]: section_bytes(store, "b", b["file"]) for b in blobs
+        } == sections
         assert store.validate("b") == []
 
     def test_a_batch_whose_copy_and_export_both_fail_tears_that_image(

@@ -136,6 +136,44 @@ def restamped_copy(store, source_id, image_id, restamp, sections=None):
     write_packed_image(store.root, image_id, files, build_manifest)
 
 
+class TestRecoverReadsEachFileOnce:
+    def test_one_hash_per_manifested_file(self, tmp_path, monkeypatch):
+        """A serve root of delta chains: the scan reads and hashes every
+        file of every image once, and decides the chains from manifests
+        — not once per image and again per delta that references it."""
+        from repro.core.lifecycle import SuspendSpec
+        from repro.durability import format as format_module
+        from repro.serve import QueryService, ServeConfig
+        from repro.workloads.plans import serve_catalog
+
+        db_factory, catalog = serve_catalog(scale=8, seed=1)
+        service = QueryService(
+            db_factory(),
+            ServeConfig(
+                quantum_rows=32, suspend=SuspendSpec(persist_to=str(tmp_path))
+            ),
+        )
+        for i in range(12):
+            result = service.begin(f"s{i}", catalog["sorted-join"])
+            for _ in range(2):
+                result = service.continue_query(result.token)
+        store = ImageStore(str(tmp_path))
+        manifests = [store.manifest(i.image_id) for i in store.list_images()]
+        assert len(manifests) == 36
+        assert sum("ref" in b for m in manifests for b in m["blobs"])
+        calls = []
+        real = format_module.sha256_hex
+
+        def sha256_hex(data):
+            calls.append(1)
+            return real(data)
+
+        monkeypatch.setattr(format_module, "sha256_hex", sha256_hex)
+        report = store.recover()
+        assert len(report.committed) == 36 and not report.quarantined
+        assert len(calls) == sum(len(m["files"]) for m in manifests)
+
+
 class TestReferencesStayInTheChain:
     def test_a_reference_beside_the_base_chain_is_refused(self, tmp_path):
         """``gc``/``delete_chain`` keep a tip's ``base_image_id`` chain and
@@ -190,9 +228,10 @@ class TestOldFormatsAreRejected:
             lambda m: m.update(layout_version=1),
             lambda m: m.update(layout_version=2),
             lambda m: m.update(layout_version=3),
+            lambda m: m.update(layout_version=4),
             lambda m: m.pop("layout_version"),
         ],
-        ids=["layout-1", "layout-2", "layout-3", "layout-absent"],
+        ids=["layout-1", "layout-2", "layout-3", "layout-4", "layout-absent"],
     )
     def test_foreign_version_stamp_is_a_format_error_and_torn(
         self, restamp, tmp_path

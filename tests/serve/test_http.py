@@ -283,6 +283,36 @@ class TestHostileInput:
         assert status == 400
         assert payload == {"error": "priority 'x' is not an integer"}
 
+    @pytest.mark.parametrize(
+        "name",
+        ["../evil", ".hidden", "a\u0000b", ["x"], 7, "", "n" * 65, "a/b"],
+        ids=["dotdot", "dot", "nul", "list", "int", "empty", "long", "slash"],
+    )
+    def test_a_bad_session_name_is_a_400_before_any_work(
+        self, live_server, name
+    ):
+        """``"as"`` becomes an image-id prefix and a key scope inside
+        images: anything but a plain name is refused with nothing
+        admitted, so the same request with a good name still works."""
+        _, before = request(live_server, "GET", "/obs/health")
+        status, payload = request(
+            live_server, "POST", "/queries", {"query": "sorted-join", "as": name}
+        )
+        assert status == 400 and payload["code"] == "bad_name"
+        _, after = request(live_server, "GET", "/obs/health")
+        assert after["records"] == before["records"]
+        assert after["queries_admitted"] == before["queries_admitted"]
+
+    @pytest.mark.parametrize(
+        "name", ["q1", "c00001-sorted-join", "sorted-join-1", "A.b_c-9", "n" * 64]
+    )
+    def test_plain_session_names_are_accepted(self, tmp_path, name):
+        app = make_app(str(tmp_path))
+        status, payload = app.handle(
+            "POST", "/queries", {"query": "sorted-join", "as": name}
+        )
+        assert status == 200 and payload["query"] == name
+
 
 class TestObsRoutes:
     """The live-introspection endpoints: /obs/metrics, progress, health."""

@@ -304,17 +304,25 @@ class TestStateStoreHygiene:
         assert len(core.db.state_store) == 0
 
 
-def _forty_hops(image_root):
+def _forty_hops(image_root, fresh_service_per_hop=False):
     """Drive one sorted-join session >= 40 token hops; per hop, the
     longest state-store key in the image and a digest of the packed
-    file's sections and of its manifest minus the commit time."""
+    file's sections and of its manifest minus the commit time. With
+    ``fresh_service_per_hop`` every ``/continue`` is served by a new
+    service (a new process's state store) over the same image root."""
     from repro.durability.format import TRAILER
 
     db_factory, catalog = serve_catalog(scale=4, seed=1)
-    service = QueryService(
-        db_factory(),
-        ServeConfig(quantum_rows=8, suspend=SuspendSpec(persist_to=image_root)),
-    )
+
+    def new_service():
+        return QueryService(
+            db_factory(),
+            ServeConfig(
+                quantum_rows=8, suspend=SuspendSpec(persist_to=image_root)
+            ),
+        )
+
+    service = new_service()
     result = service.begin("q", catalog["sorted-join"])
     hops = []
     while not result.done and len(hops) < 40:
@@ -334,23 +342,65 @@ def _forty_hops(image_root):
                 ).hexdigest(),
             ]
         )
+        if fresh_service_per_hop:
+            service = new_service()
         result = service.continue_query(result.token)
     return hops
 
 
 class TestKeysStayBounded:
     def test_import_keys_do_not_nest_across_hops(self, tmp_path):
-        """A payload re-homed on every hop keeps a key derived from the
-        key it was first dumped under — not one more ``<scope>/import_``
-        layer (23 characters here) per hop, which made every manifest,
-        control record and blob header grow O(hops)."""
+        """A payload imported on every hop keeps the key it was first
+        dumped under — no ``<scope>/import_`` layer or counter per hop,
+        which made every manifest, control record and blob header grow
+        with the hops."""
         hops = _forty_hops(str(tmp_path))
         assert len(hops) == 40
         longest = [hop[0] for hop in hops]
         # Constant from the second image on, up to the decimal width of
-        # the per-payload import counter (``#9`` -> ``#10``).
+        # the key counters (``#9`` -> ``#10``).
         assert max(longest[1:]) - min(longest[1:]) <= 1
         assert max(longest) <= longest[1] + 1
+
+    def test_images_do_not_depend_on_which_service_served_a_hop(
+        self, tmp_path
+    ):
+        """A continuation is valid on any server, and what it writes does
+        not depend on which one served the hops before: a fresh service
+        per hop commits byte-identical images (sections, and the
+        manifest but for ``created_ns``) to one service serving all."""
+        one = _forty_hops(str(tmp_path / "one"))
+        assert _forty_hops(str(tmp_path / "fresh"), True) == one
+
+    def test_the_store_keeps_nothing_of_a_query_between_hops(self, tmp_path):
+        """300 requests over 12 outstanding sessions, new sessions taking
+        the place of finished ones: the state store is left holding no
+        payload and no key counter of any query."""
+        service, catalog = make_service(str(tmp_path))
+        plans = sorted(catalog)
+        names = iter(f"c{i:05d}-{plans[i % len(plans)]}" for i in range(10**6))
+        requests, tokens = 0, {}
+
+        def begin():
+            name = next(names)
+            plan = catalog[name.split("-", 1)[1]]
+            return name, service.begin(name, plan)
+
+        while requests < 300:
+            while len(tokens) < 12:
+                name, result = begin()
+                requests += 1
+                if not result.done:
+                    tokens[name] = result.token
+            for name in list(tokens):
+                result = service.continue_query(tokens.pop(name))
+                requests += 1
+                if not result.done:
+                    tokens[name] = result.token
+        state = service.db.state_store
+        assert tokens and len(state) == 0  # queries outstanding, none held
+        assert [scope for scope in state._counters if scope is not None] == []
+        assert state._origins == {} and state._sharers == {}
 
     def test_two_processes_write_byte_identical_sections(self, tmp_path):
         """Same session, another interpreter: every hop's packed image

@@ -132,7 +132,7 @@ class TestFastPathSpill:
             base = by_id[delta["base_image_id"]]
             while base["base_image_id"] is not None:
                 base = by_id[base["base_image_id"]]
-            assert delta["bytes_written"] < base["bytes_written"]
+            assert delta["payload_bytes"] < base["payload_bytes"]
 
         # Durability never perturbs the simulation itself.
         _, unspilled = run_trace(repeat)

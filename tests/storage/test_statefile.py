@@ -164,15 +164,15 @@ class TestPayloadOrigin:
 
     ORIGIN = PayloadOrigin("img-1", "blob-0000", "ab" * 32)
 
-    def test_import_records_the_origin_under_the_fresh_key(self):
+    def test_import_records_the_origin_under_its_key(self):
         store = StateStore(SimulatedDisk())
-        plain = store.import_payload("k", ["rows"], pages=1)
+        plain = store.import_payload("a", ["rows"], pages=1)
         traced = store.import_payload(
             "k", ["rows"], pages=1, origin=self.ORIGIN
         )
-        assert store.origin_of(plain.key) is None
-        assert store.origin_of(traced.key) == self.ORIGIN
-        assert store.origin_of("k") is None
+        assert (plain.key, traced.key) == ("a", "k")
+        assert store.origin_of("a") is None
+        assert store.origin_of("k") == self.ORIGIN
 
     def test_scoped_view_records_it_and_tracks_the_key(self):
         store = StateStore(SimulatedDisk())
@@ -282,11 +282,11 @@ class TestStagedAndSharedPayloads:
         second = store.import_payload(
             "k", self.staged([1], calls), 3, origin=self.ORIGIN
         )
-        # Charged like any import, under its own key ...
+        # Charged like any import, under the same key ...
         assert disk.counters.pages_written - before == 3
-        assert second.key != first.key
-        assert store.origin_of(second.key) == self.ORIGIN
-        # ... and one decode serves both keys.
+        assert second == first
+        assert store.origin_of("k") == self.ORIGIN
+        # ... and one decode serves both imports.
         assert store.load(second) is store.load(first)
         assert calls == [1]
 
@@ -302,17 +302,47 @@ class TestStagedAndSharedPayloads:
 
     def test_redump_unshares_and_free_leaves_the_other_readable(self):
         store, calls = StateStore(SimulatedDisk()), []
-        a = store.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
-        b = store.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
-        c = store.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
-        store.dump(b.key, [2], pages=1)
-        assert store.load(b) == [2] and store.load(a) == [1]
+        a, b, c = (
+            store.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
+            for _ in range(3)
+        )
+        # One payload, three holders: each free drops one.
         store.free(a)
+        store.free(b)
         assert store.load(c) == [1] and calls == [1]
-        # The re-dumped key no longer stands for the section.
         store.free(c)
+        assert not store.exists("k")
         d = store.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
         assert store.load(d) == [1] and calls == [1, 1]
+        # The re-dumped key no longer stands for the section.
+        store.dump("k", [1], pages=1)
+        with pytest.raises(StorageError, match="other bytes"):
+            store.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
+
+    @pytest.mark.parametrize(
+        "live_origin, import_origin",
+        [
+            (None, ORIGIN),
+            (ORIGIN._replace(sha256="cd" * 32), ORIGIN),
+            (ORIGIN, None),
+        ],
+        ids=["live-without-origin", "other-digest", "import-without-origin"],
+    )
+    def test_importing_a_live_key_of_other_bytes_raises(
+        self, live_origin, import_origin
+    ):
+        """A key stands for one payload for life: an import never
+        silently shares a live payload it cannot prove is the same."""
+        disk = SimulatedDisk()
+        store = StateStore(disk)
+        live = store.dump("q/sort_sublist#1", [1], pages=1)
+        if live_origin is not None:
+            store.committed_to("q/sort_sublist#1", live_origin)
+        before = disk.counters.snapshot()
+        with pytest.raises(StorageError, match="q/sort_sublist#1"):
+            store.import_payload("q/sort_sublist#1", [2], 1, import_origin)
+        assert disk.counters.minus(before).pages_written == 0
+        assert store.peek(live) == [1]
 
     def test_another_store_shares_nothing(self):
         one, other, calls = (
@@ -323,3 +353,70 @@ class TestStagedAndSharedPayloads:
         a = one.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
         b = other.import_payload("k", self.staged([1], calls), 1, self.ORIGIN)
         assert one.load(a) is not other.load(b) and calls == [1, 1]
+
+
+class TestKeyCounters:
+    """A scope's key counters are plain ints a suspend records, a resume
+    continues, and the scope's last open session takes with it."""
+
+    def test_counters_are_per_scope_and_prefix(self):
+        store = StateStore(SimulatedDisk())
+        keys = [store.fresh_key(p, scope="q") for p in ("a", "b", "a")]
+        assert keys == ["q/a#1", "q/b#1", "q/a#2"]
+        assert [store.fresh_key(p) for p in ("a", "b")] == ["a#1", "b#2"]
+        assert store.key_counters("q") == {"a": 2, "b": 1}
+        assert store.key_counters(None) == {"": 2}
+        assert store.key_counters("other") == {}
+
+    def test_carry_takes_the_larger_value(self):
+        store = StateStore(SimulatedDisk())
+        store.fresh_key("a", scope="q")
+        store.fresh_key("a", scope="q")
+        store.carry_key_counters("q", {"a": 1, "b": 5})
+        assert store.fresh_key("a", scope="q") == "q/a#3"
+        assert store.fresh_key("b", scope="q") == "q/b#6"
+        store.carry_key_counters(None, {"": 7})
+        assert store.fresh_key("x") == "x#8"
+
+    def test_the_last_session_of_a_scope_takes_its_counters(self):
+        store = StateStore(SimulatedDisk())
+        one, other = ScopedStateStore(store, "q"), ScopedStateStore(store, "q")
+        unscoped = ScopedStateStore(store, None)
+        for view in (one, unscoped):
+            store.dump(view.fresh_key("a"), [1], pages=1)
+            view.release()
+            store.close_scope(view.scope)
+        assert len(store) == 0
+        assert store.key_counters("q") == {"a": 1}  # ``other`` is open
+        store.close_scope(other.scope)
+        assert store.key_counters("q") == {}
+        assert store.key_counters(None) == {"": 1}  # store-global: kept
+        assert store._open_scopes == {}
+
+    def test_a_session_closes_its_scope_once(self):
+        from repro.core.lifecycle import QuerySession
+        from tests.conftest import make_small_db, tiny_nlj_plan
+
+        db = make_small_db()
+        session = QuerySession(db, tiny_nlj_plan(), name="q")
+        assert db.state_store._open_scopes == {"q": 1}
+        session.execute()
+        session.close()
+        session.close()
+        assert db.state_store._open_scopes == {}
+
+    def test_a_live_key_is_never_drawn_again(self):
+        """A suspended session's payloads outlive its scope's counters
+        (they went with its close): a new session of the scope skips
+        them, and a resume of the suspended one continues past them."""
+        store = StateStore(SimulatedDisk())
+        suspended = ScopedStateStore(store, "q")
+        store.dump(suspended.fresh_key("a"), [1], pages=1)
+        store.dump(suspended.fresh_key("a"), [1], pages=1)
+        carried = store.key_counters("q")
+        store.close_scope("q")
+        store.free_keys(["q/a#1"])
+        fresh = ScopedStateStore(store, "q")
+        assert [fresh.fresh_key("a") for _ in range(2)] == ["q/a#1", "q/a#3"]
+        store.carry_key_counters("q", carried)
+        assert fresh.fresh_key("a") == "q/a#4"
