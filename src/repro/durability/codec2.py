@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 import zlib
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from repro.common.errors import ReproError
@@ -236,12 +237,15 @@ class _Encoder:
 
     def _rows(self, rows: list) -> None:
         """Columnar block: per-column typed segments, struct bulk packs.
-        The columns are one C-level transpose of the rows."""
+        Each column is one C-level pass over the rows (``zip(*rows)``
+        would pass every row as an argument and allocate per row)."""
         buf = self.buf
         buf.append(T_ROWS)
         self.uvarint(len(rows))
-        self.uvarint(len(rows[0]))
-        for values in zip(*rows):
+        arity = len(rows[0])
+        self.uvarint(arity)
+        for i in range(arity):
+            values = tuple(map(itemgetter(i), rows))
             ctype, packed = _typed_column(values)
             buf.append(ctype)
             if packed is not None:

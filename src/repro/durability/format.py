@@ -62,7 +62,8 @@ TRAILER_LABEL = "trailer"
 #: Version of the image layout, manifest schema and value encoding this
 #: build reads and writes — the image's only format stamp. 5: a payload
 #: keeps its key for life, and the control record carries key counters.
-LAYOUT_VERSION = 5
+#: 6: a hash join's dumped hash table (``hash_rows``) is one row block.
+LAYOUT_VERSION = 6
 
 #: manifest offset, manifest length, CRC-32 of (offset, length, manifest
 #: bytes), magic — the last bytes of every packed image.
@@ -174,8 +175,11 @@ def write_packed_image(
 
 
 def dump_json(value: Any) -> bytes:
-    """Deterministic JSON bytes (sorted keys, no float mangling)."""
-    return json.dumps(value, sort_keys=True, indent=1).encode("utf-8")
+    """Deterministic, compact JSON bytes (sorted keys, no whitespace, no
+    float mangling). Without ``indent`` the json module's C encoder runs."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode(
+        "utf-8"
+    )
 
 
 def parse_json(data: bytes, what: str) -> Any:

@@ -210,13 +210,9 @@ class SimpleHashJoin(Operator):
             pages = math.ceil(len(spilled) / self.build.tuples_per_page)
             with self.attribute_work():
                 self.rt.disk.read_pages(pages)
-        key_of = compile_left_key(self.condition)
-        table: dict = {}
         memory = self.build.pending[p]
-        for row in chain(memory, spilled):
-            table.setdefault(key_of(row), []).append(row)
+        self._hash_table = self._build_table(chain(memory, spilled))
         self.charge_cpu(len(memory) + len(spilled))
-        self._hash_table = table
         # Probe rows stream one block at a time (charged as consumed);
         # neither side of a memory partition was ever spilled.
         self._probe_rows = (
@@ -224,6 +220,15 @@ class SimpleHashJoin(Operator):
             if self._is_memory_partition(p)
             else self.probe.rows(p)
         )
+
+    def _build_table(self, rows) -> dict:
+        """The build partition's hash table: join key -> rows in arrival
+        order, keys in order of first arrival."""
+        key_of = compile_left_key(self.condition)
+        table: dict = {}
+        for row in rows:
+            table.setdefault(key_of(row), []).append(row)
+        return table
 
     # ------------------------------------------------------------------
     # State introspection
@@ -289,9 +294,9 @@ class SimpleHashJoin(Operator):
         return {
             "build_pending": [list(b) for b in self.build.pending],
             "probe_pending": [list(b) for b in self.probe.pending],
-            "hash_rows": {
-                k: list(v) for k, v in self._hash_table.items()
-            },
+            # One row block: the table's lists back to back, which
+            # ``_build_table`` turns into the same table again.
+            "hash_rows": list(chain.from_iterable(self._hash_table.values())),
             "probe_rows": list(self._probe_rows),
         }
 
@@ -320,9 +325,7 @@ class SimpleHashJoin(Operator):
         self._restore_disk(heap)
         self.current_partition = control["current_partition"]
         if self.phase == PHASE_JOIN and self.current_partition >= 0:
-            self._hash_table = {
-                key: list(rows) for key, rows in heap.get("hash_rows", {}).items()
-            }
+            self._hash_table = self._build_table(heap.get("hash_rows", ()))
             self._probe_rows = list(heap.get("probe_rows", []))
             self._restore_probe_cursor(control)
 

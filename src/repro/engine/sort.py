@@ -7,7 +7,15 @@ paper's *materialization point* — so they survive suspend/resume and only
 their handles travel in checkpoints and control state.
 
 Phase 2 ("merge") streams the minimum-head tuple across one buffered
-block per sublist.
+block per sublist, through a heap of ``(key, sublist index, row)``
+heads. Equal keys leave the lowest sublist first. The key is one C-level
+``operator.itemgetter`` over ``key_columns`` (a scalar for one column),
+the function the build's run sort uses too. Page reads are charged by
+the peek that first lands a sublist's cursor on a page: each batch
+peeks every sublist first (a cursor reseeked by a resume or rewind pays
+there), then re-peeks only the sublist that just gave up a row, and only
+while the batch wants another. So a page crossed by a batch's last row
+is charged at the start of the next batch.
 
 Checkpoint behaviour:
 
@@ -24,8 +32,9 @@ Checkpoint behaviour:
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heapify, heappop, heapreplace
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from repro.common.errors import ContractError
@@ -67,9 +76,6 @@ class SublistReader:
             self._loaded_page = page
         return self._rows[self.index]
 
-    def advance(self) -> None:
-        self.index += 1
-
 
 class TwoPhaseMergeSort(Operator):
     """External sort over ``key_columns`` with a bounded sort buffer."""
@@ -88,8 +94,11 @@ class TwoPhaseMergeSort(Operator):
     ):
         if buffer_tuples <= 0:
             raise ValueError("buffer_tuples must be positive")
+        if not key_columns:
+            raise ValueError("key_columns must name at least one column")
         super().__init__(op_id, name, [child], runtime, child.schema)
         self.key_columns = tuple(key_columns)
+        self._key = itemgetter(*self.key_columns)
         self.buffer_tuples = buffer_tuples
         self.phase = PHASE_BUILD
         self.sort_buffer: list[Row] = []
@@ -100,9 +109,6 @@ class TwoPhaseMergeSort(Operator):
     @property
     def child(self) -> Operator:
         return self.children[0]
-
-    def sort_key(self, row: Row):
-        return tuple(row[i] for i in self.key_columns)
 
     def buffer_fill(self) -> int:
         """Tuples in the sort buffer (suspend-trigger hook)."""
@@ -125,7 +131,7 @@ class TwoPhaseMergeSort(Operator):
         self._enter_merge_phase()
 
     def _spill_sublist(self) -> None:
-        rows = sorted(self.sort_buffer, key=self.sort_key)
+        rows = sorted(self.sort_buffer, key=self._key)
         self.charge_cpu(len(rows))  # in-memory sorting work
         key = self.rt.store.fresh_key(f"{self.name}_sublist")
         with self.attribute_work():
@@ -150,8 +156,9 @@ class TwoPhaseMergeSort(Operator):
             reader.seek(pos)
 
     def _next_batch(self, max_rows: int) -> list:
-        """Run the build on the first call, then drain the merge with
-        cached sublist heads: only the reader just advanced is re-peeked.
+        """Run the build on the first call, then drain the merge through
+        the heap of sublist heads: only the sublist just advanced is
+        re-peeked, and only when another row is still wanted.
 
         A re-peek that crosses a sublist page boundary charges its page
         read to the row that triggers it; the merge and wrapper charges
@@ -161,32 +168,33 @@ class TwoPhaseMergeSort(Operator):
         if self.phase == PHASE_BUILD:
             self._run_build()
         readers = self._readers
-        sort_key = self.sort_key
+        key = self._key
+        heap = []
+        for i, reader in enumerate(readers):
+            row = reader.peek()  # may load the payload or charge a page read
+            if row is not None:
+                heap.append((key(row), i, row))
+        heapify(heap)
+        tpp = self.tuples_per_page
         out: list = []
         append = out.append
-        heads: list = []
-        for r in readers:
-            row = r.peek()  # may charge a page read
-            heads.append((sort_key(row), row) if row is not None else None)
-        dirty = -1
         need = max_rows
-        while need > 0:
-            if dirty >= 0:
-                row = readers[dirty].peek()
-                heads[dirty] = (sort_key(row), row) if row is not None else None
-                dirty = -1
-            best = None
-            best_i = -1
-            for i, h in enumerate(heads):
-                if h is not None and (best is None or h[0] < best[0]):
-                    best = h
-                    best_i = i
-            if best_i < 0:
-                break
-            append(best[1])
-            readers[best_i].advance()
-            dirty = best_i
+        while need > 0 and heap:
+            _, i, row = heap[0]
+            append(row)
+            reader = readers[i]
+            reader.index = index = reader.index + 1
             need -= 1
+            if not need:
+                break
+            rows = reader._rows
+            if index >= len(rows):
+                heappop(heap)
+                continue
+            if index // tpp != reader._loaded_page:
+                reader.peek()  # charges the page read
+            row = rows[index]
+            heapreplace(heap, (key(row), i, row))
         self.tuples_emitted += len(out)
         self.charge_cpu(2 * len(out))  # the merge charge + the wrapper charge
         return out

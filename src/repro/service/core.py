@@ -163,6 +163,11 @@ class ExecutorCore:
         self.policy = get_policy(self.config.policy)
         self.image_store = self._resolve_image_store()
         self.records: list[QueryRecord] = []
+        #: ``records`` by name, and the records holding a session (by
+        #: seq): a request's lookups and memory sums touch these, never
+        #: the whole history.
+        self._named: dict[str, QueryRecord] = {}
+        self._live: dict[int, QueryRecord] = {}
         base_tracer = (
             self.config.tracer
             if self.config.tracer is not None
@@ -199,6 +204,7 @@ class ExecutorCore:
             trace_id=make_trace_id(arrival.name),
         )
         self.records.append(record)
+        self._named.setdefault(record.name, record)
         return record
 
     def admit(self, record: QueryRecord) -> None:
@@ -214,17 +220,28 @@ class ExecutorCore:
         self.mark("admit", record)
 
     def record_named(self, name: str) -> Optional[QueryRecord]:
-        for record in self.records:
-            if record.name == name:
-                return record
-        return None
+        return self._named.get(name)
+
+    def live_records(self) -> list[QueryRecord]:
+        """The records holding a session, in admission order."""
+        return [self._live[seq] for seq in sorted(self._live)]
+
+    def _hold(
+        self, record: QueryRecord, session: Optional[QuerySession]
+    ) -> None:
+        """Set (or, with None, drop) the record's live session."""
+        record.session = session
+        if session is None:
+            self._live.pop(record.seq, None)
+        else:
+            self._live[record.seq] = record
 
     # ------------------------------------------------------------------
     # Memory pressure (called by the policies)
     # ------------------------------------------------------------------
     def total_live_memory(self) -> int:
         """Heap bytes held across every live session right now."""
-        return sum(r.memory_in_use() for r in self.records)
+        return sum(r.memory_in_use() for r in self._live.values())
 
     def pressure_excess(self, record: QueryRecord) -> int:
         """Bytes over budget held by sessions other than ``record``'s."""
@@ -237,7 +254,7 @@ class ExecutorCore:
         """Live lower-priority sessions that currently hold memory."""
         return [
             r
-            for r in self.records
+            for r in self.live_records()
             if r is not record
             and r.state is QueryState.READY
             and r.priority < record.priority
@@ -265,7 +282,7 @@ class ExecutorCore:
         options = SuspendSpec(strategy=spec.strategy, budget=spec.budget)
         for victim in victims:
             victim.sq = self._suspend_session(victim.session, options)
-            victim.session = None
+            self._hold(victim, None)
             victim.state = QueryState.SUSPENDED
             victim.stats.suspends += 1
             if self.fold_manager is not None:
@@ -314,7 +331,7 @@ class ExecutorCore:
     def kill_victim(self, victim: QueryRecord) -> None:
         """Kill a victim; all its work so far is wasted."""
         victim.session.close()
-        victim.session = None
+        self._hold(victim, None)
         victim.sq = None
         victim.stats.rows_emitted = 0
         victim.state = QueryState.WAITING
@@ -334,7 +351,7 @@ class ExecutorCore:
 
     def start_session(self, record: QueryRecord) -> None:
         """Open a fresh session for a WAITING record."""
-        record.session = QuerySession(
+        session = QuerySession(
             self.db,
             record.arrival.plan,
             priority=record.priority,
@@ -342,6 +359,7 @@ class ExecutorCore:
             tracer=self.record_tracer(record),
             fold=record.fold,
         )
+        self._hold(record, session)
         record.state = QueryState.READY
         if record.stats.first_started_at is None:
             record.stats.first_started_at = self.db.now
@@ -367,7 +385,7 @@ class ExecutorCore:
         self, record: QueryRecord, session: QuerySession
     ) -> None:
         """Make a successfully resumed session the record's live one."""
-        record.session = session
+        self._hold(record, session)
         record.sq = None
         record.state = QueryState.READY
         record.stats.resumes += 1
@@ -437,7 +455,7 @@ class ExecutorCore:
         """Retire a finished record and collect its durable spill chain."""
         if record.session is not None:
             record.session.close()
-            record.session = None
+            self._hold(record, None)
         record.state = QueryState.DONE
         if self.image_store is not None and record.image_id is not None:
             # The whole spill chain is obsolete once the query

@@ -74,7 +74,7 @@ class QueryScheduler(ExecutorCore):
     def _submit(self, arrival: QueryArrival) -> QueryRecord:
         if self._ran:
             raise ReproError("scheduler already ran; submit before run()")
-        if any(r.name == arrival.name for r in self.records):
+        if self.record_named(arrival.name) is not None:
             raise ReproError(f"duplicate query name {arrival.name!r}")
         return self.track(arrival)
 
@@ -210,7 +210,7 @@ class QueryScheduler(ExecutorCore):
     def _blocking_holder(self, record: QueryRecord) -> Optional[QueryRecord]:
         holders = [
             r
-            for r in self.records
+            for r in self.live_records()
             if r is not record
             and r.state is QueryState.READY
             and r.memory_in_use() > 0

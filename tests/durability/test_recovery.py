@@ -7,7 +7,9 @@ import pytest
 
 from repro.core.lifecycle import QuerySession
 from repro.durability import ImageStore, build_recipe
+from repro.durability import format as image_format
 from repro.durability.format import (
+    TRAILER,
     ImageFormatError,
     open_image,
     write_packed_image,
@@ -136,6 +138,38 @@ def restamped_copy(store, source_id, image_id, restamp, sections=None):
     write_packed_image(store.root, image_id, files, build_manifest)
 
 
+class TestCompactManifest:
+    """A manifest is written as compact sorted-key JSON (the json
+    module's C encoder); a reader parses an indented one just the same."""
+
+    def test_the_manifest_bytes_are_compact(self, tmp_path):
+        committed_image(tmp_path)
+        store = ImageStore(str(tmp_path))
+        data = (tmp_path / "good.rimg").read_bytes()
+        offset, length, _, _ = TRAILER.unpack(data[-TRAILER.size:])
+        raw = data[offset:offset + length]
+        assert raw == json.dumps(
+            store.manifest("good"), sort_keys=True, separators=(",", ":")
+        ).encode()
+        assert b"\n" not in raw and b": " not in raw
+
+    def test_an_indented_manifest_still_reads(self, tmp_path, monkeypatch):
+        committed_image(tmp_path)
+        store = ImageStore(str(tmp_path))
+        monkeypatch.setattr(
+            image_format,
+            "dump_json",
+            lambda v: json.dumps(v, sort_keys=True, indent=1).encode(),
+        )
+        restamped_copy(store, "good", "indented", lambda m: None)
+        monkeypatch.undo()
+        assert b'\n "' in (tmp_path / "indented.rimg").read_bytes()
+        assert store.validate("indented") == []
+        assert store.load("indented").entries == store.load("good").entries
+        report = ImageStore(str(tmp_path)).recover()
+        assert report.committed == ["good", "indented"] and report.torn == []
+
+
 class TestRecoverReadsEachFileOnce:
     def test_one_hash_per_manifested_file(self, tmp_path, monkeypatch):
         """A serve root of delta chains: the scan reads and hashes every
@@ -229,9 +263,13 @@ class TestOldFormatsAreRejected:
             lambda m: m.update(layout_version=2),
             lambda m: m.update(layout_version=3),
             lambda m: m.update(layout_version=4),
+            lambda m: m.update(layout_version=5),
             lambda m: m.pop("layout_version"),
         ],
-        ids=["layout-1", "layout-2", "layout-3", "layout-4", "layout-absent"],
+        ids=[
+            "layout-1", "layout-2", "layout-3", "layout-4", "layout-5",
+            "layout-absent",
+        ],
     )
     def test_foreign_version_stamp_is_a_format_error_and_torn(
         self, restamp, tmp_path

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
+from repro.durability import codec2
 from repro.engine.plan import (
     FilterSpec,
     HybridHashJoinSpec,
@@ -224,3 +225,45 @@ class TestSnapshotsLeaveOutFinishedPartitions:
             past_memory += join.current_partition >= join.memory_partitions
         assert rows == solo.rows
         assert past_memory > 0
+
+
+class TestDumpedHashTable:
+    """A join-phase DumpState carries the loaded build partition's hash
+    table as one row block; a resume rebuilds the same table from it,
+    charging nothing for the rebuild."""
+
+    @pytest.mark.parametrize("plan_fn", [shj_plan, hhj_plan])
+    def test_the_table_round_trips(self, plan_fn):
+        db = make_small_db()
+        session = QuerySession(db, plan_fn())
+        session.execute(max_rows=40)
+        join = session.op_named("hj")
+        table = list(join._hash_table.items())
+        assert join.phase == "join" and any(len(rows) > 1 for _, rows in table)
+
+        sq = session.suspend(SuspendSpec(strategy="all_dump"))
+        entry = sq.entry(join.op_id)
+        payload = db.state_store.peek(entry.dump_handle)
+        flat = [row for _, rows in table for row in rows]
+        assert payload["hash_rows"] == flat
+        assert codec2.decode_bytes(codec2.encode_bytes(payload)) == payload
+
+        resumed = QuerySession.resume(db, sq).op_named("hj")
+        assert list(resumed._hash_table.items()) == table
+        now, tally = db.now, resumed.tally.snapshot()
+        resumed._restore_full_state(
+            {**payload, **entry.current_control}, entry.target_control
+        )
+        assert list(resumed._hash_table.items()) == table
+        assert (db.now, resumed.tally) == (now, tally)
+
+    def test_the_row_block_is_smaller_than_the_table(self):
+        db = make_small_db()
+        session = QuerySession(db, shj_plan())
+        session.execute(max_rows=40)
+        join = session.op_named("hj")
+        flat = join._heap_state_payload()["hash_rows"]
+        as_dict = {k: list(v) for k, v in join._hash_table.items()}
+        assert len(codec2.encode_bytes(flat)) < len(
+            codec2.encode_bytes(as_dict)
+        )

@@ -1,13 +1,22 @@
 """Unit tests for two-phase merge sort."""
 
+import re
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import Database, QuerySession, SuspendSpec, SuspendTrigger
+from repro.core.lifecycle import QueryStatus
 from repro.engine.plan import ScanSpec, SortSpec
-from repro.engine.sort import PHASE_BUILD, PHASE_MERGE
+from repro.engine.sort import PHASE_BUILD, PHASE_MERGE, TwoPhaseMergeSort
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
+from repro.relational.schema import Schema
 
 from tests.conftest import reference_rows, suspend_resume_rows
+from tests.oracles import linear_scan_next_batch, tuple_key
 
 
 def sort_db(n=250):
@@ -137,3 +146,87 @@ class TestSortSuspendResume:
         sq = session.suspend(SuspendSpec(strategy="all_dump"))
         for handle in handles:
             assert db.state_store.peek(handle) is not None
+
+
+@contextmanager
+def linear_scan():
+    """Sorts built inside run the parent's tuple key and linear scan."""
+    with mock.patch.object(
+        TwoPhaseMergeSort, "_next_batch", linear_scan_next_batch
+    ), mock.patch("repro.engine.sort.itemgetter", tuple_key):
+        yield
+
+
+def merge_trace(rows, bytes_per_tuple, key_columns, buffer, max_rows, strategy):
+    """Sort ``rows`` in batches of ``max_rows``, suspending and resuming
+    between every two batches: what the run looks like after each."""
+    db = Database()
+    db.create_table("T", Schema.of(["a", "b", "c"], bytes_per_tuple), rows)
+    plan = SortSpec(
+        ScanSpec("T"), key_columns=key_columns, buffer_tuples=buffer,
+        label="sort",
+    )
+    session = QuerySession(db, plan)
+    trace = []
+    while True:
+        batch = session.execute(max_rows=max_rows).rows
+        ops = [op for _, op in sorted(session.runtime.ops.items())]
+        trace.append({
+            "rows": batch,
+            "now": repr(db.now),
+            "disk": db.disk.counters.snapshot(),
+            "ops": [
+                (op.name, op.tuples_emitted, op.tally.snapshot(),
+                 # a DumpHandle's store id counts the stores made so far
+                 re.sub(r"store_id=\d+", "", repr(op.control_state())))
+                for op in ops
+            ],
+        })
+        if session.status is QueryStatus.COMPLETED:
+            return trace
+        sq = session.suspend(SuspendSpec(strategy=strategy))
+        session = QuerySession.resume(db, sq)
+
+
+class TestHeapMergeMatchesTheLinearScan:
+    """The heap merge against the linear scan it replaced
+    (``tests/oracles.py``), with a suspend at every merge batch boundary:
+    same rows, clock, disk counters, operator tallies and control state
+    after every batch."""
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 5), st.integers(-2, 2)
+            ),
+            max_size=60,
+        ),
+        bytes_per_tuple=st.sampled_from([2_000, 5_000, 20_000]),
+        key_columns=st.sampled_from([(0,), (2,), (0, 1), (1, 0, 2), (2, 0)]),
+        buffer=st.integers(1, 25),
+        max_rows=st.sampled_from([1, 2, 17, 4096]),
+        strategy=st.sampled_from(["all_dump", "all_goback", "lp"]),
+    )
+    def test_every_batch_matches(
+        self, rows, bytes_per_tuple, key_columns, buffer, max_rows, strategy
+    ):
+        args = (rows, bytes_per_tuple, key_columns, buffer, max_rows, strategy)
+        got = merge_trace(*args)
+        with linear_scan():
+            want = merge_trace(*args)
+        assert got == want
+
+    def test_the_oracle_really_runs(self):
+        """The patch reaches the run sort's key and the merge."""
+        with linear_scan():
+            session = QuerySession(sort_db(50), sort_plan(20))
+            assert session.op_named("sort")._key((7, 8, 9)) == (7,)
+            assert TwoPhaseMergeSort._next_batch is linear_scan_next_batch
+            rows = session.execute().rows
+        heap = QuerySession(sort_db(50), sort_plan(20))
+        assert heap.op_named("sort")._key((7, 8, 9)) == 7
+        assert heap.execute().rows == rows

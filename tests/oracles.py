@@ -1,13 +1,18 @@
-"""Reference suspend-plan solvers, for tests only.
+"""Reference implementations, for tests only.
 
-The product ships one solver, :func:`repro.core.optimizer.optimal_plan`.
-These are the independent references it is checked against:
+The product ships one suspend-plan solver,
+:func:`repro.core.optimizer.optimal_plan`. These are the independent
+references it is checked against:
 
 - :func:`mip_plan` builds the paper's zero-one program, Equations (1)-(8),
   as a sparse constraint matrix and solves it with HiGHS
   (:func:`solve_binary_program`, ``scipy.optimize.milp``);
 - :func:`enumerate_valid_plans` / :func:`exhaustive_best_plan` walk every
   valid suspend plan (exponential; small plans only).
+
+The external sort's heap merge is checked against the linear scan of
+every sublist head it replaced: :func:`tuple_key` and
+:func:`linear_scan_next_batch`.
 
 numpy and scipy are test dependencies: nothing under ``src/`` imports
 this module.
@@ -32,6 +37,7 @@ from repro.core.strategies import (
     SuspendPlan,
     validate_suspend_plan,
 )
+from repro.engine.sort import PHASE_BUILD
 
 #: Tolerance for treating an LP value as integral.
 INT_TOL = 1e-6
@@ -240,3 +246,52 @@ def exhaustive_best_plan(
             f"no valid suspend plan fits within budget {budget}"
         )
     return best
+
+
+def tuple_key(*columns):
+    """The generator-built sort key: a tuple of ``columns`` (a 1-tuple
+    for one column), in place of ``operator.itemgetter(*columns)``."""
+
+    def sort_key(row):
+        return tuple(row[i] for i in columns)
+
+    return sort_key
+
+
+def linear_scan_next_batch(sort, max_rows: int) -> list:
+    """``TwoPhaseMergeSort._next_batch`` as a scan of every sublist head
+    per row: the minimum key wins, the lowest sublist on a tie. Only the
+    sublist just advanced is re-peeked, at the top of the next iteration,
+    so a page crossed by a batch's last row is charged by the next call.
+    """
+    if sort.phase == PHASE_BUILD:
+        sort._run_build()
+    readers = sort._readers
+    sort_key = tuple_key(*sort.key_columns)
+    out: list = []
+    heads: list = []
+    for r in readers:
+        row = r.peek()  # may charge a page read
+        heads.append((sort_key(row), row) if row is not None else None)
+    dirty = -1
+    need = max_rows
+    while need > 0:
+        if dirty >= 0:
+            row = readers[dirty].peek()
+            heads[dirty] = (sort_key(row), row) if row is not None else None
+            dirty = -1
+        best = None
+        best_i = -1
+        for i, h in enumerate(heads):
+            if h is not None and (best is None or h[0] < best[0]):
+                best = h
+                best_i = i
+        if best_i < 0:
+            break
+        out.append(best[1])
+        readers[best_i].index += 1
+        dirty = best_i
+        need -= 1
+    sort.tuples_emitted += len(out)
+    sort.charge_cpu(2 * len(out))  # the merge charge + the wrapper charge
+    return out

@@ -20,6 +20,7 @@ from repro.common.errors import ReproError
 from repro.core.lifecycle import QuerySession, QueryStatus, SuspendSpec
 from repro.serve import QueryService, ServeConfig
 from repro.serve.tokens import TokenRedeemedError
+from repro.service.core import QueryRecord
 from repro.workloads.plans import serve_catalog
 from tests.conftest import record_device_calls
 
@@ -174,6 +175,42 @@ class TestStatelessness:
             and any(id(row) in returned for row in value)
         ]
         assert held == []
+
+    def test_a_request_visits_no_more_records_as_history_grows(
+        self, tmp_path, monkeypatch
+    ):
+        """Lookups by name and live-memory sums touch the live records
+        only: over 300 requests, as completed queries pile up in
+        ``records``, a request visits no more records than it did early
+        on (a visit: a record's name or memory read)."""
+        visits = [0]
+        memory_in_use = QueryRecord.memory_in_use
+
+        def counted_memory(record):
+            visits[0] += 1
+            return memory_in_use(record)
+
+        def counted_name(record):
+            visits[0] += 1
+            return record.arrival.name
+
+        monkeypatch.setattr(QueryRecord, "memory_in_use", counted_memory)
+        monkeypatch.setattr(QueryRecord, "name", property(counted_name))
+        service, catalog = make_service(str(tmp_path))
+        plans = sorted(catalog)
+        outstanding, per_request = [], []
+        for n in range(300):
+            before = visits[0]
+            if len(outstanding) < 12:
+                result = service.begin(f"q{n}", catalog[plans[n % len(plans)]])
+            else:
+                result = service.continue_query(outstanding.pop(0).token)
+            per_request.append(visits[0] - before)
+            if not result.done:
+                outstanding.append(result)
+        done = sum(r.state.value == "done" for r in service.records)
+        assert done >= 10
+        assert max(per_request[250:]) <= max(per_request[50:100])
 
     def test_old_token_rejected_after_continue(self, tmp_path):
         service, catalog = make_service(str(tmp_path))
