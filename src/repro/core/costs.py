@@ -108,84 +108,6 @@ def build_cost_model(runtime: "Runtime") -> SuspendCostModel:
 
     links: dict[tuple[int, int], ChainLink] = {}
 
-    def descend(op: "Operator", anchor_id: int, link: ChainLink) -> None:
-        """Extend chain ``anchor_id`` from ``op`` (whose link is known)
-        down to its children."""
-        links[(op.op_id, anchor_id)] = link
-        stream_ids = {c.op_id for c in op.stream_children()}
-        for child in op.children:
-            child_link = _child_link(child, anchor_id, op, link, stream_ids)
-            if child_link is not None:
-                descend(child, anchor_id, child_link)
-
-    def _child_link(child, anchor_id, op, link, stream_ids):
-        if child.op_id in stream_ids:
-            if link.fresh or link.enforced_contract_id is None:
-                return _fresh_link(child, anchor_id)
-            contract = graph.contract(link.enforced_contract_id)
-            nested = contract.nested.get(child.op_id)
-            if nested is None:
-                # Contract was migrated to the checkpoint; fall through to
-                # the checkpoint's own contract with this child.
-                return _ckpt_contract_link(child, anchor_id, link)
-            try:
-                ckpt = graph.checkpoint(nested.child_ckpt_id)
-            except ContractError:
-                return None
-            return ChainLink(
-                op_id=child.op_id,
-                anchor_id=anchor_id,
-                fulfilling_ckpt_id=ckpt.ckpt_id,
-                ckpt_payload=ckpt.payload,
-                target_control=nested.control,
-                work_baseline=ckpt.work_at,
-                enforced_contract_id=nested.contract_id,
-            )
-        return _ckpt_contract_link(child, anchor_id, link)
-
-    def _ckpt_contract_link(child, anchor_id, link):
-        if link.fulfilling_ckpt_id is None:
-            return _fresh_link(child, anchor_id)
-        try:
-            parent_ckpt = graph.checkpoint(link.fulfilling_ckpt_id)
-            contract = graph.contract_from(parent_ckpt, child.op_id)
-            ckpt = graph.checkpoint(contract.child_ckpt_id)
-        except ContractError:
-            return None
-        return ChainLink(
-            op_id=child.op_id,
-            anchor_id=anchor_id,
-            fulfilling_ckpt_id=ckpt.ckpt_id,
-            ckpt_payload=ckpt.payload,
-            target_control=contract.control,
-            work_baseline=ckpt.work_at,
-            enforced_contract_id=contract.contract_id,
-        )
-
-    def _fresh_link(child, anchor_id):
-        if child.STATEFUL:
-            latest = graph.latest_checkpoint(child.op_id)
-            if latest is None:
-                return None
-            return ChainLink(
-                op_id=child.op_id,
-                anchor_id=anchor_id,
-                fulfilling_ckpt_id=latest.ckpt_id,
-                ckpt_payload=latest.payload,
-                target_control=None,
-                work_baseline=latest.work_at,
-                fresh=True,
-            )
-        return ChainLink(
-            op_id=child.op_id,
-            anchor_id=anchor_id,
-            fulfilling_ckpt_id=None,
-            ckpt_payload=None,
-            target_control=None,
-            work_baseline=child.work,
-            fresh=True,
-        )
-
     # One chain per potential anchor: every stateful operator with a live
     # checkpoint can start a chain at its own latest checkpoint.
     for op in ops.values():
@@ -194,9 +116,8 @@ def build_cost_model(runtime: "Runtime") -> SuspendCostModel:
         latest = graph.latest_checkpoint(op.op_id)
         if latest is None:
             continue
-        descend(
-            op,
-            op.op_id,
+        _descend(
+            graph, links, op, op.op_id,
             ChainLink(
                 op_id=op.op_id,
                 anchor_id=op.op_id,
@@ -247,4 +168,86 @@ def build_cost_model(runtime: "Runtime") -> SuspendCostModel:
         g_s=g_s,
         g_r=g_r,
         cannot_dump_under=cannot_dump,
+    )
+
+
+def _descend(graph, links: dict, op: "Operator", anchor_id, link) -> None:
+    """Extend chain ``anchor_id`` from ``op`` (whose link is known) down
+    to its children, recording every link in ``links``."""
+    links[(op.op_id, anchor_id)] = link
+    stream_ids = {c.op_id for c in op.stream_children()}
+    for child in op.children:
+        child_link = _child_link(graph, child, anchor_id, link, stream_ids)
+        if child_link is not None:
+            _descend(graph, links, child, anchor_id, child_link)
+
+
+def _child_link(graph, child, anchor_id, link, stream_ids):
+    if child.op_id in stream_ids:
+        if link.fresh or link.enforced_contract_id is None:
+            return _fresh_link(graph, child, anchor_id)
+        contract = graph.contract(link.enforced_contract_id)
+        nested = contract.nested.get(child.op_id)
+        if nested is None:
+            # Contract was migrated to the checkpoint; fall through to
+            # the checkpoint's own contract with this child.
+            return _ckpt_contract_link(graph, child, anchor_id, link)
+        try:
+            ckpt = graph.checkpoint(nested.child_ckpt_id)
+        except ContractError:
+            return None
+        return ChainLink(
+            op_id=child.op_id,
+            anchor_id=anchor_id,
+            fulfilling_ckpt_id=ckpt.ckpt_id,
+            ckpt_payload=ckpt.payload,
+            target_control=nested.control,
+            work_baseline=ckpt.work_at,
+            enforced_contract_id=nested.contract_id,
+        )
+    return _ckpt_contract_link(graph, child, anchor_id, link)
+
+
+def _ckpt_contract_link(graph, child, anchor_id, link):
+    if link.fulfilling_ckpt_id is None:
+        return _fresh_link(graph, child, anchor_id)
+    try:
+        parent_ckpt = graph.checkpoint(link.fulfilling_ckpt_id)
+        contract = graph.contract_from(parent_ckpt, child.op_id)
+        ckpt = graph.checkpoint(contract.child_ckpt_id)
+    except ContractError:
+        return None
+    return ChainLink(
+        op_id=child.op_id,
+        anchor_id=anchor_id,
+        fulfilling_ckpt_id=ckpt.ckpt_id,
+        ckpt_payload=ckpt.payload,
+        target_control=contract.control,
+        work_baseline=ckpt.work_at,
+        enforced_contract_id=contract.contract_id,
+    )
+
+
+def _fresh_link(graph, child, anchor_id):
+    if child.STATEFUL:
+        latest = graph.latest_checkpoint(child.op_id)
+        if latest is None:
+            return None
+        return ChainLink(
+            op_id=child.op_id,
+            anchor_id=anchor_id,
+            fulfilling_ckpt_id=latest.ckpt_id,
+            ckpt_payload=latest.payload,
+            target_control=None,
+            work_baseline=latest.work_at,
+            fresh=True,
+        )
+    return ChainLink(
+        op_id=child.op_id,
+        anchor_id=anchor_id,
+        fulfilling_ckpt_id=None,
+        ckpt_payload=None,
+        target_control=None,
+        work_baseline=child.work,
+        fresh=True,
     )

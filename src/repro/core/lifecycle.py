@@ -16,6 +16,9 @@
 A suspend request arriving *during* resume follows the paper's rule:
 discard the half-resumed state and keep the old SuspendedQuery
 (:meth:`QuerySession.resume` is atomic from the caller's perspective).
+It covers a resume that raises, too: the half-resumed session is closed.
+The SuspendedQuery keeps its own hold on its payloads either way (see
+:mod:`repro.storage.statefile`), so it can be resumed again.
 """
 
 from __future__ import annotations
@@ -370,7 +373,7 @@ class QuerySession:
             # another process) restarts the lane here so the query's solo
             # timeline stays continuous across the gap.
             sq.query_clock = self.query_now
-            sq.store_keys = list(self.runtime.store.keys)
+            sq.payloads = self.runtime.store.hand_over()
             sq.key_counters = self.runtime.store.key_counters(self.name)
         finally:
             self.db.disk.set_lane(prev_lane)
@@ -446,18 +449,17 @@ class QuerySession:
             ).inc()
 
     def close(self) -> None:
-        """Release the operator tree and every heap resource it holds.
+        """Release the operator tree and every resource it holds.
 
         Used by the suspend phase after dumping state, and by schedulers
         as the *kill* and *discard-half-resumed* primitive: afterwards
         :meth:`memory_in_use` is 0 and the session can no longer execute.
-        A completed query also frees its state-store payloads (sort
-        sublists, dumps); a suspended one must not — its SuspendedQuery
-        still references them and carries the keys to the resumed session.
+        Whatever the status, the session drops its count on each
+        state-store payload it still holds (sort sublists, dumps; a suspend
+        has moved them to its SuspendedQuery): what nothing holds goes.
         """
-        if self.runtime.ops:
+        if self.runtime.ops and self.root is not None:
             self.root.close()
-            self.runtime.store.close_scope(self.name)
         # Nothing may point back up the tree: the operators, and the rows
         # their buffers and readers still hold, are then freed by
         # reference counting when the session is dropped, not by the
@@ -466,8 +468,7 @@ class QuerySession:
             op.parent = None
         self.runtime.ops.clear()
         self.runtime.ops_by_name.clear()
-        if self.status is QueryStatus.COMPLETED:
-            self.runtime.store.release()
+        self.runtime.store.close()
 
     # ------------------------------------------------------------------
     # Resume phase
@@ -489,7 +490,8 @@ class QuerySession:
         plan, and invokes ``Resume()`` on the root, which restores every
         operator either from its dump or by rolling forward from its
         checkpoint. The returned session's next output tuple is the one
-        immediately after the last delivered before suspension.
+        immediately after the last delivered before suspension. The
+        session takes a count of its own on every payload ``sq`` names.
         """
         session = cls.__new__(cls)
         session.db = db
@@ -507,6 +509,7 @@ class QuerySession:
         session.last_suspend_cost = 0.0
         session.last_suspend_plan = sq.suspend_plan
         session.last_image = None
+        session.root = None
 
         start = db.now
         lane_start = session.runtime.lane.now
@@ -519,15 +522,15 @@ class QuerySession:
         prev_lane = db.disk.set_lane(session.runtime.lane)
         try:
             session.runtime.store.carry_key_counters(name, sq.key_counters)
-            if sq.migrated_payloads:
-                sq.import_payloads(session.runtime.store)
-            else:
-                session.runtime.store.keys.extend(sq.store_keys)
+            session.runtime.store.take(sq.payloads)
             # Read the SuspendedQuery structure from disk.
             db.disk.read_control_bytes(sq.nominal_bytes(bytes_per_row=200))
             session.root = instantiate_plan(sq.plan_spec, session.runtime)
             ctx = ResumeContext(sq=sq, runtime=session.runtime)
             session.root.do_resume(ctx)
+        except BaseException:
+            session.close()
+            raise
         finally:
             db.disk.set_lane(prev_lane)
             controller.unsuppress()

@@ -117,51 +117,56 @@ def plan_frontiers(
     frontier, at key ``(root, None)``, draws on. A point is ``(suspend,
     total, decision, child points)`` for the operator's subtree."""
     children_of = _children_of(model)
-    limit = budget + COST_TOL
-    dump = OpDecision.dump()
-    goback = {j: OpDecision.goback(j) for j in {j for _, j in model.links}}
+    decisions = {None: OpDecision.dump()}
+    decisions.update((j, OpDecision.goback(j)) for _, j in model.links)
     frontiers: dict[tuple[int, Optional[int]], list] = {}
-
-    def frontier(i: int, chain: Optional[int]) -> list:
-        key = (i, chain)
-        if key in frontiers:
-            return frontiers[key]
-        # Valid choices, DumpState first: under no chain, dump or start
-        # the operator's own chain; under chain j, dump unless c_{i,j}
-        # forbids it, or follow j.
-        options = []
-        if chain is None or (i, chain) not in model.cannot_dump_under:
-            options.append(dump)
-        anchor = i if chain is None else chain
-        if (i, anchor) in model.links:
-            options.append(goback[anchor])
-        points = []
-        for decision in options:
-            j = decision.goback_anchor
-            if j is None:
-                partial = [(model.d_s[i], model.d_s[i] + model.d_r[i], ())]
-            else:
-                s = model.g_s[(i, j)]
-                partial = [(s, s + model.g_r[(i, j)], ())]
-            for child in children_of.get(i, ()):
-                sub = frontier(child, j)
-                partial = _pareto(
-                    [
-                        (s + c[0], t + c[1], picks + (c,))
-                        for s, t, picks in partial
-                        for c in sub
-                    ],
-                    limit,
-                )
-                if not partial:
-                    break
-            points += [(s, t, decision, picks) for s, t, picks in partial]
-        frontiers[key] = _pareto(points, limit)
-        return frontiers[key]
-
+    search = (model, children_of, decisions, budget + COST_TOL, frontiers)
     (root,) = children_of[None]
-    frontier(root, None)
+    _frontier(search, root, None)
     return frontiers
+
+
+def _frontier(search: tuple, i: int, chain: Optional[int]) -> list:
+    """The frontier of operator ``i`` under ``chain``. ``search`` is
+    ``(model, children_of, decisions, limit, frontiers)``: ``decisions``
+    maps None to DumpState and an anchor to GoBack to it, and
+    ``frontiers`` memoizes the result under ``(i, chain)``."""
+    model, children_of, decisions, limit, frontiers = search
+    key = (i, chain)
+    if key in frontiers:
+        return frontiers[key]
+    # Valid choices, DumpState first: under no chain, dump or start the
+    # operator's own chain; under chain j, dump unless c_{i,j} forbids it,
+    # or follow j.
+    options = []
+    if chain is None or (i, chain) not in model.cannot_dump_under:
+        options.append(decisions[None])
+    anchor = i if chain is None else chain
+    if (i, anchor) in model.links:
+        options.append(decisions[anchor])
+    points = []
+    for decision in options:
+        j = decision.goback_anchor
+        if j is None:
+            partial = [(model.d_s[i], model.d_s[i] + model.d_r[i], ())]
+        else:
+            s = model.g_s[(i, j)]
+            partial = [(s, s + model.g_r[(i, j)], ())]
+        for child in children_of.get(i, ()):
+            sub = _frontier(search, child, j)
+            partial = _pareto(
+                [
+                    (s + c[0], t + c[1], picks + (c,))
+                    for s, t, picks in partial
+                    for c in sub
+                ],
+                limit,
+            )
+            if not partial:
+                break
+        points += [(s, t, decision, picks) for s, t, picks in partial]
+    frontiers[key] = _pareto(points, limit)
+    return frontiers[key]
 
 
 def optimal_plan(

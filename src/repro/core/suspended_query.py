@@ -23,7 +23,12 @@ from typing import Any, Optional
 from repro.common.errors import StorageError
 from repro.core.checkpoint import control_state_bytes
 from repro.core.strategies import SuspendPlan
-from repro.storage.statefile import DumpHandle, StateStore
+from repro.storage.statefile import (
+    DumpHandle,
+    PayloadHold,
+    ScopedStateStore,
+    StateStore,
+)
 
 #: Entry kinds. ``dump`` continues from the exact suspend point;
 #: ``dump_to_contract`` continues from an earlier contract point using the
@@ -98,24 +103,27 @@ class SuspendedQuery:
     #: timeline stays continuous across the gap — in any process, under
     #: any schedule, folded or not.
     query_clock: float = 0.0
-    #: Payloads staged by ``ImageStore.load`` for a resume on another
-    #: database (key -> ``(payload, pages)``; see :meth:`import_payloads`).
-    #: Empty when resuming in place.
-    migrated_payloads: dict = field(default_factory=dict)
-    #: For payloads staged by ``ImageStore.load`` (still encoded, each a
-    #: :class:`~repro.storage.statefile.StagedPayload`): key -> the
-    #: :class:`~repro.storage.statefile.PayloadOrigin` of the verified
-    #: image section it is (in-process only, never part of an image).
-    #: :meth:`import_payloads` hands them to the state store: the next
-    #: delta image references them, the store keeps one copy of each.
-    payload_origins: dict = field(default_factory=dict)
-    #: State-store keys the suspended session had drawn (in-process only,
-    #: never part of an image). A session resumed in place takes them
-    #: over, so the query frees its payloads when it finally completes.
-    store_keys: list = field(default_factory=list)
+    #: The state-store payloads the query names and its hold on them
+    #: (in-process only, never part of an image); see :meth:`release`.
+    payloads: PayloadHold = field(default_factory=PayloadHold)
     #: The suspended session's key counters (``StateStore.key_counters``),
     #: continued by a resume: the keys it draws depend on the image alone.
     key_counters: dict = field(default_factory=dict)
+
+    def release(self) -> None:
+        """Drop the query's hold on its payloads: whoever drops a
+        SuspendedQuery releases it, and never resumes it afterwards."""
+        if self.payloads.store is not None:
+            self.payloads.store.free_keys(self.payloads.entries)
+        self.payloads = PayloadHold()
+
+    def hold_in(self, store: StateStore) -> None:
+        """Hold every payload the query names in ``store`` instead, as a
+        resume into ``store`` followed at once by a suspend would."""
+        view = ScopedStateStore(store, None)
+        view.take(self.payloads)
+        self.release()
+        self.payloads = view.hand_over()
 
     def entry(self, op_id: int) -> OpSuspendEntry:
         if op_id not in self.entries:
@@ -154,42 +162,9 @@ class SuspendedQuery:
                     handles[handle.key] = handle
         return handles
 
-    # ------------------------------------------------------------------
-    # Migration support (the Grid scenario)
-    # ------------------------------------------------------------------
-    def import_payloads(self, store: StateStore) -> None:
-        """Re-home migrated payloads into ``store`` under their own keys,
-        charging the writes, and rewrite every handle in the structure
-        to point at that store."""
-        handles = {
-            key: store.import_payload(
-                key, payload, pages, origin=self.payload_origins.get(key)
-            )
-            for key, (payload, pages) in self.migrated_payloads.items()
-        }
-
-        def rehome(handle: DumpHandle) -> DumpHandle:
-            if handle.key not in handles:
-                raise StorageError(
-                    f"migrated SuspendedQuery lacks payload for handle "
-                    f"{handle.key!r}"
-                )
-            return handles[handle.key]
-
-        for entry in self.entries.values():
-            if entry.dump_handle is not None:
-                entry.dump_handle = rehome(entry.dump_handle)
-            entry.target_control = _map_handles(entry.target_control, rehome)
-            entry.current_control = _map_handles(
-                entry.current_control, rehome
-            )
-            entry.ckpt_payload = _map_handles(entry.ckpt_payload, rehome)
-        self.migrated_payloads = {}
-        self.payload_origins = {}
-
 
 #: Leaf types of control state and row cells: no handle can hide inside
-#: one, so the walks below neither push nor descend into them.
+#: one, so the walk below neither pushes nor descends into them.
 _SCALARS = frozenset({int, str, float, bool, type(None), bytes})
 _all_scalars = _SCALARS.issuperset
 _ROWS_ONLY = {tuple}
@@ -235,28 +210,3 @@ def _rows_of_scalars(obj) -> bool:
     return set(map(type, obj)) == _ROWS_ONLY and _all_scalars(
         map(type, chain.from_iterable(obj))
     )
-
-
-def _map_handles(obj, fn):
-    """Return ``obj`` with every nested DumpHandle replaced by ``fn(h)``:
-    a structurally equal copy (scalars, and tuples of nothing but
-    scalars, are immutable and shared with the original; a list of such
-    rows is copied whole, as :func:`_iter_handles` dismisses it)."""
-    if isinstance(obj, DumpHandle):
-        return fn(obj)
-    if isinstance(obj, dict):
-        return {
-            k: v if type(v) in _SCALARS else _map_handles(v, fn)
-            for k, v in obj.items()
-        }
-    if isinstance(obj, list):
-        if _rows_of_scalars(obj):
-            return obj.copy()
-        return [v if type(v) in _SCALARS else _map_handles(v, fn) for v in obj]
-    if isinstance(obj, tuple):
-        if _all_scalars(map(type, obj)):
-            return obj
-        return tuple(
-            v if type(v) in _SCALARS else _map_handles(v, fn) for v in obj
-        )
-    return obj

@@ -29,9 +29,9 @@ plus small irregular control dicts. Design points:
 
 The value domain: scalars, lists, tuples, dicts with arbitrary keys,
 sets/frozensets, :class:`DumpHandle` references (decoded unhomed, with
-``store_id=-1``, until ``SuspendedQuery.import_payloads`` re-homes them),
-and the registered spec/predicate dataclasses. The encoding carries no
-version stamp of its own: the image's ``layout_version`` covers it.
+``store_id=-1``: the key in whichever state store reads it), and the
+registered spec/predicate dataclasses. The encoding carries no version
+stamp of its own: the image's ``layout_version`` covers it.
 
 The class registry below is the codec's compatibility surface: renaming
 a spec or predicate class breaks images already on disk.

@@ -91,11 +91,13 @@ def _commit_base(
 ) -> SuspendedQuery:
     """Commit ``base_image_id`` and return the query as a resume from it
     holds it: loaded back, payloads re-imported under their keys with
-    sections of the base as origins, one of them re-dumped."""
+    sections of the base as origins, one of them re-dumped. ``sq`` is
+    released."""
     image_store = ImageStore(root)
     image_store.save(sq, store, image_id=base_image_id)
     resumed = image_store.load(base_image_id)
-    resumed.import_payloads(store)
+    resumed.hold_in(store)
+    sq.release()
     bump_one_generation(resumed, store)
     return resumed
 

@@ -90,6 +90,7 @@ from repro.durability.format import (
 )
 from repro.storage.statefile import (
     DumpHandle,
+    PayloadHold,
     PayloadOrigin,
     StagedPayload,
     StateStore,
@@ -743,9 +744,9 @@ class ImageStore:
         image names — its own and, for a delta, those it references, each
         checked to be held with the same page count by an image of its
         base chain — is read and verified (size and SHA-256) before this
-        returns, but not decoded: ``migrated_payloads`` holds each as a
-        :class:`~repro.storage.statefile.StagedPayload` and
-        ``payload_origins`` the section it is. ``QuerySession.resume``
+        returns, but not decoded: the query's ``payloads`` hold each as a
+        :class:`~repro.storage.statefile.StagedPayload` with the section
+        it is, and no count anywhere. Each ``QuerySession.resume`` of it
         imports them into the target database's state store, charging
         the page writes there exactly as a migration to a replica would;
         the store decodes a payload when its handle is first read — a
@@ -762,7 +763,6 @@ class ImageStore:
                 )
             sq = codec2.decode_suspended_query(read(manifest["control_file"]))
             payloads: dict = {}
-            origins: dict = {}
             for blob in manifest["blobs"]:
                 if "file" in blob:
                     owner_id, fname = image_id, blob["file"]
@@ -774,12 +774,9 @@ class ImageStore:
                 payloads[blob["key"]] = (
                     self._staged(read(fname), fname, blob["key"], blob["pages"]),
                     blob["pages"],
+                    PayloadOrigin(owner_id, fname, held[fname]["sha256"]),
                 )
-                origins[blob["key"]] = PayloadOrigin(
-                    owner_id, fname, held[fname]["sha256"]
-                )
-        sq.migrated_payloads = payloads
-        sq.payload_origins = origins
+        sq.payloads = PayloadHold(payloads)
         return sq
 
     def load_cut(self, image_id: str) -> dict:

@@ -382,8 +382,10 @@ def instantiate_plan(spec: PlanSpec, runtime: Runtime) -> Operator:
         raise TypeError(f"unknown plan spec node {type(node).__name__}")
 
     try:
-        return build(spec)
+        root = build(spec)
     finally:
         # A recursive closure is a reference cycle; this one would keep
         # the runtime (contract graph, lane) alive until a collection.
         build = None
+    runtime.height = plan_height(spec)
+    return root

@@ -151,6 +151,7 @@ class Runtime:
         self.controller = SuspendController()
         self.ops: dict[int, "Operator"] = {}
         self.ops_by_name: dict[str, "Operator"] = {}
+        self.height = 0
         #: The query's private as-if-solo clock/counters. Installed as the
         #: disk's active lane by the session while this query is the one
         #: executing; all per-query cost-model reads go through
@@ -219,12 +220,9 @@ class Runtime:
         return roots[0]
 
     def plan_height(self) -> int:
-        def depth(op: "Operator") -> int:
-            if not op.children:
-                return 1
-            return 1 + max(depth(c) for c in op.children)
-
-        return depth(self.root())
+        """Height of the operator tree (set once by ``instantiate_plan``:
+        the tree never changes shape afterwards)."""
+        return self.height
 
 
 @dataclass

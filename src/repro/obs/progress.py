@@ -68,15 +68,14 @@ def estimate_cardinalities(root) -> dict[int, float]:
     - everything else (project, sort, ...): pass the child through.
     """
     estimates: dict[int, float] = {}
-
-    def visit(op) -> float:
-        child_ests = [visit(c) for c in op.children]
-        est = _estimate_one(op, child_ests)
-        estimates[op.op_id] = est
-        return est
-
-    visit(root)
+    _estimate_into(root, estimates)
     return estimates
+
+
+def _estimate_into(op, estimates: dict) -> float:
+    est = _estimate_one(op, [_estimate_into(c, estimates) for c in op.children])
+    estimates[op.op_id] = est
+    return est
 
 
 def _estimate_one(op, child_ests: list[float]) -> float:

@@ -154,7 +154,6 @@ class QueryService(ExecutorCore):
         self.policy.make_room(self, record)
         session = self.open_resumed_session(record)
         self.adopt_resumed_session(record, session)
-        record.sq = None
         return self._step(record, kind="continue")
 
     # ------------------------------------------------------------------
@@ -180,11 +179,9 @@ class QueryService(ExecutorCore):
         else:
             previous = record.image_id
             self.suspend_victims([record])
-            # Stateless per request: the durable image is the only
-            # resume path, exactly what the token names — so the
-            # incarnation's state-store payloads (this hop's imports and
-            # dumps) have no reader left and go with the in-memory copy.
-            self.db.state_store.free_keys(record.sq.store_keys)
+            # Stateless per request: the image the token names is the
+            # only resume path, so the in-memory copy goes.
+            record.sq.release()
             record.sq = None
             token = self.tokens.issue(
                 record.name,

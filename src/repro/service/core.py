@@ -384,8 +384,10 @@ class ExecutorCore:
     def adopt_resumed_session(
         self, record: QueryRecord, session: QuerySession
     ) -> None:
-        """Make a successfully resumed session the record's live one."""
+        """Make a successfully resumed session the record's live one; the
+        SuspendedQuery it was resumed from is released."""
         self._hold(record, session)
+        record.sq.release()
         record.sq = None
         record.state = QueryState.READY
         record.stats.resumes += 1

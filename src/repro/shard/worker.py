@@ -90,6 +90,7 @@ class InProcessShardWorker:
         self._rows_total += len(result.rows)
         done = session.status is QueryStatus.COMPLETED
         if done:
+            session.close()
             self.session = None
         return {"rows": result.rows, "done": done}
 
@@ -157,6 +158,7 @@ class InProcessShardWorker:
         # progress fraction monotone.
         meta = dict(meta or {})
         meta["rows_total"] = self._rows_total
+        # The image is the fragment's one resume path.
         session.suspend(
             SuspendSpec(
                 budget=budget,
@@ -164,7 +166,7 @@ class InProcessShardWorker:
                 image_id=image_id,
                 image_meta=meta,
             )
-        )
+        ).release()
         info = session.last_image
         self.session = None
         return {
@@ -192,6 +194,7 @@ class InProcessShardWorker:
             name=f"shard{self.shard_id}",
             tracer=self.tracer,
         )
+        sq.release()
         return {"resume_cost": self.session.last_resume_cost}
 
     def arm_fault(self, kind: str, point: str) -> None:

@@ -6,6 +6,12 @@ pages; reading it back charges page reads. The stored payload is kept as a
 Python object (the "disk" is simulated), but all access is mediated by
 handles so the charging discipline cannot be bypassed accidentally.
 
+Who holds a payload: an open session (its :class:`ScopedStateStore`)
+or an unreleased suspended query (its :class:`PayloadHold`), each
+keeping one count on every payload it names; a payload is freed when
+its count reaches zero. A resume takes its counts through
+:meth:`StateStore.import_payload`, live payload or staged one alike.
+
 Beside the payloads the store keeps their *provenance*: for a payload
 that was imported from, or has been committed to, a durable suspend image,
 the image section that holds its bytes (:class:`PayloadOrigin`). It is
@@ -17,14 +23,16 @@ A payload keeps the key it was first dumped under for its whole life: an
 import from an image stores it under that key again. It arrives *staged*
 (:class:`StagedPayload`) and is decoded by the first read of its handle,
 so state a resume never touches is never decoded; an import of a key the
-store already holds for the same section shares that payload.
+store already holds for the same section shares that payload. A handle
+decoded from an image (``store_id`` -1) names its key in whichever store
+reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.common.errors import StorageError
@@ -99,8 +107,9 @@ class StateStore:
         # side table, not a DumpHandle field: handles are serialized into
         # control records, provenance must never change image bytes.
         self._origins: dict[str, PayloadOrigin] = {}
-        # key -> imports sharing its live payload beyond the first holder.
-        self._sharers: dict[str, int] = {}
+        # key -> holders: open sessions and unreleased suspended queries
+        # that name the payload (see the module docstring).
+        self._holds: dict[str, int] = {}
 
     def fresh_key(self, prefix: str, scope: Optional[str] = None) -> str:
         """Generate a unique key with the given prefix.
@@ -109,15 +118,15 @@ class StateStore:
         namespaced as ``scope/prefix#N`` with a counter private to that
         (scope, prefix) pair, so the keys one query draws are a pure
         function of its own dump sequence. Unscoped keys keep the legacy
-        ``prefix#N`` format off a store-global counter. A live key is
-        never drawn again.
+        ``prefix#N`` format off a store-global counter. A live or held
+        key is never drawn again.
         """
         counters = self._counters.setdefault(scope, {})
         slot = prefix if scope is not None else ""
         while True:
             n = counters[slot] = counters.get(slot, 0) + 1
             key = f"{prefix}#{n}" if scope is None else f"{scope}/{prefix}#{n}"
-            if key not in self._objects:
+            if key not in self._objects and key not in self._holds:
                 return key
 
     def key_counters(self, scope: Optional[str]) -> dict[str, int]:
@@ -214,46 +223,52 @@ class StateStore:
         """
         return self._read(handle)
 
+    def hold(self, key: str) -> None:
+        """Take one more count on ``key``'s payload."""
+        self._holds[key] = self._holds.get(key, 0) + 1
+
     def import_payload(
         self,
         key: str,
-        payload: Any,
-        pages: int,
+        payload: Any = None,
+        pages: int = 0,
         origin: Optional[PayloadOrigin] = None,
     ) -> DumpHandle:
-        """Store a migrated payload under its own key, charging the page
-        writes — the receiving side of a migration pays the transfer.
-
-        ``origin`` names the verified image section the payload is
-        (``ImageStore.load`` supplies it, payload staged); see
-        :meth:`origin_of`. If ``key`` is live, with an origin of the same
-        SHA-256, the import shares that payload, decoded or still staged,
-        for the same charge; any other live key raises StorageError.
-        """
-        if key in self._objects:
+        """One more count on ``key``'s payload: a live one for no charge
+        without ``payload``, else ``payload`` stored under its own key,
+        charging the page writes — a migration's receiving side pays.
+        ``origin`` names the verified image section it is (see
+        :meth:`origin_of`). A live ``key`` with an origin of the same
+        SHA-256 is shared, decoded or still staged, for the same charge;
+        any other live key raises StorageError."""
+        live = self._objects.get(key)
+        if payload is not None and live is not None:
             held = self._origins.get(key)
             if origin is None or held is None or held.sha256 != origin.sha256:
                 raise StorageError(f"payload {key!r} is live with other bytes")
-            payload = self._objects[key][0]
-            self._sharers[key] = self._sharers.get(key, 0) + 1
-        handle = self.dump(key, payload, pages)
-        if origin is not None:
-            self._origins[key] = origin
-        return handle
+            payload = live[0]
+        if payload is not None:
+            self.dump(key, payload, pages)
+            if origin is not None:
+                self._origins[key] = origin
+        elif live is None:
+            raise StorageError(f"no payload stored under key {key!r}")
+        self.hold(key)
+        return DumpHandle(self._store_id, key, self._objects[key][1])
 
     def free(self, handle: DumpHandle) -> None:
-        """Release a payload. Freeing is not charged (deallocation)."""
+        """Drop one count on a payload. Freeing is not charged."""
         self._check_handle(handle)
         self.free_keys((handle.key,))
 
     def free_keys(self, keys) -> None:
-        """Release the payloads under ``keys``; absent keys are skipped,
-        and a shared payload goes with its last holder."""
+        """Drop one count on each payload under ``keys``: a payload goes
+        with its last count, or its first free if nobody holds it; absent
+        keys are skipped."""
         for key in keys:
-            sharers = self._sharers.pop(key, 0)
-            if sharers > 1:
-                self._sharers[key] = sharers - 1
-            if sharers:
+            count = self._holds.pop(key, 0) - 1
+            if count > 0:
+                self._holds[key] = count
                 continue
             self._objects.pop(key, None)
             self._origins.pop(key, None)
@@ -282,7 +297,7 @@ class StateStore:
         return len(self._objects)
 
     def _check_handle(self, handle: DumpHandle) -> None:
-        if handle.store_id != self._store_id:
+        if handle.store_id not in (self._store_id, -1):
             raise StorageError(
                 f"handle {handle.key!r} belongs to a different state store"
             )
@@ -290,47 +305,69 @@ class StateStore:
             raise StorageError(f"no payload stored under key {handle.key!r}")
 
 
+@dataclass
+class PayloadHold:
+    """A suspended query's payloads: key -> what a resume imports for it
+    (:meth:`StateStore.import_payload`'s arguments). After a suspend each
+    is live and held once in ``store``; after ``ImageStore.load`` each is
+    a staged image section, held by nobody (``store`` None)."""
+
+    entries: dict = field(default_factory=dict)
+    store: Optional[StateStore] = None
+
+
 class ScopedStateStore:
-    """One query session's view of a :class:`StateStore`.
+    """One query session's view of a :class:`StateStore`, and its hold.
 
     Fresh keys are namespaced by ``scope`` (the session name; ``None``
     keeps the store-global sequence) so the dump keys a query draws —
     which end up serialized inside suspend images — depend only on its
-    own dump sequence, never on scheduler interleaving. The view also
-    remembers every key it drew or took over from the SuspendedQuery it
-    was resumed from (``keys``), so a finished query can :meth:`release`
-    its payloads. Everything else delegates to the underlying store;
-    payloads remain shared (handles are interchangeable across views).
+    own dump sequence, never on scheduler interleaving. The view holds
+    one count on every key it drew or imported (``keys``) until a
+    suspend hands them over or a close drops them. Everything else
+    delegates to the underlying store; payloads remain shared (handles
+    are interchangeable across views).
     """
 
-    __slots__ = ("_base", "scope", "keys")
+    __slots__ = ("_base", "scope", "keys", "_open")
 
     def __init__(self, base: StateStore, scope: Optional[str]):
         self._base = base
         self.scope = scope
         self.keys: list[str] = []
-        base.open_scope(scope)  # closed by QuerySession.close
+        self._open = True
+        base.open_scope(scope)  # closed by close()
 
     def fresh_key(self, prefix: str) -> str:
         key = self._base.fresh_key(prefix, scope=self.scope)
+        self._base.hold(key)
         self.keys.append(key)
         return key
 
-    def release(self) -> None:
-        """Free every payload stored under one of this view's keys."""
-        self._base.free_keys(self.keys)
-        self.keys.clear()
+    def take(self, hold: PayloadHold) -> None:
+        """A count of the view's own on every payload ``hold`` names."""
+        for key, (payload, pages, origin) in hold.entries.items():
+            self._base.import_payload(key, payload, pages, origin)
+            self.keys.append(key)
 
-    def import_payload(
-        self,
-        key: str,
-        payload: Any,
-        pages: int,
-        origin: Optional[PayloadOrigin] = None,
-    ) -> DumpHandle:
-        handle = self._base.import_payload(key, payload, pages, origin)
-        self.keys.append(key)
-        return handle
+    def hand_over(self) -> PayloadHold:
+        """Move the view's counts into a new :class:`PayloadHold`."""
+        live = (None, 0, None)  # nothing to import: a resume only counts
+        hold = PayloadHold(dict.fromkeys(self.keys, live), self._base)
+        self.keys = []
+        return hold
+
+    def release(self) -> None:
+        """Drop the view's count on every payload it holds."""
+        self._base.free_keys(self.keys)
+        self.keys = []
+
+    def close(self) -> None:
+        """Release, and close the scope (once: the session is done)."""
+        self.release()
+        if self._open:
+            self._open = False
+            self._base.close_scope(self.scope)
 
     def __getattr__(self, name):
         return getattr(self._base, name)

@@ -15,7 +15,7 @@ from repro import (
     SuspendTrigger,
 )
 from repro.common.errors import ReproError
-from repro.durability import ImageStore
+from repro.durability import ImageStore, codec2
 from repro.engine.plan import (
     HashGroupAggSpec,
     NLJSpec,
@@ -23,6 +23,7 @@ from repro.engine.plan import (
     SimpleHashJoinSpec,
     SortSpec,
 )
+from repro.engine.sort import TwoPhaseMergeSort
 from repro.relational.expressions import EquiJoinCondition
 
 from tests.conftest import make_small_db, tiny_nlj_plan, tiny_smj_plan
@@ -260,10 +261,113 @@ class TestStateStoreRelease:
                 db.state_store.exists(key) for key in sq.referenced_handles()
             )
             resumed = QuerySession.resume(db, sq)
+            sq.release()
             rows += resumed.execute().rows
             assert rows == ref
             resumed.close()
             assert len(db.state_store) == before
+
+
+class TestEveryHolderKeepsOneCount:
+    """An open session and an unreleased SuspendedQuery each keep one
+    count on every payload they name; a payload goes with its last
+    count. Eight sort sublists are the payloads here."""
+
+    PLAN = SortSpec(ScanSpec("R"), key_columns=(1,), buffer_tuples=500)
+
+    @staticmethod
+    def db():
+        return make_small_db(r_tuples=4000)
+
+    def reference(self):
+        return QuerySession(self.db(), self.PLAN).execute().rows
+
+    def suspended(self, db, store=None):
+        session = QuerySession(db, self.PLAN, name="q")
+        rows = session.execute(max_rows=100).rows
+        assert len(db.state_store) == 8
+        sq = session.suspend(SuspendSpec(persist_to=store, image_id="img"))
+        return rows, sq
+
+    @staticmethod
+    def assert_empty(db):
+        state = db.state_store
+        assert len(state) == 0 and state._holds == {} and state._origins == {}
+        assert state._open_scopes == {}
+
+    def test_two_in_place_resumes_of_one_query(self):
+        db = self.db()
+        rows, sq = self.suspended(db)
+        first = QuerySession.resume(db, sq, name="q")
+        second = QuerySession.resume(db, sq, name="q")
+        assert rows + first.execute().rows == self.reference()
+        first.close()
+        assert rows + second.execute().rows == self.reference()
+        second.close()
+        sq.release()
+        self.assert_empty(db)
+
+    def test_closing_a_running_session_frees_its_sublists(self):
+        """The primitive behind a scheduler's kill."""
+        db = self.db()
+        session = QuerySession(db, self.PLAN, name="q")
+        session.execute(max_rows=100)
+        assert len(db.state_store) == 8
+        session.close()
+        self.assert_empty(db)
+        restarted = QuerySession(db, self.PLAN, name="q")
+        assert restarted.execute().rows == self.reference()
+        restarted.close()
+        self.assert_empty(db)
+
+    @pytest.mark.parametrize("end", ["discarded", "raised"])
+    def test_an_image_resume_that_ends_early_keeps_the_query(
+        self, tmp_path, monkeypatch, end
+    ):
+        store = ImageStore(str(tmp_path))
+        saving = self.db()
+        rows, sq = self.suspended(saving, store)
+        sq.release()
+        self.assert_empty(saving)
+        db = self.db()
+        loaded = store.load("img")
+        if end == "discarded":
+            QuerySession.resume(db, loaded, name="q").close()
+        else:
+
+            def fail(op, ctx):
+                raise RuntimeError("injected resume failure")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(TwoPhaseMergeSort, "do_resume", fail)
+                with pytest.raises(RuntimeError, match="injected"):
+                    QuerySession.resume(db, loaded, name="q")
+        self.assert_empty(db)
+        resumed = QuerySession.resume(db, loaded, name="q")
+        assert rows + resumed.execute().rows == self.reference()
+        resumed.close()
+        loaded.release()
+        self.assert_empty(db)
+
+    def test_a_reload_into_the_saving_database_shares_its_payloads(
+        self, tmp_path, monkeypatch
+    ):
+        store = ImageStore(str(tmp_path))
+        db = self.db()
+        rows, sq = self.suspended(db, store)
+        loaded = store.load("img")
+        decoded = []
+        real = codec2.decode_bytes
+        monkeypatch.setattr(
+            codec2, "decode_bytes", lambda data: decoded.append(1) or real(data)
+        )
+        resumed = QuerySession.resume(db, loaded, name="q")
+        sq.release()
+        assert rows + resumed.execute().rows == self.reference()
+        assert decoded == []  # every sublist was live: shared, not decoded
+        resumed.close()
+        loaded.release()
+        self.assert_empty(db)
 
 
 class TestClosedSessionIsNotCyclicGarbage:
@@ -305,3 +409,41 @@ class TestClosedSessionIsNotCyclicGarbage:
                 assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
+
+    def test_a_suspend_resume_cycle_leaves_no_cyclic_garbage(self):
+        """The suspend-plan solve (cost model, frontiers) and the
+        checkpoints' Theorem 1 check build no function-cell cycles: with
+        the collector off, execute, suspend, resume and completion of a
+        sort over a block NLJ leave none of their objects unreachable."""
+        plan = SortSpec(
+            tiny_nlj_plan(buffer_tuples=30), key_columns=(0,), buffer_tuples=40
+        )
+        forbidden = {
+            "function",
+            "cell",
+            "ChainLink",
+            "SuspendCostModel",
+            "ContractGraph",
+        }
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            db = make_small_db()
+            session = QuerySession(db, plan, name="q")
+            session.execute(max_rows=5)
+            sq = session.suspend(SuspendSpec(strategy="lp"))
+            resumed = QuerySession.resume(db, sq, name="q")
+            sq.release()
+            assert resumed.execute().status is QueryStatus.COMPLETED
+            resumed.close()
+            del session, sq, resumed
+            gc.collect()
+            leaked = sorted(
+                {type(o).__name__ for o in gc.garbage} & forbidden
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []

@@ -14,7 +14,6 @@ from repro.core.suspended_query import (
     OpSuspendEntry,
     SuspendedQuery,
     _iter_handles,
-    _map_handles,
 )
 from repro.core.strategies import SuspendPlan
 from repro.storage.statefile import DumpHandle
@@ -164,29 +163,3 @@ class TestHandleWalks:
     @given(NESTED)
     def test_iterative_walk_equals_the_recursive_reference(self, obj):
         assert list(_iter_handles(obj)) == list(iter_handles_reference(obj))
-
-    @settings(max_examples=300, deadline=None)
-    @given(NESTED)
-    def test_map_returns_a_structurally_equal_copy(self, obj):
-        seen = []
-
-        def visit(handle):
-            seen.append(handle)
-            return handle
-
-        copy = _map_handles(obj, visit)
-        assert copy == obj and type(copy) is type(obj)
-        assert seen == list(iter_handles_reference(obj))
-        renamed = _map_handles(
-            obj, lambda h: DumpHandle(h.store_id, "new/" + h.key, h.pages)
-        )
-        assert [h.key for h in iter_handles_reference(renamed)] == [
-            "new/" + h.key for h in seen
-        ]
-
-    def test_map_never_aliases_a_mutable_container(self):
-        inner = [(1, 2), {"k": [3]}]
-        copy = _map_handles({"rows": inner}, lambda h: h)
-        assert copy["rows"] is not inner
-        assert copy["rows"][1] is not inner[1]
-        assert copy["rows"][1]["k"] is not inner[1]["k"]

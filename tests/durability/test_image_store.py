@@ -50,7 +50,7 @@ class TestRoundTrip:
         loaded = store.load(info.image_id)
         # Every persisted blob is staged for import (may be zero when the
         # LP chose goback for every operator).
-        assert len(loaded.migrated_payloads) == info.num_blobs
+        assert len(loaded.payloads.entries) == info.num_blobs
         resumed = QuerySession.resume(fresh_db, loaded)
         rest = resumed.execute().rows
         assert prefix + rest == reference
@@ -287,7 +287,7 @@ class TestDeltaChains:
         assert refs and {r["image_id"] for r in refs} == {ids[0]}
         assert all(r["file"] in store.manifest(ids[0])["files"] for r in refs)
         assert store.validate(ids[-1]) == []
-        assert len(store.load(ids[-1]).migrated_payloads) == tip.num_blobs
+        assert len(store.load(ids[-1]).payloads.entries) == tip.num_blobs
         store.delete(ids[0])
         assert any("reference" in p for p in store.validate(ids[-1]))
 
@@ -358,7 +358,7 @@ def decoded(loaded):
     """``key -> (payload, pages)`` of a loaded image's staged payloads."""
     return {
         key: (staged.get(), pages)
-        for key, (staged, pages) in loaded.migrated_payloads.items()
+        for key, (staged, pages, _) in loaded.payloads.entries.items()
     }
 
 
@@ -459,7 +459,7 @@ class TestProvenanceAcrossLoad:
         db, sq, _ = suspend_partway("sort")
         store.save(sq, db.state_store, image_id="base")
         loaded = store.load("base")
-        loaded.import_payloads(db.state_store)
+        loaded.hold_in(db.state_store)
         bump_one_generation(loaded, db.state_store)  # same bytes, new write
         redumped = sorted(loaded.referenced_handles())[0]
         delta = store.save(

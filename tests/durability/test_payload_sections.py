@@ -127,7 +127,7 @@ class TestDecodedOnlyWhenRead:
         session.suspend(SuspendSpec(persist_to=store, image_id="first"))
         other = join_db()
         loaded = store.load("first")
-        loaded.import_payloads(other.state_store)
+        loaded.hold_in(other.state_store)
         info = store.save(
             loaded, other.state_store, image_id="second", base_image_id="first"
         )
@@ -159,7 +159,7 @@ class TestVerifiedBeforeUse:
         prefix = list(session.rows)
         session.suspend(SuspendSpec(persist_to=store, image_id="good"))
         victim = section_of(store, "good", "hj_build#6")  # the last partition
-        staged, pages = store.load("good").migrated_payloads["q/hj_build#6"]
+        staged, pages, _ = store.load("good").payloads.entries["q/hj_build#6"]
         record = {
             "key": "q/hj_build#6",
             "pages": pages + 1,

@@ -215,7 +215,7 @@ class TestSectionKey:
         problems = store.validate("bad")
         assert problems and all("does not match" in p for p in problems)
         sq = store.load("bad")  # verified and staged: no decode yet
-        staged, _ = sq.migrated_payloads[victim["key"] + "x"]
+        staged, _, _ = sq.payloads.entries[victim["key"] + "x"]
         with pytest.raises(ImageFormatError, match="does not match"):
             staged.get()
         assert store.recover().torn == ["bad"]
@@ -251,7 +251,7 @@ class TestSectionKey:
         problems = store.validate("bad")
         assert problems and victim["file"] in problems[0]
         sq = store.load("bad")  # verified and staged: no decode yet
-        staged, _ = sq.migrated_payloads[victim["key"]]
+        staged, _, _ = sq.payloads.entries[victim["key"]]
         with pytest.raises(codec2.CodecError):
             staged.get()
         assert store.recover().torn == ["bad"]
@@ -294,7 +294,7 @@ class TestNeverCopiesUnverifiedBytes:
         session.suspend(SuspendSpec(persist_to=store, image_id="a"))
         db = factory()
         sq = store.load("a")
-        sq.import_payloads(db.state_store)
+        sq.hold_in(db.state_store)
         held = set(sq.referenced_handles())
         os.unlink(store.info("a").path)  # behind the store's back
         calls["export"].clear()
@@ -312,7 +312,7 @@ class TestNeverCopiesUnverifiedBytes:
         session.suspend(SuspendSpec(persist_to=store, image_id="a"))
         db = factory()
         sq = store.load("a")
-        sq.import_payloads(db.state_store)
+        sq.hold_in(db.state_store)
         calls["export"].clear()
         info = store.save(sq, db.state_store, image_id="b")
         assert calls["export"] == [] and calls["decode"] == []
@@ -341,7 +341,7 @@ class TestNeverCopiesUnverifiedBytes:
         session.suspend(SuspendSpec(persist_to=store, image_id="a"))
         db = factory()
         sq = store.load("a")
-        sq.import_payloads(db.state_store)
+        sq.hold_in(db.state_store)
         first = store.manifest("a")["blobs"][0]
         flip_byte(store, "a", first["file"])
         other = QuerySession(factory(), plan, name="p")

@@ -21,6 +21,9 @@ same plan run once, uninterrupted:
   a cut at any pass boundary commits the same bytes twice and resumes to
   the uncut delivery.
 
+Every mode ends with its last session closed and each SuspendedQuery
+released, and then holds nothing (:func:`assert_nothing_held`).
+
 Page counts are never compared across a suspend (a resumed scan re-reads
 its page). Each ``@example`` pins a defect whatever hypothesis draws.
 """
@@ -146,6 +149,18 @@ class Run:
     lanes: list = field(default_factory=list)
     trail: list = field(default_factory=list)
     images: list = field(default_factory=list)
+    #: The database the run ended on.
+    db: object = field(default=None, compare=False, repr=False)
+
+
+def assert_nothing_held(db):
+    """What a mode ends on once its last session is closed and each
+    SuspendedQuery released: the state store holds no payload, holder
+    count, origin, key counter or open scope."""
+    state = db.state_store
+    assert len(state) == 0
+    assert (state._holds, state._origins, state._open_scopes) == ({}, {}, {})
+    assert [scope for scope in state._counters if scope is not None] == []
 
 
 def in_place(db, sq, hop, tracer):
@@ -175,7 +190,14 @@ def run_schedule(case, schedule, resume=in_place, tracer=None, execute=plain,
             break
         sq = suspend(session, schedule, hop)
         run.images.append(encode_suspended_query(sq))
-        session = resume(session.db, sq, hop, tracer)
+        db = session.db
+        session = resume(db, sq, hop, tracer)
+        sq.release()
+        if session.db is not db:
+            assert_nothing_held(db)
+    session.close()
+    assert session.memory_in_use() == 0
+    run.db = session.db
     return run
 
 
@@ -256,8 +278,12 @@ def test_every_valid_plan_resumes_alike():
     for plan in plans:
         session, rows = at_stop()
         sq = session.suspend(SuspendSpec(plan=plan))
-        rows += in_place(session.db, sq, 0, None).execute().rows
+        resumed = in_place(session.db, sq, 0, None)
+        sq.release()
+        rows += resumed.execute().rows
         assert rows == ref, plan.describe()
+        resumed.close()
+        assert_nothing_held(resumed.db)
 
 
 def check_in_place(case, schedule, ref=None):
@@ -266,6 +292,7 @@ def check_in_place(case, schedule, ref=None):
     ref = reference(case) if ref is None else ref
     run = run_schedule(case, schedule)
     assert run.rows == ref.rows
+    assert_nothing_held(run.db)
     if set(schedule.strategies) == {"all_dump"}:
         assert run.cpu == ref.cpu
 
@@ -279,8 +306,10 @@ def test_one_row_requests(case, schedule):
     with mock.patch.object(
         Operator, "next_batch", lambda op, max_rows: batch(op, min(max_rows, 1))
     ):
-        assert run_schedule(case, schedule) == free
+        one_row = run_schedule(case, schedule)
+    assert one_row == free
     assert free.rows == reference(case).rows
+    assert_nothing_held(one_row.db)
 
 
 @settings(SLOW, max_examples=15)
@@ -288,8 +317,10 @@ def test_one_row_requests(case, schedule):
 def test_traced(case, schedule, every):
     free = run_schedule(case, schedule)
     tracer = Tracer(next_sample_every=every)
-    assert run_schedule(case, schedule, tracer=tracer) == free
+    traced = run_schedule(case, schedule, tracer=tracer)
+    assert traced == free
     assert free.rows == reference(case).rows
+    assert_nothing_held(traced.db)
     kinds = {record["type"] for record in tracer.records}
     assert "op.stats" in kinds
     assert "op.next_batch" in kinds or not free.rows
@@ -304,12 +335,16 @@ def test_persisted(case, schedule):
         def through_store(db, sq, hop, tracer):
             base = f"hop{hop - 1}" if hop else None
             store.save(sq, db.state_store, f"hop{hop}", base_image_id=base)
-            return in_place(case.db(), store.load(f"hop{hop}"), hop, tracer)
+            loaded = store.load(f"hop{hop}")
+            resumed = in_place(case.db(), loaded, hop, tracer)
+            loaded.release()
+            return resumed
 
         run = run_schedule(case, schedule, resume=through_store)
         if len(run.images) > 1:
             assert store.info("hop1").base_image_id == "hop0"
     assert run.rows == reference(case).rows
+    assert_nothing_held(run.db)
 
 
 @settings(SLOW, max_examples=15)
@@ -329,6 +364,7 @@ def test_token_hopped(case, schedule):
             result = service.continue_query(result.token)
             rows += result.rows
     assert rows == ref
+    assert_nothing_held(service.db)
 
 
 @settings(SLOW, max_examples=20)
@@ -386,6 +422,8 @@ def check_folded(case, schedule, chunk):
         solo = QuerySession(case.db(), plan, name=name)
         assert got == solo.execute().rows
         assert lane_state(sibling) == lane_state(solo)
+        sibling.close()
+    assert_nothing_held(db)
 
 
 @settings(SLOW, max_examples=15)
@@ -420,6 +458,8 @@ def check_sharded(case, shards, quantum, cut):
         passes += 1
     full = list(uncut.output_rows)
     assert sorted(full) == sorted(reference(case).rows)
+    for worker in uncut.workers:
+        assert_nothing_held(worker.db)
     if passes < 2:
         return full
 
@@ -431,6 +471,8 @@ def check_sharded(case, shards, quantum, cut):
             coord.run_pass()
         before = list(coord.output_rows)
         coord.suspend_global(root, gid="cut")
+        for worker in coord.workers:
+            assert_nothing_held(worker.db)
         store = ImageStore(root)
         return before, [
             {**store.manifest(info.image_id), "created_ns": 0}
@@ -443,4 +485,6 @@ def check_sharded(case, shards, quantum, cut):
         assert cut_at(boundary, b) == (before, committed)  # deterministic
         resumed = ShardCoordinator.resume(case.db(), a, "cut")
         assert before + resumed.run() == full
+        for worker in resumed.workers:
+            assert_nothing_held(worker.db)
     return full

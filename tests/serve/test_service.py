@@ -437,7 +437,7 @@ class TestKeysStayBounded:
         state = service.db.state_store
         assert tokens and len(state) == 0  # queries outstanding, none held
         assert [scope for scope in state._counters if scope is not None] == []
-        assert state._origins == {} and state._sharers == {}
+        assert state._origins == {} and state._holds == {}
 
     def test_two_processes_write_byte_identical_sections(self, tmp_path):
         """Same session, another interpreter: every hop's packed image

@@ -6,6 +6,7 @@ from repro.common.errors import StorageError
 from repro.storage.disk import SimulatedDisk
 from repro.storage.statefile import (
     DumpHandle,
+    PayloadHold,
     PayloadOrigin,
     ScopedStateStore,
     StagedPayload,
@@ -177,11 +178,11 @@ class TestPayloadOrigin:
     def test_scoped_view_records_it_and_tracks_the_key(self):
         store = StateStore(SimulatedDisk())
         view = ScopedStateStore(store, "q")
-        handle = view.import_payload("k", ["rows"], 1, origin=self.ORIGIN)
-        assert handle.key in view.keys
-        assert store.origin_of(handle.key) == self.ORIGIN
+        view.take(PayloadHold({"k": (["rows"], 1, self.ORIGIN)}))
+        assert "k" in view.keys
+        assert store.origin_of("k") == self.ORIGIN
         view.release()
-        assert store.origin_of(handle.key) is None
+        assert store.origin_of("k") is None
 
     def test_commit_records_it_only_for_a_stored_payload(self):
         store = StateStore(SimulatedDisk())
