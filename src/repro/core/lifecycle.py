@@ -173,9 +173,14 @@ class QuerySession:
         #: makes ``instantiate_plan`` graft the shared leaves onto the
         #: fold's producers. Must be installed before instantiation.
         self.runtime.fold = fold
-        with self._lane_active():
-            self.root = instantiate_plan(plan_spec, self.runtime)
-            self.root.open()
+        self.root = None
+        try:
+            with self._lane_active():
+                self.root = instantiate_plan(plan_spec, self.runtime)
+                self.root.open()
+        except BaseException:
+            self.close()  # the scope opened with the runtime closes too
+            raise
         self.status = QueryStatus.RUNNING
         self.rows: list = []
         self.last_suspend_cost = 0.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import Runtime
 from repro.engine.scan import TableScan, fused_scan
-from repro.relational.expressions import Predicate
+from repro.relational.expressions import Predicate, compile_mask
 from repro.relational.schema import Schema
 
 
@@ -34,6 +34,8 @@ class Filter(Operator):
     ):
         super().__init__(op_id, name, [child], runtime, child.schema)
         self.predicate = predicate
+        #: The predicate as a mask pass, for the fused scan→filter loop.
+        self.mask = compile_mask(predicate)
         self.REWINDABLE = child.REWINDABLE
         #: Ids of contracts left unmigrated by a rewind (:meth:`rewind`).
         self._rewound: set = set()

@@ -11,18 +11,28 @@ as they fill (charged); the phase boundary is a materialization point:
 the partitions become payloads (:mod:`repro.engine.partitions`).
 Phase 2 loads one partition at a time, folds it into per-group aggregates,
 and emits the groups; partition boundaries are minimal-heap-state points.
+A load is one CPU charge: the group keys come from a C-level key pass
+compiled once, at construction, and the fold is written out per
+aggregate function, in arrival order (so float sums are bit-identical to
+a row-at-a-time fold).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from operator import add, itemgetter
 from typing import Sequence
 
 from repro.core.suspended_query import OpSuspendEntry
+from repro.engine.aggregate import AGG_FUNCS
 from repro.engine.base import Operator, Row
 from repro.engine.partitions import PartitionedInput
 from repro.engine.runtime import ResumeContext, Runtime
-from repro.relational.expressions import compile_fold, compile_projection
+from repro.relational.expressions import (
+    compile_group_keys,
+    compile_projection,
+)
 from repro.relational.schema import Column, Schema
 
 PHASE_PARTITION = "partition"
@@ -46,8 +56,8 @@ class HashGroupAggregate(Operator):
         agg_column: int,
         num_partitions: int = 8,
     ):
-        # compile_fold raises ValueError for an unknown ``agg_func``.
-        self._fold_row = compile_fold(agg_func, agg_column)
+        if agg_func not in AGG_FUNCS:
+            raise ValueError(f"unsupported aggregate {agg_func!r}")
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
         cols = tuple(
@@ -59,6 +69,7 @@ class HashGroupAggregate(Operator):
         self.agg_func = agg_func
         self.agg_column = agg_column
         self.num_partitions = num_partitions
+        self._group_keys = compile_group_keys(self.group_columns)
         self.phase = PHASE_PARTITION
         self.input = PartitionedInput(
             self, child, "part", compile_projection(self.group_columns),
@@ -135,16 +146,47 @@ class HashGroupAggregate(Operator):
         pages = math.ceil(len(rows) / self.input.tuples_per_page)
         with self.attribute_work():
             self.rt.disk.read_pages(pages)
-        key_of = compile_projection(self.group_columns)
-        fold = self._fold_row
+        aggregates = self._aggregate(rows)
+        self.charge_cpu(len(rows))
+        self._groups = list(
+            map(add, aggregates.keys(), zip(aggregates.values()))
+        )
+        self.emit_idx = 0
+
+    def _aggregate(self, rows) -> dict:
+        """Group key -> aggregate over ``rows``, keys in order of first
+        arrival.
+
+        The keys and values come from C-level passes; the fold is written
+        out per function, in arrival order (so a float sum adds in the
+        same order as a row-at-a-time fold). A group's first value — or
+        any value that follows a ``None`` aggregate — starts it afresh,
+        as in :func:`~repro.relational.expressions.compile_fold`.
+        """
+        keys = self._group_keys(rows)
+        func = self.agg_func
+        if func == "count":
+            return Counter(keys)  # the same get(key, 0) + 1, in C
+        values = map(itemgetter(self.agg_column), rows)
         aggregates: dict = {}
         get = aggregates.get
-        for row in rows:
-            key = key_of(row)
-            aggregates[key] = fold(get(key), row)
-        self.charge_cpu(len(rows))
-        self._groups = [key + (value,) for key, value in aggregates.items()]
-        self.emit_idx = 0
+        if func == "sum":
+            for key, value in zip(keys, values):
+                cur = get(key)
+                aggregates[key] = value if cur is None else cur + value
+        elif func == "min":
+            for key, value in zip(keys, values):
+                cur = get(key)
+                aggregates[key] = (
+                    value if cur is None or value < cur else cur
+                )
+        else:  # max
+            for key, value in zip(keys, values):
+                cur = get(key)
+                aggregates[key] = (
+                    value if cur is None or value > cur else cur
+                )
+        return aggregates
 
     # ------------------------------------------------------------------
     # State introspection

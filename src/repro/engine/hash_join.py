@@ -5,6 +5,17 @@ partition blocks are flushed to disk as they fill. The end of phase 1 is a
 materialization point. Phase 2 ("join") loads one build partition into
 memory at a time and streams the matching probe partition past it.
 
+The probe runs as C-level passes over keys compiled once, at
+construction: at the first batch after a load or a restore the loaded
+partition gets a *hit index* — the positions of the probe rows whose key
+is in the hash table, their match lists and running match counts — and
+a batch bisects from the probe cursor into it and emits whole match
+lists by comprehension. The index is derived state: never encoded, not
+counted as heap state, dropped at the partition advance. Probe pages
+are charged by arithmetic over the cursor's start and end (none when a
+page holds one row), and the control state after a batch is the one a
+probe of one row at a time leaves (``docs/PROTOCOL.md`` §8).
+
 Checkpoint behaviour, following the paper:
 
 - one proactive checkpoint at the very start (before reading any child)
@@ -31,7 +42,8 @@ Checkpoint behaviour, following the paper:
 from __future__ import annotations
 
 import math
-from itertools import chain
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, compress, repeat
 from typing import Optional
 
 from repro.core.suspended_query import OpSuspendEntry
@@ -40,6 +52,7 @@ from repro.engine.partitions import PartitionedInput
 from repro.engine.runtime import ResumeContext, Runtime
 from repro.relational.expressions import (
     EquiJoinCondition,
+    compile_join_keys,
     compile_left_key,
     compile_right_key,
 )
@@ -73,11 +86,15 @@ class SimpleHashJoin(Operator):
             op_id, name, [build, probe], runtime, build.schema.concat(probe.schema)
         )
         self.condition = condition
+        self._build_key = compile_left_key(condition)
+        self._probe_keys = compile_join_keys(
+            condition.right_column, condition.modulus
+        )
         self.num_partitions = num_partitions
         self.phase = PHASE_PARTITION
         page_bytes = runtime.disk.cost_model.page_bytes
         self.build = PartitionedInput(
-            self, build, "build", compile_left_key(condition),
+            self, build, "build", self._build_key,
             build.schema.tuples_per_page(page_bytes),
             num_partitions, self.memory_partitions,
         )
@@ -94,6 +111,10 @@ class SimpleHashJoin(Operator):
         self._emit_matches: Optional[list[Row]] = None
         self._emit_pos = 0
         self._emit_probe_row: Optional[Row] = None
+        #: The loaded partition's hit index (:meth:`_index_partition`):
+        #: derived state, built at the first batch after a load or a
+        #: restore and dropped with the partition.
+        self._hit_index: Optional[tuple] = None
 
     def _is_memory_partition(self, p: int) -> bool:
         return p < self.memory_partitions
@@ -123,62 +144,38 @@ class SimpleHashJoin(Operator):
         in runs.
 
         Match charges and emit-wrapper charges accumulate in ``crun`` and
-        settle once before the batch returns (the join phase calls no
-        one). Partition boundaries end the batch (when it is non-empty)
-        so the boundary checkpoint is taken at the start of the next
-        call, with nothing pending: every pending charge belongs to a row
-        already in ``out``.
+        settle, with ``tuples_emitted``, once before the batch returns
+        (the join phase calls no one). Partition boundaries end the batch
+        (when it is non-empty) so the boundary checkpoint is taken at the
+        start of the next call, with nothing pending: every pending
+        charge belongs to a row already in ``out``.
         """
         out: list = []
         if self.phase == PHASE_DONE:
             return out
         if self.phase == PHASE_PARTITION:
             self._run_partition_phase()
-        disk = self.rt.disk
-        right_key = compile_right_key(self.condition)
         need = max_rows
         crun = 0  # CPU charges not yet settled
         while need > 0:
             em = self._emit_matches
             if em is not None:
                 pos = self._emit_pos
-                avail = len(em) - pos
-                if avail > 0:
-                    take = min(avail, need)
+                take = min(len(em) - pos, need)
+                if take > 0:
                     probe_row = self._emit_probe_row
-                    out.extend([b + probe_row for b in em[pos:pos + take]])
+                    out += [b + probe_row for b in em[pos:pos + take]]
                     self._emit_pos = pos + take
-                    self.tuples_emitted += take
                     crun += take
                     need -= take
                     if need == 0:
                         break
                 self._emit_matches = None
-            found = False
             if self.current_partition >= 0:
-                probe_rows = self._probe_rows
-                n_probe = len(probe_rows)
-                pos = self.probe_pos
-                ht_get = self._hash_table.get
-                mem = self._is_memory_partition(self.current_partition)
-                tpp = self.probe.tuples_per_page
-                while pos < n_probe:
-                    probe_row = probe_rows[pos]
-                    pos += 1
-                    if not mem and pos % tpp == 1:
-                        with self.attribute_work():
-                            disk.read_pages(1)
-                    matches = ht_get(right_key(probe_row))
-                    if matches:
-                        crun += 1  # the match charge
-                        self._emit_matches = matches
-                        self._emit_pos = 0
-                        self._emit_probe_row = probe_row
-                        found = True
-                        break
-                self.probe_pos = pos
-            if found:
-                continue
+                need, charged = self._probe(out, need)
+                crun += charged
+                if need == 0:
+                    break
             # Partition exhausted: the boundary checkpoint belongs to the
             # next call when this batch already produced rows.
             if out:
@@ -186,8 +183,97 @@ class SimpleHashJoin(Operator):
             if not self._advance_partition():
                 self.phase = PHASE_DONE
                 break
+        self.tuples_emitted += len(out)
         self.charge_cpu(crun)
         return out
+
+    def _probe(self, out: list, need: int) -> tuple[int, int]:
+        """Emit up to ``need`` rows of the loaded partition into ``out``
+        from ``probe_pos`` on; return the rows still wanted (0 unless the
+        partition ran out) and the CPU charges owed.
+
+        The hit index gives the next probe row with matches by bisection
+        and, through its running match counts, how many of the following
+        hits fit whole; those are emitted in one comprehension, and at
+        most one more hit is emitted in part. The control state is what
+        a probe of one row at a time leaves: ``probe_pos`` one past the
+        last probe row examined (the partition's end once it runs out),
+        and the emit fields at the last hit emitted — still active when
+        the request ended on it, left with ``_emit_pos`` at its end
+        otherwise. Each hit costs one match charge plus one wrapper
+        charge per row; probe pages are charged at the positions where
+        the cursor steps onto a page (below).
+        """
+        if self._hit_index is None:
+            self._hit_index = self._index_partition()
+        hits, matches, ends = self._hit_index
+        probe_rows = self._probe_rows
+        start = self.probe_pos
+        i = bisect_left(hits, start)
+        # Hits i .. j-1 fit whole: j is the last running count <= target.
+        j = bisect_right(ends, ends[i] + need, i) - 1
+        out += [
+            b + probe_row
+            for ms, probe_row in zip(
+                matches[i:j], map(probe_rows.__getitem__, hits[i:j])
+            )
+            for b in ms
+        ]
+        full = ends[j] - ends[i]
+        need -= full
+        crun = (j - i) + full
+        end = len(probe_rows)
+        if need and j < len(hits):
+            # Hit j has more matches than the request has room for.
+            ms, probe_row = matches[j], probe_rows[hits[j]]
+            out += [b + probe_row for b in ms[:need]]
+            crun += 1 + need
+            self._emit_matches = ms
+            self._emit_pos = need
+            self._emit_probe_row = probe_row
+            end = hits[j] + 1
+            need = 0
+        elif j > i:
+            ms = matches[j - 1]
+            self._emit_pos = len(ms)
+            self._emit_probe_row = probe_rows[hits[j - 1]]
+            if not need:
+                self._emit_matches = ms
+                end = hits[j - 1] + 1
+        self.probe_pos = end
+        # The probe rows stream from disk a page at a time: the row at
+        # 1-based position q steps onto a new page when q % tpp == 1,
+        # i.e. ceil(end / tpp) - ceil(start / tpp) pages for the rows in
+        # (start, end] — and never when a page holds one row (q % 1 is
+        # never 1).
+        tpp = self.probe.tuples_per_page
+        if tpp > 1 and not self._is_memory_partition(self.current_partition):
+            pages = math.ceil(end / tpp) - math.ceil(start / tpp)
+            if pages:
+                with self.attribute_work():
+                    self.rt.disk.read_pages(pages)
+        return need, crun
+
+    def _index_partition(self) -> tuple:
+        """The loaded partition's hit index: the positions of the probe
+        rows with matches, their match lists, and the running match
+        count before each (one more entry, the total, at the end).
+
+        Derived from the hash table and the probe rows by C-level passes
+        over the probe keys, so never heap state: ``heap_tuples`` and the
+        dumped payload do not see it and it is never encoded.
+        """
+        matches = list(
+            map(
+                self._hash_table.get,
+                self._probe_keys(self._probe_rows),
+                repeat(()),
+            )
+        )
+        hits = list(compress(range(len(matches)), matches))
+        hit_matches = list(compress(matches, matches))
+        ends = list(accumulate(map(len, hit_matches), initial=0))
+        return hits, hit_matches, ends
 
     def _advance_partition(self) -> bool:
         next_p = self.current_partition + 1
@@ -197,6 +283,7 @@ class SimpleHashJoin(Operator):
             # Current build partition discarded: minimal-heap-state point.
             self._hash_table = {}
             self._probe_rows = []
+            self._hit_index = None
             self.make_checkpoint()
         self.current_partition = next_p
         self._load_partition(next_p)
@@ -212,6 +299,7 @@ class SimpleHashJoin(Operator):
                 self.rt.disk.read_pages(pages)
         memory = self.build.pending[p]
         self._hash_table = self._build_table(chain(memory, spilled))
+        self._hit_index = None
         self.charge_cpu(len(memory) + len(spilled))
         # Probe rows stream one block at a time (charged as consumed);
         # neither side of a memory partition was ever spilled.
@@ -223,8 +311,12 @@ class SimpleHashJoin(Operator):
 
     def _build_table(self, rows) -> dict:
         """The build partition's hash table: join key -> rows in arrival
-        order, keys in order of first arrival."""
-        key_of = compile_left_key(self.condition)
+        order, keys in order of first arrival.
+
+        One key call per row, with the key compiled once: a key pass
+        zipped with the rows measured slower here (the zip and the
+        unpacking cost more than the call they save)."""
+        key_of = self._build_key
         table: dict = {}
         for row in rows:
             table.setdefault(key_of(row), []).append(row)
@@ -327,6 +419,7 @@ class SimpleHashJoin(Operator):
         if self.phase == PHASE_JOIN and self.current_partition >= 0:
             self._hash_table = self._build_table(heap.get("hash_rows", ()))
             self._probe_rows = list(heap.get("probe_rows", []))
+            self._hit_index = None
             self._restore_probe_cursor(control)
 
     def _restore_disk(self, state: dict) -> None:

@@ -35,7 +35,7 @@ from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
 from repro.relational.expressions import (
     EquiJoinCondition,
-    compile_left_key,
+    compile_join_keys,
     compile_right_key,
 )
 
@@ -69,6 +69,10 @@ class BlockNLJ(Operator):
             op_id, name, [outer, inner], runtime, outer.schema.concat(inner.schema)
         )
         self.condition = condition
+        self._right_key = compile_right_key(condition)
+        self._buffer_keys = compile_join_keys(
+            condition.left_column, condition.modulus
+        )
         self.buffer_tuples = buffer_tuples
         self.buffer: list[Row] = []
         self.phase = PHASE_FILL
@@ -117,7 +121,7 @@ class BlockNLJ(Operator):
         so the end-of-pass checkpoint is taken at the start of the next
         call, with nothing emitted after it.
         """
-        right_key = compile_right_key(self.condition)
+        right_key = self._right_key
         out: list = []
         need = max_rows
         crun = 0
@@ -194,10 +198,9 @@ class BlockNLJ(Operator):
         first join step after the buffer is filled or restored (restores
         run on a freshly instantiated operator) and dropped with it.
         """
-        left_key = compile_left_key(self.condition)
         index: dict = {}
-        for pos, row in enumerate(self.buffer):
-            index.setdefault(left_key(row), []).append(pos)
+        for pos, key in enumerate(self._buffer_keys(self.buffer)):
+            index.setdefault(key, []).append(pos)
         return index
 
     def _fill_buffer(self) -> None:

@@ -28,6 +28,7 @@ class Project(Operator):
             op_id, name, [child], runtime, child.schema.project(columns)
         )
         self.columns = tuple(columns)
+        self._project = compile_projection(self.columns)
         self.REWINDABLE = child.REWINDABLE
 
     @property
@@ -42,7 +43,7 @@ class Project(Operator):
         chain, where nothing reads the clock mid-batch; any other child
         may checkpoint beneath a batch, so it is pulled one row at a time
         with this operator's charges settled in between."""
-        project = compile_projection(self.columns)
+        project = self._project
         child = self.child
         if isinstance(child, Filter):
             child = child.child
@@ -51,7 +52,7 @@ class Project(Operator):
             self.tuples_emitted += len(rows)
             # the examine charge + the wrapper charge per projected row
             self.charge_cpu(2 * len(rows))
-            return [project(row) for row in rows]
+            return list(map(project, rows))
         out: list = []
         while len(out) < max_rows:
             row = self.child.next()

@@ -5,17 +5,22 @@ entire suspend/resume state is a cursor position. A GoBack through a scan
 re-reads the pages between the contract position and wherever execution
 re-consumes them — that re-reading *is* the recomputation cost that the
 suspend-plan optimizer trades off against dumping ancestors' state.
+
+A scan, and a filter directly above one, run through one fused
+page-segment loop (:func:`fused_scan`). A filter's segment is a C-level
+pass of the mask its predicate was compiled into when the filter was
+built, consumed lazily up to the match the request needs.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import compress, islice
 from typing import Optional
 
 from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
-from repro.relational.expressions import compile_predicate
 from repro.relational.schema import Schema
 from repro.storage.heapfile import HeapFile, TuplePosition
 
@@ -25,11 +30,16 @@ def fused_scan(scan: "TableScan", filt: Optional[Operator], limit: int) -> list:
     above it, when given: the one fused scan(→filter) loop.
 
     Instead of one ``next()`` per examined row, the scan's cursor is
-    walked page by page with a compiled predicate. Each page segment
-    counts one wrapper tuple per examined row for the scan (and the page
-    read where the cursor steps onto the page), one examine tuple per
-    examined row plus one wrapper tuple per match for the filter, and
-    settles them before the next page is fetched.
+    walked page by page. A filter's segment is one C-level pass: the
+    mask the filter compiled at construction (``Filter.mask``) selects
+    the matching positions, lazily, and stops at the ``need``-th match,
+    so the segment examines the rows up to and including that match
+    (all of the segment when fewer match) — exactly the rows a
+    row-at-a-time loop would have tested. Each page segment counts one
+    wrapper tuple per examined row for the scan (and the page read where
+    the cursor steps onto the page), one examine tuple per examined row
+    plus one wrapper tuple per match for the filter, and settles them
+    before the next page is fetched.
 
     While a trigger watches the scan, a segment examines no more rows
     than are left before its threshold, and a call ends with the first
@@ -41,7 +51,7 @@ def fused_scan(scan: "TableScan", filt: Optional[Operator], limit: int) -> list:
     """
     controller = scan.rt.controller
     cursor = scan._cursor
-    pred = compile_predicate(filt.predicate) if filt is not None else None
+    mask = filt.mask if filt is not None else None
     out: list = []
     need = limit
     while need > 0:
@@ -59,18 +69,14 @@ def fused_scan(scan: "TableScan", filt: Optional[Operator], limit: int) -> list:
             if page is None:
                 break
         slot = cursor.slot
-        if pred is None:
+        if mask is None:
             rows = page[slot:slot + min(need, room)]
             examined = len(rows)
         else:
-            rows = []
-            examined = 0
-            for row in page[slot:slot + room]:
-                examined += 1
-                if pred(row):
-                    rows.append(row)
-                    if len(rows) == need:
-                        break
+            seg = page[slot:slot + room]
+            hits = list(islice(compress(range(len(seg)), mask(seg)), need))
+            examined = hits[-1] + 1 if len(hits) == need else len(seg)
+            rows = list(map(seg.__getitem__, hits))
         cursor.advance(examined)
         scan.tuples_emitted += examined
         scan.charge_cpu(examined)

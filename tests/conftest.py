@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro import Database, QuerySession, SuspendSpec
 from repro.durability import (
@@ -22,6 +23,14 @@ from repro.engine.plan import (
 )
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
 from repro.relational.expressions import EquiJoinCondition, UniformSelect
+
+#: ``--hypothesis-profile=ci``: ten times hypothesis's default example
+#: count, for the properties that take their count from the profile
+#: (``tests/engine/test_compiled_passes.py``). Tier-1 runs keep the
+#: default profile.
+settings.register_profile(
+    "ci", max_examples=10 * settings.get_profile("default").max_examples
+)
 
 
 def make_small_db(r_tuples: int = 300, s_tuples: int = 200) -> Database:

@@ -14,7 +14,7 @@ from repro import (
     SuspendStrategy,
     SuspendTrigger,
 )
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, StorageError
 from repro.durability import ImageStore, codec2
 from repro.engine.plan import (
     HashGroupAggSpec,
@@ -367,6 +367,18 @@ class TestEveryHolderKeepsOneCount:
         assert decoded == []  # every sublist was live: shared, not decoded
         resumed.close()
         loaded.release()
+        self.assert_empty(db)
+
+    def test_a_failed_constructor_closes_its_scope(self):
+        """A plan that fails to instantiate leaves no open session
+        behind: the scope its runtime opened is closed again."""
+        db = make_small_db()
+        plan = NLJSpec(
+            ScanSpec("R"), ScanSpec("NOPE"), EquiJoinCondition(0, 0),
+            buffer_tuples=10,
+        )
+        with pytest.raises(StorageError):
+            QuerySession(db, plan, name="q")
         self.assert_empty(db)
 
 

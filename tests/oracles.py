@@ -12,7 +12,11 @@ references it is checked against:
 
 The external sort's heap merge is checked against the linear scan of
 every sublist head it replaced: :func:`tuple_key` and
-:func:`linear_scan_next_batch`.
+:func:`linear_scan_next_batch`. The batch path's C-level passes are
+checked against the row-at-a-time loops they replaced: the hash join's
+probe (:func:`row_probe_next_batch`), the hash aggregate's fold
+(:func:`row_fold_load_partition`) and the fused scan→filter segment
+(:func:`row_fused_scan`).
 
 numpy and scipy are test dependencies: nothing under ``src/`` imports
 this module.
@@ -21,6 +25,7 @@ this module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -37,7 +42,13 @@ from repro.core.strategies import (
     SuspendPlan,
     validate_suspend_plan,
 )
+from repro.engine.hash_join import PHASE_DONE, PHASE_PARTITION
 from repro.engine.sort import PHASE_BUILD
+from repro.relational.expressions import (
+    compile_fold,
+    compile_projection,
+    compile_right_key,
+)
 
 #: Tolerance for treating an LP value as integral.
 INT_TOL = 1e-6
@@ -294,4 +305,132 @@ def linear_scan_next_batch(sort, max_rows: int) -> list:
         need -= 1
     sort.tuples_emitted += len(out)
     sort.charge_cpu(2 * len(out))  # the merge charge + the wrapper charge
+    return out
+
+
+def row_probe_next_batch(join, max_rows: int) -> list:
+    """``SimpleHashJoin._next_batch`` as a probe of one row at a time:
+    each probe row's key is looked up in the hash table, a probe page is
+    read where the cursor steps onto it, and a match list is emitted
+    through ``_emit_matches`` before the probe moves on."""
+    out: list = []
+    if join.phase == PHASE_DONE:
+        return out
+    if join.phase == PHASE_PARTITION:
+        join._run_partition_phase()
+    disk = join.rt.disk
+    right_key = compile_right_key(join.condition)
+    need = max_rows
+    crun = 0
+    while need > 0:
+        em = join._emit_matches
+        if em is not None:
+            pos = join._emit_pos
+            avail = len(em) - pos
+            if avail > 0:
+                take = min(avail, need)
+                probe_row = join._emit_probe_row
+                out.extend([b + probe_row for b in em[pos:pos + take]])
+                join._emit_pos = pos + take
+                join.tuples_emitted += take
+                crun += take
+                need -= take
+                if need == 0:
+                    break
+            join._emit_matches = None
+        found = False
+        if join.current_partition >= 0:
+            probe_rows = join._probe_rows
+            pos = join.probe_pos
+            ht_get = join._hash_table.get
+            mem = join._is_memory_partition(join.current_partition)
+            tpp = join.probe.tuples_per_page
+            while pos < len(probe_rows):
+                probe_row = probe_rows[pos]
+                pos += 1
+                if not mem and pos % tpp == 1:
+                    with join.attribute_work():
+                        disk.read_pages(1)
+                matches = ht_get(right_key(probe_row))
+                if matches:
+                    crun += 1  # the match charge
+                    join._emit_matches = matches
+                    join._emit_pos = 0
+                    join._emit_probe_row = probe_row
+                    found = True
+                    break
+            join.probe_pos = pos
+        if found:
+            continue
+        if out:
+            break
+        if not join._advance_partition():
+            join.phase = PHASE_DONE
+            break
+    join.charge_cpu(crun)
+    return out
+
+
+def row_fold_load_partition(agg, p: int) -> None:
+    """``HashGroupAggregate._load_partition`` folding one row at a time
+    through the compiled key and fold closures."""
+    rows = agg.input.rows(p)
+    pages = math.ceil(len(rows) / agg.input.tuples_per_page)
+    with agg.attribute_work():
+        agg.rt.disk.read_pages(pages)
+    key_of = compile_projection(agg.group_columns)
+    fold = compile_fold(agg.agg_func, agg.agg_column)
+    aggregates: dict = {}
+    get = aggregates.get
+    for row in rows:
+        key = key_of(row)
+        aggregates[key] = fold(get(key), row)
+    agg.charge_cpu(len(rows))
+    agg._groups = [key + (value,) for key, value in aggregates.items()]
+    agg.emit_idx = 0
+
+
+def row_fused_scan(scan, filt, limit: int) -> list:
+    """``repro.engine.scan.fused_scan`` testing the filter's predicate
+    one row at a time, stopping at the ``limit``-th match."""
+    controller = scan.rt.controller
+    cursor = scan._cursor
+    pred = filt.predicate.matches if filt is not None else None
+    out: list = []
+    need = limit
+    while need > 0:
+        room = sys.maxsize
+        if controller.armed:
+            room = controller.room(scan, "position", "emitted")
+            if room < sys.maxsize:
+                if out:
+                    break
+                controller.poll()
+        page = cursor.loaded_page()
+        if page is None:
+            with scan.attribute_work():
+                page = cursor.current_page()
+            if page is None:
+                break
+        slot = cursor.slot
+        if pred is None:
+            rows = page[slot:slot + min(need, room)]
+            examined = len(rows)
+        else:
+            rows = []
+            examined = 0
+            for row in page[slot:slot + room]:
+                examined += 1
+                if pred(row):
+                    rows.append(row)
+                    if len(rows) == need:
+                        break
+        cursor.advance(examined)
+        scan.tuples_emitted += examined
+        scan.charge_cpu(examined)
+        if filt is not None:
+            filt.tuples_emitted += len(rows)
+            filt.charge_cpu(examined + len(rows))
+        need -= len(rows)
+        out += rows
     return out
