@@ -495,6 +495,7 @@ def run_loadgen_cli(args) -> str:
     """Drive the load generator and report latency/fairness/determinism."""
     import tempfile
 
+    from repro.common.errors import ReproError
     from repro.serve import run_loadgen
 
     root = (
@@ -503,13 +504,16 @@ def run_loadgen_cli(args) -> str:
         else tempfile.TemporaryDirectory(prefix="repro-loadgen-")
     )
     with root as images:
-        report = run_loadgen(
-            images,
-            sessions=args.sessions,
-            scale=args.scale,
-            seed=args.seed,
-            quantum_rows=args.quantum_rows,
-        )
+        try:
+            report = run_loadgen(
+                images,
+                sessions=args.sessions,
+                scale=args.scale,
+                seed=args.seed,
+                quantum_rows=args.quantum_rows,
+            )
+        except ReproError as exc:
+            raise SystemExit(f"error: {exc}") from None
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

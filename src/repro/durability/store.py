@@ -54,7 +54,8 @@ Responsibilities:
   append-only record of redeemed continuation tokens (:meth:`claim`) and
   GC pins (:meth:`pin` / :meth:`unpin`), appended under an exclusive
   ``flock`` so any number of store instances, in any number of
-  processes, can share one root.
+  processes, can share one root. A query name a record carries is
+  spent for the root (:meth:`reserved`).
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ MAX_CHAIN_WALK = 64
 #: The root's one metadata file: an append-only ledger, one compact JSON
 #: record per line — a redeemed continuation token ``{"img", "q",
 #: "token"}`` (see :mod:`repro.serve.tokens`), a GC pin ``{"pin", "release"}``
-#: or an unpin ``{"unpin"}``.
+#: (a query's first pin adds its name, ``"q"``) or an unpin ``{"unpin"}``.
 TOKENS_NAME = "TOKENS.json"
 
 #: Image-metadata key set on a shard-set cut (:meth:`ImageStore.save_cut`):
@@ -261,6 +262,7 @@ class ImageStore:
         self._ledger_offset = 0
         self._redeemed: set[str] = set()
         self._pinned: set[str] = set()
+        self._queries: set[str] = set()
         os.makedirs(self.root, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -1021,6 +1023,8 @@ class ImageStore:
         for line in data[:complete].split(b"\n"):
             try:
                 record = json.loads(line)
+                if "q" in record:
+                    self._queries.add(record["q"])
                 if "token" in record:
                     self._redeemed.add(record["token"])
                 elif "pin" in record:
@@ -1075,16 +1079,29 @@ class ImageStore:
 
         return self._append(record)
 
-    def pins(self) -> set[str]:
-        """Image ids currently pinned against :meth:`gc`."""
-        try:
+    def _read_ledger(self) -> None:
+        with contextlib.suppress(FileNotFoundError):
             with open(os.path.join(self.root, TOKENS_NAME), "rb") as fh:
                 self._catch_up(fh.fileno())
-        except FileNotFoundError:
-            pass
+
+    def pins(self) -> set[str]:
+        """Image ids currently pinned against :meth:`gc`."""
+        self._read_ledger()
         return set(self._pinned)
 
-    def pin(self, image_id: str, release: Optional[str] = None) -> None:
+    def reserved(self, query: str) -> bool:
+        """Whether a ledger record names the query ``query`` — its first
+        pin or a redeem, by any store over this root. Such a name is
+        spent: the images and tokens it would mint already existed."""
+        self._read_ledger()
+        return query in self._queries
+
+    def pin(
+        self,
+        image_id: str,
+        release: Optional[str] = None,
+        query: Optional[str] = None,
+    ) -> None:
         """Durably protect an image (and its chain) from :meth:`gc`.
 
         The pin names the tip only; :meth:`gc` expands it to the full
@@ -1092,8 +1109,10 @@ class ImageStore:
         commit is not required for ancestors — only for the new tip.
         ``release`` names a pin to drop in the same ledger record (the
         tip the new image supersedes); a pin that changes nothing
-        records nothing. Pinning a missing image raises
-        :class:`ImageNotFoundError`.
+        records nothing. ``query`` names the image's query; its first
+        pin, the one releasing nothing, records the name, which reserves
+        it for the root (:meth:`reserved`).
+        Pinning a missing image raises :class:`ImageNotFoundError`.
         """
         self.manifest(image_id)  # existence + structural check
 
@@ -1101,7 +1120,9 @@ class ImageStore:
             pinned = (self._pinned - {release}) | {image_id}
             if pinned == self._pinned:
                 return None
-            return {"pin": image_id, "release": release}
+            if query is None or release is not None:
+                return {"pin": image_id, "release": release}
+            return {"pin": image_id, "q": query, "release": None}
 
         self._append(record)
 

@@ -220,6 +220,11 @@ class FoldManager:
         member = self._members.get(name)
         return member is not None and member.grafted
 
+    def binding(self, name: str) -> Optional["FoldBinding"]:
+        """A later request's binding for a member admitted earlier, or
+        ``None`` when ``name`` is not one (e.g. it began elsewhere)."""
+        return FoldBinding(self, name) if name in self._members else None
+
     def forget(self, name: str) -> None:
         """Drop a completed/killed member's bookkeeping."""
         self._members.pop(name, None)

@@ -21,7 +21,8 @@ Routes (see docs/SERVING.md for a curl session):
 - ``GET /obs/progress/<token>`` — live fraction-complete and estimated
   remaining work for the query the token names (no redemption);
 - ``GET /obs/health`` — liveness, the plans this server can start
-  (``queries``), serving counters and trace state.
+  (``queries``), serving counters, requests in flight (``records``) and
+  trace state.
 
 Error mapping: a malformed request (a ``Content-Length`` that is not a
 decimal count, a body that is not a JSON object, a ``priority`` that is
@@ -29,10 +30,11 @@ not an integer, an ``"as"`` that is not a session name — code
 ``bad_name``) or a malformed token → 400, already redeemed → 409
 (conflict: the continuation was consumed), image GC'd → 410 (gone),
 unknown catalog entry / unknown progress query / unknown route → 404,
-duplicate session name → 409, oversized body → 413, a request line or
-header line past the stream's 64 KiB limit → 431, a request (head and
-body) not received within ``REQUEST_TIMEOUT_S`` → 408, so a client that
-trickles its request cannot hold a connection. Every error body is
+a session name the image root's ledger already holds → 409, oversized
+body → 413, a request line or header line past the stream's 64 KiB
+limit → 431, a request (head and body) not received within
+``REQUEST_TIMEOUT_S`` → 408, so a client that trickles its request
+cannot hold a connection. Every error body is
 ``{"error": <message>, "code": <machine tag>?}``.
 """
 
@@ -74,7 +76,12 @@ class ServeApp:
         self._lock = threading.Lock()
 
     def _session_name(self, base: str) -> str:
-        return f"{base}-{next(self._names)}"
+        """``<base>-N`` for the next N whose name the image root's ledger
+        does not hold, so a restarted server or a peer on the same root
+        never reuses a name a query already took."""
+        reserved = self.service.image_store.reserved
+        names = (f"{base}-{n}" for n in self._names)
+        return next(name for name in names if not reserved(name))
 
     def handle(self, method: str, path: str, body: Optional[dict]):
         """Dispatch one request; returns ``(http_status, payload)``."""

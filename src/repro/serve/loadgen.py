@@ -37,6 +37,7 @@ import hashlib
 import json
 from typing import Optional
 
+from repro.common.errors import ReproError
 from repro.core.lifecycle import QuerySession, QueryStatus, SuspendSpec
 from repro.obs.slo import jain_index
 from repro.serve.service import QueryService, ServeConfig
@@ -75,19 +76,31 @@ def run_loadgen(
     tracer=None,
     plan_names: Optional[list] = None,
 ) -> dict:
-    """Run the simulation; returns the report dict."""
+    """Run the simulation; returns the report dict.
+
+    Session ``i`` is named ``c<i>-<plan>``. Raises
+    :class:`~repro.common.errors.ReproError` before the first request
+    when the image root's ledger already holds one of those names (an
+    earlier run on the same root served it).
+    """
     db_factory, catalog = serve_catalog(scale=scale, seed=seed)
     if plan_names:
         catalog = {n: catalog[n] for n in plan_names}
     names = sorted(catalog)
-    solo = _solo_digests(db_factory, catalog)
-
+    session_names = [f"c{i}-{names[i % len(names)]}" for i in range(sessions)]
     config = ServeConfig(
         quantum_rows=quantum_rows,
         suspend=SuspendSpec(persist_to=image_root),
         tracer=tracer,
     )
     service = QueryService(db_factory(), config)
+    for session_name in session_names:
+        if service.image_store.reserved(session_name):
+            raise ReproError(
+                f"session {session_name!r} was already served on image "
+                f"root {image_root!r}; run on a fresh root"
+            )
+    solo = _solo_digests(db_factory, catalog)
 
     # Per-request latencies live in the registry, not an ad-hoc list:
     # the Summary keeps raw samples and computes p50/p90/p99 with the
@@ -127,9 +140,8 @@ def run_loadgen(
 
     # Opening round: every client begins; unfinished ones now hold a
     # token at once — the peak-concurrency moment of the run.
-    for i in range(sessions):
+    for i, session_name in enumerate(session_names):
         plan_name = names[i % len(names)]
-        session_name = f"c{i}-{plan_name}"
         per_session[session_name] = {
             "plan": plan_name,
             "rows": [],

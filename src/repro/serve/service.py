@@ -4,13 +4,16 @@ The transport-free heart of :mod:`repro.serve` — the HTTP front end
 (:mod:`repro.serve.http`) and the load generator
 (:mod:`repro.serve.loadgen`) both drive this class. It composes the
 same :class:`~repro.service.core.ExecutorCore` as the in-process
-scheduler, so pressure policies, quota accounting, durable spill (with
-delta chains), and the obs wiring are shared; what changes is *when a
-query runs*: here the client decides, one request at a time.
+scheduler, so the quantum step, durable spill (with delta chains), and
+the obs wiring are shared; what changes is *when a query runs*: here the
+client decides, one request at a time. A request's record leaves the
+core when the request ends, so no other session is ever live beside it
+and the pressure policy and ``memory_budget`` are never applied.
 
 Request flow:
 
-- :meth:`begin` admits a query and runs its first quantum. If it
+- :meth:`begin` admits a query under a name no ledger record of the
+  image root holds yet, and runs its first quantum. If it
   completes, the response carries the rows and no token. Otherwise the
   query is suspended through the paper's machinery (budgeted plan, dump
   or go-back per operator), committed as a durable image, and the
@@ -19,7 +22,8 @@ Request flow:
   resume path, which is what makes the server stateless per request and
   the token valid in any process over the same image root.
 - :meth:`continue_query` redeems the token (at most once, durable
-  ledger), loads the image, resumes, runs one quantum, and either
+  ledger), loads the image, rebuilds the request's record from the two
+  — the same path in any process — resumes, runs one quantum, and either
   finishes or suspends again — this time as a *delta image* against the
   previous one, since the unchanged operator state is already durable.
   The new token supersedes the old image's GC pin.
@@ -37,13 +41,8 @@ from typing import Optional
 from repro.common.errors import ReproError
 from repro.core.lifecycle import QueryStatus
 from repro.engine.plan import PlanSpec
-from repro.serve.tokens import TokenManager
-from repro.service.core import (
-    ExecutorCore,
-    QueryRecord,
-    QueryState,
-    SchedulerConfig,
-)
+from repro.serve.tokens import ContinuationToken, TokenManager
+from repro.service.core import ExecutorCore, QueryRecord, SchedulerConfig
 from repro.service.trace import QueryArrival
 from repro.storage.database import Database
 
@@ -107,58 +106,79 @@ class QueryService(ExecutorCore):
     def begin(
         self, name: str, plan: PlanSpec, priority: int = 0
     ) -> ServeResult:
-        """Admit a new query and run its first quantum."""
-        if self.record_named(name) is not None:
+        """Admit a new query and run its first quantum.
+
+        A name the image root's ledger already holds is refused before
+        any work: its images and tokens would collide with the ones that
+        query minted, in this process or any other.
+        """
+        if self.image_store.reserved(name):
             raise ReproError(
-                f"query name {name!r} is already in use on this server"
+                f"query name {name!r} is already in use on this image root"
             )
         record = self.track(
             QueryArrival(name, plan, self.db.now, priority)
         )
         self.admit(record)
-        self.policy.make_room(self, record)
-        self.start_session(record)
-        return self._step(record, kind="begin")
+        return self._serve(record, kind="begin")
 
     def continue_query(self, token_text: str) -> ServeResult:
         """Redeem a continuation token and run the next quantum.
+
+        The request's record is built from the token and the image it
+        names, whichever process served the hops before: the image
+        carries plan, state and priority, the token the hop count, the
+        trace id and the rows delivered so far. A continue is not an
+        admission.
 
         Raises :class:`~repro.serve.tokens.TokenError` subclasses for a
         malformed, already-redeemed, or expired token — the transport
         maps them to 400/409/410.
         """
         token = self.tokens.redeem(token_text)
-        record = self.record_named(token.query)
-        if record is None:
-            # A different process minted this token; rebuild the record
-            # from the token alone — the image carries plan and state,
-            # so the arrival's plan is never consulted on this path.
-            record = self.track(
-                QueryArrival(token.query, None, self.db.now, 0)
+        sq = self.image_store.load(token.image_id)
+        meta = self.image_store.manifest(token.image_id)["meta"]
+        record = self.track(
+            QueryArrival(
+                token.query, None, self.db.now, meta.get("priority", 0)
             )
-            self.admit(record)
-            record.state = QueryState.SUSPENDED
-            record.stats.suspends = token.seq
-        if token.trace_id is not None:
-            # The query's distributed-trace identity survives the hop:
-            # spans in this process join the same trace_id the beginning
-            # process minted (normally also what track() derives).
-            record.trace_id = token.trace_id
-        # Cumulative rows through the issuing hop, restored so the
-        # progress fraction stays monotone in any process.
-        record.rows_offset = max(
-            token.rows_total - record.stats.rows_emitted, 0
         )
-        record.sq = self.image_store.load(token.image_id)
+        record.sq = sq
         record.image_id = token.image_id
-        self.policy.make_room(self, record)
-        session = self.open_resumed_session(record)
-        self.adopt_resumed_session(record, session)
-        return self._step(record, kind="continue")
+        record.stats.suspends = token.seq
+        record.rows_offset = token.rows_total
+        if token.trace_id is not None:
+            record.trace_id = token.trace_id
+        if self.fold_manager is not None:
+            record.fold = self.fold_manager.binding(record.name)
+        return self._serve(record, kind="continue")
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _serve(self, record: QueryRecord, kind: str) -> ServeResult:
+        """Run one request for a tracked record. The record leaves the
+        core when the request ends — finished, suspended or raised — and
+        takes its session and SuspendedQuery with it."""
+        try:
+            if record.sq is None:
+                self.start_session(record)
+            else:
+                self.adopt_resumed_session(
+                    record, self.open_resumed_session(record)
+                )
+            return self._step(record, kind)
+        except BaseException:
+            if self.fold_manager is not None:
+                self.fold_manager.forget(record.name)
+            raise
+        finally:
+            if record.session is not None:
+                record.session.close()
+            if record.sq is not None:
+                record.sq.release()
+            self.records.remove(record)
+
     def _step(self, record: QueryRecord, kind: str) -> ServeResult:
         start = self.db.now
         quantum = self.run_quantum(record)
@@ -167,44 +187,36 @@ class QueryService(ExecutorCore):
             # endpoint wants it either way, and the session is gone once
             # the query suspends below.
             self.note_progress(record, emit=False)
-        rows = quantum.rows
-        if quantum.status is QueryStatus.COMPLETED:
-            result = ServeResult(
-                query=record.name,
-                status="done",
-                rows=rows,
-                seq=record.stats.suspends,
-                elapsed=self.db.now - start,
-            )
-        else:
+        token = image_id = base_image_id = None
+        if quantum.status is not QueryStatus.COMPLETED:
             previous = record.image_id
-            self.suspend_victims([record])
             # Stateless per request: the image the token names is the
-            # only resume path, so the in-memory copy goes.
-            record.sq.release()
-            record.sq = None
+            # only resume path; the in-memory copy goes with the record.
+            self.suspend_victims([record])
+            image_id = record.image_id
             token = self.tokens.issue(
                 record.name,
-                record.image_id,
+                image_id,
                 record.stats.suspends,
                 release=previous,
                 trace_id=record.trace_id,
                 rows_total=record.rows_total,
             )
-            result = ServeResult(
-                query=record.name,
-                status="running",
-                rows=rows,
-                token=token,
-                image_id=record.image_id,
-                # What actually got committed (None again after a
-                # MAX_CHAIN rebase), not what was merely requested.
-                base_image_id=self.image_store.manifest(
-                    record.image_id
-                ).get("base_image_id"),
-                seq=record.stats.suspends,
-                elapsed=self.db.now - start,
+            # What actually got committed (None again after a MAX_CHAIN
+            # rebase), not what was merely requested.
+            base_image_id = self.image_store.manifest(image_id).get(
+                "base_image_id"
             )
+        result = ServeResult(
+            query=record.name,
+            status="done" if token is None else "running",
+            rows=quantum.rows,
+            token=token,
+            image_id=image_id,
+            base_image_id=base_image_id,
+            seq=record.stats.suspends,
+            elapsed=self.db.now - start,
+        )
         if self.tracer.enabled:
             self.tracer.event(
                 "serve.request",
@@ -245,9 +257,8 @@ class QueryService(ExecutorCore):
             doc["est_remaining_work"] = 0.0
             doc["est_remaining_bytes"] = 0
         elif snapshot is not None:
+            # The snapshot's query and rows_total are the record's.
             doc.update(snapshot.as_dict(include_operators=False))
-            doc["query"] = record.name
-            doc["rows_total"] = record.rows_total
         self._progress[record.name] = doc
 
     def progress_of(self, token_text: str) -> dict:
@@ -257,8 +268,6 @@ class QueryService(ExecutorCore):
         token and :class:`KeyError` for a query this server has not
         served — the transport maps those to 400 and 404.
         """
-        from repro.serve.tokens import ContinuationToken
-
         token = ContinuationToken.decode(token_text)
         doc = self._progress.get(token.query)
         if doc is None:

@@ -2,8 +2,10 @@
 
 A continuation token is the serving layer's only per-query state: an
 opaque string the client holds between requests, naming the durable
-suspend image that will resume the query. The server keeps nothing in
-memory — SaGe-style web preemption over the paper's suspend machinery.
+suspend image that will resume the query. Between requests the server
+keeps no per-query state but the latest progress document of each query
+(PROTOCOL.md section 9) — SaGe-style web preemption over the paper's
+suspend machinery.
 
 Wire format (``rst1.<payload>.<crc>``):
 
@@ -22,7 +24,9 @@ under the image root) records both halves:
 
 - **issue** pins the image (token-pinned GC: ``store.gc()`` spares the
   pinned tip and, via chain expansion, every delta ancestor) and
-  releases the superseded image's pin, in one ledger record;
+  releases the superseded image's pin, in one ledger record; a query's
+  first token also records its name there, which reserves the name for
+  the root (:meth:`~repro.durability.store.ImageStore.reserved`);
 - **redeem** durably records the token as consumed *before* the caller
   resumes, so a second redeem — any store instance, any process, any
   time — fails with :class:`TokenRedeemedError`; a token whose image has
@@ -152,9 +156,10 @@ class TokenManager:
         ``release`` is the previous tip this image supersedes (its token
         was redeemed to get here); its pin is dropped — if the new image
         is a delta on top of it, the chain expansion of ``gc`` keeps it
-        alive through the new tip's pin anyway.
+        alive through the new tip's pin anyway. A token that supersedes
+        none is the query's first, and its pin reserves the name.
         """
-        self.store.pin(image_id, release=release)
+        self.store.pin(image_id, release=release, query=query)
         return ContinuationToken(
             query=query,
             image_id=image_id,

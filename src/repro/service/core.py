@@ -10,31 +10,28 @@ transports share:
   state machine;
 - :class:`SchedulerConfig` — one config for every transport, carrying a
   single :class:`~repro.core.lifecycle.SuspendSpec` for the whole
-  suspend surface (strategy, budget, durable persistence, delta spill,
-  parallel commit);
-- :class:`ExecutorCore` — admission bookkeeping, the three pressure
-  policies' accounting hooks (``pressure_excess`` /
-  ``victim_candidates`` / ``suspend_victims`` / ``kill_victim``), the
-  quantum execution step with its observability wiring, and durable
-  image spill with chain-aware GC on completion.
+  suspend surface (strategy, budget, durable image root);
+- :class:`ExecutorCore` — admission bookkeeping, live-memory
+  accounting, the suspend step (``suspend_victims``), the quantum
+  execution step with its observability wiring, and durable image spill
+  with chain-aware GC on completion.
 
 Transports compose it:
 
 - :class:`repro.service.scheduler.QueryScheduler` replays an arrival
-  trace in-process, picking the next record itself (the PR-1 harness);
+  trace in-process, picking the next record itself, and keeps the
+  run's history: the memory-pressure timeline and per-query stats;
 - :class:`repro.serve.service.QueryService` runs one quantum per
   *request* and parks the query state in a durable image between
-  requests, handing clients a continuation token.
+  requests, handing clients a continuation token; a record lives only
+  as long as its request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.durability.store import ImageStore
+from typing import Optional, Union
 
 from repro.common.errors import SuspendBudgetInfeasibleError
 from repro.core.lifecycle import (
@@ -51,7 +48,7 @@ from repro.obs.progress import (
 )
 from repro.obs.tracer import Tracer, current_tracer, make_trace_id
 from repro.service.policies import PressurePolicy, get_policy
-from repro.service.stats import QueryStats, SchedulerStats, TimelineEvent
+from repro.service.stats import QueryStats, SchedulerStats
 from repro.service.trace import QueryArrival
 from repro.storage.database import Database
 
@@ -151,8 +148,8 @@ class QueryRecord:
 class ExecutorCore:
     """Cooperative execution core shared by every serving transport.
 
-    Owns the admitted-record table, the pressure policy, quota
-    accounting, durable spill, and the stats/tracer wiring; knows
+    Owns the admitted-record table, memory accounting, durable spill,
+    and the stats/tracer wiring; knows
     nothing about *when* the next quantum should run — that is the
     transport's job.
     """
@@ -161,18 +158,9 @@ class ExecutorCore:
         self.db = db
         self.config = config or SchedulerConfig()
         self.policy = get_policy(self.config.policy)
-        self.image_store = self._resolve_image_store()
+        self.image_store = self.config.suspend.resolve_image_store()
         self.records: list[QueryRecord] = []
-        #: ``records`` by name, and the records holding a session (by
-        #: seq): a request's lookups and memory sums touch these, never
-        #: the whole history.
-        self._named: dict[str, QueryRecord] = {}
-        self._live: dict[int, QueryRecord] = {}
-        base_tracer = (
-            self.config.tracer
-            if self.config.tracer is not None
-            else current_tracer()
-        )
+        base_tracer = self.config.tracer or current_tracer()
         self.tracer = base_tracer.bind(clock=db.disk.clock)
         # With tracing on, the stats views and the tracer share one
         # registry, so scheduler counters and tracer metrics are the same
@@ -187,79 +175,42 @@ class ExecutorCore:
 
             self.fold_manager = FoldManager(db, tracer=self.tracer)
 
-    def _resolve_image_store(self) -> Optional["ImageStore"]:
-        return self.config.suspend.resolve_image_store()
-
     # ------------------------------------------------------------------
     # Admission bookkeeping
     # ------------------------------------------------------------------
-    def track(self, arrival: QueryArrival) -> QueryRecord:
-        """Register one query with the core (no admission marking)."""
+    def track(
+        self, arrival: QueryArrival, stats: Optional[QueryStats] = None
+    ) -> QueryRecord:
+        """Register one query with the core (no admission marking).
+
+        ``stats`` defaults to counters of the record's own, outside the
+        run's registry.
+        """
         record = QueryRecord(
             arrival=arrival,
             seq=len(self.records),
-            stats=self.stats.track(
-                arrival.name, arrival.priority, arrival.arrival_time
-            ),
+            stats=stats
+            or QueryStats(arrival.name, arrival.priority, arrival.arrival_time),
             trace_id=make_trace_id(arrival.name),
         )
         self.records.append(record)
-        self._named.setdefault(record.name, record)
         return record
 
     def admit(self, record: QueryRecord) -> None:
-        """Mark a tracked record admitted (visible to stats/pressure)."""
+        """Mark a tracked record admitted (visible to pressure)."""
         self.stats.queries_admitted += 1
-        self.stats.per_query[record.name] = record.stats
-        if self.fold_manager is not None and record.arrival.plan is not None:
-            # (A token-only continue carries no plan — the image does —
-            # so cross-process continuations stay unfolded.)
+        if self.fold_manager is not None:
             record.fold = self.fold_manager.admit(
                 record.name, record.arrival.plan
             )
         self.mark("admit", record)
 
-    def record_named(self, name: str) -> Optional[QueryRecord]:
-        return self._named.get(name)
-
-    def live_records(self) -> list[QueryRecord]:
-        """The records holding a session, in admission order."""
-        return [self._live[seq] for seq in sorted(self._live)]
-
-    def _hold(
-        self, record: QueryRecord, session: Optional[QuerySession]
-    ) -> None:
-        """Set (or, with None, drop) the record's live session."""
-        record.session = session
-        if session is None:
-            self._live.pop(record.seq, None)
-        else:
-            self._live[record.seq] = record
-
     # ------------------------------------------------------------------
-    # Memory pressure (called by the policies)
+    # Memory and suspends
     # ------------------------------------------------------------------
     def total_live_memory(self) -> int:
         """Heap bytes held across every live session right now."""
-        return sum(r.memory_in_use() for r in self._live.values())
-
-    def pressure_excess(self, record: QueryRecord) -> int:
-        """Bytes over budget held by sessions other than ``record``'s."""
-        if self.config.memory_budget is None:
-            return 0
-        held = self.total_live_memory() - record.memory_in_use()
-        return held - self.config.memory_budget
-
-    def victim_candidates(self, record: QueryRecord) -> list[QueryRecord]:
-        """Live lower-priority sessions that currently hold memory."""
-        return [
-            r
-            for r in self.live_records()
-            if r is not record
-            and r.state is QueryState.READY
-            and r.priority < record.priority
-            and r.memory_in_use() > 0
-        ]
+        return sum(r.memory_in_use() for r in self.records)
 
     def suspend_victims(self, victims: list[QueryRecord]) -> None:
         """Suspend one pressure event's victims; spill images in a batch.
@@ -282,7 +233,7 @@ class ExecutorCore:
         options = SuspendSpec(strategy=spec.strategy, budget=spec.budget)
         for victim in victims:
             victim.sq = self._suspend_session(victim.session, options)
-            self._hold(victim, None)
+            victim.session = None
             victim.state = QueryState.SUSPENDED
             victim.stats.suspends += 1
             if self.fold_manager is not None:
@@ -328,18 +279,6 @@ class ExecutorCore:
             victim.stats.durable_spills += 1
             self.mark("spill", victim)
 
-    def kill_victim(self, victim: QueryRecord) -> None:
-        """Kill a victim; all its work so far is wasted."""
-        victim.session.close()
-        self._hold(victim, None)
-        victim.sq = None
-        victim.stats.rows_emitted = 0
-        victim.state = QueryState.WAITING
-        victim.stats.kills += 1
-        if self.fold_manager is not None:
-            self.fold_manager.note_split(victim.name)
-        self.mark("kill", victim)
-
     # ------------------------------------------------------------------
     # Serving primitives
     # ------------------------------------------------------------------
@@ -359,7 +298,7 @@ class ExecutorCore:
             tracer=self.record_tracer(record),
             fold=record.fold,
         )
-        self._hold(record, session)
+        record.session = session
         record.state = QueryState.READY
         if record.stats.first_started_at is None:
             record.stats.first_started_at = self.db.now
@@ -386,7 +325,7 @@ class ExecutorCore:
     ) -> None:
         """Make a successfully resumed session the record's live one; the
         SuspendedQuery it was resumed from is released."""
-        self._hold(record, session)
+        record.session = session
         record.sq.release()
         record.sq = None
         record.state = QueryState.READY
@@ -418,21 +357,19 @@ class ExecutorCore:
             self.complete(record)
         return result
 
-    def note_progress(self, record: QueryRecord, emit: bool = True):
-        """Snapshot, trace, and gauge a record's progress (quantum edge).
+    def note_progress(self, record: QueryRecord, emit: bool = True) -> None:
+        """Snapshot, trace, and gauge a live record's progress (quantum
+        edge).
 
-        Returns the :class:`~repro.obs.progress.QueryProgress` snapshot
-        (or None when the record has no live session to measure) and
-        remembers it on ``record.last_progress``. The cumulative row
+        The :class:`~repro.obs.progress.QueryProgress` snapshot is
+        remembered on ``record.last_progress``. The cumulative row
         count offsets rows delivered before the current session —
         earlier quanta of this process *and*, via ``rows_offset``,
-        earlier processes — so the query-level fraction never moves
-        backwards across suspend/resume cycles or hops. With
-        ``emit=False`` only the snapshot is taken (live introspection
-        with tracing off).
+        earlier requests and processes — so the query-level fraction
+        never moves backwards across suspend/resume cycles or hops.
+        With ``emit=False`` only the snapshot is taken (live
+        introspection with tracing off).
         """
-        if record.session is None:
-            return None
         if record.card_estimates is None:
             record.card_estimates = estimate_cardinalities(
                 record.session.root
@@ -451,13 +388,12 @@ class ExecutorCore:
                 self.tracer.bind(query=record.name, trace_id=record.trace_id),
                 progress,
             )
-        return progress
 
     def complete(self, record: QueryRecord) -> None:
         """Retire a finished record and collect its durable spill chain."""
         if record.session is not None:
             record.session.close()
-            self._hold(record, None)
+            record.session = None
         record.state = QueryState.DONE
         if self.image_store is not None and record.image_id is not None:
             # The whole spill chain is obsolete once the query
@@ -473,22 +409,15 @@ class ExecutorCore:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def note_memory(self) -> None:
-        self.stats.peak_memory = max(
-            self.stats.peak_memory, self.total_live_memory()
-        )
-
-    def mark(self, event: str, record: QueryRecord) -> None:
-        self.note_memory()
+    def note_memory(self) -> int:
+        """Fold the heap held right now into the peak; returns it."""
         memory = self.total_live_memory()
-        self.stats.timeline.append(
-            TimelineEvent(
-                time=self.db.now,
-                event=event,
-                query=record.name,
-                memory_bytes=memory,
-            )
-        )
+        self.stats.peak_memory = max(self.stats.peak_memory, memory)
+        return memory
+
+    def mark(self, event: str, record: QueryRecord) -> int:
+        """Note a lifecycle event; returns the heap held after it."""
+        memory = self.note_memory()
         if self.tracer.enabled:
             self.tracer.event(
                 f"sched.{event}", query=record.name, memory_bytes=memory
@@ -497,6 +426,7 @@ class ExecutorCore:
             # Into the stats registry (the tracer's registry when tracing
             # is on), so /obs/metrics sees fold.* with tracing off too.
             self.fold_manager.publish_metrics(self.stats.registry)
+        return memory
 
 
 __all__ = [

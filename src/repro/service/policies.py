@@ -10,8 +10,10 @@ query while a long-running low-priority query holds the memory:
 - ``suspend-resume`` — suspend the holders within a suspend budget using
   the paper's machinery, run the incoming query, resume the holders.
 
-A policy's :meth:`~PressurePolicy.make_room` is invoked by the scheduler
-right before a query is started or resumed; it may suspend or kill
+A policy's :meth:`~PressurePolicy.make_room` is invoked by the
+trace-replay scheduler right before a query is started or resumed (the
+HTTP server never applies one: no other session is live across its
+requests); it may suspend or kill
 victims and returns ``True`` when the query may take the CPU now. Only
 strictly lower-priority sessions are ever victimized — pressure from
 equal-or-higher-priority holders always means waiting, under every
@@ -100,8 +102,8 @@ class SuspendResumePolicy(PressurePolicy):
         )
         _trace_pressure(scheduler, record, excess, victims, "suspend")
         # One batch: the in-memory suspends run in victim order (virtual
-        # clock unchanged vs. a loop), and the durable spill images commit
-        # through the store's bounded pool when one is configured.
+        # clock unchanged vs. a loop), then the durable spill images
+        # commit one after another when an image store is configured.
         scheduler.suspend_victims(victims)
         return scheduler.pressure_excess(record) <= 0
 

@@ -10,7 +10,10 @@ root-output tuples, with scheduling decisions at every quantum boundary
 that is transport-agnostic: the record table, pressure accounting for
 the three policies, durable spill, and the stats/tracer wiring; the
 HTTP front end (:mod:`repro.serve`) composes the same core one quantum
-per request.
+per request. The run's history is this transport's alone: every record
+stays for the whole run, its counters are series of the run's registry
+(``stats.per_query``, ``query_<field>_total{query=...}``), and every
+lifecycle event lands on the memory-pressure timeline (``stats.timeline``).
 
 Scheduling is strict priority (FIFO within a priority). Before a query
 takes the CPU the scheduler enforces the shared ``memory_budget`` over
@@ -42,7 +45,7 @@ from repro.service.core import (
     SchedulerConfig,
 )
 from repro.service.policies import PressurePolicy
-from repro.service.stats import SchedulerStats
+from repro.service.stats import SchedulerStats, TimelineEvent
 from repro.service.trace import ArrivalTrace, QueryArrival, Workload
 from repro.storage.database import Database
 
@@ -74,9 +77,25 @@ class QueryScheduler(ExecutorCore):
     def _submit(self, arrival: QueryArrival) -> QueryRecord:
         if self._ran:
             raise ReproError("scheduler already ran; submit before run()")
-        if self.record_named(arrival.name) is not None:
+        if any(r.name == arrival.name for r in self.records):
             raise ReproError(f"duplicate query name {arrival.name!r}")
-        return self.track(arrival)
+        return self.track(
+            arrival,
+            self.stats.track(
+                arrival.name, arrival.priority, arrival.arrival_time
+            ),
+        )
+
+    def admit(self, record: QueryRecord) -> None:
+        self.stats.per_query[record.name] = record.stats
+        super().admit(record)
+
+    def mark(self, event: str, record: QueryRecord) -> int:
+        memory = super().mark(event, record)
+        self.stats.timeline.append(
+            TimelineEvent(self.db.now, event, record.name, memory)
+        )
+        return memory
 
     # ------------------------------------------------------------------
     # The scheduling loop
@@ -208,18 +227,47 @@ class QueryScheduler(ExecutorCore):
         self.run_quantum(record)
 
     def _blocking_holder(self, record: QueryRecord) -> Optional[QueryRecord]:
-        holders = [
+        return min(
+            self._holders(record),
+            key=lambda r: (-r.priority, r.arrival.arrival_time, r.seq),
+            default=None,
+        )
+
+    # ------------------------------------------------------------------
+    # Memory pressure (called by the policies)
+    # ------------------------------------------------------------------
+    def pressure_excess(self, record: QueryRecord) -> int:
+        """Bytes over budget held by sessions other than ``record``'s."""
+        if self.config.memory_budget is None:
+            return 0
+        held = self.total_live_memory() - record.memory_in_use()
+        return held - self.config.memory_budget
+
+    def _holders(self, record: QueryRecord) -> list[QueryRecord]:
+        """Live sessions other than ``record``'s that hold memory."""
+        return [
             r
-            for r in self.live_records()
+            for r in self.records
             if r is not record
             and r.state is QueryState.READY
             and r.memory_in_use() > 0
         ]
-        if not holders:
-            return None
-        return min(
-            holders, key=lambda r: (-r.priority, r.arrival.arrival_time, r.seq)
-        )
+
+    def victim_candidates(self, record: QueryRecord) -> list[QueryRecord]:
+        """Live lower-priority sessions that currently hold memory."""
+        return [r for r in self._holders(record) if r.priority < record.priority]
+
+    def kill_victim(self, victim: QueryRecord) -> None:
+        """Kill a victim; all its work so far is wasted."""
+        victim.session.close()
+        victim.session = None
+        victim.sq = None
+        victim.stats.rows_emitted = 0
+        victim.state = QueryState.WAITING
+        victim.stats.kills += 1
+        if self.fold_manager is not None:
+            self.fold_manager.note_split(victim.name)
+        self.mark("kill", victim)
 
     def _resume(self, record: QueryRecord) -> bool:
         """Resume a suspended record; False if the discard rule fired."""

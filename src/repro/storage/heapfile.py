@@ -60,12 +60,18 @@ class HeapFile:
         return len(self._pages)
 
     def bulk_load(self, rows: Iterable[Row]) -> None:
-        """Append ``rows`` without charging I/O (setup-time loading)."""
-        for row in rows:
-            if not self._pages or len(self._pages[-1]) >= self.tuples_per_page:
-                self._pages.append([])
-            self._pages[-1].append(row)
-            self._num_tuples += 1
+        """Append ``rows`` without charging I/O (setup-time loading):
+        top up a partial last page, then cut the rest into pages."""
+        rows = list(rows)
+        per_page = self.tuples_per_page
+        start = 0
+        if self._pages and len(self._pages[-1]) < per_page:
+            start = per_page - len(self._pages[-1])
+            self._pages[-1].extend(rows[:start])
+        self._pages.extend(
+            rows[i : i + per_page] for i in range(start, len(rows), per_page)
+        )
+        self._num_tuples += len(rows)
 
     def read_page(self, page_no: int) -> Sequence[Row]:
         """Return the rows on ``page_no``, charging one page read."""

@@ -16,7 +16,9 @@ every sublist head it replaced: :func:`tuple_key` and
 checked against the row-at-a-time loops they replaced: the hash join's
 probe (:func:`row_probe_next_batch`), the hash aggregate's fold
 (:func:`row_fold_load_partition`) and the fused scan→filter segment
-(:func:`row_fused_scan`).
+(:func:`row_fused_scan`). ``HeapFile.bulk_load``'s page slicing is
+checked against the row-at-a-time append it replaced
+(:func:`row_bulk_load`).
 
 numpy and scipy are test dependencies: nothing under ``src/`` imports
 this module.
@@ -434,3 +436,16 @@ def row_fused_scan(scan, filt, limit: int) -> list:
         need -= len(rows)
         out += rows
     return out
+
+
+def row_bulk_load(heapfile, rows) -> None:
+    """``HeapFile.bulk_load`` one row at a time, as it was written
+    before it cut pages by slicing."""
+    for row in rows:
+        if (
+            not heapfile._pages
+            or len(heapfile._pages[-1]) >= heapfile.tuples_per_page
+        ):
+            heapfile._pages.append([])
+        heapfile._pages[-1].append(row)
+        heapfile._num_tuples += 1

@@ -108,6 +108,64 @@ class TestRoutes:
         )
 
 
+def drive(app, payload):
+    """Continue ``payload``'s query on ``app`` until it is done; returns
+    the number of continues."""
+    hops = 0
+    while payload["status"] == "running":
+        status, payload = app.handle(
+            "POST", "/continue", {"token": payload["token"]}
+        )
+        assert status == 200, payload
+        hops += 1
+    return hops
+
+
+class TestSharedImageRoot:
+    """Several servers, one after another or side by side, on one image
+    root: names live in the root's ledger, not in a process."""
+
+    def test_restart_with_an_outstanding_auto_name(self, tmp_path):
+        first = make_app(str(tmp_path))
+        _, a = first.handle("POST", "/queries", {"query": "sorted-join"})
+        assert a["status"] == "running"
+        restarted = make_app(str(tmp_path))
+        status, b = restarted.handle(
+            "POST", "/queries", {"query": "sorted-join"}
+        )
+        assert status == 200 and b["query"] != a["query"]
+        assert drive(restarted, a) > 0 and drive(restarted, b) > 0
+        assert restarted.service.image_store.list_images() == []
+
+    def test_a_finished_client_name_is_refused_before_any_work(
+        self, tmp_path
+    ):
+        first = make_app(str(tmp_path))
+        _, payload = first.handle(
+            "POST", "/queries", {"query": "sorted-join", "as": "mine"}
+        )
+        assert drive(first, payload) >= 1
+        second = make_app(str(tmp_path))
+        now = second.service.db.now
+        status, payload = second.handle(
+            "POST", "/queries", {"query": "sorted-join", "as": "mine"}
+        )
+        assert status == 409 and "already in use" in payload["error"]
+        _, health = second.handle("GET", "/obs/health", None)
+        assert health["queries_admitted"] == 0 and health["now"] == now
+        assert second.service.image_store.list_images() == []
+
+    def test_a_continue_only_server_admits_nothing(self, tmp_path):
+        first = make_app(str(tmp_path))
+        _, payload = first.handle("POST", "/queries", {"query": "sorted-join"})
+        second = make_app(str(tmp_path))
+        assert drive(second, payload) > 1
+        _, health = second.handle("GET", "/obs/health", None)
+        assert health["queries_admitted"] == 0
+        assert health["queries_completed"] == 1
+        assert health["records"] == 0
+
+
 @pytest.fixture
 def live_server(tmp_path):
     """serve_async on an OS-assigned port, in a background loop."""

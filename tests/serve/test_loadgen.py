@@ -1,5 +1,8 @@
 """The load generator: report shape, determinism, and reproducibility."""
 
+import pytest
+
+from repro.cli import main
 from repro.obs import Tracer
 from repro.serve import run_loadgen
 
@@ -62,3 +65,22 @@ def test_loadgen_single_plan_subset(tmp_path):
     assert report["plans"] == ["sorted-join"]
     assert report["determinism"]["ok"]
     assert report["fairness"]["jain_service_time"] == 1.0
+
+
+def test_loadgen_twice_on_one_root_stops_before_the_second_run(
+    tmp_path, capsys
+):
+    """The second run's session names were spent by the first: it stops
+    with a one-line error naming one, having written nothing."""
+    argv = ["loadgen", "--images", str(tmp_path), "--sessions", "4"]
+    argv += ["--scale", "16"]
+    assert main(argv) == 0
+    assert "determinism: ok" in capsys.readouterr().out
+    ledger = tmp_path / "TOKENS.json"
+    before = ledger.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    message = exit_info.value.code
+    assert message.startswith("error: session 'c") and "\n" not in message
+    assert "already served" in message
+    assert ledger.read_bytes() == before

@@ -20,7 +20,6 @@ from repro.common.errors import ReproError
 from repro.core.lifecycle import QuerySession, QueryStatus, SuspendSpec
 from repro.serve import QueryService, ServeConfig
 from repro.serve.tokens import TokenRedeemedError
-from repro.service.core import QueryRecord
 from repro.workloads.plans import serve_catalog
 from tests.conftest import record_device_calls
 
@@ -49,6 +48,20 @@ def solo_rows(plan):
             break
     session.close()
     return rows
+
+
+def keep_tracked_records(service, monkeypatch):
+    """A list that collects every record ``service`` tracks from now on
+    (the service itself drops each one when its request ends)."""
+    tracked = []
+    track = service.track
+
+    def tracking(*args):
+        tracked.append(track(*args))
+        return tracked[-1]
+
+    monkeypatch.setattr(service, "track", tracking)
+    return tracked
 
 
 def drive_to_completion(service, result, continue_fn=None):
@@ -99,6 +112,35 @@ class TestRequestLoop:
         with pytest.raises(ReproError, match="already in use"):
             service.begin("q1", catalog["mixed-join"])
 
+    def test_a_name_is_spent_for_the_image_root(self, tmp_path):
+        """The ledger, not process memory, holds the names: a fresh
+        service on the root refuses a name an earlier one finished after
+        a continue, and the refusal does no work."""
+        service, catalog = make_service(str(tmp_path))
+        result = service.continue_query(
+            service.begin("q1", catalog["sorted-join"]).token
+        )
+        drive_to_completion(service, result)
+        peer, _ = make_service(str(tmp_path))
+        now = peer.db.now
+        with pytest.raises(ReproError, match="already in use"):
+            peer.begin("q1", catalog["mixed-join"])
+        assert peer.db.now == now and peer.stats.queries_admitted == 0
+        assert peer.image_store.list_images() == []
+
+    def test_priority_rides_in_the_image(self, tmp_path):
+        """A continue takes the query's priority from the image it
+        loads, so every hop commits the priority the query began with,
+        whichever service serves it."""
+        service, catalog = make_service(str(tmp_path))
+        result = service.begin("q1", catalog["sorted-join"], priority=2)
+        for fresh in (False, True, False):
+            if fresh:
+                service, _ = make_service(str(tmp_path))
+            result = service.continue_query(result.token)
+            meta = service.image_store.manifest(result.image_id)["meta"]
+            assert meta == {"query": "q1", "priority": 2}
+
     def test_service_without_image_store_rejected(self):
         db_factory, _ = serve_catalog(scale=SCALE, seed=1)
         with pytest.raises(ReproError, match="image store"):
@@ -142,18 +184,22 @@ class TestStatelessness:
         assert peer.image_store.validate(result.image_id) == []
 
     def test_no_suspended_query_retained_in_memory(self, tmp_path):
+        """A suspending request's record leaves the core with its
+        SuspendedQuery released: the image is the only resume path."""
         service, catalog = make_service(str(tmp_path))
         result = service.begin("q1", catalog["sorted-join"])
         assert not result.done
-        record = service.record_named("q1")
-        assert record.sq is None  # image is the only resume path
-        assert record.session is None
+        assert service.records == []
+        assert len(service.db.state_store) == 0
+        assert service.total_live_memory() == 0
 
-    def test_no_served_row_is_retained(self, tmp_path):
-        """Rows go out with the response and nowhere else: after 300
-        requests over 12 outstanding sessions, no query record holds a
-        row the service returned."""
+    def test_no_served_row_is_retained(self, tmp_path, monkeypatch):
+        """Rows go out with the response and nowhere else: over 300
+        requests on 12 outstanding sessions, no request's record holds
+        a row the service returned, and no record outlives its
+        request."""
         service, catalog = make_service(str(tmp_path))
+        tracked = keep_tracked_records(service, monkeypatch)
         plans = sorted(catalog)
         returned = set()
         outstanding = []
@@ -166,51 +212,43 @@ class TestStatelessness:
             returned.update(id(row) for row in result.rows)
             if not result.done:
                 outstanding.append(result)
-        assert returned
+            assert service.records == []
+        assert returned and len(tracked) == 300
         held = [
             (record.name, field)
-            for record in service.records
+            for record in tracked
             for field, value in vars(record).items()
             if isinstance(value, list)
             and any(id(row) in returned for row in value)
         ]
         assert held == []
 
-    def test_a_request_visits_no_more_records_as_history_grows(
-        self, tmp_path, monkeypatch
-    ):
-        """Lookups by name and live-memory sums touch the live records
-        only: over 300 requests, as completed queries pile up in
-        ``records``, a request visits no more records than it did early
-        on (a visit: a record's name or memory read)."""
-        visits = [0]
-        memory_in_use = QueryRecord.memory_in_use
-
-        def counted_memory(record):
-            visits[0] += 1
-            return memory_in_use(record)
-
-        def counted_name(record):
-            visits[0] += 1
-            return record.arrival.name
-
-        monkeypatch.setattr(QueryRecord, "memory_in_use", counted_memory)
-        monkeypatch.setattr(QueryRecord, "name", property(counted_name))
+    def test_no_history_after_load(self, tmp_path):
+        """300 requests over 12 sessions, finished sessions replaced by
+        new ones: the core holds no record, there is no timeline and no
+        per-query stats, and the registry holds as many series as after
+        50 requests (no ``query_*_total{query=...}`` per query)."""
         service, catalog = make_service(str(tmp_path))
         plans = sorted(catalog)
-        outstanding, per_request = [], []
+        outstanding, series, completed = [], {}, 0
         for n in range(300):
-            before = visits[0]
             if len(outstanding) < 12:
                 result = service.begin(f"q{n}", catalog[plans[n % len(plans)]])
             else:
                 result = service.continue_query(outstanding.pop(0).token)
-            per_request.append(visits[0] - before)
-            if not result.done:
+            if result.done:
+                completed += 1
+            else:
                 outstanding.append(result)
-        done = sum(r.state.value == "done" for r in service.records)
-        assert done >= 10
-        assert max(per_request[250:]) <= max(per_request[50:100])
+            series[n + 1] = len(service.stats.registry)
+        assert completed >= 10
+        assert service.records == []
+        assert service.stats.timeline == [] and service.stats.per_query == {}
+        assert series[300] == series[50]
+        assert not any(
+            name.startswith("query_")
+            for name in service.stats.registry.as_dict()["counters"]
+        )
 
     def test_old_token_rejected_after_continue(self, tmp_path):
         service, catalog = make_service(str(tmp_path))
@@ -218,6 +256,55 @@ class TestStatelessness:
         service.continue_query(first.token)
         with pytest.raises(TokenRedeemedError):
             service.continue_query(first.token)
+
+
+class TestAFailedRequestLeavesNothingBehind:
+    @staticmethod
+    def fail_first_commit(service, monkeypatch):
+        save_many = service.image_store.save_many
+        failed = []
+
+        def flaky(requests, tracer=None):
+            if not failed:
+                failed.append(requests[0].image_id)
+                raise OSError("injected commit failure")
+            return save_many(requests, tracer=tracer)
+
+        monkeypatch.setattr(service.image_store, "save_many", flaky)
+        return failed
+
+    @staticmethod
+    def assert_nothing_left(service):
+        assert service.records == []
+        assert len(service.db.state_store) == 0
+        assert service.total_live_memory() == 0
+
+    def test_a_begin_whose_commit_fails(self, tmp_path, monkeypatch):
+        """The commit raises after the suspend: the SuspendedQuery is
+        released and the record dropped, so the store holds no payload
+        and the same name begins again."""
+        service, catalog = make_service(str(tmp_path))
+        tracked = keep_tracked_records(service, monkeypatch)
+        failed = self.fail_first_commit(service, monkeypatch)
+        with pytest.raises(OSError, match="injected"):
+            service.begin("q1", catalog["sorted-join"])
+        assert failed == ["q1-s1"]
+        self.assert_nothing_left(service)
+        assert tracked[0].memory_in_use() == 0
+        rows, _ = drive_to_completion(
+            service, service.begin("q1", catalog["sorted-join"])
+        )
+        assert rows == solo_rows(catalog["sorted-join"])
+
+    def test_a_continue_whose_commit_fails(self, tmp_path, monkeypatch):
+        service, catalog = make_service(str(tmp_path), fold=True)
+        begun = service.begin("q1", catalog["sorted-join"])
+        self.fail_first_commit(service, monkeypatch)
+        with pytest.raises(OSError, match="injected"):
+            service.continue_query(begun.token)
+        self.assert_nothing_left(service)
+        assert not service.fold_manager.is_grafted("q1")
+        assert service.fold_manager.binding("q1") is None
 
 
 class TestImageChainHygiene:

@@ -18,6 +18,26 @@ def make_file(n=25, tpp=10):
 
 
 class TestHeapFile:
+    @pytest.mark.parametrize("tpp", [1, 7, 100])
+    @pytest.mark.parametrize(
+        "loads", [(250, 13), (3, 2), (0, 9), (9, 0), (100, 100), (6, 300)]
+    )
+    def test_bulk_load_pages_match_the_row_loop(self, tpp, loads):
+        """Page slicing cuts the same pages as appending one row at a
+        time, over consecutive loads that top up a partial last page."""
+        from tests.oracles import row_bulk_load
+
+        sliced = HeapFile("t", SCHEMA, SimulatedDisk(), tuples_per_page=tpp)
+        looped = HeapFile("t", SCHEMA, SimulatedDisk(), tuples_per_page=tpp)
+        start = 0
+        for n in loads:
+            rows = [(i, i * 2) for i in range(start, start + n)]
+            start += n
+            sliced.bulk_load(iter(rows))
+            row_bulk_load(looped, rows)
+            assert sliced._pages == looped._pages
+            assert sliced.num_tuples == looped.num_tuples == start
+
     def test_bulk_load_counts(self):
         hf, _ = make_file(25, 10)
         assert hf.num_tuples == 25
