@@ -11,8 +11,9 @@ Layers, bottom up:
 - :mod:`~repro.durability.faults` — crash-point hooks and torn-write
   injection, threaded through every file operation;
 - :mod:`~repro.durability.codec2` — the v2 binary columnar codec
-  (typed column segments, string interning, one zlib stream per value,
-  streamed in chunks), the one value codec: image sections and
+  (typed column segments, int columns at their narrowest width, string
+  interning, one stored — level 0, not deflated — zlib stream per
+  value, streamed in chunks), the one value codec: image sections and
   shard-worker messages alike. It only encodes values; it neither
   frames nor checksums them;
 - :mod:`~repro.durability.format` — the packed one-file-per-image

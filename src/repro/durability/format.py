@@ -4,8 +4,8 @@ One image is one **packed file** under the image root — the only layout
 this build reads or writes (``LAYOUT_VERSION``)::
 
     <root>/<image_id>.rimg
-        blob-0000 ...     # one codec-v2 value stream (zlib) per locally
-                          #   held payload, encoded or copied
+        blob-0000 ...     # one codec-v2 value stream (zlib, stored) per
+                          #   locally held payload, encoded or copied
         control           # the SuspendedQuery control record (codec v2)
         manifest          # JSON: per-file offset, size and SHA-256,
                           #   blob table, base image, metadata
@@ -63,7 +63,9 @@ TRAILER_LABEL = "trailer"
 #: build reads and writes — the image's only format stamp. 5: a payload
 #: keeps its key for life, and the control record carries key counters.
 #: 6: a hash join's dumped hash table (``hash_rows``) is one row block.
-LAYOUT_VERSION = 6
+#: 7: sections are stored (zlib level 0), and int columns are packed at
+#: their narrowest width.
+LAYOUT_VERSION = 7
 
 #: manifest offset, manifest length, CRC-32 of (offset, length, manifest
 #: bytes), magic — the last bytes of every packed image.

@@ -26,7 +26,8 @@ from repro.relational.expressions import EquiJoinCondition, UniformSelect
 
 #: ``--hypothesis-profile=ci``: ten times hypothesis's default example
 #: count, for the properties that take their count from the profile
-#: (``tests/engine/test_compiled_passes.py``). Tier-1 runs keep the
+#: (``tests/engine/test_compiled_passes.py``,
+#: ``tests/durability/test_codec2.py``). Tier-1 runs keep the
 #: default profile.
 settings.register_profile(
     "ci", max_examples=10 * settings.get_profile("default").max_examples

@@ -1,16 +1,20 @@
 """Codec v2 unit and property tests.
 
 Round-trip identity over the full value domain, the columnar rows fast
-path, the integrity of the one zlib stream a value is (truncation,
-trailing bytes, a flipped byte: its frame is zlib's own), and — the PROTOCOL.md §7 determinism
-rule extended to image bytes — byte-identical re-encode, including
-across two interpreter processes and across chunk sizes.
+path and its narrow int columns, the integrity of the one stored zlib
+stream a value is (truncation, trailing bytes, a flipped byte: its frame
+is zlib's own), and — the PROTOCOL.md §7 determinism rule extended to
+image bytes — byte-identical re-encode, including across two interpreter
+processes and across chunk sizes. The properties take their example
+count from the active hypothesis profile (CI also runs this file under
+``--hypothesis-profile=ci``, see ``tests/conftest.py``).
 """
 
 import collections
 import hashlib
 import os
 import pickle
+import struct
 import subprocess
 import sys
 import zlib
@@ -23,6 +27,12 @@ from hypothesis import strategies as st
 from repro.core.lifecycle import QuerySession
 from repro.durability import build_recipe, codec2
 from repro.durability.codec2 import (
+    C_F64,
+    C_GEN,
+    C_I8,
+    C_I16,
+    C_I32,
+    C_I64,
     DEFAULT_CHUNK_BYTES,
     T_OBJ,
     T_ROWS,
@@ -184,21 +194,108 @@ class TestColumnarRows:
             assert decoded == value
 
 
+class TestNarrowIntColumns:
+    """An all-int column is packed at the narrowest of 1, 2, 4 and 8
+    bytes that holds its minimum and maximum; one past int64 is a
+    per-cell column."""
+
+    EDGES = [
+        (-(2**7), 2**7 - 1, C_I8),
+        (-(2**7) - 1, 0, C_I16),
+        (0, 2**7, C_I16),
+        (-(2**15), 2**15 - 1, C_I16),
+        (-(2**15) - 1, 0, C_I32),
+        (0, 2**15, C_I32),
+        (-(2**31), 2**31 - 1, C_I32),
+        (-(2**31) - 1, 0, C_I64),
+        (0, 2**31, C_I64),
+        (-(2**63), 2**63 - 1, C_I64),
+        (-(2**63) - 1, 0, C_GEN),
+        (0, 2**63, C_GEN),
+    ]
+    WIDTHS = {C_I8: 1, C_I16: 2, C_I32: 4, C_I64: 8}
+
+    @pytest.mark.parametrize(
+        "low, high, code", EDGES, ids=[f"{lo}..{hi}" for lo, hi, _ in EDGES]
+    )
+    def test_width_at_and_one_past_each_edge(self, low, high, code):
+        rows = [(low,), (high,), (0,), (high,), (low,)]
+        raw = value_bytes(encode_bytes(rows))
+        assert raw[3] == code
+        if code != C_GEN:
+            # block tag, row count, arity, column code, then the column
+            assert len(raw) == 4 + self.WIDTHS[code] * len(rows)
+        decoded, _ = roundtrip(rows)
+        assert decoded == rows
+        assert all(type(v) is int for (v,) in decoded)
+
+    def test_each_column_takes_its_own_width(self):
+        rows = [(i, i * 100_000, -(2**40) * i, i * 0.5) for i in range(8)]
+        raw = value_bytes(encode_bytes(rows))
+        at, codes = 3, []
+        for width in (1, 4, 8, 8):
+            codes.append(raw[at])
+            at += 1 + width * len(rows)
+        assert codes == [C_I8, C_I32, C_I64, C_F64] and at == len(raw)
+        assert decode_bytes(encode_bytes(rows)) == rows
+
+    @pytest.mark.parametrize(
+        "column",
+        [[True, False, True, True], [True, 1, 0, False]],
+        ids=["bool", "bool-and-int"],
+    )
+    def test_bool_column_takes_the_generic_code(self, column):
+        rows = [(v,) for v in column]
+        raw = value_bytes(encode_bytes(rows))
+        assert raw[3] == C_GEN
+        decoded, _ = roundtrip(rows)
+        assert [type(v) for (v,) in decoded] == list(map(type, column))
+
+    def test_unknown_column_code_rejected(self):
+        raw = bytes([T_ROWS, 4, 1, 7]) + bytes(4)
+        with pytest.raises(CodecError, match="unknown v2 column type 7"):
+            decode_bytes(streamed(raw))
+
+    def test_a_short_narrow_column_is_garbled(self):
+        raw = bytes([T_ROWS, 4, 1, C_I16]) + bytes(7)
+        with pytest.raises(CodecError, match="garbled"):
+            decode_bytes(streamed(raw))
+
+
 def big_rows() -> list:
     """A value whose encoding spans more than three chunks."""
-    return [(i, float(i), f"payload-{i}") for i in range(30_000)]
+    return [(i, float(i), f"payload-{i}") for i in range(40_000)]
+
+
+def stored_blocks(data: bytes) -> list:
+    """The payloads of the stored deflate blocks (RFC 1951 §3.2.4) of a
+    zlib stream, checking each block's header and length complement,
+    the stream's ``78 01`` header and its Adler-32 trailer."""
+    assert data[:2] == b"\x78\x01"
+    blocks, at, final = [], 2, False
+    while not final:
+        header = data[at]
+        assert header in (0, 1)  # BTYPE 00 (stored); bit 0 is BFINAL
+        final = header == 1
+        length, complement = struct.unpack_from("<HH", data, at + 1)
+        assert length ^ complement == 0xFFFF
+        blocks.append(data[at + 5 : at + 5 + length])
+        at += 5 + length
+    assert data[at:] == zlib.adler32(b"".join(blocks)).to_bytes(4, "big")
+    return blocks
 
 
 class TestFrames:
     """A value's one frame is zlib's own (RFC 1950): a two-byte header,
-    the deflate data, an Adler-32 trailer. The codec adds no magic, frame
-    header or CRC of its own (the image's manifest checks each section),
-    and every damage to the stream is still a :class:`CodecError`."""
+    the deflate data (stored blocks, at level 0), an Adler-32 trailer.
+    The codec adds no magic, frame header or CRC of its own (the image's
+    manifest checks each section), and every damage to the stream is
+    still a :class:`CodecError`."""
 
     def test_stream_magic_and_multiple_frames(self):
         """A value spanning three chunks: the sink receives it as it
-        fills, one zlib stream (header ``78 01``: deflate, level 1)
-        that round-trips."""
+        fills, one zlib stream (header ``78 01``: deflate format, level
+        0) that round-trips."""
         rows = big_rows()
         chunks = []
         codec2.encode_to_stream(rows, chunks.append)
@@ -208,13 +305,29 @@ class TestFrames:
         assert len(value_bytes(data)) >= 3 * DEFAULT_CHUNK_BYTES
         assert decode_bytes(data) == rows
 
-    def test_compression_marks_flag_and_shrinks(self):
-        """Every stream is compressed (the header's CM field says
-        deflate); a repetitive value shrinks well."""
-        rows = [(i % 5, 0.25, "label") for i in range(2000)]
+    @pytest.mark.parametrize("chunk", [1, 4096, 100_000, 10**7])
+    def test_chunk_size_never_moves_the_stored_blocks(self, chunk):
+        """Stored blocks end where zlib's input calls end, so a value of
+        several blocks is fed to it in fixed pieces: the encoder's chunk
+        size changes when its buffer is handed on, never the bytes."""
+        rows = big_rows()
+        with mock.patch.object(codec2, "DEFAULT_CHUNK_BYTES", chunk):
+            data = encode_bytes(rows)
+        assert data == encode_bytes(rows)
+
+    @pytest.mark.parametrize("n", [2000, 30_000], ids=["one-block", "chunked"])
+    def test_stream_is_stored_value_bytes(self, n):
+        """Every stream is stored, not deflated: zlib's two-byte header,
+        the value bytes verbatim in stored blocks of five header bytes
+        each, and the four-byte Adler-32 trailer — however repetitive
+        the value."""
+        rows = [(i % 5, 0.25, "label") for i in range(n)]
         data = encode_bytes(rows)
-        assert data[0] & 0x0F == 8
-        assert len(data) < len(value_bytes(data)) // 4
+        raw = value_bytes(data)
+        blocks = stored_blocks(data)
+        assert b"".join(blocks) == raw
+        assert len(data) == 2 + len(raw) + 5 * len(blocks) + 4
+        assert (len(blocks) == 1) == (n == 2000)
         assert decode_bytes(data) == rows
 
     def test_bad_magic_rejected(self):
@@ -253,6 +366,13 @@ class TestFrames:
 # ----------------------------------------------------------------------
 # Property tests (PROTOCOL.md §7 determinism, extended to image bytes)
 # ----------------------------------------------------------------------
+#: Magnitude bits of the int column widths (8, 16, 32 and 64 bits), and
+#: ints within a drawn one of them.
+int_bits = st.sampled_from([7, 15, 31, 63])
+narrow_ints = int_bits.flatmap(
+    lambda bits: st.integers(-(2**bits), 2**bits - 1)
+)
+
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -265,12 +385,17 @@ values = st.recursive(
     scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=8),
-        st.lists(
-            st.tuples(
-                st.integers(-(2**63), 2**63 - 1), st.floats(allow_nan=False)
-            ),
-            min_size=4,
-            max_size=30,
+        # row blocks whose int columns are drawn within one width
+        int_bits.flatmap(
+            lambda bits: st.lists(
+                st.tuples(
+                    st.integers(-(2**bits), 2**bits - 1),
+                    st.integers(-(2**bits), 2**bits - 1),
+                    st.floats(allow_nan=False),
+                ),
+                min_size=4,
+                max_size=30,
+            )
         ),
         st.dictionaries(
             st.one_of(scalars.filter(lambda v: v == v)), children, max_size=6
@@ -289,7 +414,6 @@ values = st.recursive(
 )
 
 PROP = settings(
-    max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -433,6 +557,7 @@ cells = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(2**70), 2**70),
+    narrow_ints,
     st.floats(allow_nan=False),
     st.text(max_size=4),
 )
@@ -469,8 +594,9 @@ def test_property_rows_shape_agrees_with_its_first_definition(rows):
 def codec_corpus() -> list:
     """Fixed values over every encoder branch, row blocks above all:
     exactly ``ROWS_MIN`` rows and one fewer, arity 64 and 65, ragged,
-    list rows, bool, None and mixed columns, int64 overflow, a block
-    spanning several chunks, and three control records. (A namedtuple
+    list rows, bool, None and mixed columns, each int width at its edges,
+    int64 overflow, a block spanning several chunks, and three control
+    records. (A namedtuple
     is no value of the codec's domain.)"""
     n = codec2.ROWS_MIN
     corpus = [
@@ -490,6 +616,11 @@ def codec_corpus() -> list:
         [(None, i) for i in range(n)],
         [(i, float(i) if i % 2 else i, "s" if i % 3 else None) for i in range(9)],
         [(2**63 + i, -(2**63) - i) for i in range(n)],
+        # one block per int width, both columns at its edges
+        *(
+            [(-bound + i, bound - 1 - i) for i in range(n)]
+            for bound in (2**7, 2**15, 2**31, 2**63)
+        ),
         [(i, i % 7 == 0, f"k{i % 50}", i / 3) for i in range(20_000)],
         [(), (), (), ()],
         {"rows": [(i, str(i)) for i in range(n)], "set": {3, 1, 2}},
@@ -506,11 +637,13 @@ def codec_corpus() -> list:
 
 #: SHA-256 of :func:`codec_corpus`'s encodings, each length-prefixed,
 #: recorded with the per-row walks of the encoder: a faster walk may not
-#: change an image's bytes. Re-pinned once since, when the control record
-#: gained ``key_counters`` (layout 5); without that field the corpus
-#: still hashes to the first pin, ``0a6ddf97…81a191``.
+#: change an image's bytes. Re-pinned since when the control record
+#: gained ``key_counters`` (layout 5; without that field the corpus still
+#: hashes to the first pin, ``0a6ddf97…81a191``), and when the streams
+#: became stored and int columns narrow (layout 7; the layout-6 bytes,
+#: pinned ``4970a6e1…143341``, decode to the same values).
 CORPUS_SHA256 = (
-    "4970a6e1a934fe6a1c16506c4733ae4e4ef6a2d9d2220be0888ba4da9e143341"
+    "9d2e645513e574c296e3a45a4011d7d2df8a4f6660dee3b389cf6692e8237896"
 )
 
 

@@ -264,11 +264,12 @@ class TestOldFormatsAreRejected:
             lambda m: m.update(layout_version=3),
             lambda m: m.update(layout_version=4),
             lambda m: m.update(layout_version=5),
+            lambda m: m.update(layout_version=6),
             lambda m: m.pop("layout_version"),
         ],
         ids=[
             "layout-1", "layout-2", "layout-3", "layout-4", "layout-5",
-            "layout-absent",
+            "layout-6", "layout-absent",
         ],
     )
     def test_foreign_version_stamp_is_a_format_error_and_torn(

@@ -188,8 +188,9 @@ class TestSuspendRaisedByTheInnerPull:
     """An ``emitted`` trigger on the inner scan, firing mid-pass under an
     emitting NLJ. Expected values were recorded from the per-row path at
     the parent of the change that deleted it; the image SHAs again when
-    the codec's frame layer was deleted, with the decoded control records
-    checked identical.
+    the codec's frame layer was deleted, and when sections became stored
+    zlib streams with narrow int columns (layout 7), each time with the
+    decoded control records checked identical.
 
     The 31st inner tuple matches nothing in the buffer, so the join pulls
     the inner child again and *that* call's entry poll raises: the NLJ
@@ -210,10 +211,12 @@ class TestSuspendRaisedByTheInnerPull:
         return db, session, session.op_named("nlj")
 
     def image_sha(self, session):
-        """Digest of the control record. Re-pinned once, when the record
-        gained ``key_counters`` (here ``{}``: nothing was dumped); the
-        record without that field still hashes to the first pins,
-        ``af60e95dbde7f073`` and ``33abca8a7928c8d3``."""
+        """Digest of the control record. Re-pinned when the record gained
+        ``key_counters`` (here ``{}``: nothing was dumped; the record
+        without that field still hashes to the first pins,
+        ``af60e95dbde7f073`` and ``33abca8a7928c8d3``), and when the codec
+        stopped deflating (layout 6 pins: ``f9cd258d975e5609`` and
+        ``09ea5151cf2e7a15``)."""
         sq = session.suspend(SuspendSpec(strategy="all_goback"))
         return hashlib.sha256(encode_suspended_query(sq)).hexdigest()[:16]
 
@@ -224,7 +227,7 @@ class TestSuspendRaisedByTheInnerPull:
         assert nlj.tally.cpu_tuples == 52
         assert session.op_named("scan_S").tally.cpu_tuples == 31
         assert repr(db.now) == "2.155"
-        assert self.image_sha(session) == "f9cd258d975e5609"
+        assert self.image_sha(session) == "43309482547d7e2c"
 
     def test_raised_after_a_match_was_handed_up(self):
         db, session, nlj = self.stopped_at(30)
@@ -232,7 +235,7 @@ class TestSuspendRaisedByTheInnerPull:
         assert nlj.cursor == 6 and nlj.inner_row[2] == 29
         assert nlj.tally.cpu_tuples == 50
         assert repr(db.now) == "2.152"
-        assert self.image_sha(session) == "09ea5151cf2e7a15"
+        assert self.image_sha(session) == "6ea0423b1418016e"
 
 
 class TestNLJOverNLJ:
