@@ -95,7 +95,6 @@ class Checkpoint:
         emitted_at: the operator's output-tuple count at creation, used for
             contract migration ("no tuples produced since" test).
         reactive: True for reactive checkpoints of stateless operators.
-        created_at: virtual time of creation (diagnostics only).
     """
 
     op_id: int
@@ -104,7 +103,6 @@ class Checkpoint:
     work_at: float
     emitted_at: int
     reactive: bool = False
-    created_at: float = 0.0
     ckpt_id: int = field(default_factory=lambda: next(_ckpt_ids))
     #: Memoized ``(payload, value)`` pair for :meth:`nominal_bytes`; the
     #: payload is written once at creation, so identity is the cache key.
@@ -158,7 +156,6 @@ class Contract:
     anchor_contract_id: Optional[int] = None
     work_at_signing: float = 0.0
     emitted_at_signing: int = 0
-    signed_at: float = 0.0
     nested: dict = field(default_factory=dict)
     saved_rows: list = field(default_factory=list)
     contract_id: int = field(default_factory=lambda: next(_contract_ids))

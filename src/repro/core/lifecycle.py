@@ -497,6 +497,9 @@ class QuerySession:
         checkpoint. The returned session's next output tuple is the one
         immediately after the last delivered before suspension. The
         session takes a count of its own on every payload ``sq`` names.
+        It charges the same whether ``sq`` is what a suspend returned or
+        what ``ImageStore.load`` staged: dumped pages are read back,
+        never written again.
         """
         session = cls.__new__(cls)
         session.db = db

@@ -37,10 +37,12 @@ Responsibilities:
   request in the batch has been checked;
 - :meth:`ImageStore.load` — verify every section's checksum, decode the
   control record, and stage the payload sections *undecoded*, with the
-  origin of each, for import (the migration path charges the simulated-
-  disk writes on resume; the state store decodes a payload when it is
-  first read). The packed ``<id>.rimg`` with codec-v2 sections is the
-  only form read; any other layout stamp is a format error;
+  origin of each, for import (a resume from the image charges what a
+  resume in place charges: the sections are the dumped pages, read back
+  as the resumed query needs them; the state store decodes a payload
+  when it is first read). The packed ``<id>.rimg`` with codec-v2
+  sections is the only form read; any other layout stamp is a format
+  error;
 - :meth:`ImageStore.save_cut` / :meth:`load_cut` — a sharded query's
   global cut (:mod:`repro.shard.manifest`) as an image of its own: the
   coordinator record is its control section, it holds no payload
@@ -749,8 +751,8 @@ class ImageStore:
         returns, but not decoded: the query's ``payloads`` hold each as a
         :class:`~repro.storage.statefile.StagedPayload` with the section
         it is, and no count anywhere. Each ``QuerySession.resume`` of it
-        imports them into the target database's state store, charging
-        the page writes there exactly as a migration to a replica would;
+        imports them into the target database's state store uncharged,
+        so it costs what a resume in place of the same query costs;
         the store decodes a payload when its handle is first read — a
         section the resumed query never dereferences costs no decode —
         and a malformed blob record raises :class:`ImageFormatError` then.

@@ -140,8 +140,8 @@ class Operator:
         operator's own loop — a child's ``next``/``next_batch``/
         ``rewind``, ``make_checkpoint``/``sign_contract``, a state-store
         dump or load — and before the batch returns, because a child's
-        reactive checkpoint stamps ``created_at`` from the shared lane
-        and a child's entry poll may raise the suspend exception.
+        entry poll may raise the suspend exception, and the suspend
+        phase reads them as they stand.
 
         While a suspend trigger is armed every call polls at entry, and
         the controller shortens the request of the watched operator and
@@ -191,8 +191,8 @@ class Operator:
         counted in ``tuples_emitted`` and charged one wrapper CPU tuple
         each. A subclass defines this or the single-row :meth:`_next`,
         which this default loops over; charges stay per-row there because
-        ``_next`` may call into children, which must see this operator's
-        counts settled."""
+        ``_next`` may call into children, whose entry poll may raise the
+        suspend exception."""
         rows: list = []
         while len(rows) < max_rows:
             row = self._next()
@@ -374,7 +374,6 @@ class Operator:
             work_at=self.work,
             emitted_at=self.tuples_emitted,
             reactive=reactive,
-            created_at=self.rt.disk.query_now,
         )
         graph.add_checkpoint(ckpt)
         for child in self.children:
@@ -435,7 +434,6 @@ class Operator:
             ),
             work_at_signing=self.work,
             emitted_at_signing=self.tuples_emitted,
-            signed_at=self.rt.disk.query_now,
             saved_rows=list(self._pending_rows),
         )
         for child in self.stream_children():

@@ -5,9 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.engine.base import Operator
-from repro.engine.filter import Filter
 from repro.engine.runtime import Runtime
-from repro.engine.scan import TableScan
 from repro.relational.expressions import compile_projection
 
 
@@ -39,29 +37,11 @@ class Project(Operator):
         self.child.rewind()
 
     def _next_batch(self, max_rows: int) -> list:
-        """Project a batch of the child when the child is a scan(→filter)
-        chain, where nothing reads the clock mid-batch; any other child
-        may checkpoint beneath a batch, so it is pulled one row at a time
-        with this operator's charges settled in between."""
-        project = self._project
-        child = self.child
-        if isinstance(child, Filter):
-            child = child.child
-        if isinstance(child, TableScan):
-            rows = self.child.next_batch(max_rows)
-            self.tuples_emitted += len(rows)
-            # the examine charge + the wrapper charge per projected row
-            self.charge_cpu(2 * len(rows))
-            return list(map(project, rows))
-        out: list = []
-        while len(out) < max_rows:
-            row = self.child.next()
-            if row is None:
-                break
-            out.append(project(row))
-            self.tuples_emitted += 1
-            self.charge_cpu(2)
-        return out
+        rows = self.child.next_batch(max_rows)
+        self.tuples_emitted += len(rows)
+        # the examine charge + the wrapper charge per projected row
+        self.charge_cpu(2 * len(rows))
+        return list(map(self._project, rows))
 
     def _resume_from_dump(self, entry, payload, ctx) -> None:
         pass

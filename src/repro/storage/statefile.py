@@ -10,7 +10,9 @@ Who holds a payload: an open session (its :class:`ScopedStateStore`)
 or an unreleased suspended query (its :class:`PayloadHold`), each
 keeping one count on every payload it names; a payload is freed when
 its count reaches zero. A resume takes its counts through
-:meth:`StateStore.import_payload`, live payload or staged one alike.
+:meth:`StateStore.import_payload`, live payload or staged one alike, and
+for the same charge: none. Its pages were written when it was dumped;
+what a resume pays is reading them back.
 
 Beside the payloads the store keeps their *provenance*: for a payload
 that was imported from, or has been committed to, a durable suspend image,
@@ -217,9 +219,9 @@ class StateStore:
         """Return ``(payload, pages)`` for migration/persistence, uncharged.
 
         The page writes for this payload were already charged when it was
-        dumped; exporting it (to a replica or a durable image) reads the
-        *same* simulated-disk bytes, so charging again would double-count.
-        The importing side pays for its own copy via :meth:`import_payload`.
+        dumped; exporting it (to a replica or a durable image) and
+        importing it there (:meth:`import_payload`) move the *same*
+        simulated-disk bytes, so charging either would double-count.
         """
         return self._read(handle)
 
@@ -234,13 +236,13 @@ class StateStore:
         pages: int = 0,
         origin: Optional[PayloadOrigin] = None,
     ) -> DumpHandle:
-        """One more count on ``key``'s payload: a live one for no charge
-        without ``payload``, else ``payload`` stored under its own key,
-        charging the page writes — a migration's receiving side pays.
-        ``origin`` names the verified image section it is (see
-        :meth:`origin_of`). A live ``key`` with an origin of the same
-        SHA-256 is shared, decoded or still staged, for the same charge;
-        any other live key raises StorageError."""
+        """One more count on ``key``'s payload: the live one without
+        ``payload``, else ``payload`` registered under its own key as
+        :meth:`materialized` does. Neither is charged: the pages were
+        written when the payload was dumped. ``origin`` names the
+        verified image section it is (see :meth:`origin_of`). A live
+        ``key`` with an origin of the same SHA-256 is shared, decoded or
+        still staged; any other live key raises StorageError."""
         live = self._objects.get(key)
         if payload is not None and live is not None:
             held = self._origins.get(key)
@@ -248,7 +250,7 @@ class StateStore:
                 raise StorageError(f"payload {key!r} is live with other bytes")
             payload = live[0]
         if payload is not None:
-            self.dump(key, payload, pages)
+            self.materialized(key, payload, pages)
             if origin is not None:
                 self._origins[key] = origin
         elif live is None:

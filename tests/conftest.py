@@ -27,8 +27,9 @@ from repro.relational.expressions import EquiJoinCondition, UniformSelect
 #: ``--hypothesis-profile=ci``: ten times hypothesis's default example
 #: count, for the properties that take their count from the profile
 #: (``tests/engine/test_compiled_passes.py``,
-#: ``tests/durability/test_codec2.py``). Tier-1 runs keep the
-#: default profile.
+#: ``tests/durability/test_codec2.py``, and the persisted, token-hopped
+#: and one-row-requests modes of ``tests/properties/test_differential.py``).
+#: Tier-1 runs keep the default profile.
 settings.register_profile(
     "ci", max_examples=10 * settings.get_profile("default").max_examples
 )
@@ -105,6 +106,17 @@ def suspend_resume_rows(
     resumed = QuerySession.resume(db, sq)
     rest = resumed.execute()
     return first.rows + rest.rows
+
+
+def resume_to_end(db, sq):
+    """Resume ``sq`` on ``db`` and run it to the end: its rows and the
+    ``IOCounters`` the resume and the run charged. A resume costs the
+    same whether ``sq`` is the in-place query or its loaded image."""
+    before = db.disk.counters.snapshot()
+    session = QuerySession.resume(db, sq)
+    rows = session.execute().rows
+    session.close()
+    return rows, db.disk.counters.minus(before)
 
 
 def leave_torn_image(

@@ -18,7 +18,7 @@ from repro.core.suspended_query import (
 from repro.core.strategies import SuspendPlan
 from repro.storage.statefile import DumpHandle
 
-from tests.conftest import make_small_db, tiny_nlj_plan
+from tests.conftest import make_small_db, resume_to_end, tiny_nlj_plan
 
 
 class TestOpSuspendEntry:
@@ -90,7 +90,8 @@ class TestSuspendedQuery:
 class TestMigrationPayloads:
     def test_export_import_roundtrip_to_replica(self, tmp_path):
         """The Grid scenario: dump payloads travel in a durable image
-        and are re-homed (and charged) on the replica."""
+        and are re-homed on the replica, for what a resume in place of
+        the same query charges."""
         db = make_small_db()
         plan = tiny_nlj_plan()
         ref = QuerySession(make_small_db(), plan).execute().rows
@@ -102,11 +103,9 @@ class TestMigrationPayloads:
         images.save(sq, db.state_store, image_id="q")
 
         replica = db.replicate()
-        shipped = images.load("q")
-        before_writes = replica.disk.counters.pages_written
-        resumed = QuerySession.resume(replica, shipped)
-        assert replica.disk.counters.pages_written > before_writes
-        assert first.rows + resumed.execute().rows == ref
+        rest, charged = resume_to_end(replica, images.load("q"))
+        assert (rest, charged) == resume_to_end(db, sq)
+        assert first.rows + rest == ref
 
     def test_import_without_payload_rejected(self):
         db = make_small_db()

@@ -1,10 +1,11 @@
-"""Simulated-disk cost parity: persisting an image charges no extra I/O.
+"""Simulated-disk cost parity: an image changes no charge, either way.
 
 The image is the durable form of bytes the simulation already charged
 for — dump pages at dump time, the control record at suspend time — so
 ``suspend(persist_to=...)`` must produce byte-for-byte identical
-IOCounters to a plain ``suspend()``. The importing side, by contrast,
-pays page writes for re-homing the payloads (migration semantics).
+IOCounters to a plain ``suspend()``, and a resume from the image must
+charge what a resume in place of the same SuspendedQuery charges: it
+reads the dumped pages back, and writes nothing.
 """
 
 import dataclasses
@@ -14,6 +15,8 @@ import pytest
 from repro.core.lifecycle import QuerySession
 from repro.durability import ImageStore, build_recipe
 from repro.core.lifecycle import SuspendSpec
+
+from tests.conftest import resume_to_end
 
 # Rows to emit before suspending — hashagg only produces 16 groups.
 SHAPES = {"sort": 60, "hashjoin": 60, "hashagg": 6}
@@ -53,18 +56,22 @@ class TestPersistParity:
 
 
 class TestImportCharges:
-    def test_resume_from_image_charges_payload_writes(self, tmp_path):
-        session, _ = run_suspend("sort", rows=120, persist_to=str(tmp_path))
+    @pytest.mark.parametrize("recipe", sorted(SHAPES))
+    def test_image_resume_charges_as_in_place(self, recipe, tmp_path):
+        db, plan = build_recipe(recipe)
+        session = QuerySession(db, plan)
+        session.execute(max_rows=SHAPES[recipe])
+        sq = session.suspend(SuspendSpec(persist_to=str(tmp_path)))
         info = session.last_image
         assert info.blob_pages > 0
 
-        fresh_db, _ = build_recipe("sort")
-        sq = ImageStore(str(tmp_path)).load(info.image_id)
-        before = fresh_db.disk.counters.snapshot()
-        QuerySession.resume(fresh_db, sq)
-        delta = fresh_db.disk.counters.minus(before)
-        # Re-homing the image's payloads pays exactly their page count.
-        assert delta.pages_written == info.blob_pages
+        in_place = resume_to_end(db, sq)
+        fresh_db, _ = build_recipe(recipe)
+        loaded = ImageStore(str(tmp_path)).load(info.image_id)
+        # The image's sections are the dumped pages: a resume reads them
+        # back wherever it runs, and writes nothing.
+        assert resume_to_end(fresh_db, loaded) == in_place
+        assert in_place[1].pages_written == 0
 
     def test_in_process_resume_pays_no_import(self):
         db, plan = build_recipe("sort")

@@ -9,6 +9,8 @@ import pytest
 from repro import ImageStore, QuerySession, SuspendSpec, SuspendTrigger
 from repro.workloads import build_complex_plan, build_smj_s
 
+from tests.conftest import resume_to_end
+
 
 def ship(sq, db, root):
     """Commit ``sq`` as an image under ``root`` and load it back: what
@@ -38,7 +40,7 @@ class TestComplexPlanMigration:
         resumed = QuerySession.resume(replica, shipped)
         assert first.rows + resumed.execute().rows == ref
 
-    def test_migration_charges_receiving_side(self, tmp_path):
+    def test_migration_charges_as_in_place(self, tmp_path):
         db, plan = build_smj_s(selectivity=0.5, scale=400)
         session = QuerySession(db, plan)
         session.execute(max_rows=50)
@@ -46,10 +48,9 @@ class TestComplexPlanMigration:
         shipped = ship(sq, db, tmp_path)
 
         replica = db.replicate()
-        before = replica.disk.counters.pages_written
-        QuerySession.resume(replica, shipped)
-        # Re-homing sublists + dumps writes pages on the replica.
-        assert replica.disk.counters.pages_written > before
+        # Sublists and dumps are read back on the replica exactly as they
+        # would be in place; the transfer itself is not a page write.
+        assert resume_to_end(replica, shipped) == resume_to_end(db, sq)
 
     def test_resume_in_place_still_works_after_export(self, tmp_path):
         """Committing an image must not break local resume."""

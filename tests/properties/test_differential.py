@@ -14,7 +14,12 @@ same plan run once, uninterrupted:
   *traced*: the free-running run itself — rows, clock, ``IOCounters``,
   each operator's ``(emitted, tally)`` at every stop, and image bytes;
 - *persisted* (saved with ``ImageStore``, a repeat as a delta, loaded
-  into a fresh database) and *token-hopped* (``QueryService``): the rows;
+  into a fresh database): the rows, and the lane at every stop equals
+  the in-place run's — a resume from an image charges what a resume in
+  place charges;
+- *token-hopped* (``QueryService``): the rows, and each hop's lane clock
+  (its image's ``query_clock``) equals that of an in-place run cut at
+  the same quantum;
 - *folded*: each member's rows and lane equal its solo run's, and the
   split victim's images, first and repeat, the unfolded run's bytes;
 - *sharded* (``SHARDABLE`` plans, 1-4 shards): the rows as a multiset;
@@ -69,6 +74,13 @@ SLOW = settings(
     max_examples=45, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 NAME = "q0"
+
+
+def examples(n: int) -> int:
+    """``n`` at the default hypothesis profile, scaled with the active
+    one (ten times under ``--hypothesis-profile=ci``)."""
+    default = settings.get_profile("default").max_examples
+    return n * settings().max_examples // default
 
 
 class Schedule(NamedTuple):
@@ -297,7 +309,7 @@ def check_in_place(case, schedule, ref=None):
         assert run.cpu == ref.cpu
 
 
-@settings(SLOW, max_examples=25)
+@settings(SLOW, max_examples=examples(25))
 @given(case=cases(), schedule=schedules)
 @example(*CAP)
 def test_one_row_requests(case, schedule):
@@ -326,7 +338,7 @@ def test_traced(case, schedule, every):
     assert "op.next_batch" in kinds or not free.rows
 
 
-@settings(SLOW, max_examples=20)
+@settings(SLOW, max_examples=examples(20))
 @given(case=cases(), schedule=schedules)
 def test_persisted(case, schedule):
     with tempfile.TemporaryDirectory() as root:
@@ -344,10 +356,11 @@ def test_persisted(case, schedule):
         if len(run.images) > 1:
             assert store.info("hop1").base_image_id == "hop0"
     assert run.rows == reference(case).rows
+    assert run.lanes == run_schedule(case, schedule).lanes
     assert_nothing_held(run.db)
 
 
-@settings(SLOW, max_examples=15)
+@settings(SLOW, max_examples=examples(15))
 @given(case=cases(), schedule=schedules)
 def test_token_hopped(case, schedule):
     ref = reference(case).rows
@@ -359,12 +372,28 @@ def test_token_hopped(case, schedule):
         config = ServeConfig(quantum_rows=quantum, suspend=spec)
         service = QueryService(case.db(), config)
         result = service.begin(NAME, case.plan)
-        rows = list(result.rows)
+        rows, clocks = list(result.rows), []
         while not result.done:
+            # Read before the next continue collects the hop's image.
+            hop = service.image_store.load(result.image_id)
+            clocks.append(hop.query_clock)
             result = service.continue_query(result.token)
             rows += result.rows
     assert rows == ref
     assert_nothing_held(service.db)
+    cut = Schedule(
+        (("max_rows", 0, quantum),) * len(clocks),
+        schedule.strategies[:1],
+        schedule.budget,
+    )
+    in_place_clocks = []
+
+    def noting_clock(db, sq, hop, tracer):
+        in_place_clocks.append(sq.query_clock)
+        return in_place(db, sq, hop, tracer)
+
+    run_schedule(case, cut, resume=noting_clock)
+    assert clocks == in_place_clocks
 
 
 @settings(SLOW, max_examples=20)

@@ -149,13 +149,22 @@ class TestExportImport:
         assert (payload, pages) == ([1, 2, 3], 3)
         assert disk.now == before
 
-    def test_import_payload_charges_writes(self):
-        disk = SimulatedDisk()
-        store = StateStore(disk)
-        before = disk.counters.pages_written
-        handle = store.import_payload("shipped", ["rows"], pages=5)
-        assert disk.counters.pages_written - before == 5
-        assert store.load(handle) == ["rows"]
+    def test_import_payload_charges_as_a_live_import(self):
+        """A payload arriving with its bytes (from an image) costs what
+        one more count on the live payload costs: nothing. Reading it
+        back is what a resume pays, in either case."""
+        charged = []
+        for payload in (None, ["rows"]):  # live, then shipped
+            disk = SimulatedDisk()
+            store = StateStore(disk)
+            if payload is None:
+                store.dump("k", ["rows"], pages=5)
+            before = disk.counters.snapshot()
+            handle = store.import_payload("k", payload, pages=5)
+            assert store.load(handle) == ["rows"]
+            charged.append(disk.counters.minus(before))
+        assert charged[0] == charged[1]
+        assert (charged[1].pages_written, charged[1].pages_read) == (0, 5)
 
 
 class TestPayloadOrigin:
@@ -279,12 +288,15 @@ class TestStagedAndSharedPayloads:
         first = store.import_payload(
             "k", self.staged([1], calls), 3, origin=self.ORIGIN
         )
-        before = disk.counters.pages_written
+        before = disk.counters.snapshot()
+        store.import_payload("k")  # one more count on the live payload
+        live = disk.counters.minus(before)
+        before = disk.counters.snapshot()
         second = store.import_payload(
             "k", self.staged([1], calls), 3, origin=self.ORIGIN
         )
-        # Charged like any import, under the same key ...
-        assert disk.counters.pages_written - before == 3
+        # Charged like a count on the live payload, under the same key ...
+        assert disk.counters.minus(before) == live
         assert second == first
         assert store.origin_of("k") == self.ORIGIN
         # ... and one decode serves both imports.
