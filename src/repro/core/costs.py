@@ -153,7 +153,9 @@ def build_cost_model(runtime: "Runtime") -> SuspendCostModel:
         # dumped now, so it needs the heap the contract was signed over.
         # This test is true to that only because operators never discard
         # heap state without a checkpoint (a block NLJ checkpoints at the
-        # end of its last pass too): no newer checkpoint, same heap.
+        # end of its last pass too): no newer checkpoint, same heap. A
+        # hash operator's first partition load takes heap without one;
+        # a target before it holds none, and the restore takes none.
         if latest is not None and latest.seq > fulfilling.seq:
             cannot_dump.add((i, j))
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
-from repro.engine.runtime import ResumeContext, Runtime
+from repro.engine.runtime import Runtime
 from repro.relational.expressions import compile_fold, compile_projection
 from repro.relational.schema import Column, Schema
 
@@ -106,9 +105,6 @@ class GroupAggregate(Operator):
             "exhausted": self.exhausted,
         }
 
-    def _checkpoint_payload(self) -> dict:
-        return self.control_state()
-
     def _restore_control(self, control: dict) -> None:
         self.current_key = control["current_key"]
         self.agg_value = control["agg_value"]
@@ -116,12 +112,6 @@ class GroupAggregate(Operator):
         self.started = control["started"]
         self.in_group = control["in_group"]
         self.exhausted = control["exhausted"]
-
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
-        self._restore_control(entry.target_control)
-
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        self._restore_control(entry.target_control)
 
 
 class DuplicateEliminate(Operator):
@@ -154,11 +144,5 @@ class DuplicateEliminate(Operator):
     def control_state(self) -> dict:
         return {"current": self.current}
 
-    def _checkpoint_payload(self) -> dict:
-        return self.control_state()
-
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
-        self.current = entry.target_control["current"]
-
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        self.current = entry.target_control["current"]
+    def _restore_control(self, control: dict) -> None:
+        self.current = control["current"]

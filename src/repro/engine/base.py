@@ -12,10 +12,14 @@ checkpoint/contract protocol of Section 3:
 - :meth:`do_suspend` / :meth:`do_suspend_to` implement ``Suspend()`` /
   ``Suspend(Ctr)``, carrying out the DumpState or GoBack strategy chosen
   by the suspend plan and populating the SuspendedQuery structure;
-- :meth:`do_resume` implements ``Resume()``: children first, then either
-  reload dumped heap state or roll forward from the fulfilling checkpoint
-  to the recorded target, *skipping* regeneration work where the operator
-  semantics allow (Section 3.3).
+- :meth:`do_resume` implements ``Resume()``: children first, then the one
+  restore rule for the operator's kind and entry. A stateless operator
+  restores its position (:meth:`_restore_control`), whatever the entry.
+  A stateful one restores a DumpState entry as a full-state checkpoint
+  (:meth:`_restore_full_state` over the dumped heap) and a GoBack entry by
+  rolling forward from the fulfilling checkpoint to the recorded target,
+  *skipping* regeneration work where the operator semantics allow
+  (Section 3.3).
 
 Subclasses distinguish *heap children* (whose tuples build the operator's
 heap state; their GoBack positions come from the fulfilling checkpoint's
@@ -66,6 +70,9 @@ class Operator:
     STATEFUL = False
     #: Whether the operator supports rewind() (restart current output pass).
     REWINDABLE = False
+    #: The keys of :meth:`_disk_state`'s dict, which a DumpState entry
+    #: carries in ``current_control``.
+    DISK_KEYS: tuple = ()
 
     def __init__(
         self,
@@ -294,17 +301,14 @@ class Operator:
         return {}
 
     def _checkpoint_payload(self) -> dict:
-        """State stored in a checkpoint at the current point.
+        """State stored in a checkpoint at the current point: for a
+        stateless operator its position, the control state.
 
-        For stateful operators this is called only at minimal-heap-state
-        points, where it must capture what little state survives the
-        minimum (e.g. a sort's sublist handles). Empty by default.
+        Stateful operators override this; it is called only at their
+        minimal-heap-state points, where it must capture what little
+        state survives the minimum (e.g. a sort's sublist handles).
         """
-        return {}
-
-    def heap_children(self) -> list["Operator"]:
-        """Children whose output (re)builds this operator's heap state."""
-        return [c for c in self.children if c not in self.stream_children()]
+        return self.control_state()
 
     def stream_children(self) -> list["Operator"]:
         """Children consumed as a stream after heap state is built."""
@@ -392,11 +396,13 @@ class Operator:
         (Section 3.3: "the contract graph will be gradually reformed") —
         and bridges it with a payload that carries its full current
         state: ``heap`` (heap state, with the disk state beside it) and
-        ``control``. :meth:`_resume_goback` restores such a payload
-        directly and rolls forward from there, and it is charged like a
-        dump if a suspend plan ever goes back to it (``control_state_bytes``
-        prices ``heap`` at tuple width), so the cost accounting stays
-        honest. No other module knows this payload's shape.
+        ``control``. :meth:`do_resume` restores such a payload directly
+        and rolls forward from there (a DumpState entry restores through
+        the same hook, with the same heap shape), and it is charged like
+        a dump if a suspend plan ever goes back to it
+        (``control_state_bytes`` prices ``heap`` at tuple width), so the
+        cost accounting stays honest. No other module knows this
+        payload's shape.
         """
         if not self.STATEFUL:
             return self._new_checkpoint(self._checkpoint_payload(), reactive=True)
@@ -667,7 +673,16 @@ class Operator:
     # Resume phase
     # ------------------------------------------------------------------
     def do_resume(self, ctx: ResumeContext) -> None:
-        """``Resume()``: children first, then restore own state."""
+        """``Resume()``: children first, then restore own state by the one
+        rule for this operator and entry:
+
+        - a stateless operator restores its position, the entry's target
+          control state, whatever the entry's kind (:meth:`_restore_control`);
+        - a stateful one restores a GoBack entry's fulfilling checkpoint —
+          a post-resume full-state one (:meth:`_reactive_checkpoint`) or
+          its own — and rolls forward to the target, and a DumpState
+          entry from the dumped heap (:meth:`_resume_from_dump`).
+        """
         for child in self.children:
             child.do_resume(ctx)
         self._do_open()
@@ -675,14 +690,21 @@ class Operator:
         entry = ctx.sq.entry(self.op_id)
         self._pending_rows = deque(entry.saved_rows)
         start = self.rt.disk.query_now
-        if entry.kind in (KIND_DUMP, KIND_DUMP_TO_CONTRACT):
+        if not self.STATEFUL:
+            self._restore_control(entry.target_control)
+        elif entry.kind == KIND_GOBACK:
+            ckpt = entry.ckpt_payload or {}
+            if ckpt.get(_FULL_STATE):
+                self._restore_full_state(ckpt["heap"], ckpt["control"])
+            else:
+                self._restore_checkpoint(ckpt)
+            self._roll_forward(entry.target_control, entry, ctx)
+        else:
             payload = None
             if entry.dump_handle is not None:
                 with self.attribute_work():
                     payload = ctx.store.load(entry.dump_handle)
-            self._resume_from_dump(entry, payload, ctx)
-        else:
-            self._resume_goback(entry, ctx)
+            self._resume_from_dump(entry, payload)
         if self._tr.enabled:
             # The span covers only this operator's own restore (children
             # resumed above, before ``start``); for GoBack entries its
@@ -700,30 +722,26 @@ class Operator:
         # Output counting restarts at zero in the resumed process; only
         # deltas matter from here on.
 
-    def _resume_from_dump(
-        self, entry: OpSuspendEntry, payload, ctx: ResumeContext
-    ) -> None:
-        """Restore heap state from ``payload`` and control from the entry.
+    def _restore_control(self, control: dict) -> None:
+        """Restore a stateless operator's position from ``control``, what
+        :meth:`control_state` returned. Nothing by default: the operator's
+        children hold its position."""
 
-        Default implementation suits stateless operators (nothing to do).
-        """
-        if payload is not None:
-            raise NotImplementedError(
-                f"{type(self).__name__} dumped heap state but does not "
-                "implement _resume_from_dump"
-            )
-
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        """Restore the fulfilling checkpoint — a post-resume full-state
-        one (:meth:`_reactive_checkpoint`) or the operator's own — then
-        roll forward to the target. Stateless operators, whose children
-        hold the position, override this with nothing."""
-        ckpt = entry.ckpt_payload or {}
-        if ckpt.get(_FULL_STATE):
-            self._restore_full_state(ckpt["heap"], ckpt["control"])
-        else:
-            self._restore_checkpoint(ckpt)
-        self._roll_forward(entry.target_control, entry, ctx)
+    def _resume_from_dump(self, entry: OpSuspendEntry, payload) -> None:
+        """Restore a DumpState entry like a full-state checkpoint: the
+        dumped ``payload`` with the entry's disk state (the
+        :attr:`DISK_KEYS` of its ``current_control``) beside it, at the
+        target control state — for a DumpState-to-contract entry the
+        contract's. An operator whose control state also records how far
+        its heap children have been read (block NLJ, merge join) overrides
+        this for a to-contract entry: its children stay where they are."""
+        heap = payload
+        if self.DISK_KEYS:
+            current = entry.current_control or {}
+            heap = {**(payload or {}), **{
+                k: v for k, v in current.items() if k in self.DISK_KEYS
+            }}
+        self._restore_full_state(heap, entry.target_control)
 
     def _restore_checkpoint(self, ckpt: dict) -> None:
         """Restore the state a :meth:`_checkpoint_payload` describes."""

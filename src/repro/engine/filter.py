@@ -111,10 +111,3 @@ class Filter(Operator):
             contract.work_at_signing = self.work
             contract.saved_rows = [row]
         self.rt.graph.prune()
-
-    # Resume -------------------------------------------------------------
-    def _resume_from_dump(self, entry, payload, ctx) -> None:
-        pass  # stateless: the child holds the position
-
-    def _resume_goback(self, entry, ctx) -> None:
-        pass  # stateless: the child was repositioned by its own entry

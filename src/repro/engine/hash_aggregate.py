@@ -24,7 +24,6 @@ from collections import Counter
 from operator import add, itemgetter
 from typing import Sequence
 
-from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.aggregate import AGG_FUNCS
 from repro.engine.base import Operator, Row
 from repro.engine.partitions import PartitionedInput
@@ -44,6 +43,7 @@ class HashGroupAggregate(Operator):
     """Grouping with one aggregate, implemented by hash partitioning."""
 
     STATEFUL = True
+    DISK_KEYS = ("disk_rows",)
 
     def __init__(
         self,
@@ -230,14 +230,13 @@ class HashGroupAggregate(Operator):
     # ------------------------------------------------------------------
     # Resume
     # ------------------------------------------------------------------
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
-        # The partition handles travel in the entry (``_disk_state``).
-        self._restore_full_state(
-            {**(payload or {}), **(entry.current_control or {})},
-            entry.target_control,
-        )
-
     def _restore_full_state(self, heap: dict, control: dict) -> None:
+        """Restore complete state from a dump's or full-state
+        checkpoint's heap (with the disk state beside it).
+
+        Groups belong to a loaded partition only: the first load takes no
+        checkpoint, so a dump to a contract signed before it (partition
+        -1) holds partition 0's groups."""
         self.phase = control["phase"]
         self.input.consumed = control["consumed"]
         self.input.flushed = list(control["flushed"])
@@ -246,7 +245,8 @@ class HashGroupAggregate(Operator):
             list(b) for b in heap.get("pending", self.input.pending)
         ]
         self._restore_disk(heap)
-        self._groups = list(heap.get("groups", []))
+        if self.current_partition >= 0:
+            self._groups = list(heap.get("groups", []))
         self.emit_idx = control["emit_idx"]
 
     def _restore_checkpoint(self, ckpt: dict) -> None:

@@ -46,7 +46,6 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, compress, repeat
 from typing import Optional
 
-from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.partitions import PartitionedInput
 from repro.engine.runtime import ResumeContext, Runtime
@@ -66,6 +65,7 @@ class SimpleHashJoin(Operator):
     """Grace hash join with ``num_partitions`` disk partitions."""
 
     STATEFUL = True
+    DISK_KEYS = ("build_disk", "probe_disk")
 
     #: Build partitions kept fully in memory (0 for simple/Grace hash).
     memory_partitions = 0
@@ -395,13 +395,6 @@ class SimpleHashJoin(Operator):
     # ------------------------------------------------------------------
     # Resume
     # ------------------------------------------------------------------
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
-        # The partition handles travel in the entry (``_disk_state``).
-        self._restore_full_state(
-            {**(payload or {}), **(entry.current_control or {})},
-            entry.target_control,
-        )
-
     def _restore_full_state(self, heap: dict, control: dict) -> None:
         """Restore complete state from a dump's or full-state
         checkpoint's heap (with the disk state beside it)."""

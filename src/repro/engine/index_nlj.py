@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
-from repro.engine.runtime import ResumeContext, Runtime
+from repro.engine.runtime import Runtime
 from repro.storage.index import OrderedIndex
 
 
@@ -74,9 +73,6 @@ class IndexNLJ(Operator):
             "match_offset": self.match_pos - self.match_lo,
         }
 
-    def _checkpoint_payload(self) -> dict:
-        return self.control_state()
-
     def _restore_control(self, control: dict) -> None:
         self.outer_row = control["outer_row"]
         if self.outer_row is None:
@@ -87,9 +83,3 @@ class IndexNLJ(Operator):
                 self.outer_row[self.outer_key_column]
             )
         self.match_pos = self.match_lo + control["match_offset"]
-
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
-        self._restore_control(entry.target_control)
-
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        self._restore_control(entry.target_control)

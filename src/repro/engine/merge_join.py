@@ -27,7 +27,7 @@ import math
 from typing import Callable, Optional
 
 from repro.common.errors import ContractError
-from repro.core.suspended_query import KIND_GOBACK, OpSuspendEntry
+from repro.core.suspended_query import KIND_DUMP, KIND_GOBACK, OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
 from repro.relational.expressions import EquiJoinCondition
@@ -348,19 +348,22 @@ class MergeJoin(Operator):
             side.eof = state[f"{prefix}_eof"]
             side.packet = list(packets.get(packet, []))
 
-    def _restore_control(self, control: dict, packets: dict) -> None:
+    def _restore_full_state(self, heap: dict, control: dict) -> None:
         self.state = control["state"]
         self.collect_key = control["collect_key"]
         self.l_idx = control["l_idx"]
         self.r_idx = control["r_idx"]
-        self._restore_sides(control, packets)
+        self._restore_sides(control, heap)
 
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
+    def _resume_from_dump(self, entry: OpSuspendEntry, payload) -> None:
+        if entry.kind == KIND_DUMP:
+            super()._resume_from_dump(entry, payload)
+            return
+        # DumpState to a contract: the dumped packets and consumption
+        # state reflect the suspend point; the output position restarts
+        # from the contract point.
         target = entry.target_control
-        current = entry.current_control or target
-        # The dumped packets and consumption state reflect the suspend
-        # point; the output position restarts from the contract point.
-        self._restore_control(current, payload or {})
+        self._restore_full_state(payload, entry.current_control)
         if target["state"] == STATE_EMIT:
             self.l_idx = target["l_idx"]
             self.r_idx = target["r_idx"]
@@ -372,9 +375,6 @@ class MergeJoin(Operator):
 
     def _restore_checkpoint(self, ckpt: dict) -> None:
         self._restore_sides(ckpt, {})
-
-    def _restore_full_state(self, heap: dict, control: dict) -> None:
-        self._restore_sides(control, heap)
 
     def _roll_forward(self, target: dict, entry, ctx: ResumeContext) -> None:
         """Re-consume child tuples from the restored counts to the target
@@ -399,7 +399,7 @@ class MergeJoin(Operator):
                     packet_len,
                     target[f"{prefix}_next"],
                 )
-        self._restore_control(target, packets)
+        self._restore_full_state(packets, target)
 
     def _rebuild_packet(
         self, side: _Side, consumed_target, packet_len, target_lookahead

@@ -256,27 +256,22 @@ class BlockNLJ(Operator):
         self.outer_exhausted = control["outer_exhausted"]
         self.passes = control["passes"]
 
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
+    def _resume_from_dump(self, entry: OpSuspendEntry, payload) -> None:
+        """One rule for both DumpState kinds: the outer child stays where
+        it is. A target in the join phase saw this buffer (a contract's
+        target too: it was signed in the current pass), and the join
+        replays from its cursor and inner tuple. A target in the fill
+        phase keeps the full dumped buffer: the fill completes from the
+        outer child's position, and the whole pass's join is replayed,
+        ``passes`` counting from this resume."""
         rows = payload or []
         target = entry.target_control
-        current = entry.current_control or target
         if target["phase"] == PHASE_JOIN:
-            # Contract signed while joining the current pass: the buffer
-            # has not changed since, and resume replays the join from the
-            # contract's cursor and inner tuple.
-            self.buffer = list(rows[: target["fill"]])
-            self._restore_control(target)
-            self.outer_exhausted = current["outer_exhausted"]
+            self._restore_full_state(rows[: target["fill"]], target)
         else:
-            # Contract signed while filling (no output produced at that
-            # point): keep the full dumped buffer, let the fill complete
-            # from the outer child's current position, and replay the
-            # whole pass's join output.
-            self.buffer = list(rows)
-            self.phase = PHASE_FILL
-            self.cursor = 0
-            self.inner_row = None
-            self.outer_exhausted = current["outer_exhausted"]
+            self.buffer = list(rows)  # a fresh operator is filling
+        current = entry.current_control or target  # a plain dump: now
+        self.outer_exhausted = current["outer_exhausted"]
 
     def _restore_checkpoint(self, ckpt: dict) -> None:
         self.buffer = []

@@ -42,9 +42,3 @@ class Project(Operator):
         # the examine charge + the wrapper charge per projected row
         self.charge_cpu(2 * len(rows))
         return list(map(self._project, rows))
-
-    def _resume_from_dump(self, entry, payload, ctx) -> None:
-        pass
-
-    def _resume_goback(self, entry, ctx) -> None:
-        pass

@@ -18,9 +18,8 @@ import sys
 from itertools import compress, islice
 from typing import Optional
 
-from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
-from repro.engine.runtime import ResumeContext, Runtime
+from repro.engine.runtime import Runtime
 from repro.relational.schema import Schema
 from repro.storage.heapfile import HeapFile, TuplePosition
 
@@ -117,18 +116,8 @@ class TableScan(Operator):
         pos = self._cursor.position()
         return {"page_no": pos.page_no, "slot": pos.slot}
 
-    def _checkpoint_payload(self) -> dict:
-        return self.control_state()
-
-    # Resume -----------------------------------------------------------
-    def _seek_control(self, control: dict) -> None:
+    def _restore_control(self, control: dict) -> None:
         self._cursor.seek(TuplePosition(control["page_no"], control["slot"]))
-
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
-        self._seek_control(entry.target_control)
-
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        self._seek_control(entry.target_control)
 
     # Cost hints ---------------------------------------------------------
     def estimate_dump_resume_cost(self) -> float:
@@ -196,14 +185,8 @@ class IndexScan(Operator):
     def control_state(self) -> dict:
         return {"entry_idx": self._entry_idx}
 
-    def _checkpoint_payload(self) -> dict:
-        return self.control_state()
-
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
-        self._entry_idx = entry.target_control["entry_idx"]
-
-    def _resume_goback(self, entry: OpSuspendEntry, ctx: ResumeContext) -> None:
-        self._entry_idx = entry.target_control["entry_idx"]
+    def _restore_control(self, control: dict) -> None:
+        self._entry_idx = control["entry_idx"]
 
     def estimate_goback_resume_cost(self, link) -> float:
         target = link.target_control

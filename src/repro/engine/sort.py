@@ -38,7 +38,6 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from repro.common.errors import ContractError
-from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
 from repro.storage.statefile import DumpHandle
@@ -250,19 +249,6 @@ class TwoPhaseMergeSort(Operator):
     # ------------------------------------------------------------------
     # Resume
     # ------------------------------------------------------------------
-    def _resume_from_dump(self, entry: OpSuspendEntry, payload, ctx) -> None:
-        control = entry.target_control
-        self.sublists = list(control["sublists"])
-        if control["phase"] == PHASE_BUILD:
-            self.phase = PHASE_BUILD
-            self.sort_buffer = list(payload or [])[: control["fill"]]
-            self.child_exhausted = control["child_exhausted"]
-        else:
-            self.phase = PHASE_MERGE
-            self.sort_buffer = []
-            self.child_exhausted = True
-            self._init_readers(control["positions"])
-
     def _restore_checkpoint(self, ckpt: dict) -> None:
         self.sublists = list(ckpt.get("sublists", []))
         self.child_exhausted = ckpt.get("child_exhausted", False)
@@ -276,6 +262,8 @@ class TwoPhaseMergeSort(Operator):
         self.child_exhausted = control.get(
             "child_exhausted", self.phase == PHASE_MERGE
         )
+        if self.phase == PHASE_MERGE:
+            self._init_readers(control["positions"])
 
     def _roll_forward(self, target: dict, entry, ctx: ResumeContext) -> None:
         if self.phase == PHASE_MERGE:

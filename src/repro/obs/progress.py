@@ -21,7 +21,8 @@ Per-operator fraction-complete is ``emitted / estimate`` clamped to
 resets ``tuples_emitted`` to zero, so cross-process monotonicity needs
 the durable cumulative count carried by the continuation token or the
 suspend image's ``root_rows_emitted``). Estimated remaining work
-extrapolates observed work-per-fraction; estimated remaining bytes use
+extrapolates the query's work so far (its as-if-solo clock, which a
+resume carries on) per fraction; estimated remaining bytes use
 the same nominal bytes-per-row convention as the suspend-cost model.
 
 Everything here is deterministic: estimates are pure functions of the
@@ -184,6 +185,11 @@ def query_progress(
     across suspend/resume cycles and continuation hops even though each
     resume restarts the in-process counters at zero.
 
+    ``work_done`` is the query's as-if-solo clock (``session.query_now``),
+    which a resume carries on from the suspended query's, so it counts
+    the same span of the query as ``rows_total`` does; the operators'
+    ``work`` counts this session only.
+
     ``estimates`` takes a precomputed :func:`estimate_cardinalities` map;
     the estimates are pure functions of the plan and base-table counts,
     so per-quantum callers compute them once and pass them back in.
@@ -194,23 +200,21 @@ def query_progress(
     if estimates is None:
         estimates = estimate_cardinalities(root)
     operators: list[OpProgress] = []
-    work_done = 0.0
-    for op_id in sorted(session.runtime.ops):
-        op = session.runtime.ops[op_id]
-        work_done += op.work
-        if not include_operators:
-            continue
-        est = estimates.get(op_id, 1.0)
-        operators.append(
-            OpProgress(
-                op=op.name,
-                op_id=op_id,
-                est_rows=est,
-                emitted=op.tuples_emitted,
-                fraction=_fraction(op.tuples_emitted, est),
-                work=op.work,
+    if include_operators:
+        for op_id in sorted(session.runtime.ops):
+            op = session.runtime.ops[op_id]
+            est = estimates.get(op_id, 1.0)
+            operators.append(
+                OpProgress(
+                    op=op.name,
+                    op_id=op_id,
+                    est_rows=est,
+                    emitted=op.tuples_emitted,
+                    fraction=_fraction(op.tuples_emitted, est),
+                    work=op.work,
+                )
             )
-        )
+    work_done = session.query_now
     est_root = estimates.get(root.op_id, 1.0)
     rows_total = rows_offset + root.tuples_emitted
     fraction = _fraction(rows_total, est_root)

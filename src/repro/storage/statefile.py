@@ -197,18 +197,6 @@ class StateStore:
         self._disk.read_pages(pages)
         return payload
 
-    def load_pages_range(self, handle: DumpHandle, first_page: int) -> Any:
-        """Read back only pages ``[first_page, pages)`` of a tuple dump.
-
-        Used when resume can skip a prefix of the dumped state (e.g. sort
-        sublists already consumed). Returns the full payload but charges
-        only the unread suffix.
-        """
-        payload, pages = self._read(handle)
-        remaining = max(0, pages - first_page)
-        self._disk.read_pages(remaining)
-        return payload
-
     def peek(self, handle: DumpHandle) -> Any:
         """Read a payload without charging: for an operator that charges
         the pages itself, block by block as its cursor crosses them (sort

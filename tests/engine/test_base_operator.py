@@ -32,11 +32,8 @@ class CountingSource(Operator):
     def control_state(self):
         return {"i": self.i}
 
-    def _resume_from_dump(self, entry, payload, ctx):
-        self.i = entry.target_control["i"]
-
-    def _resume_goback(self, entry, ctx):
-        self.i = entry.target_control["i"]
+    def _restore_control(self, control):
+        self.i = control["i"]
 
 
 def make_source(n=10):
@@ -84,7 +81,6 @@ class TestDefaults:
 
     def test_stateless_children_split(self):
         op, _ = make_source()
-        assert op.heap_children() == []
         assert op.stream_children() == []
 
     def test_dump_cost_estimates_nonnegative(self):

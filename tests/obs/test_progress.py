@@ -4,7 +4,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.common.errors import TraceFileError
-from repro.core.lifecycle import QuerySession, QueryStatus
+from repro.core.lifecycle import QuerySession, QueryStatus, SuspendSpec
 from repro.durability import build_recipe
 from repro.obs import (
     MetricsRegistry,
@@ -70,6 +70,24 @@ class TestQueryProgress:
         offset = query_progress(session, rows_offset=100)
         assert offset.rows_total == plain.rows_total + 100
         assert offset.fraction >= plain.fraction
+
+    def test_work_done_never_falls_across_suspend_resume(self):
+        """Work done is the query's, not the current session's: a resume
+        carries it on, as ``rows_offset`` carries the rows."""
+        session = session_for("sort")
+        rows, done = 0, []
+        while True:
+            result = session.execute(max_rows=16)
+            rows += len(result.rows)
+            offset = rows - session.root.tuples_emitted
+            done.append(query_progress(session, rows_offset=offset).work_done)
+            if result.status is QueryStatus.COMPLETED:
+                break
+            sq = session.suspend(SuspendSpec())
+            session = QuerySession.resume(session.db, sq)
+            sq.release()
+        session.close()
+        assert len(done) > 3 and done == sorted(done)
 
     def test_operator_breakdown_covers_the_plan(self):
         session = session_for("hashagg")

@@ -49,14 +49,6 @@ class TestStateStore:
         assert store.peek(handle) == [1]
         assert disk.now == before
 
-    def test_load_pages_range_charges_suffix_only(self):
-        disk = SimulatedDisk()
-        store = StateStore(disk)
-        handle = store.dump("k", list(range(40)), pages=4)
-        before = disk.counters.pages_read
-        store.load_pages_range(handle, first_page=3)
-        assert disk.counters.pages_read - before == 1
-
     def test_free_releases(self):
         store = StateStore(SimulatedDisk())
         handle = store.dump("k", [1], pages=1)
@@ -108,12 +100,7 @@ class TestFreeEdgeCases:
         store = StateStore(SimulatedDisk())
         handle = store.dump("k", [1, 2], pages=2)
         store.free(handle)
-        for access in (
-            store.load,
-            store.peek,
-            store.export_payload,
-            lambda h: store.load_pages_range(h, 0),
-        ):
+        for access in (store.load, store.peek, store.export_payload):
             with pytest.raises(StorageError):
                 access(handle)
 
@@ -260,7 +247,6 @@ class TestStagedAndSharedPayloads:
         [
             StateStore.load,
             StateStore.peek,
-            lambda store, h: store.load_pages_range(h, 0),
             lambda store, h: store.export_payload(h)[0],
         ],
     )

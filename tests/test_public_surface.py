@@ -49,9 +49,15 @@ REMOVED_STREAM_NAMES = re.compile(
 #: Functions no module under ``src/repro`` may define again: a second
 #: join-matching path beside the block NLJ's key index, per-operator
 #: fold/group-key helpers beside ``compile_fold``/``compile_projection``,
-#: and a second suspend-plan solver beside ``optimizer.optimal_plan`` (the
-#: HiGHS program and brute force are test oracles, ``tests/oracles.py``).
+#: a second suspend-plan solver beside ``optimizer.optimal_plan`` (the
+#: HiGHS program and brute force are test oracles, ``tests/oracles.py``),
+#: a GoBack restore hook beside ``Operator.do_resume``, and protocol
+#: surface nothing called.
 REMOVED_DEFINITIONS = {
+    "_resume_goback",
+    "_seek_control",
+    "heap_children",
+    "load_pages_range",
     "compile_join_matches",
     "_fold",
     "_group_key",
@@ -221,8 +227,19 @@ def test_every_operator_has_one_production_hook():
 def test_an_operator_file_holds_only_what_is_its_own():
     """Shared knowledge is stated once: no helper under ``repro.engine``
     branches on which side called it, the post-resume full-state payload
-    is known to ``engine/base.py`` alone, and one site constructs a
-    ``Checkpoint``."""
+    is known to ``engine/base.py`` alone, one site constructs a
+    ``Checkpoint``, a stateless operator restores through
+    ``_restore_control`` alone, and only the block NLJ and the merge join
+    restore a DumpState entry otherwise than as a full-state one."""
+    import repro.engine.folded  # noqa: F401  (defines operator subclasses)
+    from repro.engine.base import Operator
+
+    for cls in all_subclasses(Operator):
+        own = set(vars(cls))
+        if not cls.STATEFUL:
+            assert not {"_resume_from_dump", "_checkpoint_payload"} & own, cls
+        elif "_resume_from_dump" in own:
+            assert cls.__name__ in ("BlockNLJ", "MergeJoin"), cls
     engine = ROOT / "src" / "repro" / "engine"
     sources = {path: path.read_text() for path in sorted(engine.glob("*.py"))}
     for path, text in sources.items():
